@@ -14,7 +14,7 @@ amortizes over the whole batch.
 """
 
 import csv
-import io
+import math
 import random
 import statistics
 import threading
@@ -115,7 +115,8 @@ def _stats(config: BenchConfig, latencies_ns: list[float],
     seconds = elapsed_ns / 1e9
     return BenchRecord(
         config=config,
-        throughput_ops=records / seconds if seconds > 0 else 0.0,
+        throughput_ops=(records / seconds if seconds > 0
+                        else math.inf if records else 0.0),
         latency_mean_us=statistics.fmean(lat_us) if lat_us else 0.0,
         latency_median_us=statistics.median(lat_us) if lat_us else 0.0,
         latency_p99_us=_percentile(lat_us, 0.99),
@@ -300,7 +301,16 @@ def _bench_peerreview(config: BenchConfig) -> BenchRecord:
     return _stats(config, latencies, clock.now_ns - start, done)
 
 
+WALLCLOCK_PROTOCOLS = ("raw-channel", "a2m")
+
+
 def run_bench(config: BenchConfig) -> BenchRecord:
+    if (config.wallclock and config.transport == "sim"
+            and config.protocol not in WALLCLOCK_PROTOCOLS):
+        raise ValueError(
+            f"--wallclock is not supported for {config.protocol}; it is "
+            f"supported for {', '.join(WALLCLOCK_PROTOCOLS)} and the socket "
+            f"transport")
     if config.transport == "socket":
         if config.protocol != "raw-channel":
             raise ValueError("socket transport supports raw-channel only")
@@ -325,11 +335,3 @@ def append_csv(path: str, record: BenchRecord) -> None:
             writer.writerow(CSV_HEADER)
         writer.writerow(record.csv_row())
 
-
-def csv_text(records: list[BenchRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_HEADER)
-    for record in records:
-        writer.writerow(record.csv_row())
-    return buf.getvalue()

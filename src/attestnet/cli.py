@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--transport", default="sim", choices=["sim", "socket"])
     p_bench.add_argument("--csv", default=None, help="append one CSV row here")
     p_bench.add_argument("--wallclock", action="store_true",
-                         help="busy-wait real time instead of simulated time")
+                         help="busy-wait real time instead of simulated time "
+                              "(raw-channel, a2m and the socket transport)")
 
     p_scenario = sub.add_parser("scenario", help="run a scenario file")
     p_scenario.add_argument("path")
@@ -60,11 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
-    config = bench_mod.BenchConfig(
-        protocol=args.protocol, delay_model=args.delay, batch=args.batch,
-        payload=args.payload, requests=args.requests, transport=args.transport,
-        seed=args.seed, delay_ns=args.delay_ns, wallclock=args.wallclock)
-    record = bench_mod.run_bench(config)
+    try:
+        config = bench_mod.BenchConfig(
+            protocol=args.protocol, delay_model=args.delay, batch=args.batch,
+            payload=args.payload, requests=args.requests,
+            transport=args.transport, seed=args.seed, delay_ns=args.delay_ns,
+            wallclock=args.wallclock)
+        record = bench_mod.run_bench(config)
+    except ValueError as exc:
+        print(f"attestnet bench: {exc}", file=sys.stderr)
+        return 2
     if args.csv:
         bench_mod.append_csv(args.csv, record)
     print(",".join(bench_mod.CSV_HEADER))

@@ -268,9 +268,7 @@ class BftCluster:
         devices = list(range(1, n + 1))
         cluster = build_cluster(devices, seed, attest_delay_ns=attest_delay_ns,
                                 net=net)
-        config = ProtocolConfig(n=n, f=f,
-                                roles={1: "leader",
-                                       **{d: "follower" for d in devices[1:]}})
+        config = ProtocolConfig(n=n, f=f)
         replicas: dict[int, BftReplica] = {}
         for device in devices:
             if device == 1:

@@ -250,10 +250,7 @@ class ChainCluster:
         devices = list(range(1, n + 1))
         cluster = build_cluster(devices, seed, attest_delay_ns=attest_delay_ns)
         order = devices[:]
-        roles = {order[0]: "head", order[-1]: "tail"}
-        for d in order[1:-1]:
-            roles[d] = "middle"
-        config = ProtocolConfig(n=n, f=f, roles=roles)
+        config = ProtocolConfig(n=n, f=f)
         nodes: dict[int, ChainNode] = {}
         for position, device in enumerate(order):
             node_cls = (node_cls_at or {}).get(position, ChainNode)

@@ -17,14 +17,13 @@ locally attested messages (the unicast-multicast discipline).
 import hashlib
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from ..device import DeviceConfig, Endpoint, SessionConfig, SimClock, connect
 from ..simnet import Network
@@ -52,7 +51,6 @@ class ProtocolConfig:
 
     n: int
     f: int
-    roles: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < self.f + 1:
@@ -90,31 +88,44 @@ class SignedReply:
 
 
 class ReplyKeyring:
-    """Per-device reply keypairs (C_priv) plus the public registry (C_pub)."""
+    """Per-device reply keypairs (C_priv) plus the public registry (C_pub).
+
+    The public key objects are built once, here, not on every check.
+
+    `check` remembers the last reply that verified and answers an identical
+    reply without running Ed25519 again. This is sound because the memo is
+    keyed on the whole `SignedReply` (device, payload and signature, compared
+    by equality): a reply that differs in any byte, or names another device,
+    is verified afresh. Failed verifications are not remembered. One entry
+    is enough because the clusters hand each reply to every client back to
+    back, so all clients sharing this keyring check the same reply in a row.
+    """
 
     def __init__(self, devices: list[int], rng: random.Random):
         self._priv: dict[int, Ed25519PrivateKey] = {}
-        self.pubs: dict[int, bytes] = {}
+        self.pubs: dict[int, Ed25519PublicKey] = {}
         for device in devices:
             key = Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
             self._priv[device] = key
-            self.pubs[device] = key.public_key().public_bytes(
-                Encoding.Raw, PublicFormat.Raw)
+            self.pubs[device] = key.public_key()
+        self._last_verified: SignedReply | None = None
 
     def sign(self, device: int, payload: bytes) -> SignedReply:
         return SignedReply(device=device, payload=payload,
                            signature=self._priv[device].sign(payload))
 
     def check(self, reply: SignedReply) -> bool:
+        if reply == self._last_verified:
+            return True
         pub = self.pubs.get(reply.device)
         if pub is None:
             return False
         try:
-            Ed25519PublicKey.from_public_bytes(pub).verify(reply.signature,
-                                                           reply.payload)
-            return True
+            pub.verify(reply.signature, reply.payload)
         except InvalidSignature:
             return False
+        self._last_verified = reply
+        return True
 
 
 class QuorumClient:
