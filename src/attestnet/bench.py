@@ -14,10 +14,12 @@ amortizes over the whole batch.
 """
 
 import csv
+import itertools
 import math
 import random
 import statistics
 import threading
+import time
 from dataclasses import dataclass, field
 
 from .device import (
@@ -124,12 +126,23 @@ def _stats(config: BenchConfig, latencies_ns: list[float],
     )
 
 
-def _make_records(config: BenchConfig, rng: random.Random) -> list[bytes]:
-    return [rng.randbytes(config.payload) for _ in range(config.batch)]
+def _measure(config: BenchConfig, clock, submit) -> BenchRecord:
+    """Submit batches of fresh random records until `config.requests` records
+    are through; each record's latency is its batch's time in `submit`."""
+    rng = random.Random(config.seed)
+    latencies: list[float] = []
+    start = clock.now_ns
+    done = 0
+    while done < config.requests:
+        records = [rng.randbytes(config.payload) for _ in range(config.batch)]
+        t0 = clock.now_ns
+        submit(records)
+        latencies.extend([clock.now_ns - t0] * len(records))
+        done += len(records)
+    return _stats(config, latencies, clock.now_ns - start, done)
 
 
 def _bench_raw_channel(config: BenchConfig) -> BenchRecord:
-    rng = random.Random(config.seed)
     clock = BusyWaitClock() if config.wallclock else SimClock()
     net = Network(clock=clock)
     key = derive_key(config.seed, 1)
@@ -143,27 +156,16 @@ def _bench_raw_channel(config: BenchConfig) -> BenchRecord:
     sender = connect(cfg_a, net)
     receiver = connect(cfg_b, net)
 
-    latencies: list[float] = []
-    start = clock.now_ns
-    done = 0
-    while done < config.requests:
-        records = _make_records(config, rng)
-        t0 = clock.now_ns
+    def submit(records):
         sender.auth_send(1, pack_batch(records))
         net.run_until_quiescent()
         got = receiver.poll(1)
         assert got, "reliable channel must deliver"
-        dt = clock.now_ns - t0
-        latencies.extend([dt] * len(records))
-        done += len(records)
-    return _stats(config, latencies, clock.now_ns - start, done)
+    return _measure(config, clock, submit)
 
 
 def _bench_raw_socket(config: BenchConfig) -> BenchRecord:
     """Loopback sockets, wall-clock timing; one reader task per connection."""
-    import time
-
-    rng = random.Random(config.seed)
     key = derive_key(config.seed, 1)
     delay = config.effective_delay_ns
     cfg_a = DeviceConfig(device=1, sessions=[SessionConfig(1, 2, key)],
@@ -180,27 +182,18 @@ def _bench_raw_socket(config: BenchConfig) -> BenchRecord:
     client = real_socket_bridge(sender, addr)
     accept_thread.join()
 
-    latencies: list[float] = []
-    start = time.monotonic_ns()
-    done = 0
+    def submit(records):
+        sender.auth_send(1, pack_batch(records))
+        while not receiver.poll(1):
+            time.sleep(0)
     try:
-        while done < config.requests:
-            records = _make_records(config, rng)
-            t0 = time.monotonic_ns()
-            sender.auth_send(1, pack_batch(records))
-            while not receiver.poll(1):
-                time.sleep(0)
-            dt = time.monotonic_ns() - t0
-            latencies.extend([dt] * len(records))
-            done += len(records)
-        return _stats(config, latencies, time.monotonic_ns() - start, done)
+        return _measure(config, BusyWaitClock(), submit)
     finally:
         client.close()
         server.close()
 
 
 def _bench_a2m(config: BenchConfig) -> BenchRecord:
-    rng = random.Random(config.seed)
     delay = config.effective_delay_ns
     device = 1
     manifest = log_session(0xFF)
@@ -212,93 +205,49 @@ def _bench_a2m(config: BenchConfig) -> BenchRecord:
                                      attest_delay_ns=delay), clock=clock)
     store = A2mStore(endpoint, manifest_log=manifest)
     log_id = log_session(device)
-
-    latencies: list[float] = []
-    start = clock.now_ns
-    done = 0
-    while done < config.requests:
-        records = _make_records(config, rng)
-        t0 = clock.now_ns
-        store.append(log_id, pack_batch(records))
-        dt = clock.now_ns - t0
-        latencies.extend([dt] * len(records))
-        done += len(records)
-    return _stats(config, latencies, clock.now_ns - start, done)
+    return _measure(config, clock,
+                    lambda records: store.append(log_id, pack_batch(records)))
 
 
 def _bench_bft(config: BenchConfig) -> BenchRecord:
-    rng = random.Random(config.seed)
-    delay = config.effective_delay_ns
     cluster = BftCluster.build(n=3, f=1, seed=config.seed,
-                               attest_delay_ns=delay)
-    clock = cluster.cluster.net.clock
+                               attest_delay_ns=config.effective_delay_ns)
     client = cluster.clients[0]
+    round_ids = itertools.count()
 
-    latencies: list[float] = []
-    start = clock.now_ns
-    done = 0
-    round_id = 0
-    while done < config.requests:
-        records = _make_records(config, rng)
-        t0 = clock.now_ns
-        req = client.issue(round_id, pack_batch(records))
+    def submit(records):
+        req = client.issue(next(round_ids), pack_batch(records))
         cluster.replicas[cluster.leader_id].leader_handle(req)
         cluster.drain()
         assert client.accepted_value(req) is not None, "honest round must commit"
-        dt = clock.now_ns - t0
-        latencies.extend([dt] * len(records))
-        done += len(records)
-        round_id += 1
-    return _stats(config, latencies, clock.now_ns - start, done)
+    return _measure(config, cluster.cluster.net.clock, submit)
 
 
 def _bench_cr(config: BenchConfig) -> BenchRecord:
-    rng = random.Random(config.seed)
-    delay = config.effective_delay_ns
     cluster = ChainCluster.build(n=3, f=1, seed=config.seed,
-                                 attest_delay_ns=delay)
-    clock = cluster.cluster.net.clock
+                                 attest_delay_ns=config.effective_delay_ns)
     client = cluster.clients[0]
+    round_ids = itertools.count()
 
-    latencies: list[float] = []
-    start = clock.now_ns
-    done = 0
-    round_id = 0
-    while done < config.requests:
-        records = _make_records(config, rng)
-        t0 = clock.now_ns
+    def submit(records):
+        round_id = next(round_ids)
         key = b"k%08d" % (round_id % 128)
         req = cluster.run_put(0, round_id, key, pack_batch(records))
         assert client.accepted_value(req) is not None, "honest chain must commit"
-        dt = clock.now_ns - t0
-        latencies.extend([dt] * len(records))
-        done += len(records)
-        round_id += 1
-    return _stats(config, latencies, clock.now_ns - start, done)
+    return _measure(config, cluster.cluster.net.clock, submit)
 
 
 def _bench_peerreview(config: BenchConfig) -> BenchRecord:
-    rng = random.Random(config.seed)
     delay = config.effective_delay_ns
     scenario = PrScenario.build(seed=config.seed, n_children=2)
     for endpoint in scenario.cluster.endpoints.values():
         endpoint.config.attest_delay_ns = delay
         endpoint.config.verify_delay_ns = delay
-    clock = scenario.cluster.net.clock
-
-    latencies: list[float] = []
-    start = clock.now_ns
-    done = 0
-    while done < config.requests:
-        records = _make_records(config, rng)
-        t0 = clock.now_ns
-        scenario.run_rounds([pack_batch(records)])
-        dt = clock.now_ns - t0
-        latencies.extend([dt] * len(records))
-        done += len(records)
+    record = _measure(config, scenario.cluster.net.clock,
+                      lambda records: scenario.run_rounds([pack_batch(records)]))
     verdicts = scenario.audit_all()
     assert all(v.consistent for v in verdicts.values())
-    return _stats(config, latencies, clock.now_ns - start, done)
+    return record
 
 
 WALLCLOCK_PROTOCOLS = ("raw-channel", "a2m")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .bootstrap import make_pair, measure, ProvisioningBundle, run_handshake
 from .device import DeviceConfig, Endpoint, SessionConfig, SimClock
-from .errors import HandshakeError, InstanceTooLarge, KernelError
+from .errors import AuthFailure, CounterMismatch, HandshakeError, InstanceTooLarge, KernelError
 from .kernel import (
     AttestationKernel,
     AttestedMessage,
@@ -58,13 +58,10 @@ class FrozenCounterKernel(AttestationKernel):
                                session=session, counter=counter)
 
     def verify(self, msg: AttestedMessage) -> AttestedMessage:
-        state = self.session_state(msg.session)
-        expected = compute_tag(state.key, msg.payload, msg.device, msg.counter)
-        if expected != msg.tag:
-            from .errors import AuthFailure
+        if not self.tag_matches(msg):
             raise AuthFailure("tag mismatch")
+        state = self.session_state(msg.session)
         if msg.counter != state.recv_cnt:
-            from .errors import CounterMismatch
             raise CounterMismatch(expected=state.recv_cnt, got=msg.counter)
         return msg                   # no increment
 
@@ -73,13 +70,10 @@ class GapAcceptingKernel(AttestationKernel):
     """Injected bug: verify accepts any counter at or beyond the expected one."""
 
     def verify(self, msg: AttestedMessage) -> AttestedMessage:
-        state = self.session_state(msg.session)
-        expected = compute_tag(state.key, msg.payload, msg.device, msg.counter)
-        if expected != msg.tag:
-            from .errors import AuthFailure
+        if not self.tag_matches(msg):
             raise AuthFailure("tag mismatch")
+        state = self.session_state(msg.session)
         if msg.counter < state.recv_cnt:
-            from .errors import CounterMismatch
             raise CounterMismatch(expected=state.recv_cnt, got=msg.counter)
         state.recv_cnt = msg.counter + 1
         return msg
@@ -374,11 +368,6 @@ def check_transport_lemmas(instance: BoundedInstance,
 
 def _handshake_scenarios(seed: int):
     """Honest run plus one scenario per single-field corruption class."""
-    def flip(body: bytes, offset: int) -> bytes:
-        out = bytearray(body)
-        out[offset] ^= 0x01
-        return bytes(out)
-
     yield "honest", None, None
     yield "bad-device-signature", ("cert", 80), None          # hw_sig byte
     yield "stale-nonce", ("cert", 144), None                  # nonce byte
@@ -647,11 +636,3 @@ def replay_counterexample(cex: Counterexample) -> list[tuple[int, int, bool]]:
         accepted = any(ev.accepted for ev in delivered)
         acceptance.append((stream, position, accepted))
     return acceptance
-
-
-def run_default_suite(seed: int = 0) -> list[LemmaReport]:
-    """The CLI's lemma suite: five lemmas plus consistency on the default instance."""
-    instance = BoundedInstance(seed=seed)
-    reports = check_all_lemmas(instance)
-    reports.append(check_consistency(instance))
-    return reports

@@ -43,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scenario = sub.add_parser("scenario", help="run a scenario file")
     p_scenario.add_argument("path")
-    p_scenario.add_argument("--config", default=None,
-                            help="alias for the positional path")
 
     p_check = sub.add_parser("check", help="bounded lemma suite")
     p_check.add_argument("--senders", type=int, default=2)
@@ -79,9 +77,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    path = args.config or args.path
-    spec = scenario_mod.load_scenario(path)
-    result = scenario_mod.run_scenario(spec)
+    try:
+        result = scenario_mod.run_scenario(scenario_mod.load_scenario(args.path))
+    except (OSError, ValueError) as exc:
+        print(f"attestnet scenario: {exc}", file=sys.stderr)
+        return 2
     print(result.dumps())
     return 0 if result.ok else 1
 

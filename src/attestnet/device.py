@@ -233,7 +233,7 @@ class Endpoint:
         self.rejections[kind] += 1
         self.rejection_events.append((session, kind))
 
-    # -- rem_read / rem_write ------------------------------------------------
+    # -- rem_write -------------------------------------------------------------
 
     def rem_write(self, session: int, payload: bytes) -> AttestedMessage:
         """Remote write, realized as an attested message carrying the data.
@@ -242,10 +242,6 @@ class Endpoint:
         for one-sided writes.
         """
         return self.auth_send(session, payload)
-
-    def rem_read(self, session: int, request: bytes = b"") -> AttestedMessage:
-        """Remote read request; the peer answers with an attested response."""
-        return self.auth_send(session, b"READ" + request)
 
 
 def connect(config: DeviceConfig, net) -> Endpoint:

@@ -58,10 +58,6 @@ class UnknownPeer(AttestnetError):
     """Destination device is not reachable through the network handle."""
 
 
-class RetryBudgetExhausted(AttestnetError):
-    """A frame was never accepted within its retransmission budget."""
-
-
 # --- remote attestation -----------------------------------------------------
 
 class HandshakeError(AttestnetError):
@@ -131,14 +127,6 @@ class ChainValidationFailure(ProtocolError):
         super().__init__(f"chain invalid at position {position}: {detail}")
         self.position = position
         self.detail = detail
-
-
-class ChainBreak(ProtocolError):
-    """Cumulative digest chain broken (log tampering)."""
-
-
-class QuorumTimeout(ProtocolError):
-    """Client never assembled f+1 identical replies (liveness only)."""
 
 
 # --- checker ------------------------------------------------------------------

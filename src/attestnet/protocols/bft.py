@@ -12,7 +12,11 @@ follower id. Clients accept on f+1 identical replies referencing their own
 request bytes.
 
 Byzantine attempts are *flagged*, not masked silently: every rejection names
-the accused device and the defense that fired.
+the accused device and the defense that fired. A Byzantine leader overrides
+only `attested_outputs`, the values it attests in a round.
+
+`BftCluster.drain` runs the shared `common.pump` over the replicas in id
+order, handing every reply to every client.
 """
 
 import struct
@@ -28,6 +32,7 @@ from .common import (
     build_cluster,
     encode_reply_payload,
     log_session,
+    pump,
     transport_session,
 )
 
@@ -79,20 +84,26 @@ class BftReplica:
 
     # -- leader ----------------------------------------------------------------
 
+    def attested_outputs(self, output: int) -> list[int]:
+        """The outputs the leader attests this round, one attestation each;
+        the i-th follower is sent entry i modulo their count. A correct
+        leader attests its output once."""
+        return [output]
+
     def leader_handle(self, req: bytes) -> None:
-        """Execute, attest once, and write the attested proof to all followers."""
+        """Execute, attest, and write the attested proof to all followers."""
         if self.crashed:
             return
         output = self.value + 1
         self.value = output
         self.applied.add(req)
         self.pending_req[output] = req
-        attested = self.endpoint.local_send(log_session(self.node_id),
-                                            encode_inner(req, output))
-        frame = encode_frame(attested)
-        for peer in self.peers:
+        log = log_session(self.node_id)
+        frames = [encode_frame(self.endpoint.local_send(log, encode_inner(req, out)))
+                  for out in self.attested_outputs(output)]
+        for i, peer in enumerate(self.peers):
             self.endpoint.auth_send(transport_session(self.node_id, peer),
-                                    bytes([KIND_PROOF]) + frame)
+                                    bytes([KIND_PROOF]) + frames[i % len(frames)])
 
     def _leader_on_ack(self, sender: int, inner_frame: bytes) -> None:
         inner = self._verified_inner(sender, inner_frame)
@@ -206,21 +217,10 @@ class EquivocatingLeader(BftReplica):
         super().__init__(*args, **kwargs)
         self.equivocate_round = equivocate_round
 
-    def leader_handle(self, req: bytes) -> None:
-        output = self.value + 1
-        if output != self.equivocate_round:
-            super().leader_handle(req)
-            return
-        self.value = output
-        self.applied.add(req)
-        self.pending_req[output] = req
-        log = log_session(self.node_id)
-        first = self.endpoint.local_send(log, encode_inner(req, output))
-        second = self.endpoint.local_send(log, encode_inner(req, output + 1))
-        frames = [encode_frame(first), encode_frame(second)]
-        for i, peer in enumerate(self.peers):
-            self.endpoint.auth_send(transport_session(self.node_id, peer),
-                                    bytes([KIND_PROOF]) + frames[i % 2])
+    def attested_outputs(self, output: int) -> list[int]:
+        if output == self.equivocate_round:
+            return [output, output + 1]
+        return [output]
 
 
 class WrongValueLeader(BftReplica):
@@ -230,20 +230,10 @@ class WrongValueLeader(BftReplica):
         super().__init__(*args, **kwargs)
         self.lie_round = lie_round
 
-    def leader_handle(self, req: bytes) -> None:
-        output = self.value + 1
-        if output != self.lie_round:
-            super().leader_handle(req)
-            return
-        self.value = output
-        self.applied.add(req)
-        self.pending_req[output] = req
-        attested = self.endpoint.local_send(log_session(self.node_id),
-                                            encode_inner(req, output + 7))
-        frame = encode_frame(attested)
-        for peer in self.peers:
-            self.endpoint.auth_send(transport_session(self.node_id, peer),
-                                    bytes([KIND_PROOF]) + frame)
+    def attested_outputs(self, output: int) -> list[int]:
+        if output == self.lie_round:
+            return [output + 7]
+        return [output]
 
 
 class BftCluster:
@@ -281,24 +271,9 @@ class BftCluster:
         return cls(cluster, config, 1, replicas, client_objs)
 
     def drain(self) -> None:
-        """Alternate network delivery and replica processing until quiescent."""
-        while True:
-            self.cluster.net.run_until_quiescent()
-            progressed = False
-            for node_id in sorted(self.replicas):
-                if self.replicas[node_id].step():
-                    progressed = True
-            self._deliver_replies()
-            if not progressed and not self.cluster.net.has_pending():
-                break
-
-    def _deliver_replies(self) -> None:
-        for node_id in sorted(self.replicas):
-            replica = self.replicas[node_id]
-            while replica.outbox_replies:
-                reply = replica.outbox_replies.pop(0)
-                for client in self.clients:
-                    client.deliver(reply)
+        """Pump the network, replicas in id order, and clients until quiescent."""
+        pump(self.cluster.net, [self.replicas[i] for i in sorted(self.replicas)],
+             self.clients)
 
     def run_request(self, client_index: int, req_id: int) -> bytes:
         client = self.clients[client_index]

@@ -8,6 +8,10 @@ node k's attestation covers the entire prefix through node k-1, so any
 upstream lie is caught by the first downstream validator at the exact lying
 position. Reads cannot be served locally by the tail in the Byzantine model;
 every operation traverses the chain and every node replies to the client.
+A Byzantine node overrides only `attested_output`, the output it attests.
+
+`ChainCluster.drain` runs the shared `common.pump` over the nodes in chain
+order, handing every reply to every client.
 """
 
 import struct
@@ -28,6 +32,7 @@ from .common import (
     build_cluster,
     encode_reply_payload,
     log_session,
+    pump,
     transport_session,
 )
 
@@ -180,7 +185,7 @@ class ChainNode:
             self.flags.append(ChainFlag(self.node_id, exc.position, exc.detail))
             return
         body = req[12:]
-        out = self.machine.apply(body)
+        out = self.attested_output(self.machine.apply(body))
         own = self.endpoint.local_send(log_session(self.node_id),
                                        encode_poe_chain(poe_frame, out))
         if not self.is_tail:
@@ -188,6 +193,11 @@ class ChainNode:
                 transport_session(self.node_id, self._next_node()),
                 encode_frame(own))
         self._reply_client(req, out)
+
+    def attested_output(self, out: bytes) -> bytes:
+        """The output this node attests, forwards and replies with, given the
+        one its machine just committed; a correct node passes it through."""
+        return out
 
     def _reply_client(self, req: bytes, out: bytes) -> None:
         payload = encode_reply_payload(req, out)
@@ -211,23 +221,10 @@ class LyingMiddle(ChainNode):
         super().__init__(*args, **kwargs)
         self.lie_at_commit = lie_at_commit
 
-    def middle_tail_handle(self, poe_frame: bytes) -> None:
-        try:
-            req, _ = self.validate_chain(poe_frame)
-        except ChainValidationFailure as exc:
-            self.flags.append(ChainFlag(self.node_id, exc.position, exc.detail))
-            return
-        body = req[12:]
-        out = self.machine.apply(body)
+    def attested_output(self, out: bytes) -> bytes:
         if self.machine.commit_index == self.lie_at_commit:
-            out = struct.pack(">Q", self.machine.commit_index + 41) + b"bogus"
-        own = self.endpoint.local_send(log_session(self.node_id),
-                                       encode_poe_chain(poe_frame, out))
-        if not self.is_tail:
-            self.endpoint.auth_send(
-                transport_session(self.node_id, self._next_node()),
-                encode_frame(own))
-        self._reply_client(req, out)
+            return struct.pack(">Q", self.machine.commit_index + 41) + b"bogus"
+        return out
 
 
 class ChainCluster:
@@ -262,23 +259,8 @@ class ChainCluster:
         return cls(cluster, config, nodes, order, client_objs)
 
     def drain(self) -> None:
-        while True:
-            self.cluster.net.run_until_quiescent()
-            progressed = False
-            for device in self.order:
-                if self.nodes[device].step():
-                    progressed = True
-            self._deliver_replies()
-            if not progressed and not self.cluster.net.has_pending():
-                break
-
-    def _deliver_replies(self) -> None:
-        for device in self.order:
-            node = self.nodes[device]
-            while node.outbox_replies:
-                reply = node.outbox_replies.pop(0)
-                for client in self.clients:
-                    client.deliver(reply)
+        """Pump the network, nodes in chain order, and clients until quiescent."""
+        pump(self.cluster.net, [self.nodes[d] for d in self.order], self.clients)
 
     def run_put(self, client_index: int, req_id: int, key: bytes,
                 value: bytes) -> bytes:

@@ -134,7 +134,8 @@ class QuorumClient:
     The client also keeps per-request observations for requests it merely
     witnesses; agreement assertions compare these across clients. Any quorum
     of f+1 contains at least one correct replica, so two clients can never
-    settle on different values for the same request.
+    settle on different values for the same request. `ignored` counts the
+    replies whose signature does not check.
     """
 
     def __init__(self, client_id: int, keyring: ReplyKeyring, quorum: int):
@@ -173,11 +174,44 @@ class QuorumClient:
         if req in self.issued:
             # original request is ours: the result is trusted
             self.accepted.setdefault(req, quorum_value)
-        else:
-            self.ignored += 1   # reply chain referencing someone else's request
 
     def accepted_value(self, req: bytes) -> bytes | None:
         return self.accepted.get(req)
+
+
+def pump(net: Network, nodes: list, clients: list[QuorumClient]) -> None:
+    """Run a cluster until nothing is left to do.
+
+    Each pass does three things, in this order:
+
+    1. deliver every frame the network holds (`run_until_quiescent`);
+    2. call `step()` on every node, in the order given, so each node handles
+       what was delivered to it;
+    3. pop each node's `outbox_replies` first-in first-out, node by node in
+       the order given, and hand each reply to every client. Nodes without
+       an outbox (PeerReview) skip this.
+
+    The pump stops after a pass in which no node made progress and the
+    network holds nothing. The order is part of the simulated results, not
+    a detail: a closed-loop client submits its next request from inside
+    `deliver`, so that request's frames, and every simulated time after
+    them, depend on which replies it has already seen. A reply appended
+    while the outboxes are emptied (a chain head answers as it executes) is
+    handed out in the same pass.
+    """
+    while True:
+        net.run_until_quiescent()
+        progressed = False
+        for node in nodes:
+            progressed |= node.step()
+        for node in nodes:
+            outbox = getattr(node, "outbox_replies", ())
+            while outbox:
+                reply = outbox.pop(0)
+                for client in clients:
+                    client.deliver(reply)
+        if not progressed and not net.has_pending():
+            return
 
 
 # -- topology ------------------------------------------------------------------

@@ -9,6 +9,9 @@ the cumulative-digest chain and the attestation tags, replays the commands
 through the reference implementation, and reports the first deviation. Fault
 model: only network-observable misbehavior is detectable, and detection is
 the guarantee (bad actions may take effect before they are exposed).
+
+`PrScenario.drain` runs the shared `common.pump` over the root, then the
+children in id order; there are no clients.
 """
 
 import struct
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 from ..kernel import AttestedMessage
 from ..wire import decode_frame, encode_frame
-from .common import ClusterNet, ProtocolConfig, build_cluster, log_session, transport_session
+from .common import ClusterNet, ProtocolConfig, build_cluster, log_session, pump, transport_session
 from .logchain import GENESIS_DIGEST, TamperEvidentLog, chain_digest
 
 ENTRY_SENT = 0x53
@@ -242,14 +245,9 @@ class PrScenario:
             self.drain()
 
     def drain(self) -> None:
-        while True:
-            self.cluster.net.run_until_quiescent()
-            progressed = self.root.step()
-            for child_id in sorted(self.children):
-                if self.children[child_id].step():
-                    progressed = True
-            if not progressed and not self.cluster.net.has_pending():
-                break
+        """Pump the network, the root, then the children in id order."""
+        pump(self.cluster.net,
+             [self.root] + [self.children[c] for c in sorted(self.children)], [])
 
     def audit_all(self) -> dict[int, Verdict]:
         return {child_id: witness.audit()

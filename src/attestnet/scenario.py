@@ -42,7 +42,10 @@ class ScenarioResult:
 
 def load_scenario(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: a scenario is a JSON object")
+    return spec
 
 
 def run_scenario(spec: dict) -> ScenarioResult:
@@ -108,7 +111,6 @@ def _run_bft(spec: dict) -> ScenarioResult:
 
     flags = [{"accuser": fl.accuser, "accused": fl.accused, "reason": fl.reason}
              for fl in cluster.all_flags()]
-    observed = [set(c.observed.items()) for c in cluster.clients]
     agreement = True
     for req in cluster.clients[0].observed:
         vals = {c.observed[req] for c in cluster.clients if req in c.observed}

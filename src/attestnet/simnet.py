@@ -322,10 +322,6 @@ def deliver_loop(net: Network, schedule: FaultSchedule | None = None) -> list[Ne
     return net.trace[start:]
 
 
-def run_until_quiescent(net: Network) -> None:
-    net.run_until_quiescent()
-
-
 # -- stream-socket bridge ------------------------------------------------------
 #
 # Socket wire protocol: 4-byte big-endian frame length, then the frame bytes.

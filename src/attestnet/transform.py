@@ -116,9 +116,6 @@ class StateSimulator:
     def commit(self, candidate) -> None:
         self.state = candidate
 
-    def current_hash(self) -> bytes:
-        return state_hash(self.serialize_fn(self.state))
-
 
 def wrapped_send(ep: Endpoint, session: int, app_msg: bytes, my_state,
                  serialize_fn, receiver_echo: AttestedMessage | None) -> AttestedMessage:

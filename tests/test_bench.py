@@ -29,3 +29,28 @@ def test_zero_simulated_time_gives_infinite_throughput():
     assert record.elapsed_sim_us == 0
     assert record.throughput_ops == math.inf
     assert record.csv_row()[7] == "inf"
+
+
+# `attestnet bench --requests 64` at the tnic preset and seed 0. The numbers
+# are simulated time, so any change to them is a change in behaviour.
+GOLDEN_ROWS = [
+    "raw-channel,tnic,1,64,64,sim,0,20915.251,47.812,47.812,47.812,3059.968",
+    "raw-channel,tnic,16,64,64,sim,0,320950.012,49.852,49.852,49.852,199.408",
+    "a2m,tnic,1,64,64,sim,0,43478.261,23.000,23.000,23.000,1472.000",
+    "a2m,tnic,16,64,64,sim,0,695652.174,23.000,23.000,23.000,92.000",
+    "bft,tnic,1,64,64,sim,0,2070.393,483.000,483.000,483.000,30912.000",
+    "bft,tnic,16,64,64,sim,0,33126.294,483.000,483.000,483.000,1932.000",
+    "cr,tnic,1,64,64,sim,0,4259.561,234.766,234.766,234.766,15025.024",
+    "cr,tnic,16,64,64,sim,0,65315.187,244.966,244.966,244.966,979.864",
+    "peerreview,tnic,1,64,64,sim,0,2717.391,368.000,368.000,368.000,23552.000",
+    "peerreview,tnic,16,64,64,sim,0,43478.261,368.000,368.000,368.000,1472.000",
+]
+
+
+@pytest.mark.parametrize("row", GOLDEN_ROWS,
+                         ids=lambda row: "-batch".join(row.split(",")[:3:2]))
+def test_simulated_rows_unchanged(row):
+    protocol, _, batch = row.split(",")[:3]
+    record = run_bench(BenchConfig(protocol=protocol, batch=int(batch),
+                                   requests=64))
+    assert ",".join(record.csv_row()) == row

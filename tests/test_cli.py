@@ -33,6 +33,23 @@ def test_scenario_honest_bft(tmp_path, capsys):
     assert last["ok"] and last["flags"] == []
 
 
+@pytest.mark.parametrize("content, message", [
+    ('{"protocol": "foo"}', "unknown protocol 'foo'"),
+    ('{"protocol": ', "Expecting value"),
+    ('["bft"]', "a scenario is a JSON object"),
+    (None, "No such file or directory"),
+])
+def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("attestnet scenario: ") and message in line
+
+
 def test_check_small_instance(capsys):
     assert cli.main(["check", "--senders", "2", "--messages", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
