@@ -26,7 +26,7 @@ transcript; the acceptance suite scans for both raw and hex encodings.
 import hashlib
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -184,9 +184,8 @@ class Transcript:
     def __init__(self):
         self.messages: list[tuple[int, bytes]] = []
 
-    def record(self, msg_type: int, body: bytes) -> bytes:
+    def record(self, msg_type: int, body: bytes) -> None:
         self.messages.append((msg_type, body))
-        return struct.pack(">I", 1 + len(body)) + bytes([msg_type]) + body
 
     def raw(self) -> bytes:
         out = []
@@ -354,7 +353,6 @@ class HandshakeResult:
     vendor: Vendor
     controller: Controller
     measurement: bytes
-    events: list[tuple[str, str, int]] = field(default_factory=list)
 
 
 def run_handshake(vendor: Vendor, controller: Controller,
@@ -368,7 +366,6 @@ def run_handshake(vendor: Vendor, controller: Controller,
     reading of "vendor finished implies device finished earlier".
     """
     transcript = Transcript()
-    events: list[tuple[str, str, int]] = []
 
     def wire(step: str, msg_type: int, body: bytes) -> bytes:
         if tamper is not None:
@@ -389,18 +386,15 @@ def run_handshake(vendor: Vendor, controller: Controller,
     plain = controller.channel.open(sealed, aad=b"provision")
     measurement = controller.install(ProvisioningBundle.decode(plain))
     controller.completed_at = len(transcript.messages)
-    events.append(("controller", "complete", controller.completed_at))
 
     ack = wire("ack", MSG_ACK, controller.channel.seal(measurement, aad=b"ack"))
     echoed = vendor.channel.open(ack, aad=b"ack")
     if echoed != measure(bundle.bitstream):
         raise HandshakeError("bitstream measurement echo mismatch")
     vendor.completed_at = len(transcript.messages)
-    events.append(("vendor", "complete", vendor.completed_at))
 
     return HandshakeResult(transcript=transcript, vendor=vendor,
-                           controller=controller, measurement=measurement,
-                           events=events)
+                           controller=controller, measurement=measurement)
 
 
 def make_pair(seed: int, device: int, endpoint: Endpoint,

@@ -1,9 +1,9 @@
 """Bounded exhaustive verification of the transport-security lemmas.
 
 For tiny instances (at most 2 senders, 4 messages each) the checker
-enumerates every delivery interleaving crossed with every single-point
-adversarial mutation, and evaluates executable analogues of the five
-security statements:
+crosses every single-point adversarial mutation of the senders' streams with
+every interleaving of those streams into one shared receiver kernel, and
+evaluates executable analogues of the five security statements:
 
     attestation   vendor completion implies prior device completion
     transfer_auth every accepted message was previously sent by a genuine kernel
@@ -13,7 +13,11 @@ security statements:
     no_duplicate  no message is accepted twice
 
 plus the multicast consistency property: two receivers fed the same
-locally-attested stream accept prefix-comparable sequences.
+locally-attested stream accept prefix-comparable sequences. Only the
+transport lemmas search interleavings, because their one receiver could carry
+state from one session to another. The two consistency receivers are separate
+kernels that each see only their own stream, so each is fed its stream in
+order, once per mutation, and the two accepted sequences are compared.
 
 This is bounded model checking of the implementation, not a symbolic proof;
 the unbounded claims rest on machine-checked proofs outside this artifact.
@@ -35,13 +39,15 @@ from .kernel import (
     AttestedMessage,
     compute_tag,
 )
+from .protocols.common import derive_key
 from .simnet import Network
 from .wire import decode_frame, encode_frame
 
 MAX_SENDERS = 2
 MAX_MESSAGES = 4
 
-LEMMA_IDS = ("attestation", "transfer_auth", "no_lost", "no_reorder", "no_duplicate")
+TRANSPORT_LEMMAS = ("transfer_auth", "no_lost", "no_reorder", "no_duplicate")
+LEMMA_IDS = ("attestation", *TRANSPORT_LEMMAS)
 ALL_MUTATIONS = ("none", "drop", "duplicate", "swap", "tamper", "replay", "forge")
 
 
@@ -174,10 +180,6 @@ class LemmaReport:
 
 # -- world construction -----------------------------------------------------------
 
-def _session_key(seed: int, session: int) -> bytes:
-    return bytes((seed * 131 + session * 7 + i) % 256 for i in range(32))
-
-
 @dataclass
 class _Item:
     frame: bytes
@@ -185,16 +187,13 @@ class _Item:
     label: str
 
 
-def _build_streams(instance: BoundedInstance, kernel_cls) -> tuple:
-    """Genuine per-sender delivery queues plus the receiver kernel."""
-    receiver = kernel_cls(device=0)
+def _build_streams(instance: BoundedInstance, kernel_cls) -> list[list[_Item]]:
+    """Genuine per-sender delivery queues, in send order."""
     base: list[list[_Item]] = []
     for s in range(instance.senders):
         session = s + 1
-        key = _session_key(instance.seed, session)
-        receiver.provision_session(session, key)
         sender = kernel_cls(device=s + 1)
-        sender.provision_session(session, key)
+        sender.provision_session(session, derive_key(instance.seed, session))
         items = []
         for j in range(instance.messages_per_sender):
             payload = bytes([s + 1, j]) + b"msg"
@@ -202,7 +201,7 @@ def _build_streams(instance: BoundedInstance, kernel_cls) -> tuple:
             items.append(_Item(frame=encode_frame(msg), ident=(s, j),
                                label=f"s{s}m{j}"))
         base.append(items)
-    return receiver, base
+    return base
 
 
 def _mutation_variants(instance: BoundedInstance, base: list[list[_Item]]):
@@ -253,13 +252,15 @@ class _TransportChecker:
         self.counterexamples: dict[str, Counterexample] = {}
 
     def run(self) -> dict[str, Counterexample]:
-        receiver, base = _build_streams(self.instance, self.kernel_cls)
-        sessions = sorted(receiver.sessions())
+        base = _build_streams(self.instance, self.kernel_cls)
+        sessions = list(range(1, self.instance.senders + 1))
         for mutation, streams in _mutation_variants(self.instance, base):
-            # Fresh receiver counters per variant.
-            receiver, _ = _build_streams(self.instance, self.kernel_cls)
+            receiver = self.kernel_cls(device=0)   # fresh counters per variant
+            for session in sessions:
+                receiver.provision_session(session,
+                                           derive_key(self.instance.seed, session))
             self._explore(receiver, sessions, streams, mutation)
-            if len(self.counterexamples) == 4:   # all transport lemmas violated
+            if len(self.counterexamples) == len(TRANSPORT_LEMMAS):
                 break
         return self.counterexamples
 
@@ -355,7 +356,7 @@ def check_transport_lemmas(instance: BoundedInstance,
     checker = _TransportChecker(instance, KERNELS[kernel], kernel)
     found = checker.run()
     reports = {}
-    for lemma in ("transfer_auth", "no_lost", "no_reorder", "no_duplicate"):
+    for lemma in TRANSPORT_LEMMAS:
         cex = found.get(lemma)
         reports[lemma] = LemmaReport(
             lemma=lemma,
@@ -439,30 +440,25 @@ def check_lemma(instance: BoundedInstance, lemma_id: str,
 
 def check_all_lemmas(instance: BoundedInstance,
                      kernel: str = "correct") -> list[LemmaReport]:
-    reports = [check_attestation_lemma(instance.seed)]
     transport = check_transport_lemmas(instance, kernel)
-    for lemma in ("transfer_auth", "no_lost", "no_reorder", "no_duplicate"):
-        reports.append(transport[lemma])
-    return reports
+    return [check_attestation_lemma(instance.seed), *transport.values()]
 
 
 def check_consistency(instance: BoundedInstance,
                       kernel: str = "correct") -> LemmaReport:
     """Two receivers of one locally-attested stream accept prefix-comparable
-    payload sequences, over every interleaving and single mutation."""
+    payload sequences, under every single mutation.
+
+    Each receiver is its own kernel and sees only its own stream, so what it
+    accepts does not depend on how the two deliveries interleave; and
+    acceptance only appends, so the two sequences are comparable at every
+    point of every interleaving exactly when they are comparable at the end.
+    """
     instance.validate()
     kernel_cls = KERNELS[kernel]
     equivocating = kernel == "per-receiver-counter"
     session = 1
-    key = _session_key(instance.seed, session)
-
-    def fresh_receivers():
-        out = []
-        for device in (10, 11):
-            r = AttestationKernel(device=device)
-            r.provision_session(session, key)
-            out.append(r)
-        return out
+    key = derive_key(instance.seed, session)
 
     sender = kernel_cls(device=1)
     sender.provision_session(session, key)
@@ -481,62 +477,25 @@ def check_consistency(instance: BoundedInstance,
             per_receiver[0].append(item)
             per_receiver[1].append(item)
 
-    variants = list(_mutation_variants(instance, per_receiver))
-
-    for mutation, streams in variants:
-        receivers = fresh_receivers()
-        cursors = [0, 0]
-        accepted: list[list[bytes]] = [[], []]
-        memo: set = set()
-
-        def state_key():
-            return (tuple(cursors),
-                    receivers[0].session_state(session).recv_cnt,
-                    receivers[1].session_state(session).recv_cnt,
-                    tuple(tuple(a) for a in accepted))
-
-        result: list[Counterexample] = []
-
-        def comparable() -> bool:
-            a, b = accepted
-            n = min(len(a), len(b))
-            return a[:n] == b[:n]
-
-        def dfs() -> bool:
-            if result:
-                return True
-            key = state_key()
-            if key in memo:
-                return False
-            if not comparable():
-                result.append(Counterexample(
-                    instance=instance, kernel=kernel, mutation=mutation,
-                    delivery_order=[], acceptance=[],
-                    detail="receiver sequences diverge"))
-                return True
-            for r in range(2):
-                if cursors[r] >= len(streams[r]):
-                    continue
-                item = streams[r][cursors[r]]
-                cursors[r] += 1
-                before = receivers[r].session_state(session).recv_cnt
+    for mutation, streams in _mutation_variants(instance, per_receiver):
+        accepted: list[list[bytes]] = []
+        for device, stream in zip((10, 11), streams):
+            receiver = AttestationKernel(device=device)
+            receiver.provision_session(session, key)
+            payloads = []
+            for item in stream:
                 try:
-                    receivers[r].verify(decode_frame(item.frame))
-                    accepted[r].append(decode_frame(item.frame).payload)
-                    ok = True
+                    payloads.append(receiver.verify(decode_frame(item.frame)).payload)
                 except KernelError:
-                    ok = False
-                if dfs():
-                    return True
-                if ok:
-                    accepted[r].pop()
-                receivers[r].session_state(session).recv_cnt = before
-                cursors[r] -= 1
-            memo.add(key)
-            return False
-
-        if dfs():
-            return LemmaReport("consistency", "Counterexample", result[0])
+                    pass
+            accepted.append(payloads)
+        a, b = accepted
+        n = min(len(a), len(b))
+        if a[:n] != b[:n]:
+            return LemmaReport("consistency", "Counterexample", Counterexample(
+                instance=instance, kernel=kernel, mutation=mutation,
+                delivery_order=[], acceptance=[],
+                detail="receiver sequences diverge"))
     return LemmaReport("consistency", "Holds")
 
 
@@ -551,7 +510,7 @@ def check_leader_strategies() -> LemmaReport:
     unless at least one correct follower flagged the leader.
     """
     session = 1
-    key = _session_key(99, session)
+    key = derive_key(99, session)
     claims = [(1, b"a"), (1, b"b"), (2, b"a"), (2, b"b")]
     emissions = [[c] for c in claims]
     emissions += [[c1, c2] for c1 in claims for c2 in claims]
@@ -610,17 +569,17 @@ def replay_counterexample(cex: Counterexample) -> list[tuple[int, int, bool]]:
     """
     instance = cex.instance
     kernel_cls = KERNELS[cex.kernel]
-    _, base = _build_streams(instance, kernel_cls)
     streams = None
-    for mutation, candidate in _mutation_variants(instance, base):
+    for mutation, candidate in _mutation_variants(
+            instance, _build_streams(instance, kernel_cls)):
         if mutation == cex.mutation:
             streams = candidate
             break
     if streams is None:
         raise ValueError(f"mutation {cex.mutation!r} not reproducible")
 
-    sessions = [SessionConfig(s + 1, s + 1, _session_key(instance.seed, s + 1))
-                for s in range(instance.senders)]
+    sessions = [SessionConfig(s, s, derive_key(instance.seed, s))
+                for s in range(1, instance.senders + 1)]
     net = Network(clock=SimClock(), retry_budget=0)
     config = DeviceConfig(device=0, sessions=sessions)
     receiver = Endpoint(config, clock=net.clock, kernel_factory=kernel_cls)

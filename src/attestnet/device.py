@@ -129,19 +129,17 @@ class Endpoint:
         self.bitstream_measurement: bytes | None = None
         self.identity_frozen = False
         for sc in config.sessions:
-            self._provision(sc.session, sc.peer, sc.key)
+            self.provision_session(sc.session, sc.peer, sc.key)
 
     # -- provisioning ------------------------------------------------------
 
-    def _provision(self, session: int, peer: int, key: bytes) -> None:
+    def provision_session(self, session: int, peer: int, key: bytes) -> None:
+        """Install a session: from the config at construction, or later by
+        remote attestation."""
         self.kernel.provision_session(session, key)
         self._local_states[session] = SessionState(key=key)
         self.peers[session] = peer
         self._inboxes[session] = deque()
-
-    def provision_session(self, session: int, peer: int, key: bytes) -> None:
-        """Install a session after construction (used by remote attestation)."""
-        self._provision(session, peer, key)
 
     def sessions(self) -> list[int]:
         return self.kernel.sessions()

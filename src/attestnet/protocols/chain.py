@@ -9,6 +9,7 @@ upstream lie is caught by the first downstream validator at the exact lying
 position. Reads cannot be served locally by the tail in the Byzantine model;
 every operation traverses the chain and every node replies to the client.
 A Byzantine node overrides only `attested_output`, the output it attests.
+A node that flags its chain accepts nothing more from it.
 
 `ChainCluster.drain` runs the shared `common.pump` over the nodes in chain
 order, handing every reply to every client.
@@ -179,6 +180,11 @@ class ChainNode:
         return req, expected_out
 
     def middle_tail_handle(self, poe_frame: bytes) -> None:
+        if self.flags:
+            # Once this node has flagged its chain it stops accepting from it:
+            # its machine skipped the flagged commit, so every later output
+            # would mismatch and accuse an honest upstream node.
+            return
         try:
             req, _ = self.validate_chain(poe_frame)
         except ChainValidationFailure as exc:

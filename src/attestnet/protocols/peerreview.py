@@ -70,14 +70,8 @@ class PrNode:
         self.endpoint = cluster.endpoints[node_id]
         self.log = TamperEvidentLog()
 
-    def _log_attested(self, kind: int, msg: AttestedMessage) -> AttestedMessage:
-        ctx = bytes([kind]) + encode_frame(msg)
-        entry_msg = self.endpoint.local_send(log_session(self.node_id), ctx)
-        self.log.append(seq=entry_msg.counter, ctx=ctx, tag=entry_msg.tag)
-        return entry_msg
-
-    def _log_exec(self, result: bytes, cmd: bytes) -> AttestedMessage:
-        ctx = encode_exec(result, cmd)
+    def _log(self, ctx: bytes) -> AttestedMessage:
+        """Attest ctx on this node's log session and append it to the log."""
         entry_msg = self.endpoint.local_send(log_session(self.node_id), ctx)
         self.log.append(seq=entry_msg.counter, ctx=ctx, tag=entry_msg.tag)
         return entry_msg
@@ -95,7 +89,7 @@ class PrRoot(PrNode):
         for child in self.children:
             sent = self.endpoint.auth_send(
                 transport_session(self.node_id, child), ctx)
-            self._log_attested(ENTRY_SENT, sent)
+            self._log(bytes([ENTRY_SENT]) + encode_frame(sent))
 
     def step(self) -> bool:
         progressed = False
@@ -103,7 +97,7 @@ class PrRoot(PrNode):
             session = transport_session(self.node_id, child)
             for msg in self.endpoint.poll(session):
                 progressed = True
-                self._log_attested(ENTRY_RECV, msg)
+                self._log(bytes([ENTRY_RECV]) + encode_frame(msg))
                 self.responses[child].append(msg.payload)
         return progressed
 
@@ -123,9 +117,9 @@ class PrChild(PrNode):
         session = transport_session(self.node_id, self.root_id)
         for msg in self.endpoint.poll(session):
             progressed = True
-            self._log_attested(ENTRY_RECV, msg)
+            self._log(bytes([ENTRY_RECV]) + encode_frame(msg))
             result = self.execute(msg.payload)
-            response_entry = self._log_exec(result, msg.payload)
+            response_entry = self._log(encode_exec(result, msg.payload))
             self.endpoint.auth_send(session, encode_frame(response_entry))
         return progressed
 

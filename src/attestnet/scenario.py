@@ -19,7 +19,8 @@ Attack kinds per protocol:
 
 Run artifacts are JSON-serializable dicts: accepted values, flags,
 diagnostics, and verdicts. A run is "safe" when no client accepted a wrong
-value and every injected deviation was detected.
+value and every injected deviation was detected; a chain replication run is
+also unsafe if a position that is not Byzantine was accused.
 """
 
 import json
@@ -63,8 +64,11 @@ def _fault_schedule(spec: dict) -> FaultSchedule | None:
     faults = spec.get("faults")
     if not faults:
         return None
-    return FaultSchedule(seed=faults.get("seed", spec.get("seed", 0)),
-                         actions=[FaultAction(**a) for a in faults.get("actions", [])])
+    try:
+        actions = [FaultAction(**a) for a in faults.get("actions", [])]
+    except TypeError as exc:
+        raise ValueError(f"bad fault action: {exc}") from None
+    return FaultSchedule(seed=faults.get("seed", spec.get("seed", 0)), actions=actions)
 
 
 def _run_bft(spec: dict) -> ScenarioResult:
@@ -84,6 +88,9 @@ def _run_bft(spec: dict) -> ScenarioResult:
 
     cluster = BftCluster.build(n=n, f=f, seed=seed, leader_cls=leader_cls,
                                leader_kwargs=leader_kwargs, clients=2)
+    crash = attack if kind == "crash" else None
+    if crash and crash.get("node", n) not in cluster.replicas:
+        raise ValueError(f"crash node {crash.get('node', n)!r} is not a replica")
     schedule = _fault_schedule(spec)
     if schedule is None and kind in ("replay", "reorder", "drop"):
         schedule = FaultSchedule(seed=seed, actions=[FaultAction(
@@ -95,7 +102,6 @@ def _run_bft(spec: dict) -> ScenarioResult:
     if schedule is not None:
         cluster.cluster.net.install_schedule(schedule)
 
-    crash = attack if kind == "crash" else None
     lines: list[dict] = []
     for round_id in range(1, rounds + 1):
         if crash and round_id == crash.get("after_round", 1) + 1:
@@ -160,12 +166,10 @@ def _run_cr(spec: dict) -> ScenarioResult:
     flags = [{"accuser": fl.accuser, "position": fl.accused_position,
               "reason": fl.reason} for fl in cluster.all_flags()]
     histories = cluster.commit_histories()
-    honest = kind == "none"
-    if honest:
-        identical = len({tuple(h) for h in histories.values()}) == 1
-        ok = identical and not wrong_accept
-    else:
-        ok = bool(flags) and not wrong_accept
+    identical = len({tuple(h) for h in histories.values()}) == 1
+    accused = {fl["position"] for fl in flags}
+    ok = ((identical if kind == "none" else bool(flags)) and not wrong_accept
+          and accused <= set(node_cls_at))
     lines.append({"protocol": "cr", "flags": flags,
                   "commit_histories": {str(k): v for k, v in histories.items()},
                   "ok": ok})

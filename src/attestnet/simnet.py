@@ -8,6 +8,12 @@ transport retransmits any frame that has not been accepted until a retry
 budget is exhausted; retransmitted frames are byte-identical (same counter),
 which is what makes duplicate rejection by the receive counter correct.
 
+Every queued event has one shape, `(time, seq, frame record, bytes on the
+wire, disposition)`, and one helper queues it. A drop is an event with
+disposition "dropped" that is traced without reaching the receiver; duplicate,
+replay and forge each queue one extra copy, never retransmitted, that lands
+after the original.
+
 Identical (topology, workload, schedule, seed) always produces the identical
 event trace and endpoint diagnostics: simulated time advances only at event
 processing, ties break on submission order, and the only randomness is the
@@ -126,13 +132,14 @@ class Network:
         self.trace: list[NetEvent] = []
         self.exhausted: list[_FrameRecord] = []
         self.closed = False
-        self._queue: list[tuple[int, int, str, object]] = []
+        # (time, seq, record, data on the wire, disposition)
+        self._queue: list[tuple[int, int, _FrameRecord, bytes, str]] = []
         self._seq = 0
         self._schedule = FaultSchedule()
         self._rng = random.Random(0)
         self._stream_index: dict[tuple[int, int], int] = {}
         self._stream_history: dict[tuple[int, int], list[bytes]] = {}
-        self._pending_swap: dict[tuple[int, int], tuple[_FrameRecord, str]] = {}
+        self._pending_swap: dict[tuple[int, int], _FrameRecord] = {}
         self._spent_actions: set[int] = set()
 
     # -- topology ------------------------------------------------------------
@@ -186,10 +193,9 @@ class Network:
             raise TransportClosed("network closed")
         if dst not in self.endpoints:
             raise UnknownPeer(f"device {dst}")
-        record = _FrameRecord(data, src, dst, session)
-        self._observe(record, "delivered")
+        self._observe(_FrameRecord(data, src, dst, session))
 
-    def _observe(self, record: _FrameRecord, disposition: str) -> None:
+    def _observe(self, record: _FrameRecord) -> None:
         stream = (record.session, record.src)
         index = self._stream_index.get(stream, 0)
         self._stream_index[stream] = index + 1
@@ -199,109 +205,76 @@ class Network:
         held = self._pending_swap.pop(stream, None)
 
         action = self._next_action(record.session, record.src, index)
-        if action is None:
-            arrival = self._enqueue_delivery(record, disposition, 0)
-        elif action.kind == "drop":
-            arrival = self._enqueue_drop(record)
-        elif action.kind == "delay":
-            arrival = self._enqueue_delivery(record, disposition, action.delay_ns)
-        elif action.kind == "duplicate":
-            arrival = self._enqueue_delivery(record, disposition, 0)
-            dup = _FrameRecord(record.data, record.src, record.dst, record.session)
-            dup.accepted = True  # duplicates never retransmit on rejection
-            self._enqueue_delivery(dup, "duplicated", 0, after_ns=arrival)
-        elif action.kind == "tamper":
-            arrival = self._enqueue_tampered(record, action.bit_offset)
-        elif action.kind == "reorder":
-            self._pending_swap[stream] = (record, disposition)
+        kind = action.kind if action is not None else None
+        if kind == "reorder":
+            self._pending_swap[stream] = record
             arrival = self.clock.now_ns
-        elif action.kind == "replay":
-            arrival = self._enqueue_delivery(record, disposition, 0)
+        elif kind == "drop":
+            arrival = self._enqueue(record, record.data, "dropped")
+        elif kind == "tamper":
+            mutated = bytearray(record.data)
+            byte_i, bit_i = divmod(action.bit_offset % (len(mutated) * 8), 8)
+            mutated[byte_i] ^= 1 << bit_i
+            arrival = self._enqueue(record, bytes(mutated), "tampered")
+        else:
+            extra_ns = action.delay_ns if kind == "delay" else 0
+            arrival = self._enqueue(record, record.data, "delivered", extra_ns)
+
+        copy = None
+        if kind == "duplicate":
+            copy = record.data
+        elif kind == "replay":
             history = self._stream_history[stream]
-            src_idx = min(action.earlier_index, len(history) - 1)
-            replayed = _FrameRecord(history[src_idx], record.src, record.dst, record.session)
-            replayed.accepted = True
-            self._enqueue_delivery(replayed, "duplicated", 0, after_ns=arrival)
-        elif action.kind == "forge":
-            arrival = self._enqueue_delivery(record, disposition, 0)
-            forged = _FrameRecord(self._forged_frame(action, record.data),
-                                  record.src, record.dst, record.session)
-            forged.accepted = True
-            self._enqueue_delivery(forged, "forged", 0, after_ns=arrival)
+            copy = history[min(action.earlier_index, len(history) - 1)]
+        elif kind == "forge":
+            copy = self._forged_frame(action, record.data)
+        if copy is not None:
+            copied = _FrameRecord(copy, record.src, record.dst, record.session)
+            copied.accepted = True  # adversarial copies never retransmit
+            self._enqueue(copied, copy, "forged" if kind == "forge" else "duplicated",
+                          after_ns=arrival)
 
         if held is not None:
             # The held frame lands strictly after the frame that released it.
-            held_record, held_disposition = held
-            self._enqueue_delivery(held_record, held_disposition, 0,
-                                   after_ns=arrival)
+            self._enqueue(held, held.data, "delivered", after_ns=arrival)
 
-    def _push(self, time_ns: int, kind: str, payload: object) -> None:
-        heapq.heappush(self._queue, (time_ns, self._seq, kind, payload))
-        self._seq += 1
-
-    def _enqueue_delivery(self, record: _FrameRecord, disposition: str,
-                          extra_ns: int, after_ns: int | None = None) -> int:
+    def _enqueue(self, record: _FrameRecord, data: bytes, disposition: str,
+                 extra_ns: int = 0, after_ns: int | None = None) -> int:
+        """Queue one frame event; its arrival time is returned."""
         arrival = self.clock.now_ns + self.latency_for(record.data) + extra_ns
         if after_ns is not None:
             arrival = max(arrival, after_ns + 1)
-        self._push(arrival, "deliver", (record, record.data, disposition))
-        return arrival
-
-    def _enqueue_tampered(self, record: _FrameRecord, bit_offset: int) -> int:
-        mutated = bytearray(record.data)
-        byte_i, bit_i = divmod(bit_offset % (len(mutated) * 8), 8)
-        mutated[byte_i] ^= 1 << bit_i
-        arrival = self.clock.now_ns + self.latency_for(record.data)
-        self._push(arrival, "deliver", (record, bytes(mutated), "tampered"))
-        return arrival
-
-    def _enqueue_drop(self, record: _FrameRecord) -> int:
-        arrival = self.clock.now_ns + self.latency_for(record.data)
-        self._push(arrival, "drop", record)
+        heapq.heappush(self._queue, (arrival, self._seq, record, data, disposition))
+        self._seq += 1
         return arrival
 
     # -- event loop --------------------------------------------------------------
 
-    def _flush_swaps(self) -> None:
-        for stream in sorted(self._pending_swap):
-            record, disposition = self._pending_swap.pop(stream)
-            self._enqueue_delivery(record, disposition, 0)
-
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
         if not self._queue:
-            if self._pending_swap:
-                self._flush_swaps()
+            for stream in sorted(self._pending_swap):
+                held = self._pending_swap.pop(stream)
+                self._enqueue(held, held.data, "delivered")
             if not self._queue:
                 return False
-        time_ns, _, kind, payload = heapq.heappop(self._queue)
+        time_ns, _, record, data, disposition = heapq.heappop(self._queue)
         self.clock.advance_to(time_ns)
-        if kind == "drop":
-            record = payload
-            record.attempts += 1
-            self.trace.append(NetEvent(time_ns, record.src, record.dst, record.session,
-                                       "dropped", False, record.attempts, record.data))
-            self._maybe_retransmit(record)
-            return True
-        record, data, disposition = payload
         record.attempts += 1
-        endpoint = self.endpoints.get(record.dst)
-        accepted = endpoint.deliver_frame(data) if endpoint is not None else False
-        if accepted and data == record.data:
-            record.accepted = True
+        accepted = False
+        if disposition != "dropped":
+            endpoint = self.endpoints.get(record.dst)
+            accepted = endpoint.deliver_frame(data) if endpoint is not None else False
+            if accepted and data == record.data:
+                record.accepted = True
         self.trace.append(NetEvent(time_ns, record.src, record.dst, record.session,
                                    disposition, accepted, record.attempts, data))
         if not record.accepted:
-            self._maybe_retransmit(record)
+            if record.attempts > self.retry_budget:
+                self.exhausted.append(record)
+            else:
+                self._observe(record)
         return True
-
-    def _maybe_retransmit(self, record: _FrameRecord) -> None:
-        if record.accepted:
-            return
-        if record.attempts > self.retry_budget:
-            self.exhausted.append(record)
-            return
-        self._observe(record, "delivered")
 
     def has_pending(self) -> bool:
         return bool(self._queue) or bool(self._pending_swap)

@@ -1,5 +1,6 @@
 """Chain replication: commit-index agreement, lie detection position, client quorum."""
 
+import json
 import struct
 
 import pytest
@@ -13,6 +14,7 @@ from attestnet.protocols.chain import (
     OP_PUT,
     encode_op,
 )
+from attestnet.scenario import run_scenario
 
 
 def reexecute_oracle(requests: list[bytes]) -> list[bytes]:
@@ -97,3 +99,14 @@ def test_validate_chain_flags_tag_corruption():
     with pytest.raises(ChainValidationFailure) as exc_info:
         middle.validate_chain(bytes(frame))
     assert exc_info.value.position == 0
+
+
+@pytest.mark.parametrize("n, f, position", [(3, 1, 1), (5, 2, 2)])
+def test_lying_middle_is_the_only_node_accused(n, f, position):
+    # After flagging the liar the next node accepts nothing more from the
+    # chain, so later rounds cannot make it accuse the honest head.
+    result = run_scenario({"protocol": "cr", "n": n, "f": f, "attack": {
+        "kind": "lie", "position": position, "commit": 2}})
+    verdict = json.loads(result.dumps().splitlines()[-1])
+    assert [flag["position"] for flag in verdict["flags"]] == [position]
+    assert verdict["ok"] and result.ok

@@ -6,6 +6,7 @@ import pytest
 
 from attestnet import cli
 from attestnet.bench import CSV_HEADER, PROTOCOLS
+from attestnet.checker import Counterexample, replay_counterexample
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -38,6 +39,10 @@ def test_scenario_honest_bft(tmp_path, capsys):
     ('{"protocol": ', "Expecting value"),
     ('["bft"]', "a scenario is a JSON object"),
     (None, "No such file or directory"),
+    ('{"protocol": "bft", "faults": {"actions": [{"kind": "drop", "bogus": 1}]}}',
+     "bad fault action"),
+    ('{"protocol": "bft", "attack": {"kind": "crash", "node": 9}}',
+     "crash node 9 is not a replica"),
 ])
 def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
@@ -54,6 +59,17 @@ def test_check_small_instance(capsys):
     assert cli.main(["check", "--senders", "2", "--messages", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(line.endswith("verdict=Holds") for line in lines)
+
+
+def test_check_mutant_kernel_writes_replayable_counterexample(tmp_path, capsys):
+    path = tmp_path / "cex.json"
+    assert cli.main(["check", "--kernel", "gap-accepting",
+                     "--counterexample-out", str(path)]) == 1
+    assert "verdict=Counterexample" in capsys.readouterr().out
+    data = json.loads(path.read_text())
+    assert data["kernel"] == "gap-accepting" and data["acceptance"]
+    cex = Counterexample.from_dict(data)
+    assert replay_counterexample(cex) == [tuple(a) for a in data["acceptance"]]
 
 
 def test_attest_demo_is_deterministic(capsys):

@@ -1,6 +1,7 @@
 """Simulator: reliable-FIFO base contract, scripted adversary, determinism,
 and the stream-socket bridge."""
 
+import hashlib
 import random
 import socket
 import threading
@@ -10,6 +11,7 @@ import pytest
 
 from attestnet.device import DeviceConfig, Endpoint, SessionConfig, SimClock, connect
 from attestnet.simnet import (
+    ACTION_KINDS,
     FaultAction,
     FaultSchedule,
     Network,
@@ -164,11 +166,74 @@ def test_safety_prefix_under_seeded_schedules():
         assert received == sent[:len(received)], f"seed {seed}"
 
 
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+# Digests of `_run_seeded(seed)` traces from a known-good run: any change to
+# event order, arrival time, disposition, acceptance or frame bytes shows here.
+SEEDED_TRACE_DIGESTS = {3: "3540c71d0709f86c", 17: "d811e4fd8ed65039",
+                        29: "333fd6121e8146ea"}
+
+
 def test_determinism_identical_traces():
     for seed in (3, 17, 29):
         run1 = _run_seeded(seed)
         run2 = _run_seeded(seed)
         assert run1 == run2
+        assert _digest(run1[2]) == SEEDED_TRACE_DIGESTS[seed], f"seed {seed}"
+
+
+def test_every_action_kind_pinned_trace():
+    schedule = FaultSchedule(seed=5, actions=[
+        FaultAction(kind="drop", session=1, sender=1, index=0),
+        FaultAction(kind="duplicate", session=1, sender=1, index=2),
+        FaultAction(kind="delay", session=1, sender=1, index=3, delay_ns=700),
+        FaultAction(kind="reorder", session=1, sender=1, index=4),
+        FaultAction(kind="tamper", session=1, sender=1, index=6),
+        FaultAction(kind="replay", session=1, sender=1, index=7,
+                    earlier_index=1),
+        FaultAction(kind="forge", session=1, sender=1, index=8),
+    ])
+    assert sorted(a.kind for a in schedule.actions) == sorted(ACTION_KINDS)
+    net, a, b = build_pair(schedule)
+    for i in range(8):
+        a.auth_send(1, bytes([i]) * 3)
+    net.run_until_quiescent()
+    assert [m.counter for m in b.poll(1)] == list(range(8))
+    assert dict(b.rejections) == {"CounterMismatch": 15, "AuthFailure": 2}
+    assert net.exhausted == []
+    # (time_ns, disposition, accepted, attempt) from a known-good run
+    assert [(ev.time_ns, ev.disposition, ev.accepted, ev.attempt)
+            for ev in net.trace] == [
+        (1674, "dropped", False, 1),
+        (1674, "delivered", False, 1),
+        (1674, "delivered", False, 1),
+        (1674, "delivered", False, 1),
+        (1674, "tampered", False, 1),
+        (1674, "delivered", False, 1),
+        (1675, "duplicated", False, 1),
+        (1675, "delivered", False, 1),
+        (1675, "duplicated", False, 1),
+        (2374, "delivered", False, 1),
+        (3348, "delivered", True, 2),
+        (3348, "delivered", True, 2),
+        (3348, "delivered", True, 2),
+        (3348, "delivered", False, 2),
+        (3348, "delivered", False, 2),
+        (3348, "delivered", False, 2),
+        (3349, "forged", False, 1),
+        (3349, "delivered", False, 2),
+        (4048, "delivered", True, 2),
+        (5022, "delivered", False, 3),
+        (5022, "delivered", False, 3),
+        (5022, "delivered", False, 3),
+        (5023, "delivered", True, 3),
+        (6696, "delivered", True, 4),
+        (6696, "delivered", True, 4),
+        (6696, "delivered", True, 4),
+    ]
+    assert _digest([ev.frame for ev in net.trace]) == "1b8400de3e489c58"
 
 
 def test_event_total_order():
