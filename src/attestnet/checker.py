@@ -231,9 +231,13 @@ def _mutation_variants(instance: BoundedInstance, base: list[list[_Item]]):
                 elif kind == "replay":
                     streams[s].append(items[j])
                 elif kind == "forge":
+                    # Same device and session as the stream it joins, so the
+                    # receiver reaches the tag check.
+                    genuine = decode_frame(items[j].frame)
                     forged = AttestedMessage(tag=rng.randbytes(64),
                                              payload=b"forged",
-                                             device=s + 1, session=s + 1,
+                                             device=genuine.device,
+                                             session=genuine.session,
                                              counter=j + 1)
                     streams[s].insert(j + 1, _Item(frame=encode_frame(forged),
                                                    ident=None, label=f"forge{j}"))
@@ -444,6 +448,34 @@ def check_all_lemmas(instance: BoundedInstance,
     return [check_attestation_lemma(instance.seed), *transport.values()]
 
 
+MULTICAST_SESSION = 1
+MULTICAST_RECEIVERS = (10, 11)
+
+
+def _multicast_streams(instance: BoundedInstance, kernel: str) -> list[list[_Item]]:
+    """What each of the two receivers gets from one sender (device 1) on
+    session 1; a per-receiver-counter sender gives them conflicting payloads."""
+    sender = KERNELS[kernel](device=1)
+    sender.provision_session(MULTICAST_SESSION,
+                             derive_key(instance.seed, MULTICAST_SESSION))
+    per_receiver: list[list[_Item]] = [[], []]
+    for j in range(instance.messages_per_sender):
+        payload = bytes([j]) + b"multicast"
+        if kernel == "per-receiver-counter":
+            for r, receiver_dev in enumerate(MULTICAST_RECEIVERS):
+                evil_payload = payload if r == 0 else bytes([j]) + b"conflicted"
+                msg = sender.attest_for(receiver_dev, MULTICAST_SESSION,
+                                        evil_payload)
+                per_receiver[r].append(_Item(encode_frame(msg), (r, j),
+                                             f"r{r}m{j}"))
+        else:
+            msg = sender.attest(MULTICAST_SESSION, payload)
+            item = _Item(encode_frame(msg), (0, j), f"m{j}")
+            per_receiver[0].append(item)
+            per_receiver[1].append(item)
+    return per_receiver
+
+
 def check_consistency(instance: BoundedInstance,
                       kernel: str = "correct") -> LemmaReport:
     """Two receivers of one locally-attested stream accept prefix-comparable
@@ -455,33 +487,13 @@ def check_consistency(instance: BoundedInstance,
     point of every interleaving exactly when they are comparable at the end.
     """
     instance.validate()
-    kernel_cls = KERNELS[kernel]
-    equivocating = kernel == "per-receiver-counter"
-    session = 1
-    key = derive_key(instance.seed, session)
-
-    sender = kernel_cls(device=1)
-    sender.provision_session(session, key)
-    per_receiver: list[list[_Item]] = [[], []]
-    for j in range(instance.messages_per_sender):
-        payload = bytes([j]) + b"multicast"
-        if equivocating:
-            for r, receiver_dev in enumerate((10, 11)):
-                evil_payload = payload if r == 0 else bytes([j]) + b"conflicted"
-                msg = sender.attest_for(receiver_dev, session, evil_payload)
-                per_receiver[r].append(_Item(encode_frame(msg), (r, j),
-                                             f"r{r}m{j}"))
-        else:
-            msg = sender.attest(session, payload)
-            item = _Item(encode_frame(msg), (0, j), f"m{j}")
-            per_receiver[0].append(item)
-            per_receiver[1].append(item)
-
+    key = derive_key(instance.seed, MULTICAST_SESSION)
+    per_receiver = _multicast_streams(instance, kernel)
     for mutation, streams in _mutation_variants(instance, per_receiver):
         accepted: list[list[bytes]] = []
-        for device, stream in zip((10, 11), streams):
+        for device, stream in zip(MULTICAST_RECEIVERS, streams):
             receiver = AttestationKernel(device=device)
-            receiver.provision_session(session, key)
+            receiver.provision_session(MULTICAST_SESSION, key)
             payloads = []
             for item in stream:
                 try:

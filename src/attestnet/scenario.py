@@ -20,7 +20,9 @@ Attack kinds per protocol:
 Run artifacts are JSON-serializable dicts: accepted values, flags,
 diagnostics, and verdicts. A run is "safe" when no client accepted a wrong
 value and every injected deviation was detected; a chain replication run is
-also unsafe if a position that is not Byzantine was accused.
+also unsafe if a position that is not Byzantine was accused. The final line
+counts the frames whose retry budget ran out ("exhausted"); a run with any
+is not ok.
 """
 
 import json
@@ -124,11 +126,12 @@ def _run_bft(spec: dict) -> ScenarioResult:
             agreement = False
     byzantine_leader = kind in ("equivocate", "wrong_value")
     detected = bool(flags) if byzantine_leader else True
-    ok = agreement and detected
+    exhausted = len(cluster.cluster.net.exhausted)
+    ok = agreement and detected and not exhausted
     lines.append({
         "protocol": "bft", "agreement": agreement, "flags": flags,
         "values": {str(k): v for k, v in cluster.correct_values().items()},
-        "ok": ok,
+        "exhausted": exhausted, "ok": ok,
     })
     return ScenarioResult(ok=ok, lines=lines)
 
@@ -168,11 +171,12 @@ def _run_cr(spec: dict) -> ScenarioResult:
     histories = cluster.commit_histories()
     identical = len({tuple(h) for h in histories.values()}) == 1
     accused = {fl["position"] for fl in flags}
+    exhausted = len(cluster.cluster.net.exhausted)
     ok = ((identical if kind == "none" else bool(flags)) and not wrong_accept
-          and accused <= set(node_cls_at))
+          and accused <= set(node_cls_at) and not exhausted)
     lines.append({"protocol": "cr", "flags": flags,
                   "commit_histories": {str(k): v for k, v in histories.items()},
-                  "ok": ok})
+                  "exhausted": exhausted, "ok": ok})
     return ScenarioResult(ok=ok, lines=lines)
 
 
@@ -204,5 +208,7 @@ def _run_peerreview(spec: dict) -> ScenarioResult:
     else:
         target = attack.get("node", 2)
         ok = not verdicts[target].consistent
-    lines.append({"protocol": "peerreview", "ok": ok})
+    exhausted = len(scenario.cluster.net.exhausted)
+    ok = ok and not exhausted
+    lines.append({"protocol": "peerreview", "exhausted": exhausted, "ok": ok})
     return ScenarioResult(ok=ok, lines=lines)

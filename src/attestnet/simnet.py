@@ -12,7 +12,8 @@ Every queued event has one shape, `(time, seq, frame record, bytes on the
 wire, disposition)`, and one helper queues it. A drop is an event with
 disposition "dropped" that is traced without reaching the receiver; duplicate,
 replay and forge each queue one extra copy, never retransmitted, that lands
-after the original.
+after the original. A duplicate or replay that the receiver accepts delivers
+the frame it copies, which is then no longer retransmitted.
 
 Identical (topology, workload, schedule, seed) always produces the identical
 event trace and endpoint diagnostics: simulated time advances only at event
@@ -44,7 +45,9 @@ class FaultAction:
     """One scripted adversarial action.
 
     Matches the index-th frame submission observed on the (session, sender)
-    stream; None fields match anything. Each action fires at most once.
+    stream; None fields match anything. Each action fires at most once: when
+    several unspent actions match a frame, the earliest in schedule order
+    fires.
     """
 
     kind: str
@@ -59,13 +62,6 @@ class FaultAction:
     def __post_init__(self):
         if self.kind not in ACTION_KINDS:
             raise ValueError(f"unknown action kind {self.kind!r}")
-
-    def matches(self, session: int, sender: int, index: int) -> bool:
-        return (
-            (self.session is None or self.session == session)
-            and (self.sender is None or self.sender == sender)
-            and (self.index is None or self.index == index)
-        )
 
 
 @dataclass
@@ -135,12 +131,15 @@ class Network:
         # (time, seq, record, data on the wire, disposition)
         self._queue: list[tuple[int, int, _FrameRecord, bytes, str]] = []
         self._seq = 0
-        self._schedule = FaultSchedule()
         self._rng = random.Random(0)
         self._stream_index: dict[tuple[int, int], int] = {}
         self._stream_history: dict[tuple[int, int], list[bytes]] = {}
         self._pending_swap: dict[tuple[int, int], _FrameRecord] = {}
-        self._spent_actions: set[int] = set()
+        # Unspent actions by (session, sender, index), None as the wildcard;
+        # each bucket holds (schedule position, action), latest first.
+        self._buckets: dict[tuple, list[tuple[int, FaultAction]]] = {}
+        # Which of (session, sender, index) the keys in use fix.
+        self._shapes: list[tuple[bool, bool, bool]] = []
 
     # -- topology ------------------------------------------------------------
 
@@ -158,21 +157,46 @@ class Network:
     # -- adversary -------------------------------------------------------------
 
     def install_schedule(self, schedule: FaultSchedule) -> None:
-        self._schedule = schedule
+        """Script the adversary: each frame observed from now on fires the
+        earliest unspent action in schedule order that matches it, if any.
+
+        The actions are bucketed here, once, by their (session, sender,
+        index) key. Every action in a bucket matches exactly the same frames,
+        so a frame's action is the earliest bucket head among the keys it can
+        match, found in constant time per frame: at most one dictionary probe
+        per key shape the schedule uses (at most 8), whatever its length, and
+        none for an empty schedule.
+        """
         self._rng = random.Random(schedule.seed)
         self._stream_index.clear()
         self._stream_history.clear()
         self._pending_swap.clear()
-        self._spent_actions.clear()
+        buckets: dict[tuple, list[tuple[int, FaultAction]]] = {}
+        for position, action in enumerate(schedule.actions):
+            key = (action.session, action.sender, action.index)
+            buckets.setdefault(key, []).append((position, action))
+        for bucket in buckets.values():
+            bucket.reverse()
+        self._buckets = buckets
+        self._shapes = sorted({(session is not None, sender is not None,
+                                index is not None)
+                               for session, sender, index in buckets})
 
     def _next_action(self, session: int, sender: int, index: int) -> FaultAction | None:
-        for i, action in enumerate(self._schedule.actions):
-            if i in self._spent_actions:
-                continue
-            if action.matches(session, sender, index):
-                self._spent_actions.add(i)
-                return action
-        return None
+        best_key, best = None, None
+        for has_session, has_sender, has_index in self._shapes:
+            key = (session if has_session else None,
+                   sender if has_sender else None,
+                   index if has_index else None)
+            bucket = self._buckets.get(key)
+            if bucket is not None and (best is None or bucket[-1][0] < best[-1][0]):
+                best_key, best = key, bucket
+        if best is None:
+            return None
+        _, action = best.pop()
+        if not best:
+            del self._buckets[best_key]
+        return action
 
     def _forged_frame(self, action: FaultAction, template: bytes) -> bytes:
         if action.frame is not None:
@@ -266,6 +290,8 @@ class Network:
             endpoint = self.endpoints.get(record.dst)
             accepted = endpoint.deliver_frame(data) if endpoint is not None else False
             if accepted and data == record.data:
+                if record.accepted:   # an adversary's copies start out accepted
+                    self._deliver_original(record)
                 record.accepted = True
         self.trace.append(NetEvent(time_ns, record.src, record.dst, record.session,
                                    disposition, accepted, record.attempts, data))
@@ -275,6 +301,17 @@ class Network:
             else:
                 self._observe(record)
         return True
+
+    def _deliver_original(self, copy: _FrameRecord) -> None:
+        """The receiver accepted an adversary's copy ahead of the frame it
+        copies: that frame, queued or held for a reorder, is delivered and
+        needs no more retransmission."""
+        held = list(self._pending_swap.values())
+        for original in [entry[2] for entry in self._queue] + held:
+            if (not original.accepted and original.dst == copy.dst
+                    and original.data == copy.data):
+                original.accepted = True
+                return
 
     def has_pending(self) -> bool:
         return bool(self._queue) or bool(self._pending_swap)

@@ -17,6 +17,7 @@ non-deterministic machines are rejected at registration.
 
 import hashlib
 import struct
+import weakref
 from dataclasses import dataclass
 
 from .device import Endpoint
@@ -32,6 +33,11 @@ from .kernel import AttestedMessage
 from .wire import decode_frame, encode_frame
 
 STATE_HASH_LEN = 48
+
+# The last message each endpoint sent per session through wrapped_send; an
+# entry goes away with its endpoint.
+_LAST_SENT: "weakref.WeakKeyDictionary[Endpoint, dict[int, AttestedMessage]]" = (
+    weakref.WeakKeyDictionary())
 
 
 def state_hash(serialized: bytes) -> bytes:
@@ -166,6 +172,4 @@ def _check_echo(ep: Endpoint, session: int, echo: AttestedMessage | None) -> Non
 
 
 def _last_sent(ep: Endpoint) -> dict[int, AttestedMessage]:
-    if not hasattr(ep, "_transform_last_sent"):
-        ep._transform_last_sent = {}
-    return ep._transform_last_sent
+    return _LAST_SENT.setdefault(ep, {})

@@ -7,7 +7,11 @@ import pytest
 
 from attestnet.checker import (
     KERNELS,
+    MULTICAST_RECEIVERS,
+    MULTICAST_SESSION,
     BoundedInstance,
+    _multicast_streams,
+    _mutation_variants,
     check_all_lemmas,
     check_attestation_lemma,
     check_consistency,
@@ -15,7 +19,10 @@ from attestnet.checker import (
     check_transport_lemmas,
     replay_counterexample,
 )
-from attestnet.errors import InstanceTooLarge
+from attestnet.errors import AuthFailure, InstanceTooLarge
+from attestnet.kernel import AttestationKernel
+from attestnet.protocols.common import derive_key
+from attestnet.wire import decode_frame
 
 
 def test_correct_kernel_all_lemmas_hold():
@@ -56,6 +63,20 @@ def test_consistency_single_receiver_degenerate_case():
     # one message stream, both "receivers" see identical frames: vacuous hold
     instance = BoundedInstance(senders=1, messages_per_sender=1)
     assert check_consistency(instance).holds
+
+
+def test_consistency_forgeries_reach_the_tag_check():
+    instance = BoundedInstance(senders=1, messages_per_sender=2)
+    variants = dict(_mutation_variants(instance,
+                                       _multicast_streams(instance, "correct")))
+    for j in range(2):
+        stream = variants[f"forge@s1m{j}"][1]
+        (forged,) = [item for item in stream if item.label == f"forge{j}"]
+        receiver = AttestationKernel(device=MULTICAST_RECEIVERS[1])
+        receiver.provision_session(MULTICAST_SESSION,
+                                   derive_key(instance.seed, MULTICAST_SESSION))
+        with pytest.raises(AuthFailure):
+            receiver.verify(decode_frame(forged.frame))
 
 
 def test_per_receiver_counter_kernel_violates_consistency():

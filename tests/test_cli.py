@@ -7,6 +7,8 @@ import pytest
 from attestnet import cli
 from attestnet.bench import CSV_HEADER, PROTOCOLS
 from attestnet.checker import Counterexample, replay_counterexample
+from attestnet.protocols.common import transport_session
+from attestnet.simnet import DEFAULT_RETRY_BUDGET
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -31,7 +33,21 @@ def test_scenario_honest_bft(tmp_path, capsys):
     path.write_text(json.dumps({"protocol": "bft", "seed": 0, "rounds": 3}))
     assert cli.main(["scenario", str(path)]) == 0
     last = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert last["ok"] and last["flags"] == []
+    assert last["ok"] and last["flags"] == [] and last["exhausted"] == 0
+
+
+def test_scenario_retry_exhaustion_is_not_ok(tmp_path, capsys):
+    # One more drop of any frame on the leader's stream to replica 2 than the
+    # retry budget allows: its first frame is dropped on every attempt. One
+    # round, since every later frame on the stream would fail the counter.
+    drops = [{"kind": "drop", "session": transport_session(1, 2), "sender": 1}
+             for _ in range(DEFAULT_RETRY_BUDGET + 1)]
+    path = tmp_path / "exhausted.json"
+    path.write_text(json.dumps({"protocol": "bft", "seed": 0, "rounds": 1,
+                                "faults": {"actions": drops}}))
+    assert cli.main(["scenario", str(path)]) == 1
+    last = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert last["exhausted"] == 1 and not last["ok"]
 
 
 @pytest.mark.parametrize("content, message", [

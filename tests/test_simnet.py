@@ -1,6 +1,7 @@
 """Simulator: reliable-FIFO base contract, scripted adversary, determinism,
 and the stream-socket bridge."""
 
+import dataclasses
 import hashlib
 import random
 import socket
@@ -8,6 +9,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attestnet.device import DeviceConfig, Endpoint, SessionConfig, SimClock, connect
 from attestnet.simnet import (
@@ -234,6 +236,78 @@ def test_every_action_kind_pinned_trace():
         (6696, "delivered", True, 4),
     ]
     assert _digest([ev.frame for ev in net.trace]) == "1b8400de3e489c58"
+
+
+def test_copy_accepted_before_delayed_original_ends_its_retransmission():
+    # The replay of frame 0 lands before the delayed original and is accepted;
+    # the original, rejected on arrival, must not be retransmitted until the
+    # retry budget runs out.
+    schedule = FaultSchedule(actions=[
+        FaultAction(kind="delay", session=1, sender=1, index=0, delay_ns=700),
+        FaultAction(kind="replay", session=1, sender=1, index=5,
+                    earlier_index=0),
+    ])
+    net, a, b = build_pair(schedule)
+    for i in range(8):
+        a.auth_send(1, bytes([i]) * 3)
+    net.run_until_quiescent()
+    assert net.exhausted == []
+    assert [m.counter for m in b.poll(1)] == list(range(8))
+    assert dict(b.rejections) == {"CounterMismatch": 8}
+
+
+def test_wildcard_action_listed_first_fires_first():
+    wildcard = FaultAction(kind="drop", session=1)
+    exact = FaultAction(kind="duplicate", session=1, sender=1, index=0)
+    net, a, b = build_pair(FaultSchedule(actions=[wildcard, exact]))
+    a.auth_send(1, b"x")
+    net.run_until_quiescent()
+    # The drop takes frame 0; the retransmission is observation 1, which the
+    # exact action does not match.
+    assert [ev.disposition for ev in net.trace] == ["dropped", "delivered"]
+    assert [m.payload for m in b.poll(1)] == [b"x"]
+
+
+def _linear_scan(actions):
+    """Reference lookup: the earliest unspent matching action, by a scan."""
+    spent = set()
+
+    def next_action(session, sender, index):
+        for i, action in enumerate(actions):
+            if i not in spent and all(
+                    want is None or want == got
+                    for want, got in ((action.session, session),
+                                      (action.sender, sender),
+                                      (action.index, index))):
+                spent.add(i)
+                return action
+        return None
+
+    return next_action
+
+
+def _key_field(high):
+    return st.one_of(st.none(), st.integers(0, high))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    actions=st.lists(st.builds(FaultAction, kind=st.sampled_from(ACTION_KINDS),
+                               session=_key_field(2), sender=_key_field(2),
+                               index=_key_field(3)), max_size=20),
+    copies=st.lists(st.integers(0, 19), max_size=6),
+    observations=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                     st.integers(0, 3)), max_size=40),
+)
+def test_action_lookup_agrees_with_linear_scan(actions, copies, observations):
+    if actions:   # equal but distinct actions, inserted after their originals
+        actions = actions + [dataclasses.replace(actions[i % len(actions)])
+                             for i in copies]
+    net = Network()
+    net.install_schedule(FaultSchedule(actions=actions))
+    reference = _linear_scan(actions)
+    for observation in observations:
+        assert net._next_action(*observation) is reference(*observation)
 
 
 def test_event_total_order():
