@@ -1,13 +1,26 @@
 """Byzantine chain replication over a key-value machine.
 
-Requests enter at the head, which executes and attests (request ‖ output);
-each node down the chain re-derives the expected output with its own replica
-of the deterministic machine, verifies every upstream attestation wrapper,
-appends its own attested output, and forwards. The proof of execution nests:
-node k's attestation covers the entire prefix through node k-1, so any
-upstream lie is caught by the first downstream validator at the exact lying
-position. Reads cannot be served locally by the tail in the Byzantine model;
-every operation traverses the chain and every node replies to the client.
+Requests enter at the head, which executes them and starts the proof of
+execution; each node down the chain re-derives the expected output with its
+own replica of the deterministic machine, checks the proof, adds its own
+level, and forwards. The proof is flat and linked by digests, H = SHA-384.
+Node k attests one small level frame on its log session:
+
+    level 0:  POE_BASE  ‖ H(req) ‖ H(out_0)
+    level k:  POE_CHAIN ‖ H(level k-1 frame) ‖ H(out_k)
+
+A transport frame carries the request once plus every upstream level frame,
+position 0 first (`encode_proof`). The validator at position p hashes the
+request and its expected output once each, then checks each level in order:
+its tag (`local_verify`), its link to the request or to the level before,
+and its output digest. The first failure names the lying position; a proof
+without exactly p levels accuses p-1, the only node that can send on that
+transport session. A level changed in transit fails at its own position, and
+each hop MACs the request once plus p small levels, so the cost no longer
+grows with chain length times payload.
+
+Reads cannot be served locally by the tail in the Byzantine model; every
+operation traverses the chain and every node replies to the client.
 A Byzantine node overrides only `attested_output`, the output it attests.
 A node that flags its chain accepts nothing more from it.
 
@@ -15,15 +28,12 @@ A node that flags its chain accepts nothing more from it.
 order, handing every reply to every client.
 """
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 
-from ..errors import (
-    AuthFailure,
-    ChainValidationFailure,
-    CounterMismatch,
-    KernelError,
-)
+from ..device import pack_batch, unpack_batch
+from ..errors import ChainValidationFailure, FrameError, KernelError
 from ..wire import decode_frame, encode_frame
 from .common import (
     ClusterNet,
@@ -40,8 +50,9 @@ from .common import (
 OP_PUT = 0x50
 OP_GET = 0x47
 
-POE_BASE = 0x52      # "R": payload is req ‖ out
-POE_CHAIN = 0x43     # "C": payload is previous wrapper frame ‖ out
+POE_BASE = 0x52      # "R": level 0 attests POE_BASE ‖ H(req) ‖ H(out)
+POE_CHAIN = 0x43     # "C": level k attests POE_CHAIN ‖ H(level k-1 frame) ‖ H(out)
+DIGEST_LEN = 48      # SHA-384
 
 
 def encode_op(op: int, key: bytes, value: bytes = b"") -> bytes:
@@ -85,36 +96,21 @@ class KvMachine:
         return output
 
 
-def encode_poe_base(req: bytes, out: bytes) -> bytes:
-    return (bytes([POE_BASE]) + struct.pack(">I", len(req)) + req
-            + struct.pack(">I", len(out)) + out)
+def digest(data: bytes) -> bytes:
+    """H, the hash that links the proof: SHA-384, as the tamper-evident log uses."""
+    return hashlib.sha384(data).digest()
 
 
-def encode_poe_chain(prev_frame: bytes, out: bytes) -> bytes:
-    return (bytes([POE_CHAIN]) + struct.pack(">I", len(prev_frame)) + prev_frame
-            + struct.pack(">I", len(out)) + out)
+def encode_proof(req: bytes, levels: list[bytes]) -> bytes:
+    """Transport proof: the request once, then the level frames, position 0 first."""
+    return pack_batch([req, *levels])
 
 
-def peel_poe(frame: bytes) -> tuple[bytes, list[tuple[bytes, bytes]]]:
-    """Unnest a proof-of-execution frame.
-
-    Returns (req, [(wrapper frame bytes, claimed output)] in chain order,
-    position 0 first).
-    """
-    levels: list[tuple[bytes, bytes]] = []
-    current = frame
-    while True:
-        msg = decode_frame(current)
-        payload = msg.payload
-        kind = payload[0]
-        (inner_len,) = struct.unpack_from(">I", payload, 1)
-        inner = payload[5:5 + inner_len]
-        (out_len,) = struct.unpack_from(">I", payload, 5 + inner_len)
-        out = payload[9 + inner_len:9 + inner_len + out_len]
-        levels.append((current, out))
-        if kind == POE_BASE:
-            return inner, list(reversed(levels))
-        current = inner
+def peel_poe(proof: bytes) -> tuple[bytes, list[bytes]]:
+    """Split a transport proof into (req, [level frame] in chain order,
+    position 0 first). Raises FrameError if the proof does not parse."""
+    req, *levels = unpack_batch(proof)
+    return req, levels
 
 
 @dataclass
@@ -154,51 +150,78 @@ class ChainNode:
     def head_handle(self, req: bytes) -> None:
         body = req[12:]   # strip client/req_id prefix for execution
         out = self.machine.apply(body)
-        poe = self.endpoint.local_send(log_session(self.node_id),
-                                       encode_poe_base(req, out))
+        level = self._attest_level(POE_BASE, digest(req), digest(out))
         self.endpoint.auth_send(transport_session(self.node_id, self._next_node()),
-                                encode_frame(poe))
+                                encode_proof(req, [level]))
         self._reply_client(req, out)
 
     # -- middle / tail ------------------------------------------------------------
 
-    def validate_chain(self, poe_frame: bytes) -> tuple[bytes, bytes]:
-        """Verify every upstream position; first inconsistency names the liar."""
-        req, levels = peel_poe(poe_frame)
-        body = req[12:]
-        expected_out = self.machine.peek(body)
-        for position, (wrapper_frame, out) in enumerate(levels):
+    def validate_chain(self, proof: bytes
+                       ) -> tuple[bytes, list[bytes], bytes, bytes, bytes]:
+        """Verify every upstream position; the first inconsistency names the liar.
+
+        Returns (req, upstream level frames, expected output, H(expected
+        output), H(last level frame)), the last two for this node's own level.
+        """
+        upstream = self.position - 1
+        try:
+            req, levels = peel_poe(proof)
+        except FrameError as exc:
+            raise ChainValidationFailure(upstream, str(exc)) from None
+        if len(levels) != self.position:
+            # Only the upstream neighbour can send on this transport session.
+            raise ChainValidationFailure(
+                upstream, f"{len(levels)} levels, expected {self.position}")
+        expected_out = self.machine.peek(req[12:])
+        out_digest = digest(expected_out)
+        link = digest(req)
+        for position, frame in enumerate(levels):
             node = self.order[position]
-            wrapper = decode_frame(wrapper_frame)
+            session = log_session(node)
             try:
-                self.endpoint.local_verify(log_session(node), wrapper)
-            except (AuthFailure, CounterMismatch, KernelError) as exc:
+                level = decode_frame(frame)
+                self.endpoint.local_verify(session, level)
+            except (FrameError, KernelError) as exc:
                 raise ChainValidationFailure(position, type(exc).__name__) from None
-            if out != expected_out:
+            payload = level.payload
+            kind = POE_CHAIN if position else POE_BASE
+            # The header's session id is outside the MAC, so it is checked here.
+            if (level.session != session
+                    or payload[:1 + DIGEST_LEN] != bytes([kind]) + link):
+                raise ChainValidationFailure(position, f"link mismatch at node {node}")
+            if payload[1 + DIGEST_LEN:] != out_digest:
                 raise ChainValidationFailure(
                     position, f"output mismatch at node {node}")
-        return req, expected_out
+            link = digest(frame)
+        return req, levels, expected_out, out_digest, link
 
-    def middle_tail_handle(self, poe_frame: bytes) -> None:
+    def middle_tail_handle(self, proof: bytes) -> None:
         if self.flags:
             # Once this node has flagged its chain it stops accepting from it:
             # its machine skipped the flagged commit, so every later output
             # would mismatch and accuse an honest upstream node.
             return
         try:
-            req, _ = self.validate_chain(poe_frame)
+            req, levels, expected_out, out_digest, link = self.validate_chain(proof)
         except ChainValidationFailure as exc:
             self.flags.append(ChainFlag(self.node_id, exc.position, exc.detail))
             return
-        body = req[12:]
-        out = self.attested_output(self.machine.apply(body))
-        own = self.endpoint.local_send(log_session(self.node_id),
-                                       encode_poe_chain(poe_frame, out))
+        out = self.attested_output(self.machine.apply(req[12:]))
+        if out != expected_out:
+            out_digest = digest(out)
+        level = self._attest_level(POE_CHAIN, link, out_digest)
         if not self.is_tail:
             self.endpoint.auth_send(
                 transport_session(self.node_id, self._next_node()),
-                encode_frame(own))
+                encode_proof(req, levels + [level]))
         self._reply_client(req, out)
+
+    def _attest_level(self, kind: int, link: bytes, out_digest: bytes) -> bytes:
+        """Attest this node's level of the proof on its log session."""
+        level = self.endpoint.local_send(log_session(self.node_id),
+                                         bytes([kind]) + link + out_digest)
+        return encode_frame(level)
 
     def attested_output(self, out: bytes) -> bytes:
         """The output this node attests, forwards and replies with, given the

@@ -194,6 +194,9 @@ def _run_peerreview(spec: dict) -> ScenarioResult:
     scenario = PrScenario.build(seed=seed, n_children=spec.get("children", 2),
                                 child_cls_at=child_cls_at,
                                 child_kwargs_at=child_kwargs_at)
+    schedule = _fault_schedule(spec)
+    if schedule is not None:
+        scenario.cluster.net.install_schedule(schedule)
     commands = [b"cmd-%d" % r for r in range(1, rounds + 1)]
     scenario.run_rounds(commands)
     if kind == "rewrite_log":

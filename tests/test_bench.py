@@ -40,8 +40,8 @@ GOLDEN_ROWS = [
     "a2m,tnic,16,64,64,sim,0,695652.174,23.000,23.000,23.000,92.000",
     "bft,tnic,1,64,64,sim,0,2070.393,483.000,483.000,483.000,30912.000",
     "bft,tnic,16,64,64,sim,0,33126.294,483.000,483.000,483.000,1932.000",
-    "cr,tnic,1,64,64,sim,0,4259.561,234.766,234.766,234.766,15025.024",
-    "cr,tnic,16,64,64,sim,0,65315.187,244.966,244.966,244.966,979.864",
+    "cr,tnic,1,64,64,sim,0,4257.674,234.870,234.870,234.870,15031.680",
+    "cr,tnic,16,64,64,sim,0,66959.615,238.950,238.950,238.950,955.800",
     "peerreview,tnic,1,64,64,sim,0,2717.391,368.000,368.000,368.000,23552.000",
     "peerreview,tnic,16,64,64,sim,0,43478.261,368.000,368.000,368.000,1472.000",
 ]

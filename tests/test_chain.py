@@ -5,16 +5,24 @@ import struct
 
 import pytest
 
+from attestnet import kernel
 from attestnet.errors import ChainValidationFailure
 from attestnet.protocols.chain import (
+    POE_BASE,
+    POE_CHAIN,
     ChainCluster,
     KvMachine,
     LyingMiddle,
     OP_GET,
     OP_PUT,
+    digest,
     encode_op,
+    encode_proof,
+    peel_poe,
 )
+from attestnet.protocols.common import log_session
 from attestnet.scenario import run_scenario
+from attestnet.wire import decode_frame, encode_frame
 
 
 def reexecute_oracle(requests: list[bytes]) -> list[bytes]:
@@ -83,22 +91,143 @@ def test_lie_detected_via_independent_reexecution():
 
 
 def test_validate_chain_flags_tag_corruption():
-    from attestnet.protocols.chain import encode_poe_base
-    from attestnet.protocols.common import log_session
-    from attestnet.wire import decode_frame, encode_frame
-
     cluster = ChainCluster.build(n=3, f=1, seed=5)
     head = cluster.nodes[1]
     middle = cluster.nodes[2]
     body = encode_op(OP_PUT, b"k", b"v")
     req = b"\x00" * 12 + body
     out = head.machine.apply(body)
-    poe = head.endpoint.local_send(log_session(1), encode_poe_base(req, out))
-    frame = bytearray(encode_frame(poe))
-    frame[25] ^= 0x01           # corrupt payload inside the wrapper
+    level = head.endpoint.local_send(
+        log_session(1), bytes([POE_BASE]) + digest(req) + digest(out))
+    frame = bytearray(encode_frame(level))
+    frame[25] ^= 0x01           # corrupt payload inside the level frame
     with pytest.raises(ChainValidationFailure) as exc_info:
-        middle.validate_chain(bytes(frame))
+        middle.validate_chain(encode_proof(req, [bytes(frame)]))
     assert exc_info.value.position == 0
+
+
+def honest_proof(position: int, n: int = 5, seed: int = 5) -> bytes:
+    """The transport payload an honest chain hands `position` for one put."""
+    cluster = ChainCluster.build(n=n, seed=seed)
+    cluster.run_put(0, 1, b"k", b"v")
+    (event,) = [ev for ev in cluster.cluster.net.trace
+                if ev.dst == cluster.order[position]]
+    return decode_frame(event.frame).payload
+
+
+def fresh_node(position: int, n: int = 5, seed: int = 5):
+    """A node at `position` that has validated nothing yet (same keys)."""
+    cluster = ChainCluster.build(n=n, seed=seed)
+    return cluster.nodes[cluster.order[position]]
+
+
+def accused(position: int, proof: bytes, n: int = 5) -> ChainValidationFailure:
+    with pytest.raises(ChainValidationFailure) as exc_info:
+        fresh_node(position, n).validate_chain(proof)
+    return exc_info.value
+
+
+def test_honest_proof_validates_at_every_position():
+    out_digest = digest(struct.pack(">Q", 1) + b"v")
+    for position in range(1, 5):
+        proof = honest_proof(position)
+        req, levels = peel_poe(proof)
+        assert fresh_node(position).validate_chain(proof)[:2] == (req, levels)
+        # Level 0 links to the request, level k to level k-1's whole frame.
+        links = [digest(req)] + [digest(frame) for frame in levels[:-1]]
+        kinds = [POE_BASE] + [POE_CHAIN] * (position - 1)
+        assert [decode_frame(frame).payload for frame in levels] == [
+            bytes([kind]) + link + out_digest for kind, link in zip(kinds, links)]
+
+
+@pytest.mark.parametrize("n, sent_for, received_at", [
+    (3, 1, 2),     # the tail gets a proof holding only level 0
+    (5, 1, 3),
+    (5, 3, 4),
+    (3, 2, 1),     # a proof with one level too many
+])
+def test_proof_with_wrong_level_count_accuses_upstream_neighbour(
+        n, sent_for, received_at):
+    failure = accused(received_at, honest_proof(sent_for, n), n)
+    assert failure.position == received_at - 1
+
+
+def test_malformed_proof_accuses_upstream_neighbour():
+    proof = honest_proof(2)
+    assert accused(2, proof[:-1]).position == 1
+    assert accused(2, proof + b"\x00").position == 1
+
+
+# Header fields (session, device, counter, length), the kind byte, the link,
+# the output digest, a tag byte and a tag pad byte of a level frame.
+LEVEL_OFFSETS = [3, 7, 15, 19, 20, 30, 90, 120, -1]
+
+
+@pytest.mark.parametrize("position, level", [
+    (p, k) for p in range(1, 5) for k in range(p)])
+def test_flipped_byte_in_a_level_is_flagged_at_that_level(position, level):
+    req, levels = peel_poe(honest_proof(position))
+    for offset in LEVEL_OFFSETS:
+        frame = bytearray(levels[level])
+        frame[offset] ^= 0x01
+        tampered = levels[:level] + [bytes(frame)] + levels[level + 1:]
+        failure = accused(position, encode_proof(req, tampered))
+        assert failure.position == level, offset
+
+
+@pytest.mark.parametrize("position", range(1, 5))
+@pytest.mark.parametrize("offset", [0, 12, -1])
+def test_changed_request_byte_is_a_link_mismatch_at_the_head(position, offset):
+    req, levels = peel_poe(honest_proof(position))
+    changed = bytearray(req)
+    changed[offset] ^= 0x01
+    failure = accused(position, encode_proof(bytes(changed), levels))
+    assert failure.position == 0 and "link mismatch" in failure.detail
+
+
+@pytest.mark.parametrize("first, second", [
+    (i, j) for i in range(4) for j in range(i + 1, 4)])
+def test_swapped_levels_flagged_at_first_swapped_position(first, second):
+    req, levels = peel_poe(honest_proof(4))
+    levels[first], levels[second] = levels[second], levels[first]
+    assert accused(4, encode_proof(req, levels)).position == first
+
+
+def put_value(size: int) -> bytes:
+    return bytes(i % 251 for i in range(size))
+
+
+def test_large_puts_commit_on_five_nodes():
+    # Every transport frame carries the request once, so a put fits the
+    # kernel's 64 KiB payload limit on any chain length.
+    cluster = ChainCluster.build(n=5, f=2, seed=6)
+    client = cluster.clients[0]
+    for req_id, size in enumerate([12 * 1024, 40 * 1024], start=1):
+        value = put_value(size)
+        req = cluster.run_put(0, req_id, b"big", value)
+        assert client.accepted_value(req) == struct.pack(">Q", req_id) + value
+    assert cluster.commit_histories() == {d: [1, 2] for d in range(1, 6)}
+    assert cluster.all_flags() == []
+
+
+def test_one_put_macs_and_sends_a_bounded_number_of_bytes(monkeypatch):
+    # 23 tags: 4 transport frames, each MACed by sender and receiver, carry
+    # the request; the other 15 cover 97-byte levels. The bounds hold only if
+    # per-hop cost is payload plus small levels, not chain length x payload.
+    maced = []
+    compute_tag = kernel.compute_tag
+
+    def counting(key, payload, device, counter):
+        maced.append(len(payload) + kernel.DEVICE_WIRE_LEN + kernel.COUNTER_WIRE_LEN)
+        return compute_tag(key, payload, device, counter)
+
+    cluster = ChainCluster.build(n=5, f=2, seed=6)
+    monkeypatch.setattr(kernel, "compute_tag", counting)
+    req = cluster.run_put(0, 1, b"k", put_value(4096))
+    assert cluster.clients[0].accepted_value(req) is not None
+    assert len(maced) == 23
+    assert sum(maced) <= 40 * 1024
+    assert sum(len(ev.frame) for ev in cluster.cluster.net.trace) <= 25 * 1024
 
 
 @pytest.mark.parametrize("n, f, position", [(3, 1, 1), (5, 2, 2)])

@@ -8,7 +8,7 @@ from attestnet import cli
 from attestnet.bench import CSV_HEADER, PROTOCOLS
 from attestnet.checker import Counterexample, replay_counterexample
 from attestnet.protocols.common import transport_session
-from attestnet.simnet import DEFAULT_RETRY_BUDGET
+from attestnet.simnet import ACTION_KINDS, DEFAULT_RETRY_BUDGET
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -48,6 +48,32 @@ def test_scenario_retry_exhaustion_is_not_ok(tmp_path, capsys):
     assert cli.main(["scenario", str(path)]) == 1
     last = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert last["exhausted"] == 1 and not last["ok"]
+
+
+def _peerreview_scenario(tmp_path, capsys, rounds, actions):
+    path = tmp_path / "peerreview.json"
+    path.write_text(json.dumps({"protocol": "peerreview", "seed": 0,
+                                "rounds": rounds, "faults": {"actions": actions}}))
+    code = cli.main(["scenario", str(path)])
+    return code, json.loads(capsys.readouterr().out.splitlines()[-1])
+
+
+def test_scenario_peerreview_installs_its_faults(tmp_path, capsys):
+    # The root's first frame to child 2 is dropped on every attempt.
+    drops = [{"kind": "drop", "session": transport_session(1, 2), "sender": 1}
+             for _ in range(DEFAULT_RETRY_BUDGET + 1)]
+    code, last = _peerreview_scenario(tmp_path, capsys, 1, drops)
+    assert code == 1
+    assert last["exhausted"] == 1 and not last["ok"]
+
+
+def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
+    actions = [{"kind": kind, "session": transport_session(1, 2), "sender": 1,
+                "index": i, "delay_ns": 700}
+               for i, kind in enumerate(ACTION_KINDS)]
+    code, last = _peerreview_scenario(tmp_path, capsys, 8, actions)
+    assert code == 0
+    assert last["ok"] and last["exhausted"] == 0
 
 
 @pytest.mark.parametrize("content, message", [

@@ -22,6 +22,7 @@ from attestnet.kernel import (
     compute_tag,
     verify_with,
 )
+from attestnet.wire import decode_frame, encode_frame
 
 KEY = b"\x0b" * 32
 
@@ -203,3 +204,23 @@ def test_verify_with_designated_stream_is_independent():
     for m in msgs:
         verify_with(side_stream, m)
     assert side_stream.recv_cnt == 3
+
+
+def test_session_id_is_outside_the_mac():
+    # A documented choice: the session id only selects the key. Two sessions
+    # that share a key therefore accept each other's frames once the header's
+    # session id is rewritten; keeping keys distinct per session is what
+    # separates them.
+    sender = make_kernel(device=1, session=1)
+    receiver = make_kernel(device=2, session=1)
+    receiver.provision_session(2, KEY)
+    frame = bytearray(encode_frame(sender.attest(1, b"for session 1")))
+    frame[:4] = (2).to_bytes(4, "big")
+    moved = decode_frame(bytes(frame))
+    assert moved.session == 2
+    assert receiver.verify(moved).payload == b"for session 1"
+    assert receiver.session_state(2).recv_cnt == 1
+    assert receiver.session_state(1).recv_cnt == 0
+    other = make_kernel(device=3, session=2, key=b"\x0c" * 32)
+    with pytest.raises(AuthFailure):
+        other.verify(moved)

@@ -42,7 +42,7 @@ def _cr():
     cluster = ChainCluster.build(n=3, f=1, seed=5, clients=0)
     client = ChainedClient(cluster, cluster.nodes[cluster.order[0]].head_handle,
                            lambda i: encode_op(OP_PUT, b"k%d" % i, b"v%d" % i))
-    return cluster, client, lambda i: struct.pack(">Q", i + 1) + b"v%d" % i, 12_526
+    return cluster, client, lambda i: struct.pack(">Q", i + 1) + b"v%d" % i, 14_426
 
 
 @pytest.mark.parametrize("build", [_bft, _cr], ids=["bft", "cr"])
