@@ -59,7 +59,7 @@ class FrozenCounterKernel(AttestationKernel):
     def attest(self, session: int, payload: bytes) -> AttestedMessage:
         state = self.session_state(session)
         counter = state.send_cnt     # no increment
-        tag = compute_tag(state.key, payload, self.device, counter)
+        tag = compute_tag(state, payload, self.device, counter)
         return AttestedMessage(tag=tag, payload=payload, device=self.device,
                                session=session, counter=counter)
 
@@ -98,7 +98,7 @@ class PerReceiverCounterKernel(AttestationKernel):
         key = (receiver, session)
         counter = self._per_receiver.get(key, 0)
         self._per_receiver[key] = counter + 1
-        tag = compute_tag(state.key, payload, self.device, counter)
+        tag = compute_tag(state, payload, self.device, counter)
         return AttestedMessage(tag=tag, payload=payload, device=self.device,
                                session=session, counter=counter)
 

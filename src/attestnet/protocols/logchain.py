@@ -19,7 +19,7 @@ def chain_digest(prev_digest: bytes, ctx: bytes, seq: int) -> bytes:
     return hashlib.sha384(ctx + seq.to_bytes(8, "big") + prev_digest).digest()
 
 
-@dataclass
+@dataclass(slots=True)
 class LogEntry:
     seq: int
     ctx: bytes

@@ -19,10 +19,12 @@ Attack kinds per protocol:
 
 Run artifacts are JSON-serializable dicts: accepted values, flags,
 diagnostics, and verdicts. A run is "safe" when no client accepted a wrong
-value and every injected deviation was detected; a chain replication run is
-also unsafe if a position that is not Byzantine was accused. The final line
-counts the frames whose retry budget ran out ("exhausted"); a run with any
-is not ok.
+value, every injected deviation was detected, and no honest node was
+accused: a BFT flag may accuse only a Byzantine leader, a chain flag only the
+lying position, and a PeerReview audit may find only the attacked child
+inconsistent. A `lie` whose commit the run never reaches deviates nowhere,
+so that run is judged as an honest one. The final line counts the frames
+whose retry budget ran out ("exhausted"); a run with any is not ok.
 """
 
 import json
@@ -124,10 +126,11 @@ def _run_bft(spec: dict) -> ScenarioResult:
         vals = {c.observed[req] for c in cluster.clients if req in c.observed}
         if len(vals) > 1:
             agreement = False
-    byzantine_leader = kind in ("equivocate", "wrong_value")
-    detected = bool(flags) if byzantine_leader else True
+    byzantine = {cluster.leader_id} if kind in ("equivocate", "wrong_value") else set()
+    detected = bool(flags) if byzantine else True
+    accused = {fl["accused"] for fl in flags}
     exhausted = len(cluster.cluster.net.exhausted)
-    ok = agreement and detected and not exhausted
+    ok = agreement and detected and accused <= byzantine and not exhausted
     lines.append({
         "protocol": "bft", "agreement": agreement, "flags": flags,
         "values": {str(k): v for k, v in cluster.correct_values().items()},
@@ -146,6 +149,8 @@ def _run_cr(spec: dict) -> ScenarioResult:
     node_cls_at, node_kwargs_at = {}, {}
     if kind == "lie":
         position = attack.get("position", 1)
+        if not (isinstance(position, int) and 0 <= position < n):
+            raise ValueError(f"lie position {position!r} is not in the chain")
         node_cls_at[position] = LyingMiddle
         node_kwargs_at[position] = {"lie_at_commit": attack.get("commit", 1)}
     cluster = ChainCluster.build(n=n, f=f, seed=seed, node_cls_at=node_cls_at,
@@ -171,8 +176,11 @@ def _run_cr(spec: dict) -> ScenarioResult:
     histories = cluster.commit_histories()
     identical = len({tuple(h) for h in histories.values()}) == 1
     accused = {fl["position"] for fl in flags}
+    deviated = any(node.lie_at_commit in node.machine.commit_history
+                   for node in cluster.nodes.values()
+                   if isinstance(node, LyingMiddle))
     exhausted = len(cluster.cluster.net.exhausted)
-    ok = ((identical if kind == "none" else bool(flags)) and not wrong_accept
+    ok = ((bool(flags) if deviated else identical and not flags) and not wrong_accept
           and accused <= set(node_cls_at) and not exhausted)
     lines.append({"protocol": "cr", "flags": flags,
                   "commit_histories": {str(k): v for k, v in histories.items()},
@@ -185,32 +193,31 @@ def _run_peerreview(spec: dict) -> ScenarioResult:
     rounds = spec.get("rounds", 4)
     attack = spec.get("attack") or {}
     kind = attack.get("kind", "none")
+    target = attack.get("node", 2) if kind != "none" else None
 
     child_cls_at, child_kwargs_at = {}, {}
     if kind == "mutate_result":
-        node = attack.get("node", 2)
-        child_cls_at[node] = MutatingChild
-        child_kwargs_at[node] = {"mutate_round": attack.get("round", 1)}
+        child_cls_at[target] = MutatingChild
+        child_kwargs_at[target] = {"mutate_round": attack.get("round", 1)}
     scenario = PrScenario.build(seed=seed, n_children=spec.get("children", 2),
                                 child_cls_at=child_cls_at,
                                 child_kwargs_at=child_kwargs_at)
+    if target is not None and target not in scenario.children:
+        raise ValueError(f"attack node {target!r} is not a child")
     schedule = _fault_schedule(spec)
     if schedule is not None:
         scenario.cluster.net.install_schedule(schedule)
     commands = [b"cmd-%d" % r for r in range(1, rounds + 1)]
     scenario.run_rounds(commands)
     if kind == "rewrite_log":
-        node = scenario.children[attack.get("node", 2)]
-        rewrite_log_entry(node, attack.get("seq", 0), b"\x52rewritten-history")
+        rewrite_log_entry(scenario.children[target], attack.get("seq", 0),
+                          b"\x52rewritten-history")
 
     verdicts = scenario.audit_all()
     lines = [{"node": node, "verdict": v.kind, "seq": v.seq}
              for node, v in verdicts.items()]
-    if kind == "none":
-        ok = all(v.consistent for v in verdicts.values())
-    else:
-        target = attack.get("node", 2)
-        ok = not verdicts[target].consistent
+    # Only the attacked child may be, and must be, found inconsistent.
+    ok = all(v.consistent != (node == target) for node, v in verdicts.items())
     exhausted = len(scenario.cluster.net.exhausted)
     ok = ok and not exhausted
     lines.append({"protocol": "peerreview", "exhausted": exhausted, "ok": ok})

@@ -86,7 +86,7 @@ class FaultSchedule:
         return {"seed": self.seed, "actions": [asdict(a) for a in self.actions]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetEvent:
     """One delivery-level observation, totally ordered by (time, sequence)."""
 

@@ -1,5 +1,6 @@
 """BFT counter: honest runs, equivocation detection, crash forwarding, quorums."""
 
+import json
 import struct
 
 from attestnet.checker import check_leader_strategies
@@ -7,9 +8,11 @@ from attestnet.protocols.bft import (
     BftCluster,
     BftReplica,
     EquivocatingLeader,
+    Flag,
     WrongValueLeader,
 )
 from attestnet.protocols.common import encode_reply_payload
+from attestnet.scenario import run_scenario
 
 
 def test_honest_run_ten_increments():
@@ -134,3 +137,33 @@ def test_unsigned_reply_ignored():
     client.deliver(SignedReply(device=3, payload=payload, signature=b"\x00" * 64))
     assert client.accepted_value(req) is None
     assert client.ignored == 2
+
+
+def _flag_honest_peer(monkeypatch, accuser: int, accused: int):
+    """Make one follower accuse an honest peer on every validation."""
+    validate = BftReplica._validate_peer
+
+    def accusing(self, sender, output):
+        if self.node_id == accuser and sender == accused:
+            self.flags.append(Flag(self.node_id, sender, "state-mismatch"))
+        return validate(self, sender, output)
+
+    monkeypatch.setattr(BftReplica, "_validate_peer", accusing)
+
+
+def test_scenario_accusing_an_honest_replica_is_not_ok(monkeypatch):
+    honest = run_scenario({"protocol": "bft", "rounds": 2})
+    assert honest.ok
+    _flag_honest_peer(monkeypatch, accuser=3, accused=2)
+    result = run_scenario({"protocol": "bft", "rounds": 2})
+    last = json.loads(result.dumps().splitlines()[-1])
+    assert last["agreement"] and {fl["accused"] for fl in last["flags"]} == {2}
+    assert not result.ok and not last["ok"]
+
+
+def test_scenario_byzantine_leader_plus_an_honest_accusation_is_not_ok(monkeypatch):
+    spec = {"protocol": "bft", "rounds": 3,
+            "attack": {"kind": "wrong_value", "round": 2}}
+    assert run_scenario(spec).ok
+    _flag_honest_peer(monkeypatch, accuser=3, accused=2)
+    assert not run_scenario(spec).ok

@@ -217,9 +217,9 @@ def test_one_put_macs_and_sends_a_bounded_number_of_bytes(monkeypatch):
     maced = []
     compute_tag = kernel.compute_tag
 
-    def counting(key, payload, device, counter):
+    def counting(state, payload, device, counter):
         maced.append(len(payload) + kernel.DEVICE_WIRE_LEN + kernel.COUNTER_WIRE_LEN)
-        return compute_tag(key, payload, device, counter)
+        return compute_tag(state, payload, device, counter)
 
     cluster = ChainCluster.build(n=5, f=2, seed=6)
     monkeypatch.setattr(kernel, "compute_tag", counting)
@@ -239,3 +239,22 @@ def test_lying_middle_is_the_only_node_accused(n, f, position):
     verdict = json.loads(result.dumps().splitlines()[-1])
     assert [flag["position"] for flag in verdict["flags"]] == [position]
     assert verdict["ok"] and result.ok
+
+
+def test_lie_past_the_last_round_is_judged_as_an_honest_run():
+    # The liar never reaches commit 2, so nothing deviated and nothing may
+    # be accused; the run is held to the honest verdict.
+    result = run_scenario({"protocol": "cr", "n": 3, "rounds": 1, "attack": {
+        "kind": "lie", "position": 1, "commit": 2}})
+    verdict = json.loads(result.dumps().splitlines()[-1])
+    assert verdict["flags"] == []
+    assert verdict["commit_histories"] == {"1": [1], "2": [1], "3": [1]}
+    assert result.ok and verdict["ok"]
+
+
+def test_lie_at_the_last_round_must_still_be_detected():
+    result = run_scenario({"protocol": "cr", "n": 3, "rounds": 2, "attack": {
+        "kind": "lie", "position": 1, "commit": 2}})
+    verdict = json.loads(result.dumps().splitlines()[-1])
+    assert [flag["position"] for flag in verdict["flags"]] == [1]
+    assert result.ok

@@ -85,6 +85,10 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
      "bad fault action"),
     ('{"protocol": "bft", "attack": {"kind": "crash", "node": 9}}',
      "crash node 9 is not a replica"),
+    ('{"protocol": "cr", "n": 3, "attack": {"kind": "lie", "position": 3}}',
+     "lie position 3 is not in the chain"),
+    ('{"protocol": "peerreview", "attack": {"kind": "mutate_result", "node": 7}}',
+     "attack node 7 is not a child"),
 ])
 def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"

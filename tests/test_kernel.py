@@ -1,6 +1,7 @@
 """Attestation kernel: counter discipline, tag computation, rejection taxonomy."""
 
 import hashlib
+import hmac
 
 import pytest
 from hypothesis import given, settings
@@ -62,7 +63,7 @@ def make_kernel(device=7, session=1, key=KEY):
 
 
 def test_tag_matches_independent_oracle():
-    tag = compute_tag(KEY, b"attested payload", 7, 3)
+    tag = compute_tag(SessionState(KEY), b"attested payload", 7, 3)
     mac_input = b"attested payload" + (7).to_bytes(4, "big") + (3).to_bytes(8, "big")
     assert tag[:48] == hmac_oracle(KEY, mac_input)
     assert tag[:48] == ORACLE_TAG48
@@ -150,6 +151,8 @@ def test_key_absent_from_repr():
     state = SessionState(key=KEY)
     assert KEY.hex() not in repr(state)
     assert "0b0b" not in repr(state)
+    compute_tag(state, b"m", 1, 0)   # builds the pad states
+    assert repr(state) == "SessionState(send_cnt=0, recv_cnt=0)"
 
 
 @given(payloads=st.lists(st.binary(min_size=0, max_size=64), min_size=1,
@@ -224,3 +227,51 @@ def test_session_id_is_outside_the_mac():
     other = make_kernel(device=3, session=2, key=b"\x0c" * 32)
     with pytest.raises(AuthFailure):
         other.verify(moved)
+
+
+# -- the per-session pad states behind compute_tag ---------------------------------
+
+def library_tag(key: bytes, payload: bytes, device: int, counter: int) -> bytes:
+    mac_input = payload + device.to_bytes(4, "big") + counter.to_bytes(8, "big")
+    return hmac.digest(key, mac_input, "sha384") + bytes(16)
+
+
+@given(key=st.binary(min_size=32, max_size=32),
+       payload=st.one_of(
+           st.sampled_from([0, 111, 112, 127, 128, 129]).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)),
+           st.integers(0, 64 * 1024).map(lambda n: bytes(range(256)) * (n // 256)
+                                         + bytes(n % 256))),
+       device=st.one_of(st.sampled_from([0, 2 ** 32 - 1]), st.integers(0, 2 ** 32 - 1)),
+       counter=st.one_of(st.sampled_from([0, 2 ** 64 - 1]),
+                         st.integers(0, 2 ** 64 - 1)))
+@settings(max_examples=200, deadline=None)
+def test_compute_tag_is_hmac_sha384_zero_padded(key, payload, device, counter):
+    state = SessionState(key)
+    assert compute_tag(state, payload, device, counter) == library_tag(
+        key, payload, device, counter)
+    # the second tag runs on the cached pad states
+    assert compute_tag(state, payload, device, counter) == library_tag(
+        key, payload, device, counter)
+
+
+def test_interleaved_sessions_tag_as_if_computed_apart():
+    key_a, key_b = b"\x0a" * 32, b"\x0b" * 32
+    payloads = [b"", b"x" * 127, b"y" * 128, b"z" * 5000]
+    apart_a = [compute_tag(SessionState(key_a), p, 1, i) for i, p in enumerate(payloads)]
+    apart_b = [compute_tag(SessionState(key_b), p, 2, i) for i, p in enumerate(payloads)]
+    state_a, state_b = SessionState(key_a), SessionState(key_b)
+    together = [(compute_tag(state_a, p, 1, i), compute_tag(state_b, p, 2, i))
+                for i, p in enumerate(payloads)]
+    assert together == list(zip(apart_a, apart_b))
+    # the cached states are copied, never fed: a repeat gives the first tag
+    assert compute_tag(state_a, payloads[0], 1, 0) == apart_a[0]
+
+
+def test_equality_ignores_whether_pads_are_built():
+    built, fresh = SessionState(key=KEY), SessionState(key=KEY)
+    compute_tag(built, b"m", 1, 0)
+    assert built._inner is not None and fresh._inner is None
+    assert built == fresh
+    assert built != SessionState(key=b"\x0c" * 32)
+    assert built != SessionState(key=KEY, send_cnt=1)

@@ -7,9 +7,12 @@ from attestnet.protocols.peerreview import (
     VERDICT_CONSISTENT,
     VERDICT_EXPOSED,
     PrChild,
+    Verdict,
+    Witness,
     reference_execute,
     rewrite_log_entry,
 )
+from attestnet.scenario import run_scenario
 
 
 def test_honest_stream_consistent_throughout():
@@ -86,3 +89,23 @@ def test_deviation_after_audited_prefix_still_caught():
     assert scenario.witnesses[2].audit().kind == VERDICT_CONSISTENT
     scenario.run_rounds([b"r3"])
     assert scenario.witnesses[2].audit().kind == VERDICT_EXPOSED
+
+
+def test_scenario_attack_with_an_honest_child_exposed_is_not_ok(monkeypatch):
+    spec = {"protocol": "peerreview", "children": 3, "rounds": 2,
+            "attack": {"kind": "mutate_result", "node": 2, "round": 1}}
+    assert run_scenario(spec).ok
+    audit = Witness.audit
+
+    def exposing(self):
+        verdict = audit(self)
+        if self.node.node_id == 3:
+            return Verdict(VERDICT_EXPOSED, seq=0)
+        return verdict
+
+    monkeypatch.setattr(Witness, "audit", exposing)
+    result = run_scenario(spec)
+    verdicts = {line["node"]: line["verdict"] for line in result.lines[:-1]}
+    assert verdicts == {2: VERDICT_EXPOSED, 3: VERDICT_EXPOSED,
+                        4: VERDICT_CONSISTENT}
+    assert not result.ok and not result.lines[-1]["ok"]
