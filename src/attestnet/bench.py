@@ -1,11 +1,9 @@
 """Benchmark harness with emulated attestation delays.
 
-The default mode runs entirely in simulated time: every attest/verify event
-charges the configured processing delay to a shared deterministic clock, and
-the wire adds a base latency plus a per-byte cost. Fixed (seed, config)
-therefore yields byte-identical results. A wall-clock mode burns real CPU
-per event (busy waits) for fidelity runs; it is excluded from any
-deterministic assertion.
+Every run is in simulated time: every attest/verify event charges the
+configured processing delay to a shared deterministic clock, and the wire adds
+a base latency plus a per-byte cost. Fixed (seed, config) therefore yields
+byte-identical results. Host time is measured by `perfbench/`, not here.
 
 Delay presets follow the measured hardware reference points: the trusted-NIC
 kernel at 23 us, SGX-style enclaves at 45 us, AMD-SEV at 30 us. Batching
@@ -18,16 +16,12 @@ import itertools
 import math
 import random
 import statistics
-import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .device import (
-    BusyWaitClock,
     DeviceConfig,
     Endpoint,
     SessionConfig,
-    SimClock,
     connect,
     pack_batch,
 )
@@ -36,7 +30,7 @@ from .protocols.bft import BftCluster
 from .protocols.chain import ChainCluster
 from .protocols.common import derive_key, log_session
 from .protocols.peerreview import PrScenario
-from .simnet import Network, real_socket_bridge
+from .simnet import Network
 
 DELAY_PRESETS_NS = {
     "none": 0,
@@ -61,10 +55,8 @@ class BenchConfig:
     batch: int = 1
     payload: int = 64
     requests: int = 256
-    transport: str = "sim"
     seed: int = 0
     delay_ns: int | None = None       # explicit override beats the preset
-    wallclock: bool = False
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -73,8 +65,6 @@ class BenchConfig:
             raise ValueError(f"unknown delay model {self.delay_model!r}")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if self.transport not in ("sim", "socket"):
-            raise ValueError("transport must be sim or socket")
 
     @property
     def effective_delay_ns(self) -> int:
@@ -94,9 +84,11 @@ class BenchRecord:
 
     def csv_row(self) -> list[str]:
         c = self.config
+        # The transport column is always "sim"; it stays so that CSV files
+        # written before and after keep one header and comparable rows.
         return [
             c.protocol, c.delay_model, str(c.batch), str(c.payload),
-            str(c.requests), c.transport, str(c.seed),
+            str(c.requests), "sim", str(c.seed),
             f"{self.throughput_ops:.3f}", f"{self.latency_mean_us:.3f}",
             f"{self.latency_median_us:.3f}", f"{self.latency_p99_us:.3f}",
             f"{self.elapsed_sim_us:.3f}",
@@ -143,8 +135,7 @@ def _measure(config: BenchConfig, clock, submit) -> BenchRecord:
 
 
 def _bench_raw_channel(config: BenchConfig) -> BenchRecord:
-    clock = BusyWaitClock() if config.wallclock else SimClock()
-    net = Network(clock=clock)
+    net = Network()
     key = derive_key(config.seed, 1)
     delay = config.effective_delay_ns
     cfg_a = DeviceConfig(device=1, sessions=[SessionConfig(1, 2, key)],
@@ -161,36 +152,7 @@ def _bench_raw_channel(config: BenchConfig) -> BenchRecord:
         net.run_until_quiescent()
         got = receiver.poll(1)
         assert got, "reliable channel must deliver"
-    return _measure(config, clock, submit)
-
-
-def _bench_raw_socket(config: BenchConfig) -> BenchRecord:
-    """Loopback sockets, wall-clock timing; one reader task per connection."""
-    key = derive_key(config.seed, 1)
-    delay = config.effective_delay_ns
-    cfg_a = DeviceConfig(device=1, sessions=[SessionConfig(1, 2, key)],
-                         attest_delay_ns=delay if config.wallclock else 0)
-    cfg_b = DeviceConfig(device=2, sessions=[SessionConfig(1, 1, key)],
-                         attest_delay_ns=delay if config.wallclock else 0)
-    sender = Endpoint(cfg_a, clock=BusyWaitClock() if config.wallclock else SimClock())
-    receiver = Endpoint(cfg_b, clock=BusyWaitClock() if config.wallclock else SimClock())
-
-    server = real_socket_bridge(receiver, ("127.0.0.1", 0), listen=True)
-    addr = server._listener.getsockname()
-    accept_thread = threading.Thread(target=server.accept, daemon=True)
-    accept_thread.start()
-    client = real_socket_bridge(sender, addr)
-    accept_thread.join()
-
-    def submit(records):
-        sender.auth_send(1, pack_batch(records))
-        while not receiver.poll(1):
-            time.sleep(0)
-    try:
-        return _measure(config, BusyWaitClock(), submit)
-    finally:
-        client.close()
-        server.close()
+    return _measure(config, net.clock, submit)
 
 
 def _bench_a2m(config: BenchConfig) -> BenchRecord:
@@ -200,12 +162,11 @@ def _bench_a2m(config: BenchConfig) -> BenchRecord:
     sessions = [SessionConfig(log_session(device), device,
                               derive_key(config.seed, log_session(device))),
                 SessionConfig(manifest, device, derive_key(config.seed, manifest))]
-    clock = BusyWaitClock() if config.wallclock else SimClock()
     endpoint = Endpoint(DeviceConfig(device=device, sessions=sessions,
-                                     attest_delay_ns=delay), clock=clock)
+                                     attest_delay_ns=delay))
     store = A2mStore(endpoint, manifest_log=manifest)
     log_id = log_session(device)
-    return _measure(config, clock,
+    return _measure(config, endpoint.clock,
                     lambda records: store.append(log_id, pack_batch(records)))
 
 
@@ -250,20 +211,7 @@ def _bench_peerreview(config: BenchConfig) -> BenchRecord:
     return record
 
 
-WALLCLOCK_PROTOCOLS = ("raw-channel", "a2m")
-
-
 def run_bench(config: BenchConfig) -> BenchRecord:
-    if (config.wallclock and config.transport == "sim"
-            and config.protocol not in WALLCLOCK_PROTOCOLS):
-        raise ValueError(
-            f"--wallclock is not supported for {config.protocol}; it is "
-            f"supported for {', '.join(WALLCLOCK_PROTOCOLS)} and the socket "
-            f"transport")
-    if config.transport == "socket":
-        if config.protocol != "raw-channel":
-            raise ValueError("socket transport supports raw-channel only")
-        return _bench_raw_socket(config)
     runner = {
         "raw-channel": _bench_raw_channel,
         "a2m": _bench_a2m,

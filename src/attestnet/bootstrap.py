@@ -8,9 +8,9 @@ vendor challenges with a fresh nonce, checks the certificate chain, and the
 two sides derive an authenticated channel (signed ephemeral X25519) over
 which the session secrets and bitstream travel encrypted.
 
-Every wire message is recorded into a transcript using the same
-length-prefixed framing as the socket bridge: 4-byte big-endian length, then
-1 type byte, then the body. Message types:
+Every wire message is recorded into a transcript as a 4-byte big-endian
+length (of the type byte plus the body), then 1 type byte, then the body.
+Message types:
 
     0x01 NONCE        nonce(32)
     0x02 CERT         digest(48) ctrl_pub(32) hw_sig(64) nonce(32) ctrl_sig(64)
@@ -44,11 +44,13 @@ from .errors import (
     BadControllerSignature,
     BadDeviceSignature,
     ChannelAuthFailure,
+    DuplicateSession,
     HandshakeError,
     IdentityFrozen,
     MeasurementMismatch,
     StaleNonce,
 )
+from .kernel import KEY_LEN
 
 NONCE_LEN = 32
 DIGEST_LEN = 48
@@ -150,6 +152,8 @@ class ProvisioningBundle:
     def encode(self) -> bytes:
         parts = [struct.pack(">I", len(self.secrets))]
         for session, peer, key in self.secrets:
+            if len(key) != KEY_LEN:
+                raise HandshakeError(f"session {session} key must be {KEY_LEN} bytes")
             parts.append(struct.pack(">II", session, peer))
             parts.append(key)
         parts.append(struct.pack(">I", len(self.bitstream)))
@@ -160,21 +164,25 @@ class ProvisioningBundle:
 
     @classmethod
     def decode(cls, data: bytes) -> "ProvisioningBundle":
-        (count,) = struct.unpack_from(">I", data)
-        off = 4
+        """Inverse of encode; truncated or trailing bytes are rejected."""
+        off = 0
+
+        def take(n: int) -> bytes:
+            nonlocal off
+            if off + n > len(data):
+                raise HandshakeError("provisioning bundle truncated")
+            off += n
+            return data[off - n:off]
+
+        (count,) = struct.unpack(">I", take(4))
         secrets = []
         for _ in range(count):
-            session, peer = struct.unpack_from(">II", data, off)
-            off += 8
-            secrets.append((session, peer, data[off:off + 32]))
-            off += 32
-        (blen,) = struct.unpack_from(">I", data, off)
-        off += 4
-        bitstream = data[off:off + blen]
-        off += blen
-        (clen,) = struct.unpack_from(">I", data, off)
-        off += 4
-        config = data[off:off + clen]
+            session, peer = struct.unpack(">II", take(8))
+            secrets.append((session, peer, take(KEY_LEN)))
+        bitstream = take(struct.unpack(">I", take(4))[0])
+        config = take(struct.unpack(">I", take(4))[0])
+        if off != len(data):
+            raise HandshakeError("trailing bytes after provisioning bundle")
         return cls(bitstream=bitstream, secrets=secrets, config=config)
 
 
@@ -336,9 +344,17 @@ class Controller:
         return my_pub + ctrl_sig
 
     def install(self, bundle: ProvisioningBundle) -> bytes:
-        """Provision kernel sessions and record the bitstream measurement."""
+        """Provision kernel sessions and record the bitstream measurement.
+
+        Every session id is checked before any is provisioned, so a bundle
+        that fails leaves the device as it was."""
         if self.endpoint.identity_frozen:
             raise IdentityFrozen("device already provisioned")
+        seen = set(self.endpoint.sessions())
+        for session, _, _ in bundle.secrets:
+            if session in seen:
+                raise DuplicateSession(f"session {session}")
+            seen.add(session)
         for session, peer, key in bundle.secrets:
             self.endpoint.provision_session(session, peer, key)
         measurement = measure(bundle.bitstream)

@@ -7,14 +7,11 @@ frames are verified before they ever reach an inbox; every rejection is
 counted per error kind in the endpoint diagnostics, which is the observable
 the adversarial tests assert on.
 
-Two delay modes exist. The simulated clock advances integer nanoseconds
-deterministically and is the default for tests and benchmarks; the busy-wait
-clock spins wall-clock time for fidelity runs and is never used in CI
-assertions.
+Processing delays are charged to a simulated clock that advances integer
+nanoseconds deterministically; host time is never read here.
 """
 
 import struct
-import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
@@ -50,23 +47,6 @@ class SimClock:
     def advance_to(self, t_ns: int) -> None:
         if t_ns > self.now_ns:
             self.now_ns = t_ns
-
-
-class BusyWaitClock:
-    """Wall-clock time; advance() burns CPU for the requested duration."""
-
-    @property
-    def now_ns(self) -> int:
-        return time.monotonic_ns()
-
-    def advance(self, delta_ns: int) -> None:
-        deadline = time.monotonic_ns() + delta_ns
-        while time.monotonic_ns() < deadline:
-            pass
-
-    def advance_to(self, t_ns: int) -> None:
-        while time.monotonic_ns() < t_ns:
-            pass
 
 
 @dataclass(frozen=True)
@@ -112,7 +92,7 @@ class Endpoint:
     code always uses the default.
     """
 
-    def __init__(self, config: DeviceConfig, clock: SimClock | BusyWaitClock | None = None,
+    def __init__(self, config: DeviceConfig, clock: SimClock | None = None,
                  kernel_factory=AttestationKernel):
         self.config = config
         self.device = config.device

@@ -210,8 +210,11 @@ def _run_peerreview(spec: dict) -> ScenarioResult:
     commands = [b"cmd-%d" % r for r in range(1, rounds + 1)]
     scenario.run_rounds(commands)
     if kind == "rewrite_log":
-        rewrite_log_entry(scenario.children[target], attack.get("seq", 0),
-                          b"\x52rewritten-history")
+        child, seq = scenario.children[target], attack.get("seq", 0)
+        if not (isinstance(seq, int) and 0 <= seq < len(child.log)):
+            raise ValueError(f"rewrite_log seq {seq!r} is not in child {target}'s "
+                             f"log of {len(child.log)} entries")
+        rewrite_log_entry(child, seq, b"\x52rewritten-history")
 
     verdicts = scenario.audit_all()
     lines = [{"node": node, "verdict": v.kind, "seq": v.seq}

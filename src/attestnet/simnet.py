@@ -6,7 +6,15 @@ between the sender's kernel and the receiver's kernel: drop, duplicate,
 delay, reorder, single-bit tamper, replay, and forged-frame injection. The
 transport retransmits any frame that has not been accepted until a retry
 budget is exhausted; retransmitted frames are byte-identical (same counter),
-which is what makes duplicate rejection by the receive counter correct.
+which is what makes duplicate rejection by the receive counter correct. Every
+frame whose budget runs out is listed in `Network.exhausted`.
+
+The receiver accepts only the next counter, so once a frame is exhausted, a
+later frame of its (src, dst, session) stream is accepted only if an
+adversary's copy of the lost frame gets through first. Such a frame is parked
+after its first failed attempt instead of being retransmitted: it is sent
+again if a copy of the lost frame is accepted, and exhausted once nothing is
+left in flight.
 
 Every queued event has one shape, `(time, seq, frame record, bytes on the
 wire, disposition)`, and one helper queues it. A drop is an event with
@@ -22,16 +30,12 @@ schedule's seeded generator for forged-frame content.
 """
 
 import heapq
-import json
 import random
-import socket
-import struct
-import threading
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 from .device import Endpoint, SimClock
-from .errors import FrameError, TransportClosed, UnknownPeer
-from .wire import FRAME_OVERHEAD, decode_frame
+from .errors import UnknownPeer
+from .wire import frame_counter
 
 DEFAULT_RETRY_BUDGET = 16
 DEFAULT_BASE_LATENCY_NS = 1_500
@@ -70,20 +74,6 @@ class FaultSchedule:
 
     seed: int = 0
     actions: list[FaultAction] = field(default_factory=list)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSchedule":
-        actions = [FaultAction(**a) if not isinstance(a, FaultAction) else a
-                   for a in data.get("actions", [])]
-        return cls(seed=data.get("seed", 0), actions=actions)
-
-    @classmethod
-    def load(cls, path: str) -> "FaultSchedule":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "actions": [asdict(a) for a in self.actions]}
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +117,10 @@ class Network:
         self.declared: set[int] = set()
         self.trace: list[NetEvent] = []
         self.exhausted: list[_FrameRecord] = []
-        self.closed = False
+        # Per (src, dst, session) stream: the lowest exhausted counter, and
+        # the frames behind it that wait for a copy of it.
+        self._lost: dict[tuple[int, int, int], int] = {}
+        self._parked: dict[tuple[int, int, int], list[_FrameRecord]] = {}
         # (time, seq, record, data on the wire, disposition)
         self._queue: list[tuple[int, int, _FrameRecord, bytes, str]] = []
         self._seq = 0
@@ -213,8 +206,6 @@ class Network:
 
     def submit(self, src: int, dst: int, session: int, data: bytes) -> None:
         """Sender-side entry; applies adversarial actions at observation time."""
-        if self.closed:
-            raise TransportClosed("network closed")
         if dst not in self.endpoints:
             raise UnknownPeer(f"device {dst}")
         self._observe(_FrameRecord(data, src, dst, session))
@@ -281,6 +272,9 @@ class Network:
                 held = self._pending_swap.pop(stream)
                 self._enqueue(held, held.data, "delivered")
             if not self._queue:
+                # Nothing in flight can deliver a lost frame any more.
+                for stream in sorted(self._parked):
+                    self.exhausted.extend(self._parked.pop(stream))
                 return False
         time_ns, _, record, data, disposition = heapq.heappop(self._queue)
         self.clock.advance_to(time_ns)
@@ -293,14 +287,30 @@ class Network:
                 if record.accepted:   # an adversary's copies start out accepted
                     self._deliver_original(record)
                 record.accepted = True
+                if self._lost:
+                    self._release((record.src, record.dst, record.session), data)
         self.trace.append(NetEvent(time_ns, record.src, record.dst, record.session,
                                    disposition, accepted, record.attempts, data))
         if not record.accepted:
-            if record.attempts > self.retry_budget:
+            stream = (record.src, record.dst, record.session)
+            counter = frame_counter(record.data)
+            lost = self._lost.get(stream)
+            if lost is not None and counter > lost:
+                self._parked.setdefault(stream, []).append(record)
+            elif record.attempts > self.retry_budget:
                 self.exhausted.append(record)
+                self._lost[stream] = counter
             else:
                 self._observe(record)
         return True
+
+    def _release(self, stream: tuple[int, int, int], data: bytes) -> None:
+        """A copy of the stream's lost frame was accepted after all: the
+        frames parked behind it are sent again."""
+        if self._lost.get(stream) == frame_counter(data):
+            del self._lost[stream]
+            for record in self._parked.pop(stream, []):
+                self._observe(record)
 
     def _deliver_original(self, copy: _FrameRecord) -> None:
         """The receiver accepted an adversary's copy ahead of the frame it
@@ -321,108 +331,3 @@ class Network:
         consumes a frame or decrements a retry budget."""
         while self.step():
             pass
-
-
-def deliver_loop(net: Network, schedule: FaultSchedule | None = None) -> list[NetEvent]:
-    """Install a schedule, drain the network, and return the new events."""
-    if schedule is not None:
-        net.install_schedule(schedule)
-    start = len(net.trace)
-    net.run_until_quiescent()
-    return net.trace[start:]
-
-
-# -- stream-socket bridge ------------------------------------------------------
-#
-# Socket wire protocol: 4-byte big-endian frame length, then the frame bytes.
-# One bridge carries one point-to-point connection; determinism is not
-# promised in socket mode.
-
-_LEN_PREFIX = struct.Struct(">I")
-MAX_SOCKET_FRAME = FRAME_OVERHEAD + 1024 * 1024
-
-
-class SocketBridge:
-    """Carries an endpoint's frames over a stream socket."""
-
-    def __init__(self, endpoint: Endpoint):
-        self.endpoint = endpoint
-        endpoint.transport = self
-        self._sock: socket.socket | None = None
-        self._listener: socket.socket | None = None
-        self._reader: threading.Thread | None = None
-        self.closed = False
-        self.codec_errors = 0
-
-    # address is (host, port); port 0 picks a free port, returned for peers.
-    def listen(self, address: tuple[str, int]) -> tuple[str, int]:
-        self._listener = socket.create_server(address)
-        return self._listener.getsockname()
-
-    def accept(self) -> None:
-        assert self._listener is not None
-        conn, _ = self._listener.accept()
-        self._start(conn)
-
-    def connect(self, address: tuple[str, int]) -> None:
-        self._start(socket.create_connection(address))
-
-    def _start(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
-
-    def submit(self, src: int, dst: int, session: int, data: bytes) -> None:
-        if self.closed or self._sock is None:
-            raise TransportClosed("socket bridge closed")
-        self._sock.sendall(_LEN_PREFIX.pack(len(data)) + data)
-
-    def _recv_exactly(self, n: int) -> bytes | None:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(remaining)
-            if not chunk:
-                return None
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def _read_loop(self) -> None:
-        try:
-            while not self.closed:
-                header = self._recv_exactly(_LEN_PREFIX.size)
-                if header is None:
-                    break
-                (length,) = _LEN_PREFIX.unpack(header)
-                if length < FRAME_OVERHEAD or length > MAX_SOCKET_FRAME:
-                    raise FrameError(f"implausible frame length {length}")
-                data = self._recv_exactly(length)
-                if data is None:
-                    break
-                decode_frame(data)  # peers speaking garbage close the connection
-                self.endpoint.deliver_frame(data)
-        except (FrameError, OSError):
-            self.codec_errors += 1
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        self.closed = True
-        for sock in (self._sock, self._listener):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-
-
-def real_socket_bridge(endpoint: Endpoint, address: tuple[str, int],
-                       listen: bool = False) -> SocketBridge:
-    """Bind an endpoint to a stream socket; same kernel semantics as sim mode."""
-    bridge = SocketBridge(endpoint)
-    if listen:
-        bridge.listen(address)
-    else:
-        bridge.connect(address)
-    return bridge

@@ -31,6 +31,11 @@ def encode_frame(msg: AttestedMessage) -> bytes:
     return header + msg.payload + msg.tag
 
 
+def frame_counter(data: bytes) -> int:
+    """The counter field of a frame, read without decoding the rest."""
+    return int.from_bytes(data[8:16], "big")
+
+
 def decode_frame(data: bytes) -> AttestedMessage:
     if len(data) < FRAME_OVERHEAD:
         raise FrameError(f"frame too short: {len(data)} bytes")

@@ -19,6 +19,7 @@ from attestnet.errors import (
     BadControllerSignature,
     BadDeviceSignature,
     ChannelAuthFailure,
+    DuplicateSession,
     HandshakeError,
     IdentityFrozen,
     MeasurementMismatch,
@@ -198,3 +199,35 @@ def test_bundle_codec_roundtrip():
     assert ProvisioningBundle.decode(b.encode()).secrets == b.secrets
     assert ProvisioningBundle.decode(b.encode()).bitstream == b.bitstream
     assert ProvisioningBundle.decode(b.encode()).config == b.config
+
+
+@pytest.mark.parametrize("key_len", [16, 40])
+def test_bundle_encode_rejects_key_of_wrong_length(key_len):
+    b = ProvisioningBundle(bitstream=b"bits", secrets=[(11, 2, bytes(key_len))])
+    with pytest.raises(HandshakeError, match="32 bytes"):
+        b.encode()
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda data: data[:-1], "truncated"),
+    (lambda data: data[:30], "truncated"),
+    (lambda data: b"", "truncated"),
+    (lambda data: data + b"\x00", "trailing bytes"),
+], ids=["config-cut", "key-cut", "empty", "trailing-byte"])
+def test_bundle_decode_rejects_truncated_or_trailing_bytes(mangle, message):
+    with pytest.raises(HandshakeError, match=message):
+        ProvisioningBundle.decode(mangle(bundle().encode()))
+
+
+def test_install_with_repeated_session_installs_nothing():
+    endpoint = fresh_endpoint()
+    _, controller = make_pair(5, 1, endpoint)
+    repeated = ProvisioningBundle(bitstream=b"bits",
+                                  secrets=[SECRETS[0], SECRETS[1], SECRETS[0]])
+    with pytest.raises(DuplicateSession):
+        controller.install(repeated)
+    assert endpoint.sessions() == []
+    assert not endpoint.identity_frozen
+    assert endpoint.bitstream_measurement is None
+    controller.install(bundle())
+    assert sorted(endpoint.sessions()) == [11, 12]

@@ -21,11 +21,25 @@ def test_bench_each_protocol(protocol, capsys):
     assert float(fields["throughput_ops"]) > 0
 
 
-def test_bench_wallclock_unsupported_exits_nonzero(capsys):
-    assert cli.main(["bench", "--protocol", "bft", "--wallclock"]) != 0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "raw-channel" in captured.err and "socket" in captured.err
+def test_bench_csv_writes_header_once_then_appends_rows(tmp_path, capsys):
+    path = tmp_path / "bench.csv"
+    argv = ["bench", "--protocol", "a2m", "--requests", "4", "--csv", str(path)]
+    assert cli.main(argv) == 0
+    printed_row = capsys.readouterr().out.splitlines()[1]
+    assert path.read_text().splitlines() == [",".join(CSV_HEADER), printed_row]
+    assert cli.main(argv) == 0
+    assert path.read_text().splitlines() == [",".join(CSV_HEADER), printed_row,
+                                             printed_row]
+
+
+def test_bench_delay_ns_overrides_the_preset(capsys):
+    assert cli.main(["bench", "--protocol", "a2m", "--requests", "4",
+                     "--delay-ns", "1000"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["delay_model"] == "tnic" and fields["transport"] == "sim"
+    assert fields["latency_mean_us"] == "1.000"
+    assert fields["latency_p99_us"] == "1.000"
 
 
 def test_scenario_honest_bft(tmp_path, capsys):
@@ -99,6 +113,20 @@ def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("attestnet scenario: ") and message in line
+
+
+@pytest.mark.parametrize("seq", [2, -1])
+def test_scenario_rewrite_log_seq_outside_the_log_exits_2(tmp_path, capsys, seq):
+    # One round leaves two entries in each child's log.
+    path = tmp_path / "rewrite.json"
+    path.write_text(json.dumps({
+        "protocol": "peerreview", "children": 3, "rounds": 1,
+        "attack": {"kind": "rewrite_log", "node": 2, "seq": seq}}))
+    assert cli.main(["scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"attestnet scenario: rewrite_log seq {seq} is not "
+                            f"in child 2's log of 2 entries\n")
 
 
 def test_check_small_instance(capsys):

@@ -1,26 +1,23 @@
-"""Simulator: reliable-FIFO base contract, scripted adversary, determinism,
-and the stream-socket bridge."""
+"""Simulator: reliable-FIFO base contract, scripted adversary, retry
+exhaustion and determinism."""
 
 import dataclasses
 import hashlib
 import random
-import socket
-import threading
-import time
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from attestnet.device import DeviceConfig, Endpoint, SessionConfig, SimClock, connect
+from attestnet.device import DeviceConfig, SessionConfig, SimClock, connect
+from attestnet.protocols.bft import BftCluster
+from attestnet.protocols.common import transport_session
 from attestnet.simnet import (
     ACTION_KINDS,
+    DEFAULT_RETRY_BUDGET,
     FaultAction,
     FaultSchedule,
     Network,
-    deliver_loop,
-    real_socket_bridge,
 )
-from attestnet.wire import encode_frame
+from attestnet.wire import decode_frame
 
 KEY = bytes(range(32))
 
@@ -40,8 +37,8 @@ def test_empty_schedule_ten_frames_in_order():
     net, a, b = build_pair()
     for i in range(10):
         a.auth_send(1, bytes([i]))
-    trace = deliver_loop(net)
-    delivered = [ev for ev in trace if ev.disposition == "delivered"]
+    net.run_until_quiescent()
+    delivered = [ev for ev in net.trace if ev.disposition == "delivered"]
     assert len(delivered) == 10
     assert all(ev.accepted for ev in delivered)
     assert [m.counter for m in b.poll(1)] == list(range(10))
@@ -122,6 +119,67 @@ def test_drop_everything_exhausts_budget_quiescent():
     assert b.poll(1) == []
     assert len(net.exhausted) == 1
     assert b.rejections.total() == 0
+
+
+def test_frames_behind_an_exhausted_frame_are_not_retransmitted():
+    # One more wildcard drop on the leader's stream to replica 2 than the
+    # retry budget allows: the first round's frame is lost. The next two
+    # rounds' frames on that stream each fail once and are not retransmitted.
+    session = transport_session(1, 2)
+    cluster = BftCluster.build(n=3, f=1, seed=0, clients=2)
+    net = cluster.cluster.net
+    net.install_schedule(FaultSchedule(actions=[
+        FaultAction(kind="drop", session=session, sender=1)
+        for _ in range(DEFAULT_RETRY_BUDGET + 1)]))
+    for round_id in range(1, 4):
+        req = cluster.clients[0].issue(round_id)
+        cluster.replicas[cluster.leader_id].leader_handle(req)
+        cluster.drain()
+    stream = [(ev.disposition, ev.accepted, ev.attempt) for ev in net.trace
+              if (ev.src, ev.dst, ev.session) == (1, 2, session)]
+    assert stream == ([("dropped", False, i) for i in range(1, 18)]
+                      + [("delivered", False, 1)] * 2)
+    assert [(decode_frame(r.data).counter, r.attempts) for r in net.exhausted] == [
+        (0, 17), (1, 1), (2, 1)]
+
+
+def test_frame_delayed_behind_an_exhausted_frame_is_still_delivered():
+    # Frame 0 is delayed past frame 1's whole retry budget. Frame 2, sent once
+    # frame 1 is exhausted, fails once and is not retransmitted; frame 0, whose
+    # counter is lower than the lost one, is still accepted when it lands.
+    schedule = FaultSchedule(actions=[
+        FaultAction(kind="delay", session=1, sender=1, index=0, delay_ns=100_000)])
+    net, a, b = build_pair(schedule, retry_budget=2)
+    a.auth_send(1, b"late")
+    a.auth_send(1, b"lost")
+    while not net.exhausted:
+        net.step()
+    a.auth_send(1, b"behind")
+    net.run_until_quiescent()
+    assert [m.payload for m in b.poll(1)] == [b"late"]
+    assert [(decode_frame(r.data).counter, r.attempts) for r in net.exhausted] == [
+        (1, 3), (2, 1)]
+    assert [ev.accepted for ev in net.trace].count(True) == 1
+
+
+def test_accepted_replay_of_an_exhausted_frame_sends_the_frames_behind_it():
+    # Frame 0 is dropped on every attempt. Frames 1 and 2 fail once behind
+    # it, then a replay of frame 0 is accepted, so both are sent again and
+    # delivered; only frame 0's own record stays exhausted.
+    drops = [FaultAction(kind="drop", session=1, sender=1, index=i) for i in range(3)]
+    replay = FaultAction(kind="replay", session=1, sender=1, index=3, earlier_index=0)
+    net, a, b = build_pair(FaultSchedule(actions=drops + [replay]), retry_budget=2)
+    a.auth_send(1, b"zero")
+    net.run_until_quiescent()
+    a.auth_send(1, b"one")
+    a.auth_send(1, b"two")
+    net.run_until_quiescent()
+    assert [m.payload for m in b.poll(1)] == [b"zero", b"one", b"two"]
+    assert [(decode_frame(r.data).counter, r.attempts) for r in net.exhausted] == [(0, 3)]
+    assert [(ev.disposition, ev.accepted, ev.attempt) for ev in net.trace] == [
+        ("dropped", False, 1), ("dropped", False, 2), ("dropped", False, 3),
+        ("delivered", False, 1), ("delivered", False, 1), ("duplicated", True, 1),
+        ("delivered", True, 2), ("delivered", True, 2)]
 
 
 def test_bounded_drops_below_budget_preserve_liveness():
@@ -318,89 +376,3 @@ def test_event_total_order():
     times = [(ev.time_ns,) for ev in net.trace]
     assert times == sorted(times)
 
-
-# -- socket bridge ----------------------------------------------------------------
-
-def socket_pair():
-    recv_cfg = DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY)])
-    send_cfg = DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY)])
-    receiver = Endpoint(recv_cfg, clock=SimClock())
-    sender = Endpoint(send_cfg, clock=SimClock())
-    server = real_socket_bridge(receiver, ("127.0.0.1", 0), listen=True)
-    addr = server._listener.getsockname()
-    t = threading.Thread(target=server.accept)
-    t.start()
-    client = real_socket_bridge(sender, addr)
-    t.join()
-    return sender, receiver, client, server, addr
-
-
-def _wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return False
-
-
-def test_socket_loopback_round_trip():
-    sender, receiver, client, server, _ = socket_pair()
-    try:
-        sender.auth_send(1, b"over tcp")
-        assert _wait_for(lambda: receiver.poll(1) != [] or receiver._inboxes[1])
-        # poll may have consumed it inside the predicate; look at either place
-        msgs = receiver.poll(1)
-        payloads = [m.payload for m in msgs]
-        assert payloads in ([b"over tcp"], [])
-    finally:
-        client.close()
-        server.close()
-
-
-def test_socket_split_frame_reassembled():
-    receiver = Endpoint(DeviceConfig(device=2,
-                                     sessions=[SessionConfig(1, 1, KEY)]),
-                        clock=SimClock())
-    server = real_socket_bridge(receiver, ("127.0.0.1", 0), listen=True)
-    addr = server._listener.getsockname()
-    t = threading.Thread(target=server.accept)
-    t.start()
-    raw = socket.create_connection(addr)
-    t.join()
-    sender_kernel = Endpoint(DeviceConfig(device=1,
-                                          sessions=[SessionConfig(1, 2, KEY)]),
-                             clock=SimClock())
-    frame = encode_frame(sender_kernel.kernel.attest(1, b"fragmented"))
-    blob = len(frame).to_bytes(4, "big") + frame
-    try:
-        for i in range(0, len(blob), 7):      # drip-feed in 7-byte chunks
-            raw.sendall(blob[i:i + 7])
-            time.sleep(0.001)
-        assert _wait_for(lambda: bool(receiver._inboxes[1]))
-        assert receiver.poll(1)[0].payload == b"fragmented"
-    finally:
-        raw.close()
-        server.close()
-
-
-def test_socket_garbage_closes_connection():
-    receiver = Endpoint(DeviceConfig(device=2,
-                                     sessions=[SessionConfig(1, 1, KEY)]),
-                        clock=SimClock())
-    before = receiver.kernel.session_state(1).recv_cnt
-    server = real_socket_bridge(receiver, ("127.0.0.1", 0), listen=True)
-    addr = server._listener.getsockname()
-    t = threading.Thread(target=server.accept)
-    t.start()
-    raw = socket.create_connection(addr)
-    t.join()
-    try:
-        raw.sendall((90).to_bytes(4, "big") + b"\xff" * 90)
-        assert _wait_for(lambda: server.closed)
-        assert server.codec_errors == 1
-        assert receiver.kernel.session_state(1).recv_cnt == before
-        assert receiver.poll(1) == []
-    finally:
-        raw.close()
-        server.close()
