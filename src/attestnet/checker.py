@@ -37,6 +37,7 @@ from .errors import AuthFailure, CounterMismatch, HandshakeError, InstanceTooLar
 from .kernel import (
     AttestationKernel,
     AttestedMessage,
+    check_sender,
     compute_tag,
 )
 from .protocols.common import derive_key
@@ -63,9 +64,10 @@ class FrozenCounterKernel(AttestationKernel):
         return AttestedMessage(tag=tag, payload=payload, device=self.device,
                                session=session, counter=counter)
 
-    def verify(self, msg: AttestedMessage) -> AttestedMessage:
+    def verify(self, msg: AttestedMessage, peer: int | None = None) -> AttestedMessage:
         if not self.tag_matches(msg):
             raise AuthFailure("tag mismatch")
+        check_sender(msg, peer)
         state = self.session_state(msg.session)
         if msg.counter != state.recv_cnt:
             raise CounterMismatch(expected=state.recv_cnt, got=msg.counter)
@@ -75,9 +77,10 @@ class FrozenCounterKernel(AttestationKernel):
 class GapAcceptingKernel(AttestationKernel):
     """Injected bug: verify accepts any counter at or beyond the expected one."""
 
-    def verify(self, msg: AttestedMessage) -> AttestedMessage:
+    def verify(self, msg: AttestedMessage, peer: int | None = None) -> AttestedMessage:
         if not self.tag_matches(msg):
             raise AuthFailure("tag mismatch")
+        check_sender(msg, peer)
         state = self.session_state(msg.session)
         if msg.counter < state.recv_cnt:
             raise CounterMismatch(expected=state.recv_cnt, got=msg.counter)

@@ -3,16 +3,19 @@
 An endpoint owns the kernel state for its sessions, enforces the wire format,
 charges a configurable processing delay per attest/verify event, and exposes
 the messaging API: auth_send / local_send / local_verify / poll. Incoming
-frames are verified before they ever reach an inbox; every rejection is
-counted per error kind in the endpoint diagnostics, which is the observable
-the adversarial tests assert on.
+frames are verified before they ever reach an inbox, and only from the
+session's peer; every rejection is one (session, error kind) event in
+`rejection_events`, the observable the adversarial tests assert on.
+local_verify keeps receive counters apart from the network's: a log frame
+rides in plaintext inside every proof, and a copy the adversary delivers over
+the network must not move the counter the proof is checked against.
 
 Processing delays are charged to a simulated clock that advances integer
 nanoseconds deterministically; host time is never read here.
 """
 
 import struct
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -69,7 +72,6 @@ class DeviceConfig:
     attest_delay_ns: int = 0
     verify_delay_ns: int | None = None
     max_payload: int = DEFAULT_MAX_PAYLOAD
-    inbox_soft_cap: int | None = None
 
     def __post_init__(self):
         if self.attest_delay_ns < 0:
@@ -98,12 +100,10 @@ class Endpoint:
         self.device = config.device
         self.clock = clock if clock is not None else SimClock()
         self.kernel = kernel_factory(config.device, max_payload=config.max_payload)
-        # Designated local-verification streams: same keys, independent
-        # receive counters, used by local_verify (A2M replay, chain checks).
+        # Local-verification streams: same keys, receive counters of their own.
         self._local_states: dict[int, SessionState] = {}
         self.peers: dict[int, int] = {}
         self._inboxes: dict[int, deque[AttestedMessage]] = {}
-        self.rejections: Counter[str] = Counter()
         self.rejection_events: list[tuple[int, str]] = []
         self.transport = None
         self.bitstream_measurement: bytes | None = None
@@ -142,58 +142,52 @@ class Endpoint:
 
     def auth_send(self, session: int, payload: bytes) -> AttestedMessage:
         """Attest, frame, and submit to the transport; returns the message
-        so callers can keep it as a proof of sending."""
-        msg = self.kernel.attest(session, payload)
-        self._charge_attest()
+        so callers can keep it as a proof of sending. A send that cannot be
+        submitted raises before it uses up a counter."""
         if self.transport is None:
             raise TransportClosed("endpoint not connected")
         peer = self.peers.get(session)
         if peer is None:
             raise UnknownSession(f"session {session}")
+        msg = self.kernel.attest(session, payload)
+        self._charge_attest()
         self.transport.submit(self.device, peer, session, encode_frame(msg))
         return msg
 
     # -- receiving ---------------------------------------------------------
 
     def local_verify(self, session: int, msg: AttestedMessage) -> AttestedMessage:
-        """Verify against the designated local verification stream.
-
-        Order of verification must equal the sender's emission order; this is
-        exactly the A2M replay / chain-validation discipline.
-        """
+        """Verify a handed-over message (BFT proof, chain level) on the local
+        stream of the session the caller names, not the header's, which is
+        outside the MAC; in the sender's emission order."""
         state = self._local_states.get(session)
         if state is None:
             raise UnknownSession(f"session {session}")
         self._charge_verify()
         try:
-            return verify_with(state, msg)
+            return verify_with(state, msg, self.peers[session])
         except KernelError as exc:
-            self._record_rejection(session, exc)
+            self.rejection_events.append((session, type(exc).__name__))
             raise
 
     def deliver_frame(self, data: bytes) -> bool:
         """Transport-facing entry point: decode, verify, enqueue.
 
         Returns True iff the frame was accepted into an inbox. Unverified
-        traffic is never exposed; rejections are recorded per error kind.
+        traffic is never exposed; every rejection is recorded as an event.
         """
         try:
             msg = decode_frame(data)
         except FrameError:
-            self.rejections["FrameError"] += 1
             self.rejection_events.append((-1, "FrameError"))
             return False
         self._charge_verify()
         try:
-            self.kernel.verify(msg)
+            self.kernel.verify(msg, self.peers.get(msg.session))
         except KernelError as exc:
-            self._record_rejection(msg.session, exc)
+            self.rejection_events.append((msg.session, type(exc).__name__))
             return False
-        inbox = self._inboxes.setdefault(msg.session, deque())
-        inbox.append(msg)
-        cap = self.config.inbox_soft_cap
-        if cap is not None and len(inbox) > cap:
-            self.rejections["InboxSoftCap"] += 1
+        self._inboxes.setdefault(msg.session, deque()).append(msg)
         return True
 
     def poll(self, session: int, max_messages: int | None = None) -> list[AttestedMessage]:
@@ -206,10 +200,9 @@ class Endpoint:
             out.append(inbox.popleft())
         return out
 
-    def _record_rejection(self, session: int, exc: KernelError) -> None:
-        kind = type(exc).__name__
-        self.rejections[kind] += 1
-        self.rejection_events.append((session, kind))
+    def expected_counter(self, session: int) -> int:
+        """The counter the kernel accepts next on a session (0 if not held)."""
+        return self.kernel.session_state(session).recv_cnt if session in self.peers else 0
 
     # -- rem_write -------------------------------------------------------------
 

@@ -31,6 +31,10 @@ class AuthFailure(KernelError):
     """Recomputed tag does not match the received tag (tampering or wrong key)."""
 
 
+class WrongSender(KernelError):
+    """Valid tag, but attested by a device other than the session's peer."""
+
+
 class CounterMismatch(KernelError):
     """Message counter is not the expected receive counter (replay, gap, reorder)."""
 

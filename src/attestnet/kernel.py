@@ -25,9 +25,10 @@ short-lived cluster carry few frames or none, and building them up front
 shows in setup time.
 
 Attest samples the send counter *before* incrementing it; verify accepts only
-the exact expected receive counter and advances it by one. A rejected message
-never moves a counter, so a correct retransmission of the expected counter can
-still be accepted afterwards.
+the exact expected receive counter and advances it by one; given the session's
+peer, it rejects a message another key holder attested, such as a node's own
+message reflected back. A rejected message never moves a counter, so a correct
+retransmission of the expected counter can still be accepted afterwards.
 """
 
 import hashlib
@@ -42,6 +43,7 @@ from .errors import (
     DuplicateSession,
     PayloadTooLarge,
     UnknownSession,
+    WrongSender,
 )
 
 MAC_LEN = 48                    # HMAC-SHA-384 output
@@ -138,18 +140,26 @@ def attest_with(state: SessionState, device: int, session: int, payload: bytes,
                            session=session, counter=counter)
 
 
-def verify_with(state: SessionState, msg: AttestedMessage) -> AttestedMessage:
+def check_sender(msg: AttestedMessage, peer: int | None) -> None:
+    """Raise WrongSender unless the message comes from `peer` (if given)."""
+    if peer is not None and msg.device != peer:
+        raise WrongSender(f"device {msg.device} is not the session's peer {peer}")
+
+
+def verify_with(state: SessionState, msg: AttestedMessage,
+                peer: int | None = None) -> AttestedMessage:
     """Verify a message against an explicit session state.
 
-    Acceptance requires the recomputed tag to match *and* the counter to be
-    exactly the expected receive counter; only then does the counter advance.
-    Tag mismatch raises AuthFailure; a valid tag with the wrong counter
-    (replay, gap, or reorder) raises CounterMismatch and leaves the state
-    untouched.
+    Acceptance requires the recomputed tag to match, the sender to be `peer`
+    when one is given, *and* the counter to be exactly the expected receive
+    counter; only then does the counter advance. Tag mismatch raises
+    AuthFailure, another sender WrongSender, and a valid tag with the wrong
+    counter (replay, gap, or reorder) CounterMismatch; none moves the state.
     """
     expected_tag = compute_tag(state, msg.payload, msg.device, msg.counter)
     if not hmac.compare_digest(expected_tag, msg.tag):
         raise AuthFailure("tag mismatch")
+    check_sender(msg, peer)
     if msg.counter != state.recv_cnt:
         raise CounterMismatch(expected=state.recv_cnt, got=msg.counter)
     if state.recv_cnt >= COUNTER_LIMIT:
@@ -195,9 +205,9 @@ class AttestationKernel:
         state = self.session_state(session)
         return attest_with(state, self.device, session, payload, self.max_payload)
 
-    def verify(self, msg: AttestedMessage) -> AttestedMessage:
+    def verify(self, msg: AttestedMessage, peer: int | None = None) -> AttestedMessage:
         state = self.session_state(msg.session)
-        return verify_with(state, msg)
+        return verify_with(state, msg, peer)
 
     def tag_matches(self, msg: AttestedMessage) -> bool:
         """Pure MAC check with no counter movement.

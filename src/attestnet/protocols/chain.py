@@ -12,12 +12,12 @@ Node k attests one small level frame on its log session:
 A transport frame carries the request once plus every upstream level frame,
 position 0 first (`encode_proof`). The validator at position p hashes the
 request and its expected output once each, then checks each level in order:
-its tag (`local_verify`), its link to the request or to the level before,
-and its output digest. The first failure names the lying position; a proof
-without exactly p levels accuses p-1, the only node that can send on that
-transport session. A level changed in transit fails at its own position, and
-each hop MACs the request once plus p small levels, so the cost no longer
-grows with chain length times payload.
+its tag and attester (`local_verify`), its link to the request or to the level
+before, and its output digest. Any failure accuses p-1 and names the failing
+level's node: p-1 alone sends on the MACed transport session, and an honest
+node validates every level before it extends the proof and stops once it
+flags, so p-1 made the fault or forwarded it. Each hop MACs the request once
+plus p small levels, so the cost no longer grows with chain length x payload.
 
 Reads cannot be served locally by the tail in the Byzantine model; every
 operation traverses the chain and every node replies to the client.
@@ -72,7 +72,6 @@ class KvMachine:
     def __init__(self):
         self.store: dict[bytes, bytes] = {}
         self.commit_index = 0
-        self.commit_history: list[int] = []
 
     def peek(self, body: bytes) -> bytes:
         """Output this machine would produce, without committing."""
@@ -92,7 +91,6 @@ class KvMachine:
         if op == OP_PUT:
             self.store[key] = value
         self.commit_index += 1
-        self.commit_history.append(self.commit_index)
         return output
 
 
@@ -159,7 +157,7 @@ class ChainNode:
 
     def validate_chain(self, proof: bytes
                        ) -> tuple[bytes, list[bytes], bytes, bytes, bytes]:
-        """Verify every upstream position; the first inconsistency names the liar.
+        """Verify every upstream level; any failure accuses the upstream node.
 
         Returns (req, upstream level frames, expected output, H(expected
         output), H(last level frame)), the last two for this node's own level.
@@ -170,7 +168,6 @@ class ChainNode:
         except FrameError as exc:
             raise ChainValidationFailure(upstream, str(exc)) from None
         if len(levels) != self.position:
-            # Only the upstream neighbour can send on this transport session.
             raise ChainValidationFailure(
                 upstream, f"{len(levels)} levels, expected {self.position}")
         expected_out = self.machine.peek(req[12:])
@@ -183,16 +180,17 @@ class ChainNode:
                 level = decode_frame(frame)
                 self.endpoint.local_verify(session, level)
             except (FrameError, KernelError) as exc:
-                raise ChainValidationFailure(position, type(exc).__name__) from None
+                raise ChainValidationFailure(
+                    upstream, f"{type(exc).__name__} at node {node}") from None
             payload = level.payload
             kind = POE_CHAIN if position else POE_BASE
             # The header's session id is outside the MAC, so it is checked here.
             if (level.session != session
                     or payload[:1 + DIGEST_LEN] != bytes([kind]) + link):
-                raise ChainValidationFailure(position, f"link mismatch at node {node}")
+                raise ChainValidationFailure(upstream, f"link mismatch at node {node}")
             if payload[1 + DIGEST_LEN:] != out_digest:
                 raise ChainValidationFailure(
-                    position, f"output mismatch at node {node}")
+                    upstream, f"output mismatch at node {node}")
             link = digest(frame)
         return req, levels, expected_out, out_digest, link
 
@@ -307,7 +305,9 @@ class ChainCluster:
         return req
 
     def commit_histories(self) -> dict[int, list[int]]:
-        return {d: node.machine.commit_history for d, node in self.nodes.items()}
+        """Each node's committed indexes: a machine commits 1, 2, ... in turn."""
+        return {d: list(range(1, node.machine.commit_index + 1))
+                for d, node in self.nodes.items()}
 
     def all_flags(self) -> list[ChainFlag]:
         out = []

@@ -11,9 +11,9 @@ A scenario is a JSON object:
       "faults": {"seed": 0, "actions": [...]}  # optional wire-fault schedule
     }
 
-Attack kinds per protocol:
-    bft:        equivocate {round}, wrong_value {round}, crash {node, after_round},
-                replay {session, sender, index}, reorder {...}, drop {...}
+Attack kinds per protocol (any other kind is rejected as bad input; wire
+faults such as replay, reorder or drop go in "faults"):
+    bft:        equivocate {round}, wrong_value {round}, crash {node, after_round}
     cr:         lie {position, commit}
     peerreview: mutate_result {node, round}, rewrite_log {node, seq}
 
@@ -53,15 +53,23 @@ def load_scenario(path: str) -> dict:
     return spec
 
 
+ATTACK_KINDS = {"bft": ("equivocate", "wrong_value", "crash"), "cr": ("lie",),
+                "peerreview": ("mutate_result", "rewrite_log")}
+
+
 def run_scenario(spec: dict) -> ScenarioResult:
     protocol = spec.get("protocol", "bft")
+    if protocol not in ATTACK_KINDS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    attack = spec.get("attack") or {}
+    kind = attack.get("kind", "none")
+    if kind != "none" and kind not in ATTACK_KINDS[protocol]:
+        raise ValueError(f"unknown {protocol} attack kind {kind!r}")
     if protocol == "bft":
-        return _run_bft(spec)
+        return _run_bft(spec, attack, kind)
     if protocol == "cr":
-        return _run_cr(spec)
-    if protocol == "peerreview":
-        return _run_peerreview(spec)
-    raise ValueError(f"unknown protocol {protocol!r}")
+        return _run_cr(spec, attack, kind)
+    return _run_peerreview(spec, attack, kind)
 
 
 def _fault_schedule(spec: dict) -> FaultSchedule | None:
@@ -75,12 +83,10 @@ def _fault_schedule(spec: dict) -> FaultSchedule | None:
     return FaultSchedule(seed=faults.get("seed", spec.get("seed", 0)), actions=actions)
 
 
-def _run_bft(spec: dict) -> ScenarioResult:
+def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     seed = spec.get("seed", 0)
     rounds = spec.get("rounds", 5)
     n, f = spec.get("n", 3), spec.get("f", 1)
-    attack = spec.get("attack") or {}
-    kind = attack.get("kind", "none")
 
     leader_cls, leader_kwargs = BftReplica, {}
     if kind == "equivocate":
@@ -96,13 +102,6 @@ def _run_bft(spec: dict) -> ScenarioResult:
     if crash and crash.get("node", n) not in cluster.replicas:
         raise ValueError(f"crash node {crash.get('node', n)!r} is not a replica")
     schedule = _fault_schedule(spec)
-    if schedule is None and kind in ("replay", "reorder", "drop"):
-        schedule = FaultSchedule(seed=seed, actions=[FaultAction(
-            kind=kind,
-            session=attack.get("session"),
-            sender=attack.get("sender"),
-            index=attack.get("index", 0),
-            earlier_index=attack.get("earlier_index", 0))])
     if schedule is not None:
         cluster.cluster.net.install_schedule(schedule)
 
@@ -139,12 +138,10 @@ def _run_bft(spec: dict) -> ScenarioResult:
     return ScenarioResult(ok=ok, lines=lines)
 
 
-def _run_cr(spec: dict) -> ScenarioResult:
+def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     seed = spec.get("seed", 0)
     rounds = spec.get("rounds", 4)
     n, f = spec.get("n", 3), spec.get("f", 1)
-    attack = spec.get("attack") or {}
-    kind = attack.get("kind", "none")
 
     node_cls_at, node_kwargs_at = {}, {}
     if kind == "lie":
@@ -176,8 +173,8 @@ def _run_cr(spec: dict) -> ScenarioResult:
     histories = cluster.commit_histories()
     identical = len({tuple(h) for h in histories.values()}) == 1
     accused = {fl["position"] for fl in flags}
-    deviated = any(node.lie_at_commit in node.machine.commit_history
-                   for node in cluster.nodes.values()
+    deviated = any(node.lie_at_commit in histories[device]
+                   for device, node in cluster.nodes.items()
                    if isinstance(node, LyingMiddle))
     exhausted = len(cluster.cluster.net.exhausted)
     ok = ((bool(flags) if deviated else identical and not flags) and not wrong_accept
@@ -188,11 +185,9 @@ def _run_cr(spec: dict) -> ScenarioResult:
     return ScenarioResult(ok=ok, lines=lines)
 
 
-def _run_peerreview(spec: dict) -> ScenarioResult:
+def _run_peerreview(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     seed = spec.get("seed", 0)
     rounds = spec.get("rounds", 4)
-    attack = spec.get("attack") or {}
-    kind = attack.get("kind", "none")
     target = attack.get("node", 2) if kind != "none" else None
 
     child_cls_at, child_kwargs_at = {}, {}

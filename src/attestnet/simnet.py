@@ -4,24 +4,25 @@ The base contract without an adversary is reliable FIFO: exactly-once,
 in-order delivery per session. A fault schedule perturbs traffic on the wire,
 between the sender's kernel and the receiver's kernel: drop, duplicate,
 delay, reorder, single-bit tamper, replay, and forged-frame injection. The
-transport retransmits any frame that has not been accepted until a retry
-budget is exhausted; retransmitted frames are byte-identical (same counter),
-which is what makes duplicate rejection by the receive counter correct. Every
-frame whose budget runs out is listed in `Network.exhausted`.
+transport retransmits a failed frame, byte-identical (same counter), until a
+retry budget is exhausted or the receiver holds it. The receiver's kernel
+accepts only the next counter, so it holds a frame exactly when its receive
+counter has passed the frame's, whether the frame or an adversary's copy got
+through; the simulator reads that, it keeps no record of its own. Every frame
+whose budget runs out and that the receiver never accepts is listed in
+`Network.exhausted`.
 
-The receiver accepts only the next counter, so once a frame is exhausted, a
-later frame of its (src, dst, session) stream is accepted only if an
-adversary's copy of the lost frame gets through first. Such a frame is parked
-after its first failed attempt instead of being retransmitted: it is sent
-again if a copy of the lost frame is accepted, and exhausted once nothing is
-left in flight.
+Once a frame is exhausted, a later frame of its (src, dst, session) stream is
+accepted only if an adversary's copy of the lost frame gets through first.
+Such a frame is parked after its first failed attempt instead of being
+retransmitted: it is sent again if a copy of the lost frame is accepted, and
+exhausted once nothing is left in flight.
 
 Every queued event has one shape, `(time, seq, frame record, bytes on the
 wire, disposition)`, and one helper queues it. A drop is an event with
 disposition "dropped" that is traced without reaching the receiver; duplicate,
 replay and forge each queue one extra copy, never retransmitted, that lands
-after the original. A duplicate or replay that the receiver accepts delivers
-the frame it copies, which is then no longer retransmitted.
+after the original.
 
 Identical (topology, workload, schedule, seed) always produces the identical
 event trace and endpoint diagnostics: simulated time advances only at event
@@ -42,6 +43,7 @@ DEFAULT_BASE_LATENCY_NS = 1_500
 DEFAULT_PER_BYTE_NS = 2
 
 ACTION_KINDS = ("drop", "duplicate", "delay", "reorder", "tamper", "replay", "forge")
+_COPIES = ("duplicated", "forged")   # dispositions of an adversary's extra copies
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ class NetEvent:
 
 
 class _FrameRecord:
-    __slots__ = ("data", "src", "dst", "session", "attempts", "accepted")
+    __slots__ = ("data", "src", "dst", "session", "attempts")
 
     def __init__(self, data: bytes, src: int, dst: int, session: int):
         self.data = data
@@ -99,7 +101,6 @@ class _FrameRecord:
         self.dst = dst
         self.session = session
         self.attempts = 0
-        self.accepted = False
 
 
 class Network:
@@ -116,7 +117,7 @@ class Network:
         self.endpoints: dict[int, Endpoint] = {}
         self.declared: set[int] = set()
         self.trace: list[NetEvent] = []
-        self.exhausted: list[_FrameRecord] = []
+        self._exhausted: list[_FrameRecord] = []
         # Per (src, dst, session) stream: the lowest exhausted counter, and
         # the frames behind it that wait for a copy of it.
         self._lost: dict[tuple[int, int, int], int] = {}
@@ -245,7 +246,6 @@ class Network:
             copy = self._forged_frame(action, record.data)
         if copy is not None:
             copied = _FrameRecord(copy, record.src, record.dst, record.session)
-            copied.accepted = True  # adversarial copies never retransmit
             self._enqueue(copied, copy, "forged" if kind == "forge" else "duplicated",
                           after_ns=arrival)
 
@@ -274,54 +274,45 @@ class Network:
             if not self._queue:
                 # Nothing in flight can deliver a lost frame any more.
                 for stream in sorted(self._parked):
-                    self.exhausted.extend(self._parked.pop(stream))
+                    self._exhausted.extend(self._parked.pop(stream))
                 return False
         time_ns, _, record, data, disposition = heapq.heappop(self._queue)
         self.clock.advance_to(time_ns)
         record.attempts += 1
-        accepted = False
-        if disposition != "dropped":
-            endpoint = self.endpoints.get(record.dst)
-            accepted = endpoint.deliver_frame(data) if endpoint is not None else False
-            if accepted and data == record.data:
-                if record.accepted:   # an adversary's copies start out accepted
-                    self._deliver_original(record)
-                record.accepted = True
-                if self._lost:
-                    self._release((record.src, record.dst, record.session), data)
+        endpoint = self.endpoints[record.dst]
+        accepted = disposition != "dropped" and endpoint.deliver_frame(data)
+        stream = (record.src, record.dst, record.session)
+        lost = self._lost.get(stream) if self._lost else None
+        if lost is not None and endpoint.expected_counter(record.session) > lost:
+            # The receiver holds the stream's lost frame after all, through an
+            # adversary's copy: the frames parked behind it are sent again.
+            del self._lost[stream]
+            lost = None
+            for parked in self._parked.pop(stream, []):
+                self._observe(parked)
         self.trace.append(NetEvent(time_ns, record.src, record.dst, record.session,
                                    disposition, accepted, record.attempts, data))
-        if not record.accepted:
-            stream = (record.src, record.dst, record.session)
-            counter = frame_counter(record.data)
-            lost = self._lost.get(stream)
-            if lost is not None and counter > lost:
-                self._parked.setdefault(stream, []).append(record)
-            elif record.attempts > self.retry_budget:
-                self.exhausted.append(record)
-                self._lost[stream] = counter
-            else:
-                self._observe(record)
+        if (accepted and data is record.data) or disposition in _COPIES:
+            return True
+        counter = frame_counter(record.data)
+        if endpoint.expected_counter(record.session) > counter:
+            return True   # the receiver holds it through an adversary's copy
+        if lost is not None and counter > lost:
+            self._parked.setdefault(stream, []).append(record)
+        elif record.attempts > self.retry_budget:
+            self._exhausted.append(record)
+            self._lost[stream] = counter
+        else:
+            self._observe(record)
         return True
 
-    def _release(self, stream: tuple[int, int, int], data: bytes) -> None:
-        """A copy of the stream's lost frame was accepted after all: the
-        frames parked behind it are sent again."""
-        if self._lost.get(stream) == frame_counter(data):
-            del self._lost[stream]
-            for record in self._parked.pop(stream, []):
-                self._observe(record)
-
-    def _deliver_original(self, copy: _FrameRecord) -> None:
-        """The receiver accepted an adversary's copy ahead of the frame it
-        copies: that frame, queued or held for a reorder, is delivered and
-        needs no more retransmission."""
-        held = list(self._pending_swap.values())
-        for original in [entry[2] for entry in self._queue] + held:
-            if (not original.accepted and original.dst == copy.dst
-                    and original.data == copy.data):
-                original.accepted = True
-                return
+    @property
+    def exhausted(self) -> list[_FrameRecord]:
+        """The frames whose retry budget ran out and that the receiver never
+        accepted, not even through an adversary's copy."""
+        return [record for record in self._exhausted
+                if self.endpoints[record.dst].expected_counter(record.session)
+                <= frame_counter(record.data)]
 
     def has_pending(self) -> bool:
         return bool(self._queue) or bool(self._pending_swap)

@@ -11,7 +11,13 @@ from attestnet.protocols.bft import (
     Flag,
     WrongValueLeader,
 )
-from attestnet.protocols.common import encode_reply_payload
+from attestnet.protocols.common import (
+    encode_reply_payload,
+    log_session,
+    transport_session,
+)
+from attestnet.simnet import FaultAction, FaultSchedule
+from attestnet.wire import decode_frame
 from attestnet.scenario import run_scenario
 
 
@@ -59,6 +65,30 @@ def test_wrong_value_leader_exposed_and_never_committed():
     assert client.accepted_value(req) is None     # lie never reaches quorum
     flags = cluster.all_flags()
     assert any(f.accused == 1 and f.reason == "state-mismatch" for f in flags)
+
+
+def test_forged_copy_of_the_leaders_log_frame_accuses_nobody():
+    # Every proof carries the leader's log frame in plaintext, so an adversary
+    # can inject a copy of it on the wire; it lands at a follower before the
+    # follower reads the proof, and must not move the counter the proof's
+    # local verification checks against.
+    reference = BftCluster.build(n=3, f=1, seed=4)
+    reference.run_request(0, 1)
+    proof = next(event.frame for event in reference.cluster.net.trace
+                 if (event.src, event.dst) == (1, 2))
+    inner_frame = decode_frame(proof).payload[1:]
+    assert decode_frame(inner_frame).session == log_session(1)
+
+    cluster = BftCluster.build(n=3, f=1, seed=4)
+    cluster.cluster.net.install_schedule(FaultSchedule(actions=[FaultAction(
+        kind="forge", session=transport_session(1, 2), sender=1, index=0,
+        frame=inner_frame)]))
+    req = cluster.run_request(0, 1)
+    assert [event.dst for event in cluster.cluster.net.trace
+            if event.disposition == "forged"] == [2]
+    assert cluster.all_flags() == []
+    assert cluster.correct_values() == {1: 1, 2: 1, 3: 1}
+    assert cluster.clients[0].accepted_value(req) == struct.pack(">Q", 1)
 
 
 class CrashAfterFirstSendLeader(BftReplica):

@@ -6,11 +6,12 @@ import struct
 import pytest
 
 from attestnet import kernel
-from attestnet.errors import ChainValidationFailure
+from attestnet.errors import ChainValidationFailure, WrongSender
 from attestnet.protocols.chain import (
     POE_BASE,
     POE_CHAIN,
     ChainCluster,
+    ChainNode,
     KvMachine,
     LyingMiddle,
     OP_GET,
@@ -20,8 +21,9 @@ from attestnet.protocols.chain import (
     encode_proof,
     peel_poe,
 )
-from attestnet.protocols.common import log_session
+from attestnet.protocols.common import log_session, transport_session
 from attestnet.scenario import run_scenario
+from attestnet.simnet import FaultAction, FaultSchedule
 from attestnet.wire import decode_frame, encode_frame
 
 
@@ -163,6 +165,10 @@ def test_malformed_proof_accuses_upstream_neighbour():
 LEVEL_OFFSETS = [3, 7, 15, 19, 20, 30, 90, 120, -1]
 
 
+# Every failure accuses the upstream neighbour, which made the fault or
+# forwarded it; the detail names the first failing level by its node (the
+# device at position k is k + 1).
+
 @pytest.mark.parametrize("position, level", [
     (p, k) for p in range(1, 5) for k in range(p)])
 def test_flipped_byte_in_a_level_is_flagged_at_that_level(position, level):
@@ -172,7 +178,8 @@ def test_flipped_byte_in_a_level_is_flagged_at_that_level(position, level):
         frame[offset] ^= 0x01
         tampered = levels[:level] + [bytes(frame)] + levels[level + 1:]
         failure = accused(position, encode_proof(req, tampered))
-        assert failure.position == level, offset
+        assert failure.position == position - 1, offset
+        assert failure.detail.endswith(f"at node {level + 1}"), offset
 
 
 @pytest.mark.parametrize("position", range(1, 5))
@@ -182,7 +189,8 @@ def test_changed_request_byte_is_a_link_mismatch_at_the_head(position, offset):
     changed = bytearray(req)
     changed[offset] ^= 0x01
     failure = accused(position, encode_proof(bytes(changed), levels))
-    assert failure.position == 0 and "link mismatch" in failure.detail
+    assert failure.position == position - 1
+    assert failure.detail == "link mismatch at node 1"
 
 
 @pytest.mark.parametrize("first, second", [
@@ -190,7 +198,75 @@ def test_changed_request_byte_is_a_link_mismatch_at_the_head(position, offset):
 def test_swapped_levels_flagged_at_first_swapped_position(first, second):
     req, levels = peel_poe(honest_proof(4))
     levels[first], levels[second] = levels[second], levels[first]
-    assert accused(4, encode_proof(req, levels)).position == first
+    failure = accused(4, encode_proof(req, levels))
+    assert failure.position == 3
+    assert failure.detail.endswith(f"at node {first + 1}")
+
+
+class FlipsLevelZero(ChainNode):
+    """Byzantine forwarder: flips one payload byte of the head's level."""
+
+    def validate_chain(self, proof):
+        req, levels, *rest = super().validate_chain(proof)
+        frame = bytearray(levels[0])
+        frame[25] ^= 0x01
+        return (req, [bytes(frame), *levels[1:]], *rest)
+
+
+class ForgesLevelOne(ChainNode):
+    """Byzantine forwarder: replaces position 1's level with one it attests
+    itself on position 1's log session, claiming a different output."""
+
+    def validate_chain(self, proof):
+        req, levels, *rest = super().validate_chain(proof)
+        fake = self.endpoint.local_send(
+            log_session(self.order[1]),
+            bytes([POE_CHAIN]) + digest(levels[0]) + digest(b"other output"))
+        return (req, [levels[0], encode_frame(fake)], *rest)
+
+
+@pytest.mark.parametrize("forwarder, reason", [
+    (FlipsLevelZero, "AuthFailure at node 1"),
+    (ForgesLevelOne, "WrongSender at node 2"),
+])
+def test_byzantine_forwarder_cannot_frame_an_honest_upstream_node(forwarder, reason):
+    cluster = ChainCluster.build(n=4, seed=7, node_cls_at={2: forwarder})
+    for req_id in (1, 2):
+        cluster.run_put(0, req_id, b"k", b"v%d" % req_id)
+    assert [(flag.accuser, flag.accused_position, flag.reason)
+            for flag in cluster.all_flags()] == [(4, 2, reason)]
+
+
+def test_level_attested_by_another_device_is_rejected():
+    # Every device holds every log session's key, so position 2 can attest
+    # on position 1's log session; the level still names device 3.
+    cluster = ChainCluster.build(n=4, seed=7)
+    impostor, tail = cluster.nodes[3], cluster.nodes[4]
+    fake = impostor.endpoint.local_send(log_session(2), b"level")
+    with pytest.raises(WrongSender):
+        tail.endpoint.local_verify(log_session(2), fake)
+    assert tail.endpoint.rejection_events == [(log_session(2), "WrongSender")]
+    genuine = cluster.nodes[2].endpoint.local_send(log_session(2), b"level")
+    assert tail.endpoint.local_verify(log_session(2), genuine) == genuine
+
+
+def test_forged_copy_of_the_heads_level_accuses_nobody():
+    # The head's level travels in plaintext inside its proof; a copy injected
+    # on the wire must not move the counter position 1 validates it against.
+    reference = ChainCluster.build(n=4, seed=7)
+    reference.run_put(0, 1, b"k", b"v1")
+    proof = next(event.frame for event in reference.cluster.net.trace
+                 if (event.src, event.dst) == (1, 2))
+    _, levels = peel_poe(decode_frame(proof).payload)
+
+    cluster = ChainCluster.build(n=4, seed=7)
+    cluster.cluster.net.install_schedule(FaultSchedule(actions=[FaultAction(
+        kind="forge", session=transport_session(1, 2), sender=1, index=0,
+        frame=levels[0])]))
+    for req_id in (1, 2):
+        cluster.run_put(0, req_id, b"k", b"v%d" % req_id)
+    assert cluster.all_flags() == []
+    assert cluster.commit_histories() == {d: [1, 2] for d in (1, 2, 3, 4)}
 
 
 def put_value(size: int) -> bytes:

@@ -103,6 +103,12 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
      "lie position 3 is not in the chain"),
     ('{"protocol": "peerreview", "attack": {"kind": "mutate_result", "node": 7}}',
      "attack node 7 is not a child"),
+    ('{"protocol": "cr", "attack": {"kind": "equivocate"}}',
+     "unknown cr attack kind 'equivocate'"),
+    ('{"protocol": "bft", "attack": {"kind": "replay", "index": 0}}',
+     "unknown bft attack kind 'replay'"),
+    ('{"protocol": "peerreview", "attack": {"kind": "lie"}}',
+     "unknown peerreview attack kind 'lie'"),
 ])
 def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
