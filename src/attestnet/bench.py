@@ -4,6 +4,9 @@ Every run is in simulated time: every attest/verify event charges the
 configured processing delay to a shared deterministic clock, and the wire adds
 a base latency plus a per-byte cost. Fixed (seed, config) therefore yields
 byte-identical results. Host time is measured by `perfbench/`, not here.
+Every run checks its results (each request commits, audits find honest logs
+consistent, no frame runs out of retries) and raises BenchCheckFailed if one
+does not hold.
 
 Delay presets follow the measured hardware reference points: the trusted-NIC
 kernel at 23 us, SGX-style enclaves at 45 us, AMD-SEV at 30 us. Batching
@@ -95,6 +98,21 @@ class BenchRecord:
         ]
 
 
+class BenchCheckFailed(Exception):
+    """A run produced a wrong result, so its numbers mean nothing."""
+
+
+def _check(ok: bool, what: str) -> None:
+    # Raised, not asserted, so that the checks hold under `python -O` too.
+    if not ok:
+        raise BenchCheckFailed(what)
+
+
+def _check_no_exhausted(net: Network) -> None:
+    exhausted = len(net.exhausted)
+    _check(not exhausted, f"{exhausted} frame(s) ran out of retries")
+
+
 def _percentile(values: list[float], q: float) -> float:
     if not values:
         return 0.0
@@ -150,9 +168,10 @@ def _bench_raw_channel(config: BenchConfig) -> BenchRecord:
     def submit(records):
         sender.auth_send(1, pack_batch(records))
         net.run_until_quiescent()
-        got = receiver.poll(1)
-        assert got, "reliable channel must deliver"
-    return _measure(config, net.clock, submit)
+        _check(receiver.poll(1), "reliable channel must deliver")
+    record = _measure(config, net.clock, submit)
+    _check_no_exhausted(net)
+    return record
 
 
 def _bench_a2m(config: BenchConfig) -> BenchRecord:
@@ -180,8 +199,10 @@ def _bench_bft(config: BenchConfig) -> BenchRecord:
         req = client.issue(next(round_ids), pack_batch(records))
         cluster.replicas[cluster.leader_id].leader_handle(req)
         cluster.drain()
-        assert client.accepted_value(req) is not None, "honest round must commit"
-    return _measure(config, cluster.cluster.net.clock, submit)
+        _check(client.accepted_value(req) is not None, "honest round must commit")
+    record = _measure(config, cluster.cluster.net.clock, submit)
+    _check_no_exhausted(cluster.cluster.net)
+    return record
 
 
 def _bench_cr(config: BenchConfig) -> BenchRecord:
@@ -194,8 +215,10 @@ def _bench_cr(config: BenchConfig) -> BenchRecord:
         round_id = next(round_ids)
         key = b"k%08d" % (round_id % 128)
         req = cluster.run_put(0, round_id, key, pack_batch(records))
-        assert client.accepted_value(req) is not None, "honest chain must commit"
-    return _measure(config, cluster.cluster.net.clock, submit)
+        _check(client.accepted_value(req) is not None, "honest chain must commit")
+    record = _measure(config, cluster.cluster.net.clock, submit)
+    _check_no_exhausted(cluster.cluster.net)
+    return record
 
 
 def _bench_peerreview(config: BenchConfig) -> BenchRecord:
@@ -207,7 +230,9 @@ def _bench_peerreview(config: BenchConfig) -> BenchRecord:
     record = _measure(config, scenario.cluster.net.clock,
                       lambda records: scenario.run_rounds([pack_batch(records)]))
     verdicts = scenario.audit_all()
-    assert all(v.consistent for v in verdicts.values())
+    _check(all(v.consistent for v in verdicts.values()),
+           "honest audit must find every log consistent")
+    _check_no_exhausted(scenario.cluster.net)
     return record
 
 

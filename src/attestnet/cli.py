@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-    bench        throughput/latency with emulated attestation delays, CSV out
+    bench        throughput/latency with emulated attestation delays, CSV out;
+                 exit 1 if a result check fails
     scenario     run a protocol scenario file; nonzero exit on safety violation
     check        bounded lemma suite; one verdict line per lemma
     attest-demo  deterministic remote-attestation transcript for a seed
@@ -64,6 +65,9 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"attestnet bench: {exc}", file=sys.stderr)
         return 2
+    except bench_mod.BenchCheckFailed as exc:
+        print(f"attestnet bench: check failed: {exc}", file=sys.stderr)
+        return 1
     if args.csv:
         bench_mod.append_csv(args.csv, record)
     print(",".join(bench_mod.CSV_HEADER))

@@ -187,18 +187,20 @@ class Endpoint:
         except KernelError as exc:
             self.rejection_events.append((msg.session, type(exc).__name__))
             return False
-        self._inboxes.setdefault(msg.session, deque()).append(msg)
+        # The kernel accepted it, so the session was provisioned with an inbox.
+        self._inboxes[msg.session].append(msg)
         return True
 
     def poll(self, session: int, max_messages: int | None = None) -> list[AttestedMessage]:
         """Remove and return up to max verified messages, in counter order."""
         inbox = self._inboxes.get(session)
-        if inbox is None:
+        if not inbox:
             return []
-        out: list[AttestedMessage] = []
-        while inbox and (max_messages is None or len(out) < max_messages):
-            out.append(inbox.popleft())
-        return out
+        if max_messages is None or max_messages >= len(inbox):
+            out = list(inbox)
+            inbox.clear()
+            return out
+        return [inbox.popleft() for _ in range(max_messages)]
 
     def expected_counter(self, session: int) -> int:
         """The counter the kernel accepts next on a session (0 if not held)."""

@@ -79,6 +79,9 @@ class BftReplica:
     def __post_init__(self):
         self.endpoint = self.cluster.endpoints[self.node_id]
         self.peers = [d for d in self.cluster.endpoints if d != self.node_id]
+        # Transport session to each peer, in peer order.
+        self.sessions = {peer: transport_session(self.node_id, peer)
+                         for peer in self.peers}
         for peer in self.peers:
             self.shadows[peer] = 0
 
@@ -101,8 +104,8 @@ class BftReplica:
         log = log_session(self.node_id)
         frames = [encode_frame(self.endpoint.local_send(log, encode_inner(req, out)))
                   for out in self.attested_outputs(output)]
-        for i, peer in enumerate(self.peers):
-            self.endpoint.auth_send(transport_session(self.node_id, peer),
+        for i, session in enumerate(self.sessions.values()):
+            self.endpoint.auth_send(session,
                                     bytes([KIND_PROOF]) + frames[i % len(frames)])
 
     def _leader_on_ack(self, sender: int, inner_frame: bytes) -> None:
@@ -138,13 +141,12 @@ class BftReplica:
                                        encode_inner(req, output))
         own_frame = encode_frame(own)
         if self.leader_id != self.node_id:
-            self.endpoint.auth_send(transport_session(self.node_id, self.leader_id),
+            self.endpoint.auth_send(self.sessions[self.leader_id],
                                     bytes([KIND_ACK]) + own_frame)
-        for peer in self.peers:
+        for peer, session in self.sessions.items():
             if peer == self.leader_id:
                 continue
-            self.endpoint.auth_send(transport_session(self.node_id, peer),
-                                    bytes([KIND_FORWARD]) + own_frame)
+            self.endpoint.auth_send(session, bytes([KIND_FORWARD]) + own_frame)
         self._reply_client(req, output)
 
     # -- shared validation ---------------------------------------------------------
@@ -191,8 +193,7 @@ class BftReplica:
         if self.crashed:
             return False
         progressed = False
-        for peer in self.peers:
-            session = transport_session(self.node_id, peer)
+        for session in self.sessions.values():
             for msg in self.endpoint.poll(session):
                 progressed = True
                 kind, inner_frame = msg.payload[0], msg.payload[1:]

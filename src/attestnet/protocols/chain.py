@@ -131,6 +131,13 @@ class ChainNode:
 
     def __post_init__(self):
         self.endpoint = self.cluster.endpoints[self.node_id]
+        # Transport sessions to the neighbours; None past either end.
+        self.upstream_session = (
+            None if self.is_head
+            else transport_session(self.node_id, self.order[self.position - 1]))
+        self.downstream_session = (
+            None if self.is_tail
+            else transport_session(self.node_id, self.order[self.position + 1]))
 
     @property
     def is_head(self) -> bool:
@@ -140,17 +147,14 @@ class ChainNode:
     def is_tail(self) -> bool:
         return self.position == len(self.order) - 1
 
-    def _next_node(self) -> int:
-        return self.order[self.position + 1]
-
     # -- head ------------------------------------------------------------------
 
     def head_handle(self, req: bytes) -> None:
         body = req[12:]   # strip client/req_id prefix for execution
         out = self.machine.apply(body)
         level = self._attest_level(POE_BASE, digest(req), digest(out))
-        self.endpoint.auth_send(transport_session(self.node_id, self._next_node()),
-                                encode_proof(req, [level]))
+        if not self.is_tail:
+            self.endpoint.auth_send(self.downstream_session, encode_proof(req, [level]))
         self._reply_client(req, out)
 
     # -- middle / tail ------------------------------------------------------------
@@ -210,9 +214,8 @@ class ChainNode:
             out_digest = digest(out)
         level = self._attest_level(POE_CHAIN, link, out_digest)
         if not self.is_tail:
-            self.endpoint.auth_send(
-                transport_session(self.node_id, self._next_node()),
-                encode_proof(req, levels + [level]))
+            self.endpoint.auth_send(self.downstream_session,
+                                    encode_proof(req, levels + [level]))
         self._reply_client(req, out)
 
     def _attest_level(self, kind: int, link: bytes, out_digest: bytes) -> bytes:
@@ -233,9 +236,8 @@ class ChainNode:
     def step(self) -> bool:
         if self.is_head:
             return False
-        upstream = self.order[self.position - 1]
         progressed = False
-        for msg in self.endpoint.poll(transport_session(self.node_id, upstream)):
+        for msg in self.endpoint.poll(self.upstream_session):
             progressed = True
             self.middle_tail_handle(msg.payload)
         return progressed

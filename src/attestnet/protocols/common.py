@@ -191,26 +191,28 @@ def pump(net: Network, nodes: list, clients: list[QuorumClient]) -> None:
        the order given, and hand each reply to every client. Nodes without
        an outbox (PeerReview) skip this.
 
-    The pump stops after a pass in which no node made progress and the
-    network holds nothing. The order is part of the simulated results, not
-    a detail: a closed-loop client submits its next request from inside
-    `deliver`, so that request's frames, and every simulated time after
-    them, depend on which replies it has already seen. A reply appended
-    while the outboxes are emptied (a chain head answers as it executes) is
-    handed out in the same pass.
+    The pump stops after the first pass that leaves the network holding
+    nothing and every outbox empty. Nodes reach each other only through the
+    network and clients only through the outboxes, and a step handles all
+    that was delivered to it, so a further pass would find nothing to do.
+    The order is part of the simulated results, not a detail: a closed-loop
+    client submits its next request from inside `deliver`, so that request's
+    frames, and every simulated time after them, depend on which replies it
+    has already seen. A reply appended while the outboxes are emptied (a
+    chain head answers as it executes) is handed out in the same pass if its
+    node comes later in the order, and in the next pass otherwise.
     """
+    outboxes = [node.outbox_replies for node in nodes if hasattr(node, "outbox_replies")]
     while True:
         net.run_until_quiescent()
-        progressed = False
         for node in nodes:
-            progressed |= node.step()
-        for node in nodes:
-            outbox = getattr(node, "outbox_replies", ())
+            node.step()
+        for outbox in outboxes:
             while outbox:
                 reply = outbox.pop(0)
                 for client in clients:
                     client.deliver(reply)
-        if not progressed and not net.has_pending():
+        if not net.has_pending() and not any(outboxes):
             return
 
 

@@ -83,18 +83,17 @@ class PrRoot(PrNode):
     def __init__(self, node_id: int, cluster: ClusterNet, children: list[int]):
         super().__init__(node_id, cluster)
         self.children = children
+        self.sessions = {c: transport_session(node_id, c) for c in children}
         self.responses: dict[int, list[bytes]] = {c: [] for c in children}
 
     def send(self, ctx: bytes) -> None:
-        for child in self.children:
-            sent = self.endpoint.auth_send(
-                transport_session(self.node_id, child), ctx)
+        for session in self.sessions.values():
+            sent = self.endpoint.auth_send(session, ctx)
             self._log(bytes([ENTRY_SENT]) + encode_frame(sent))
 
     def step(self) -> bool:
         progressed = False
-        for child in self.children:
-            session = transport_session(self.node_id, child)
+        for child, session in self.sessions.items():
             for msg in self.endpoint.poll(session):
                 progressed = True
                 self._log(bytes([ENTRY_RECV]) + encode_frame(msg))
@@ -108,19 +107,19 @@ class PrChild(PrNode):
     def __init__(self, node_id: int, cluster: ClusterNet, root_id: int):
         super().__init__(node_id, cluster)
         self.root_id = root_id
+        self.session = transport_session(node_id, root_id)
 
     def execute(self, cmd: bytes) -> bytes:
         return reference_execute(cmd)
 
     def step(self) -> bool:
         progressed = False
-        session = transport_session(self.node_id, self.root_id)
-        for msg in self.endpoint.poll(session):
+        for msg in self.endpoint.poll(self.session):
             progressed = True
             self._log(bytes([ENTRY_RECV]) + encode_frame(msg))
             result = self.execute(msg.payload)
             response_entry = self._log(encode_exec(result, msg.payload))
-            self.endpoint.auth_send(session, encode_frame(response_entry))
+            self.endpoint.auth_send(self.session, encode_frame(response_entry))
         return progressed
 
 

@@ -11,6 +11,9 @@ A scenario is a JSON object:
       "faults": {"seed": 0, "actions": [...]}  # optional wire-fault schedule
     }
 
+Every field but "protocol" and the kinds is an integer; an action's
+"session", "sender" and "index" may also be null, which matches any value.
+
 Attack kinds per protocol (any other kind is rejected as bad input; wire
 faults such as replay, reorder or drop go in "faults"):
     bft:        equivocate {round}, wrong_value {round}, crash {node, after_round}
@@ -55,13 +58,35 @@ def load_scenario(path: str) -> dict:
 
 ATTACK_KINDS = {"bft": ("equivocate", "wrong_value", "crash"), "cr": ("lie",),
                 "peerreview": ("mutate_result", "rewrite_log")}
+INT_FIELDS = ("seed", "rounds", "n", "f", "children")
+WILDCARD_FIELDS = ("session", "sender", "index")   # of a fault action; null matches any
+
+
+def _require_int(what: str, value) -> None:
+    # bool is an int subclass, but `"rounds": true` is a typo, not a count.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _require_object(what: str, value) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {value!r}")
 
 
 def run_scenario(spec: dict) -> ScenarioResult:
+    """Run a scenario. Input that is not a valid scenario, such as a field of
+    the wrong JSON type, raises ValueError before anything runs."""
     protocol = spec.get("protocol", "bft")
-    if protocol not in ATTACK_KINDS:
+    if not isinstance(protocol, str) or protocol not in ATTACK_KINDS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    attack = spec.get("attack") or {}
+    for name in INT_FIELDS:
+        if name in spec:
+            _require_int(f'"{name}"', spec[name])
+    attack = spec.get("attack", {})
+    _require_object('"attack"', attack)
+    for name, value in attack.items():
+        if name != "kind":
+            _require_int(f'attack "{name}"', value)
     kind = attack.get("kind", "none")
     if kind != "none" and kind not in ATTACK_KINDS[protocol]:
         raise ValueError(f"unknown {protocol} attack kind {kind!r}")
@@ -74,13 +99,24 @@ def run_scenario(spec: dict) -> ScenarioResult:
 
 def _fault_schedule(spec: dict) -> FaultSchedule | None:
     faults = spec.get("faults")
-    if not faults:
+    if faults is None:
         return None
+    _require_object('"faults"', faults)
+    seed = faults.get("seed", spec.get("seed", 0))
+    _require_int('faults "seed"', seed)
+    actions = faults.get("actions", [])
+    if not isinstance(actions, list):
+        raise ValueError(f'faults "actions" must be a list, got {actions!r}')
+    for action in actions:
+        _require_object("a fault action", action)
+        for name, value in action.items():
+            if name != "kind" and not (value is None and name in WILDCARD_FIELDS):
+                _require_int(f'fault action "{name}"', value)
     try:
-        actions = [FaultAction(**a) for a in faults.get("actions", [])]
+        actions = [FaultAction(**a) for a in actions]
     except TypeError as exc:
         raise ValueError(f"bad fault action: {exc}") from None
-    return FaultSchedule(seed=faults.get("seed", spec.get("seed", 0)), actions=actions)
+    return FaultSchedule(seed=seed, actions=actions)
 
 
 def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
@@ -146,7 +182,7 @@ def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     node_cls_at, node_kwargs_at = {}, {}
     if kind == "lie":
         position = attack.get("position", 1)
-        if not (isinstance(position, int) and 0 <= position < n):
+        if not 0 <= position < n:
             raise ValueError(f"lie position {position!r} is not in the chain")
         node_cls_at[position] = LyingMiddle
         node_kwargs_at[position] = {"lie_at_commit": attack.get("commit", 1)}
@@ -206,7 +242,7 @@ def _run_peerreview(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     scenario.run_rounds(commands)
     if kind == "rewrite_log":
         child, seq = scenario.children[target], attack.get("seq", 0)
-        if not (isinstance(seq, int) and 0 <= seq < len(child.log)):
+        if not 0 <= seq < len(child.log):
             raise ValueError(f"rewrite_log seq {seq!r} is not in child {target}'s "
                              f"log of {len(child.log)} entries")
         rewrite_log_entry(child, seq, b"\x52rewritten-history")

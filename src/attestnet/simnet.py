@@ -33,6 +33,7 @@ schedule's seeded generator for forged-frame content.
 import heapq
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .device import Endpoint, SimClock
 from .errors import UnknownPeer
@@ -78,9 +79,12 @@ class FaultSchedule:
     actions: list[FaultAction] = field(default_factory=list)
 
 
-@dataclass(frozen=True, slots=True)
-class NetEvent:
-    """One delivery-level observation, totally ordered by (time, sequence)."""
+class NetEvent(NamedTuple):
+    """One delivery-level observation, totally ordered by (time, sequence).
+
+    An immutable record, like `AttestedMessage` and for the same reason: one
+    is built for every frame event. Its repr leaves out the frame bytes.
+    """
 
     time_ns: int
     src: int
@@ -89,7 +93,12 @@ class NetEvent:
     disposition: str   # delivered | dropped | tampered | duplicated | forged
     accepted: bool
     attempt: int
-    frame: bytes = field(repr=False)
+    frame: bytes
+
+    def __repr__(self) -> str:
+        return (f"NetEvent(time_ns={self.time_ns}, src={self.src}, dst={self.dst}, "
+                f"session={self.session}, disposition={self.disposition!r}, "
+                f"accepted={self.accepted}, attempt={self.attempt})")
 
 
 class _FrameRecord:

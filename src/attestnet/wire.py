@@ -46,5 +46,4 @@ def decode_frame(data: bytes) -> AttestedMessage:
         )
     payload = data[HEADER_LEN:HEADER_LEN + payload_len]
     tag = data[HEADER_LEN + payload_len:]
-    return AttestedMessage(tag=tag, payload=payload, device=device,
-                           session=session, counter=counter)
+    return AttestedMessage(tag, payload, device, session, counter)

@@ -334,3 +334,13 @@ def test_lie_at_the_last_round_must_still_be_detected():
     verdict = json.loads(result.dumps().splitlines()[-1])
     assert [flag["position"] for flag in verdict["flags"]] == [1]
     assert result.ok
+
+
+def test_one_node_chain_commits_at_its_head():
+    # The head is also the tail: it has no one to forward to.
+    result = run_scenario({"protocol": "cr", "n": 1, "f": 0, "rounds": 2})
+    verdict = json.loads(result.dumps().splitlines()[-1])
+    assert verdict["commit_histories"] == {"1": [1, 2]}
+    assert [json.loads(line)["accepted"] is not None
+            for line in result.dumps().splitlines()[:-1]] == [True, True]
+    assert result.ok

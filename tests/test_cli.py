@@ -4,11 +4,14 @@ import json
 
 import pytest
 
+from attestnet import bench as bench_mod
 from attestnet import cli
 from attestnet.bench import CSV_HEADER, PROTOCOLS
 from attestnet.checker import Counterexample, replay_counterexample
+from attestnet.protocols.bft import BftCluster
 from attestnet.protocols.common import transport_session
-from attestnet.simnet import ACTION_KINDS, DEFAULT_RETRY_BUDGET
+from attestnet.protocols.peerreview import PrScenario
+from attestnet.simnet import ACTION_KINDS, DEFAULT_RETRY_BUDGET, FaultAction, FaultSchedule
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -40,6 +43,43 @@ def test_bench_delay_ns_overrides_the_preset(capsys):
     assert fields["delay_model"] == "tnic" and fields["transport"] == "sim"
     assert fields["latency_mean_us"] == "1.000"
     assert fields["latency_p99_us"] == "1.000"
+
+
+def _crash_the_leader(monkeypatch):
+    build = BftCluster.build
+
+    def crashed(*args, **kwargs):
+        cluster = build(*args, **kwargs)
+        cluster.replicas[cluster.leader_id].crashed = True
+        return cluster
+    monkeypatch.setattr(bench_mod.BftCluster, "build", crashed)
+
+
+def _lose_a_frame(monkeypatch):
+    # The root's first frame to child 2 is dropped on every attempt: the audit
+    # still finds every log consistent, but the frame is exhausted.
+    build = PrScenario.build
+    drops = [FaultAction(kind="drop", session=transport_session(1, 2), sender=1)
+             for _ in range(DEFAULT_RETRY_BUDGET + 1)]
+
+    def lossy(*args, **kwargs):
+        scenario = build(*args, **kwargs)
+        scenario.cluster.net.install_schedule(FaultSchedule(actions=drops))
+        return scenario
+    monkeypatch.setattr(bench_mod.PrScenario, "build", lossy)
+
+
+@pytest.mark.parametrize("protocol, sabotage, message", [
+    ("bft", _crash_the_leader, "honest round must commit"),
+    ("peerreview", _lose_a_frame, "1 frame(s) ran out of retries"),
+])
+def test_bench_failed_check_prints_one_line_and_exits_1(protocol, sabotage, message,
+                                                       monkeypatch, capsys):
+    sabotage(monkeypatch)
+    assert cli.main(["bench", "--protocol", protocol, "--requests", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"attestnet bench: check failed: {message}"]
 
 
 def test_scenario_honest_bft(tmp_path, capsys):
@@ -109,6 +149,23 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
      "unknown bft attack kind 'replay'"),
     ('{"protocol": "peerreview", "attack": {"kind": "lie"}}',
      "unknown peerreview attack kind 'lie'"),
+    ('{"protocol": ["bft"]}', "unknown protocol ['bft']"),
+    ('{"protocol": "cr", "attack": "lie"}', "\"attack\" must be an object"),
+    ('{"protocol": "bft", "attack": {"kind": "crash", "after_round": "2"}}',
+     "attack \"after_round\" must be an integer, got '2'"),
+    ('{"protocol": "cr", "rounds": "x"}', "\"rounds\" must be an integer, got 'x'"),
+    ('{"protocol": "bft", "seed": "a"}', "\"seed\" must be an integer, got 'a'"),
+    ('{"protocol": "bft", "n": 3.0}', "\"n\" must be an integer, got 3.0"),
+    ('{"protocol": "bft", "f": null}', "\"f\" must be an integer, got None"),
+    ('{"protocol": "peerreview", "children": true}',
+     "\"children\" must be an integer, got True"),
+    ('{"protocol": "peerreview", "faults": [1]}', "\"faults\" must be an object"),
+    ('{"protocol": "peerreview", "faults": {"actions": [1]}}',
+     "a fault action must be an object, got 1"),
+    ('{"protocol": "bft", "faults": {"actions": {"kind": "drop"}}}',
+     "faults \"actions\" must be a list"),
+    ('{"protocol": "cr", "faults": {"actions": [{"kind": "delay", "delay_ns": "9"}]}}',
+     "fault action \"delay_ns\" must be an integer, got '9'"),
 ])
 def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"

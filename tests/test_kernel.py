@@ -275,3 +275,19 @@ def test_equality_ignores_whether_pads_are_built():
     assert built == fresh
     assert built != SessionState(key=b"\x0c" * 32)
     assert built != SessionState(key=KEY, send_cnt=1)
+
+
+def test_attested_message_is_immutable_and_hashes_by_value():
+    """A verified message cannot be altered afterwards; equal ones are one key."""
+    kernel = AttestationKernel(device=7)
+    kernel.provision_session(1, KEY)
+    msg = kernel.attest(1, b"payload")
+    for name in ("tag", "payload", "device", "session", "counter"):
+        with pytest.raises(AttributeError):
+            setattr(msg, name, getattr(msg, name))
+    with pytest.raises(AttributeError):
+        msg.extra = 1
+    copy = decode_frame(encode_frame(msg))
+    assert copy == msg and copy is not msg
+    assert hash(copy) == hash(msg) and len({copy, msg}) == 1
+    assert copy.triple() == (7, 1, 0)

@@ -6,7 +6,9 @@ import pytest
 
 from attestnet.protocols.bft import BftCluster
 from attestnet.protocols.chain import OP_PUT, ChainCluster, encode_op
-from attestnet.protocols.common import QuorumClient
+from attestnet.protocols.common import QuorumClient, pump
+from attestnet.protocols.peerreview import PrScenario
+from attestnet.simnet import Network
 
 REQUESTS = 5
 
@@ -58,3 +60,63 @@ def test_client_submitting_from_deliver_finishes_in_one_drain(build):
     # Each request goes out when its quorum is handed over, so the simulated
     # end time pins the pump's pass order (steps before replies).
     assert cluster.cluster.net.clock.now_ns == sim_ns
+
+
+def test_peerreview_round_drains_in_two_passes():
+    """Pass 1 carries the commands, pass 2 the responses; no third pass runs
+    just to see that nothing moved."""
+    scenario = PrScenario.build(seed=0, n_children=2)
+    net = scenario.cluster.net
+    nodes = [scenario.root, *scenario.children.values()]
+    steps = {node.node_id: 0 for node in nodes}
+    passes = 0
+
+    def counted(node, step):
+        def wrapper():
+            steps[node.node_id] += 1
+            return step()
+        return wrapper
+
+    def counted_pass(run=net.run_until_quiescent):
+        nonlocal passes
+        passes += 1
+        run()
+
+    for node in nodes:
+        node.step = counted(node, node.step)
+    net.run_until_quiescent = counted_pass
+    scenario.run_rounds([b"cmd"])
+    assert passes == 2
+    assert steps == {1: 2, 2: 2, 3: 2}
+    assert [len(r) for r in scenario.root.responses.values()] == [1, 1]
+
+
+class _Node:
+    def __init__(self):
+        self.outbox_replies = []
+
+    def step(self):
+        return False
+
+
+class _Recorder:
+    def __init__(self, on_deliver):
+        self.got = []
+        self.on_deliver = on_deliver
+
+    def deliver(self, reply):
+        self.got.append(reply)
+        self.on_deliver(reply)
+
+
+def test_reply_appended_to_an_emptied_outbox_is_still_handed_out():
+    """The first node's outbox is emptied before the second's; a reply the
+    first node appends while the second's is handed out waits for the next
+    pass, even though no node made progress and the network holds nothing."""
+    first, second = _Node(), _Node()
+    second.outbox_replies.append("second")
+    client = _Recorder(lambda reply: reply == "second"
+                       and first.outbox_replies.append("late"))
+    pump(Network(), [first, second], [client])
+    assert client.got == ["second", "late"]
+    assert first.outbox_replies == [] and second.outbox_replies == []

@@ -6,6 +6,7 @@ import hashlib
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from attestnet.device import DeviceConfig, SessionConfig, SimClock, connect
@@ -451,3 +452,20 @@ def test_event_total_order():
     times = [(ev.time_ns,) for ev in net.trace]
     assert times == sorted(times)
 
+
+def test_net_events_are_immutable_and_hash_by_value():
+    def trace():
+        net, a, _ = build_pair()
+        a.auth_send(1, b"x")
+        net.run_until_quiescent()
+        return net.trace
+
+    (event,), (again,) = trace(), trace()
+    for name in ("time_ns", "accepted", "frame"):
+        with pytest.raises(AttributeError):
+            setattr(event, name, getattr(event, name))
+    with pytest.raises(AttributeError):
+        event.extra = 1
+    assert event == again and hash(event) == hash(again)
+    assert event.disposition == "delivered" and event.accepted
+    assert "frame" not in repr(event)
