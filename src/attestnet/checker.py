@@ -2,8 +2,8 @@
 
 For tiny instances (at most 2 senders, 4 messages each) the checker
 crosses every single-point adversarial mutation of the senders' streams with
-every interleaving of those streams into one shared receiver kernel, and
-evaluates executable analogues of the five security statements:
+every interleaving of those streams into one shared receiver, and evaluates
+executable analogues of the five security statements:
 
     attestation   vendor completion implies prior device completion
     transfer_auth every accepted message was previously sent by a genuine kernel
@@ -16,20 +16,28 @@ plus the multicast consistency property: two receivers fed the same
 locally-attested stream accept prefix-comparable sequences. Only the
 transport lemmas search interleavings, because their one receiver could carry
 state from one session to another. The two consistency receivers are separate
-kernels that each see only their own stream, so each is fed its stream in
+endpoints that each see only their own stream, so each is fed its stream in
 order, once per mutation, and the two accepted sequences are compared.
+
+The adversary is the simulator's: each mutation is one `simnet.FaultAction`
+(drop, duplicate, delay, reorder, tamper, replay or forge of one frame), and
+`on_wire` runs a stream through a `simnet.Network` to get what a receiver
+sees. Every delivery order is replayed from scratch by `deliver`, which hands
+the frames to a fresh `Endpoint` through `Endpoint.deliver_frame`, the
+production receive path with its peer check; the lemmas are then read off
+the acceptance list it returns. A reported counterexample serializes to
+JSON, and `replay_counterexample` rebuilds its mutation and calls `deliver`
+on its delivery order, so it reproduces the violating acceptance pattern by
+construction.
 
 This is bounded model checking of the implementation, not a symbolic proof;
 the unbounded claims rest on machine-checked proofs outside this artifact.
-Sending and accepting facts are recorded exactly at attest and acceptance
-events. The mutated kernels below are test-only variants; the production
-kernel is never modified in place. A reported counterexample serializes to a
-scenario that, replayed through the simulator with retransmission disabled,
-reproduces the violating acceptance pattern exactly.
+The mutated kernels below are test-only variants; the production kernel is
+never modified in place.
 """
 
-import random
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from .bootstrap import make_pair, measure, ProvisioningBundle, run_handshake
 from .device import DeviceConfig, Endpoint, SessionConfig, SimClock
@@ -41,7 +49,7 @@ from .kernel import (
     compute_tag,
 )
 from .protocols.common import derive_key
-from .simnet import Network
+from .simnet import ACTION_KINDS, FaultAction, FaultSchedule, Network
 from .wire import decode_frame, encode_frame
 
 MAX_SENDERS = 2
@@ -49,7 +57,10 @@ MAX_MESSAGES = 4
 
 TRANSPORT_LEMMAS = ("transfer_auth", "no_lost", "no_reorder", "no_duplicate")
 LEMMA_IDS = ("attestation", *TRANSPORT_LEMMAS)
-ALL_MUTATIONS = ("none", "drop", "duplicate", "swap", "tamper", "replay", "forge")
+
+# Submissions onto the wire are this far apart, far wider than a frame's
+# latency, so an adversary's copy lands right behind its frame.
+_SPACING_NS = 1_000_000
 
 
 # -- test-only kernel mutants ---------------------------------------------------
@@ -120,7 +131,6 @@ KERNELS = {
 class BoundedInstance:
     senders: int = 2
     messages_per_sender: int = 3
-    mutations: tuple[str, ...] = ALL_MUTATIONS
     seed: int = 0
 
     def validate(self) -> None:
@@ -128,9 +138,6 @@ class BoundedInstance:
             raise InstanceTooLarge(f"senders must be 1..{MAX_SENDERS}")
         if not 1 <= self.messages_per_sender <= MAX_MESSAGES:
             raise InstanceTooLarge(f"messages must be 1..{MAX_MESSAGES}")
-        for m in self.mutations:
-            if m not in ALL_MUTATIONS:
-                raise InstanceTooLarge(f"unknown mutation {m!r}")
 
 
 @dataclass
@@ -181,187 +188,144 @@ class LemmaReport:
         return f"lemma={self.lemma} verdict={self.verdict}{suffix}"
 
 
-# -- world construction -----------------------------------------------------------
+# -- the adversary and the receiver ----------------------------------------------
 
-@dataclass
-class _Item:
-    frame: bytes
-    ident: tuple[int, int] | None    # (stream, send index) or None for junk
-    label: str
+def on_wire(frames: list[bytes], action: FaultAction | None) -> list[bytes]:
+    """What a receiver gets when `frames` are sent in order under `action`.
+
+    The frames cross a `Network` without retransmission into an endpoint
+    that holds no session, so each is rejected once and never sent again;
+    the frames that were not dropped are returned in arrival order. Frame j
+    is submitted at j * _SPACING_NS: a copy lands right behind its frame, and
+    `reorder` lets frame j+1 through ahead of frame j.
+    """
+    net = Network(retry_budget=0)
+    net.attach(Endpoint(DeviceConfig(device=0)))
+    net.install_schedule(FaultSchedule(actions=[] if action is None else [action]))
+    for j, frame in enumerate(frames):
+        net.clock.advance_to(j * _SPACING_NS)
+        net.submit(1, 0, 1, frame)   # one stream; the sink never reads its session
+    net.run_until_quiescent()
+    return [event.frame for event in net.trace if event.disposition != "dropped"]
 
 
-def _build_streams(instance: BoundedInstance, kernel_cls) -> list[list[_Item]]:
-    """Genuine per-sender delivery queues, in send order."""
-    base: list[list[_Item]] = []
+def _mutations(streams: list[list[bytes]]):
+    """Yield (mutation label, streams on the wire): no fault, then one fault
+    action of each kind on each frame of each stream. `replay` sends frame j
+    again behind the last frame; `delay` moves frame j past the last frame.
+    A mutation that puts the same frames on the wire as an earlier one (such
+    as reordering the last frame) is skipped: it can break nothing new."""
+    yield "none", streams
+    seen = {(s, tuple(frames)) for s, frames in enumerate(streams)}
+    for kind in ACTION_KINDS:
+        for s, frames in enumerate(streams):
+            n = len(frames)
+            for j in range(n):
+                if kind == "replay":
+                    action = FaultAction(kind, index=n - 1, earlier_index=j)
+                elif kind == "delay":
+                    action = FaultAction(kind, index=j, delay_ns=n * _SPACING_NS)
+                else:
+                    action = FaultAction(kind, index=j)
+                wire = on_wire(frames, action)
+                if (s, tuple(wire)) in seen:
+                    continue
+                seen.add((s, tuple(wire)))
+                mutated = list(streams)
+                mutated[s] = wire
+                yield f"{kind}@s{s}m{j}", mutated
+
+
+def deliver(instance: BoundedInstance, kernel_cls, streams: list[list[bytes]],
+            order: list[tuple[int, int]]) -> list[tuple[int, int, bool]]:
+    """Hand frames, in the given (stream, position) order, to a fresh
+    receiving endpoint on `kernel_cls` through `Endpoint.deliver_frame`, the
+    production receive path with its peer check; stream s is session s+1
+    from device s+1. Returns (stream, position, accepted) for each frame."""
+    sessions = [SessionConfig(s, s, derive_key(instance.seed, s))
+                for s in range(1, len(streams) + 1)]
+    receiver = Endpoint(DeviceConfig(device=0, sessions=sessions),
+                        kernel_factory=kernel_cls)
+    return [(s, p, receiver.deliver_frame(streams[s][p])) for s, p in order]
+
+
+def _sent_streams(instance: BoundedInstance, kernel_cls) -> list[list[bytes]]:
+    """Each sender's genuine frames, in send order."""
+    streams = []
     for s in range(instance.senders):
         session = s + 1
-        sender = kernel_cls(device=s + 1)
+        sender = kernel_cls(device=session)
         sender.provision_session(session, derive_key(instance.seed, session))
-        items = []
-        for j in range(instance.messages_per_sender):
-            payload = bytes([s + 1, j]) + b"msg"
-            msg = sender.attest(session, payload)
-            items.append(_Item(frame=encode_frame(msg), ident=(s, j),
-                               label=f"s{s}m{j}"))
-        base.append(items)
-    return base
+        streams.append([encode_frame(sender.attest(session, bytes([session, j]) + b"msg"))
+                        for j in range(instance.messages_per_sender)])
+    return streams
 
 
-def _mutation_variants(instance: BoundedInstance, base: list[list[_Item]]):
-    """Yield (mutation label, streams) for the single-point mutation grid."""
-    rng = random.Random(instance.seed ^ 0xFA17)
-    if "none" in instance.mutations:
-        yield "none", base
-    for kind in instance.mutations:
-        if kind == "none":
+@functools.cache
+def _interleavings(lengths: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every delivery order of streams of these lengths, as (stream,
+    position) pairs: each merge of the streams, each stream kept in its own
+    order, taking stream 0 first wherever there is a choice."""
+    def merge(cursors):
+        if cursors == lengths:
+            yield ()
+            return
+        for s, position in enumerate(cursors):
+            if position < lengths[s]:
+                for rest in merge(cursors[:s] + (position + 1,) + cursors[s + 1:]):
+                    yield ((s, position), *rest)
+    return tuple(merge((0,) * len(lengths)))
+
+
+def _violations(streams, sent: dict[bytes, tuple[int, int]], acceptance):
+    """Yield (lemma, step, detail) for every lemma broken at each step."""
+    accepted: set[tuple[int, int]] = set()
+    first_missing: dict[int, int] = {}   # per sender: lowest index not accepted
+    newest: dict[int, int] = {}          # per sender: highest index accepted
+    for step, (s, position, ok) in enumerate(acceptance):
+        if not ok:
             continue
-        for s, items in enumerate(base):
-            for j in range(len(items)):
-                streams = [list(st) for st in base]
-                if kind == "drop":
-                    del streams[s][j]
-                elif kind == "duplicate":
-                    streams[s].insert(j + 1, items[j])
-                elif kind == "swap":
-                    if j + 1 >= len(items):
-                        continue
-                    streams[s][j], streams[s][j + 1] = streams[s][j + 1], streams[s][j]
-                elif kind == "tamper":
-                    mutated = bytearray(items[j].frame)
-                    mutated[20] ^= 0x01      # first payload byte
-                    streams[s][j] = _Item(frame=bytes(mutated), ident=None,
-                                          label=items[j].label + "*")
-                elif kind == "replay":
-                    streams[s].append(items[j])
-                elif kind == "forge":
-                    # Same device and session as the stream it joins, so the
-                    # receiver reaches the tag check.
-                    genuine = decode_frame(items[j].frame)
-                    forged = AttestedMessage(tag=rng.randbytes(64),
-                                             payload=b"forged",
-                                             device=genuine.device,
-                                             session=genuine.session,
-                                             counter=j + 1)
-                    streams[s].insert(j + 1, _Item(frame=encode_frame(forged),
-                                                   ident=None, label=f"forge{j}"))
-                yield f"{kind}@s{s}m{j}", streams
-
-
-# -- exhaustive interleaving DFS --------------------------------------------------
-
-class _TransportChecker:
-    """DFS over delivery orders with memoized receiver states."""
-
-    def __init__(self, instance: BoundedInstance, kernel_cls, kernel_name: str):
-        self.instance = instance
-        self.kernel_cls = kernel_cls
-        self.kernel_name = kernel_name
-        self.counterexamples: dict[str, Counterexample] = {}
-
-    def run(self) -> dict[str, Counterexample]:
-        base = _build_streams(self.instance, self.kernel_cls)
-        sessions = list(range(1, self.instance.senders + 1))
-        for mutation, streams in _mutation_variants(self.instance, base):
-            receiver = self.kernel_cls(device=0)   # fresh counters per variant
-            for session in sessions:
-                receiver.provision_session(session,
-                                           derive_key(self.instance.seed, session))
-            self._explore(receiver, sessions, streams, mutation)
-            if len(self.counterexamples) == len(TRANSPORT_LEMMAS):
-                break
-        return self.counterexamples
-
-    def _explore(self, receiver, sessions, streams, mutation: str) -> None:
-        cursors = [0] * len(streams)
-        accepted_counts: dict[tuple[int, int], int] = {}
-        max_index: dict[int, int] = {}
-        path: list[tuple[int, int]] = []
-        acceptance: list[tuple[int, int, bool]] = []
-        memo: set = set()
-
-        def state_key():
-            counters = tuple(receiver.session_state(s).recv_cnt for s in sessions)
-            acc = tuple(sorted(accepted_counts.items()))
-            return (tuple(cursors), counters, acc)
-
-        def record(lemma: str, detail: str) -> None:
-            if lemma in self.counterexamples:
-                return
-            self.counterexamples[lemma] = Counterexample(
-                instance=self.instance, kernel=self.kernel_name,
-                mutation=mutation, delivery_order=list(path),
-                acceptance=list(acceptance), detail=detail)
-
-        def on_accept(item: _Item, stream: int) -> None:
-            ident = item.ident
-            if ident is None:
-                record("transfer_auth",
-                       f"accepted unsent frame {item.label} under {mutation}")
-                return
-            s, j = ident
-            if accepted_counts.get(ident, 0) >= 1:
-                record("no_duplicate",
-                       f"message {item.label} accepted twice under {mutation}")
-            for k in range(j):
-                if accepted_counts.get((s, k), 0) == 0:
-                    record("no_lost",
-                           f"{item.label} accepted while s{s}m{k} never was "
-                           f"under {mutation}")
-                    break
-            if j < max_index.get(s, -1):
-                record("no_reorder",
-                       f"{item.label} accepted after a later message under {mutation}")
-
-        def dfs() -> None:
-            key = state_key()
-            if key in memo:
-                return
-            for s in range(len(streams)):
-                if cursors[s] >= len(streams[s]):
-                    continue
-                item = streams[s][cursors[s]]
-                position = cursors[s]
-                cursors[s] += 1
-                path.append((s, position))
-                snapshot = [receiver.session_state(x).recv_cnt for x in sessions]
-                try:
-                    receiver.verify(decode_frame(item.frame))
-                    ok = True
-                except KernelError:
-                    ok = False
-                acceptance.append((s, position, ok))
-                undo_max = dict(max_index)
-                if ok:
-                    on_accept(item, s)
-                    if item.ident is not None:
-                        accepted_counts[item.ident] = (
-                            accepted_counts.get(item.ident, 0) + 1)
-                        ms, mj = item.ident
-                        max_index[ms] = max(max_index.get(ms, -1), mj)
-                dfs()
-                # undo
-                if ok and item.ident is not None:
-                    accepted_counts[item.ident] -= 1
-                    if accepted_counts[item.ident] == 0:
-                        del accepted_counts[item.ident]
-                max_index.clear()
-                max_index.update(undo_max)
-                for x, cnt in zip(sessions, snapshot):
-                    receiver.session_state(x).recv_cnt = cnt
-                acceptance.pop()
-                path.pop()
-                cursors[s] -= 1
-            memo.add(key)
-
-        dfs()
+        ident = sent.get(streams[s][position])
+        if ident is None:
+            yield "transfer_auth", step, f"accepted unsent frame s{s}@{position}"
+            continue
+        src, j = ident
+        if ident in accepted:
+            yield "no_duplicate", step, f"message s{src}m{j} accepted twice"
+        missing = first_missing.get(src, 0)
+        if missing < j:
+            yield "no_lost", step, f"s{src}m{j} accepted while s{src}m{missing} never was"
+        if j < newest.get(src, -1):
+            yield "no_reorder", step, f"s{src}m{j} accepted after a later message"
+        accepted.add(ident)
+        newest[src] = max(newest.get(src, -1), j)
+        while (src, missing) in accepted:
+            missing += 1
+        first_missing[src] = missing
 
 
 def check_transport_lemmas(instance: BoundedInstance,
                            kernel: str = "correct") -> dict[str, LemmaReport]:
-    """All four transport lemmas over the full interleaving/mutation space."""
+    """All four transport lemmas over the full interleaving/mutation space;
+    each lemma reports the first violation in mutation, then delivery order."""
     instance.validate()
-    checker = _TransportChecker(instance, KERNELS[kernel], kernel)
-    found = checker.run()
+    kernel_cls = KERNELS[kernel]
+    base = _sent_streams(instance, kernel_cls)
+    sent = {frame: (s, j) for s, frames in enumerate(base)
+            for j, frame in enumerate(frames)}
+    found: dict[str, Counterexample] = {}
+    for mutation, streams in _mutations(base):
+        for order in _interleavings(tuple(map(len, streams))):
+            acceptance = deliver(instance, kernel_cls, streams, order)
+            for lemma, step, detail in _violations(streams, sent, acceptance):
+                if lemma not in found:
+                    found[lemma] = Counterexample(
+                        instance=instance, kernel=kernel, mutation=mutation,
+                        delivery_order=list(order[:step + 1]),
+                        acceptance=acceptance[:step + 1],
+                        detail=f"{detail} under {mutation}")
+        if len(found) == len(TRANSPORT_LEMMAS):
+            break
     reports = {}
     for lemma in TRANSPORT_LEMMAS:
         cex = found.get(lemma)
@@ -451,17 +415,17 @@ def check_all_lemmas(instance: BoundedInstance,
     return [check_attestation_lemma(instance.seed), *transport.values()]
 
 
-MULTICAST_SESSION = 1
+MULTICAST_SESSION = 1     # the session `deliver` gives a lone stream
 MULTICAST_RECEIVERS = (10, 11)
 
 
-def _multicast_streams(instance: BoundedInstance, kernel: str) -> list[list[_Item]]:
+def _multicast_streams(instance: BoundedInstance, kernel: str) -> list[list[bytes]]:
     """What each of the two receivers gets from one sender (device 1) on
     session 1; a per-receiver-counter sender gives them conflicting payloads."""
     sender = KERNELS[kernel](device=1)
     sender.provision_session(MULTICAST_SESSION,
                              derive_key(instance.seed, MULTICAST_SESSION))
-    per_receiver: list[list[_Item]] = [[], []]
+    per_receiver: list[list[bytes]] = [[], []]
     for j in range(instance.messages_per_sender):
         payload = bytes([j]) + b"multicast"
         if kernel == "per-receiver-counter":
@@ -469,14 +433,19 @@ def _multicast_streams(instance: BoundedInstance, kernel: str) -> list[list[_Ite
                 evil_payload = payload if r == 0 else bytes([j]) + b"conflicted"
                 msg = sender.attest_for(receiver_dev, MULTICAST_SESSION,
                                         evil_payload)
-                per_receiver[r].append(_Item(encode_frame(msg), (r, j),
-                                             f"r{r}m{j}"))
+                per_receiver[r].append(encode_frame(msg))
         else:
-            msg = sender.attest(MULTICAST_SESSION, payload)
-            item = _Item(encode_frame(msg), (0, j), f"m{j}")
-            per_receiver[0].append(item)
-            per_receiver[1].append(item)
+            frame = encode_frame(sender.attest(MULTICAST_SESSION, payload))
+            per_receiver[0].append(frame)
+            per_receiver[1].append(frame)
     return per_receiver
+
+
+def _accepted_in_order(instance: BoundedInstance, stream: list[bytes]) -> list[bytes]:
+    """The payloads a correct receiver accepts from one stream sent in order."""
+    order = [(0, p) for p in range(len(stream))]
+    return [decode_frame(stream[p]).payload
+            for _, p, ok in deliver(instance, AttestationKernel, [stream], order) if ok]
 
 
 def check_consistency(instance: BoundedInstance,
@@ -484,27 +453,14 @@ def check_consistency(instance: BoundedInstance,
     """Two receivers of one locally-attested stream accept prefix-comparable
     payload sequences, under every single mutation.
 
-    Each receiver is its own kernel and sees only its own stream, so what it
-    accepts does not depend on how the two deliveries interleave; and
+    Each receiver is its own endpoint and sees only its own stream, so what
+    it accepts does not depend on how the two deliveries interleave; and
     acceptance only appends, so the two sequences are comparable at every
     point of every interleaving exactly when they are comparable at the end.
     """
     instance.validate()
-    key = derive_key(instance.seed, MULTICAST_SESSION)
-    per_receiver = _multicast_streams(instance, kernel)
-    for mutation, streams in _mutation_variants(instance, per_receiver):
-        accepted: list[list[bytes]] = []
-        for device, stream in zip(MULTICAST_RECEIVERS, streams):
-            receiver = AttestationKernel(device=device)
-            receiver.provision_session(MULTICAST_SESSION, key)
-            payloads = []
-            for item in stream:
-                try:
-                    payloads.append(receiver.verify(decode_frame(item.frame)).payload)
-                except KernelError:
-                    pass
-            accepted.append(payloads)
-        a, b = accepted
+    for mutation, streams in _mutations(_multicast_streams(instance, kernel)):
+        a, b = (_accepted_in_order(instance, stream) for stream in streams)
         n = min(len(a), len(b))
         if a[:n] != b[:n]:
             return LemmaReport("consistency", "Counterexample", Counterexample(
@@ -577,36 +533,11 @@ def check_leader_strategies() -> LemmaReport:
 # -- counterexample replay -------------------------------------------------------------
 
 def replay_counterexample(cex: Counterexample) -> list[tuple[int, int, bool]]:
-    """Re-run a counterexample trace through the simulator.
-
-    Retransmission is disabled so the recorded delivery order is final; the
-    returned acceptance pattern must equal the recorded one.
-    """
-    instance = cex.instance
+    """Rebuild the counterexample's mutated streams and deliver them in its
+    delivery order; the returned acceptance pattern must equal the recorded
+    one."""
     kernel_cls = KERNELS[cex.kernel]
-    streams = None
-    for mutation, candidate in _mutation_variants(
-            instance, _build_streams(instance, kernel_cls)):
+    for mutation, streams in _mutations(_sent_streams(cex.instance, kernel_cls)):
         if mutation == cex.mutation:
-            streams = candidate
-            break
-    if streams is None:
-        raise ValueError(f"mutation {cex.mutation!r} not reproducible")
-
-    sessions = [SessionConfig(s, s, derive_key(instance.seed, s))
-                for s in range(1, instance.senders + 1)]
-    net = Network(clock=SimClock(), retry_budget=0)
-    config = DeviceConfig(device=0, sessions=sessions)
-    receiver = Endpoint(config, clock=net.clock, kernel_factory=kernel_cls)
-    net.attach(receiver)
-
-    acceptance: list[tuple[int, int, bool]] = []
-    for stream, position in cex.delivery_order:
-        item = streams[stream][position]
-        before = len(net.trace)
-        net.submit(stream + 1, 0, stream + 1, item.frame)
-        net.run_until_quiescent()
-        delivered = net.trace[before:]
-        accepted = any(ev.accepted for ev in delivered)
-        acceptance.append((stream, position, accepted))
-    return acceptance
+            return deliver(cex.instance, kernel_cls, streams, cex.delivery_order)
+    raise ValueError(f"mutation {cex.mutation!r} not reproducible")

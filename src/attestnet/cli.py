@@ -4,7 +4,8 @@ Subcommands:
     bench        throughput/latency with emulated attestation delays, CSV out;
                  exit 1 if a result check fails
     scenario     run a protocol scenario file; nonzero exit on safety violation
-    check        bounded lemma suite; one verdict line per lemma
+    check        bounded lemma suite; one verdict line per lemma; exit 1 on a
+                 counterexample, 2 on bounds outside the instance limits
     attest-demo  deterministic remote-attestation transcript for a seed
 """
 
@@ -16,6 +17,7 @@ from . import bench as bench_mod
 from . import checker, scenario as scenario_mod
 from .bootstrap import ProvisioningBundle, make_pair, run_handshake
 from .device import DeviceConfig, Endpoint, SimClock
+from .errors import InstanceTooLarge
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,9 +43,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scenario = sub.add_parser("scenario", help="run a scenario file")
     p_scenario.add_argument("path")
 
-    p_check = sub.add_parser("check", help="bounded lemma suite")
-    p_check.add_argument("--senders", type=int, default=2)
-    p_check.add_argument("--messages", type=int, default=3)
+    p_check = sub.add_parser(
+        "check", help="bounded lemma suite",
+        description="Check the transport lemmas and multicast consistency on "
+                    "a bounded instance: every single fault action of the "
+                    "simulated network's adversary on every frame, crossed "
+                    "with every delivery order into a receiving endpoint. "
+                    "Exit 1 on a counterexample, 2 on bounds outside the "
+                    "instance limits.")
+    p_check.add_argument("--senders", type=int, default=2,
+                         help=f"1..{checker.MAX_SENDERS}")
+    p_check.add_argument("--messages", type=int, default=3,
+                         help=f"per sender, 1..{checker.MAX_MESSAGES}")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--kernel", default="correct",
                          choices=sorted(checker.KERNELS))
@@ -89,6 +100,11 @@ def _cmd_check(args) -> int:
     instance = checker.BoundedInstance(senders=args.senders,
                                        messages_per_sender=args.messages,
                                        seed=args.seed)
+    try:
+        instance.validate()
+    except InstanceTooLarge as exc:
+        print(f"attestnet check: {exc}", file=sys.stderr)
+        return 2
     reports = checker.check_all_lemmas(instance, kernel=args.kernel)
     reports.append(checker.check_consistency(instance, kernel=args.kernel))
     first_cex = None

@@ -39,8 +39,8 @@ from .wire import decode_frame, encode_frame
 class SimClock:
     """Deterministic simulated clock; time moves only when charged."""
 
-    def __init__(self, start_ns: int = 0):
-        self.now_ns = start_ns
+    def __init__(self):
+        self.now_ns = 0
 
     def advance(self, delta_ns: int) -> None:
         if delta_ns < 0:
@@ -90,8 +90,10 @@ class DeviceConfig:
 class Endpoint:
     """One emulated trusted-NIC endpoint driven by a single logical task.
 
-    kernel_factory exists for the checker's injected-bug kernels; production
-    code always uses the default.
+    kernel_factory builds the kernel from the device id. Only the lemma
+    checker passes one, so that its injected-bug kernels receive through
+    this endpoint's `deliver_frame`, the production path; production code
+    always uses the default.
     """
 
     def __init__(self, config: DeviceConfig, clock: SimClock | None = None,

@@ -8,8 +8,8 @@ re-executes the request against its shadow of the leader's state machine,
 applies at most once and in order, acks the leader with its own attested
 output, and forwards its attestation to the other replicas and the client.
 The leader replies to the client after f validated acks, counted once per
-follower id. Clients accept on f+1 identical replies referencing their own
-request bytes.
+follower id, or at once when f = 0. Clients accept on f+1 identical replies
+referencing their own request bytes.
 
 Byzantine attempts are *flagged*, not masked silently: every rejection names
 the accused device and the defense that fired. A Byzantine leader overrides
@@ -107,6 +107,10 @@ class BftReplica:
         for i, session in enumerate(self.sessions.values()):
             self.endpoint.auth_send(session,
                                     bytes([KIND_PROOF]) + frames[i % len(frames)])
+        if self.config.f == 0:
+            # No follower, so no ack to wait for: the leader's reply is the quorum.
+            self.replied.add(output)
+            self._reply_client(req, output)
 
     def _leader_on_ack(self, sender: int, inner_frame: bytes) -> None:
         inner = self._verified_inner(sender, inner_frame)

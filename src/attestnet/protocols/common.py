@@ -228,8 +228,6 @@ class ClusterNet:
 
 def build_cluster(devices: list[int], seed: int,
                   attest_delay_ns: int = 0,
-                  verify_delay_ns: int | None = None,
-                  extra_log_readers: dict[int, list[int]] | None = None,
                   net: Network | None = None) -> ClusterNet:
     """Full mesh of transport sessions plus one shared log session per device.
 
@@ -256,8 +254,7 @@ def build_cluster(devices: list[int], seed: int,
     endpoints = {}
     for device in devices:
         cfg = DeviceConfig(device=device, sessions=configs[device],
-                           attest_delay_ns=attest_delay_ns,
-                           verify_delay_ns=verify_delay_ns)
+                           attest_delay_ns=attest_delay_ns)
         endpoints[device] = connect(cfg, net)
     keyring = ReplyKeyring(devices, random.Random(seed ^ 0xC11E27))
     return ClusterNet(net=net, endpoints=endpoints, keyring=keyring, seed=seed)

@@ -197,3 +197,11 @@ def test_scenario_byzantine_leader_plus_an_honest_accusation_is_not_ok(monkeypat
     assert run_scenario(spec).ok
     _flag_honest_peer(monkeypatch, accuser=3, accused=2)
     assert not run_scenario(spec).ok
+
+
+def test_scenario_leader_without_followers_replies_itself():
+    result = run_scenario({"protocol": "bft", "n": 1, "f": 0, "rounds": 2})
+    *rounds, last = [json.loads(line) for line in result.dumps().splitlines()]
+    assert [r["accepted"]["100"] for r in rounds] == [
+        struct.pack(">Q", 1).hex(), struct.pack(">Q", 2).hex()]
+    assert result.ok and last["values"] == {"1": 2}

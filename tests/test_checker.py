@@ -1,5 +1,6 @@
 """Bounded exhaustive checker: lemma verdicts, injected-bug kernels, replay."""
 
+import functools
 import hashlib
 import json
 
@@ -7,27 +8,32 @@ import pytest
 
 from attestnet.checker import (
     KERNELS,
-    MULTICAST_RECEIVERS,
-    MULTICAST_SESSION,
+    LEMMA_IDS,
     BoundedInstance,
-    _multicast_streams,
-    _mutation_variants,
     check_all_lemmas,
     check_attestation_lemma,
     check_consistency,
     check_lemma,
     check_transport_lemmas,
+    on_wire,
     replay_counterexample,
 )
 from attestnet.errors import AuthFailure, InstanceTooLarge
 from attestnet.kernel import AttestationKernel
 from attestnet.protocols.common import derive_key
-from attestnet.wire import decode_frame
+from attestnet.simnet import ACTION_KINDS, FaultAction
+from attestnet.wire import decode_frame, encode_frame
+
+
+@functools.cache
+def _reports(kernel: str, senders: int, messages: int):
+    """check_all_lemmas plus check_consistency, computed once per instance."""
+    instance = BoundedInstance(senders=senders, messages_per_sender=messages)
+    return (*check_all_lemmas(instance, kernel), check_consistency(instance, kernel))
 
 
 def test_correct_kernel_all_lemmas_hold():
-    instance = BoundedInstance(senders=2, messages_per_sender=3)
-    reports = check_all_lemmas(instance)
+    reports = _reports("correct", 2, 3)[:-1]     # check_all_lemmas' part
     assert [r.lemma for r in reports] == [
         "attestation", "transfer_auth", "no_lost", "no_reorder", "no_duplicate"]
     for report in reports:
@@ -50,7 +56,7 @@ def test_gap_accepting_kernel_violates_no_lost():
     instance = BoundedInstance(senders=1, messages_per_sender=2)
     report = check_lemma(instance, "no_lost", kernel="gap-accepting")
     assert report.verdict == "Counterexample"
-    assert report.counterexample.mutation.startswith(("drop", "swap"))
+    assert report.counterexample.mutation.startswith(("drop", "reorder"))
 
 
 def test_consistency_holds_for_correct_kernel():
@@ -65,18 +71,38 @@ def test_consistency_single_receiver_degenerate_case():
     assert check_consistency(instance).holds
 
 
-def test_consistency_forgeries_reach_the_tag_check():
-    instance = BoundedInstance(senders=1, messages_per_sender=2)
-    variants = dict(_mutation_variants(instance,
-                                       _multicast_streams(instance, "correct")))
-    for j in range(2):
-        stream = variants[f"forge@s1m{j}"][1]
-        (forged,) = [item for item in stream if item.label == f"forge{j}"]
-        receiver = AttestationKernel(device=MULTICAST_RECEIVERS[1])
-        receiver.provision_session(MULTICAST_SESSION,
-                                   derive_key(instance.seed, MULTICAST_SESSION))
-        with pytest.raises(AuthFailure):
-            receiver.verify(decode_frame(forged.frame))
+def _three_frames() -> list[bytes]:
+    sender = AttestationKernel(device=1)
+    sender.provision_session(1, derive_key(0, 1))
+    return [encode_frame(sender.attest(1, bytes([j]) + b"msg")) for j in range(3)]
+
+
+def test_on_wire_applies_each_fault_kind_to_frame_1():
+    f0, f1, f2 = frames = _three_frames()
+    tampered = bytearray(f1)
+    tampered[20] ^= 0x01          # the first payload byte
+    expected = {
+        "drop": [f0, f2],
+        "duplicate": [f0, f1, f1, f2],
+        "delay": [f0, f2, f1],
+        "reorder": [f0, f2, f1],
+        "tamper": [f0, bytes(tampered), f2],
+        "replay": [f0, f1, f0, f2],     # earlier_index 0, right behind frame 1
+    }
+    assert set(expected) | {"forge"} == set(ACTION_KINDS)
+    for kind, wire in expected.items():
+        action = FaultAction(kind, index=1, delay_ns=10_000_000 if kind == "delay" else 0)
+        assert on_wire(frames, action) == wire, kind
+    assert on_wire(frames, None) == frames
+
+    g0, g1, forged, g2 = on_wire(frames, FaultAction("forge", index=1))
+    assert [g0, g1, g2] == frames
+    assert forged[:-64] == f1[:-64] and forged != f1
+    receiver = AttestationKernel(device=0)
+    receiver.provision_session(1, derive_key(0, 1))
+    receiver.verify(decode_frame(f0))   # the forgery's counter is now the expected one
+    with pytest.raises(AuthFailure):
+        receiver.verify(decode_frame(forged), peer=1)
 
 
 def test_per_receiver_counter_kernel_violates_consistency():
@@ -115,11 +141,45 @@ def test_counterexample_serialization_roundtrip():
 def test_full_grid_holds_for_correct_kernel():
     for senders in (1, 2):
         for messages in (1, 2, 3, 4):
-            instance = BoundedInstance(senders=senders,
-                                       messages_per_sender=messages)
-            transport = check_transport_lemmas(instance)
-            for lemma, report in transport.items():
+            for report in _reports("correct", senders, messages):
                 assert report.holds, f"{senders}x{messages}: {report.line()}"
+
+
+# The lemmas each kernel breaks, for senders 1 and 2 alike; every other
+# lemma holds. With one message there is nothing to lose or reorder.
+BROKEN_LEMMAS = {
+    ("correct", 1): (),
+    ("correct", 2): (),
+    ("correct", 3): (),
+    ("correct", 4): (),
+    ("frozen-counter", 1): ("no_duplicate",),
+    ("frozen-counter", 2): ("no_lost", "no_reorder", "no_duplicate", "consistency"),
+    ("frozen-counter", 3): ("no_lost", "no_reorder", "no_duplicate", "consistency"),
+    ("frozen-counter", 4): ("no_lost", "no_reorder", "no_duplicate", "consistency"),
+    ("gap-accepting", 1): (),
+    ("gap-accepting", 2): ("no_lost",),
+    ("gap-accepting", 3): ("no_lost",),
+    ("gap-accepting", 4): ("no_lost",),
+    ("per-receiver-counter", 1): ("consistency",),
+    ("per-receiver-counter", 2): ("consistency",),
+    ("per-receiver-counter", 3): ("consistency",),
+    ("per-receiver-counter", 4): ("consistency",),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("senders", (1, 2))
+@pytest.mark.parametrize("messages", (1, 2, 3, 4))
+def test_verdict_table_and_every_counterexample_replays(kernel, senders, messages):
+    reports = _reports(kernel, senders, messages)
+    broken = BROKEN_LEMMAS[kernel, messages]
+    assert [(r.lemma, r.verdict) for r in reports] == [
+        (lemma, "Counterexample" if lemma in broken else "Holds")
+        for lemma in (*LEMMA_IDS, "consistency")]
+    for report in reports:
+        cex = report.counterexample
+        if cex is not None and cex.delivery_order:
+            assert replay_counterexample(cex) == cex.acceptance, report.lemma
 
 
 # sha256 (first 16 hex digits) of the JSON list of (report.line(),
@@ -133,11 +193,11 @@ PINNED_REPORTS = {
     ("correct", 2, 2): "7d2170dfbb50d702",
     ("correct", 2, 3): "7d2170dfbb50d702",
     ("frozen-counter", 1, 1): "adfcbad857a73a3c",
-    ("frozen-counter", 1, 2): "8154d51c63e2a615",
-    ("frozen-counter", 1, 3): "60f38c33561ff320",
+    ("frozen-counter", 1, 2): "90a32fe54d687e40",
+    ("frozen-counter", 1, 3): "d100601dad909830",
     ("frozen-counter", 2, 1): "d06655cde0254a36",
-    ("frozen-counter", 2, 2): "05fafa799e19acfb",
-    ("frozen-counter", 2, 3): "c0ee3c89d97dc09b",
+    ("frozen-counter", 2, 2): "41871511a5c55606",
+    ("frozen-counter", 2, 3): "23ee8187af393977",
     ("gap-accepting", 1, 1): "7d2170dfbb50d702",
     ("gap-accepting", 1, 2): "b418022191613fd1",
     ("gap-accepting", 1, 3): "63dc020e7c1d6b4d",
@@ -157,10 +217,7 @@ PINNED_REPORTS = {
 def test_reports_and_counterexamples_pinned(kernel):
     for senders in (1, 2):
         for messages in (1, 2, 3):
-            instance = BoundedInstance(senders=senders,
-                                       messages_per_sender=messages)
-            reports = check_all_lemmas(instance, kernel)
-            reports.append(check_consistency(instance, kernel))
+            reports = _reports(kernel, senders, messages)
             pinned = [(r.line(), r.counterexample.to_dict()
                        if r.counterexample else None) for r in reports]
             digest = hashlib.sha256(

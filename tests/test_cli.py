@@ -198,15 +198,31 @@ def test_check_small_instance(capsys):
     assert lines and all(line.endswith("verdict=Holds") for line in lines)
 
 
-def test_check_mutant_kernel_writes_replayable_counterexample(tmp_path, capsys):
+@pytest.mark.parametrize("kernel", ["frozen-counter", "gap-accepting",
+                                    "per-receiver-counter"])
+def test_check_mutant_kernel_writes_replayable_counterexample(kernel, tmp_path, capsys):
     path = tmp_path / "cex.json"
-    assert cli.main(["check", "--kernel", "gap-accepting",
+    assert cli.main(["check", "--kernel", kernel,
                      "--counterexample-out", str(path)]) == 1
     assert "verdict=Counterexample" in capsys.readouterr().out
     data = json.loads(path.read_text())
-    assert data["kernel"] == "gap-accepting" and data["acceptance"]
+    assert data["kernel"] == kernel
+    # per-receiver-counter breaks only consistency, whose receivers are each
+    # fed their stream in order, so its counterexample has no delivery order.
+    assert bool(data["acceptance"]) == (kernel != "per-receiver-counter")
     cex = Counterexample.from_dict(data)
     assert replay_counterexample(cex) == [tuple(a) for a in data["acceptance"]]
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (["--senders", "3"], "senders must be 1..2"),
+    (["--messages", "0"], "messages must be 1..4"),
+])
+def test_check_bounds_outside_the_limits_exit_2(bounds, message, capsys):
+    assert cli.main(["check", *bounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"attestnet check: {message}\n"
 
 
 def test_attest_demo_is_deterministic(capsys):
