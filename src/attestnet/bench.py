@@ -179,8 +179,9 @@ def _bench_a2m(config: BenchConfig) -> BenchRecord:
     device = 1
     manifest = log_session(0xFF)
     sessions = [SessionConfig(log_session(device), device,
-                              derive_key(config.seed, log_session(device))),
-                SessionConfig(manifest, device, derive_key(config.seed, manifest))]
+                              derive_key(config.seed, log_session(device)), log=True),
+                SessionConfig(manifest, device, derive_key(config.seed, manifest),
+                              log=True)]
     endpoint = Endpoint(DeviceConfig(device=device, sessions=sessions,
                                      attest_delay_ns=delay))
     store = A2mStore(endpoint, manifest_log=manifest)
@@ -226,7 +227,6 @@ def _bench_peerreview(config: BenchConfig) -> BenchRecord:
     scenario = PrScenario.build(seed=config.seed, n_children=2)
     for endpoint in scenario.cluster.endpoints.values():
         endpoint.config.attest_delay_ns = delay
-        endpoint.config.verify_delay_ns = delay
     record = _measure(config, scenario.cluster.net.clock,
                       lambda records: scenario.run_rounds([pack_batch(records)]))
     verdicts = scenario.audit_all()

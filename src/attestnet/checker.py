@@ -26,9 +26,9 @@ sees. Every delivery order is replayed from scratch by `deliver`, which hands
 the frames to a fresh `Endpoint` through `Endpoint.deliver_frame`, the
 production receive path with its peer check; the lemmas are then read off
 the acceptance list it returns. A reported counterexample serializes to
-JSON, and `replay_counterexample` rebuilds its mutation and calls `deliver`
-on its delivery order, so it reproduces the violating acceptance pattern by
-construction.
+JSON, and `replay_counterexample` rebuilds its mutation and delivers it the
+way its lemma's check did (a consistency one to each receiver apart), so it
+reproduces the violating acceptance pattern by construction.
 
 This is bounded model checking of the implementation, not a symbolic proof;
 the unbounded claims rest on machine-checked proofs outside this artifact.
@@ -37,7 +37,7 @@ never modified in place.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bootstrap import make_pair, measure, ProvisioningBundle, run_handshake
 from .device import DeviceConfig, Endpoint, SessionConfig, SimClock
@@ -148,8 +148,13 @@ class Counterexample:
     delivery_order: list[tuple[int, int]]       # (stream, position in stream)
     acceptance: list[tuple[int, int, bool]]     # (stream, position, accepted)
     detail: str = ""
+    lemma: str = ""                             # set by its LemmaReport
+    # Consistency only: (receiver, position, accepted), each receiver fed its
+    # own stream in order.
+    receivers: list[tuple[int, int, bool]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        """The counterexample as a report shows it."""
         return {
             "senders": self.instance.senders,
             "messages_per_sender": self.instance.messages_per_sender,
@@ -161,6 +166,12 @@ class Counterexample:
             "detail": self.detail,
         }
 
+    def to_file_dict(self) -> dict:
+        """`to_dict` plus what a replay also needs: the lemma and each
+        consistency receiver's acceptance. `--counterexample-out` writes it."""
+        return {**self.to_dict(), "lemma": self.lemma,
+                "receivers": [list(a) for a in self.receivers]}
+
     @classmethod
     def from_dict(cls, data: dict) -> "Counterexample":
         instance = BoundedInstance(senders=data["senders"],
@@ -170,7 +181,8 @@ class Counterexample:
                    mutation=data["mutation"],
                    delivery_order=[tuple(d) for d in data["delivery_order"]],
                    acceptance=[tuple(a) for a in data["acceptance"]],
-                   detail=data.get("detail", ""))
+                   detail=data.get("detail", ""), lemma=data.get("lemma", ""),
+                   receivers=[tuple(a) for a in data.get("receivers", [])])
 
 
 @dataclass
@@ -178,6 +190,10 @@ class LemmaReport:
     lemma: str
     verdict: str                       # "Holds" | "Counterexample"
     counterexample: Counterexample | None = None
+
+    def __post_init__(self):
+        if self.counterexample is not None:
+            self.counterexample.lemma = self.lemma
 
     @property
     def holds(self) -> bool:
@@ -441,11 +457,13 @@ def _multicast_streams(instance: BoundedInstance, kernel: str) -> list[list[byte
     return per_receiver
 
 
-def _accepted_in_order(instance: BoundedInstance, stream: list[bytes]) -> list[bytes]:
-    """The payloads a correct receiver accepts from one stream sent in order."""
-    order = [(0, p) for p in range(len(stream))]
-    return [decode_frame(stream[p]).payload
-            for _, p, ok in deliver(instance, AttestationKernel, [stream], order) if ok]
+def _receive_apart(instance: BoundedInstance,
+                   streams: list[list[bytes]]) -> list[tuple[int, int, bool]]:
+    """Feed each stream in order to a correct receiving endpoint of its own;
+    returns (receiver, position, accepted) for every frame."""
+    return [(r, p, ok) for r, stream in enumerate(streams)
+            for _, p, ok in deliver(instance, AttestationKernel, [stream],
+                                    [(0, p) for p in range(len(stream))])]
 
 
 def check_consistency(instance: BoundedInstance,
@@ -460,13 +478,16 @@ def check_consistency(instance: BoundedInstance,
     """
     instance.validate()
     for mutation, streams in _mutations(_multicast_streams(instance, kernel)):
-        a, b = (_accepted_in_order(instance, stream) for stream in streams)
+        receivers = _receive_apart(instance, streams)
+        a, b = ([decode_frame(streams[r][p]).payload
+                 for receiver, p, ok in receivers if ok and receiver == r]
+                for r in (0, 1))
         n = min(len(a), len(b))
         if a[:n] != b[:n]:
             return LemmaReport("consistency", "Counterexample", Counterexample(
                 instance=instance, kernel=kernel, mutation=mutation,
                 delivery_order=[], acceptance=[],
-                detail="receiver sequences diverge"))
+                detail="receiver sequences diverge", receivers=receivers))
     return LemmaReport("consistency", "Holds")
 
 
@@ -533,11 +554,16 @@ def check_leader_strategies() -> LemmaReport:
 # -- counterexample replay -------------------------------------------------------------
 
 def replay_counterexample(cex: Counterexample) -> list[tuple[int, int, bool]]:
-    """Rebuild the counterexample's mutated streams and deliver them in its
-    delivery order; the returned acceptance pattern must equal the recorded
-    one."""
+    """Rebuild the counterexample's mutated streams and deliver them again:
+    in its delivery order to one receiver, giving its `acceptance`, or, for
+    consistency, each to a receiver of its own, giving its `receivers`."""
     kernel_cls = KERNELS[cex.kernel]
-    for mutation, streams in _mutations(_sent_streams(cex.instance, kernel_cls)):
+    consistency = cex.lemma == "consistency"
+    streams = (_multicast_streams(cex.instance, cex.kernel) if consistency
+               else _sent_streams(cex.instance, kernel_cls))
+    for mutation, mutated in _mutations(streams):
         if mutation == cex.mutation:
-            return deliver(cex.instance, kernel_cls, streams, cex.delivery_order)
+            if consistency:
+                return _receive_apart(cex.instance, mutated)
+            return deliver(cex.instance, kernel_cls, mutated, cex.delivery_order)
     raise ValueError(f"mutation {cex.mutation!r} not reproducible")

@@ -114,7 +114,7 @@ def _cmd_check(args) -> int:
             first_cex = report.counterexample
     if first_cex is not None and args.counterexample_out:
         with open(args.counterexample_out, "w", encoding="utf-8") as fh:
-            json.dump(first_cex.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(first_cex.to_file_dict(), fh, indent=2, sort_keys=True)
     return 0 if all(r.holds for r in reports) else 1
 
 

@@ -6,9 +6,12 @@ the messaging API: auth_send / local_send / local_verify / poll. Incoming
 frames are verified before they ever reach an inbox, and only from the
 session's peer; every rejection is one (session, error kind) event in
 `rejection_events`, the observable the adversarial tests assert on.
-local_verify keeps receive counters apart from the network's: a log frame
-rides in plaintext inside every proof, and a copy the adversary delivers over
-the network must not move the counter the proof is checked against.
+Each session has one role, set when it is provisioned: a transport session
+has an inbox and is reached only from the wire (`deliver_frame`); a log
+session has none and is read only by `local_verify`. Each path rejects the
+other role with `WrongSessionRole`, so a log frame copied onto the wire never
+moves the counter its proof is checked against, and each receive counter has
+one path that moves it.
 
 Processing delays are charged to a simulated clock that advances integer
 nanoseconds deterministically; host time is never read here.
@@ -25,14 +28,9 @@ from .errors import (
     TransportClosed,
     UnknownPeer,
     UnknownSession,
+    WrongSessionRole,
 )
-from .kernel import (
-    AttestationKernel,
-    AttestedMessage,
-    DEFAULT_MAX_PAYLOAD,
-    SessionState,
-    verify_with,
-)
+from .kernel import AttestationKernel, AttestedMessage, verify_with
 from .wire import decode_frame, encode_frame
 
 
@@ -57,29 +55,24 @@ class SessionConfig:
     session: int
     peer: int
     key: bytes = field(repr=False)
+    log: bool = False        # a log session: no inbox, local-verified only
 
 
 @dataclass
 class DeviceConfig:
     """Static configuration of one emulated device.
 
-    attest_delay_ns models the per-attestation processing cost (the hardware
-    reference point is 23 us); verify_delay_ns defaults to the same value.
+    attest_delay_ns models the processing cost of one attestation or one
+    verification (the hardware reference point is 23 us).
     """
 
     device: int
     sessions: list[SessionConfig] = field(default_factory=list)
     attest_delay_ns: int = 0
-    verify_delay_ns: int | None = None
-    max_payload: int = DEFAULT_MAX_PAYLOAD
 
     def __post_init__(self):
         if self.attest_delay_ns < 0:
             raise ValueError("attest delay must be >= 0")
-        if self.verify_delay_ns is None:
-            self.verify_delay_ns = self.attest_delay_ns
-        if self.verify_delay_ns < 0:
-            raise ValueError("verify delay must be >= 0")
         seen = set()
         for sc in self.sessions:
             if sc.session in seen:
@@ -101,9 +94,7 @@ class Endpoint:
         self.config = config
         self.device = config.device
         self.clock = clock if clock is not None else SimClock()
-        self.kernel = kernel_factory(config.device, max_payload=config.max_payload)
-        # Local-verification streams: same keys, receive counters of their own.
-        self._local_states: dict[int, SessionState] = {}
+        self.kernel = kernel_factory(config.device)
         self.peers: dict[int, int] = {}
         self._inboxes: dict[int, deque[AttestedMessage]] = {}
         self.rejection_events: list[tuple[int, str]] = []
@@ -111,35 +102,33 @@ class Endpoint:
         self.bitstream_measurement: bytes | None = None
         self.identity_frozen = False
         for sc in config.sessions:
-            self.provision_session(sc.session, sc.peer, sc.key)
+            self.provision_session(sc.session, sc.peer, sc.key, sc.log)
 
     # -- provisioning ------------------------------------------------------
 
-    def provision_session(self, session: int, peer: int, key: bytes) -> None:
+    def provision_session(self, session: int, peer: int, key: bytes,
+                          log: bool = False) -> None:
         """Install a session: from the config at construction, or later by
-        remote attestation."""
+        remote attestation. Only a transport session gets an inbox."""
         self.kernel.provision_session(session, key)
-        self._local_states[session] = SessionState(key=key)
         self.peers[session] = peer
-        self._inboxes[session] = deque()
+        if not log:
+            self._inboxes[session] = deque()
 
     def sessions(self) -> list[int]:
         return self.kernel.sessions()
 
     # -- sending -----------------------------------------------------------
 
-    def _charge_attest(self) -> None:
+    def _charge(self) -> None:
+        # One attest or verify. Read here: a harness may set it after building.
         if self.config.attest_delay_ns:
             self.clock.advance(self.config.attest_delay_ns)
-
-    def _charge_verify(self) -> None:
-        if self.config.verify_delay_ns:
-            self.clock.advance(self.config.verify_delay_ns)
 
     def local_send(self, session: int, payload: bytes) -> AttestedMessage:
         """Attest without transmitting; the multicast and log primitive."""
         msg = self.kernel.attest(session, payload)
-        self._charge_attest()
+        self._charge()
         return msg
 
     def auth_send(self, session: int, payload: bytes) -> AttestedMessage:
@@ -152,20 +141,20 @@ class Endpoint:
         if peer is None:
             raise UnknownSession(f"session {session}")
         msg = self.kernel.attest(session, payload)
-        self._charge_attest()
+        self._charge()
         self.transport.submit(self.device, peer, session, encode_frame(msg))
         return msg
 
     # -- receiving ---------------------------------------------------------
 
     def local_verify(self, session: int, msg: AttestedMessage) -> AttestedMessage:
-        """Verify a handed-over message (BFT proof, chain level) on the local
-        stream of the session the caller names, not the header's, which is
-        outside the MAC; in the sender's emission order."""
-        state = self._local_states.get(session)
-        if state is None:
-            raise UnknownSession(f"session {session}")
-        self._charge_verify()
+        """Verify a handed-over message (BFT proof, chain level) on the log
+        session the caller names, not the header's, which is outside the MAC;
+        in the sender's emission order."""
+        if session in self._inboxes:
+            raise WrongSessionRole(f"session {session} is a transport session")
+        state = self.kernel.session_state(session)
+        self._charge()
         try:
             return verify_with(state, msg, self.peers[session])
         except KernelError as exc:
@@ -177,20 +166,23 @@ class Endpoint:
 
         Returns True iff the frame was accepted into an inbox. Unverified
         traffic is never exposed; every rejection is recorded as an event.
+        A frame naming a log session is rejected before any tag is computed.
         """
         try:
             msg = decode_frame(data)
         except FrameError:
             self.rejection_events.append((-1, "FrameError"))
             return False
-        self._charge_verify()
+        self._charge()
+        inbox = self._inboxes.get(msg.session)
         try:
+            if inbox is None and msg.session in self.peers:
+                raise WrongSessionRole(f"session {msg.session} is a log session")
             self.kernel.verify(msg, self.peers.get(msg.session))
         except KernelError as exc:
             self.rejection_events.append((msg.session, type(exc).__name__))
             return False
-        # The kernel accepted it, so the session was provisioned with an inbox.
-        self._inboxes[msg.session].append(msg)
+        inbox.append(msg)
         return True
 
     def poll(self, session: int, max_messages: int | None = None) -> list[AttestedMessage]:

@@ -19,6 +19,10 @@ class UnknownSession(KernelError):
     """Session id is not provisioned in the keystore."""
 
 
+class WrongSessionRole(KernelError):
+    """A network frame names a log session, or local_verify a transport one."""
+
+
 class DuplicateSession(KernelError):
     """Session id already provisioned on this device."""
 

@@ -22,7 +22,7 @@ order, handing every reply to every client.
 import struct
 from dataclasses import dataclass, field
 
-from ..errors import AuthFailure, CounterMismatch, KernelError
+from ..errors import AuthFailure, CounterMismatch, FrameError, KernelError
 from ..wire import decode_frame, encode_frame
 from .common import (
     ClusterNet,
@@ -46,10 +46,10 @@ def encode_inner(req: bytes, output: int) -> bytes:
 
 
 def decode_inner(payload: bytes) -> tuple[bytes, int]:
-    (req_len,) = struct.unpack_from(">I", payload)
-    req = payload[4:4 + req_len]
-    (output,) = struct.unpack_from(">Q", payload, 4 + req_len)
-    return req, output
+    """Inverse of encode_inner; raises FrameError unless the lengths agree."""
+    if len(payload) < 12 or len(payload) != 12 + int.from_bytes(payload[:4], "big"):
+        raise FrameError(f"inner payload of {len(payload)} bytes does not decode")
+    return payload[4:-8], int.from_bytes(payload[-8:], "big")
 
 
 @dataclass
@@ -116,7 +116,7 @@ class BftReplica:
         inner = self._verified_inner(sender, inner_frame)
         if inner is None:
             return
-        req, output = decode_inner(inner.payload)
+        req, output = inner
         if not self._validate_peer(sender, output):
             return
         acked = self.acks.setdefault(output, set())
@@ -132,7 +132,7 @@ class BftReplica:
         inner = self._verified_inner(sender, inner_frame)
         if inner is None:
             return
-        req, output = decode_inner(inner.payload)
+        req, output = inner
         if not self._validate_peer(sender, output):
             return
         if req in self.applied:
@@ -155,15 +155,18 @@ class BftReplica:
 
     # -- shared validation ---------------------------------------------------------
 
-    def _verified_inner(self, sender: int, inner_frame: bytes):
-        """Kernel-verify a peer's locally attested message, in stream order."""
+    def _verified_inner(self, sender: int, inner_frame: bytes) -> tuple[bytes, int] | None:
+        """Kernel-verify a peer's locally attested message, in stream order,
+        and decode it to (request, output); None once the sender is flagged.
+        The message is verified before it is decoded, so an attested payload
+        that does not decode still uses up its counter."""
         try:
             inner = decode_frame(inner_frame)
-        except Exception:
+            self.endpoint.local_verify(log_session(sender), inner)
+            return decode_inner(inner.payload)
+        except FrameError:
             self.flags.append(Flag(self.node_id, sender, "malformed-proof"))
             return None
-        try:
-            self.endpoint.local_verify(log_session(sender), inner)
         except CounterMismatch as exc:
             self.flags.append(Flag(self.node_id, sender, "equivocation",
                                    detail=str(exc)))
@@ -174,7 +177,6 @@ class BftReplica:
         except KernelError as exc:
             self.flags.append(Flag(self.node_id, sender, type(exc).__name__))
             return None
-        return inner
 
     def _validate_peer(self, sender: int, output: int) -> bool:
         """Re-execute the deterministic spec against the shadow of the sender."""
@@ -200,13 +202,16 @@ class BftReplica:
         for session in self.sessions.values():
             for msg in self.endpoint.poll(session):
                 progressed = True
-                kind, inner_frame = msg.payload[0], msg.payload[1:]
-                if kind == KIND_PROOF:
+                kind = msg.payload[0] if msg.payload else None
+                inner_frame = msg.payload[1:]
+                if kind == KIND_PROOF or kind == KIND_FORWARD:
                     self._on_proof(msg.device, inner_frame)
-                elif kind == KIND_FORWARD:
-                    self._on_proof(msg.device, inner_frame)
-                elif kind == KIND_ACK and self.node_id == self.leader_id:
-                    self._leader_on_ack(msg.device, inner_frame)
+                elif kind == KIND_ACK:
+                    if self.node_id == self.leader_id:
+                        self._leader_on_ack(msg.device, inner_frame)
+                else:
+                    # A missing or unknown kind byte: the sender's MAC covers it.
+                    self.flags.append(Flag(self.node_id, msg.device, "malformed-proof"))
         return progressed
 
 

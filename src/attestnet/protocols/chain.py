@@ -60,10 +60,11 @@ def encode_op(op: int, key: bytes, value: bytes = b"") -> bytes:
 
 
 def decode_op(body: bytes) -> tuple[int, bytes, bytes]:
-    op = body[0]
-    (klen,) = struct.unpack_from(">I", body, 1)
-    key = body[5:5 + klen]
-    return op, key, body[5 + klen:]
+    """Inverse of encode_op; raises FrameError if the key does not fit."""
+    klen = int.from_bytes(body[1:5], "big")
+    if len(body) < 5 + klen:
+        raise FrameError(f"op of {len(body)} bytes does not decode")
+    return body[0], body[5:5 + klen], body[5 + klen:]
 
 
 class KvMachine:
@@ -174,7 +175,10 @@ class ChainNode:
         if len(levels) != self.position:
             raise ChainValidationFailure(
                 upstream, f"{len(levels)} levels, expected {self.position}")
-        expected_out = self.machine.peek(req[12:])
+        try:
+            expected_out = self.machine.peek(req[12:])
+        except FrameError as exc:
+            raise ChainValidationFailure(upstream, f"request: {exc}") from None
         out_digest = digest(expected_out)
         link = digest(req)
         for position, frame in enumerate(levels):

@@ -10,8 +10,13 @@ devices that reference its own request bytes.
 Session id scheme (32-bit space):
     transport between devices a < b : 0x0100_0000 | a << 8 | b
     attestation log of device d     : 0x0200_0000 | d
-Log-session keys are shared with every party that must verify that node's
-locally attested messages (the unicast-multicast discipline).
+The transport sessions are the only ones reached from the wire. Every id with
+LOG_BASE set is a log session: its key is shared with every party that must
+verify that node's locally attested messages (the unicast-multicast
+discipline), and it is provisioned in the log role. A log frame never travels
+on its own: it rides inside a transport frame's payload (a BFT proof, a chain
+level, a PeerReview response), is verified with `local_verify` on the session
+the reader names, and an endpoint rejects a copy sent as a frame of its own.
 """
 
 import hashlib
@@ -249,8 +254,7 @@ def build_cluster(devices: list[int], seed: int,
         session = log_session(owner)
         key = derive_key(seed, session)
         for device in devices:
-            peer = owner if device != owner else device
-            configs[device].append(SessionConfig(session, peer, key))
+            configs[device].append(SessionConfig(session, owner, key, log=True))
     endpoints = {}
     for device in devices:
         cfg = DeviceConfig(device=device, sessions=configs[device],

@@ -26,8 +26,12 @@ value, every injected deviation was detected, and no honest node was
 accused: a BFT flag may accuse only a Byzantine leader, a chain flag only the
 lying position, and a PeerReview audit may find only the attacked child
 inconsistent. A `lie` whose commit the run never reaches deviates nowhere,
-so that run is judged as an honest one. The final line counts the frames
-whose retry budget ran out ("exhausted"); a run with any is not ok.
+so that run is judged as an honest one. A deviation is "masked" when no
+correct node can detect it and the f+1 quorum outvotes it: no node follows a
+lying tail to check it, so a CR lie is masked, and the run ok without a flag,
+when the liar is the tail, the lied commit was reached, and client 0 accepted
+the correct value for that commit. The final line counts the frames whose
+retry budget ran out ("exhausted"); a run with any is not ok.
 """
 
 import json
@@ -194,13 +198,17 @@ def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
 
     lines: list[dict] = []
     wrong_accept = False
+    correct_commits = set()     # commit indexes client 0 accepted correctly
     for round_id in range(1, rounds + 1):
         key = b"k%d" % round_id
         value = b"v%d" % (round_id * 17)
         req = cluster.run_put(0, round_id, key, value)
         accepted = cluster.clients[0].accepted_value(req)
-        if accepted is not None and not accepted.endswith(value):
-            wrong_accept = True
+        if accepted is not None:
+            if accepted.endswith(value):
+                correct_commits.add(int.from_bytes(accepted[:8], "big"))
+            else:
+                wrong_accept = True
         lines.append({"round": round_id,
                       "accepted": accepted.hex() if accepted else None})
 
@@ -209,15 +217,15 @@ def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     histories = cluster.commit_histories()
     identical = len({tuple(h) for h in histories.values()}) == 1
     accused = {fl["position"] for fl in flags}
-    deviated = any(node.lie_at_commit in histories[device]
-                   for device, node in cluster.nodes.items()
-                   if isinstance(node, LyingMiddle))
+    liar = cluster.nodes[cluster.order[position]] if kind == "lie" else None
+    deviated = liar is not None and liar.lie_at_commit in histories[liar.node_id]
+    masked = deviated and liar.is_tail and liar.lie_at_commit in correct_commits
     exhausted = len(cluster.cluster.net.exhausted)
-    ok = ((bool(flags) if deviated else identical and not flags) and not wrong_accept
-          and accused <= set(node_cls_at) and not exhausted)
+    ok = ((bool(flags) or masked if deviated else identical and not flags)
+          and not wrong_accept and accused <= set(node_cls_at) and not exhausted)
     lines.append({"protocol": "cr", "flags": flags,
                   "commit_histories": {str(k): v for k, v in histories.items()},
-                  "exhausted": exhausted, "ok": ok})
+                  "exhausted": exhausted, "masked": masked, "ok": ok})
     return ScenarioResult(ok=ok, lines=lines)
 
 

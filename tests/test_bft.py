@@ -3,13 +3,17 @@
 import json
 import struct
 
+import pytest
+
 from attestnet.checker import check_leader_strategies
 from attestnet.protocols.bft import (
+    KIND_PROOF,
     BftCluster,
     BftReplica,
     EquivocatingLeader,
     Flag,
     WrongValueLeader,
+    encode_inner,
 )
 from attestnet.protocols.common import (
     encode_reply_payload,
@@ -17,7 +21,7 @@ from attestnet.protocols.common import (
     transport_session,
 )
 from attestnet.simnet import FaultAction, FaultSchedule
-from attestnet.wire import decode_frame
+from attestnet.wire import decode_frame, encode_frame
 from attestnet.scenario import run_scenario
 
 
@@ -84,11 +88,55 @@ def test_forged_copy_of_the_leaders_log_frame_accuses_nobody():
         kind="forge", session=transport_session(1, 2), sender=1, index=0,
         frame=inner_frame)]))
     req = cluster.run_request(0, 1)
-    assert [event.dst for event in cluster.cluster.net.trace
-            if event.disposition == "forged"] == [2]
+    forged = [event for event in cluster.cluster.net.trace
+              if event.disposition == "forged"]
+    assert [(event.dst, event.accepted) for event in forged] == [(2, False)]
+    assert cluster.cluster.endpoints[2].rejection_events == [
+        (log_session(1), "WrongSessionRole")]
+    assert all(ep.poll(session) == [] for ep in cluster.cluster.endpoints.values()
+               for session in ep.sessions())
     assert cluster.all_flags() == []
     assert cluster.correct_values() == {1: 1, 2: 1, 3: 1}
     assert cluster.clients[0].accepted_value(req) == struct.pack(">Q", 1)
+
+
+class MalformedProofLeader(BftReplica):
+    """Byzantine leader: sends each follower a transport payload built from
+    an attested inner payload by `malform`, which a correct proof is not."""
+
+    def __init__(self, *args, malform, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.malform = malform
+
+    def leader_handle(self, req: bytes) -> None:
+        inner = encode_inner(req, self.value + 1)
+        payload = self.malform(self.endpoint, log_session(self.node_id), inner)
+        for session in self.sessions.values():
+            self.endpoint.auth_send(session, payload)
+
+
+def _attested(endpoint, log, inner: bytes) -> bytes:
+    return encode_frame(endpoint.local_send(log, inner))
+
+
+MALFORMED_PROOFS = {
+    "empty-payload": lambda ep, log, inner: b"",
+    "inner-of-2-bytes": lambda ep, log, inner: (
+        bytes([KIND_PROOF]) + _attested(ep, log, b"\x00\x01")),
+    "inner-request-overruns": lambda ep, log, inner: (
+        bytes([KIND_PROOF]) + _attested(ep, log, b"\xff" + inner[1:])),
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_PROOFS.values(), ids=MALFORMED_PROOFS)
+def test_malformed_proof_from_the_leader_is_flagged(malform):
+    cluster = BftCluster.build(n=3, f=1, seed=5, leader_cls=MalformedProofLeader,
+                               leader_kwargs={"malform": malform})
+    req = cluster.run_request(0, 1)
+    assert [(fl.accuser, fl.accused, fl.reason) for fl in cluster.all_flags()] == [
+        (2, 1, "malformed-proof"), (3, 1, "malformed-proof")]
+    assert cluster.clients[0].accepted_value(req) is None
+    assert cluster.correct_values() == {1: 0, 2: 0, 3: 0}
 
 
 class CrashAfterFirstSendLeader(BftReplica):

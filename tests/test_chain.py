@@ -265,8 +265,41 @@ def test_forged_copy_of_the_heads_level_accuses_nobody():
         frame=levels[0])]))
     for req_id in (1, 2):
         cluster.run_put(0, req_id, b"k", b"v%d" % req_id)
+    forged = [event for event in cluster.cluster.net.trace
+              if event.disposition == "forged"]
+    assert [(event.dst, event.accepted) for event in forged] == [(2, False)]
+    assert cluster.cluster.endpoints[2].rejection_events == [
+        (log_session(1), "WrongSessionRole")]
+    assert all(ep.poll(session) == [] for ep in cluster.cluster.endpoints.values()
+               for session in ep.sessions())
     assert cluster.all_flags() == []
     assert cluster.commit_histories() == {d: [1, 2] for d in (1, 2, 3, 4)}
+
+
+class ShortRequestHead(ChainNode):
+    """Byzantine head: attests and forwards a proof over a request whose
+    body is not an op, built from the client's request by `shorten`."""
+
+    def __init__(self, *args, shorten, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shorten = shorten
+
+    def head_handle(self, req: bytes) -> None:
+        req = self.shorten(req)
+        level = self._attest_level(POE_BASE, digest(req), digest(b""))
+        self.endpoint.auth_send(self.downstream_session, encode_proof(req, [level]))
+
+
+@pytest.mark.parametrize("shorten", [lambda req: req[:5], lambda req: req[:13]],
+                         ids=["request-of-5-bytes", "op-byte-only"])
+def test_request_that_is_not_an_op_accuses_the_head(shorten):
+    cluster = ChainCluster.build(n=3, seed=8, node_cls_at={0: ShortRequestHead},
+                                 node_kwargs_at={0: {"shorten": shorten}})
+    req = cluster.run_put(0, 1, b"k", b"v")
+    assert [(fl.accuser, fl.accused_position) for fl in cluster.all_flags()] == [(2, 0)]
+    assert cluster.all_flags()[0].reason.startswith("request: ")
+    assert cluster.clients[0].accepted_value(req) is None
+    assert cluster.commit_histories() == {1: [], 2: [], 3: []}
 
 
 def put_value(size: int) -> bytes:
@@ -315,6 +348,31 @@ def test_lying_middle_is_the_only_node_accused(n, f, position):
     verdict = json.loads(result.dumps().splitlines()[-1])
     assert [flag["position"] for flag in verdict["flags"]] == [position]
     assert verdict["ok"] and result.ok
+
+
+@pytest.mark.parametrize("position", [1, 2, 3])
+def test_only_a_lying_tail_is_masked(position):
+    # No node follows the tail, so nothing can detect its lie; the three
+    # honest replies outvote it. A lying middle node is caught downstream.
+    result = run_scenario({"protocol": "cr", "n": 4, "f": 1, "rounds": 3, "attack": {
+        "kind": "lie", "position": position, "commit": 2}})
+    verdict = json.loads(result.dumps().splitlines()[-1])
+    is_tail = position == 3
+    assert verdict["masked"] is is_tail
+    assert [flag["position"] for flag in verdict["flags"]] == (
+        [] if is_tail else [position])
+    assert result.ok and verdict["ok"]
+
+
+def test_an_unflagged_middle_lie_is_not_ok(monkeypatch):
+    # Client 0 still accepts the correct value (head and position 1 agree),
+    # but only a lying tail may go unflagged.
+    monkeypatch.setattr(ChainCluster, "all_flags", lambda self: [])
+    result = run_scenario({"protocol": "cr", "n": 4, "f": 1, "rounds": 3, "attack": {
+        "kind": "lie", "position": 2, "commit": 2}})
+    lines = [json.loads(line) for line in result.dumps().splitlines()]
+    assert all(line["accepted"] is not None for line in lines[:-1])
+    assert lines[-1]["masked"] is False and not result.ok
 
 
 def test_lie_past_the_last_round_is_judged_as_an_honest_run():

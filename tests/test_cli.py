@@ -208,10 +208,12 @@ def test_check_mutant_kernel_writes_replayable_counterexample(kernel, tmp_path, 
     data = json.loads(path.read_text())
     assert data["kernel"] == kernel
     # per-receiver-counter breaks only consistency, whose receivers are each
-    # fed their stream in order, so its counterexample has no delivery order.
-    assert bool(data["acceptance"]) == (kernel != "per-receiver-counter")
-    cex = Counterexample.from_dict(data)
-    assert replay_counterexample(cex) == [tuple(a) for a in data["acceptance"]]
+    # fed their stream in order: its pattern is each receiver's acceptance.
+    consistency = kernel == "per-receiver-counter"
+    assert data["lemma"] == ("consistency" if consistency else "no_lost")
+    recorded = data["receivers"] if consistency else data["acceptance"]
+    replayed = replay_counterexample(Counterexample.from_dict(data))
+    assert replayed and replayed == [tuple(a) for a in recorded]
 
 
 @pytest.mark.parametrize("bounds, message", [

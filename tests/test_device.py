@@ -13,7 +13,8 @@ from attestnet.device import (
     pack_batch,
     unpack_batch,
 )
-from attestnet.errors import DuplicateSession, TransportClosed, UnknownPeer
+from attestnet import kernel as kernel_mod
+from attestnet.errors import DuplicateSession, TransportClosed, UnknownPeer, WrongSessionRole
 from attestnet.simnet import FaultAction, FaultSchedule, Network
 from attestnet.wire import encode_frame
 
@@ -116,13 +117,48 @@ def test_local_send_multicast_same_triple_to_both_peers():
     assert out1.triple() == out2.triple() == (1, 9, 0)
 
 
+def make_log_pair():
+    """Two endpoints sharing session 1 in the log role."""
+    net = Network(clock=SimClock())
+    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 1, KEY1, log=True)]), net)
+    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1, log=True)]), net)
+    return net, a, b
+
+
 def test_local_send_counters_and_colocated_verify():
-    net, a, b = make_pair()
+    net, a, b = make_log_pair()
     m0 = a.local_send(1, b"l0")
     m1 = a.local_send(1, b"l1")
     assert (m0.counter, m1.counter) == (0, 1)
     assert b.local_verify(1, m0) == m0
     assert b.local_verify(1, m1) == m1
+
+
+def test_local_verify_on_a_transport_session_is_a_wrong_role():
+    net, a, b = make_pair()
+    with pytest.raises(WrongSessionRole):
+        b.local_verify(1, a.local_send(1, b"not a log entry"))
+    assert b.kernel.session_state(1).recv_cnt == 0
+
+
+def test_network_frame_on_a_log_session_is_rejected_untagged(monkeypatch):
+    # A log frame copied onto the wire reaches no inbox and moves no counter;
+    # it is charged a verification, but no tag is computed for it.
+    net, a, b = make_log_pair()
+    for ep in (a, b):
+        ep.config.attest_delay_ns = 500
+    entry = a.local_send(1, b"log entry")
+    tags = []
+    compute_tag = kernel_mod.compute_tag
+    monkeypatch.setattr(kernel_mod, "compute_tag",
+                        lambda *args: tags.append(args) or compute_tag(*args))
+    before = b.clock.now_ns
+    assert b.deliver_frame(encode_frame(entry)) is False
+    assert b.clock.now_ns - before == 500
+    assert tags == []
+    assert b.rejection_events == [(1, "WrongSessionRole")]
+    assert b.poll(1) == [] and b.expected_counter(1) == 0
+    assert b.local_verify(1, entry) == entry
 
 
 def test_poll_empty_and_fifo_chunks():
