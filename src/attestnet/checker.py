@@ -37,18 +37,20 @@ never modified in place.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .bootstrap import make_pair, measure, ProvisioningBundle, run_handshake
 from .device import DeviceConfig, Endpoint, SessionConfig, SimClock
-from .errors import AuthFailure, CounterMismatch, HandshakeError, InstanceTooLarge, KernelError
+from .errors import AuthFailure, CounterMismatch, HandshakeError, InstanceTooLarge
 from .kernel import (
     AttestationKernel,
     AttestedMessage,
     check_sender,
     compute_tag,
 )
-from .protocols.common import derive_key
+from .protocols.bft import KIND_PROOF, BftCluster, encode_inner
+from .protocols.common import derive_key, log_session, pump, transport_session
 from .simnet import ACTION_KINDS, FaultAction, FaultSchedule, Network
 from .wire import decode_frame, encode_frame
 
@@ -491,63 +493,56 @@ def check_consistency(instance: BoundedInstance,
     return LemmaReport("consistency", "Holds")
 
 
-def check_leader_strategies() -> LemmaReport:
-    """Exhaustive enumeration of one-round leader multicast strategies.
+LEADER, FOLLOWERS = 1, (2, 3)
 
-    A proof message claims (round, content). The leader may emit one or two
-    attestations with any claims; each of two followers receives any
-    subsequence, in emission order (FIFO transport). A follower flags on a
-    counter gap or an out-of-order round claim, else applies. The property:
-    two followers can never apply different contents for the same round
-    unless at least one correct follower flagged the leader.
+
+def check_leader_strategies() -> LemmaReport:
+    """Exhaustive enumeration of one-round leader multicast strategies,
+    checked on the followers production runs.
+
+    A proof claims (round, content). The checker plays the Byzantine leader
+    on a real leader endpoint: it attests one or two `encode_inner(content,
+    round)` frames with any claims, and each of two real `BftReplica`
+    followers from `BftCluster.build` receives any subsequence of them as
+    proofs, in emission order (FIFO transport). The followers then run to
+    quiescence, forwarding to each other. What they applied is read off
+    their signed replies, and what they flagged off their `flags`. The
+    property: two followers never reply with different contents for the same
+    round unless one of them flagged the leader.
     """
-    session = 1
-    key = derive_key(99, session)
     claims = [(1, b"a"), (1, b"b"), (2, b"a"), (2, b"b")]
     emissions = [[c] for c in claims]
     emissions += [[c1, c2] for c1 in claims for c2 in claims]
-
     for emitted in emissions:
-        leader = AttestationKernel(device=1)
-        leader.provision_session(session, key)
-        frames = []
-        for round_id, content in emitted:
-            payload = bytes([round_id]) + content
-            frames.append(encode_frame(leader.attest(session, payload)))
-        subsets = [[]] + [[i] for i in range(len(frames))]
-        if len(frames) == 2:
+        subsets = [[]] + [[i] for i in range(len(emitted))]
+        if len(emitted) == 2:
             subsets.append([0, 1])
-        for sub_a in subsets:
-            for sub_b in subsets:
-                applied: list[dict[int, bytes]] = [{}, {}]
-                flagged = [False, False]
-                for f_idx, sub in enumerate((sub_a, sub_b)):
-                    k = AttestationKernel(device=7 + f_idx)
-                    k.provision_session(session, key)
-                    shadow = 0
-                    for i in sub:
-                        try:
-                            msg = k.verify(decode_frame(frames[i]))
-                        except KernelError:
-                            flagged[f_idx] = True
-                            continue
-                        round_id, content = msg.payload[0], msg.payload[1:]
-                        if round_id != shadow + 1:
-                            flagged[f_idx] = True
-                            continue
-                        shadow = round_id
-                        applied[f_idx][round_id] = content
-                common = set(applied[0]) & set(applied[1])
-                conflict = any(applied[0][r] != applied[1][r] for r in common)
-                if conflict and not any(flagged):
-                    cex = Counterexample(
-                        instance=BoundedInstance(senders=1,
-                                                 messages_per_sender=2),
-                        kernel="correct", mutation="leader-strategy",
-                        delivery_order=[], acceptance=[],
-                        detail=f"conflicting round contents, emitted={emitted},"
-                               f" delivery {sub_a}/{sub_b}, no flags")
-                    return LemmaReport("bft_equivocation", "Counterexample", cex)
+        for delivery in itertools.product(subsets, repeat=len(FOLLOWERS)):
+            cluster = BftCluster.build(n=3, f=1, seed=99)
+            leader = cluster.cluster.endpoints[LEADER]
+            frames = [encode_frame(leader.local_send(
+                log_session(LEADER), encode_inner(content, round_id)))
+                for round_id, content in emitted]
+            for follower, sub in zip(FOLLOWERS, delivery):
+                for i in sub:
+                    leader.auth_send(transport_session(LEADER, follower),
+                                     bytes([KIND_PROOF]) + frames[i])
+            followers = [cluster.replicas[d] for d in FOLLOWERS]
+            pump(cluster.cluster.net, followers, cluster.clients)
+            contents: dict[bytes, set[bytes]] = {}      # output -> requests
+            for req, votes in cluster.clients[0].replies.items():
+                for output in votes.values():
+                    contents.setdefault(output, set()).add(req)
+            conflict = any(len(reqs) > 1 for reqs in contents.values())
+            flagged = any(fl.accused == LEADER for f in followers for fl in f.flags)
+            if conflict and not flagged:
+                cex = Counterexample(
+                    instance=BoundedInstance(senders=1, messages_per_sender=2),
+                    kernel="correct", mutation="leader-strategy",
+                    delivery_order=[], acceptance=[],
+                    detail=f"conflicting round contents, emitted={emitted},"
+                           f" delivery {delivery[0]}/{delivery[1]}, no flags")
+                return LemmaReport("bft_equivocation", "Counterexample", cex)
     return LemmaReport("bft_equivocation", "Holds")
 
 

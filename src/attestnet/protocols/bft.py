@@ -1,15 +1,16 @@
 """Leader-based replicated counter surviving Byzantine replicas at n = 2f+1.
 
-The leader executes a client increment, attests (request ‖ output) once with
-local_send, and writes that one attested message to every follower. Each
-follower verifies the leader's log stream in order (so a second, conflicting
-attestation for the same round arrives with the wrong counter and is caught),
-re-executes the request against its shadow of the leader's state machine,
-applies at most once and in order, acks the leader with its own attested
-output, and forwards its attestation to the other replicas and the client.
-The leader replies to the client after f validated acks, counted once per
-follower id, or at once when f = 0. Clients accept on f+1 identical replies
-referencing their own request bytes.
+The paper's CFT-to-BFT recipe applied to a counter. The leader executes a
+client increment, attests (request ‖ output) once with local_send, and writes
+that one attested message to every follower. Each follower verifies the
+leader's log stream in order (so a second, conflicting attestation for the
+same round arrives with the wrong counter and is caught), re-executes the
+request on its `transform.StateSimulator` of the sender, whose serialized
+state is the output the message carries, applies at most once and in order,
+acks the leader with its own attested output, and forwards its attestation
+to the other replicas and the client. The leader replies to the client after
+f validated acks, counted once per follower id, or at once when f = 0.
+Clients accept on f+1 identical replies referencing their own request bytes.
 
 Byzantine attempts are *flagged*, not masked silently: every rejection names
 the accused device and the defense that fired. A Byzantine leader overrides
@@ -23,6 +24,7 @@ import struct
 from dataclasses import dataclass, field
 
 from ..errors import AuthFailure, CounterMismatch, FrameError, KernelError
+from ..transform import StateSimulator, probe_determinism
 from ..wire import decode_frame, encode_frame
 from .common import (
     ClusterNet,
@@ -41,8 +43,18 @@ KIND_ACK = 0x41       # follower ack to leader
 KIND_FORWARD = 0x46   # follower-to-follower forward
 
 
+def counter_apply(value: int, req: bytes) -> int:
+    """The replicated machine: every request increments the counter."""
+    return value + 1
+
+
+def counter_state(value: int) -> bytes:
+    """The counter's serialized state: the output a proof and a reply carry."""
+    return struct.pack(">Q", value)
+
+
 def encode_inner(req: bytes, output: int) -> bytes:
-    return struct.pack(">I", len(req)) + req + struct.pack(">Q", output)
+    return struct.pack(">I", len(req)) + req + counter_state(output)
 
 
 def decode_inner(payload: bytes) -> tuple[bytes, int]:
@@ -67,7 +79,6 @@ class BftReplica:
     cluster: ClusterNet
     leader_id: int
     value: int = 0
-    shadows: dict[int, int] = field(default_factory=dict)
     applied: set[bytes] = field(default_factory=set)
     pending_req: dict[int, bytes] = field(default_factory=dict)
     acks: dict[int, set[int]] = field(default_factory=dict)
@@ -82,8 +93,9 @@ class BftReplica:
         # Transport session to each peer, in peer order.
         self.sessions = {peer: transport_session(self.node_id, peer)
                          for peer in self.peers}
-        for peer in self.peers:
-            self.shadows[peer] = 0
+        # Each peer's machine, re-executed; BftCluster.build probed it.
+        self.simulators = {peer: StateSimulator(0, counter_apply, counter_state)
+                           for peer in self.peers}
 
     # -- leader ----------------------------------------------------------------
 
@@ -97,7 +109,7 @@ class BftReplica:
         """Execute, attest, and write the attested proof to all followers."""
         if self.crashed:
             return
-        output = self.value + 1
+        output = counter_apply(self.value, req)
         self.value = output
         self.applied.add(req)
         self.pending_req[output] = req
@@ -113,12 +125,10 @@ class BftReplica:
             self._reply_client(req, output)
 
     def _leader_on_ack(self, sender: int, inner_frame: bytes) -> None:
-        inner = self._verified_inner(sender, inner_frame)
+        inner = self._checked_inner(sender, inner_frame)
         if inner is None:
             return
         req, output = inner
-        if not self._validate_peer(sender, output):
-            return
         acked = self.acks.setdefault(output, set())
         acked.add(sender)      # counted once per follower id
         if len(acked) >= self.config.f and output not in self.replied:
@@ -129,15 +139,13 @@ class BftReplica:
     # -- follower ----------------------------------------------------------------
 
     def _on_proof(self, sender: int, inner_frame: bytes) -> None:
-        inner = self._verified_inner(sender, inner_frame)
+        inner = self._checked_inner(sender, inner_frame)
         if inner is None:
             return
         req, output = inner
-        if not self._validate_peer(sender, output):
-            return
         if req in self.applied:
             return             # forwarded or duplicate of an applied request
-        if output != self.value + 1:
+        if output != counter_apply(self.value, req):
             return             # not yet in order for us; FIFO will close the gap
         self.value = output
         self.applied.add(req)
@@ -155,41 +163,43 @@ class BftReplica:
 
     # -- shared validation ---------------------------------------------------------
 
-    def _verified_inner(self, sender: int, inner_frame: bytes) -> tuple[bytes, int] | None:
-        """Kernel-verify a peer's locally attested message, in stream order,
-        and decode it to (request, output); None once the sender is flagged.
-        The message is verified before it is decoded, so an attested payload
-        that does not decode still uses up its counter."""
+    def _checked_inner(self, sender: int, inner_frame: bytes) -> tuple[bytes, int] | None:
+        """The follower check: kernel-verify a peer's locally attested
+        message, in stream order, decode it to (request, output), and
+        re-execute it; None once the sender is flagged. The message is
+        verified before it is decoded, so an attested payload that does not
+        decode still uses up its counter."""
         try:
             inner = decode_frame(inner_frame)
             self.endpoint.local_verify(log_session(sender), inner)
-            return decode_inner(inner.payload)
+            req, output = decode_inner(inner.payload)
         except FrameError:
-            self.flags.append(Flag(self.node_id, sender, "malformed-proof"))
-            return None
+            flag = Flag(self.node_id, sender, "malformed-proof")
         except CounterMismatch as exc:
-            self.flags.append(Flag(self.node_id, sender, "equivocation",
-                                   detail=str(exc)))
-            return None
+            flag = Flag(self.node_id, sender, "equivocation", detail=str(exc))
         except AuthFailure:
-            self.flags.append(Flag(self.node_id, sender, "forged-attestation"))
-            return None
+            flag = Flag(self.node_id, sender, "forged-attestation")
         except KernelError as exc:
-            self.flags.append(Flag(self.node_id, sender, type(exc).__name__))
-            return None
+            flag = Flag(self.node_id, sender, type(exc).__name__)
+        else:
+            return (req, output) if self._re_execute(sender, req, output) else None
+        self.flags.append(flag)
+        return None
 
-    def _validate_peer(self, sender: int, output: int) -> bool:
-        """Re-execute the deterministic spec against the shadow of the sender."""
-        expected = self.shadows[sender] + 1
+    def _re_execute(self, sender: int, req: bytes, output: int) -> bool:
+        """Re-execute the request on the sender's simulated machine; commit
+        the step only if the sender attested the state it reaches."""
+        simulator = self.simulators[sender]
+        expected, _ = simulator.expected_after(req)
         if output != expected:
             self.flags.append(Flag(self.node_id, sender, "state-mismatch",
                                    detail=f"expected {expected}, got {output}"))
             return False
-        self.shadows[sender] = expected
+        simulator.commit(expected)
         return True
 
     def _reply_client(self, req: bytes, output: int) -> None:
-        payload = encode_reply_payload(req, struct.pack(">Q", output))
+        payload = encode_reply_payload(req, counter_state(output))
         self.outbox_replies.append(
             self.cluster.keyring.sign(self.node_id, payload))
 
@@ -265,6 +275,7 @@ class BftCluster:
               net=None) -> "BftCluster":
         if n != 2 * f + 1:
             raise ValueError("counter replication requires n = 2f+1")
+        probe_determinism(0, counter_apply, counter_state, [b"probe-1", b"probe-2"])
         devices = list(range(1, n + 1))
         cluster = build_cluster(devices, seed, attest_delay_ns=attest_delay_ns,
                                 net=net)

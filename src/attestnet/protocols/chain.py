@@ -151,8 +151,10 @@ class ChainNode:
     # -- head ------------------------------------------------------------------
 
     def head_handle(self, req: bytes) -> None:
-        body = req[12:]   # strip client/req_id prefix for execution
-        out = self.machine.apply(body)
+        try:
+            out = self.machine.apply(req[12:])   # past the client/req_id prefix
+        except FrameError:
+            return   # a client request that is not an op: nothing to commit
         level = self._attest_level(POE_BASE, digest(req), digest(out))
         if not self.is_tail:
             self.endpoint.auth_send(self.downstream_session, encode_proof(req, [level]))

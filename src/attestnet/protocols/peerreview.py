@@ -17,6 +17,7 @@ children in id order; there are no clients.
 import struct
 from dataclasses import dataclass, field
 
+from ..errors import FrameError
 from ..kernel import AttestedMessage
 from ..wire import decode_frame, encode_frame
 from .common import ClusterNet, ProtocolConfig, build_cluster, log_session, pump, transport_session
@@ -42,11 +43,12 @@ def encode_exec(result: bytes, cmd: bytes) -> bytes:
 
 
 def decode_exec(ctx: bytes) -> tuple[bytes, bytes]:
-    (rlen,) = struct.unpack_from(">I", ctx, 1)
-    result = ctx[5:5 + rlen]
-    (clen,) = struct.unpack_from(">I", ctx, 5 + rlen)
-    cmd = ctx[9 + rlen:9 + rlen + clen]
-    return result, cmd
+    """Inverse of encode_exec; raises FrameError unless the lengths agree."""
+    rlen = int.from_bytes(ctx[1:5], "big")
+    clen = int.from_bytes(ctx[5 + rlen:9 + rlen], "big")
+    if len(ctx) < 9 or len(ctx) != 9 + rlen + clen:
+        raise FrameError(f"exec entry of {len(ctx)} bytes does not decode")
+    return ctx[5:5 + rlen], ctx[9 + rlen:]
 
 
 @dataclass
@@ -182,13 +184,22 @@ class Witness:
         return Verdict(VERDICT_CONSISTENT, seq=self.audited_seq)
 
     def _replay(self, seq: int, ctx: bytes) -> Verdict | None:
+        """Replay one entry. An entry that does not decode exposes the node,
+        which attested it."""
+        if not ctx:
+            return Verdict(VERDICT_EXPOSED, seq=seq)    # not even a kind byte
         kind = ctx[0]
+        try:
+            if kind == ENTRY_RECV:
+                cmd = decode_frame(ctx[1:]).payload
+            elif kind == ENTRY_EXEC:
+                found, cmd = decode_exec(ctx)
+        except FrameError:
+            return Verdict(VERDICT_EXPOSED, seq=seq)
         if kind == ENTRY_RECV:
-            inner = decode_frame(ctx[1:])
-            self._pending_cmds.append(inner.payload)
+            self._pending_cmds.append(cmd)
             return None
         if kind == ENTRY_EXEC:
-            found, cmd = decode_exec(ctx)
             if not self._pending_cmds or self._pending_cmds[0] != cmd:
                 return Verdict(VERDICT_EXPOSED, seq=seq,
                                expected=self._pending_cmds[0] if self._pending_cmds else b"",

@@ -8,21 +8,26 @@ On receive, four checks run in order:
   2. the reported sender-state hash equals the hash of our own simulation of
      the sender's deterministic state machine,
   3. the echoed message carries a valid tag under our own device identity,
-  4. the echo is the most recent message we actually sent (shared view).
+  4. the echo is our most recent message on this session (shared view): it
+     names this session and carries the counter just below the kernel's
+     send counter there, and it is absent only while we have sent nothing.
+     The kernel never binds two payloads to one (session, counter), so an
+     echo with a valid tag at that counter is exactly our last attested
+     message; the wrapper keeps no record of its own.
 
 Only then is the message applied. The wrapper is generic over the state
 machine via two supplied functions, serialize (canonical bytes) and apply;
-non-deterministic machines are rejected at registration.
+`probe_determinism` rejects a non-deterministic machine, once, before it is
+simulated.
 """
 
 import hashlib
-import struct
-import weakref
 from dataclasses import dataclass
 
-from .device import Endpoint
+from .device import Endpoint, pack_batch, unpack_batch
 from .errors import (
     EchoForged,
+    FrameError,
     NonDeterministicSpec,
     SenderStateMismatch,
     TransformError,
@@ -32,13 +37,6 @@ from .errors import (
 from .kernel import AttestedMessage
 from .wire import decode_frame, encode_frame
 
-STATE_HASH_LEN = 48
-
-# The last message each endpoint sent per session through wrapped_send; an
-# entry goes away with its endpoint.
-_LAST_SENT: "weakref.WeakKeyDictionary[Endpoint, dict[int, AttestedMessage]]" = (
-    weakref.WeakKeyDictionary())
-
 
 def state_hash(serialized: bytes) -> bytes:
     return hashlib.sha384(serialized).digest()
@@ -46,78 +44,65 @@ def state_hash(serialized: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class TransformEnvelope:
-    """Canonical wire extension: message ‖ state hash ‖ optional echo."""
+    """Canonical wire extension: message ‖ state hash ‖ optional echo frame,
+    as the records of a `device.pack_batch` payload."""
 
     app_msg: bytes
     sender_state_hash: bytes
     receiver_echo: AttestedMessage | None
 
     def encode(self) -> bytes:
-        parts = [struct.pack(">I", len(self.app_msg)), self.app_msg,
-                 self.sender_state_hash]
-        if self.receiver_echo is None:
-            parts.append(b"\x00")
-        else:
-            frame = encode_frame(self.receiver_echo)
-            parts.append(b"\x01")
-            parts.append(struct.pack(">I", len(frame)))
-            parts.append(frame)
-        return b"".join(parts)
+        echo = [] if self.receiver_echo is None else [encode_frame(self.receiver_echo)]
+        return pack_batch([self.app_msg, self.sender_state_hash, *echo])
 
     @classmethod
     def decode(cls, data: bytes) -> "TransformEnvelope":
-        (app_len,) = struct.unpack_from(">I", data)
-        off = 4
-        app_msg = data[off:off + app_len]
-        off += app_len
-        digest = data[off:off + STATE_HASH_LEN]
-        off += STATE_HASH_LEN
-        flag = data[off]
-        off += 1
-        if flag == 0:
-            if off != len(data):
-                raise TransformError("trailing bytes after envelope")
-            return cls(app_msg, digest, None)
-        (frame_len,) = struct.unpack_from(">I", data, off)
-        off += 4
-        echo = decode_frame(data[off:off + frame_len])
-        if off + frame_len != len(data):
-            raise TransformError("trailing bytes after envelope")
-        return cls(app_msg, digest, echo)
+        """Inverse of encode; raises FrameError if the envelope does not parse."""
+        records = unpack_batch(data)
+        if len(records) not in (2, 3):
+            raise FrameError(f"envelope of {len(records)} records")
+        echo = decode_frame(records[2]) if len(records) == 3 else None
+        return cls(records[0], records[1], echo)
+
+
+def probe_determinism(initial_state, apply_fn, serialize_fn,
+                      probe_msgs: list[bytes]) -> None:
+    """Raise NonDeterministicSpec unless executing the canary messages twice
+    from the initial state gives the same canonical serializations."""
+    runs = []
+    for _ in range(2):
+        state = initial_state
+        trace = [serialize_fn(state)]
+        for msg in probe_msgs:
+            state = apply_fn(state, msg)
+            trace.append(serialize_fn(state))
+        runs.append(trace)
+    if runs[0] != runs[1]:
+        raise NonDeterministicSpec("state machine failed determinism probe")
 
 
 class StateSimulator:
     """Shadow copy of a peer's deterministic state machine.
 
     Keeping the shadow lets a receiver validate the sender's reported state
-    without replaying the whole message history. Registration probes the
-    machine for determinism by double-executing a canary sequence and
-    comparing canonical serializations.
+    without replaying the whole message history. Given `probe_msgs`,
+    registration probes the machine for determinism first; a caller that
+    simulates one machine for many peers probes it once itself.
     """
 
     def __init__(self, initial_state, apply_fn, serialize_fn,
                  probe_msgs: list[bytes] | None = None):
+        if probe_msgs is not None:
+            probe_determinism(initial_state, apply_fn, serialize_fn, probe_msgs)
         self.apply_fn = apply_fn
         self.serialize_fn = serialize_fn
-        self._probe(initial_state, probe_msgs or [])
         self.state = initial_state
 
-    def _probe(self, initial_state, probe_msgs: list[bytes]) -> None:
-        runs = []
-        for _ in range(2):
-            state = initial_state
-            trace = [self.serialize_fn(state)]
-            for msg in probe_msgs:
-                state = self.apply_fn(state, msg)
-                trace.append(self.serialize_fn(state))
-            runs.append(trace)
-        if runs[0] != runs[1]:
-            raise NonDeterministicSpec("state machine failed determinism probe")
-
     def expected_after(self, app_msg: bytes):
-        """Candidate next state and its hash; nothing is committed."""
+        """Candidate next state and its canonical serialization; nothing is
+        committed. Hashing is left to callers that compare a hash."""
         candidate = self.apply_fn(self.state, app_msg)
-        return candidate, state_hash(self.serialize_fn(candidate))
+        return candidate, self.serialize_fn(candidate)
 
     def commit(self, candidate) -> None:
         self.state = candidate
@@ -131,9 +116,7 @@ def wrapped_send(ep: Endpoint, session: int, app_msg: bytes, my_state,
         sender_state_hash=state_hash(serialize_fn(my_state)),
         receiver_echo=receiver_echo,
     )
-    msg = ep.auth_send(session, envelope.encode())
-    _last_sent(ep)[session] = msg
-    return msg
+    return ep.auth_send(session, envelope.encode())
 
 
 def wrapped_recv(ep: Endpoint, session: int, sim: StateSimulator) -> bytes:
@@ -143,8 +126,8 @@ def wrapped_recv(ep: Endpoint, session: int, sim: StateSimulator) -> bytes:
         raise TransformError("no verified frame available")
     envelope = TransformEnvelope.decode(polled[0].payload)
 
-    candidate, expected_hash = sim.expected_after(envelope.app_msg)
-    if expected_hash != envelope.sender_state_hash:
+    candidate, serialized = sim.expected_after(envelope.app_msg)
+    if state_hash(serialized) != envelope.sender_state_hash:
         raise SenderStateMismatch(
             "sender deviated from the deterministic specification"
         )
@@ -155,9 +138,9 @@ def wrapped_recv(ep: Endpoint, session: int, sim: StateSimulator) -> bytes:
 
 
 def _check_echo(ep: Endpoint, session: int, echo: AttestedMessage | None) -> None:
-    last = _last_sent(ep).get(session)
+    sent = ep.kernel.session_state(session).send_cnt
     if echo is None:
-        if last is not None:
+        if sent:
             raise ViewLag("sender has not seen our latest message")
         return
     if echo.device != ep.device:
@@ -167,9 +150,5 @@ def _check_echo(ep: Endpoint, session: int, echo: AttestedMessage | None) -> Non
             raise EchoForged("echo tag invalid under our identity")
     except UnknownSession:
         raise EchoForged("echo names a session we do not hold") from None
-    if last is None or echo != last:
+    if echo.session != session or echo.counter != sent - 1:
         raise ViewLag("echo is not our most recent sent message")
-
-
-def _last_sent(ep: Endpoint) -> dict[int, AttestedMessage]:
-    return _LAST_SENT.setdefault(ep, {})

@@ -1,11 +1,14 @@
 """BFT counter: honest runs, equivocation detection, crash forwarding, quorums."""
 
 import json
+import random
 import struct
 
 import pytest
 
 from attestnet.checker import check_leader_strategies
+from attestnet.errors import NonDeterministicSpec
+from attestnet.protocols import bft
 from attestnet.protocols.bft import (
     KIND_PROOF,
     BftCluster,
@@ -13,6 +16,7 @@ from attestnet.protocols.bft import (
     EquivocatingLeader,
     Flag,
     WrongValueLeader,
+    decode_inner,
     encode_inner,
 )
 from attestnet.protocols.common import (
@@ -58,6 +62,29 @@ def test_equivocation_strategy_space_exhaustively_safe():
     # strategy shows conflicting applies are impossible without a flag
     report = check_leader_strategies()
     assert report.holds, report.line()
+
+
+def test_follower_that_skips_local_verify_gives_a_counterexample(monkeypatch):
+    # A test-only follower that re-executes every proof but never checks its
+    # attestation: two conflicting proofs for round 1, one to each follower,
+    # are both applied and nobody flags the leader.
+    def trusting(self, sender, inner_frame):
+        req, output = decode_inner(decode_frame(inner_frame).payload)
+        return (req, output) if self._re_execute(sender, req, output) else None
+
+    monkeypatch.setattr(BftReplica, "_checked_inner", trusting)
+    report = check_leader_strategies()
+    assert report.verdict == "Counterexample"
+    assert report.counterexample.detail == (
+        "conflicting round contents, emitted=[(1, b'a'), (1, b'b')],"
+        " delivery [0]/[1], no flags")
+
+
+def test_nondeterministic_counter_fails_the_build(monkeypatch):
+    rng = random.Random(1)
+    monkeypatch.setattr(bft, "counter_apply", lambda value, req: value + rng.randrange(2, 99))
+    with pytest.raises(NonDeterministicSpec):
+        BftCluster.build(n=3, f=1, seed=1)
 
 
 def test_wrong_value_leader_exposed_and_never_committed():
@@ -219,14 +246,14 @@ def test_unsigned_reply_ignored():
 
 def _flag_honest_peer(monkeypatch, accuser: int, accused: int):
     """Make one follower accuse an honest peer on every validation."""
-    validate = BftReplica._validate_peer
+    re_execute = BftReplica._re_execute
 
-    def accusing(self, sender, output):
+    def accusing(self, sender, req, output):
         if self.node_id == accuser and sender == accused:
             self.flags.append(Flag(self.node_id, sender, "state-mismatch"))
-        return validate(self, sender, output)
+        return re_execute(self, sender, req, output)
 
-    monkeypatch.setattr(BftReplica, "_validate_peer", accusing)
+    monkeypatch.setattr(BftReplica, "_re_execute", accusing)
 
 
 def test_scenario_accusing_an_honest_replica_is_not_ok(monkeypatch):

@@ -402,3 +402,18 @@ def test_one_node_chain_commits_at_its_head():
     assert [json.loads(line)["accepted"] is not None
             for line in result.dumps().splitlines()[:-1]] == [True, True]
     assert result.ok
+
+
+@pytest.mark.parametrize("body", [b"\x50", b"", b"\x50\x00\x00\x00\x09key"],
+                         ids=["1-byte", "empty", "key-overruns"])
+def test_client_request_that_is_not_an_op_is_dropped_at_the_head(body):
+    cluster = ChainCluster.build(n=3, f=1, seed=12)
+    client = cluster.clients[0]
+    cluster.nodes[1].head_handle(client.issue(1, body))
+    assert not cluster.cluster.net.has_pending()
+    assert all(node.machine.commit_index == 0 and not node.outbox_replies
+               for node in cluster.nodes.values())
+    req = cluster.run_put(0, 2, b"k", b"v")
+    assert client.accepted_value(req) == struct.pack(">Q", 1) + b"v"
+    assert cluster.commit_histories() == {1: [1], 2: [1], 3: [1]}
+    assert cluster.all_flags() == []

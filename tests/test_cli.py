@@ -12,6 +12,7 @@ from attestnet.protocols.bft import BftCluster
 from attestnet.protocols.common import transport_session
 from attestnet.protocols.peerreview import PrScenario
 from attestnet.simnet import ACTION_KINDS, DEFAULT_RETRY_BUDGET, FaultAction, FaultSchedule
+from attestnet.transform import StateSimulator
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -22,6 +23,21 @@ def test_bench_each_protocol(protocol, capsys):
     fields = dict(zip(CSV_HEADER, row.split(",")))
     assert fields["protocol"] == protocol and fields["requests"] == "4"
     assert float(fields["throughput_ops"]) > 0
+
+
+def test_bft_bench_re_executes_peers_through_the_wrapper(monkeypatch, capsys):
+    calls = []
+    expected_after = StateSimulator.expected_after
+
+    def counting(self, app_msg):
+        calls.append(app_msg)
+        return expected_after(self, app_msg)
+
+    monkeypatch.setattr(StateSimulator, "expected_after", counting)
+    assert cli.main(["bench", "--protocol", "bft", "--requests", "4"]) == 0
+    # Per request: two followers check the leader's proof and each other's
+    # forward, and the leader checks two acks.
+    assert len(calls) == 6 * 4
 
 
 def test_bench_csv_writes_header_once_then_appends_rows(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Accountability: witness audits, deviation exposure, chain breaks."""
 
+import pytest
+
 from attestnet.protocols.peerreview import (
+    ENTRY_EXEC,
+    ENTRY_RECV,
     MutatingChild,
     PrScenario,
     VERDICT_CHAIN_BREAK,
@@ -109,3 +113,34 @@ def test_scenario_attack_with_an_honest_child_exposed_is_not_ok(monkeypatch):
     assert verdicts == {2: VERDICT_EXPOSED, 3: VERDICT_EXPOSED,
                         4: VERDICT_CONSISTENT}
     assert not result.ok and not result.lines[-1]["ok"]
+
+
+class GarblingChild(PrChild):
+    """Byzantine child: logs, correctly chained and attested, `garble(ctx)`
+    in place of its first entry of one kind."""
+
+    def __init__(self, *args, kind: int, garble, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kind, self.garble = kind, garble
+
+    def _log(self, ctx: bytes):
+        if ctx[0] == self.kind and self.garble is not None:
+            ctx, self.garble = self.garble(ctx), None
+        return super()._log(ctx)
+
+
+@pytest.mark.parametrize("kind, garble, seq", [
+    (ENTRY_RECV, lambda ctx: b"\x52garbage", 0),
+    (ENTRY_RECV, lambda ctx: b"", 0),
+    (ENTRY_EXEC, lambda ctx: ctx[:-3], 1),
+    (ENTRY_EXEC, lambda ctx: ctx[:3], 1),
+    (ENTRY_EXEC, lambda ctx: ctx + b"\x00", 1),
+], ids=["garbage-recv", "empty-entry", "truncated-exec", "exec-without-lengths",
+        "exec-with-trailing-byte"])
+def test_logged_entry_that_does_not_decode_is_exposed(kind, garble, seq):
+    scenario = PrScenario.build(seed=8, n_children=2, child_cls_at={2: GarblingChild},
+                                child_kwargs_at={2: {"kind": kind, "garble": garble}})
+    scenario.run_rounds([b"one", b"two"])
+    verdicts = scenario.audit_all()
+    assert verdicts[2].kind == VERDICT_EXPOSED and verdicts[2].seq == seq
+    assert verdicts[3].kind == VERDICT_CONSISTENT

@@ -6,6 +6,7 @@ import pytest
 
 from attestnet.device import DeviceConfig, SessionConfig, SimClock, connect
 from attestnet.errors import (
+    FrameError,
     NonDeterministicSpec,
     SenderStateMismatch,
     ViewLag,
@@ -32,12 +33,14 @@ def serialize_counter(state: int) -> bytes:
     return struct.pack(">Q", state)
 
 
-def make_channel():
+def make_channel(sessions=(1,)):
     net = Network(clock=SimClock())
     net.declare_device(1)
     net.declare_device(2)
-    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY)]), net)
-    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY)]), net)
+    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(s, 2, KEY)
+                                                 for s in sessions]), net)
+    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(s, 1, KEY)
+                                                 for s in sessions]), net)
     return net, a, b
 
 
@@ -48,6 +51,13 @@ def test_envelope_roundtrip_with_and_without_echo():
         env = TransformEnvelope(app_msg=b"msg", sender_state_hash=b"\x01" * 48,
                                 receiver_echo=e)
         assert TransformEnvelope.decode(env.encode()) == env
+
+
+@pytest.mark.parametrize("data", [b"", b"\x00\x00\x00\x01", b"\x00" * 4 + b"\x01",
+                                  b"\x00\x00\x00\x01\x00\x00\x00\x09msg"])
+def test_envelope_that_does_not_parse_raises_frame_error(data):
+    with pytest.raises(FrameError):
+        TransformEnvelope.decode(data)
 
 
 def test_identical_states_identical_hashes():
@@ -118,6 +128,29 @@ def test_stale_echo_rejected_as_view_lag():
     net.run_until_quiescent()
     with pytest.raises(ViewLag):
         wrapped_recv(b, 1, sim)
+
+
+@pytest.mark.parametrize("echoed", ["other-session", "older-counter"])
+def test_echo_of_another_session_or_an_older_counter_is_view_lag(echoed):
+    # The receiver sent twice on each session; each echo carries a valid tag
+    # under its identity, and the other session's last message even has the
+    # current counter, but only its last message on session 1 is current.
+    net, a, b = make_channel(sessions=(1, 2))
+    older = wrapped_send(b, 1, b"\x01", 1, serialize_counter, None)
+    wrapped_send(b, 1, b"\x01", 2, serialize_counter, None)
+    wrapped_send(b, 2, b"\x01", 1, serialize_counter, None)
+    other = wrapped_send(b, 2, b"\x01", 2, serialize_counter, None)
+    net.run_until_quiescent()
+    a.poll(1)
+    a.poll(2)
+    echo = other if echoed == "other-session" else older
+    assert b.kernel.tag_matches(echo)
+    sim = StateSimulator(0, apply_counter, serialize_counter)
+    wrapped_send(a, 1, b"\x04", 4, serialize_counter, receiver_echo=echo)
+    net.run_until_quiescent()
+    with pytest.raises(ViewLag):
+        wrapped_recv(b, 1, sim)
+    assert sim.state == 0
 
 
 def test_absent_echo_after_receiver_sent_is_view_lag():
