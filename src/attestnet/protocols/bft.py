@@ -32,9 +32,11 @@ from .common import (
     QuorumClient,
     SignedReply,
     build_cluster,
+    digest,
     encode_reply_payload,
     log_session,
     pump,
+    reply_statement,
     transport_session,
 )
 
@@ -86,6 +88,9 @@ class BftReplica:
     flags: list[Flag] = field(default_factory=list)
     outbox_replies: list[SignedReply] = field(default_factory=list)
     crashed: bool = False
+    # Set once this node, as leader, sent a follower an attestation of any
+    # other output than the one it executed: a deviation to detect.
+    deviated: bool = False
 
     def __post_init__(self):
         self.endpoint = self.cluster.endpoints[self.node_id]
@@ -114,11 +119,14 @@ class BftReplica:
         self.applied.add(req)
         self.pending_req[output] = req
         log = log_session(self.node_id)
+        outputs = self.attested_outputs(output)
         frames = [encode_frame(self.endpoint.local_send(log, encode_inner(req, out)))
-                  for out in self.attested_outputs(output)]
+                  for out in outputs]
         for i, session in enumerate(self.sessions.values()):
             self.endpoint.auth_send(session,
                                     bytes([KIND_PROOF]) + frames[i % len(frames)])
+        if outputs != [output] and self.sessions:
+            self.deviated = True
         if self.config.f == 0:
             # No follower, so no ack to wait for: the leader's reply is the quorum.
             self.replied.add(output)
@@ -199,9 +207,10 @@ class BftReplica:
         return True
 
     def _reply_client(self, req: bytes, output: int) -> None:
-        payload = encode_reply_payload(req, counter_state(output))
-        self.outbox_replies.append(
-            self.cluster.keyring.sign(self.node_id, payload))
+        value = counter_state(output)
+        statement = reply_statement(digest(req), digest(value))
+        self.outbox_replies.append(self.cluster.keyring.sign(
+            self.node_id, encode_reply_payload(req, value), statement))
 
     # -- event pump -------------------------------------------------------------
 

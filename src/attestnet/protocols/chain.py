@@ -20,7 +20,12 @@ flags, so p-1 made the fault or forwarded it. Each hop MACs the request once
 plus p small levels, so the cost no longer grows with chain length x payload.
 
 Reads cannot be served locally by the tail in the Byzantine model; every
-operation traverses the chain and every node replies to the client.
+operation traverses the chain and every node replies to the client. A reply
+is signed over the statement `0x01 ‖ H(req) ‖ H(out)` (`common.reply_statement`),
+built from the digests the node's own level already holds, so signing hashes
+nothing new: the head's H(req) and H(out_0), and at position p the request
+digest that `validate_chain` starts its links from and the digest of the
+output the node attests.
 A Byzantine node overrides only `attested_output`, the output it attests.
 A node that flags its chain accepts nothing more from it.
 
@@ -28,7 +33,6 @@ A node that flags its chain accepts nothing more from it.
 order, handing every reply to every client.
 """
 
-import hashlib
 import struct
 from dataclasses import dataclass, field
 
@@ -41,9 +45,11 @@ from .common import (
     QuorumClient,
     SignedReply,
     build_cluster,
+    digest,
     encode_reply_payload,
     log_session,
     pump,
+    reply_statement,
     transport_session,
 )
 
@@ -93,11 +99,6 @@ class KvMachine:
             self.store[key] = value
         self.commit_index += 1
         return output
-
-
-def digest(data: bytes) -> bytes:
-    """H, the hash that links the proof: SHA-384, as the tamper-evident log uses."""
-    return hashlib.sha384(data).digest()
 
 
 def encode_proof(req: bytes, levels: list[bytes]) -> bytes:
@@ -155,19 +156,21 @@ class ChainNode:
             out = self.machine.apply(req[12:])   # past the client/req_id prefix
         except FrameError:
             return   # a client request that is not an op: nothing to commit
-        level = self._attest_level(POE_BASE, digest(req), digest(out))
+        req_digest, out_digest = digest(req), digest(out)
+        level = self._attest_level(POE_BASE, req_digest, out_digest)
         if not self.is_tail:
             self.endpoint.auth_send(self.downstream_session, encode_proof(req, [level]))
-        self._reply_client(req, out)
+        self._reply_client(req, out, reply_statement(req_digest, out_digest))
 
     # -- middle / tail ------------------------------------------------------------
 
     def validate_chain(self, proof: bytes
-                       ) -> tuple[bytes, list[bytes], bytes, bytes, bytes]:
+                       ) -> tuple[bytes, list[bytes], bytes, bytes, bytes, bytes]:
         """Verify every upstream level; any failure accuses the upstream node.
 
-        Returns (req, upstream level frames, expected output, H(expected
-        output), H(last level frame)), the last two for this node's own level.
+        Returns (req, upstream level frames, expected output, H(req),
+        H(expected output), H(last level frame)): the last two for this
+        node's own level, the middle two for its reply statement.
         """
         upstream = self.position - 1
         try:
@@ -182,7 +185,7 @@ class ChainNode:
         except FrameError as exc:
             raise ChainValidationFailure(upstream, f"request: {exc}") from None
         out_digest = digest(expected_out)
-        link = digest(req)
+        req_digest = link = digest(req)
         for position, frame in enumerate(levels):
             node = self.order[position]
             session = log_session(node)
@@ -202,7 +205,7 @@ class ChainNode:
                 raise ChainValidationFailure(
                     upstream, f"output mismatch at node {node}")
             link = digest(frame)
-        return req, levels, expected_out, out_digest, link
+        return req, levels, expected_out, req_digest, out_digest, link
 
     def middle_tail_handle(self, proof: bytes) -> None:
         if self.flags:
@@ -211,7 +214,8 @@ class ChainNode:
             # would mismatch and accuse an honest upstream node.
             return
         try:
-            req, levels, expected_out, out_digest, link = self.validate_chain(proof)
+            (req, levels, expected_out, req_digest, out_digest,
+             link) = self.validate_chain(proof)
         except ChainValidationFailure as exc:
             self.flags.append(ChainFlag(self.node_id, exc.position, exc.detail))
             return
@@ -222,7 +226,7 @@ class ChainNode:
         if not self.is_tail:
             self.endpoint.auth_send(self.downstream_session,
                                     encode_proof(req, levels + [level]))
-        self._reply_client(req, out)
+        self._reply_client(req, out, reply_statement(req_digest, out_digest))
 
     def _attest_level(self, kind: int, link: bytes, out_digest: bytes) -> bytes:
         """Attest this node's level of the proof on its log session."""
@@ -235,9 +239,10 @@ class ChainNode:
         one its machine just committed; a correct node passes it through."""
         return out
 
-    def _reply_client(self, req: bytes, out: bytes) -> None:
+    def _reply_client(self, req: bytes, out: bytes, statement: bytes) -> None:
         payload = encode_reply_payload(req, out)
-        self.outbox_replies.append(self.cluster.keyring.sign(self.node_id, payload))
+        self.outbox_replies.append(
+            self.cluster.keyring.sign(self.node_id, payload, statement))
 
     def step(self) -> bool:
         if self.is_head:

@@ -1,11 +1,13 @@
 """Shared protocol plumbing: configuration, reply signing, quorum clients,
 and the session topology used by the replicated systems.
 
-Clients are untrusted and hold no attestation session keys, so replica
-replies travel as Ed25519 signature-wrapped payloads (each device gets a
-reply keypair at bootstrap; the public halves are distributed to clients).
-A client trusts a result only after f+1 identical replies from distinct
-devices that reference its own request bytes.
+Clients are untrusted and hold no attestation session keys, so replicas
+sign their replies with Ed25519 (each device gets a reply keypair at
+bootstrap; the public halves are distributed to clients). A reply carries
+the request it answers and the value, `len ‖ req ‖ value`, plus a signature
+over the fixed 97-byte reply statement `0x01 ‖ H(req) ‖ H(value)`, never
+over those bytes themselves. A client trusts a result only after f+1
+identical replies from distinct devices that reference its own request bytes.
 
 Session id scheme (32-bit space):
     transport between devices a < b : 0x0100_0000 | a << 8 | b
@@ -22,6 +24,7 @@ the reader names, and an endpoint rejects a copy sent as a frame of its own.
 import hashlib
 import random
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
@@ -31,6 +34,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from ..device import DeviceConfig, Endpoint, SessionConfig, SimClock, connect
+from ..errors import FrameError
 from ..simnet import Network
 
 TRANSPORT_BASE = 0x0100_0000
@@ -48,6 +52,12 @@ def log_session(device: int) -> int:
 
 def derive_key(seed: int, session: int) -> bytes:
     return hashlib.sha384(b"session-key:%d:%d" % (seed, session)).digest()[:32]
+
+
+def digest(data: bytes) -> bytes:
+    """H: SHA-384, as the tamper-evident log uses. The chain proof links its
+    levels with it, and a reply statement binds the request and value with it."""
+    return hashlib.sha384(data).digest()
 
 
 @dataclass
@@ -81,8 +91,21 @@ def encode_reply_payload(req: bytes, value: bytes) -> bytes:
 
 
 def decode_reply_payload(payload: bytes) -> tuple[bytes, bytes]:
-    (req_len,) = struct.unpack_from(">I", payload)
-    return payload[4:4 + req_len], payload[4 + req_len:]
+    """Inverse of encode_reply_payload; raises FrameError if the length
+    prefix is missing or names more request bytes than the payload holds."""
+    if len(payload) >= 4:
+        (req_len,) = struct.unpack_from(">I", payload)
+        if len(payload) >= 4 + req_len:
+            return payload[4:4 + req_len], payload[4 + req_len:]
+    raise FrameError(f"reply payload of {len(payload)} bytes does not decode")
+
+
+REPLY_STATEMENT = 0x01
+
+
+def reply_statement(req_digest: bytes, value_digest: bytes) -> bytes:
+    """What a replica signs for a reply: 0x01 ‖ H(req) ‖ H(value), 97 bytes."""
+    return bytes([REPLY_STATEMENT]) + req_digest + value_digest
 
 
 @dataclass(frozen=True)
@@ -97,6 +120,18 @@ class ReplyKeyring:
 
     The public key objects are built once, here, not on every check.
 
+    A replica signs the reply statement `0x01 ‖ H(req) ‖ H(value)`, H =
+    SHA-384, not the payload `len ‖ req ‖ value` it sends; the signer passes
+    digests it already holds (the chain proof hashes the request and the
+    output anyway). The statement binds as strongly as the payload would: it
+    has one fixed length and layout, so distinct (req, value) pairs give
+    distinct statements unless SHA-384 collides, and accepting a payload no
+    replica signed then takes either an Ed25519 forgery on a new statement or
+    a SHA-384 collision with a signed request or value. The leading byte
+    keeps a statement apart from anything else such a key might sign. The
+    check rebuilds the statement from the payload it was handed, so a payload
+    that does not decode, or a signature over other bytes, is rejected.
+
     `check` remembers the last reply that verified and answers an identical
     reply without running Ed25519 again. This is sound because the memo is
     keyed on the whole `SignedReply` (device, payload and signature, compared
@@ -104,6 +139,16 @@ class ReplyKeyring:
     is verified afresh. Failed verifications are not remembered. One entry
     is enough because the clusters hand each reply to every client back to
     back, so all clients sharing this keyring check the same reply in a row.
+
+    Only a check that runs Ed25519 builds a statement, and it keeps the last
+    two it built, keyed on the whole payload by equality. That is sound
+    because the statement is a function of the payload bytes alone: an equal
+    payload has the same statement, whichever device or signature comes with
+    it. Two entries, because honest replicas send equal payloads for one
+    request, and a closed-loop chain client already sees the first replies to
+    its next put while the last ones to the current put still arrive. When
+    more requests are in flight than that (four BFT clients), it misses, and
+    a miss costs one decode and two hashes of the payload it was handed.
     """
 
     def __init__(self, devices: list[int], rng: random.Random):
@@ -114,10 +159,13 @@ class ReplyKeyring:
             self._priv[device] = key
             self.pubs[device] = key.public_key()
         self._last_verified: SignedReply | None = None
+        self._statements: deque[tuple[bytes, bytes]] = deque(maxlen=2)
 
-    def sign(self, device: int, payload: bytes) -> SignedReply:
+    def sign(self, device: int, payload: bytes, statement: bytes) -> SignedReply:
+        """Sign `statement`, which the caller built with `reply_statement`
+        from the digests of the request and value that `payload` carries."""
         return SignedReply(device=device, payload=payload,
-                           signature=self._priv[device].sign(payload))
+                           signature=self._priv[device].sign(statement))
 
     def check(self, reply: SignedReply) -> bool:
         if reply == self._last_verified:
@@ -126,11 +174,20 @@ class ReplyKeyring:
         if pub is None:
             return False
         try:
-            pub.verify(reply.signature, reply.payload)
-        except InvalidSignature:
+            pub.verify(reply.signature, self._statement(reply.payload))
+        except (FrameError, InvalidSignature):
             return False
         self._last_verified = reply
         return True
+
+    def _statement(self, payload: bytes) -> bytes:
+        for known, statement in self._statements:
+            if known == payload:
+                return statement
+        req, value = decode_reply_payload(payload)
+        statement = reply_statement(digest(req), digest(value))
+        self._statements.appendleft((payload, statement))
+        return statement
 
 
 class QuorumClient:
@@ -140,7 +197,8 @@ class QuorumClient:
     witnesses; agreement assertions compare these across clients. Any quorum
     of f+1 contains at least one correct replica, so two clients can never
     settle on different values for the same request. `ignored` counts the
-    replies whose signature does not check.
+    replies whose signature does not check, including every reply whose
+    payload does not decode.
     """
 
     def __init__(self, client_id: int, keyring: ReplyKeyring, quorum: int):

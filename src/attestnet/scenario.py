@@ -26,12 +26,14 @@ value, every injected deviation was detected, and no honest node was
 accused: a BFT flag may accuse only a Byzantine leader, a chain flag only the
 lying position, and a PeerReview audit may find only the attacked child
 inconsistent. A `lie` whose commit the run never reaches deviates nowhere,
-so that run is judged as an honest one. A deviation is "masked" when no
-correct node can detect it and the f+1 quorum outvotes it: no node follows a
-lying tail to check it, so a CR lie is masked, and the run ok without a flag,
-when the liar is the tail, the lied commit was reached, and client 0 accepted
-the correct value for that commit. The final line counts the frames whose
-retry budget ran out ("exhausted"); a run with any is not ok.
+so that run is judged as an honest one; so is a Byzantine leader that never
+sent a follower a deviating attestation (its round never came, or it has no
+follower). A deviation is "masked" when no correct node can detect it and the
+f+1 quorum outvotes it: no node follows a lying tail to check it, so a CR lie
+is masked, and the run ok without a flag, when the liar is the tail, the lied
+commit was reached, and client 0 accepted the correct value for that commit.
+The final line counts the frames whose retry budget ran out ("exhausted"); a
+run with any is not ok.
 """
 
 import json
@@ -166,7 +168,7 @@ def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
         if len(vals) > 1:
             agreement = False
     byzantine = {cluster.leader_id} if kind in ("equivocate", "wrong_value") else set()
-    detected = bool(flags) if byzantine else True
+    detected = bool(flags) or not cluster.replicas[cluster.leader_id].deviated
     accused = {fl["accused"] for fl in flags}
     exhausted = len(cluster.cluster.net.exhausted)
     ok = agreement and detected and accused <= byzantine and not exhausted

@@ -20,8 +20,10 @@ from attestnet.protocols.bft import (
     encode_inner,
 )
 from attestnet.protocols.common import (
+    digest,
     encode_reply_payload,
     log_session,
+    reply_statement,
     transport_session,
 )
 from attestnet.simnet import FaultAction, FaultSchedule
@@ -197,17 +199,22 @@ def test_leader_crash_mid_broadcast_forwarding_closure():
     assert client.accepted_value(req) == struct.pack(">Q", 1)
 
 
+def _signed(cluster, device, req, value):
+    """The reply replica `device` sends for (req, value)."""
+    return cluster.cluster.keyring.sign(device, encode_reply_payload(req, value),
+                                        reply_statement(digest(req), digest(value)))
+
+
 def test_client_quorum_two_identical_beat_one_conflicting():
     cluster = BftCluster.build(n=3, f=1, seed=5)
     client = cluster.clients[0]
     req = client.issue(1)
-    good = encode_reply_payload(req, struct.pack(">Q", 1))
-    bad = encode_reply_payload(req, struct.pack(">Q", 99))
-    client.deliver(cluster.cluster.keyring.sign(1, bad))
+    good, bad = struct.pack(">Q", 1), struct.pack(">Q", 99)
+    client.deliver(_signed(cluster, 1, req, bad))
     assert client.accepted_value(req) is None     # one conflicting reply
-    client.deliver(cluster.cluster.keyring.sign(2, good))
+    client.deliver(_signed(cluster, 2, req, good))
     assert client.accepted_value(req) is None     # still only one good vote
-    client.deliver(cluster.cluster.keyring.sign(3, good))
+    client.deliver(_signed(cluster, 3, req, good))
     assert client.accepted_value(req) == struct.pack(">Q", 1)
 
 
@@ -215,9 +222,8 @@ def test_replies_for_foreign_requests_not_counted():
     cluster = BftCluster.build(n=3, f=1, seed=6, clients=2)
     mine, theirs = cluster.clients
     req_theirs = theirs.issue(1)
-    payload = encode_reply_payload(req_theirs, struct.pack(">Q", 1))
     for device in (1, 2):
-        mine.deliver(cluster.cluster.keyring.sign(device, payload))
+        mine.deliver(_signed(cluster, device, req_theirs, struct.pack(">Q", 1)))
     assert mine.accepted == {}             # never issued by this client
     assert mine.observed.get(req_theirs) == struct.pack(">Q", 1)
 
@@ -226,8 +232,7 @@ def test_single_reply_never_accepted():
     cluster = BftCluster.build(n=3, f=1, seed=7)
     client = cluster.clients[0]
     req = client.issue(1)
-    payload = encode_reply_payload(req, struct.pack(">Q", 1))
-    client.deliver(cluster.cluster.keyring.sign(2, payload))
+    client.deliver(_signed(cluster, 2, req, struct.pack(">Q", 1)))
     assert client.accepted_value(req) is None
 
 
@@ -280,3 +285,47 @@ def test_scenario_leader_without_followers_replies_itself():
     assert [r["accepted"]["100"] for r in rounds] == [
         struct.pack(">Q", 1).hex(), struct.pack(">Q", 2).hex()]
     assert result.ok and last["values"] == {"1": 2}
+
+
+@pytest.mark.parametrize("kind", ["equivocate", "wrong_value"])
+@pytest.mark.parametrize("topology", [{"rounds": 2, "attack_round": 5},
+                                      {"n": 1, "f": 0, "rounds": 2, "attack_round": 1}],
+                         ids=["round-never-reached", "no-follower"])
+def test_scenario_attack_that_never_deviated_is_judged_honest(kind, topology):
+    spec = {"protocol": "bft", **topology}
+    spec["attack"] = {"kind": kind, "round": spec.pop("attack_round")}
+    result = run_scenario(spec)
+    *rounds, last = [json.loads(line) for line in result.dumps().splitlines()]
+    assert last["flags"] == [] and last["agreement"]
+    assert [r["accepted"]["100"] for r in rounds] == [
+        struct.pack(">Q", 1).hex(), struct.pack(">Q", 2).hex()]
+    assert result.ok and last["ok"]
+
+
+@pytest.mark.parametrize("kind", ["equivocate", "wrong_value"])
+def test_scenario_deviation_nobody_flags_is_not_ok(kind, monkeypatch):
+    spec = {"protocol": "bft", "rounds": 2, "attack": {"kind": kind, "round": 1}}
+    assert run_scenario(spec).ok
+    # followers that accept whatever the leader attests flag nothing
+    monkeypatch.setattr(BftReplica, "_checked_inner",
+                        lambda self, sender, frame: decode_inner(
+                            decode_frame(frame).payload))
+    result = run_scenario(spec)
+    assert json.loads(result.dumps().splitlines()[-1])["flags"] == []
+    assert not result.ok
+
+
+def test_leader_records_only_the_deviations_it_sent():
+    honest = BftCluster.build(n=3, f=1, seed=2)
+    honest.run_request(0, 1)
+    assert not honest.replicas[1].deviated
+    liar = BftCluster.build(n=3, f=1, seed=2, leader_cls=WrongValueLeader,
+                            leader_kwargs={"lie_round": 2})
+    liar.run_request(0, 1)
+    assert not liar.replicas[1].deviated
+    liar.run_request(0, 2)
+    assert liar.replicas[1].deviated
+    alone = BftCluster.build(n=1, f=0, seed=2, leader_cls=WrongValueLeader,
+                             leader_kwargs={"lie_round": 1})
+    alone.run_request(0, 1)
+    assert not alone.replicas[1].deviated
