@@ -225,34 +225,49 @@ def connect(config: DeviceConfig, net) -> Endpoint:
     return ep
 
 
-# -- application-level batching ----------------------------------------------
+# -- length-prefixed records -------------------------------------------------
 #
-# batch payload = record count (4B BE) followed by each record as
-# length (4B BE) + bytes. One attestation covers the whole batch.
+# record = length (4B BE) ‖ bytes. batch = count (4B BE) ‖ records: many
+# payloads under one attestation. pair = record ‖ tail: the protocols' record
+# format. Both read every length through `_record`, the one bounds check.
+
+_LEN = struct.Struct(">I")
+
+
+def _record(data: bytes, offset: int) -> tuple[bytes, int]:
+    """The record at offset and the offset past it; FrameError unless it fits."""
+    if offset + 4 > len(data):
+        raise FrameError("truncated record header")
+    end = offset + 4 + _LEN.unpack_from(data, offset)[0]
+    if end > len(data):
+        raise FrameError("truncated record")
+    return data[offset + 4:end], end
+
+
+def pack_pair(head: bytes, tail: bytes) -> bytes:
+    return _LEN.pack(len(head)) + head + tail
+
+
+def unpack_pair(data: bytes) -> tuple[bytes, bytes]:
+    """Inverse of pack_pair; raises FrameError if the head does not fit."""
+    head, end = _record(data, 0)
+    return head, data[end:]
+
 
 def pack_batch(records: list[bytes]) -> bytes:
-    parts = [struct.pack(">I", len(records))]
+    parts = [_LEN.pack(len(records))]
     for rec in records:
-        parts.append(struct.pack(">I", len(rec)))
-        parts.append(rec)
+        parts += (_LEN.pack(len(rec)), rec)
     return b"".join(parts)
 
 
 def unpack_batch(payload: bytes) -> list[bytes]:
     if len(payload) < 4:
         raise FrameError("batch too short")
-    (count,) = struct.unpack_from(">I", payload)
-    records = []
-    offset = 4
-    for _ in range(count):
-        if offset + 4 > len(payload):
-            raise FrameError("truncated batch record header")
-        (rec_len,) = struct.unpack_from(">I", payload, offset)
-        offset += 4
-        if offset + rec_len > len(payload):
-            raise FrameError("truncated batch record")
-        records.append(payload[offset:offset + rec_len])
-        offset += rec_len
+    records, offset = [], 4
+    for _ in range(_LEN.unpack_from(payload)[0]):
+        rec, offset = _record(payload, offset)
+        records.append(rec)
     if offset != len(payload):
         raise FrameError("trailing bytes after batch")
     return records

@@ -23,6 +23,7 @@ order, handing every reply to every client.
 import struct
 from dataclasses import dataclass, field
 
+from ..device import pack_pair, unpack_pair
 from ..errors import AuthFailure, CounterMismatch, FrameError, KernelError
 from ..transform import StateSimulator, probe_determinism
 from ..wire import decode_frame, encode_frame
@@ -33,7 +34,6 @@ from .common import (
     SignedReply,
     build_cluster,
     digest,
-    encode_reply_payload,
     log_session,
     pump,
     reply_statement,
@@ -56,14 +56,15 @@ def counter_state(value: int) -> bytes:
 
 
 def encode_inner(req: bytes, output: int) -> bytes:
-    return struct.pack(">I", len(req)) + req + counter_state(output)
+    return pack_pair(req, counter_state(output))
 
 
 def decode_inner(payload: bytes) -> tuple[bytes, int]:
-    """Inverse of encode_inner; raises FrameError unless the lengths agree."""
-    if len(payload) < 12 or len(payload) != 12 + int.from_bytes(payload[:4], "big"):
-        raise FrameError(f"inner payload of {len(payload)} bytes does not decode")
-    return payload[4:-8], int.from_bytes(payload[-8:], "big")
+    """Inverse of encode_inner; FrameError unless 8 state bytes follow the request."""
+    req, state = unpack_pair(payload)
+    if len(state) != 8:
+        raise FrameError(f"inner payload ends in {len(state)} state bytes, not 8")
+    return req, int.from_bytes(state, "big")
 
 
 @dataclass
@@ -209,8 +210,8 @@ class BftReplica:
     def _reply_client(self, req: bytes, output: int) -> None:
         value = counter_state(output)
         statement = reply_statement(digest(req), digest(value))
-        self.outbox_replies.append(self.cluster.keyring.sign(
-            self.node_id, encode_reply_payload(req, value), statement))
+        self.outbox_replies.append(
+            self.cluster.keyring.sign(self.node_id, req, value, statement))
 
     # -- event pump -------------------------------------------------------------
 

@@ -20,14 +20,15 @@ flags, so p-1 made the fault or forwarded it. Each hop MACs the request once
 plus p small levels, so the cost no longer grows with chain length x payload.
 
 Reads cannot be served locally by the tail in the Byzantine model; every
-operation traverses the chain and every node replies to the client. A reply
-is signed over the statement `0x01 ‖ H(req) ‖ H(out)` (`common.reply_statement`),
+operation traverses the chain and every node replies to the client with
+(req, out) signed over `0x01 ‖ H(req) ‖ H(out)` (`common.reply_statement`),
 built from the digests the node's own level already holds, so signing hashes
 nothing new: the head's H(req) and H(out_0), and at position p the request
 digest that `validate_chain` starts its links from and the digest of the
 output the node attests.
-A Byzantine node overrides only `attested_output`, the output it attests.
-A node that flags its chain accepts nothing more from it.
+A Byzantine node, the head included, overrides only `attested_output`, the
+output it attests, and is then marked `deviated`. A node that flags its chain
+accepts nothing more from it.
 
 `ChainCluster.drain` runs the shared `common.pump` over the nodes in chain
 order, handing every reply to every client.
@@ -36,7 +37,7 @@ order, handing every reply to every client.
 import struct
 from dataclasses import dataclass, field
 
-from ..device import pack_batch, unpack_batch
+from ..device import pack_batch, pack_pair, unpack_batch, unpack_pair
 from ..errors import ChainValidationFailure, FrameError, KernelError
 from ..wire import decode_frame, encode_frame
 from .common import (
@@ -45,8 +46,8 @@ from .common import (
     QuorumClient,
     SignedReply,
     build_cluster,
+    decode_request,
     digest,
-    encode_reply_payload,
     log_session,
     pump,
     reply_statement,
@@ -62,15 +63,15 @@ DIGEST_LEN = 48      # SHA-384
 
 
 def encode_op(op: int, key: bytes, value: bytes = b"") -> bytes:
-    return bytes([op]) + struct.pack(">I", len(key)) + key + value
+    return bytes([op]) + pack_pair(key, value)
 
 
 def decode_op(body: bytes) -> tuple[int, bytes, bytes]:
     """Inverse of encode_op; raises FrameError if the key does not fit."""
-    klen = int.from_bytes(body[1:5], "big")
-    if len(body) < 5 + klen:
-        raise FrameError(f"op of {len(body)} bytes does not decode")
-    return body[0], body[5:5 + klen], body[5 + klen:]
+    if not body:
+        raise FrameError("empty op")
+    key, value = unpack_pair(body[1:])
+    return body[0], key, value
 
 
 class KvMachine:
@@ -82,23 +83,22 @@ class KvMachine:
 
     def peek(self, body: bytes) -> bytes:
         """Output this machine would produce, without committing."""
-        op, key, value = decode_op(body)
-        next_index = self.commit_index + 1
-        if op == OP_PUT:
-            result = value
-        elif op == OP_GET:
-            result = self.store.get(key, b"")
-        else:
-            result = b""
-        return struct.pack(">Q", next_index) + result
+        return self._output(*decode_op(body))
 
     def apply(self, body: bytes) -> bytes:
-        output = self.peek(body)
         op, key, value = decode_op(body)
+        output = self._output(op, key, value)
         if op == OP_PUT:
             self.store[key] = value
         self.commit_index += 1
         return output
+
+    def _output(self, op: int, key: bytes, value: bytes) -> bytes:
+        if op == OP_GET:
+            value = self.store.get(key, b"")
+        elif op != OP_PUT:
+            value = b""
+        return struct.pack(">Q", self.commit_index + 1) + value
 
 
 def encode_proof(req: bytes, levels: list[bytes]) -> bytes:
@@ -108,9 +108,12 @@ def encode_proof(req: bytes, levels: list[bytes]) -> bytes:
 
 def peel_poe(proof: bytes) -> tuple[bytes, list[bytes]]:
     """Split a transport proof into (req, [level frame] in chain order,
-    position 0 first). Raises FrameError if the proof does not parse."""
-    req, *levels = unpack_batch(proof)
-    return req, levels
+    position 0 first). Raises FrameError if the proof does not parse or
+    holds no request."""
+    records = unpack_batch(proof)
+    if not records:
+        raise FrameError("proof without a request")
+    return records[0], records[1:]
 
 
 @dataclass
@@ -130,6 +133,7 @@ class ChainNode:
     machine: KvMachine = field(default_factory=KvMachine)
     flags: list[ChainFlag] = field(default_factory=list)
     outbox_replies: list[SignedReply] = field(default_factory=list)
+    deviated: bool = False      # `attested_output` changed a committed output
 
     def __post_init__(self):
         self.endpoint = self.cluster.endpoints[self.node_id]
@@ -153,14 +157,12 @@ class ChainNode:
 
     def head_handle(self, req: bytes) -> None:
         try:
-            out = self.machine.apply(req[12:])   # past the client/req_id prefix
+            out = self._execute(req)
         except FrameError:
             return   # a client request that is not an op: nothing to commit
         req_digest, out_digest = digest(req), digest(out)
         level = self._attest_level(POE_BASE, req_digest, out_digest)
-        if not self.is_tail:
-            self.endpoint.auth_send(self.downstream_session, encode_proof(req, [level]))
-        self._reply_client(req, out, reply_statement(req_digest, out_digest))
+        self._forward_and_reply(req, [level], out, req_digest, out_digest)
 
     # -- middle / tail ------------------------------------------------------------
 
@@ -181,7 +183,7 @@ class ChainNode:
             raise ChainValidationFailure(
                 upstream, f"{len(levels)} levels, expected {self.position}")
         try:
-            expected_out = self.machine.peek(req[12:])
+            expected_out = self.machine.peek(decode_request(req)[2])
         except FrameError as exc:
             raise ChainValidationFailure(upstream, f"request: {exc}") from None
         out_digest = digest(expected_out)
@@ -219,14 +221,11 @@ class ChainNode:
         except ChainValidationFailure as exc:
             self.flags.append(ChainFlag(self.node_id, exc.position, exc.detail))
             return
-        out = self.attested_output(self.machine.apply(req[12:]))
+        out = self._execute(req)
         if out != expected_out:
             out_digest = digest(out)
         level = self._attest_level(POE_CHAIN, link, out_digest)
-        if not self.is_tail:
-            self.endpoint.auth_send(self.downstream_session,
-                                    encode_proof(req, levels + [level]))
-        self._reply_client(req, out, reply_statement(req_digest, out_digest))
+        self._forward_and_reply(req, levels + [level], out, req_digest, out_digest)
 
     def _attest_level(self, kind: int, link: bytes, out_digest: bytes) -> bytes:
         """Attest this node's level of the proof on its log session."""
@@ -234,15 +233,26 @@ class ChainNode:
                                          bytes([kind]) + link + out_digest)
         return encode_frame(level)
 
+    def _execute(self, req: bytes) -> bytes:
+        """Commit the request's op; return the output this node attests."""
+        out = self.machine.apply(decode_request(req)[2])
+        attested = self.attested_output(out)
+        if attested != out:
+            self.deviated = True
+        return attested
+
     def attested_output(self, out: bytes) -> bytes:
         """The output this node attests, forwards and replies with, given the
         one its machine just committed; a correct node passes it through."""
         return out
 
-    def _reply_client(self, req: bytes, out: bytes, statement: bytes) -> None:
-        payload = encode_reply_payload(req, out)
-        self.outbox_replies.append(
-            self.cluster.keyring.sign(self.node_id, payload, statement))
+    def _forward_and_reply(self, req: bytes, levels: list[bytes], out: bytes,
+                           req_digest: bytes, out_digest: bytes) -> None:
+        """Forward the proof that ends in this node's level, then reply."""
+        if not self.is_tail:
+            self.endpoint.auth_send(self.downstream_session, encode_proof(req, levels))
+        self.outbox_replies.append(self.cluster.keyring.sign(
+            self.node_id, req, out, reply_statement(req_digest, out_digest)))
 
     def step(self) -> bool:
         if self.is_head:
@@ -255,7 +265,7 @@ class ChainNode:
 
 
 class LyingMiddle(ChainNode):
-    """Byzantine middle node: attests a deviated output at one round."""
+    """Byzantine node at any position: attests a deviated output at one round."""
 
     def __init__(self, *args, lie_at_commit: int, **kwargs):
         super().__init__(*args, **kwargs)

@@ -4,9 +4,10 @@ and the session topology used by the replicated systems.
 Clients are untrusted and hold no attestation session keys, so replicas
 sign their replies with Ed25519 (each device gets a reply keypair at
 bootstrap; the public halves are distributed to clients). A reply carries
-the request it answers and the value, `len ‖ req ‖ value`, plus a signature
-over the fixed 97-byte reply statement `0x01 ‖ H(req) ‖ H(value)`, never
-over those bytes themselves. A client trusts a result only after f+1
+the request it answers and the value, as two fields, plus a signature over
+the fixed 97-byte reply statement `0x01 ‖ H(req) ‖ H(value)`. Replies reach
+clients through the replicas' outboxes, never over the simulated wire, so
+they have no byte encoding. A client trusts a result only after f+1
 identical replies from distinct devices that reference its own request bytes.
 
 Session id scheme (32-bit space):
@@ -81,37 +82,26 @@ class ProtocolConfig:
 def encode_request(client: int, req_id: int, body: bytes = b"") -> bytes:
     return struct.pack(">IQ", client, req_id) + body
 
+
 def decode_request(req: bytes) -> tuple[int, int, bytes]:
+    """Inverse of encode_request; raises FrameError if the request is
+    shorter than its 12-byte client id ‖ request id header."""
+    if len(req) < 12:
+        raise FrameError(f"request of {len(req)} bytes has no header")
     client, req_id = struct.unpack_from(">IQ", req)
     return client, req_id, req[12:]
 
 
-def encode_reply_payload(req: bytes, value: bytes) -> bytes:
-    return struct.pack(">I", len(req)) + req + value
-
-
-def decode_reply_payload(payload: bytes) -> tuple[bytes, bytes]:
-    """Inverse of encode_reply_payload; raises FrameError if the length
-    prefix is missing or names more request bytes than the payload holds."""
-    if len(payload) >= 4:
-        (req_len,) = struct.unpack_from(">I", payload)
-        if len(payload) >= 4 + req_len:
-            return payload[4:4 + req_len], payload[4 + req_len:]
-    raise FrameError(f"reply payload of {len(payload)} bytes does not decode")
-
-
-REPLY_STATEMENT = 0x01
-
-
 def reply_statement(req_digest: bytes, value_digest: bytes) -> bytes:
     """What a replica signs for a reply: 0x01 ‖ H(req) ‖ H(value), 97 bytes."""
-    return bytes([REPLY_STATEMENT]) + req_digest + value_digest
+    return b"\x01" + req_digest + value_digest
 
 
 @dataclass(frozen=True)
 class SignedReply:
     device: int
-    payload: bytes
+    req: bytes
+    value: bytes
     signature: bytes
 
 
@@ -121,34 +111,22 @@ class ReplyKeyring:
     The public key objects are built once, here, not on every check.
 
     A replica signs the reply statement `0x01 ‖ H(req) ‖ H(value)`, H =
-    SHA-384, not the payload `len ‖ req ‖ value` it sends; the signer passes
-    digests it already holds (the chain proof hashes the request and the
-    output anyway). The statement binds as strongly as the payload would: it
-    has one fixed length and layout, so distinct (req, value) pairs give
-    distinct statements unless SHA-384 collides, and accepting a payload no
-    replica signed then takes either an Ed25519 forgery on a new statement or
-    a SHA-384 collision with a signed request or value. The leading byte
-    keeps a statement apart from anything else such a key might sign. The
-    check rebuilds the statement from the payload it was handed, so a payload
-    that does not decode, or a signature over other bytes, is rejected.
+    SHA-384, from digests it already holds. The statement has one fixed
+    layout, so accepting a (req, value) pair no replica signed takes an
+    Ed25519 forgery or a SHA-384 collision; the leading byte keeps it apart
+    from anything else such a key might sign. `check` rebuilds the statement
+    from the reply's own request and value: nothing is decoded, so only a
+    signature over other bytes fails.
 
-    `check` remembers the last reply that verified and answers an identical
-    reply without running Ed25519 again. This is sound because the memo is
-    keyed on the whole `SignedReply` (device, payload and signature, compared
-    by equality): a reply that differs in any byte, or names another device,
-    is verified afresh. Failed verifications are not remembered. One entry
-    is enough because the clusters hand each reply to every client back to
-    back, so all clients sharing this keyring check the same reply in a row.
-
-    Only a check that runs Ed25519 builds a statement, and it keeps the last
-    two it built, keyed on the whole payload by equality. That is sound
-    because the statement is a function of the payload bytes alone: an equal
-    payload has the same statement, whichever device or signature comes with
-    it. Two entries, because honest replicas send equal payloads for one
-    request, and a closed-loop chain client already sees the first replies to
-    its next put while the last ones to the current put still arrive. When
-    more requests are in flight than that (four BFT clients), it misses, and
-    a miss costs one decode and two hashes of the payload it was handed.
+    `check` remembers the last reply that verified and answers an equal
+    `SignedReply` (every field compared) without running Ed25519 again;
+    failures are not remembered. One entry is enough because the clusters
+    hand each reply to every client back to back. A check that runs Ed25519
+    reuses the last two statements built, keyed on (req, value): honest
+    replicas reply with equal pairs for one request, and a closed-loop chain
+    client sees the first replies to its next put while the last ones to the
+    current put still arrive. With more requests in flight (four BFT
+    clients) it misses, and a miss costs two hashes.
     """
 
     def __init__(self, devices: list[int], rng: random.Random):
@@ -159,13 +137,13 @@ class ReplyKeyring:
             self._priv[device] = key
             self.pubs[device] = key.public_key()
         self._last_verified: SignedReply | None = None
-        self._statements: deque[tuple[bytes, bytes]] = deque(maxlen=2)
+        self._statements: deque[tuple[tuple[bytes, bytes], bytes]] = deque(maxlen=2)
 
-    def sign(self, device: int, payload: bytes, statement: bytes) -> SignedReply:
+    def sign(self, device: int, req: bytes, value: bytes,
+             statement: bytes) -> SignedReply:
         """Sign `statement`, which the caller built with `reply_statement`
-        from the digests of the request and value that `payload` carries."""
-        return SignedReply(device=device, payload=payload,
-                           signature=self._priv[device].sign(statement))
+        from the digests of `req` and `value`."""
+        return SignedReply(device, req, value, self._priv[device].sign(statement))
 
     def check(self, reply: SignedReply) -> bool:
         if reply == self._last_verified:
@@ -173,21 +151,17 @@ class ReplyKeyring:
         pub = self.pubs.get(reply.device)
         if pub is None:
             return False
+        pair = (reply.req, reply.value)
+        statement = next((st for known, st in self._statements if known == pair), None)
+        if statement is None:
+            statement = reply_statement(digest(reply.req), digest(reply.value))
+            self._statements.appendleft((pair, statement))
         try:
-            pub.verify(reply.signature, self._statement(reply.payload))
-        except (FrameError, InvalidSignature):
+            pub.verify(reply.signature, statement)
+        except InvalidSignature:
             return False
         self._last_verified = reply
         return True
-
-    def _statement(self, payload: bytes) -> bytes:
-        for known, statement in self._statements:
-            if known == payload:
-                return statement
-        req, value = decode_reply_payload(payload)
-        statement = reply_statement(digest(req), digest(value))
-        self._statements.appendleft((payload, statement))
-        return statement
 
 
 class QuorumClient:
@@ -197,8 +171,7 @@ class QuorumClient:
     witnesses; agreement assertions compare these across clients. Any quorum
     of f+1 contains at least one correct replica, so two clients can never
     settle on different values for the same request. `ignored` counts the
-    replies whose signature does not check, including every reply whose
-    payload does not decode.
+    replies whose signature does not check.
     """
 
     def __init__(self, client_id: int, keyring: ReplyKeyring, quorum: int):
@@ -220,7 +193,7 @@ class QuorumClient:
         if not self.keyring.check(reply):
             self.ignored += 1
             return
-        req, value = decode_reply_payload(reply.payload)
+        req, value = reply.req, reply.value
         per_req = self.replies.setdefault(req, {})
         if reply.device in per_req:
             return              # first reply per device counts

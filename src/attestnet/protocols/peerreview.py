@@ -14,9 +14,9 @@ the guarantee (bad actions may take effect before they are exposed).
 children in id order; there are no clients.
 """
 
-import struct
 from dataclasses import dataclass, field
 
+from ..device import pack_pair, unpack_pair
 from ..errors import FrameError
 from ..kernel import AttestedMessage
 from ..wire import decode_frame, encode_frame
@@ -38,17 +38,18 @@ def reference_execute(cmd: bytes) -> bytes:
 
 
 def encode_exec(result: bytes, cmd: bytes) -> bytes:
-    return (bytes([ENTRY_EXEC]) + struct.pack(">I", len(result)) + result
-            + struct.pack(">I", len(cmd)) + cmd)
+    """ENTRY_EXEC ‖ result ‖ cmd, each of the two a length-prefixed record."""
+    return bytes([ENTRY_EXEC]) + pack_pair(result, pack_pair(cmd, b""))
 
 
 def decode_exec(ctx: bytes) -> tuple[bytes, bytes]:
-    """Inverse of encode_exec; raises FrameError unless the lengths agree."""
-    rlen = int.from_bytes(ctx[1:5], "big")
-    clen = int.from_bytes(ctx[5 + rlen:9 + rlen], "big")
-    if len(ctx) < 9 or len(ctx) != 9 + rlen + clen:
-        raise FrameError(f"exec entry of {len(ctx)} bytes does not decode")
-    return ctx[5:5 + rlen], ctx[9 + rlen:]
+    """Inverse of encode_exec, kind byte unchecked; FrameError unless exactly
+    the two records follow it."""
+    result, rest = unpack_pair(ctx[1:])
+    cmd, tail = unpack_pair(rest)
+    if tail:
+        raise FrameError(f"{len(tail)} bytes after the exec entry's records")
+    return result, cmd
 
 
 @dataclass
@@ -133,11 +134,13 @@ class MutatingChild(PrChild):
         super().__init__(node_id, cluster, root_id)
         self.mutate_round = mutate_round
         self._round = 0
+        self.deviated = False     # set once it returned a mutated result
 
     def execute(self, cmd: bytes) -> bytes:
         self._round += 1
         result = reference_execute(cmd)
         if self._round == self.mutate_round:
+            self.deviated = True
             return b"lie:" + result[4:]
         return result
 
@@ -188,30 +191,25 @@ class Witness:
         which attested it."""
         if not ctx:
             return Verdict(VERDICT_EXPOSED, seq=seq)    # not even a kind byte
-        kind = ctx[0]
         try:
-            if kind == ENTRY_RECV:
-                cmd = decode_frame(ctx[1:]).payload
-            elif kind == ENTRY_EXEC:
-                found, cmd = decode_exec(ctx)
+            if ctx[0] == ENTRY_RECV:
+                self._pending_cmds.append(decode_frame(ctx[1:]).payload)
+                return None
+            if ctx[0] != ENTRY_EXEC:
+                return None     # SENT entries replay trivially for the streaming root
+            found, cmd = decode_exec(ctx)
         except FrameError:
             return Verdict(VERDICT_EXPOSED, seq=seq)
-        if kind == ENTRY_RECV:
-            self._pending_cmds.append(cmd)
-            return None
-        if kind == ENTRY_EXEC:
-            if not self._pending_cmds or self._pending_cmds[0] != cmd:
-                return Verdict(VERDICT_EXPOSED, seq=seq,
-                               expected=self._pending_cmds[0] if self._pending_cmds else b"",
-                               found=cmd)
-            self._pending_cmds.pop(0)
-            expected = reference_execute(cmd)
-            if found != expected:
-                return Verdict(VERDICT_EXPOSED, seq=seq, expected=expected,
-                               found=found)
-            self.expected_state["processed"] += 1
-            return None
-        return None  # SENT entries replay trivially for the streaming root
+        if not self._pending_cmds or self._pending_cmds[0] != cmd:
+            return Verdict(VERDICT_EXPOSED, seq=seq,
+                           expected=self._pending_cmds[0] if self._pending_cmds else b"",
+                           found=cmd)
+        self._pending_cmds.pop(0)
+        expected = reference_execute(cmd)
+        if found != expected:
+            return Verdict(VERDICT_EXPOSED, seq=seq, expected=expected, found=found)
+        self.expected_state["processed"] += 1
+        return None
 
 
 @dataclass

@@ -25,12 +25,11 @@ diagnostics, and verdicts. A run is "safe" when no client accepted a wrong
 value, every injected deviation was detected, and no honest node was
 accused: a BFT flag may accuse only a Byzantine leader, a chain flag only the
 lying position, and a PeerReview audit may find only the attacked child
-inconsistent. A `lie` whose commit the run never reaches deviates nowhere,
-so that run is judged as an honest one; so is a Byzantine leader that never
-sent a follower a deviating attestation (its round never came, or it has no
-follower). A deviation is "masked" when no correct node can detect it and the
-f+1 quorum outvotes it: no node follows a lying tail to check it, so a CR lie
-is masked, and the run ok without a flag, when the liar is the tail, the lied
+inconsistent. An attack that never deviated (its round or commit never
+came, or a Byzantine leader has no follower) is judged as an honest run. A
+deviation is "masked" when no correct node can detect it and the f+1 quorum
+outvotes it: no node follows a lying tail to check it, so a CR lie is
+masked, and the run ok without a flag, when the liar is the tail, the lied
 commit was reached, and client 0 accepted the correct value for that commit.
 The final line counts the frames whose retry budget ran out ("exhausted"); a
 run with any is not ok.
@@ -220,7 +219,7 @@ def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     identical = len({tuple(h) for h in histories.values()}) == 1
     accused = {fl["position"] for fl in flags}
     liar = cluster.nodes[cluster.order[position]] if kind == "lie" else None
-    deviated = liar is not None and liar.lie_at_commit in histories[liar.node_id]
+    deviated = liar is not None and liar.deviated
     masked = deviated and liar.is_tail and liar.lie_at_commit in correct_commits
     exhausted = len(cluster.cluster.net.exhausted)
     ok = ((bool(flags) or masked if deviated else identical and not flags)
@@ -260,7 +259,10 @@ def _run_peerreview(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     verdicts = scenario.audit_all()
     lines = [{"node": node, "verdict": v.kind, "seq": v.seq}
              for node, v in verdicts.items()]
-    # Only the attacked child may be, and must be, found inconsistent.
+    # Only the attacked child may be, and must be, found inconsistent; a
+    # mutate_result whose round never came leaves it honest.
+    if kind == "mutate_result" and not scenario.children[target].deviated:
+        target = None
     ok = all(v.consistent != (node == target) for node, v in verdicts.items())
     exhausted = len(scenario.cluster.net.exhausted)
     ok = ok and not exhausted

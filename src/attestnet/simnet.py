@@ -37,6 +37,7 @@ from typing import NamedTuple
 
 from .device import Endpoint, SimClock
 from .errors import UnknownPeer
+from .kernel import TAG_LEN
 from .wire import frame_counter
 
 DEFAULT_RETRY_BUDGET = 16
@@ -206,8 +207,7 @@ class Network:
             return action.frame
         # Same header and payload as the template, random tag: the strongest
         # forgery an adversary without the session key can aim at.
-        body = template[:-64]
-        return body + self._rng.randbytes(64)
+        return template[:-TAG_LEN] + self._rng.randbytes(TAG_LEN)
 
     # -- submission ------------------------------------------------------------
 

@@ -21,7 +21,6 @@ from attestnet.protocols.bft import (
 )
 from attestnet.protocols.common import (
     digest,
-    encode_reply_payload,
     log_session,
     reply_statement,
     transport_session,
@@ -201,7 +200,7 @@ def test_leader_crash_mid_broadcast_forwarding_closure():
 
 def _signed(cluster, device, req, value):
     """The reply replica `device` sends for (req, value)."""
-    return cluster.cluster.keyring.sign(device, encode_reply_payload(req, value),
+    return cluster.cluster.keyring.sign(device, req, value,
                                         reply_statement(digest(req), digest(value)))
 
 
@@ -242,9 +241,9 @@ def test_unsigned_reply_ignored():
     cluster = BftCluster.build(n=3, f=1, seed=8)
     client = cluster.clients[0]
     req = client.issue(1)
-    payload = encode_reply_payload(req, struct.pack(">Q", 1))
-    client.deliver(SignedReply(device=2, payload=payload, signature=b"\x00" * 64))
-    client.deliver(SignedReply(device=3, payload=payload, signature=b"\x00" * 64))
+    value = struct.pack(">Q", 1)
+    client.deliver(SignedReply(device=2, req=req, value=value, signature=b"\x00" * 64))
+    client.deliver(SignedReply(device=3, req=req, value=value, signature=b"\x00" * 64))
     assert client.accepted_value(req) is None
     assert client.ignored == 2
 

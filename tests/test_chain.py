@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from attestnet import kernel
+from attestnet.device import pack_batch
 from attestnet.errors import ChainValidationFailure, WrongSender
 from attestnet.protocols.chain import (
     POE_BASE,
@@ -158,6 +159,11 @@ def test_malformed_proof_accuses_upstream_neighbour():
     proof = honest_proof(2)
     assert accused(2, proof[:-1]).position == 1
     assert accused(2, proof + b"\x00").position == 1
+
+
+def test_proof_with_no_request_accuses_upstream_neighbour():
+    failure = accused(2, pack_batch([]))
+    assert failure.position == 1 and "without a request" in failure.detail
 
 
 # Header fields (session, device, counter, length), the kind byte, the link,
@@ -384,6 +390,30 @@ def test_lie_past_the_last_round_is_judged_as_an_honest_run():
     assert verdict["flags"] == []
     assert verdict["commit_histories"] == {"1": [1], "2": [1], "3": [1]}
     assert result.ok and verdict["ok"]
+
+
+def test_lying_head_lies_and_the_next_node_accuses_it():
+    # The head attests, forwards and replies with its deviated output, so
+    # position 1 sees the output mismatch at node 1 and accuses position 0.
+    result = run_scenario({"protocol": "cr", "n": 3, "rounds": 2, "attack": {
+        "kind": "lie", "position": 0, "commit": 1}})
+    lines = [json.loads(line) for line in result.dumps().splitlines()]
+    verdict = lines[-1]
+    assert verdict["flags"] == [
+        {"accuser": 2, "position": 0, "reason": "output mismatch at node 1"}]
+    assert all(line["accepted"] is None for line in lines[:-1])
+    assert result.ok and verdict["ok"]
+
+
+def test_a_node_records_that_it_deviated_only_when_its_output_changed():
+    cluster = ChainCluster.build(n=3, f=1, seed=2, node_cls_at={0: LyingMiddle},
+                                 node_kwargs_at={0: {"lie_at_commit": 2}})
+    head = cluster.nodes[cluster.order[0]]
+    cluster.run_put(0, 1, b"k", b"v")
+    assert not head.deviated
+    cluster.run_put(0, 2, b"k", b"v")
+    assert head.deviated
+    assert not any(node.deviated for node in cluster.nodes.values() if node is not head)
 
 
 def test_lie_at_the_last_round_must_still_be_detected():

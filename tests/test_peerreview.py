@@ -95,6 +95,27 @@ def test_deviation_after_audited_prefix_still_caught():
     assert scenario.witnesses[2].audit().kind == VERDICT_EXPOSED
 
 
+def test_mutation_past_the_last_round_is_judged_as_an_honest_run():
+    spec = {"protocol": "peerreview", "rounds": 2,
+            "attack": {"kind": "mutate_result", "node": 2, "round": 5}}
+    result = run_scenario(spec)
+    assert [line["verdict"] for line in result.lines[:-1]] == [VERDICT_CONSISTENT] * 2
+    assert result.ok and result.lines[-1]["ok"]
+
+
+def test_mutation_in_the_run_must_still_be_exposed(monkeypatch):
+    spec = {"protocol": "peerreview", "rounds": 2,
+            "attack": {"kind": "mutate_result", "node": 2, "round": 1}}
+    result = run_scenario(spec)
+    assert result.lines[0]["verdict"] == VERDICT_EXPOSED
+    assert result.ok
+    # A target that deviated yet audits consistent fails the run.
+    audit = Witness.audit
+    monkeypatch.setattr(Witness, "audit", lambda self: Verdict(VERDICT_CONSISTENT)
+                        if self.node.node_id == 2 else audit(self))
+    assert not run_scenario(spec).ok
+
+
 def test_scenario_attack_with_an_honest_child_exposed_is_not_ok(monkeypatch):
     spec = {"protocol": "peerreview", "children": 3, "rounds": 2,
             "attack": {"kind": "mutate_result", "node": 2, "round": 1}}

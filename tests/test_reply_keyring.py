@@ -7,16 +7,13 @@ import struct
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from attestnet.errors import FrameError
 from attestnet.protocols import common
 from attestnet.protocols.bft import BftCluster
 from attestnet.protocols.chain import OP_PUT, ChainCluster, encode_op
 from attestnet.protocols.common import (
     QuorumClient,
     SignedReply,
-    decode_reply_payload,
     digest,
-    encode_reply_payload,
     reply_statement,
 )
 
@@ -61,8 +58,7 @@ def message_lengths(keyring) -> list[int]:
 
 def signed(keyring, device, req, value) -> SignedReply:
     """The reply an honest replica sends for (req, value)."""
-    return keyring.sign(device, encode_reply_payload(req, value),
-                        reply_statement(digest(req), digest(value)))
+    return keyring.sign(device, req, value, reply_statement(digest(req), digest(value)))
 
 
 def test_four_clients_check_twelve_replies_and_verify_three():
@@ -112,20 +108,17 @@ def _other_device(reply):
 
 
 def _flip_payload_byte(reply):
-    payload = reply.payload[:-1] + bytes([reply.payload[-1] ^ 1])
-    return dataclasses.replace(reply, payload=payload)
+    value = reply.value[:-1] + bytes([reply.value[-1] ^ 1])
+    return dataclasses.replace(reply, value=value)
 
 
 def _flip_request_byte(reply):
-    # byte 4 is the first request byte, past the 4-byte length prefix
-    payload = reply.payload[:4] + bytes([reply.payload[4] ^ 1]) + reply.payload[5:]
-    return dataclasses.replace(reply, payload=payload)
+    req = bytes([reply.req[0] ^ 1]) + reply.req[1:]
+    return dataclasses.replace(reply, req=req)
 
 
 def _splice_onto_other_request(reply):
-    _, value = decode_reply_payload(reply.payload)
-    other = common.encode_request(100, 2)
-    return dataclasses.replace(reply, payload=encode_reply_payload(other, value))
+    return dataclasses.replace(reply, req=common.encode_request(100, 2))
 
 
 @pytest.mark.parametrize("forge", [_corrupt_signature, _other_device,
@@ -155,29 +148,16 @@ def test_forgery_of_remembered_reply_still_rejected(forge):
 
 
 def test_signature_over_the_raw_payload_is_rejected():
+    """A signature over the request and value bytes, not their statement."""
     cluster = BftCluster.build(n=3, f=1, seed=9)
     client = cluster.clients[0]
     keyring = cluster.cluster.keyring
-    req = client.issue(1)
-    payload = encode_reply_payload(req, struct.pack(">Q", 1))
+    req, value = client.issue(1), struct.pack(">Q", 1)
     for device in (2, 3):
-        client.deliver(SignedReply(device, payload, keyring._priv[device].sign(payload)))
+        signature = keyring._priv[device].sign(req + value)
+        client.deliver(SignedReply(device, req, value, signature))
     assert client.ignored == 2
     assert client.replies == {} and client.accepted_value(req) is None
-
-
-@pytest.mark.parametrize("payload", [b"", b"\x00\x01", struct.pack(">I", 1000) + b"abc"],
-                         ids=["empty", "short-prefix", "prefix-past-end"])
-def test_malformed_reply_payload_is_ignored(payload):
-    with pytest.raises(FrameError):
-        decode_reply_payload(payload)
-    cluster = BftCluster.build(n=3, f=1, seed=9)
-    client = cluster.clients[0]
-    keyring = cluster.cluster.keyring
-    client.deliver(keyring.sign(2, payload, reply_statement(digest(b""), digest(b""))))
-    client.deliver(keyring.sign(3, payload, payload))
-    assert client.ignored == 2
-    assert client.replies == {} and client.observed == {}
 
 
 class ClosedLoopClient(QuorumClient):
@@ -247,10 +227,13 @@ def _run(protocol: str, clients: int, bodies: list[bytes]):
 
 
 def _mutants(reply: SignedReply, position: int, mask: int, devices: list[int]):
-    payload, sig = bytearray(reply.payload), bytearray(reply.signature)
-    payload[position % len(payload)] ^= mask
+    req, value = bytearray(reply.req), bytearray(reply.value)
+    sig = bytearray(reply.signature)
+    req[position % len(req)] ^= mask
+    value[position % len(value)] ^= mask
     sig[position % len(sig)] ^= mask
-    yield dataclasses.replace(reply, payload=bytes(payload))
+    yield dataclasses.replace(reply, req=bytes(req))
+    yield dataclasses.replace(reply, value=bytes(value))
     yield dataclasses.replace(reply, signature=bytes(sig))
     for device in [*devices, 99]:
         if device != reply.device:
