@@ -59,21 +59,14 @@ class BenchConfig:
     payload: int = 64
     requests: int = 256
     seed: int = 0
-    delay_ns: int | None = None       # explicit override beats the preset
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.delay_model not in DELAY_PRESETS_NS and self.delay_ns is None:
+        if self.delay_model not in DELAY_PRESETS_NS:
             raise ValueError(f"unknown delay model {self.delay_model!r}")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-
-    @property
-    def effective_delay_ns(self) -> int:
-        if self.delay_ns is not None:
-            return self.delay_ns
-        return DELAY_PRESETS_NS[self.delay_model]
 
 
 @dataclass
@@ -155,7 +148,7 @@ def _measure(config: BenchConfig, clock, submit) -> BenchRecord:
 def _bench_raw_channel(config: BenchConfig) -> BenchRecord:
     net = Network()
     key = derive_key(config.seed, 1)
-    delay = config.effective_delay_ns
+    delay = DELAY_PRESETS_NS[config.delay_model]
     cfg_a = DeviceConfig(device=1, sessions=[SessionConfig(1, 2, key)],
                          attest_delay_ns=delay)
     cfg_b = DeviceConfig(device=2, sessions=[SessionConfig(1, 1, key)],
@@ -175,7 +168,7 @@ def _bench_raw_channel(config: BenchConfig) -> BenchRecord:
 
 
 def _bench_a2m(config: BenchConfig) -> BenchRecord:
-    delay = config.effective_delay_ns
+    delay = DELAY_PRESETS_NS[config.delay_model]
     device = 1
     manifest = log_session(0xFF)
     sessions = [SessionConfig(log_session(device), device,
@@ -192,14 +185,12 @@ def _bench_a2m(config: BenchConfig) -> BenchRecord:
 
 def _bench_bft(config: BenchConfig) -> BenchRecord:
     cluster = BftCluster.build(n=3, f=1, seed=config.seed,
-                               attest_delay_ns=config.effective_delay_ns)
+                               attest_delay_ns=DELAY_PRESETS_NS[config.delay_model])
     client = cluster.clients[0]
     round_ids = itertools.count()
 
     def submit(records):
-        req = client.issue(next(round_ids), pack_batch(records))
-        cluster.replicas[cluster.leader_id].leader_handle(req)
-        cluster.drain()
+        req = cluster.run_request(0, next(round_ids), pack_batch(records))
         _check(client.accepted_value(req) is not None, "honest round must commit")
     record = _measure(config, cluster.cluster.net.clock, submit)
     _check_no_exhausted(cluster.cluster.net)
@@ -208,7 +199,7 @@ def _bench_bft(config: BenchConfig) -> BenchRecord:
 
 def _bench_cr(config: BenchConfig) -> BenchRecord:
     cluster = ChainCluster.build(n=3, f=1, seed=config.seed,
-                                 attest_delay_ns=config.effective_delay_ns)
+                                 attest_delay_ns=DELAY_PRESETS_NS[config.delay_model])
     client = cluster.clients[0]
     round_ids = itertools.count()
 
@@ -223,7 +214,7 @@ def _bench_cr(config: BenchConfig) -> BenchRecord:
 
 
 def _bench_peerreview(config: BenchConfig) -> BenchRecord:
-    delay = config.effective_delay_ns
+    delay = DELAY_PRESETS_NS[config.delay_model]
     scenario = PrScenario.build(seed=config.seed, n_children=2)
     for endpoint in scenario.cluster.endpoints.values():
         endpoint.config.attest_delay_ns = delay

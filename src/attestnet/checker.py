@@ -58,7 +58,6 @@ MAX_SENDERS = 2
 MAX_MESSAGES = 4
 
 TRANSPORT_LEMMAS = ("transfer_auth", "no_lost", "no_reorder", "no_duplicate")
-LEMMA_IDS = ("attestation", *TRANSPORT_LEMMAS)
 
 # Submissions onto the wire are this far apart, far wider than a frame's
 # latency, so an adversary's copy lands right behind its frame.
@@ -417,15 +416,6 @@ def check_attestation_lemma(seed: int = 0) -> LemmaReport:
 
 
 # -- public entry points -------------------------------------------------------------
-
-def check_lemma(instance: BoundedInstance, lemma_id: str,
-                kernel: str = "correct") -> LemmaReport:
-    if lemma_id == "attestation":
-        return check_attestation_lemma(instance.seed)
-    if lemma_id not in LEMMA_IDS:
-        raise ValueError(f"unknown lemma {lemma_id!r}")
-    return check_transport_lemmas(instance, kernel)[lemma_id]
-
 
 def check_all_lemmas(instance: BoundedInstance,
                      kernel: str = "correct") -> list[LemmaReport]:

@@ -32,8 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=bench_mod.PROTOCOLS)
     p_bench.add_argument("--delay", default="tnic",
                          choices=sorted(bench_mod.DELAY_PRESETS_NS))
-    p_bench.add_argument("--delay-ns", type=int, default=None,
-                         help="explicit delay override in nanoseconds")
     p_bench.add_argument("--batch", type=int, default=1)
     p_bench.add_argument("--payload", type=int, default=64)
     p_bench.add_argument("--requests", type=int, default=256)
@@ -70,8 +68,7 @@ def _cmd_bench(args) -> int:
     try:
         config = bench_mod.BenchConfig(
             protocol=args.protocol, delay_model=args.delay, batch=args.batch,
-            payload=args.payload, requests=args.requests, seed=args.seed,
-            delay_ns=args.delay_ns)
+            payload=args.payload, requests=args.requests, seed=args.seed)
         record = bench_mod.run_bench(config)
     except ValueError as exc:
         print(f"attestnet bench: {exc}", file=sys.stderr)

@@ -9,7 +9,8 @@ request on its `transform.StateSimulator` of the sender, whose serialized
 state is the output the message carries, applies at most once and in order,
 acks the leader with its own attested output, and forwards its attestation
 to the other replicas and the client. The leader replies to the client after
-f validated acks, counted once per follower id, or at once when f = 0.
+f validated acks, counted once per follower id, or at once when f = 0; it
+keeps a request in `pending_req` only until then.
 Clients accept on f+1 identical replies referencing their own request bytes.
 
 Byzantine attempts are *flagged*, not masked silently: every rejection names
@@ -83,9 +84,9 @@ class BftReplica:
     leader_id: int
     value: int = 0
     applied: set[bytes] = field(default_factory=set)
-    pending_req: dict[int, bytes] = field(default_factory=dict)
-    acks: dict[int, set[int]] = field(default_factory=dict)
-    replied: set[int] = field(default_factory=set)
+    # Leader only: output -> (request, ids of the followers that acked it),
+    # from the attestation until the reply goes out.
+    pending_req: dict[int, tuple[bytes, set[int]]] = field(default_factory=dict)
     flags: list[Flag] = field(default_factory=list)
     outbox_replies: list[SignedReply] = field(default_factory=list)
     crashed: bool = False
@@ -118,7 +119,6 @@ class BftReplica:
         output = counter_apply(self.value, req)
         self.value = output
         self.applied.add(req)
-        self.pending_req[output] = req
         log = log_session(self.node_id)
         outputs = self.attested_outputs(output)
         frames = [encode_frame(self.endpoint.local_send(log, encode_inner(req, out)))
@@ -130,20 +130,23 @@ class BftReplica:
             self.deviated = True
         if self.config.f == 0:
             # No follower, so no ack to wait for: the leader's reply is the quorum.
-            self.replied.add(output)
             self._reply_client(req, output)
+        else:
+            self.pending_req[output] = (req, set())
 
     def _leader_on_ack(self, sender: int, inner_frame: bytes) -> None:
         inner = self._checked_inner(sender, inner_frame)
         if inner is None:
             return
         req, output = inner
-        acked = self.acks.setdefault(output, set())
+        pending = self.pending_req.get(output)
+        if pending is None:
+            return             # already answered, or never attested
+        leader_req, acked = pending
         acked.add(sender)      # counted once per follower id
-        if len(acked) >= self.config.f and output not in self.replied:
-            if self.pending_req.get(output) == req:
-                self.replied.add(output)
-                self._reply_client(req, output)
+        if len(acked) >= self.config.f and leader_req == req:
+            del self.pending_req[output]
+            self._reply_client(req, output)
 
     # -- follower ----------------------------------------------------------------
 
@@ -306,10 +309,11 @@ class BftCluster:
         pump(self.cluster.net, [self.replicas[i] for i in sorted(self.replicas)],
              self.clients)
 
-    def run_request(self, client_index: int, req_id: int) -> bytes:
-        client = self.clients[client_index]
-        req = client.issue(req_id)
-        # every client observes replies; only the issuer counts them
+    def run_request(self, client_index: int, req_id: int, body: bytes = b"") -> bytes:
+        """One round: the client issues a request, the leader handles it, and
+        the cluster drains. Every client observes the replies; only the
+        issuer accepts them."""
+        req = self.clients[client_index].issue(req_id, body)
         self.replicas[self.leader_id].leader_handle(req)
         self.drain()
         return req

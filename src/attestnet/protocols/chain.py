@@ -1,10 +1,14 @@
 """Byzantine chain replication over a key-value machine.
 
-Requests enter at the head, which executes them and starts the proof of
-execution; each node down the chain re-derives the expected output with its
-own replica of the deterministic machine, checks the proof, adds its own
-level, and forwards. The proof is flat and linked by digests, H = SHA-384.
-Node k attests one small level frame on its log session:
+Requests enter at the head and pass down the chain once. Each node, the head
+included, decodes the request and its op once, computes the output once on
+its own replica of the deterministic machine, and hands both to `_commit`,
+which commits, attests the node's level, forwards the proof unless the node is
+the tail, and replies. The head decodes in `head_handle`, a node below it in
+`validate_chain`, which checks the proof against that output.
+
+The proof is flat and linked by digests, H = SHA-384. Node k attests one small
+level frame on its log session:
 
     level 0:  POE_BASE  ‖ H(req) ‖ H(out_0)
     level k:  POE_CHAIN ‖ H(level k-1 frame) ‖ H(out_k)
@@ -22,10 +26,8 @@ plus p small levels, so the cost no longer grows with chain length x payload.
 Reads cannot be served locally by the tail in the Byzantine model; every
 operation traverses the chain and every node replies to the client with
 (req, out) signed over `0x01 ‖ H(req) ‖ H(out)` (`common.reply_statement`),
-built from the digests the node's own level already holds, so signing hashes
-nothing new: the head's H(req) and H(out_0), and at position p the request
-digest that `validate_chain` starts its links from and the digest of the
-output the node attests.
+built from the digests its own level already holds, so signing hashes nothing
+new.
 A Byzantine node, the head included, overrides only `attested_output`, the
 output it attests, and is then marked `deviated`. A node that flags its chain
 accepts nothing more from it.
@@ -74,6 +76,9 @@ def decode_op(body: bytes) -> tuple[int, bytes, bytes]:
     return body[0], key, value
 
 
+Op = tuple[int, bytes, bytes]    # (op, key, value), as decode_op returns it
+
+
 class KvMachine:
     """In-memory map plus commit index; the deterministic replicated state."""
 
@@ -81,24 +86,18 @@ class KvMachine:
         self.store: dict[bytes, bytes] = {}
         self.commit_index = 0
 
-    def peek(self, body: bytes) -> bytes:
-        """Output this machine would produce, without committing."""
-        return self._output(*decode_op(body))
-
-    def apply(self, body: bytes) -> bytes:
-        op, key, value = decode_op(body)
-        output = self._output(op, key, value)
-        if op == OP_PUT:
-            self.store[key] = value
-        self.commit_index += 1
-        return output
-
-    def _output(self, op: int, key: bytes, value: bytes) -> bytes:
+    def output(self, op: int, key: bytes, value: bytes) -> bytes:
+        """The output of committing this op next; commits nothing."""
         if op == OP_GET:
             value = self.store.get(key, b"")
         elif op != OP_PUT:
             value = b""
         return struct.pack(">Q", self.commit_index + 1) + value
+
+    def commit(self, op: int, key: bytes, value: bytes) -> None:
+        if op == OP_PUT:
+            self.store[key] = value
+        self.commit_index += 1
 
 
 def encode_proof(req: bytes, levels: list[bytes]) -> bytes:
@@ -157,22 +156,22 @@ class ChainNode:
 
     def head_handle(self, req: bytes) -> None:
         try:
-            out = self._execute(req)
+            op = decode_op(decode_request(req)[2])
         except FrameError:
             return   # a client request that is not an op: nothing to commit
-        req_digest, out_digest = digest(req), digest(out)
-        level = self._attest_level(POE_BASE, req_digest, out_digest)
-        self._forward_and_reply(req, [level], out, req_digest, out_digest)
+        req_digest = digest(req)
+        self._commit(req, [], op, self.machine.output(*op), req_digest, req_digest)
 
     # -- middle / tail ------------------------------------------------------------
 
-    def validate_chain(self, proof: bytes
-                       ) -> tuple[bytes, list[bytes], bytes, bytes, bytes, bytes]:
+    def validate_chain(self, proof: bytes) -> tuple[
+            bytes, list[bytes], Op, bytes, bytes, bytes, bytes]:
         """Verify every upstream level; any failure accuses the upstream node.
 
-        Returns (req, upstream level frames, expected output, H(req),
-        H(expected output), H(last level frame)): the last two for this
-        node's own level, the middle two for its reply statement.
+        Returns (req, upstream level frames, decoded op, expected output,
+        H(req), H(expected output), H(last level frame)): what `_commit`
+        needs to commit the op and attest, forward and reply without decoding
+        or executing it again.
         """
         upstream = self.position - 1
         try:
@@ -183,9 +182,10 @@ class ChainNode:
             raise ChainValidationFailure(
                 upstream, f"{len(levels)} levels, expected {self.position}")
         try:
-            expected_out = self.machine.peek(decode_request(req)[2])
+            op = decode_op(decode_request(req)[2])
         except FrameError as exc:
             raise ChainValidationFailure(upstream, f"request: {exc}") from None
+        expected_out = self.machine.output(*op)
         out_digest = digest(expected_out)
         req_digest = link = digest(req)
         for position, frame in enumerate(levels):
@@ -207,7 +207,7 @@ class ChainNode:
                 raise ChainValidationFailure(
                     upstream, f"output mismatch at node {node}")
             link = digest(frame)
-        return req, levels, expected_out, req_digest, out_digest, link
+        return req, levels, op, expected_out, req_digest, out_digest, link
 
     def middle_tail_handle(self, proof: bytes) -> None:
         if self.flags:
@@ -216,43 +216,42 @@ class ChainNode:
             # would mismatch and accuse an honest upstream node.
             return
         try:
-            (req, levels, expected_out, req_digest, out_digest,
+            (req, levels, op, out, req_digest, out_digest,
              link) = self.validate_chain(proof)
         except ChainValidationFailure as exc:
             self.flags.append(ChainFlag(self.node_id, exc.position, exc.detail))
             return
-        out = self._execute(req)
-        if out != expected_out:
-            out_digest = digest(out)
-        level = self._attest_level(POE_CHAIN, link, out_digest)
-        self._forward_and_reply(req, levels + [level], out, req_digest, out_digest)
+        self._commit(req, levels, op, out, req_digest, link, out_digest)
 
-    def _attest_level(self, kind: int, link: bytes, out_digest: bytes) -> bytes:
-        """Attest this node's level of the proof on its log session."""
-        level = self.endpoint.local_send(log_session(self.node_id),
-                                         bytes([kind]) + link + out_digest)
-        return encode_frame(level)
+    # -- every position ----------------------------------------------------------
 
-    def _execute(self, req: bytes) -> bytes:
-        """Commit the request's op; return the output this node attests."""
-        out = self.machine.apply(decode_request(req)[2])
+    def _commit(self, req: bytes, levels: list[bytes], op: Op, out: bytes,
+                req_digest: bytes, link: bytes, out_digest: bytes | None = None
+                ) -> None:
+        """Commit `op`, whose output `out` the machine computed just before;
+        then attest this node's level, linked to `link` (H(req) at the head),
+        forward the proof unless this node is the tail, and reply.
+        `out_digest` is H(out) when the caller already holds it."""
+        self.machine.commit(*op)
         attested = self.attested_output(out)
         if attested != out:
             self.deviated = True
-        return attested
+            out_digest = digest(attested)
+        elif out_digest is None:
+            out_digest = digest(out)
+        kind = POE_CHAIN if self.position else POE_BASE
+        level = encode_frame(self.endpoint.local_send(
+            log_session(self.node_id), bytes([kind]) + link + out_digest))
+        if not self.is_tail:
+            self.endpoint.auth_send(self.downstream_session,
+                                    encode_proof(req, levels + [level]))
+        self.outbox_replies.append(self.cluster.keyring.sign(
+            self.node_id, req, attested, reply_statement(req_digest, out_digest)))
 
     def attested_output(self, out: bytes) -> bytes:
         """The output this node attests, forwards and replies with, given the
         one its machine just committed; a correct node passes it through."""
         return out
-
-    def _forward_and_reply(self, req: bytes, levels: list[bytes], out: bytes,
-                           req_digest: bytes, out_digest: bytes) -> None:
-        """Forward the proof that ends in this node's level, then reply."""
-        if not self.is_tail:
-            self.endpoint.auth_send(self.downstream_session, encode_proof(req, levels))
-        self.outbox_replies.append(self.cluster.keyring.sign(
-            self.node_id, req, out, reply_statement(req_digest, out_digest)))
 
     def step(self) -> bool:
         if self.is_head:
@@ -312,20 +311,17 @@ class ChainCluster:
         """Pump the network, nodes in chain order, and clients until quiescent."""
         pump(self.cluster.net, [self.nodes[d] for d in self.order], self.clients)
 
-    def run_put(self, client_index: int, req_id: int, key: bytes,
-                value: bytes) -> bytes:
-        client = self.clients[client_index]
-        req = client.issue(req_id, encode_op(OP_PUT, key, value))
+    def run_request(self, client_index: int, req_id: int, body: bytes) -> bytes:
+        """One round: the client issues an op, the head handles it, and the
+        cluster drains."""
+        req = self.clients[client_index].issue(req_id, body)
         self.nodes[self.order[0]].head_handle(req)
         self.drain()
         return req
 
-    def run_get(self, client_index: int, req_id: int, key: bytes) -> bytes:
-        client = self.clients[client_index]
-        req = client.issue(req_id, encode_op(OP_GET, key))
-        self.nodes[self.order[0]].head_handle(req)
-        self.drain()
-        return req
+    def run_put(self, client_index: int, req_id: int, key: bytes,
+                value: bytes) -> bytes:
+        return self.run_request(client_index, req_id, encode_op(OP_PUT, key, value))
 
     def commit_histories(self) -> dict[int, list[int]]:
         """Each node's committed indexes: a machine commits 1, 2, ... in turn."""

@@ -45,13 +45,3 @@ class TamperEvidentLog:
 
     def get(self, index: int) -> LogEntry:
         return self.entries[index]
-
-    def first_chain_break(self) -> int | None:
-        """Index of the first entry whose stored digest disagrees with the
-        chain recomputed over the stored contexts, or None if intact."""
-        prev = GENESIS_DIGEST
-        for i, entry in enumerate(self.entries):
-            if entry.cum_digest != chain_digest(prev, entry.ctx, entry.seq):
-                return i
-            prev = entry.cum_digest
-        return None

@@ -20,7 +20,7 @@ from ..device import pack_pair, unpack_pair
 from ..errors import FrameError
 from ..kernel import AttestedMessage
 from ..wire import decode_frame, encode_frame
-from .common import ClusterNet, ProtocolConfig, build_cluster, log_session, pump, transport_session
+from .common import ClusterNet, build_cluster, log_session, pump, transport_session
 from .logchain import GENESIS_DIGEST, TamperEvidentLog, chain_digest
 
 ENTRY_SENT = 0x53
@@ -218,7 +218,6 @@ class PrScenario:
     root: PrRoot
     children: dict[int, PrChild]
     witnesses: dict[int, Witness]
-    config: ProtocolConfig = field(default=None)
 
     @classmethod
     def build(cls, seed: int = 0, n_children: int = 2,
@@ -237,9 +236,8 @@ class PrScenario:
         witnesses = {child_id: Witness(children[child_id],
                                        cluster.endpoints[root_id])
                      for child_id in child_ids}
-        config = ProtocolConfig(n=len(devices), f=len(devices) - 1)
         return cls(cluster=cluster, root=root, children=children,
-                   witnesses=witnesses, config=config)
+                   witnesses=witnesses)
 
     def run_rounds(self, commands: list[bytes]) -> None:
         for cmd in commands:

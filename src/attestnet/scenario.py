@@ -38,10 +38,16 @@ run with any is not ok.
 import json
 from dataclasses import dataclass, field
 
-from .protocols.bft import BftCluster, BftReplica, EquivocatingLeader, WrongValueLeader
+from .protocols.bft import (
+    BftCluster,
+    BftReplica,
+    EquivocatingLeader,
+    WrongValueLeader,
+    counter_state,
+)
 from .protocols.chain import ChainCluster, LyingMiddle
 from .protocols.peerreview import MutatingChild, PrScenario, rewrite_log_entry
-from .simnet import FaultAction, FaultSchedule
+from .simnet import FaultAction, FaultSchedule, Network
 
 
 @dataclass
@@ -102,10 +108,11 @@ def run_scenario(spec: dict) -> ScenarioResult:
     return _run_peerreview(spec, attack, kind)
 
 
-def _fault_schedule(spec: dict) -> FaultSchedule | None:
+def _install_faults(spec: dict, net: Network) -> None:
+    """Install the spec's wire-fault schedule on net, if it has one."""
     faults = spec.get("faults")
     if faults is None:
-        return None
+        return
     _require_object('"faults"', faults)
     seed = faults.get("seed", spec.get("seed", 0))
     _require_int('faults "seed"', seed)
@@ -121,7 +128,7 @@ def _fault_schedule(spec: dict) -> FaultSchedule | None:
         actions = [FaultAction(**a) for a in actions]
     except TypeError as exc:
         raise ValueError(f"bad fault action: {exc}") from None
-    return FaultSchedule(seed=seed, actions=actions)
+    net.install_schedule(FaultSchedule(seed=seed, actions=actions))
 
 
 def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
@@ -142,18 +149,18 @@ def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     crash = attack if kind == "crash" else None
     if crash and crash.get("node", n) not in cluster.replicas:
         raise ValueError(f"crash node {crash.get('node', n)!r} is not a replica")
-    schedule = _fault_schedule(spec)
-    if schedule is not None:
-        cluster.cluster.net.install_schedule(schedule)
+    _install_faults(spec, cluster.cluster.net)
 
+    # The leader executes the requests in round order, and none once it has
+    # crashed, so the only value a client may accept for round r is r.
+    agreement = True
     lines: list[dict] = []
     for round_id in range(1, rounds + 1):
         if crash and round_id == crash.get("after_round", 1) + 1:
             cluster.replicas[crash.get("node", n)].crashed = True
-        req = cluster.clients[0].issue(round_id)
-        cluster.replicas[cluster.leader_id].leader_handle(req)
-        cluster.drain()
+        req = cluster.run_request(0, round_id)
         values = {c.client_id: c.observed.get(req) for c in cluster.clients}
+        agreement &= all(v in (None, counter_state(round_id)) for v in values.values())
         lines.append({
             "round": round_id,
             "accepted": {str(k): (v.hex() if v else None) for k, v in values.items()},
@@ -161,11 +168,6 @@ def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
 
     flags = [{"accuser": fl.accuser, "accused": fl.accused, "reason": fl.reason}
              for fl in cluster.all_flags()]
-    agreement = True
-    for req in cluster.clients[0].observed:
-        vals = {c.observed[req] for c in cluster.clients if req in c.observed}
-        if len(vals) > 1:
-            agreement = False
     byzantine = {cluster.leader_id} if kind in ("equivocate", "wrong_value") else set()
     detected = bool(flags) or not cluster.replicas[cluster.leader_id].deviated
     accused = {fl["accused"] for fl in flags}
@@ -193,9 +195,7 @@ def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
         node_kwargs_at[position] = {"lie_at_commit": attack.get("commit", 1)}
     cluster = ChainCluster.build(n=n, f=f, seed=seed, node_cls_at=node_cls_at,
                                  node_kwargs_at=node_kwargs_at, clients=2)
-    schedule = _fault_schedule(spec)
-    if schedule is not None:
-        cluster.cluster.net.install_schedule(schedule)
+    _install_faults(spec, cluster.cluster.net)
 
     lines: list[dict] = []
     wrong_accept = False
@@ -244,9 +244,7 @@ def _run_peerreview(spec: dict, attack: dict, kind: str) -> ScenarioResult:
                                 child_kwargs_at=child_kwargs_at)
     if target is not None and target not in scenario.children:
         raise ValueError(f"attack node {target!r} is not a child")
-    schedule = _fault_schedule(spec)
-    if schedule is not None:
-        scenario.cluster.net.install_schedule(schedule)
+    _install_faults(spec, scenario.cluster.net)
     commands = [b"cmd-%d" % r for r in range(1, rounds + 1)]
     scenario.run_rounds(commands)
     if kind == "rewrite_log":

@@ -19,6 +19,12 @@ Only then is the message applied. The wrapper is generic over the state
 machine via two supplied functions, serialize (canonical bytes) and apply;
 `probe_determinism` rejects a non-deterministic machine, once, before it is
 simulated.
+
+`wrapped_send` and `wrapped_recv` are the reference form; only tests drive
+them. `protocols.bft.BftReplica` specializes it to a counter: a proof carries
+the serialized state itself, not its hash; each peer is re-executed on a
+`StateSimulator` (check 2); and instead of echoes, every replica verifies each
+sender's attested log stream in counter order.
 """
 
 import hashlib

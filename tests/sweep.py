@@ -1,6 +1,6 @@
 """Scenario sweep: run seeded random scenarios and print what each produced.
 
-    PYTHONPATH=src python tests/sweep.py COUNT SEED
+    PYTHONPATH=src python tests/sweep.py [--corpus] COUNT SEED
 
 prints one JSON line per scenario: the spec, every output line of
 `run_scenario`, and the number and SHA-384 of the tags the kernel computed, in
@@ -8,6 +8,15 @@ order (as `test_tag_stream` records them). A spec that `run_scenario` rejects
 as bad input prints its spec and the ValueError instead. Scenario i is drawn
 from its own generator seeded by (SEED, i), so a shorter sweep is a prefix of
 a longer one, and two commits are compared by diffing their output.
+
+With --corpus it prints one compact line per scenario instead: the index, `ok`
+(or `error` for bad input), the kernel tag count, and the first 16 hex digits
+of SHA-384 over the scenario's full JSON line. `sweep_corpus_1000_77.txt` is
+that output for `--corpus 1000 77`; `test_sweep` recomputes it, so any change
+to any verdict, output line or tag shows up there. A change that moves a
+verdict by design regenerates the file:
+
+    PYTHONPATH=src python tests/sweep.py --corpus 1000 77 > tests/sweep_corpus_1000_77.txt
 
 The draws cover all three protocols and every attack kind, with attack rounds
 and commits up to two past the run, every chain position, and 0-5 wire-fault
@@ -101,11 +110,27 @@ def sweep(count: int, sweep_seed: int) -> list[str]:
     return [json.dumps(run(draw(sweep_seed, i)), sort_keys=True) for i in range(count)]
 
 
+def corpus(lines: list[str]) -> list[str]:
+    """The compact corpus line of each sweep line (see the module docstring)."""
+    out = []
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        ok = "error" if "error" in record else str(record["ok"]).lower()
+        digest = hashlib.sha384(line.encode()).hexdigest()[:16]
+        out.append(f"{i} {ok} {record.get('tags', 0)} {digest}")
+    return out
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 3:
-        print(f"usage: {argv[0]} COUNT SEED", file=sys.stderr)
+    args = argv[1:]
+    compact = args[:1] == ["--corpus"]
+    if compact:
+        args = args[1:]
+    if len(args) != 2:
+        print(f"usage: {argv[0]} [--corpus] COUNT SEED", file=sys.stderr)
         return 2
-    for line in sweep(int(argv[1]), int(argv[2])):
+    lines = sweep(int(args[0]), int(args[1]))
+    for line in corpus(lines) if compact else lines:
         print(line)
     return 0
 

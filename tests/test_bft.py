@@ -328,3 +328,46 @@ def test_leader_records_only_the_deviations_it_sent():
                              leader_kwargs={"lie_round": 1})
     alone.run_request(0, 1)
     assert not alone.replicas[1].deviated
+
+
+@pytest.mark.parametrize("n, f", [(1, 0), (3, 1), (5, 2)])
+def test_leader_frees_each_request_once_it_replies(n, f):
+    cluster = BftCluster.build(n=n, f=f, seed=3, clients=2)
+    for round_id in range(1, 6):
+        client = round_id % 2
+        req = cluster.run_request(client, round_id)
+        assert cluster.clients[client].accepted_value(req) == struct.pack(">Q", round_id)
+    assert cluster.replicas[cluster.leader_id].pending_req == {}
+
+
+@pytest.mark.parametrize("acks, replied", [
+    ([(2, "other"), (3, "own")], True),
+    ([(3, "own"), (2, "other")], False),
+], ids=["completed-by-own", "completed-by-other"])
+def test_ack_that_completes_the_count_must_name_the_leaders_request(acks, replied):
+    # Acks count once per follower id against the output, whatever request
+    # they name; the one that completes the f acks must name the leader's.
+    cluster = BftCluster.build(n=5, f=2, seed=4)
+    leader = cluster.replicas[cluster.leader_id]
+    own, other = cluster.clients[0].issue(1), cluster.clients[0].issue(2)
+    leader.leader_handle(own)
+    for follower, named in acks:
+        endpoint = cluster.replicas[follower].endpoint
+        ack = endpoint.local_send(log_session(follower),
+                                  encode_inner(own if named == "own" else other, 1))
+        leader._leader_on_ack(follower, encode_frame(ack))
+    assert [reply.req for reply in leader.outbox_replies] == ([own] if replied else [])
+    assert (1 in leader.pending_req) is not replied
+    assert leader.flags == []
+
+
+def test_scenario_client_accepting_another_rounds_value_is_not_ok(monkeypatch):
+    # Every replica replies with the next round's value: the clients agree
+    # with each other, but not with the round they asked about.
+    reply = BftReplica._reply_client
+    monkeypatch.setattr(BftReplica, "_reply_client",
+                        lambda self, req, output: reply(self, req, output + 1))
+    result = run_scenario({"protocol": "bft", "rounds": 2})
+    *rounds, last = [json.loads(line) for line in result.dumps().splitlines()]
+    assert rounds[0]["accepted"]["100"] == struct.pack(">Q", 2).hex()
+    assert not last["agreement"] and not last["ok"] and not result.ok

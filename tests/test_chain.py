@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from attestnet import kernel
+from attestnet.protocols import chain
 from attestnet.device import pack_batch
 from attestnet.errors import ChainValidationFailure, WrongSender
 from attestnet.protocols.chain import (
@@ -17,6 +18,7 @@ from attestnet.protocols.chain import (
     LyingMiddle,
     OP_GET,
     OP_PUT,
+    decode_op,
     digest,
     encode_op,
     encode_proof,
@@ -31,7 +33,12 @@ from attestnet.wire import decode_frame, encode_frame
 def reexecute_oracle(requests: list[bytes]) -> list[bytes]:
     """Independent replica: run each request body on a fresh machine copy."""
     machine = KvMachine()
-    return [machine.apply(body) for body in requests]
+    outputs = []
+    for body in requests:
+        op = decode_op(body)
+        outputs.append(machine.output(*op))
+        machine.commit(*op)
+    return outputs
 
 
 def test_honest_put_commit_indexes_agree():
@@ -62,7 +69,7 @@ def test_get_traverses_whole_chain():
     cluster = ChainCluster.build(n=3, f=1, seed=3)
     client = cluster.clients[0]
     cluster.run_put(0, 1, b"color", b"teal")
-    req = cluster.run_get(0, 2, b"color")
+    req = cluster.run_request(0, 2, encode_op(OP_GET, b"color"))
     # every node executed the read: commit indexes advanced everywhere
     assert cluster.commit_histories() == {1: [1, 2], 2: [1, 2], 3: [1, 2]}
     assert client.accepted_value(req) == struct.pack(">Q", 2) + b"teal"
@@ -87,8 +94,7 @@ def test_middle_lie_caught_by_first_downstream_node():
 def test_lie_detected_via_independent_reexecution():
     # the detection oracle: re-execute the request at the tail's position
     body = encode_op(OP_PUT, b"k", b"v")
-    honest_machine = KvMachine()
-    expected = honest_machine.peek(body)
+    expected = KvMachine().output(*decode_op(body))
     lied = struct.pack(">Q", 42) + b"bogus"
     assert lied != expected
 
@@ -99,7 +105,7 @@ def test_validate_chain_flags_tag_corruption():
     middle = cluster.nodes[2]
     body = encode_op(OP_PUT, b"k", b"v")
     req = b"\x00" * 12 + body
-    out = head.machine.apply(body)
+    out = head.machine.output(*decode_op(body))
     level = head.endpoint.local_send(
         log_session(1), bytes([POE_BASE]) + digest(req) + digest(out))
     frame = bytearray(encode_frame(level))
@@ -292,8 +298,10 @@ class ShortRequestHead(ChainNode):
 
     def head_handle(self, req: bytes) -> None:
         req = self.shorten(req)
-        level = self._attest_level(POE_BASE, digest(req), digest(b""))
-        self.endpoint.auth_send(self.downstream_session, encode_proof(req, [level]))
+        level = self.endpoint.local_send(
+            log_session(self.node_id), bytes([POE_BASE]) + digest(req) + digest(b""))
+        self.endpoint.auth_send(self.downstream_session,
+                                encode_proof(req, [encode_frame(level)]))
 
 
 @pytest.mark.parametrize("shorten", [lambda req: req[:5], lambda req: req[:13]],
@@ -447,3 +455,25 @@ def test_client_request_that_is_not_an_op_is_dropped_at_the_head(body):
     assert client.accepted_value(req) == struct.pack(">Q", 1) + b"v"
     assert cluster.commit_histories() == {1: [1], 2: [1], 3: [1]}
     assert cluster.all_flags() == []
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_each_node_decodes_and_executes_a_put_once(monkeypatch, n):
+    # One pass down the chain: every node, the head included, decodes the
+    # request and its op once, and computes the output once.
+    calls = {"decode_request": 0, "decode_op": 0, "output": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    cluster = ChainCluster.build(n=n, f=(n - 1) // 2, seed=9)
+    monkeypatch.setattr(chain, "decode_request", counted("decode_request",
+                                                         chain.decode_request))
+    monkeypatch.setattr(chain, "decode_op", counted("decode_op", chain.decode_op))
+    monkeypatch.setattr(KvMachine, "output", counted("output", KvMachine.output))
+    req = cluster.run_put(0, 1, b"k", b"v")
+    assert cluster.clients[0].accepted_value(req) == struct.pack(">Q", 1) + b"v"
+    assert calls == {"decode_request": n, "decode_op": n, "output": n}

@@ -8,12 +8,11 @@ import pytest
 
 from attestnet.checker import (
     KERNELS,
-    LEMMA_IDS,
+    TRANSPORT_LEMMAS,
     BoundedInstance,
     check_all_lemmas,
     check_attestation_lemma,
     check_consistency,
-    check_lemma,
     check_transport_lemmas,
     on_wire,
     replay_counterexample,
@@ -47,14 +46,14 @@ def test_attestation_lemma_holds():
 
 def test_frozen_counter_kernel_violates_no_duplicate():
     instance = BoundedInstance(senders=1, messages_per_sender=2)
-    report = check_lemma(instance, "no_duplicate", kernel="frozen-counter")
+    report = check_transport_lemmas(instance, "frozen-counter")["no_duplicate"]
     assert report.verdict == "Counterexample"
     assert "duplicate" in report.counterexample.mutation
 
 
 def test_gap_accepting_kernel_violates_no_lost():
     instance = BoundedInstance(senders=1, messages_per_sender=2)
-    report = check_lemma(instance, "no_lost", kernel="gap-accepting")
+    report = check_transport_lemmas(instance, "gap-accepting")["no_lost"]
     assert report.verdict == "Counterexample"
     assert report.counterexample.mutation.startswith(("drop", "reorder"))
 
@@ -120,7 +119,7 @@ def test_instance_bounds_enforced():
 
 def test_counterexample_replay_reproduces_acceptance_pattern():
     instance = BoundedInstance(senders=1, messages_per_sender=2)
-    report = check_lemma(instance, "no_lost", kernel="gap-accepting")
+    report = check_transport_lemmas(instance, "gap-accepting")["no_lost"]
     cex = report.counterexample
     replayed = replay_counterexample(cex)
     assert replayed == cex.acceptance
@@ -130,7 +129,7 @@ def test_counterexample_serialization_roundtrip():
     from attestnet.checker import Counterexample
 
     instance = BoundedInstance(senders=1, messages_per_sender=2)
-    report = check_lemma(instance, "no_duplicate", kernel="frozen-counter")
+    report = check_transport_lemmas(instance, "frozen-counter")["no_duplicate"]
     data = report.counterexample.to_dict()
     restored = Counterexample.from_dict(data)
     assert restored.mutation == report.counterexample.mutation
@@ -175,7 +174,7 @@ def test_verdict_table_and_every_counterexample_replays(kernel, senders, message
     broken = BROKEN_LEMMAS[kernel, messages]
     assert [(r.lemma, r.verdict) for r in reports] == [
         (lemma, "Counterexample" if lemma in broken else "Holds")
-        for lemma in (*LEMMA_IDS, "consistency")]
+        for lemma in ("attestation", *TRANSPORT_LEMMAS, "consistency")]
     for report in reports:
         cex = report.counterexample
         if cex is not None and cex.delivery_order:

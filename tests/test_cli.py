@@ -6,7 +6,7 @@ import pytest
 
 from attestnet import bench as bench_mod
 from attestnet import cli
-from attestnet.bench import CSV_HEADER, PROTOCOLS
+from attestnet.bench import CSV_HEADER, DELAY_PRESETS_NS, PROTOCOLS
 from attestnet.checker import Counterexample, replay_counterexample
 from attestnet.protocols.bft import BftCluster
 from attestnet.protocols.common import transport_session
@@ -51,14 +51,16 @@ def test_bench_csv_writes_header_once_then_appends_rows(tmp_path, capsys):
                                              printed_row]
 
 
-def test_bench_delay_ns_overrides_the_preset(capsys):
+@pytest.mark.parametrize("preset", sorted(DELAY_PRESETS_NS))
+def test_bench_delay_preset_sets_the_attest_delay(capsys, preset):
+    # An A2M append attests once per record, so its latency is the preset.
     assert cli.main(["bench", "--protocol", "a2m", "--requests", "4",
-                     "--delay-ns", "1000"]) == 0
+                     "--delay", preset]) == 0
     header, row = capsys.readouterr().out.splitlines()
     fields = dict(zip(header.split(","), row.split(",")))
-    assert fields["delay_model"] == "tnic" and fields["transport"] == "sim"
-    assert fields["latency_mean_us"] == "1.000"
-    assert fields["latency_p99_us"] == "1.000"
+    latency_us = f"{DELAY_PRESETS_NS[preset] / 1000:.3f}"
+    assert fields["delay_model"] == preset and fields["transport"] == "sim"
+    assert fields["latency_mean_us"] == fields["latency_p99_us"] == latency_us
 
 
 def _crash_the_leader(monkeypatch):

@@ -62,15 +62,6 @@ def test_rewritten_history_breaks_chain_at_first_altered_entry():
     assert verdict.seq == child.log.get(1).seq
 
 
-def test_first_chain_break_helper_matches_witness():
-    scenario = PrScenario.build(seed=5, n_children=1)
-    scenario.run_rounds([b"x", b"y"])
-    child = scenario.children[2]
-    assert child.log.first_chain_break() is None
-    rewrite_log_entry(child, 0, b"\x52evil")
-    assert child.log.first_chain_break() == 0
-
-
 def test_audit_is_incremental():
     scenario = PrScenario.build(seed=6, n_children=1)
     scenario.run_rounds([b"first"])
