@@ -496,7 +496,7 @@ def check_leader_strategies() -> LemmaReport:
     followers from `BftCluster.build` receives any subsequence of them as
     proofs, in emission order (FIFO transport). The followers then run to
     quiescence, forwarding to each other. What they applied is read off
-    their signed replies, and what they flagged off their `flags`. The
+    their replies, and what they flagged off their `flags`. The
     property: two followers never reply with different contents for the same
     round unless one of them flagged the leader.
     """

@@ -10,7 +10,8 @@ state is the output the message carries, applies at most once and in order,
 acks the leader with its own attested output, and forwards its attestation
 to the other replicas and the client. The leader replies to the client after
 f validated acks, counted once per follower id, or at once when f = 0; it
-keeps a request in `pending_req` only until then.
+keeps a request in `pending_req` only until then. It takes only acks: a
+follower that sends it a proof or a forward is flagged.
 Clients accept on f+1 identical replies referencing their own request bytes.
 
 Byzantine attempts are *flagged*, not masked silently: every rejection names
@@ -32,7 +33,7 @@ from .common import (
     ClusterNet,
     ProtocolConfig,
     QuorumClient,
-    SignedReply,
+    Reply,
     build_cluster,
     digest,
     log_session,
@@ -83,12 +84,13 @@ class BftReplica:
     cluster: ClusterNet
     leader_id: int
     value: int = 0
+    # Follower only: the requests applied, each at most once.
     applied: set[bytes] = field(default_factory=set)
     # Leader only: output -> (request, ids of the followers that acked it),
     # from the attestation until the reply goes out.
     pending_req: dict[int, tuple[bytes, set[int]]] = field(default_factory=dict)
     flags: list[Flag] = field(default_factory=list)
-    outbox_replies: list[SignedReply] = field(default_factory=list)
+    outbox_replies: list[Reply] = field(default_factory=list)
     crashed: bool = False
     # Set once this node, as leader, sent a follower an attestation of any
     # other output than the one it executed: a deviation to detect.
@@ -118,7 +120,6 @@ class BftReplica:
             return
         output = counter_apply(self.value, req)
         self.value = output
-        self.applied.add(req)
         log = log_session(self.node_id)
         outputs = self.attested_outputs(output)
         frames = [encode_frame(self.endpoint.local_send(log, encode_inner(req, out)))
@@ -164,9 +165,8 @@ class BftReplica:
         own = self.endpoint.local_send(log_session(self.node_id),
                                        encode_inner(req, output))
         own_frame = encode_frame(own)
-        if self.leader_id != self.node_id:
-            self.endpoint.auth_send(self.sessions[self.leader_id],
-                                    bytes([KIND_ACK]) + own_frame)
+        self.endpoint.auth_send(self.sessions[self.leader_id],
+                                bytes([KIND_ACK]) + own_frame)
         for peer, session in self.sessions.items():
             if peer == self.leader_id:
                 continue
@@ -227,14 +227,17 @@ class BftReplica:
                 progressed = True
                 kind = msg.payload[0] if msg.payload else None
                 inner_frame = msg.payload[1:]
-                if kind == KIND_PROOF or kind == KIND_FORWARD:
-                    self._on_proof(msg.device, inner_frame)
-                elif kind == KIND_ACK:
+                if kind == KIND_ACK:
                     if self.node_id == self.leader_id:
                         self._leader_on_ack(msg.device, inner_frame)
-                else:
+                elif kind != KIND_PROOF and kind != KIND_FORWARD:
                     # A missing or unknown kind byte: the sender's MAC covers it.
                     self.flags.append(Flag(self.node_id, msg.device, "malformed-proof"))
+                elif self.node_id == self.leader_id:
+                    # The leader executes first: a proof could only repeat one.
+                    self.flags.append(Flag(self.node_id, msg.device, "proof-to-leader"))
+                else:
+                    self._on_proof(msg.device, inner_frame)
         return progressed
 
 

@@ -25,9 +25,9 @@ plus p small levels, so the cost no longer grows with chain length x payload.
 
 Reads cannot be served locally by the tail in the Byzantine model; every
 operation traverses the chain and every node replies to the client with
-(req, out) signed over `0x01 ‖ H(req) ‖ H(out)` (`common.reply_statement`),
-built from the digests its own level already holds, so signing hashes nothing
-new.
+(req, out) and one MAC per client over `0x01 ‖ H(req) ‖ H(out)`
+(`common.reply_statement`), built from the digests its own level already
+holds, so authenticating a reply hashes nothing new.
 A Byzantine node, the head included, overrides only `attested_output`, the
 output it attests, and is then marked `deviated`. A node that flags its chain
 accepts nothing more from it.
@@ -46,7 +46,7 @@ from .common import (
     ClusterNet,
     ProtocolConfig,
     QuorumClient,
-    SignedReply,
+    Reply,
     build_cluster,
     decode_request,
     digest,
@@ -131,7 +131,7 @@ class ChainNode:
     cluster: ClusterNet
     machine: KvMachine = field(default_factory=KvMachine)
     flags: list[ChainFlag] = field(default_factory=list)
-    outbox_replies: list[SignedReply] = field(default_factory=list)
+    outbox_replies: list[Reply] = field(default_factory=list)
     deviated: bool = False      # `attested_output` changed a committed output
 
     def __post_init__(self):

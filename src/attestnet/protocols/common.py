@@ -1,14 +1,15 @@
-"""Shared protocol plumbing: configuration, reply signing, quorum clients,
-and the session topology used by the replicated systems.
+"""Shared protocol plumbing: configuration, reply authenticators, quorum
+clients, and the session topology used by the replicated systems.
 
-Clients are untrusted and hold no attestation session keys, so replicas
-sign their replies with Ed25519 (each device gets a reply keypair at
-bootstrap; the public halves are distributed to clients). A reply carries
-the request it answers and the value, as two fields, plus a signature over
-the fixed 97-byte reply statement `0x01 ‖ H(req) ‖ H(value)`. Replies reach
-clients through the replicas' outboxes, never over the simulated wire, so
-they have no byte encoding. A client trusts a result only after f+1
-identical replies from distinct devices that reference its own request bytes.
+Clients are untrusted and hold no attestation session keys, so replies are
+authenticated as in PBFT: replica d shares a key K(d, c) with each client c,
+and a reply carries the request, the value, and one HMAC-SHA-384 per client
+of the 97-byte statement `0x01 ‖ H(req) ‖ H(value)`. Unlike a signature, a
+MAC cannot convince a third party; nothing here forwards a reply. Replies
+reach clients through the replicas' outboxes, never over the simulated wire,
+so they have no byte encoding and cost no simulated time. A client trusts a
+result only after f+1 identical replies from distinct devices that reference
+its own request bytes.
 
 Session id scheme (32-bit space):
     transport between devices a < b : 0x0100_0000 | a << 8 | b
@@ -23,16 +24,10 @@ the reader names, and an endpoint rejects a copy sent as a frame of its own.
 """
 
 import hashlib
-import random
+import hmac
 import struct
 from collections import deque
 from dataclasses import dataclass
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 
 from ..device import DeviceConfig, Endpoint, SessionConfig, SimClock, connect
 from ..errors import FrameError
@@ -53,6 +48,11 @@ def log_session(device: int) -> int:
 
 def derive_key(seed: int, session: int) -> bytes:
     return hashlib.sha384(b"session-key:%d:%d" % (seed, session)).digest()[:32]
+
+
+def reply_key(seed: int, device: int, client: int) -> bytes:
+    """K(device, client), which MACs the device's replies to the client."""
+    return hashlib.sha384(b"reply-key:%d:%d:%d" % (seed, device, client)).digest()[:32]
 
 
 def digest(data: bytes) -> bytes:
@@ -77,7 +77,7 @@ class ProtocolConfig:
         return self.f + 1
 
 
-# -- client requests and signed replies ---------------------------------------
+# -- client requests and authenticated replies --------------------------------
 
 def encode_request(client: int, req_id: int, body: bytes = b"") -> bytes:
     return struct.pack(">IQ", client, req_id) + body
@@ -93,85 +93,81 @@ def decode_request(req: bytes) -> tuple[int, int, bytes]:
 
 
 def reply_statement(req_digest: bytes, value_digest: bytes) -> bytes:
-    """What a replica signs for a reply: 0x01 ‖ H(req) ‖ H(value), 97 bytes."""
+    """What a reply's MACs cover: 0x01 ‖ H(req) ‖ H(value), 97 bytes."""
     return b"\x01" + req_digest + value_digest
 
 
 @dataclass(frozen=True)
-class SignedReply:
+class Reply:
+    """A replica's answer to `req`; `macs[c]` is client c's entry."""
+
     device: int
     req: bytes
     value: bytes
-    signature: bytes
+    macs: dict[int, bytes]
 
 
 class ReplyKeyring:
-    """Per-device reply keypairs (C_priv) plus the public registry (C_pub).
+    """The reply keys K(d, c) of every replica d and enrolled client c. A
+    client enrolls when it is built; every reply `sign` builds from then on
+    carries an entry for it, and enrolling again changes nothing.
 
-    The public key objects are built once, here, not on every check.
-
-    A replica signs the reply statement `0x01 ‖ H(req) ‖ H(value)`, H =
+    A replica MACs the reply statement `0x01 ‖ H(req) ‖ H(value)`, H =
     SHA-384, from digests it already holds. The statement has one fixed
-    layout, so accepting a (req, value) pair no replica signed takes an
-    Ed25519 forgery or a SHA-384 collision; the leading byte keeps it apart
-    from anything else such a key might sign. `check` rebuilds the statement
-    from the reply's own request and value: nothing is decoded, so only a
-    signature over other bytes fails.
-
-    `check` remembers the last reply that verified and answers an equal
-    `SignedReply` (every field compared) without running Ed25519 again;
-    failures are not remembered. One entry is enough because the clusters
-    hand each reply to every client back to back. A check that runs Ed25519
-    reuses the last two statements built, keyed on (req, value): honest
-    replicas reply with equal pairs for one request, and a closed-loop chain
-    client sees the first replies to its next put while the last ones to the
-    current put still arrive. With more requests in flight (four BFT
-    clients) it misses, and a miss costs two hashes.
+    layout, so accepting a (req, value) pair no replica sent takes a MAC
+    forgery or a SHA-384 collision; the leading byte keeps it apart from
+    anything else such a key might MAC. `check` rebuilds the statement from
+    the reply's own request and value: nothing is decoded, so only a MAC over
+    other bytes, or under another replica's or client's key, fails. It
+    reuses the last two statements built, keyed on (req, value), since a
+    chain reply's statement hashes about 8 KiB: the pump hands each reply to
+    every client back to back, honest replicas reply with equal pairs for one
+    request, and a closed-loop chain client sees the first replies to its
+    next put while the last ones to the current put still arrive.
     """
 
-    def __init__(self, devices: list[int], rng: random.Random):
-        self._priv: dict[int, Ed25519PrivateKey] = {}
-        self.pubs: dict[int, Ed25519PublicKey] = {}
-        for device in devices:
-            key = Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
-            self._priv[device] = key
-            self.pubs[device] = key.public_key()
-        self._last_verified: SignedReply | None = None
+    def __init__(self, devices: list[int], seed: int):
+        self.seed = seed
+        self._keys: dict[int, dict[int, bytes]] = {d: {} for d in devices}
         self._statements: deque[tuple[tuple[bytes, bytes], bytes]] = deque(maxlen=2)
 
-    def sign(self, device: int, req: bytes, value: bytes,
-             statement: bytes) -> SignedReply:
-        """Sign `statement`, which the caller built with `reply_statement`
-        from the digests of `req` and `value`."""
-        return SignedReply(device, req, value, self._priv[device].sign(statement))
+    def enroll(self, client_id: int) -> None:
+        for device, keys in self._keys.items():
+            if client_id not in keys:
+                keys[client_id] = reply_key(self.seed, device, client_id)
 
-    def check(self, reply: SignedReply) -> bool:
-        if reply == self._last_verified:
-            return True
-        pub = self.pubs.get(reply.device)
-        if pub is None:
+    def sign(self, device: int, req: bytes, value: bytes, statement: bytes) -> Reply:
+        """Authenticate `statement`, which the caller built with
+        `reply_statement` from the digests of `req` and `value`, for every
+        enrolled client."""
+        return Reply(device, req, value,
+                     {client: hmac.digest(key, statement, "sha384")
+                      for client, key in self._keys[device].items()})
+
+    def check(self, reply: Reply, client_id: int) -> bool:
+        """True iff the reply's entry for `client_id` is the MAC of its
+        statement under K(reply.device, client_id)."""
+        key = self._keys.get(reply.device, {}).get(client_id)
+        mac = reply.macs.get(client_id)
+        if key is None or mac is None:
             return False
         pair = (reply.req, reply.value)
         statement = next((st for known, st in self._statements if known == pair), None)
         if statement is None:
             statement = reply_statement(digest(reply.req), digest(reply.value))
             self._statements.appendleft((pair, statement))
-        try:
-            pub.verify(reply.signature, statement)
-        except InvalidSignature:
-            return False
-        self._last_verified = reply
-        return True
+        return hmac.compare_digest(mac, hmac.digest(key, statement, "sha384"))
 
 
 class QuorumClient:
-    """Accepts a value only on f+1 identical signed replies to its own request.
+    """Accepts a value only on f+1 identical valid replies to its own request.
 
-    The client also keeps per-request observations for requests it merely
-    witnesses; agreement assertions compare these across clients. Any quorum
-    of f+1 contains at least one correct replica, so two clients can never
-    settle on different values for the same request. `ignored` counts the
-    replies whose signature does not check.
+    The client enrolls with the keyring when it is built, and keeps
+    per-request observations for requests it merely witnesses; agreement
+    assertions compare these across clients. Any quorum of f+1 contains at
+    least one correct replica, so two clients can never settle on different
+    values for the same request. `ignored` counts the replies whose entry for
+    this client does not check.
     """
 
     def __init__(self, client_id: int, keyring: ReplyKeyring, quorum: int):
@@ -183,14 +179,15 @@ class QuorumClient:
         self.accepted: dict[bytes, bytes] = {}
         self.observed: dict[bytes, bytes] = {}
         self.ignored = 0
+        keyring.enroll(client_id)
 
     def issue(self, req_id: int, body: bytes = b"") -> bytes:
         req = encode_request(self.client_id, req_id, body)
         self.issued.add(req)
         return req
 
-    def deliver(self, reply: SignedReply) -> None:
-        if not self.keyring.check(reply):
+    def deliver(self, reply: Reply) -> None:
+        if not self.keyring.check(reply, self.client_id):
             self.ignored += 1
             return
         req, value = reply.req, reply.value
@@ -291,5 +288,5 @@ def build_cluster(devices: list[int], seed: int,
         cfg = DeviceConfig(device=device, sessions=configs[device],
                            attest_delay_ns=attest_delay_ns)
         endpoints[device] = connect(cfg, net)
-    keyring = ReplyKeyring(devices, random.Random(seed ^ 0xC11E27))
+    keyring = ReplyKeyring(devices, seed)
     return ClusterNet(net=net, endpoints=endpoints, keyring=keyring, seed=seed)

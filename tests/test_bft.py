@@ -10,6 +10,7 @@ from attestnet.checker import check_leader_strategies
 from attestnet.errors import NonDeterministicSpec
 from attestnet.protocols import bft
 from attestnet.protocols.bft import (
+    KIND_FORWARD,
     KIND_PROOF,
     BftCluster,
     BftReplica,
@@ -177,7 +178,6 @@ class CrashAfterFirstSendLeader(BftReplica):
 
         output = self.value + 1
         self.value = output
-        self.applied.add(req)
         attested = self.endpoint.local_send(log_session(self.node_id),
                                             encode_inner(req, output))
         first_follower = self.peers[0]
@@ -198,7 +198,33 @@ def test_leader_crash_mid_broadcast_forwarding_closure():
     assert client.accepted_value(req) == struct.pack(">Q", 1)
 
 
-def _signed(cluster, device, req, value):
+def test_the_leader_keeps_no_applied_set():
+    cluster = BftCluster.build(n=3, f=1, seed=4, clients=2)
+    for k in range(1, 6):
+        cluster.run_request(k % 2, k)
+    assert cluster.correct_values() == {1: 5, 2: 5, 3: 5}
+    assert cluster.replicas[cluster.leader_id].applied == set()
+    assert [len(cluster.replicas[d].applied) for d in (2, 3)] == [5, 5]
+
+
+@pytest.mark.parametrize("kind", [KIND_PROOF, KIND_FORWARD])
+@pytest.mark.parametrize("output", [1, 2])
+def test_a_proof_a_follower_sends_the_leader_is_never_applied(kind, output):
+    """A Byzantine follower attests an applied request again, at the output
+    it reached or at the next one, and sends it to the leader."""
+    cluster = BftCluster.build(n=3, f=1, seed=4)
+    req = cluster.run_request(0, 1)
+    follower = cluster.cluster.endpoints[2]
+    follower.auth_send(transport_session(2, 1), bytes([kind]) + _attested(
+        follower, log_session(2), encode_inner(req, output)))
+    cluster.drain()
+    assert cluster.correct_values() == {1: 1, 2: 1, 3: 1}
+    assert [(fl.accuser, fl.accused, fl.reason) for fl in cluster.all_flags()] == [
+        (1, 2, "proof-to-leader")]
+    assert cluster.clients[0].replies[req] == dict.fromkeys((1, 2, 3), struct.pack(">Q", 1))
+
+
+def _reply(cluster, device, req, value):
     """The reply replica `device` sends for (req, value)."""
     return cluster.cluster.keyring.sign(device, req, value,
                                         reply_statement(digest(req), digest(value)))
@@ -209,11 +235,11 @@ def test_client_quorum_two_identical_beat_one_conflicting():
     client = cluster.clients[0]
     req = client.issue(1)
     good, bad = struct.pack(">Q", 1), struct.pack(">Q", 99)
-    client.deliver(_signed(cluster, 1, req, bad))
+    client.deliver(_reply(cluster, 1, req, bad))
     assert client.accepted_value(req) is None     # one conflicting reply
-    client.deliver(_signed(cluster, 2, req, good))
+    client.deliver(_reply(cluster, 2, req, good))
     assert client.accepted_value(req) is None     # still only one good vote
-    client.deliver(_signed(cluster, 3, req, good))
+    client.deliver(_reply(cluster, 3, req, good))
     assert client.accepted_value(req) == struct.pack(">Q", 1)
 
 
@@ -222,7 +248,7 @@ def test_replies_for_foreign_requests_not_counted():
     mine, theirs = cluster.clients
     req_theirs = theirs.issue(1)
     for device in (1, 2):
-        mine.deliver(_signed(cluster, device, req_theirs, struct.pack(">Q", 1)))
+        mine.deliver(_reply(cluster, device, req_theirs, struct.pack(">Q", 1)))
     assert mine.accepted == {}             # never issued by this client
     assert mine.observed.get(req_theirs) == struct.pack(">Q", 1)
 
@@ -231,19 +257,20 @@ def test_single_reply_never_accepted():
     cluster = BftCluster.build(n=3, f=1, seed=7)
     client = cluster.clients[0]
     req = client.issue(1)
-    client.deliver(_signed(cluster, 2, req, struct.pack(">Q", 1)))
+    client.deliver(_reply(cluster, 2, req, struct.pack(">Q", 1)))
     assert client.accepted_value(req) is None
 
 
 def test_unsigned_reply_ignored():
-    from attestnet.protocols.common import SignedReply
+    from attestnet.protocols.common import Reply
 
     cluster = BftCluster.build(n=3, f=1, seed=8)
     client = cluster.clients[0]
     req = client.issue(1)
     value = struct.pack(">Q", 1)
-    client.deliver(SignedReply(device=2, req=req, value=value, signature=b"\x00" * 64))
-    client.deliver(SignedReply(device=3, req=req, value=value, signature=b"\x00" * 64))
+    forged = {client.client_id: b"\x00" * 48}
+    client.deliver(Reply(device=2, req=req, value=value, macs=forged))
+    client.deliver(Reply(device=3, req=req, value=value, macs=forged))
     assert client.accepted_value(req) is None
     assert client.ignored == 2
 

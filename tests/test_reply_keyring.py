@@ -1,7 +1,9 @@
-"""Reply checking: replicas sign the 97-byte reply statement, and each
-distinct signed reply is verified once per keyring."""
+"""Reply authentication: every reply carries one HMAC-SHA-384 of the 97-byte
+reply statement per enrolled client, under the key K(replica, client), and a
+client checks only its own entry."""
 
 import dataclasses
+import hmac
 import struct
 
 import pytest
@@ -12,67 +14,57 @@ from attestnet.protocols.bft import BftCluster
 from attestnet.protocols.chain import OP_PUT, ChainCluster, encode_op
 from attestnet.protocols.common import (
     QuorumClient,
-    SignedReply,
+    Reply,
     digest,
+    reply_key,
     reply_statement,
 )
 
 STATEMENT_LEN = 97
 
 
-class CountingKey:
-    """Wraps a parsed key; counts real Ed25519 verifications and records the
-    length of every message it signs or verifies."""
+class CountingHmac:
+    """Stands in for the `hmac` module in `common`; records the length of
+    every message MACed there."""
 
-    def __init__(self, key):
-        self.key = key
-        self.verifies = 0
+    compare_digest = staticmethod(hmac.compare_digest)
+
+    def __init__(self):
         self.lengths: list[int] = []
 
-    def sign(self, data):
-        self.lengths.append(len(data))
-        return self.key.sign(data)
-
-    def verify(self, signature, data):
-        self.verifies += 1
-        self.lengths.append(len(data))
-        self.key.verify(signature, data)
+    def digest(self, key, msg, digestmod):
+        self.lengths.append(len(msg))
+        return hmac.digest(key, msg, digestmod)
 
 
-def counting(keyring):
-    keys = {device: CountingKey(key) for device, key in keyring.pubs.items()}
-    keyring.pubs.update(keys)
-    return lambda: sum(k.verifies for k in keys.values())
-
-
-def message_lengths(keyring) -> list[int]:
-    """Wrap every private and public key; the returned list fills with the
-    length of each message signed or verified from then on."""
-    lengths: list[int] = []
-    for keys in (keyring._priv, keyring.pubs):
-        for device, key in keys.items():
-            keys[device] = CountingKey(key)
-            keys[device].lengths = lengths
-    return lengths
-
-
-def signed(keyring, device, req, value) -> SignedReply:
+def honest_reply(keyring, device, req, value) -> Reply:
     """The reply an honest replica sends for (req, value)."""
     return keyring.sign(device, req, value, reply_statement(digest(req), digest(value)))
 
 
-def test_four_clients_check_twelve_replies_and_verify_three():
+def flipped(mac: bytes) -> bytes:
+    return bytes([mac[0] ^ 1]) + mac[1:]
+
+
+def test_four_clients_check_twelve_replies_and_verify_three(monkeypatch):
     cluster = BftCluster.build(n=3, f=1, seed=4, clients=4)
     keyring = cluster.cluster.keyring
-    verifies = counting(keyring)
-    checks = []
-    check = keyring.check
-    keyring.check = lambda reply: checks.append(reply) or check(reply)
+    macs = CountingHmac()
+    monkeypatch.setattr(common, "hmac", macs)
+    replies, checks = [], []
+    sign, check = keyring.sign, keyring.check
+    keyring.sign = lambda *args: replies.append(sign(*args)) or replies[-1]
+    keyring.check = lambda reply, client_id: (
+        checks.append((reply.device, client_id)) or check(reply, client_id))
 
     req = cluster.run_request(0, 1)
 
-    assert len(checks) == 12
-    assert verifies() == 3
+    clients = [client.client_id for client in cluster.clients]
+    # three replies, each with one entry per client, each checked by every client
+    assert [(reply.device, sorted(reply.macs)) for reply in replies] == [
+        (device, clients) for device in (2, 3, 1)]
+    assert sorted(checks) == [(device, c) for device in (1, 2, 3) for c in clients]
+    assert len(macs.lengths) == 3 * 4 + 12
     assert cluster.clients[0].accepted_value(req) == struct.pack(">Q", 1)
     for client in cluster.clients:
         assert len(client.replies[req]) == 3
@@ -81,26 +73,27 @@ def test_four_clients_check_twelve_replies_and_verify_three():
         assert client.ignored == 0
 
 
-def test_every_signed_and_verified_message_is_the_97_byte_statement():
+def test_every_signed_and_verified_message_is_the_97_byte_statement(monkeypatch):
+    macs = CountingHmac()
+    monkeypatch.setattr(common, "hmac", macs)
     bft = BftCluster.build(n=3, f=1, seed=4, clients=2)
-    bft_lengths = message_lengths(bft.cluster.keyring)
     req = bft.run_request(0, 1)
     assert bft.clients[0].accepted_value(req) == struct.pack(">Q", 1)
+    # BFT: 3 replies x 2 client entries, and 3 x 2 checks
+    assert macs.lengths == [STATEMENT_LEN] * 12
 
+    macs.lengths.clear()
     cr = ChainCluster.build(n=5, f=2, seed=4)
-    cr_lengths = message_lengths(cr.cluster.keyring)
     body = bytes(range(256)) * 32                  # an 8 KiB value
     req = cr.run_put(0, 1, b"k", body)
     assert cr.clients[0].accepted_value(req) == struct.pack(">Q", 1) + body
-
-    # BFT: 3 signs and 3 real verifies; CR n=5: 5 and 5
-    assert bft_lengths == [STATEMENT_LEN] * 6
-    assert cr_lengths == [STATEMENT_LEN] * 10
+    # CR n=5, one client: 5 entries and 5 checks
+    assert macs.lengths == [STATEMENT_LEN] * 10
 
 
 def _corrupt_signature(reply):
-    sig = bytes([reply.signature[0] ^ 1]) + reply.signature[1:]
-    return dataclasses.replace(reply, signature=sig)
+    return dataclasses.replace(
+        reply, macs={client: flipped(mac) for client, mac in reply.macs.items()})
 
 
 def _other_device(reply):
@@ -125,39 +118,105 @@ def _splice_onto_other_request(reply):
                                    _flip_payload_byte, _flip_request_byte,
                                    _splice_onto_other_request])
 def test_forgery_of_remembered_reply_still_rejected(forge):
+    """A forgery of a reply whose statement the keyring remembers."""
     cluster = BftCluster.build(n=3, f=1, seed=9)
     client = cluster.clients[0]
     keyring = cluster.cluster.keyring
-    verifies = counting(keyring)
     req = client.issue(1)
-    good = signed(keyring, 2, req, struct.pack(">Q", 1))
+    good = honest_reply(keyring, 2, req, struct.pack(">Q", 1))
     client.deliver(good)
-    assert verifies() == 1 and client.ignored == 0
+    assert client.ignored == 0
 
     bad = forge(good)
     assert bad != good
     client.deliver(bad)
-    client.deliver(bad)                     # a failure is never remembered
+    client.deliver(bad)
     assert client.ignored == 2
-    assert verifies() == 3
     assert client.replies == {req: {2: struct.pack(">Q", 1)}}
     assert client.accepted_value(req) is None
-
-    assert keyring.check(good)              # the valid reply stays remembered
-    assert verifies() == 3
+    assert keyring.check(good, client.client_id)
 
 
 def test_signature_over_the_raw_payload_is_rejected():
-    """A signature over the request and value bytes, not their statement."""
+    """A MAC over the request and value bytes, not their statement, under
+    the right key."""
     cluster = BftCluster.build(n=3, f=1, seed=9)
     client = cluster.clients[0]
-    keyring = cluster.cluster.keyring
     req, value = client.issue(1), struct.pack(">Q", 1)
     for device in (2, 3):
-        signature = keyring._priv[device].sign(req + value)
-        client.deliver(SignedReply(device, req, value, signature))
+        key = reply_key(cluster.cluster.seed, device, client.client_id)
+        mac = hmac.digest(key, req + value, "sha384")
+        client.deliver(Reply(device, req, value, {client.client_id: mac}))
     assert client.ignored == 2
     assert client.replies == {} and client.accepted_value(req) is None
+
+
+def test_an_entry_corrupted_for_one_client_leaves_the_others_valid():
+    """Replicas 2 and 3 answer A's request with B's entry corrupted; replica
+    1 sends a wrong value with A's entry corrupted. A accepts the right
+    value; B, which can check only the wrong one, settles on nothing."""
+    cluster = BftCluster.build(n=3, f=1, seed=10, clients=2)
+    keyring = cluster.cluster.keyring
+    a, b = cluster.clients
+    req = a.issue(1)
+    right, wrong = struct.pack(">Q", 1), struct.pack(">Q", 99)
+    for device in (2, 3):
+        reply = honest_reply(keyring, device, req, right)
+        reply.macs[b.client_id] = flipped(reply.macs[b.client_id])
+        a.deliver(reply)
+        b.deliver(reply)
+    lie = honest_reply(keyring, 1, req, wrong)
+    lie.macs[a.client_id] = flipped(lie.macs[a.client_id])
+    a.deliver(lie)
+    b.deliver(lie)
+
+    assert a.accepted == {req: right} and a.observed == {req: right}
+    assert a.replies == {req: {2: right, 3: right}} and a.ignored == 1
+    assert b.accepted == {} and b.observed == {}
+    assert b.replies == {req: {1: wrong}} and b.ignored == 2
+
+
+def test_an_entry_under_another_replicas_key_is_rejected():
+    cluster = BftCluster.build(n=3, f=1, seed=11)
+    client = cluster.clients[0]
+    req, value = client.issue(1), struct.pack(">Q", 1)
+    statement = reply_statement(digest(req), digest(value))
+    mac = hmac.digest(reply_key(cluster.cluster.seed, 3, client.client_id),
+                      statement, "sha384")
+    client.deliver(Reply(2, req, value, {client.client_id: mac}))
+    assert client.ignored == 1 and client.replies == {}
+    client.deliver(Reply(3, req, value, {client.client_id: mac}))
+    assert client.ignored == 1 and client.replies == {req: {3: value}}
+
+
+def test_a_reply_without_this_clients_entry_is_ignored():
+    cluster = BftCluster.build(n=3, f=1, seed=12)
+    keyring = cluster.cluster.keyring
+    client = cluster.clients[0]
+    req, value = client.issue(1), struct.pack(">Q", 1)
+    before = honest_reply(keyring, 2, req, value)
+    late = QuorumClient(300, keyring, cluster.config.quorum)
+    late.issued.add(req)
+    late.deliver(before)                   # built before `late` enrolled
+    late.deliver(dataclasses.replace(honest_reply(keyring, 3, req, value), macs={}))
+    assert late.ignored == 2 and late.replies == {}
+    late.deliver(honest_reply(keyring, 2, req, value))
+    assert late.ignored == 2 and late.replies == {req: {2: value}}
+
+
+def test_a_client_enrolled_twice_gets_one_key():
+    cluster = BftCluster.build(n=3, f=1, seed=13)
+    keyring = cluster.cluster.keyring
+    client = cluster.clients[0]
+    req, value = client.issue(1), struct.pack(">Q", 1)
+    first = honest_reply(keyring, 2, req, value)
+    again = QuorumClient(client.client_id, keyring, cluster.config.quorum)
+    keyring.enroll(client.client_id)
+    second = honest_reply(keyring, 2, req, value)
+    assert first.macs == second.macs and list(second.macs) == [client.client_id]
+    client.deliver(first)
+    again.deliver(second)
+    assert client.ignored == again.ignored == 0
 
 
 class ClosedLoopClient(QuorumClient):
@@ -201,7 +260,8 @@ def test_each_distinct_reply_payload_is_hashed_once(monkeypatch):
 
 def _run(protocol: str, clients: int, bodies: list[bytes]):
     """Run one request per body, issued round-robin by the clients; returns
-    the cluster, the honest replies in signing order, and every accepted value."""
+    the cluster, the replicas, the honest replies in signing order, every
+    accepted value, and a client enrolled from the start that saw no reply."""
     if protocol == "bft":
         cluster = BftCluster.build(n=3, f=1, seed=len(bodies), clients=clients)
         devices = sorted(cluster.replicas)
@@ -209,7 +269,8 @@ def _run(protocol: str, clients: int, bodies: list[bytes]):
         cluster = ChainCluster.build(n=3, f=1, seed=len(bodies), clients=clients)
         devices = cluster.order
     keyring = cluster.cluster.keyring
-    replies: list[SignedReply] = []
+    witness = QuorumClient(999, keyring, cluster.config.quorum)
+    replies: list[Reply] = []
     sign = keyring.sign
     keyring.sign = lambda *args: replies.append(sign(*args)) or replies[-1]
     for i, body in enumerate(bodies):
@@ -223,18 +284,21 @@ def _run(protocol: str, clients: int, bodies: list[bytes]):
     accepted = {}
     for client in cluster.clients:
         accepted.update(client.accepted)
-    return cluster, devices, replies, accepted
+    return cluster, devices, replies, accepted, witness
 
 
-def _mutants(reply: SignedReply, position: int, mask: int, devices: list[int]):
+def _mutants(reply: Reply, client_id: int, position: int, mask: int,
+             devices: list[int]):
+    """Single-byte mutants of the request, the value and `client_id`'s MAC
+    entry, and the reply relabelled with every other device."""
     req, value = bytearray(reply.req), bytearray(reply.value)
-    sig = bytearray(reply.signature)
+    mac = bytearray(reply.macs[client_id])
     req[position % len(req)] ^= mask
     value[position % len(value)] ^= mask
-    sig[position % len(sig)] ^= mask
+    mac[position % len(mac)] ^= mask
     yield dataclasses.replace(reply, req=bytes(req))
     yield dataclasses.replace(reply, value=bytes(value))
-    yield dataclasses.replace(reply, signature=bytes(sig))
+    yield dataclasses.replace(reply, macs={**reply.macs, client_id: bytes(mac)})
     for device in [*devices, 99]:
         if device != reply.device:
             yield dataclasses.replace(reply, device=device)
@@ -247,20 +311,28 @@ def _mutants(reply: SignedReply, position: int, mask: int, devices: list[int]):
        position=st.integers(0, 1 << 16), mask=st.integers(1, 255))
 def test_reply_path_rejects_every_single_byte_mutation(protocol, clients, bodies,
                                                         position, mask):
-    cluster, devices, replies, accepted = _run(protocol, clients, bodies)
+    cluster, devices, replies, accepted, witness = _run(protocol, clients, bodies)
     keyring = cluster.cluster.keyring
     assert len(accepted) == len(bodies)
-    assert replies and all(keyring.check(reply) for reply in replies)
+    client_ids = [client.client_id for client in cluster.clients] + [witness.client_id]
+    assert replies and all(sorted(reply.macs) == client_ids for reply in replies)
 
-    # A client that issued every request sees each mutant before the honest replies.
-    client = QuorumClient(999, keyring, cluster.config.quorum)
-    client.issued = set(accepted)
-    mutants = [m for reply in replies for m in _mutants(reply, position, mask, devices)]
-    for mutant in mutants:
-        client.deliver(mutant)
-    assert client.ignored == len(mutants)
-    assert client.replies == {} and client.accepted == {}
+    # Every client rejects every mutant of its own entry.
     for reply in replies:
-        client.deliver(reply)
-    assert client.ignored == len(mutants)
-    assert client.accepted == accepted
+        for client_id in client_ids:
+            assert keyring.check(reply, client_id)
+            assert not any(keyring.check(m, client_id)
+                           for m in _mutants(reply, client_id, position, mask, devices))
+
+    # A client that issued every request sees its mutants before the honest replies.
+    witness.issued = set(accepted)
+    mutants = [m for reply in replies
+               for m in _mutants(reply, witness.client_id, position, mask, devices)]
+    for mutant in mutants:
+        witness.deliver(mutant)
+    assert witness.ignored == len(mutants)
+    assert witness.replies == {} and witness.accepted == {}
+    for reply in replies:
+        witness.deliver(reply)
+    assert witness.ignored == len(mutants)
+    assert witness.accepted == accepted
