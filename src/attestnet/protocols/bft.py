@@ -6,12 +6,14 @@ that one attested message to every follower. Each follower verifies the
 leader's log stream in order (so a second, conflicting attestation for the
 same round arrives with the wrong counter and is caught), re-executes the
 request on its `transform.StateSimulator` of the sender, whose serialized
-state is the output the message carries, applies at most once and in order,
-acks the leader with its own attested output, and forwards its attestation
-to the other replicas and the client. The leader replies to the client after
-f validated acks, counted once per follower id, or at once when f = 0; it
-keeps a request in `pending_req` only until then. It takes only acks: a
-follower that sends it a proof or a forward is flagged.
+state is the output the message carries, applies each output in order, from
+whichever peer delivers it first, acks the leader with its own attested
+output, and forwards its attestation to the other replicas and the client.
+Outputs are the only dedup, so a retried request is executed again, as the
+leader does. The leader replies to the client after f validated acks,
+counted once per follower id, or at once when f = 0; it keeps a request in
+`pending_req` only until then. It takes only acks: a follower that sends it
+a proof or a forward is flagged.
 Clients accept on f+1 identical replies referencing their own request bytes.
 
 Byzantine attempts are *flagged*, not masked silently: every rejection names
@@ -84,8 +86,6 @@ class BftReplica:
     cluster: ClusterNet
     leader_id: int
     value: int = 0
-    # Follower only: the requests applied, each at most once.
-    applied: set[bytes] = field(default_factory=set)
     # Leader only: output -> (request, ids of the followers that acked it),
     # from the attestation until the reply goes out.
     pending_req: dict[int, tuple[bytes, set[int]]] = field(default_factory=dict)
@@ -156,12 +156,11 @@ class BftReplica:
         if inner is None:
             return
         req, output = inner
-        if req in self.applied:
-            return             # forwarded or duplicate of an applied request
         if output != counter_apply(self.value, req):
-            return             # not yet in order for us; FIFO will close the gap
+            # An output already applied, or one ahead of this follower, is
+            # dropped for good: only another peer's stream can fill the gap.
+            return
         self.value = output
-        self.applied.add(req)
         own = self.endpoint.local_send(log_session(self.node_id),
                                        encode_inner(req, output))
         own_frame = encode_frame(own)

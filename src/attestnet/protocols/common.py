@@ -166,8 +166,9 @@ class QuorumClient:
     per-request observations for requests it merely witnesses; agreement
     assertions compare these across clients. Any quorum of f+1 contains at
     least one correct replica, so two clients can never settle on different
-    values for the same request. `ignored` counts the replies whose entry for
-    this client does not check.
+    values for the same request. The first reply per device counts, so a
+    re-issued request keeps its first accepted value. `ignored` counts the
+    replies whose entry for this client does not check.
     """
 
     def __init__(self, client_id: int, keyring: ReplyKeyring, quorum: int):

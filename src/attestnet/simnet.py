@@ -136,7 +136,6 @@ class Network:
         self._queue: list[tuple[int, int, _FrameRecord, bytes, str]] = []
         self._seq = 0
         self._rng = random.Random(0)
-        self._stream_index: dict[tuple[int, int], int] = {}
         self._stream_history: dict[tuple[int, int], list[bytes]] = {}
         self._pending_swap: dict[tuple[int, int], _FrameRecord] = {}
         # Unspent actions by (session, sender, index), None as the wildcard;
@@ -172,7 +171,6 @@ class Network:
         none for an empty schedule.
         """
         self._rng = random.Random(schedule.seed)
-        self._stream_index.clear()
         self._stream_history.clear()
         self._pending_swap.clear()
         buckets: dict[tuple, list[tuple[int, FaultAction]]] = {}
@@ -222,9 +220,9 @@ class Network:
 
     def _observe(self, record: _FrameRecord) -> None:
         stream = (record.session, record.src)
-        index = self._stream_index.get(stream, 0)
-        self._stream_index[stream] = index + 1
-        self._stream_history.setdefault(stream, []).append(record.data)
+        history = self._stream_history.setdefault(stream, [])
+        index = len(history)
+        history.append(record.data)
 
         # Release a held reorder frame after this one.
         held = self._pending_swap.pop(stream, None)
@@ -249,7 +247,6 @@ class Network:
         if kind == "duplicate":
             copy = record.data
         elif kind == "replay":
-            history = self._stream_history[stream]
             copy = history[min(action.earlier_index, len(history) - 1)]
         elif kind == "forge":
             copy = self._forged_frame(action, record.data)

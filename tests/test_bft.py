@@ -22,6 +22,7 @@ from attestnet.protocols.bft import (
 )
 from attestnet.protocols.common import (
     digest,
+    encode_request,
     log_session,
     reply_statement,
     transport_session,
@@ -198,13 +199,25 @@ def test_leader_crash_mid_broadcast_forwarding_closure():
     assert client.accepted_value(req) == struct.pack(">Q", 1)
 
 
-def test_the_leader_keeps_no_applied_set():
-    cluster = BftCluster.build(n=3, f=1, seed=4, clients=2)
-    for k in range(1, 6):
-        cluster.run_request(k % 2, k)
-    assert cluster.correct_values() == {1: 5, 2: 5, 3: 5}
-    assert cluster.replicas[cluster.leader_id].applied == set()
-    assert [len(cluster.replicas[d].applied) for d in (2, 3)] == [5, 5]
+@pytest.mark.parametrize("n, f", [(3, 1), (5, 2)])
+def test_a_retried_request_is_executed_again_at_every_replica(n, f):
+    """The client sends request 1 twice, as a retrying client does. Every
+    replica executes it again, as the leader does, and keeps no set of
+    applied requests that would drop the copy and stall the cluster."""
+    cluster = BftCluster.build(n=n, f=f, seed=1)
+    client, leader = cluster.clients[0], cluster.replicas[cluster.leader_id]
+    first = cluster.run_request(0, 1)
+    assert cluster.run_request(0, 1) == first
+    assert cluster.correct_values() == dict.fromkeys(cluster.replicas, 2)
+    assert client.accepted_value(first) == struct.pack(">Q", 1)
+    assert leader.pending_req == {}
+    for k in range(2, 8):
+        req = cluster.run_request(0, k)
+        assert client.accepted_value(req) == struct.pack(">Q", k + 1)
+        assert cluster.correct_values() == dict.fromkeys(cluster.replicas, k + 1)
+        assert leader.pending_req == {}
+    assert cluster.all_flags() == []
+    assert not any(hasattr(replica, "applied") for replica in cluster.replicas.values())
 
 
 @pytest.mark.parametrize("kind", [KIND_PROOF, KIND_FORWARD])
@@ -222,6 +235,27 @@ def test_a_proof_a_follower_sends_the_leader_is_never_applied(kind, output):
     assert [(fl.accuser, fl.accused, fl.reason) for fl in cluster.all_flags()] == [
         (1, 2, "proof-to-leader")]
     assert cluster.clients[0].replies[req] == dict.fromkeys((1, 2, 3), struct.pack(">Q", 1))
+
+
+@pytest.mark.parametrize("n, f", [(3, 1), (5, 2)])
+def test_after_a_forged_forward_the_next_requests_commit_everywhere(n, f):
+    """Follower 2 attests a request the leader never ordered and forwards it
+    to follower 3, which applies it: a forward carries no attestation of the
+    leader. The client's next request is lost, the requests after it commit
+    at every replica, and only the forger is flagged."""
+    cluster = BftCluster.build(n=n, f=f, seed=1)
+    cluster.run_request(0, 1)
+    forger = cluster.cluster.endpoints[2]
+    forger.auth_send(transport_session(2, 3), bytes([KIND_FORWARD]) + _attested(
+        forger, log_session(2), encode_inner(encode_request(555, 1), 2)))
+    cluster.drain()
+    client = cluster.clients[0]
+    assert client.accepted_value(cluster.run_request(0, 2)) is None
+    for k in range(3, 6):
+        req = cluster.run_request(0, k)
+        assert client.accepted_value(req) == struct.pack(">Q", k)
+        assert cluster.correct_values() == dict.fromkeys(cluster.replicas, k)
+    assert {flag.accused for flag in cluster.all_flags()} == {2}
 
 
 def _reply(cluster, device, req, value):
