@@ -21,17 +21,11 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from .device import (
-    DeviceConfig,
-    Endpoint,
-    SessionConfig,
-    connect,
-    pack_batch,
-)
+from .device import pack_batch
 from .protocols.a2m import A2mStore
 from .protocols.bft import BftCluster
 from .protocols.chain import ChainCluster
-from .protocols.common import derive_key, log_session
+from .protocols.common import build_cluster, derive_key, log_session, transport_session
 from .protocols.peerreview import PrScenario
 from .simnet import Network
 
@@ -146,41 +140,28 @@ def _measure(config: BenchConfig, clock, submit) -> BenchRecord:
 
 
 def _bench_raw_channel(config: BenchConfig) -> BenchRecord:
-    net = Network()
-    key = derive_key(config.seed, 1)
-    delay = DELAY_PRESETS_NS[config.delay_model]
-    cfg_a = DeviceConfig(device=1, sessions=[SessionConfig(1, 2, key)],
-                         attest_delay_ns=delay)
-    cfg_b = DeviceConfig(device=2, sessions=[SessionConfig(1, 1, key)],
-                         attest_delay_ns=delay)
-    net.declare_device(1)
-    net.declare_device(2)
-    sender = connect(cfg_a, net)
-    receiver = connect(cfg_b, net)
+    cluster = build_cluster([1, 2], config.seed,
+                            attest_delay_ns=DELAY_PRESETS_NS[config.delay_model])
+    net, session = cluster.net, transport_session(1, 2)
+    sender, receiver = cluster.endpoints[1], cluster.endpoints[2]
 
     def submit(records):
-        sender.auth_send(1, pack_batch(records))
+        sender.auth_send(session, pack_batch(records))
         net.run_until_quiescent()
-        _check(receiver.poll(1), "reliable channel must deliver")
+        _check(receiver.poll(session), "reliable channel must deliver")
     record = _measure(config, net.clock, submit)
     _check_no_exhausted(net)
     return record
 
 
 def _bench_a2m(config: BenchConfig) -> BenchRecord:
-    delay = DELAY_PRESETS_NS[config.delay_model]
-    device = 1
-    manifest = log_session(0xFF)
-    sessions = [SessionConfig(log_session(device), device,
-                              derive_key(config.seed, log_session(device)), log=True),
-                SessionConfig(manifest, device, derive_key(config.seed, manifest),
-                              log=True)]
-    endpoint = Endpoint(DeviceConfig(device=device, sessions=sessions,
-                                     attest_delay_ns=delay))
+    cluster = build_cluster([1], config.seed,
+                            attest_delay_ns=DELAY_PRESETS_NS[config.delay_model])
+    endpoint, manifest = cluster.endpoints[1], log_session(0xFF)
+    endpoint.provision_session(manifest, 1, derive_key(config.seed, manifest), log=True)
     store = A2mStore(endpoint, manifest_log=manifest)
-    log_id = log_session(device)
     return _measure(config, endpoint.clock,
-                    lambda records: store.append(log_id, pack_batch(records)))
+                    lambda records: store.append(log_session(1), pack_batch(records)))
 
 
 def _bench_bft(config: BenchConfig) -> BenchRecord:

@@ -39,12 +39,13 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .device import Endpoint
+from .device import Endpoint, pack_pair, unpack_pair
 from .errors import (
     BadControllerSignature,
     BadDeviceSignature,
     ChannelAuthFailure,
     DuplicateSession,
+    FrameError,
     HandshakeError,
     IdentityFrozen,
     MeasurementMismatch,
@@ -68,6 +69,9 @@ MSG_ACK = 0x06
 _KEX_VENDOR_CONTEXT = b"vendor-kex-v1"
 _KEX_CTRL_CONTEXT = b"ctrl-kex-v1"
 _CHANNEL_CONTEXT = b"provision-channel-v1"
+
+_CERT = struct.Struct(f">{DIGEST_LEN}s{PUB_LEN}s{SIG_LEN}s{NONCE_LEN}s{SIG_LEN}s")
+_SECRET = struct.Struct(f">II{KEY_LEN}s")      # session ‖ peer device ‖ key
 
 
 def measure(blob: bytes) -> bytes:
@@ -125,20 +129,14 @@ class AttestationCert:
     ctrl_sig: bytes
 
     def encode(self) -> bytes:
-        return self.digest + self.ctrl_pub + self.hw_sig + self.nonce + self.ctrl_sig
+        return _CERT.pack(self.digest, self.ctrl_pub, self.hw_sig, self.nonce,
+                          self.ctrl_sig)
 
     @classmethod
     def decode(cls, body: bytes) -> "AttestationCert":
-        expect = DIGEST_LEN + PUB_LEN + SIG_LEN + NONCE_LEN + SIG_LEN
-        if len(body) != expect:
-            raise HandshakeError(f"attestation cert must be {expect} bytes")
-        off = 0
-        digest = body[off:off + DIGEST_LEN]; off += DIGEST_LEN
-        ctrl_pub = body[off:off + PUB_LEN]; off += PUB_LEN
-        hw_sig = body[off:off + SIG_LEN]; off += SIG_LEN
-        nonce = body[off:off + NONCE_LEN]; off += NONCE_LEN
-        ctrl_sig = body[off:off + SIG_LEN]
-        return cls(digest, ctrl_pub, hw_sig, nonce, ctrl_sig)
+        if len(body) != _CERT.size:
+            raise HandshakeError(f"attestation cert must be {_CERT.size} bytes")
+        return cls(*_CERT.unpack(body))
 
 
 @dataclass
@@ -150,39 +148,31 @@ class ProvisioningBundle:
     config: bytes = b"{}"
 
     def encode(self) -> bytes:
-        parts = [struct.pack(">I", len(self.secrets))]
+        """count ‖ (session ‖ peer ‖ key) per secret ‖ bitstream and config,
+        each a length-prefixed record."""
+        parts = [len(self.secrets).to_bytes(4, "big")]
         for session, peer, key in self.secrets:
             if len(key) != KEY_LEN:
                 raise HandshakeError(f"session {session} key must be {KEY_LEN} bytes")
-            parts.append(struct.pack(">II", session, peer))
-            parts.append(key)
-        parts.append(struct.pack(">I", len(self.bitstream)))
-        parts.append(self.bitstream)
-        parts.append(struct.pack(">I", len(self.config)))
-        parts.append(self.config)
+            parts.append(_SECRET.pack(session, peer, key))
+        parts.append(pack_pair(self.bitstream, pack_pair(self.config, b"")))
         return b"".join(parts)
 
     @classmethod
     def decode(cls, data: bytes) -> "ProvisioningBundle":
         """Inverse of encode; truncated or trailing bytes are rejected."""
-        off = 0
-
-        def take(n: int) -> bytes:
-            nonlocal off
-            if off + n > len(data):
-                raise HandshakeError("provisioning bundle truncated")
-            off += n
-            return data[off - n:off]
-
-        (count,) = struct.unpack(">I", take(4))
-        secrets = []
-        for _ in range(count):
-            session, peer = struct.unpack(">II", take(8))
-            secrets.append((session, peer, take(KEY_LEN)))
-        bitstream = take(struct.unpack(">I", take(4))[0])
-        config = take(struct.unpack(">I", take(4))[0])
-        if off != len(data):
+        # Data under 4 bytes reads as a smaller count, and still ends short.
+        end = 4 + _SECRET.size * int.from_bytes(data[:4], "big")
+        if len(data) < end:
+            raise HandshakeError("provisioning bundle truncated")
+        try:
+            bitstream, rest = unpack_pair(data[end:])
+            config, trailing = unpack_pair(rest)
+        except FrameError:
+            raise HandshakeError("provisioning bundle truncated") from None
+        if trailing:
             raise HandshakeError("trailing bytes after provisioning bundle")
+        secrets = list(_SECRET.iter_unpack(data[4:end]))
         return cls(bitstream=bitstream, secrets=secrets, config=config)
 
 
@@ -196,10 +186,8 @@ class Transcript:
         self.messages.append((msg_type, body))
 
     def raw(self) -> bytes:
-        out = []
-        for msg_type, body in self.messages:
-            out.append(struct.pack(">I", 1 + len(body)) + bytes([msg_type]) + body)
-        return b"".join(out)
+        return b"".join(pack_pair(bytes([msg_type]) + body, b"")
+                        for msg_type, body in self.messages)
 
     def contains(self, needle: bytes) -> bool:
         blob = self.raw()

@@ -42,6 +42,3 @@ class TamperEvidentLog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def get(self, index: int) -> LogEntry:
-        return self.entries[index]

@@ -14,7 +14,7 @@ the guarantee (bad actions may take effect before they are exposed).
 children in id order; there are no clients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..device import pack_pair, unpack_pair
 from ..errors import FrameError
@@ -169,7 +169,7 @@ class Witness:
         """Walk entries from the audited sequence number; replay the spec."""
         log = self.node.log
         while self.audited_seq < len(log):
-            entry = log.get(self.audited_seq)
+            entry = log.entries[self.audited_seq]
             if entry.cum_digest != chain_digest(self._prev_digest, entry.ctx,
                                                 entry.seq):
                 return Verdict(VERDICT_CHAIN_BREAK, seq=entry.seq)

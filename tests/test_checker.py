@@ -8,6 +8,8 @@ import pytest
 
 from attestnet.checker import (
     KERNELS,
+    FrozenCounterKernel,
+    GapAcceptingKernel,
     TRANSPORT_LEMMAS,
     BoundedInstance,
     check_all_lemmas,
@@ -17,7 +19,7 @@ from attestnet.checker import (
     on_wire,
     replay_counterexample,
 )
-from attestnet.errors import AuthFailure, InstanceTooLarge
+from attestnet.errors import AuthFailure, InstanceTooLarge, PayloadTooLarge, WrongSender
 from attestnet.kernel import AttestationKernel
 from attestnet.protocols.common import derive_key
 from attestnet.simnet import ACTION_KINDS, FaultAction
@@ -56,6 +58,26 @@ def test_gap_accepting_kernel_violates_no_lost():
     report = check_transport_lemmas(instance, "gap-accepting")["no_lost"]
     assert report.verdict == "Counterexample"
     assert report.counterexample.mutation.startswith(("drop", "reorder"))
+
+
+def test_frozen_counter_kernel_keeps_the_payload_bound():
+    kernel = FrozenCounterKernel(device=1, max_payload=8)
+    kernel.provision_session(1, derive_key(0, 1))
+    with pytest.raises(PayloadTooLarge):
+        kernel.attest(1, bytes(9))
+
+
+def test_gap_accepting_kernel_rejects_a_non_peer_without_moving_its_counter():
+    # Frame 2 skips the gap from the peer; from any other device it is
+    # rejected as production rejects it, and the counter stays at 0.
+    frames = [decode_frame(f) for f in _three_frames()]
+    receiver = GapAcceptingKernel(device=0)
+    receiver.provision_session(1, derive_key(0, 1))
+    with pytest.raises(WrongSender):
+        receiver.verify(frames[2], peer=2)
+    assert receiver.session_state(1).recv_cnt == 0
+    assert receiver.verify(frames[2], peer=1) == frames[2]
+    assert receiver.session_state(1).recv_cnt == 3
 
 
 def test_consistency_holds_for_correct_kernel():

@@ -1,5 +1,6 @@
 """One fast run of every CLI subcommand through cli.main."""
 
+import hashlib
 import json
 
 import pytest
@@ -251,3 +252,18 @@ def test_attest_demo_is_deterministic(capsys):
     assert cli.main(["attest-demo", "--seed", "3"]) == 0
     assert capsys.readouterr().out == first
     assert first.startswith("msg 0:") and "measurement=" in first
+
+
+def test_attest_demo_transcript_is_pinned(capsys):
+    # Every transcript byte, the measurement and the sessions, as printed.
+    assert cli.main(["attest-demo", "--seed", "3"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "d6e4e8d6ace452e5d0e6171ea79183308808bc83fb2e628220ea3cf022d34537")
+
+
+def test_bench_batch_below_one_exits_2(capsys):
+    assert cli.main(["bench", "--batch", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "attestnet bench: batch must be >= 1\n"

@@ -59,7 +59,7 @@ def test_rewritten_history_breaks_chain_at_first_altered_entry():
     rewrite_log_entry(child, 1, b"\x52fabricated")
     verdict = scenario.witnesses[2].audit()
     assert verdict.kind == VERDICT_CHAIN_BREAK
-    assert verdict.seq == child.log.get(1).seq
+    assert verdict.seq == child.log.entries[1].seq
 
 
 def test_audit_is_incremental():
