@@ -42,8 +42,9 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .bootstrap import make_pair, measure, ProvisioningBundle, run_handshake
-from .device import DeviceConfig, Endpoint, SessionConfig, SimClock
+from .bootstrap import (DIGEST_LEN, NONCE_LEN, PUB_LEN, SIG_LEN, ProvisioningBundle,
+                        make_pair, measure, run_handshake)
+from .device import DeviceConfig, Endpoint, SessionConfig
 from .errors import HandshakeError, InstanceTooLarge
 from .kernel import AttestationKernel, AttestedMessage
 from .protocols.bft import KIND_PROOF, BftCluster, encode_inner
@@ -348,9 +349,10 @@ def check_transport_lemmas(instance: BoundedInstance,
 def _handshake_scenarios(seed: int):
     """Honest run plus one scenario per single-field corruption class."""
     yield "honest", None, None
-    yield "bad-device-signature", ("cert", 80), None          # hw_sig byte
-    yield "stale-nonce", ("cert", 144), None                  # nonce byte
-    yield "bad-controller-signature", ("cert", 176), None     # ctrl_sig byte
+    hw_sig = DIGEST_LEN + PUB_LEN   # cert = digest ‖ pub ‖ hw_sig ‖ nonce ‖ ctrl_sig
+    yield "bad-device-signature", ("cert", hw_sig), None
+    yield "stale-nonce", ("cert", hw_sig + SIG_LEN), None
+    yield "bad-controller-signature", ("cert", hw_sig + SIG_LEN + NONCE_LEN), None
     yield "tampered-bundle", ("bundle", 20), None
     yield "measurement-mismatch", None, b"unexpected-firmware"
 
@@ -358,7 +360,7 @@ def _handshake_scenarios(seed: int):
 def check_attestation_lemma(seed: int = 0) -> LemmaReport:
     """Vendor completion must always be preceded by device completion."""
     for name, flip_spec, evil_bin in _handshake_scenarios(seed):
-        endpoint = Endpoint(DeviceConfig(device=42), clock=SimClock())
+        endpoint = Endpoint(DeviceConfig(device=42))
         if evil_bin is None:
             vendor, controller = make_pair(seed, 42, endpoint)
         else:

@@ -16,7 +16,7 @@ import sys
 from . import bench as bench_mod
 from . import checker, scenario as scenario_mod
 from .bootstrap import ProvisioningBundle, make_pair, run_handshake
-from .device import DeviceConfig, Endpoint, SimClock
+from .device import DeviceConfig, Endpoint
 from .errors import InstanceTooLarge
 
 
@@ -116,7 +116,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    endpoint = Endpoint(DeviceConfig(device=1), clock=SimClock())
+    endpoint = Endpoint(DeviceConfig(device=1))
     vendor, controller = make_pair(args.seed, 1, endpoint)
     bundle = ProvisioningBundle(
         bitstream=b"demo-bitstream",

@@ -14,7 +14,9 @@ moves the counter its proof is checked against, and each receive counter has
 one path that moves it.
 
 Processing delays are charged to a simulated clock that advances integer
-nanoseconds deterministically; host time is never read here.
+nanoseconds deterministically; host time is never read here. `Network.attach`
+is the only way to join a network; an attached endpoint charges the network's
+clock, and its `auth_send` checks the peer is attached before attesting.
 """
 
 import struct
@@ -22,7 +24,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
-    DuplicateSession,
     FrameError,
     KernelError,
     TransportClosed,
@@ -73,11 +74,6 @@ class DeviceConfig:
     def __post_init__(self):
         if self.attest_delay_ns < 0:
             raise ValueError("attest delay must be >= 0")
-        seen = set()
-        for sc in self.sessions:
-            if sc.session in seen:
-                raise DuplicateSession(f"session {sc.session} configured twice")
-            seen.add(sc.session)
 
 
 class Endpoint:
@@ -89,11 +85,10 @@ class Endpoint:
     always uses the default.
     """
 
-    def __init__(self, config: DeviceConfig, clock: SimClock | None = None,
-                 kernel_factory=AttestationKernel):
+    def __init__(self, config: DeviceConfig, kernel_factory=AttestationKernel):
         self.config = config
         self.device = config.device
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = SimClock()
         self.kernel = kernel_factory(config.device)
         self.peers: dict[int, int] = {}
         self._inboxes: dict[int, deque[AttestedMessage]] = {}
@@ -134,12 +129,15 @@ class Endpoint:
     def auth_send(self, session: int, payload: bytes) -> AttestedMessage:
         """Attest, frame, and submit to the transport; returns the message
         so callers can keep it as a proof of sending. A send that cannot be
-        submitted raises before it uses up a counter."""
+        submitted raises before it uses up a counter, UnknownPeer when the
+        session's peer has no endpoint on the transport."""
         if self.transport is None:
             raise TransportClosed("endpoint not connected")
         peer = self.peers.get(session)
         if peer is None:
             raise UnknownSession(f"session {session}")
+        if peer not in self.transport.endpoints:
+            raise UnknownPeer(f"device {peer}")
         msg = self.kernel.attest(session, payload)
         self._charge()
         self.transport.submit(self.device, peer, session, encode_frame(msg))
@@ -212,16 +210,11 @@ class Endpoint:
 
 
 def connect(config: DeviceConfig, net) -> Endpoint:
-    """Create an endpoint, attach it to the network, and check peers.
-
-    Peers must be attached or declared on the network handle; sessions are
-    provisioned with zeroed counters.
-    """
-    ep = Endpoint(config, clock=net.clock)
+    """Create an endpoint with zeroed session counters and attach it to the
+    network, whose clock it then charges. Its peers may attach later: a send
+    to a peer that is not attached yet raises UnknownPeer in `auth_send`."""
+    ep = Endpoint(config)
     net.attach(ep)
-    for sc in config.sessions:
-        if not net.knows_device(sc.peer):
-            raise UnknownPeer(f"device {sc.peer}")
     return ep
 
 

@@ -127,7 +127,6 @@ class ChainNode:
     node_id: int
     position: int
     order: list[int]
-    config: ProtocolConfig
     cluster: ClusterNet
     machine: KvMachine = field(default_factory=KvMachine)
     flags: list[ChainFlag] = field(default_factory=list)
@@ -301,8 +300,7 @@ class ChainCluster:
         for position, device in enumerate(order):
             node_cls = (node_cls_at or {}).get(position, ChainNode)
             kwargs = (node_kwargs_at or {}).get(position, {})
-            nodes[device] = node_cls(device, position, order, config, cluster,
-                                     **kwargs)
+            nodes[device] = node_cls(device, position, order, cluster, **kwargs)
         client_objs = [QuorumClient(200 + i, cluster.keyring, config.quorum)
                        for i in range(clients)]
         return cls(cluster, config, nodes, order, client_objs)

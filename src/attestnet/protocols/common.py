@@ -29,7 +29,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
-from ..device import DeviceConfig, Endpoint, SessionConfig, SimClock, connect
+from ..device import DeviceConfig, Endpoint, SessionConfig, connect
 from ..errors import FrameError
 from ..simnet import Network
 
@@ -268,10 +268,7 @@ def build_cluster(devices: list[int], seed: int,
     Every device can locally verify every other device's log stream, which is
     what makes unicast of one attested message an equivocation-free multicast.
     """
-    if net is None:
-        net = Network(clock=SimClock())
-    for device in devices:
-        net.declare_device(device)
+    net = Network() if net is None else net
     configs: dict[int, list[SessionConfig]] = {d: [] for d in devices}
     for i, a in enumerate(devices):
         for b in devices[i + 1:]:
@@ -284,10 +281,7 @@ def build_cluster(devices: list[int], seed: int,
         key = derive_key(seed, session)
         for device in devices:
             configs[device].append(SessionConfig(session, owner, key, log=True))
-    endpoints = {}
-    for device in devices:
-        cfg = DeviceConfig(device=device, sessions=configs[device],
-                           attest_delay_ns=attest_delay_ns)
-        endpoints[device] = connect(cfg, net)
+    endpoints = {d: connect(DeviceConfig(d, configs[d], attest_delay_ns), net)
+                 for d in devices}
     keyring = ReplyKeyring(devices, seed)
     return ClusterNet(net=net, endpoints=endpoints, keyring=keyring, seed=seed)

@@ -38,7 +38,7 @@ from typing import NamedTuple
 from .device import Endpoint, SimClock
 from .errors import UnknownPeer
 from .kernel import TAG_LEN
-from .wire import frame_counter
+from .wire import HEADER_LEN, frame_counter
 
 DEFAULT_RETRY_BUDGET = 16
 DEFAULT_BASE_LATENCY_NS = 1_500
@@ -63,7 +63,7 @@ class FaultAction:
     sender: int | None = None
     index: int | None = None
     delay_ns: int = 0
-    bit_offset: int = 160        # default: first payload byte
+    bit_offset: int = HEADER_LEN * 8     # default: first payload byte
     earlier_index: int = 0
     frame: bytes | None = None
 
@@ -117,15 +117,12 @@ class Network:
     """Single-threaded deterministic simulator core."""
 
     def __init__(self, clock: SimClock | None = None,
-                 retry_budget: int = DEFAULT_RETRY_BUDGET,
-                 base_latency_ns: int = DEFAULT_BASE_LATENCY_NS,
-                 per_byte_ns: int = DEFAULT_PER_BYTE_NS):
+                 retry_budget: int = DEFAULT_RETRY_BUDGET):
         self.clock = clock if clock is not None else SimClock()
         self.retry_budget = retry_budget
-        self.base_latency_ns = base_latency_ns
-        self.per_byte_ns = per_byte_ns
+        self.base_latency_ns = DEFAULT_BASE_LATENCY_NS
+        self.per_byte_ns = DEFAULT_PER_BYTE_NS
         self.endpoints: dict[int, Endpoint] = {}
-        self.declared: set[int] = set()
         self.trace: list[NetEvent] = []
         self._exhausted: list[_FrameRecord] = []
         # Per (src, dst, session) stream: the lowest exhausted counter, and
@@ -146,16 +143,12 @@ class Network:
 
     # -- topology ------------------------------------------------------------
 
-    def declare_device(self, device: int) -> None:
-        self.declared.add(device)
-
     def attach(self, endpoint: Endpoint) -> None:
+        """The only way to join: the endpoint becomes the network's record of
+        its device, submits to it, and charges its clock from now on."""
         self.endpoints[endpoint.device] = endpoint
-        self.declared.add(endpoint.device)
         endpoint.transport = self
-
-    def knows_device(self, device: int) -> bool:
-        return device in self.declared
+        endpoint.clock = self.clock
 
     # -- adversary -------------------------------------------------------------
 

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from attestnet.device import DeviceConfig, Endpoint, SessionConfig, SimClock
+from attestnet.device import DeviceConfig, Endpoint, SessionConfig
 from attestnet.errors import AuthFailure, OutOfRange
 from attestnet.protocols.a2m import A2mStore
 from attestnet.protocols.logchain import GENESIS_DIGEST, LogEntry
@@ -24,8 +24,7 @@ ENTRY0_DIGEST = bytes.fromhex(
 
 def make_store():
     endpoint = Endpoint(DeviceConfig(device=1, sessions=[
-        SessionConfig(LOG, 1, KEY_LOG), SessionConfig(MANIFEST, 1, KEY_MAN)]),
-        clock=SimClock())
+        SessionConfig(LOG, 1, KEY_LOG), SessionConfig(MANIFEST, 1, KEY_MAN)]))
     return A2mStore(endpoint, manifest_log=MANIFEST)
 
 
@@ -110,6 +109,37 @@ def test_manifest_replay_yields_boundaries():
     head, trnc_seq = store.manifest_bounds(LOG)
     assert head == 2
     assert trnc_seq == 5     # the marker appended after entries 0..4
+
+
+def test_manifest_bounds_of_a_log_never_truncated_is_none():
+    store = make_store()
+    store.append(LOG, b"kept")
+    assert store.manifest_bounds(LOG) is None
+
+
+def test_manifest_bounds_skip_another_logs_truncation():
+    other = 7
+    endpoint = Endpoint(DeviceConfig(device=1, sessions=[
+        SessionConfig(LOG, 1, KEY_LOG), SessionConfig(MANIFEST, 1, KEY_MAN),
+        SessionConfig(other, 1, KEY_LOG)]))
+    store = A2mStore(endpoint, manifest_log=MANIFEST)
+    for i in range(3):
+        store.append(LOG, bytes([i]))
+        store.append(other, bytes([i]))
+    store.truncate(LOG, head=1, z=b"l" * 32)
+    store.truncate(other, head=2, z=b"o" * 32)
+    # Walking back from the end, LOG's marker is found behind the other's.
+    assert store.manifest_bounds(LOG) == (1, 3)
+    assert store.manifest_bounds(other) == (2, 3)
+
+
+def test_head_and_tail_after_truncate():
+    store = make_store()
+    for i in range(4):
+        store.append(LOG, bytes([i]))
+    assert (store.head(LOG), store.tail(LOG)) == (0, 4)
+    store.truncate(LOG, head=3, z=b"t" * 32)
+    assert (store.head(LOG), store.tail(LOG)) == (3, 5)   # the marker is entry 4
 
 
 def test_truncate_twice_same_nonce_distinct_manifest_entries():

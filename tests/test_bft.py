@@ -169,6 +169,19 @@ def test_malformed_proof_from_the_leader_is_flagged(malform):
     assert cluster.correct_values() == {1: 0, 2: 0, 3: 0}
 
 
+def test_proof_with_a_forged_inner_tag_is_flagged_and_never_applied():
+    def forge(ep, log, inner):
+        frame = _attested(ep, log, inner)
+        return bytes([KIND_PROOF]) + frame[:-1] + bytes([frame[-1] ^ 1])
+    cluster = BftCluster.build(n=3, f=1, seed=5, leader_cls=MalformedProofLeader,
+                               leader_kwargs={"malform": forge})
+    req = cluster.run_request(0, 1)
+    assert [(fl.accuser, fl.accused, fl.reason) for fl in cluster.all_flags()] == [
+        (2, 1, "forged-attestation"), (3, 1, "forged-attestation")]
+    assert cluster.clients[0].accepted_value(req) is None
+    assert cluster.correct_values() == {1: 0, 2: 0, 3: 0}
+
+
 class CrashAfterFirstSendLeader(BftReplica):
     """Leader that reaches only one follower before failing."""
 

@@ -14,7 +14,7 @@ from attestnet.bootstrap import (
     measure,
     run_handshake,
 )
-from attestnet.device import DeviceConfig, Endpoint, SimClock
+from attestnet.device import DeviceConfig, Endpoint
 from attestnet.errors import (
     BadControllerSignature,
     BadDeviceSignature,
@@ -30,7 +30,7 @@ SECRETS = [(11, 2, bytes(range(32))), (12, 3, bytes(range(32, 64)))]
 
 
 def fresh_endpoint(device=1):
-    return Endpoint(DeviceConfig(device=device), clock=SimClock())
+    return Endpoint(DeviceConfig(device=device))
 
 
 def bundle():

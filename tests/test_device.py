@@ -25,8 +25,6 @@ KEY3 = bytes(range(2, 34))
 
 def make_pair(attest_delay_ns=0, net=None):
     net = net or Network(clock=SimClock())
-    net.declare_device(1)
-    net.declare_device(2)
     a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1)],
                              attest_delay_ns=attest_delay_ns), net)
     b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1)],
@@ -41,20 +39,36 @@ def test_connect_both_sides_share_session():
 
 def test_duplicate_session_config_rejected():
     with pytest.raises(DuplicateSession):
-        DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1),
-                                         SessionConfig(1, 3, KEY2)])
+        Endpoint(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1),
+                                                  SessionConfig(1, 3, KEY2)]))
 
 
-def test_unknown_peer_rejected_at_connect():
+def test_send_to_an_unattached_peer_uses_up_no_counter():
+    # connect does not look at peers; the send is refused before the kernel
+    # attests, so the peer that attaches later gets counter 0 first.
     net = Network(clock=SimClock())
+    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1)]), net)
     with pytest.raises(UnknownPeer):
-        connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 99, KEY1)]), net)
+        a.auth_send(1, b"unsent")
+    assert a.kernel.session_state(1).send_cnt == 0
+    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1)]), net)
+    a.auth_send(1, b"sent")
+    net.run_until_quiescent()
+    assert [(m.counter, m.payload) for m in b.poll(1)] == [(0, b"sent")]
+    assert b.rejection_events == [] and net.exhausted == []
+
+
+def test_attached_endpoint_charges_the_network_clock():
+    net = Network(clock=SimClock())
+    ep = Endpoint(DeviceConfig(1, [SessionConfig(1, 1, KEY1, log=True)],
+                               attest_delay_ns=5))
+    net.attach(ep)
+    ep.local_send(1, b"entry")
+    assert net.clock.now_ns == 5
 
 
 def test_three_sessions_independent_counter_streams():
     net = Network(clock=SimClock())
-    for d in (1, 2, 3, 4):
-        net.declare_device(d)
     ep = connect(DeviceConfig(device=1, sessions=[
         SessionConfig(1, 2, KEY1), SessionConfig(2, 3, KEY2),
         SessionConfig(3, 4, KEY3)]), net)
@@ -91,8 +105,6 @@ def test_swapped_frames_recover_to_send_order():
     net = Network(clock=SimClock())
     net.install_schedule(FaultSchedule(actions=[
         FaultAction(kind="reorder", session=1, sender=1, index=0)]))
-    net.declare_device(1)
-    net.declare_device(2)
     a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1)]), net)
     b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1)]), net)
     a.auth_send(1, b"first")
@@ -105,8 +117,6 @@ def test_swapped_frames_recover_to_send_order():
 def test_local_send_multicast_same_triple_to_both_peers():
     # one attested message, unicast to two receivers holding the same key
     net = Network(clock=SimClock())
-    for d in (1, 2, 3):
-        net.declare_device(d)
     sender = connect(DeviceConfig(device=1,
                                   sessions=[SessionConfig(9, 1, KEY1)]), net)
     r1 = connect(DeviceConfig(device=2, sessions=[SessionConfig(9, 1, KEY1)]), net)
@@ -178,8 +188,6 @@ def test_tampered_frame_never_reaches_poll():
     net.install_schedule(FaultSchedule(actions=[
         FaultAction(kind="tamper", session=1, sender=1, index=0,
                     bit_offset=20 * 8)]))
-    net.declare_device(1)
-    net.declare_device(2)
     a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1)]), net)
     b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1)]), net)
     a.auth_send(1, b"target")
@@ -210,9 +218,7 @@ def test_rem_write_is_attested_message_exchange():
 
 def test_send_without_transport_uses_up_no_counter():
     net = Network(clock=SimClock())
-    net.declare_device(1)
-    a = Endpoint(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1)]),
-                 clock=net.clock)
+    a = Endpoint(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1)]))
     b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1)]), net)
     with pytest.raises(TransportClosed):
         a.auth_send(1, b"unsent")

@@ -62,6 +62,18 @@ def test_rewritten_history_breaks_chain_at_first_altered_entry():
     assert verdict.seq == child.log.entries[1].seq
 
 
+def test_altered_tag_breaks_chain_though_the_digests_still_link():
+    # chain_digest covers ctx and seq but not the tag: only the witness's tag
+    # check sees an entry whose tag alone was changed.
+    scenario = PrScenario.build(seed=4, n_children=1)
+    scenario.run_rounds([b"a", b"b", b"c"])
+    entry = scenario.children[2].log.entries[1]
+    entry.tag = bytes([entry.tag[0] ^ 1]) + entry.tag[1:]
+    verdict = scenario.witnesses[2].audit()
+    assert verdict.kind == VERDICT_CHAIN_BREAK
+    assert verdict.seq == entry.seq
+
+
 def test_audit_is_incremental():
     scenario = PrScenario.build(seed=6, n_children=1)
     scenario.run_rounds([b"first"])

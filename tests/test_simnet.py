@@ -28,8 +28,6 @@ def build_pair(schedule=None, retry_budget=16):
     net = Network(clock=SimClock(), retry_budget=retry_budget)
     if schedule is not None:
         net.install_schedule(schedule)
-    net.declare_device(1)
-    net.declare_device(2)
     a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY)]), net)
     b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY)]), net)
     return net, a, b
@@ -376,8 +374,6 @@ def test_tampered_copy_accepted_on_another_session_does_not_settle_the_frame():
     net = Network(clock=SimClock())
     net.install_schedule(FaultSchedule(actions=[FaultAction(
         kind="tamper", session=1, sender=1, index=0, bit_offset=3 * 8 + 1)]))
-    net.declare_device(1)
-    net.declare_device(2)
     a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY),
                                                  SessionConfig(3, 2, KEY)]), net)
     b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY),

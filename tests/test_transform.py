@@ -6,6 +6,7 @@ import pytest
 
 from attestnet.device import DeviceConfig, SessionConfig, SimClock, connect
 from attestnet.errors import (
+    EchoForged,
     FrameError,
     NonDeterministicSpec,
     SenderStateMismatch,
@@ -35,8 +36,6 @@ def serialize_counter(state: int) -> bytes:
 
 def make_channel(sessions=(1,)):
     net = Network(clock=SimClock())
-    net.declare_device(1)
-    net.declare_device(2)
     a = connect(DeviceConfig(device=1, sessions=[SessionConfig(s, 2, KEY)
                                                  for s in sessions]), net)
     b = connect(DeviceConfig(device=2, sessions=[SessionConfig(s, 1, KEY)
@@ -149,6 +148,29 @@ def test_echo_of_another_session_or_an_older_counter_is_view_lag(echoed):
     wrapped_send(a, 1, b"\x04", 4, serialize_counter, receiver_echo=echo)
     net.run_until_quiescent()
     with pytest.raises(ViewLag):
+        wrapped_recv(b, 1, sim)
+    assert sim.state == 0
+
+
+# Each forgery, and the check of `_check_echo` that must name it.
+FORGED_ECHOES = {
+    "another-device": (lambda echo: echo._replace(device=3), "name our device"),
+    "bad-tag": (lambda echo: echo._replace(tag=bytes([echo.tag[0] ^ 1]) + echo.tag[1:]),
+                "tag invalid"),
+    "unknown-session": (lambda echo: echo._replace(session=99), "session we do not hold"),
+}
+
+
+@pytest.mark.parametrize("forge, reason", FORGED_ECHOES.values(), ids=FORGED_ECHOES)
+def test_forged_echo_is_rejected(forge, reason):
+    net, a, b = make_channel()
+    echo = wrapped_send(b, 1, b"\x01", 1, serialize_counter, None)
+    net.run_until_quiescent()
+    a.poll(1)
+    sim = StateSimulator(0, apply_counter, serialize_counter)
+    wrapped_send(a, 1, b"\x04", 4, serialize_counter, receiver_echo=forge(echo))
+    net.run_until_quiescent()
+    with pytest.raises(EchoForged, match=reason):
         wrapped_recv(b, 1, sim)
     assert sim.state == 0
 
