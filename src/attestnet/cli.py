@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-    bench        throughput/latency with emulated attestation delays, CSV out;
-                 exit 1 if a result check fails
-    scenario     run a protocol scenario file; nonzero exit on safety violation
+    bench        one judged scenario run as a CSV row; exit 1 if the run is
+                 not ok or a round stalled, 2 on bad input
+    scenario     run a scenario file of any protocol; exit 1 if it is not ok
     check        bounded lemma suite; one verdict line per lemma; exit 1 on a
                  counterexample, 2 on bounds outside the instance limits
     attest-demo  deterministic remote-attestation transcript for a seed
@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run one benchmark configuration")
     p_bench.add_argument("--protocol", default="raw-channel",
-                         choices=bench_mod.PROTOCOLS)
+                         choices=scenario_mod.PROTOCOLS)
     p_bench.add_argument("--delay", default="tnic",
                          choices=sorted(bench_mod.DELAY_PRESETS_NS))
     p_bench.add_argument("--batch", type=int, default=1)

@@ -222,11 +222,12 @@ class PrScenario:
     @classmethod
     def build(cls, seed: int = 0, n_children: int = 2,
               child_cls_at: dict[int, type] | None = None,
-              child_kwargs_at: dict[int, dict] | None = None) -> "PrScenario":
+              child_kwargs_at: dict[int, dict] | None = None,
+              attest_delay_ns: int = 0) -> "PrScenario":
         root_id = 1
         child_ids = list(range(2, 2 + n_children))
         devices = [root_id] + child_ids
-        cluster = build_cluster(devices, seed)
+        cluster = build_cluster(devices, seed, attest_delay_ns=attest_delay_ns)
         root = PrRoot(root_id, cluster, child_ids)
         children: dict[int, PrChild] = {}
         for child_id in child_ids:

@@ -3,10 +3,13 @@
 A scenario is a JSON object:
 
     {
-      "protocol": "bft" | "cr" | "peerreview",
+      "protocol": "bft" | "cr" | "peerreview" | "raw-channel" | "a2m",
       "seed": 0,
       "rounds": 5,
-      "n": 3, "f": 1,
+      "n": 3, "f": 1,                          # bft, cr
+      "children": 2,                           # peerreview
+      "attest_delay_ns": 0,                    # simulated cost of each attest
+      "batch": 1, "payload": 64,               # optional round bodies
       "attack": {"kind": "...", ...},          # optional
       "faults": {"seed": 0, "actions": [...]}  # optional wire-fault schedule
     }
@@ -14,11 +17,17 @@ A scenario is a JSON object:
 Every field but "protocol" and the kinds is an integer; an action's
 "session", "sender" and "index" may also be null, which matches any value.
 
+Round r submits one body: without "payload", the protocol's own (an empty
+BFT request, a CR put of b"v<17r>" at b"k<r>", b"cmd-<r>", b"rec-<r>"); with
+it, `pack_batch` of "batch" records of `randbytes(payload)` from
+`Random(seed)`, which CR puts at the key b"k%08d" % (r % 128).
+
 Attack kinds per protocol (any other kind is rejected as bad input; wire
 faults such as replay, reorder or drop go in "faults"):
     bft:        equivocate {round}, wrong_value {round}, crash {node, after_round}
     cr:         lie {position, commit}
     peerreview: mutate_result {node, round}, rewrite_log {node, seq}
+    raw-channel and a2m take none.
 
 Run artifacts are JSON-serializable dicts: accepted values, flags,
 diagnostics, and verdicts. A run is "safe" when no client accepted a wrong
@@ -31,13 +40,23 @@ deviation is "masked" when no correct node can detect it and the f+1 quorum
 outvotes it: no node follows a lying tail to check it, so a CR lie is
 masked, and the run ok without a flag, when the liar is the tail, the lied
 commit was reached, and client 0 accepted the correct value for that commit.
-The final line counts the frames whose retry budget ran out ("exhausted"); a
-run with any is not ok.
+A raw-channel run is ok when the receiver got every body in order, and an
+A2M run when each lookup returns what was appended. The final line of a
+protocol that sends frames counts those whose retry budget ran out
+("exhausted"); a run with any is not ok.
+
+A result also holds each round's simulated latency and the elapsed
+simulated time, read before any audit or verdict runs, and the stalled
+rounds: those whose client 0 (PeerReview's root, the raw channel's receiver)
+accepted nothing.
 """
 
 import json
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 
+from .device import pack_batch
+from .protocols.a2m import A2mStore
 from .protocols.bft import (
     BftCluster,
     BftReplica,
@@ -46,6 +65,7 @@ from .protocols.bft import (
     counter_state,
 )
 from .protocols.chain import ChainCluster, LyingMiddle
+from .protocols.common import build_cluster, derive_key, log_session, transport_session
 from .protocols.peerreview import MutatingChild, PrScenario, rewrite_log_entry
 from .simnet import FaultAction, FaultSchedule, Network
 
@@ -53,7 +73,10 @@ from .simnet import FaultAction, FaultSchedule, Network
 @dataclass
 class ScenarioResult:
     ok: bool
-    lines: list[dict] = field(default_factory=list)
+    lines: list[dict]
+    latencies_ns: list[int]     # simulated, per round
+    elapsed_ns: int             # simulated, all rounds
+    stalled: list[int]          # rounds, see above
 
     def dumps(self) -> str:
         return "\n".join(json.dumps(line, sort_keys=True) for line in self.lines)
@@ -69,7 +92,8 @@ def load_scenario(path: str) -> dict:
 
 ATTACK_KINDS = {"bft": ("equivocate", "wrong_value", "crash"), "cr": ("lie",),
                 "peerreview": ("mutate_result", "rewrite_log")}
-INT_FIELDS = ("seed", "rounds", "n", "f", "children")
+INT_FIELDS = ("seed", "rounds", "n", "f", "children", "attest_delay_ns", "batch",
+              "payload")
 WILDCARD_FIELDS = ("session", "sender", "index")   # of a fault action; null matches any
 
 
@@ -88,24 +112,42 @@ def run_scenario(spec: dict) -> ScenarioResult:
     """Run a scenario. Input that is not a valid scenario, such as a field of
     the wrong JSON type, raises ValueError before anything runs."""
     protocol = spec.get("protocol", "bft")
-    if not isinstance(protocol, str) or protocol not in ATTACK_KINDS:
+    if not isinstance(protocol, str) or protocol not in _RUNNERS:
         raise ValueError(f"unknown protocol {protocol!r}")
     for name in INT_FIELDS:
         if name in spec:
             _require_int(f'"{name}"', spec[name])
+    for name, low in (("attest_delay_ns", 0), ("batch", 1), ("payload", 0)):
+        if spec.get(name, low) < low:
+            raise ValueError(f'"{name}" must be >= {low}, got {spec[name]}')
     attack = spec.get("attack", {})
     _require_object('"attack"', attack)
     for name, value in attack.items():
         if name != "kind":
             _require_int(f'attack "{name}"', value)
     kind = attack.get("kind", "none")
-    if kind != "none" and kind not in ATTACK_KINDS[protocol]:
+    if kind != "none" and kind not in ATTACK_KINDS.get(protocol, ()):
         raise ValueError(f"unknown {protocol} attack kind {kind!r}")
-    if protocol == "bft":
-        return _run_bft(spec, attack, kind)
-    if protocol == "cr":
-        return _run_cr(spec, attack, kind)
-    return _run_peerreview(spec, attack, kind)
+    return _RUNNERS[protocol](spec, attack, kind)
+
+
+def _run_rounds(spec: dict, clock, submit, default_rounds: int):
+    """The one round loop. `submit(r, body)` runs round r, with body None for
+    the protocol's own, and returns False if the round's client accepted
+    nothing. Returns each round's simulated latency, the elapsed simulated
+    time and the stalled rounds, as ScenarioResult's fields."""
+    rng = random.Random(spec.get("seed", 0))
+    payload, batch = spec.get("payload"), spec.get("batch", 1)
+    latencies, stalled = [], []
+    start = clock.now_ns
+    for round_id in range(1, spec.get("rounds", default_rounds) + 1):
+        body = None if payload is None else pack_batch(
+            [rng.randbytes(payload) for _ in range(batch)])
+        t0 = clock.now_ns
+        if not submit(round_id, body):
+            stalled.append(round_id)
+        latencies.append(clock.now_ns - t0)
+    return latencies, clock.now_ns - start, stalled
 
 
 def _install_faults(spec: dict, net: Network) -> None:
@@ -132,8 +174,6 @@ def _install_faults(spec: dict, net: Network) -> None:
 
 
 def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
-    seed = spec.get("seed", 0)
-    rounds = spec.get("rounds", 5)
     n, f = spec.get("n", 3), spec.get("f", 1)
 
     leader_cls, leader_kwargs = BftReplica, {}
@@ -144,8 +184,10 @@ def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
         leader_cls = WrongValueLeader
         leader_kwargs = {"lie_round": attack.get("round", 1)}
 
-    cluster = BftCluster.build(n=n, f=f, seed=seed, leader_cls=leader_cls,
-                               leader_kwargs=leader_kwargs, clients=2)
+    cluster = BftCluster.build(n=n, f=f, seed=spec.get("seed", 0),
+                               leader_cls=leader_cls, leader_kwargs=leader_kwargs,
+                               clients=2,
+                               attest_delay_ns=spec.get("attest_delay_ns", 0))
     crash = attack if kind == "crash" else None
     if crash and crash.get("node", n) not in cluster.replicas:
         raise ValueError(f"crash node {crash.get('node', n)!r} is not a replica")
@@ -153,19 +195,23 @@ def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
 
     # The leader executes the requests in round order, and none once it has
     # crashed, so the only value a client may accept for round r is r.
-    agreement = True
+    agreed: list[bool] = []
     lines: list[dict] = []
-    for round_id in range(1, rounds + 1):
+
+    def submit(round_id: int, body: bytes | None) -> bool:
         if crash and round_id == crash.get("after_round", 1) + 1:
             cluster.replicas[crash.get("node", n)].crashed = True
-        req = cluster.run_request(0, round_id)
+        req = cluster.run_request(0, round_id, b"" if body is None else body)
         values = {c.client_id: c.observed.get(req) for c in cluster.clients}
-        agreement &= all(v in (None, counter_state(round_id)) for v in values.values())
+        agreed.append(all(v in (None, counter_state(round_id)) for v in values.values()))
         lines.append({
             "round": round_id,
             "accepted": {str(k): (v.hex() if v else None) for k, v in values.items()},
         })
+        return cluster.clients[0].accepted_value(req) is not None
+    timing = _run_rounds(spec, cluster.cluster.net.clock, submit, 5)
 
+    agreement = all(agreed)
     flags = [{"accuser": fl.accuser, "accused": fl.accused, "reason": fl.reason}
              for fl in cluster.all_flags()]
     byzantine = {cluster.leader_id} if kind in ("equivocate", "wrong_value") else set()
@@ -178,12 +224,10 @@ def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
         "values": {str(k): v for k, v in cluster.correct_values().items()},
         "exhausted": exhausted, "ok": ok,
     })
-    return ScenarioResult(ok=ok, lines=lines)
+    return ScenarioResult(ok, lines, *timing)
 
 
 def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
-    seed = spec.get("seed", 0)
-    rounds = spec.get("rounds", 4)
     n, f = spec.get("n", 3), spec.get("f", 1)
 
     node_cls_at, node_kwargs_at = {}, {}
@@ -193,25 +237,32 @@ def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
             raise ValueError(f"lie position {position!r} is not in the chain")
         node_cls_at[position] = LyingMiddle
         node_kwargs_at[position] = {"lie_at_commit": attack.get("commit", 1)}
-    cluster = ChainCluster.build(n=n, f=f, seed=seed, node_cls_at=node_cls_at,
-                                 node_kwargs_at=node_kwargs_at, clients=2)
+    cluster = ChainCluster.build(n=n, f=f, seed=spec.get("seed", 0),
+                                 node_cls_at=node_cls_at,
+                                 node_kwargs_at=node_kwargs_at, clients=2,
+                                 attest_delay_ns=spec.get("attest_delay_ns", 0))
     _install_faults(spec, cluster.cluster.net)
 
     lines: list[dict] = []
-    wrong_accept = False
+    wrong_accepts: list[int] = []
     correct_commits = set()     # commit indexes client 0 accepted correctly
-    for round_id in range(1, rounds + 1):
-        key = b"k%d" % round_id
-        value = b"v%d" % (round_id * 17)
+
+    def submit(round_id: int, body: bytes | None) -> bool:
+        if body is None:
+            key, value = b"k%d" % round_id, b"v%d" % (round_id * 17)
+        else:
+            key, value = b"k%08d" % (round_id % 128), body
         req = cluster.run_put(0, round_id, key, value)
         accepted = cluster.clients[0].accepted_value(req)
         if accepted is not None:
             if accepted.endswith(value):
                 correct_commits.add(int.from_bytes(accepted[:8], "big"))
             else:
-                wrong_accept = True
+                wrong_accepts.append(round_id)
         lines.append({"round": round_id,
                       "accepted": accepted.hex() if accepted else None})
+        return accepted is not None
+    timing = _run_rounds(spec, cluster.cluster.net.clock, submit, 4)
 
     flags = [{"accuser": fl.accuser, "position": fl.accused_position,
               "reason": fl.reason} for fl in cluster.all_flags()]
@@ -223,30 +274,35 @@ def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     masked = deviated and liar.is_tail and liar.lie_at_commit in correct_commits
     exhausted = len(cluster.cluster.net.exhausted)
     ok = ((bool(flags) or masked if deviated else identical and not flags)
-          and not wrong_accept and accused <= set(node_cls_at) and not exhausted)
+          and not wrong_accepts and accused <= set(node_cls_at) and not exhausted)
     lines.append({"protocol": "cr", "flags": flags,
                   "commit_histories": {str(k): v for k, v in histories.items()},
                   "exhausted": exhausted, "masked": masked, "ok": ok})
-    return ScenarioResult(ok=ok, lines=lines)
+    return ScenarioResult(ok, lines, *timing)
 
 
 def _run_peerreview(spec: dict, attack: dict, kind: str) -> ScenarioResult:
-    seed = spec.get("seed", 0)
-    rounds = spec.get("rounds", 4)
     target = attack.get("node", 2) if kind != "none" else None
 
     child_cls_at, child_kwargs_at = {}, {}
     if kind == "mutate_result":
         child_cls_at[target] = MutatingChild
         child_kwargs_at[target] = {"mutate_round": attack.get("round", 1)}
-    scenario = PrScenario.build(seed=seed, n_children=spec.get("children", 2),
+    scenario = PrScenario.build(seed=spec.get("seed", 0),
+                                n_children=spec.get("children", 2),
                                 child_cls_at=child_cls_at,
-                                child_kwargs_at=child_kwargs_at)
+                                child_kwargs_at=child_kwargs_at,
+                                attest_delay_ns=spec.get("attest_delay_ns", 0))
     if target is not None and target not in scenario.children:
         raise ValueError(f"attack node {target!r} is not a child")
     _install_faults(spec, scenario.cluster.net)
-    commands = [b"cmd-%d" % r for r in range(1, rounds + 1)]
-    scenario.run_rounds(commands)
+
+    def submit(round_id: int, body: bytes | None) -> bool:
+        # A child answers each command once, in order, or not at all.
+        scenario.run_rounds([b"cmd-%d" % round_id if body is None else body])
+        return all(len(got) >= round_id for got in scenario.root.responses.values())
+    timing = _run_rounds(spec, scenario.cluster.net.clock, submit, 4)
+
     if kind == "rewrite_log":
         child, seq = scenario.children[target], attack.get("seq", 0)
         if not 0 <= seq < len(child.log):
@@ -265,4 +321,52 @@ def _run_peerreview(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     exhausted = len(scenario.cluster.net.exhausted)
     ok = ok and not exhausted
     lines.append({"protocol": "peerreview", "exhausted": exhausted, "ok": ok})
-    return ScenarioResult(ok=ok, lines=lines)
+    return ScenarioResult(ok, lines, *timing)
+
+
+def _run_raw_channel(spec: dict, attack: dict, kind: str) -> ScenarioResult:
+    cluster = build_cluster([1, 2], spec.get("seed", 0),
+                            attest_delay_ns=spec.get("attest_delay_ns", 0))
+    net, session = cluster.net, transport_session(1, 2)
+    sender, receiver = cluster.endpoints[1], cluster.endpoints[2]
+    _install_faults(spec, net)
+    sent: list[bytes] = []
+    delivered: list[bytes] = []
+
+    def submit(round_id: int, body: bytes | None) -> bool:
+        sent.append(b"rec-%d" % round_id if body is None else body)
+        sender.auth_send(session, sent[-1])
+        net.run_until_quiescent()
+        got = [msg.payload for msg in receiver.poll(session)]
+        delivered.extend(got)
+        return bool(got)
+    timing = _run_rounds(spec, net.clock, submit, 4)
+
+    exhausted = len(net.exhausted)
+    ok = delivered == sent and not exhausted
+    return ScenarioResult(ok, [{"protocol": "raw-channel", "delivered": len(delivered),
+                                "exhausted": exhausted, "ok": ok}], *timing)
+
+
+def _run_a2m(spec: dict, attack: dict, kind: str) -> ScenarioResult:
+    seed = spec.get("seed", 0)
+    cluster = build_cluster([1], seed, attest_delay_ns=spec.get("attest_delay_ns", 0))
+    endpoint, manifest, log = cluster.endpoints[1], log_session(0xFF), log_session(1)
+    endpoint.provision_session(manifest, 1, derive_key(seed, manifest), log=True)
+    store = A2mStore(endpoint, manifest_log=manifest)
+    appended: list[tuple[bytes, int, bytes]] = []
+
+    def submit(round_id: int, body: bytes | None) -> bool:
+        appended.append(store.append(log, b"rec-%d" % round_id if body is None else body))
+        return True
+    timing = _run_rounds(spec, cluster.net.clock, submit, 4)
+
+    entries = [store.lookup(log, seq) for _, seq, _ in appended]
+    ok = [(e.tag, e.seq, e.ctx) for e in entries] == appended
+    return ScenarioResult(ok, [{"protocol": "a2m", "appended": len(appended), "ok": ok}],
+                          *timing)
+
+
+_RUNNERS = {"raw-channel": _run_raw_channel, "a2m": _run_a2m, "bft": _run_bft,
+            "cr": _run_cr, "peerreview": _run_peerreview}
+PROTOCOLS = tuple(_RUNNERS)

@@ -8,6 +8,7 @@ from attestnet.device import DeviceConfig, Endpoint, SessionConfig
 from attestnet.errors import AuthFailure, OutOfRange
 from attestnet.protocols.a2m import A2mStore
 from attestnet.protocols.logchain import GENESIS_DIGEST, LogEntry
+from attestnet.scenario import run_scenario
 
 LOG = 5
 MANIFEST = 6
@@ -172,3 +173,12 @@ def test_prefix_property_between_snapshots():
     # and the chain still verifies from genesis
     ctxs = [(i, b"p%d" % i) for i in range(20)]
     assert chain_oracle(ctxs) == snap2
+
+
+def test_scenario_whose_lookup_misses_an_append_is_not_ok(monkeypatch):
+    spec = {"protocol": "a2m", "rounds": 2, "payload": 8}
+    assert run_scenario(spec).ok
+    lookup = A2mStore.lookup
+    monkeypatch.setattr(A2mStore, "lookup",
+                        lambda self, log_id, index: lookup(self, log_id, 0))
+    assert not run_scenario(spec).ok

@@ -352,6 +352,16 @@ def test_scenario_byzantine_leader_plus_an_honest_accusation_is_not_ok(monkeypat
     assert not run_scenario(spec).ok
 
 
+def test_scenario_crashed_leader_is_ok_but_its_rounds_stall():
+    # A crash deviates from nothing, so the run is ok; the rounds after it
+    # commit nowhere, and the result records them apart from its lines.
+    result = run_scenario({"protocol": "bft", "rounds": 3,
+                           "attack": {"kind": "crash", "node": 1, "after_round": 1}})
+    assert result.ok and result.stalled == [2, 3]
+    assert len(result.latencies_ns) == 3 and result.elapsed_ns == sum(result.latencies_ns)
+    assert "stalled" not in result.dumps()
+
+
 def test_scenario_leader_without_followers_replies_itself():
     result = run_scenario({"protocol": "bft", "n": 1, "f": 0, "rounds": 2})
     *rounds, last = [json.loads(line) for line in result.dumps().splitlines()]

@@ -5,15 +5,17 @@ import json
 
 import pytest
 
-from attestnet import bench as bench_mod
 from attestnet import cli
-from attestnet.bench import CSV_HEADER, DELAY_PRESETS_NS, PROTOCOLS
+from attestnet import scenario as scenario_mod
+from attestnet.bench import CSV_HEADER, DELAY_PRESETS_NS
 from attestnet.checker import Counterexample, replay_counterexample
-from attestnet.protocols.bft import BftCluster
+from attestnet.protocols.bft import BftCluster, BftReplica, WrongValueLeader, decode_inner
 from attestnet.protocols.common import transport_session
 from attestnet.protocols.peerreview import PrScenario
+from attestnet.scenario import PROTOCOLS
 from attestnet.simnet import ACTION_KINDS, DEFAULT_RETRY_BUDGET, FaultAction, FaultSchedule
 from attestnet.transform import StateSimulator
+from attestnet.wire import decode_frame
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -71,7 +73,7 @@ def _crash_the_leader(monkeypatch):
         cluster = build(*args, **kwargs)
         cluster.replicas[cluster.leader_id].crashed = True
         return cluster
-    monkeypatch.setattr(bench_mod.BftCluster, "build", crashed)
+    monkeypatch.setattr(scenario_mod.BftCluster, "build", crashed)
 
 
 def _lose_a_frame(monkeypatch):
@@ -85,12 +87,17 @@ def _lose_a_frame(monkeypatch):
         scenario = build(*args, **kwargs)
         scenario.cluster.net.install_schedule(FaultSchedule(actions=drops))
         return scenario
-    monkeypatch.setattr(bench_mod.PrScenario, "build", lossy)
+    monkeypatch.setattr(scenario_mod.PrScenario, "build", lossy)
 
 
 @pytest.mark.parametrize("protocol, sabotage, message", [
-    ("bft", _crash_the_leader, "honest round must commit"),
-    ("peerreview", _lose_a_frame, "1 frame(s) ran out of retries"),
+    pytest.param("bft", _crash_the_leader,
+                 "no value accepted in 1 round(s), the first is round 1",
+                 id="bft-crashed-leader"),
+    pytest.param("peerreview", _lose_a_frame,
+                 'the run is not ok: {"exhausted": 1, "ok": false, '
+                 '"protocol": "peerreview"}',
+                 id="peerreview-lost-frame"),
 ])
 def test_bench_failed_check_prints_one_line_and_exits_1(protocol, sabotage, message,
                                                        monkeypatch, capsys):
@@ -99,6 +106,42 @@ def test_bench_failed_check_prints_one_line_and_exits_1(protocol, sabotage, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"attestnet bench: check failed: {message}"]
+
+
+def test_bench_of_a_run_that_accepts_a_wrong_value_exits_1(monkeypatch, capsys):
+    # A leader that lies about round 1's state, and followers that apply and
+    # answer whatever state it attests, with no verify, re-execution or state
+    # check: client 0 accepts counter_state(8) for request 1, so no row.
+    build = BftCluster.build
+
+    def lying(*args, **kwargs):
+        return build(*args, **{**kwargs, "leader_cls": WrongValueLeader,
+                               "leader_kwargs": {"lie_round": 1}})
+
+    def trusting(self, sender, inner_frame):
+        req, self.value = decode_inner(decode_frame(inner_frame).payload)
+        self._reply_client(req, self.value)
+    monkeypatch.setattr(scenario_mod.BftCluster, "build", lying)
+    monkeypatch.setattr(BftReplica, "_on_proof", trusting)
+    assert cli.main(["bench", "--protocol", "bft", "--requests", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("attestnet bench: check failed: the run is not ok: ")
+    assert '"agreement": false' in line
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--requests", "0"], "requests must be a positive multiple of batch 1, got 0"),
+    (["--requests", "5", "--batch", "4"],
+     "requests must be a positive multiple of batch 4, got 5"),
+])
+def test_bench_requests_not_a_positive_multiple_of_batch_exits_2(argv, message,
+                                                                 capsys):
+    assert cli.main(["bench", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"attestnet bench: {message}\n"
 
 
 def test_scenario_honest_bft(tmp_path, capsys):
@@ -121,6 +164,28 @@ def test_scenario_retry_exhaustion_is_not_ok(tmp_path, capsys):
     assert cli.main(["scenario", str(path)]) == 1
     last = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert last["exhausted"] == 1 and not last["ok"]
+
+
+@pytest.mark.parametrize("protocol", ["a2m", "raw-channel"])
+def test_scenario_without_attack_kinds_runs_ok(protocol, tmp_path, capsys):
+    path = tmp_path / "honest.json"
+    path.write_text(json.dumps({"protocol": protocol}))
+    assert cli.main(["scenario", str(path)]) == 0
+    (last,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert last["protocol"] == protocol and last["ok"]
+
+
+def test_scenario_raw_channel_retry_exhaustion_is_not_ok(tmp_path, capsys):
+    # The sender's first frame is dropped on every attempt, so neither it nor
+    # any later frame of its stream is delivered.
+    drops = [{"kind": "drop", "session": transport_session(1, 2), "sender": 1}
+             for _ in range(DEFAULT_RETRY_BUDGET + 1)]
+    path = tmp_path / "exhausted.json"
+    path.write_text(json.dumps({"protocol": "raw-channel", "rounds": 2,
+                                "faults": {"actions": drops}}))
+    assert cli.main(["scenario", str(path)]) == 1
+    last = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert last["exhausted"] >= 1 and last["delivered"] == 0 and not last["ok"]
 
 
 def _peerreview_scenario(tmp_path, capsys, rounds, actions):
@@ -185,6 +250,14 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
      "faults \"actions\" must be a list"),
     ('{"protocol": "cr", "faults": {"actions": [{"kind": "delay", "delay_ns": "9"}]}}',
      "fault action \"delay_ns\" must be an integer, got '9'"),
+    ('{"protocol": "a2m", "attack": {"kind": "equivocate"}}',
+     "unknown a2m attack kind 'equivocate'"),
+    ('{"protocol": "raw-channel", "attack": {"kind": "drop", "index": 0}}',
+     "unknown raw-channel attack kind 'drop'"),
+    ('{"protocol": "bft", "batch": 0}', "\"batch\" must be >= 1, got 0"),
+    ('{"protocol": "cr", "payload": -1}', "\"payload\" must be >= 0, got -1"),
+    ('{"protocol": "a2m", "attest_delay_ns": "23"}',
+     "\"attest_delay_ns\" must be an integer, got '23'"),
 ])
 def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
