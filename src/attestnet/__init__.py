@@ -8,7 +8,7 @@ exhaustive checker for the transport-security lemmas, and a benchmark
 harness with emulated attestation delays.
 """
 
-from .device import DeviceConfig, Endpoint, SessionConfig, SimClock, connect
+from .device import DeviceConfig, Endpoint, SimClock, connect
 from .errors import AttestnetError
 from .kernel import AttestationKernel, AttestedMessage, SessionState
 from .simnet import FaultAction, FaultSchedule, NetEvent, Network
@@ -24,7 +24,6 @@ __all__ = [
     "FaultSchedule",
     "NetEvent",
     "Network",
-    "SessionConfig",
     "SessionState",
     "SimClock",
     "connect",

@@ -44,7 +44,6 @@ from .errors import (
     BadControllerSignature,
     BadDeviceSignature,
     ChannelAuthFailure,
-    DuplicateSession,
     FrameError,
     HandshakeError,
     IdentityFrozen,
@@ -332,19 +331,12 @@ class Controller:
         return my_pub + ctrl_sig
 
     def install(self, bundle: ProvisioningBundle) -> bytes:
-        """Provision kernel sessions and record the bitstream measurement.
-
-        Every session id is checked before any is provisioned, so a bundle
-        that fails leaves the device as it was."""
+        """Install the bundle's sessions through `Endpoint.provision`, which
+        leaves the device as it was if it refuses them, and record the
+        bitstream measurement."""
         if self.endpoint.identity_frozen:
             raise IdentityFrozen("device already provisioned")
-        seen = set(self.endpoint.sessions())
-        for session, _, _ in bundle.secrets:
-            if session in seen:
-                raise DuplicateSession(f"session {session}")
-            seen.add(session)
-        for session, peer, key in bundle.secrets:
-            self.endpoint.provision_session(session, peer, key)
+        self.endpoint.provision(bundle.secrets)
         measurement = measure(bundle.bitstream)
         self.endpoint.bitstream_measurement = measurement
         self.endpoint.identity_frozen = True

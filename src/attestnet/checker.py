@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from .bootstrap import (DIGEST_LEN, NONCE_LEN, PUB_LEN, SIG_LEN, ProvisioningBundle,
                         make_pair, measure, run_handshake)
-from .device import DeviceConfig, Endpoint, SessionConfig
+from .device import DeviceConfig, Endpoint
 from .errors import HandshakeError, InstanceTooLarge
 from .kernel import AttestationKernel, AttestedMessage
 from .protocols.bft import KIND_PROOF, BftCluster, encode_inner
@@ -250,10 +250,9 @@ def deliver(instance: BoundedInstance, kernel_cls, streams: list[list[bytes]],
     receiving endpoint on `kernel_cls` through `Endpoint.deliver_frame`, the
     production receive path with its peer check; stream s is session s+1
     from device s+1. Returns (stream, position, accepted) for each frame."""
-    sessions = [SessionConfig(s, s, derive_key(instance.seed, s))
-                for s in range(1, len(streams) + 1)]
-    receiver = Endpoint(DeviceConfig(device=0, sessions=sessions),
-                        kernel_factory=kernel_cls)
+    receiver = Endpoint(DeviceConfig(device=0), kernel_factory=kernel_cls)
+    receiver.provision([(s, s, derive_key(instance.seed, s))
+                        for s in range(1, len(streams) + 1)])
     return [(s, p, receiver.deliver_frame(streams[s][p])) for s, p in order]
 
 

@@ -6,12 +6,14 @@ the messaging API: auth_send / local_send / local_verify / poll. Incoming
 frames are verified before they ever reach an inbox, and only from the
 session's peer; every rejection is one (session, error kind) event in
 `rejection_events`, the observable the adversarial tests assert on.
-Each session has one role, set when it is provisioned: a transport session
-has an inbox and is reached only from the wire (`deliver_frame`); a log
-session has none and is read only by `local_verify`. Each path rejects the
-other role with `WrongSessionRole`, so a log frame copied onto the wire never
-moves the counter its proof is checked against, and each receive counter has
-one path that moves it.
+Sessions are installed by `Endpoint.provision`, and a session's role follows
+from its id: a log session (LOG_BASE | d, device d's attestation log) has no
+inbox and is read only by `local_verify`; every other id, such as a transport
+session (TRANSPORT_BASE | a << 8 | b, for devices a < b), has an inbox and is
+reached only from the wire (`deliver_frame`). Each path rejects the other
+role with `WrongSessionRole`, so a log frame copied onto the wire never moves
+the counter its proof is checked against, and each receive counter has one
+path that moves it.
 
 Processing delays are charged to a simulated clock that advances integer
 nanoseconds deterministically; host time is never read here. `Network.attach`
@@ -21,9 +23,10 @@ clock, and its `auth_send` checks the peer is attached before attesting.
 
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
+    DuplicateSession,
     FrameError,
     KernelError,
     TransportClosed,
@@ -31,8 +34,20 @@ from .errors import (
     UnknownSession,
     WrongSessionRole,
 )
-from .kernel import AttestationKernel, AttestedMessage, verify_with
+from .kernel import KEY_LEN, SESSION_LIMIT, AttestationKernel, AttestedMessage, verify_with
 from .wire import decode_frame, encode_frame
+
+TRANSPORT_BASE = 0x0100_0000
+LOG_BASE = 0x0200_0000
+
+
+def transport_session(a: int, b: int) -> int:
+    lo, hi = (a, b) if a < b else (b, a)
+    return TRANSPORT_BASE | (lo << 8) | hi
+
+
+def log_session(device: int) -> int:
+    return LOG_BASE | device
 
 
 class SimClock:
@@ -51,24 +66,16 @@ class SimClock:
             self.now_ns = t_ns
 
 
-@dataclass(frozen=True)
-class SessionConfig:
-    session: int
-    peer: int
-    key: bytes = field(repr=False)
-    log: bool = False        # a log session: no inbox, local-verified only
-
-
 @dataclass
 class DeviceConfig:
-    """Static configuration of one emulated device.
+    """Static configuration of one emulated device; its sessions are
+    installed afterwards by `Endpoint.provision`.
 
     attest_delay_ns models the processing cost of one attestation or one
     verification (the hardware reference point is 23 us).
     """
 
     device: int
-    sessions: list[SessionConfig] = field(default_factory=list)
     attest_delay_ns: int = 0
 
     def __post_init__(self):
@@ -96,19 +103,27 @@ class Endpoint:
         self.transport = None
         self.bitstream_measurement: bytes | None = None
         self.identity_frozen = False
-        for sc in config.sessions:
-            self.provision_session(sc.session, sc.peer, sc.key, sc.log)
 
     # -- provisioning ------------------------------------------------------
 
-    def provision_session(self, session: int, peer: int, key: bytes,
-                          log: bool = False) -> None:
-        """Install a session: from the config at construction, or later by
-        remote attestation. Only a transport session gets an inbox."""
-        self.kernel.provision_session(session, key)
-        self.peers[session] = peer
-        if not log:
-            self._inboxes[session] = deque()
+    def provision(self, secrets: list[tuple[int, int, bytes]]) -> None:
+        """Install (session, peer device, key) triples with zeroed counters;
+        only a transport session gets an inbox. The whole list is checked
+        first, so a refused list leaves the endpoint as it was."""
+        seen = set(self.sessions())
+        for session, _, key in secrets:
+            if session in seen:
+                raise DuplicateSession(f"session {session}")
+            if not 0 <= session < SESSION_LIMIT:
+                raise ValueError("session id out of 32-bit range")
+            if len(key) != KEY_LEN:
+                raise ValueError(f"session key must be {KEY_LEN} bytes")
+            seen.add(session)
+        for session, peer, key in secrets:
+            self.kernel.provision_session(session, key)
+            self.peers[session] = peer
+            if not session & LOG_BASE:
+                self._inboxes[session] = deque()
 
     def sessions(self) -> list[int]:
         return self.kernel.sessions()
@@ -210,9 +225,10 @@ class Endpoint:
 
 
 def connect(config: DeviceConfig, net) -> Endpoint:
-    """Create an endpoint with zeroed session counters and attach it to the
-    network, whose clock it then charges. Its peers may attach later: a send
-    to a peer that is not attached yet raises UnknownPeer in `auth_send`."""
+    """Create an endpoint and attach it to the network, whose clock it then
+    charges; `Endpoint.provision` installs its sessions. Its peers may attach
+    later: a send to a peer that is not attached yet raises UnknownPeer in
+    `auth_send`."""
     ep = Endpoint(config)
     net.attach(ep)
     return ep

@@ -11,16 +11,14 @@ so they have no byte encoding and cost no simulated time. A client trusts a
 result only after f+1 identical replies from distinct devices that reference
 its own request bytes.
 
-Session id scheme (32-bit space):
-    transport between devices a < b : 0x0100_0000 | a << 8 | b
-    attestation log of device d     : 0x0200_0000 | d
-The transport sessions are the only ones reached from the wire. Every id with
-LOG_BASE set is a log session: its key is shared with every party that must
-verify that node's locally attested messages (the unicast-multicast
-discipline), and it is provisioned in the log role. A log frame never travels
-on its own: it rides inside a transport frame's payload (a BFT proof, a chain
-level, a PeerReview response), is verified with `local_verify` on the session
-the reader names, and an endpoint rejects a copy sent as a frame of its own.
+Session ids follow the layout in `device`: one transport session per pair
+of devices, the only sessions reached from the wire, and one log session per
+device, whose key is shared with every party that must verify that node's
+locally attested messages (the unicast-multicast discipline). A log frame
+never travels on its own: it rides inside a transport frame's payload (a BFT
+proof, a chain level, a PeerReview response), is verified with `local_verify`
+on the session the reader names, and an endpoint rejects a copy sent as a
+frame of its own.
 """
 
 import hashlib
@@ -29,21 +27,9 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
-from ..device import DeviceConfig, Endpoint, SessionConfig, connect
+from ..device import DeviceConfig, Endpoint, connect, log_session, transport_session
 from ..errors import FrameError
 from ..simnet import Network
-
-TRANSPORT_BASE = 0x0100_0000
-LOG_BASE = 0x0200_0000
-
-
-def transport_session(a: int, b: int) -> int:
-    lo, hi = (a, b) if a < b else (b, a)
-    return TRANSPORT_BASE | (lo << 8) | hi
-
-
-def log_session(device: int) -> int:
-    return LOG_BASE | device
 
 
 def derive_key(seed: int, session: int) -> bytes:
@@ -269,19 +255,20 @@ def build_cluster(devices: list[int], seed: int,
     what makes unicast of one attested message an equivocation-free multicast.
     """
     net = Network() if net is None else net
-    configs: dict[int, list[SessionConfig]] = {d: [] for d in devices}
+    secrets: dict[int, list[tuple[int, int, bytes]]] = {d: [] for d in devices}
     for i, a in enumerate(devices):
         for b in devices[i + 1:]:
             session = transport_session(a, b)
             key = derive_key(seed, session)
-            configs[a].append(SessionConfig(session, b, key))
-            configs[b].append(SessionConfig(session, a, key))
+            secrets[a].append((session, b, key))
+            secrets[b].append((session, a, key))
     for owner in devices:
         session = log_session(owner)
         key = derive_key(seed, session)
         for device in devices:
-            configs[device].append(SessionConfig(session, owner, key, log=True))
-    endpoints = {d: connect(DeviceConfig(d, configs[d], attest_delay_ns), net)
-                 for d in devices}
+            secrets[device].append((session, owner, key))
+    endpoints = {d: connect(DeviceConfig(d, attest_delay_ns), net) for d in devices}
+    for d, endpoint in endpoints.items():
+        endpoint.provision(secrets[d])
     keyring = ReplyKeyring(devices, seed)
     return ClusterNet(net=net, endpoints=endpoints, keyring=keyring, seed=seed)

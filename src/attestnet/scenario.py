@@ -352,7 +352,7 @@ def _run_a2m(spec: dict, attack: dict, kind: str) -> ScenarioResult:
     seed = spec.get("seed", 0)
     cluster = build_cluster([1], seed, attest_delay_ns=spec.get("attest_delay_ns", 0))
     endpoint, manifest, log = cluster.endpoints[1], log_session(0xFF), log_session(1)
-    endpoint.provision_session(manifest, 1, derive_key(seed, manifest), log=True)
+    endpoint.provision([(manifest, 1, derive_key(seed, manifest))])
     store = A2mStore(endpoint, manifest_log=manifest)
     appended: list[tuple[bytes, int, bytes]] = []
 

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from attestnet.device import DeviceConfig, Endpoint, SessionConfig
+from attestnet.device import DeviceConfig, Endpoint
 from attestnet.errors import AuthFailure, OutOfRange
 from attestnet.protocols.a2m import A2mStore
 from attestnet.protocols.logchain import GENESIS_DIGEST, LogEntry
@@ -24,8 +24,8 @@ ENTRY0_DIGEST = bytes.fromhex(
 
 
 def make_store():
-    endpoint = Endpoint(DeviceConfig(device=1, sessions=[
-        SessionConfig(LOG, 1, KEY_LOG), SessionConfig(MANIFEST, 1, KEY_MAN)]))
+    endpoint = Endpoint(DeviceConfig(device=1))
+    endpoint.provision([(LOG, 1, KEY_LOG), (MANIFEST, 1, KEY_MAN)])
     return A2mStore(endpoint, manifest_log=MANIFEST)
 
 
@@ -120,9 +120,8 @@ def test_manifest_bounds_of_a_log_never_truncated_is_none():
 
 def test_manifest_bounds_skip_another_logs_truncation():
     other = 7
-    endpoint = Endpoint(DeviceConfig(device=1, sessions=[
-        SessionConfig(LOG, 1, KEY_LOG), SessionConfig(MANIFEST, 1, KEY_MAN),
-        SessionConfig(other, 1, KEY_LOG)]))
+    endpoint = Endpoint(DeviceConfig(device=1))
+    endpoint.provision([(LOG, 1, KEY_LOG), (MANIFEST, 1, KEY_MAN), (other, 1, KEY_LOG)])
     store = A2mStore(endpoint, manifest_log=MANIFEST)
     for i in range(3):
         store.append(LOG, bytes([i]))

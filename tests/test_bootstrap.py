@@ -14,7 +14,7 @@ from attestnet.bootstrap import (
     measure,
     run_handshake,
 )
-from attestnet.device import DeviceConfig, Endpoint
+from attestnet.device import DeviceConfig, Endpoint, log_session
 from attestnet.errors import (
     BadControllerSignature,
     BadDeviceSignature,
@@ -25,6 +25,7 @@ from attestnet.errors import (
     MeasurementMismatch,
     StaleNonce,
 )
+from attestnet.wire import encode_frame
 
 SECRETS = [(11, 2, bytes(range(32))), (12, 3, bytes(range(32, 64)))]
 
@@ -71,6 +72,23 @@ def test_post_handshake_attested_channel_works():
                       ProvisioningBundle(bitstream=b"b", secrets=list(shared)))
     msg = ep1.kernel.attest(21, b"after bootstrap")
     assert ep2.kernel.verify(msg).payload == b"after bootstrap"
+
+
+def test_bootstrap_provisions_a_log_session_in_the_log_role():
+    # The role follows from the id, so a bundle can carry a log session: a
+    # frame device 7 attested on it is refused on the wire and verified only
+    # by local_verify.
+    log, key = log_session(7), bytes(range(96, 128))
+    endpoint = fresh_endpoint(1)
+    vendor, controller = make_pair(9, 1, endpoint)
+    run_handshake(vendor, controller,
+                  ProvisioningBundle(bitstream=b"b", secrets=[(log, 7, key)]))
+    sender = fresh_endpoint(7)
+    sender.provision([(log, 7, key)])
+    entry = sender.local_send(log, b"log entry")
+    assert endpoint.deliver_frame(encode_frame(entry)) is False
+    assert endpoint.rejection_events == [(log, "WrongSessionRole")]
+    assert endpoint.local_verify(log, entry) == entry
 
 
 def _flip(step_name, offset):

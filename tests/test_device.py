@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from attestnet.device import (
     DeviceConfig,
     Endpoint,
-    SessionConfig,
     SimClock,
     connect,
+    log_session,
     pack_batch,
     unpack_batch,
 )
@@ -21,14 +21,15 @@ from attestnet.wire import encode_frame
 KEY1 = bytes(range(32))
 KEY2 = bytes(range(1, 33))
 KEY3 = bytes(range(2, 34))
+LOG = log_session(1)
 
 
 def make_pair(attest_delay_ns=0, net=None):
     net = net or Network(clock=SimClock())
-    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1)],
-                             attest_delay_ns=attest_delay_ns), net)
-    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1)],
-                             attest_delay_ns=attest_delay_ns), net)
+    a = connect(DeviceConfig(device=1, attest_delay_ns=attest_delay_ns), net)
+    b = connect(DeviceConfig(device=2, attest_delay_ns=attest_delay_ns), net)
+    a.provision([(1, 2, KEY1)])
+    b.provision([(1, 1, KEY1)])
     return net, a, b
 
 
@@ -37,21 +38,34 @@ def test_connect_both_sides_share_session():
     assert a.sessions() == [1] and b.sessions() == [1]
 
 
-def test_duplicate_session_config_rejected():
-    with pytest.raises(DuplicateSession):
-        Endpoint(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1),
-                                                  SessionConfig(1, 3, KEY2)]))
+@pytest.mark.parametrize("bad, error", [
+    ((2, 4, KEY3), DuplicateSession),
+    ((1, 4, KEY3), DuplicateSession),
+    ((3, 4, KEY3[:-1]), ValueError),
+    ((2 ** 32, 4, KEY3), ValueError),
+], ids=["repeated-in-list", "already-held", "short-key", "id-out-of-range"])
+def test_refused_provision_installs_nothing(bad, error):
+    ep = Endpoint(DeviceConfig(device=1))
+    ep.provision([(1, 2, KEY1), (LOG, 1, KEY2)])
+    before = (ep.sessions(), dict(ep.peers), list(ep._inboxes))
+    with pytest.raises(error):
+        ep.provision([(2, 3, KEY2), bad])
+    assert (ep.sessions(), dict(ep.peers), list(ep._inboxes)) == before
+    ep.provision([(2, 3, KEY2)])
+    assert ep.sessions() == [1, LOG, 2] and list(ep._inboxes) == [1, 2]
 
 
 def test_send_to_an_unattached_peer_uses_up_no_counter():
     # connect does not look at peers; the send is refused before the kernel
     # attests, so the peer that attaches later gets counter 0 first.
     net = Network(clock=SimClock())
-    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1)]), net)
+    a = connect(DeviceConfig(device=1), net)
+    a.provision([(1, 2, KEY1)])
     with pytest.raises(UnknownPeer):
         a.auth_send(1, b"unsent")
     assert a.kernel.session_state(1).send_cnt == 0
-    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1)]), net)
+    b = connect(DeviceConfig(device=2), net)
+    b.provision([(1, 1, KEY1)])
     a.auth_send(1, b"sent")
     net.run_until_quiescent()
     assert [(m.counter, m.payload) for m in b.poll(1)] == [(0, b"sent")]
@@ -60,18 +74,17 @@ def test_send_to_an_unattached_peer_uses_up_no_counter():
 
 def test_attached_endpoint_charges_the_network_clock():
     net = Network(clock=SimClock())
-    ep = Endpoint(DeviceConfig(1, [SessionConfig(1, 1, KEY1, log=True)],
-                               attest_delay_ns=5))
+    ep = Endpoint(DeviceConfig(1, attest_delay_ns=5))
+    ep.provision([(LOG, 1, KEY1)])
     net.attach(ep)
-    ep.local_send(1, b"entry")
+    ep.local_send(LOG, b"entry")
     assert net.clock.now_ns == 5
 
 
 def test_three_sessions_independent_counter_streams():
     net = Network(clock=SimClock())
-    ep = connect(DeviceConfig(device=1, sessions=[
-        SessionConfig(1, 2, KEY1), SessionConfig(2, 3, KEY2),
-        SessionConfig(3, 4, KEY3)]), net)
+    ep = connect(DeviceConfig(device=1), net)
+    ep.provision([(1, 2, KEY1), (2, 3, KEY2), (3, 4, KEY3)])
     ep.local_send(1, b"x")
     ep.local_send(1, b"y")
     ep.local_send(2, b"z")
@@ -105,8 +118,10 @@ def test_swapped_frames_recover_to_send_order():
     net = Network(clock=SimClock())
     net.install_schedule(FaultSchedule(actions=[
         FaultAction(kind="reorder", session=1, sender=1, index=0)]))
-    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1)]), net)
-    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1)]), net)
+    a = connect(DeviceConfig(device=1), net)
+    a.provision([(1, 2, KEY1)])
+    b = connect(DeviceConfig(device=2), net)
+    b.provision([(1, 1, KEY1)])
     a.auth_send(1, b"first")
     a.auth_send(1, b"second")
     net.run_until_quiescent()
@@ -117,10 +132,12 @@ def test_swapped_frames_recover_to_send_order():
 def test_local_send_multicast_same_triple_to_both_peers():
     # one attested message, unicast to two receivers holding the same key
     net = Network(clock=SimClock())
-    sender = connect(DeviceConfig(device=1,
-                                  sessions=[SessionConfig(9, 1, KEY1)]), net)
-    r1 = connect(DeviceConfig(device=2, sessions=[SessionConfig(9, 1, KEY1)]), net)
-    r2 = connect(DeviceConfig(device=3, sessions=[SessionConfig(9, 1, KEY1)]), net)
+    sender = connect(DeviceConfig(device=1), net)
+    sender.provision([(9, 1, KEY1)])
+    r1 = connect(DeviceConfig(device=2), net)
+    r1.provision([(9, 1, KEY1)])
+    r2 = connect(DeviceConfig(device=3), net)
+    r2.provision([(9, 1, KEY1)])
     msg = sender.local_send(9, b"multicast")
     out1 = r1.kernel.verify(msg)
     out2 = r2.kernel.verify(msg)
@@ -128,20 +145,22 @@ def test_local_send_multicast_same_triple_to_both_peers():
 
 
 def make_log_pair():
-    """Two endpoints sharing session 1 in the log role."""
+    """Two endpoints sharing device 1's log session."""
     net = Network(clock=SimClock())
-    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 1, KEY1, log=True)]), net)
-    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1, log=True)]), net)
+    a = connect(DeviceConfig(device=1), net)
+    b = connect(DeviceConfig(device=2), net)
+    for ep in (a, b):
+        ep.provision([(LOG, 1, KEY1)])
     return net, a, b
 
 
 def test_local_send_counters_and_colocated_verify():
     net, a, b = make_log_pair()
-    m0 = a.local_send(1, b"l0")
-    m1 = a.local_send(1, b"l1")
+    m0 = a.local_send(LOG, b"l0")
+    m1 = a.local_send(LOG, b"l1")
     assert (m0.counter, m1.counter) == (0, 1)
-    assert b.local_verify(1, m0) == m0
-    assert b.local_verify(1, m1) == m1
+    assert b.local_verify(LOG, m0) == m0
+    assert b.local_verify(LOG, m1) == m1
 
 
 def test_local_verify_on_a_transport_session_is_a_wrong_role():
@@ -157,7 +176,7 @@ def test_network_frame_on_a_log_session_is_rejected_untagged(monkeypatch):
     net, a, b = make_log_pair()
     for ep in (a, b):
         ep.config.attest_delay_ns = 500
-    entry = a.local_send(1, b"log entry")
+    entry = a.local_send(LOG, b"log entry")
     tags = []
     compute_tag = kernel_mod.compute_tag
     monkeypatch.setattr(kernel_mod, "compute_tag",
@@ -166,9 +185,9 @@ def test_network_frame_on_a_log_session_is_rejected_untagged(monkeypatch):
     assert b.deliver_frame(encode_frame(entry)) is False
     assert b.clock.now_ns - before == 500
     assert tags == []
-    assert b.rejection_events == [(1, "WrongSessionRole")]
-    assert b.poll(1) == [] and b.expected_counter(1) == 0
-    assert b.local_verify(1, entry) == entry
+    assert b.rejection_events == [(LOG, "WrongSessionRole")]
+    assert b.poll(LOG) == [] and b.expected_counter(LOG) == 0
+    assert b.local_verify(LOG, entry) == entry
 
 
 def test_poll_empty_and_fifo_chunks():
@@ -188,8 +207,10 @@ def test_tampered_frame_never_reaches_poll():
     net.install_schedule(FaultSchedule(actions=[
         FaultAction(kind="tamper", session=1, sender=1, index=0,
                     bit_offset=20 * 8)]))
-    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1)]), net)
-    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1)]), net)
+    a = connect(DeviceConfig(device=1), net)
+    a.provision([(1, 2, KEY1)])
+    b = connect(DeviceConfig(device=2), net)
+    b.provision([(1, 1, KEY1)])
     a.auth_send(1, b"target")
     net.run_until_quiescent()
     # retransmission repairs delivery; the tampered copy was counted
@@ -218,8 +239,10 @@ def test_rem_write_is_attested_message_exchange():
 
 def test_send_without_transport_uses_up_no_counter():
     net = Network(clock=SimClock())
-    a = Endpoint(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY1)]))
-    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY1)]), net)
+    a = Endpoint(DeviceConfig(device=1))
+    a.provision([(1, 2, KEY1)])
+    b = connect(DeviceConfig(device=2), net)
+    b.provision([(1, 1, KEY1)])
     with pytest.raises(TransportClosed):
         a.auth_send(1, b"unsent")
     net.attach(a)

@@ -17,11 +17,10 @@ import struct
 
 import pytest
 
-from attestnet.device import unpack_batch
+from attestnet.device import LOG_BASE, unpack_batch
 from attestnet.errors import FrameError
 from attestnet.protocols.bft import BftCluster
 from attestnet.protocols.chain import ChainCluster
-from attestnet.protocols.common import LOG_BASE
 from attestnet.protocols.peerreview import PrScenario
 from attestnet.simnet import ACTION_KINDS, FaultAction, FaultSchedule
 from attestnet.wire import decode_frame

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attestnet.device import DeviceConfig, SessionConfig, SimClock, connect
+from attestnet.device import DeviceConfig, SimClock, connect
 from attestnet.protocols.bft import BftCluster
 from attestnet.protocols.common import transport_session
 from attestnet.simnet import (
@@ -28,8 +28,10 @@ def build_pair(schedule=None, retry_budget=16):
     net = Network(clock=SimClock(), retry_budget=retry_budget)
     if schedule is not None:
         net.install_schedule(schedule)
-    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY)]), net)
-    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY)]), net)
+    a = connect(DeviceConfig(device=1), net)
+    a.provision([(1, 2, KEY)])
+    b = connect(DeviceConfig(device=2), net)
+    b.provision([(1, 1, KEY)])
     return net, a, b
 
 
@@ -374,10 +376,10 @@ def test_tampered_copy_accepted_on_another_session_does_not_settle_the_frame():
     net = Network(clock=SimClock())
     net.install_schedule(FaultSchedule(actions=[FaultAction(
         kind="tamper", session=1, sender=1, index=0, bit_offset=3 * 8 + 1)]))
-    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(1, 2, KEY),
-                                                 SessionConfig(3, 2, KEY)]), net)
-    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(1, 1, KEY),
-                                                 SessionConfig(3, 1, KEY)]), net)
+    a = connect(DeviceConfig(device=1), net)
+    a.provision([(1, 2, KEY), (3, 2, KEY)])
+    b = connect(DeviceConfig(device=2), net)
+    b.provision([(1, 1, KEY), (3, 1, KEY)])
     a.auth_send(1, b"x")
     net.run_until_quiescent()
     assert [(ev.disposition, ev.accepted) for ev in net.trace] == [

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from attestnet.device import DeviceConfig, SessionConfig, SimClock, connect
+from attestnet.device import DeviceConfig, SimClock, connect
 from attestnet.errors import (
     EchoForged,
     FrameError,
@@ -36,10 +36,10 @@ def serialize_counter(state: int) -> bytes:
 
 def make_channel(sessions=(1,)):
     net = Network(clock=SimClock())
-    a = connect(DeviceConfig(device=1, sessions=[SessionConfig(s, 2, KEY)
-                                                 for s in sessions]), net)
-    b = connect(DeviceConfig(device=2, sessions=[SessionConfig(s, 1, KEY)
-                                                 for s in sessions]), net)
+    a = connect(DeviceConfig(device=1), net)
+    a.provision([(s, 2, KEY) for s in sessions])
+    b = connect(DeviceConfig(device=2), net)
+    b.provision([(s, 1, KEY) for s in sessions])
     return net, a, b
 
 

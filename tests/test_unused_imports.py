@@ -1,11 +1,13 @@
 """Every name a module of the package imports at module level is used in
 that module. The package's `__init__.py` files re-export names, so they are
-exempt."""
+exempt; the top-level one must list each name it imports in `__all__`."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import attestnet
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attestnet"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -35,6 +37,12 @@ def test_every_module_level_import_is_used(path):
                     for name, line in _imported(tree).items()
                     if name not in _used(tree))
     assert not unused, f"unused imports: {', '.join(unused)}"
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert [name for name in attestnet.__all__ if not hasattr(attestnet, name)] == []
+    assert sorted(set(_imported(tree)) - set(attestnet.__all__)) == []
 
 
 def test_the_check_sees_an_unused_import():
