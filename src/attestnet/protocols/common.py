@@ -4,7 +4,9 @@ clients, and the session topology used by the replicated systems.
 Clients are untrusted and hold no attestation session keys, so replies are
 authenticated as in PBFT: replica d shares a key K(d, c) with each client c,
 and a reply carries the request, the value, and one HMAC-SHA-384 per client
-of the 97-byte statement `0x01 ‖ H(req) ‖ H(value)`. Unlike a signature, a
+of the 97-byte statement `0x01 ‖ H(req) ‖ H(value)`. The MACs use the
+kernel's pad-state HMAC: each key's pad states are built on its first MAC
+(`kernel.hmac_pads`) and copied for every later one. Unlike a signature, a
 MAC cannot convince a third party; nothing here forwards a reply. Replies
 reach clients through the replicas' outboxes, never over the simulated wire,
 so they have no byte encoding and cost no simulated time. A client trusts a
@@ -24,11 +26,11 @@ frame of its own.
 import hashlib
 import hmac
 import struct
-from collections import deque
 from dataclasses import dataclass
 
 from ..device import DeviceConfig, Endpoint, connect, log_session, transport_session
 from ..errors import FrameError
+from ..kernel import hmac_pads
 from ..simnet import Network
 
 
@@ -83,6 +85,18 @@ def reply_statement(req_digest: bytes, value_digest: bytes) -> bytes:
     return b"\x01" + req_digest + value_digest
 
 
+def reply_mac(pads: dict, key: bytes, statement: bytes) -> bytes:
+    """HMAC-SHA-384 of `statement` under `key`, byte-identical to
+    `hmac.digest(key, statement, "sha384")`. `pads` caches each key's
+    `hmac_pads`, built on the key's first MAC and then only copied."""
+    inner, outer = pads.get(key) or pads.setdefault(key, hmac_pads(key))
+    inner = inner.copy()
+    inner.update(statement)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 @dataclass(frozen=True)
 class Reply:
     """A replica's answer to `req`; `macs[c]` is client c's entry."""
@@ -104,10 +118,14 @@ class ReplyKeyring:
     forgery or a SHA-384 collision; the leading byte keeps it apart from
     anything else such a key might MAC. `check` rebuilds the statement from
     the reply's own request and value: nothing is decoded, so only a MAC over
-    other bytes, or under another replica's or client's key, fails. It
-    reuses the last two statements built, keyed on (req, value), since a
-    chain reply's statement hashes about 8 KiB: the pump hands each reply to
-    every client back to back, honest replicas reply with equal pairs for one
+    other bytes, or under another replica's or client's key, fails.
+
+    Every MAC is the kernel's pad-state HMAC: a key's pad states
+    (`kernel.hmac_pads`) are built on the first MAC under it, not at
+    enrollment, and copied for every MAC (`reply_mac`). `check` reuses
+    the last two statements built, keyed on (req, value), since a chain
+    reply's statement hashes about 8 KiB: the pump hands each reply to every
+    client back to back, honest replicas reply with equal pairs for one
     request, and a closed-loop chain client sees the first replies to its
     next put while the last ones to the current put still arrive.
     """
@@ -115,7 +133,8 @@ class ReplyKeyring:
     def __init__(self, devices: list[int], seed: int):
         self.seed = seed
         self._keys: dict[int, dict[int, bytes]] = {d: {} for d in devices}
-        self._statements: deque[tuple[tuple[bytes, bytes], bytes]] = deque(maxlen=2)
+        self._pads: dict[bytes, tuple] = {}
+        self._statements: dict[tuple[bytes, bytes], bytes] = {}
 
     def enroll(self, client_id: int) -> None:
         for device, keys in self._keys.items():
@@ -127,22 +146,24 @@ class ReplyKeyring:
         `reply_statement` from the digests of `req` and `value`, for every
         enrolled client."""
         return Reply(device, req, value,
-                     {client: hmac.digest(key, statement, "sha384")
+                     {client: reply_mac(self._pads, key, statement)
                       for client, key in self._keys[device].items()})
 
     def check(self, reply: Reply, client_id: int) -> bool:
         """True iff the reply's entry for `client_id` is the MAC of its
         statement under K(reply.device, client_id)."""
-        key = self._keys.get(reply.device, {}).get(client_id)
+        keys = self._keys.get(reply.device)
         mac = reply.macs.get(client_id)
-        if key is None or mac is None:
+        if keys is None or mac is None or client_id not in keys:
             return False
         pair = (reply.req, reply.value)
-        statement = next((st for known, st in self._statements if known == pair), None)
+        statement = self._statements.get(pair)
         if statement is None:
             statement = reply_statement(digest(reply.req), digest(reply.value))
-            self._statements.appendleft((pair, statement))
-        return hmac.compare_digest(mac, hmac.digest(key, statement, "sha384"))
+            if len(self._statements) == 2:
+                del self._statements[next(iter(self._statements))]
+            self._statements[pair] = statement
+        return hmac.compare_digest(mac, reply_mac(self._pads, keys[client_id], statement))
 
 
 class QuorumClient:
@@ -182,18 +203,12 @@ class QuorumClient:
         if reply.device in per_req:
             return              # first reply per device counts
         per_req[reply.device] = value
-        counts: dict[bytes, int] = {}
-        quorum_value = None
-        for v in per_req.values():
-            counts[v] = counts.get(v, 0) + 1
-            if counts[v] >= self.quorum:
-                quorum_value = v
-        if quorum_value is None:
-            return
-        self.observed.setdefault(req, quorum_value)
+        if list(per_req.values()).count(value) < self.quorum:
+            return              # only the arriving value's count moved
+        self.observed.setdefault(req, value)
         if req in self.issued:
             # original request is ours: the result is trusted
-            self.accepted.setdefault(req, quorum_value)
+            self.accepted.setdefault(req, value)
 
     def accepted_value(self, req: bytes) -> bytes | None:
         return self.accepted.get(req)

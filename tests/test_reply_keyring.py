@@ -1,6 +1,7 @@
 """Reply authentication: every reply carries one HMAC-SHA-384 of the 97-byte
 reply statement per enrolled client, under the key K(replica, client), and a
-client checks only its own entry."""
+client checks only its own entry. The MACs come from each key's cached pad
+states, built on the key's first MAC."""
 
 import dataclasses
 import hmac
@@ -9,32 +10,33 @@ import struct
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from attestnet.kernel import hmac_pads
 from attestnet.protocols import common
 from attestnet.protocols.bft import BftCluster
 from attestnet.protocols.chain import OP_PUT, ChainCluster, encode_op
 from attestnet.protocols.common import (
     QuorumClient,
     Reply,
+    ReplyKeyring,
     digest,
     reply_key,
+    reply_mac,
     reply_statement,
 )
 
 STATEMENT_LEN = 97
 
 
-class CountingHmac:
-    """Stands in for the `hmac` module in `common`; records the length of
-    every message MACed there."""
-
-    compare_digest = staticmethod(hmac.compare_digest)
+class CountingMac:
+    """Stands in for `common.reply_mac`; records the length of every
+    statement MACed there."""
 
     def __init__(self):
         self.lengths: list[int] = []
 
-    def digest(self, key, msg, digestmod):
-        self.lengths.append(len(msg))
-        return hmac.digest(key, msg, digestmod)
+    def __call__(self, pads, key, statement):
+        self.lengths.append(len(statement))
+        return reply_mac(pads, key, statement)
 
 
 def honest_reply(keyring, device, req, value) -> Reply:
@@ -49,8 +51,8 @@ def flipped(mac: bytes) -> bytes:
 def test_four_clients_check_twelve_replies_and_verify_three(monkeypatch):
     cluster = BftCluster.build(n=3, f=1, seed=4, clients=4)
     keyring = cluster.cluster.keyring
-    macs = CountingHmac()
-    monkeypatch.setattr(common, "hmac", macs)
+    macs = CountingMac()
+    monkeypatch.setattr(common, "reply_mac", macs)
     replies, checks = [], []
     sign, check = keyring.sign, keyring.check
     keyring.sign = lambda *args: replies.append(sign(*args)) or replies[-1]
@@ -74,8 +76,8 @@ def test_four_clients_check_twelve_replies_and_verify_three(monkeypatch):
 
 
 def test_every_signed_and_verified_message_is_the_97_byte_statement(monkeypatch):
-    macs = CountingHmac()
-    monkeypatch.setattr(common, "hmac", macs)
+    macs = CountingMac()
+    monkeypatch.setattr(common, "reply_mac", macs)
     bft = BftCluster.build(n=3, f=1, seed=4, clients=2)
     req = bft.run_request(0, 1)
     assert bft.clients[0].accepted_value(req) == struct.pack(">Q", 1)
@@ -89,6 +91,68 @@ def test_every_signed_and_verified_message_is_the_97_byte_statement(monkeypatch)
     assert cr.clients[0].accepted_value(req) == struct.pack(">Q", 1) + body
     # CR n=5, one client: 5 entries and 5 checks
     assert macs.lengths == [STATEMENT_LEN] * 10
+
+
+@seed(2502)
+@settings(max_examples=50, deadline=None, database=None)
+@given(key=st.binary(min_size=32, max_size=32),
+       statements=st.lists(st.binary(max_size=200), min_size=1, max_size=4))
+def test_reply_mac_from_cached_pads_is_hmac_digest(key, statements):
+    """The first and every repeated MAC under one pad pair; a MAC that fed
+    the cached states instead of copies would differ from the second on."""
+    pads: dict = {}
+    for statement in [*statements, *statements]:
+        assert reply_mac(pads, key, statement) == hmac.digest(key, statement, "sha384")
+    assert list(pads) == [key]
+
+
+@seed(2502)
+@settings(max_examples=20, deadline=None, database=None)
+@given(cluster_seed=st.integers(0, 2 ** 32), req=st.binary(max_size=40),
+       values=st.lists(st.binary(max_size=40), min_size=2, max_size=3))
+def test_every_sign_entry_is_hmac_digest_under_its_reply_key(cluster_seed, req, values):
+    cluster = BftCluster.build(n=3, f=1, seed=cluster_seed, clients=4)
+    keyring = cluster.cluster.keyring
+    clients = [client.client_id for client in cluster.clients]
+    for value in values:
+        statement = reply_statement(digest(req), digest(value))
+        for device in sorted(cluster.replicas):
+            reply = keyring.sign(device, req, value, statement)
+            assert reply.macs == {
+                c: hmac.digest(reply_key(cluster_seed, device, c), statement, "sha384")
+                for c in clients}
+            assert all(keyring.check(reply, c) for c in clients)
+
+
+def counting_pad_builds(monkeypatch) -> list[bytes]:
+    """Records the key of every pad pair `common` builds."""
+    built: list[bytes] = []
+    monkeypatch.setattr(common, "hmac_pads", lambda key: built.append(key) or hmac_pads(key))
+    return built
+
+
+@pytest.mark.parametrize("requests", [1, 6])
+def test_one_pad_pair_per_reply_key_whatever_the_run_length(monkeypatch, requests):
+    built = counting_pad_builds(monkeypatch)
+    cluster = BftCluster.build(n=3, f=1, seed=5, clients=4)
+    late = QuorumClient(300, cluster.cluster.keyring, cluster.config.quorum)
+    assert built == []                      # enrolling builds no pad state
+
+    for i in range(requests):
+        cluster.run_request(i % 4, i)
+    keys = [reply_key(5, d, c.client_id) for d in (1, 2, 3) for c in [*cluster.clients, late]]
+    assert sorted(built) == sorted(keys)
+
+
+def test_only_keys_that_mac_get_pads(monkeypatch):
+    built = counting_pad_builds(monkeypatch)
+    keyring = ReplyKeyring([1, 2, 3], seed=5)
+    for client in range(4):
+        keyring.enroll(client)
+    req, value = b"r", b"v"
+    reply = keyring.sign(2, req, value, reply_statement(digest(req), digest(value)))
+    assert keyring.check(reply, 0)
+    assert sorted(built) == sorted(reply_key(5, 2, c) for c in range(4))
 
 
 def _corrupt_signature(reply):
