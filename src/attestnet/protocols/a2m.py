@@ -59,7 +59,7 @@ class A2mStore:
         log = self._log(log_id)
         if not self.heads[log_id] <= index < len(log):
             raise OutOfRange(f"index {index} outside [{self.heads[log_id]}, {len(log)})")
-        return log.entries[index]
+        return log.entry(index)
 
     def verify_lookup(self, log_id: int, entry: LogEntry,
                       head: int | None = None, tail: int | None = None) -> None:
@@ -102,7 +102,7 @@ class A2mStore:
         """
         manifest = self._log(self.manifest_log)
         for index in range(len(manifest) - 1, -1, -1):
-            entry = manifest.entries[index]
+            entry = manifest.entry(index)
             self.verify_lookup(self.manifest_log, entry, head=0, tail=len(manifest))
             trnc_msg = decode_frame(entry.ctx)
             payload = trnc_msg.payload

@@ -26,6 +26,7 @@ frame of its own.
 import hashlib
 import hmac
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 from ..device import DeviceConfig, Endpoint, connect, log_session, transport_session
@@ -107,6 +108,11 @@ class Reply:
     macs: dict[int, bytes]
 
 
+# Statements `ReplyKeyring.check` keeps: one per request whose replies may
+# still be arriving. 4 closed-loop BFT clients keep 4 in flight; 8 leaves room.
+STATEMENTS_KEPT = 8
+
+
 class ReplyKeyring:
     """The reply keys K(d, c) of every replica d and enrolled client c. A
     client enrolls when it is built; every reply `sign` builds from then on
@@ -123,18 +129,22 @@ class ReplyKeyring:
     Every MAC is the kernel's pad-state HMAC: a key's pad states
     (`kernel.hmac_pads`) are built on the first MAC under it, not at
     enrollment, and copied for every MAC (`reply_mac`). `check` reuses
-    the last two statements built, keyed on (req, value), since a chain
-    reply's statement hashes about 8 KiB: the pump hands each reply to every
-    client back to back, honest replicas reply with equal pairs for one
-    request, and a closed-loop chain client sees the first replies to its
-    next put while the last ones to the current put still arrive.
+    the last `STATEMENTS_KEPT` statements it built, since a chain reply's
+    statement hashes about 8 KiB: the pump hands each reply to every client
+    back to back, honest replicas reply with equal pairs for one request,
+    and replies to several requests interleave (4 BFT clients' across 3
+    outboxes, a closed-loop chain client's next put with the last replies
+    to its current one). It finds a statement by comparing the reply's
+    request and value with `==`: each replica's pair is its own objects,
+    which a dict would hash in full.
     """
 
     def __init__(self, devices: list[int], seed: int):
         self.seed = seed
         self._keys: dict[int, dict[int, bytes]] = {d: {} for d in devices}
         self._pads: dict[bytes, tuple] = {}
-        self._statements: dict[tuple[bytes, bytes], bytes] = {}
+        self._statements: deque[tuple[bytes, bytes, bytes]] = deque(
+            maxlen=STATEMENTS_KEPT)
 
     def enroll(self, client_id: int) -> None:
         for device, keys in self._keys.items():
@@ -156,13 +166,13 @@ class ReplyKeyring:
         mac = reply.macs.get(client_id)
         if keys is None or mac is None or client_id not in keys:
             return False
-        pair = (reply.req, reply.value)
-        statement = self._statements.get(pair)
-        if statement is None:
-            statement = reply_statement(digest(reply.req), digest(reply.value))
-            if len(self._statements) == 2:
-                del self._statements[next(iter(self._statements))]
-            self._statements[pair] = statement
+        req, value = reply.req, reply.value
+        for seen_req, seen_value, statement in self._statements:
+            if seen_req == req and seen_value == value:
+                break
+        else:
+            statement = reply_statement(digest(req), digest(value))
+            self._statements.append((req, value, statement))
         return hmac.compare_digest(mac, reply_mac(self._pads, keys[client_id], statement))
 
 
@@ -174,8 +184,9 @@ class QuorumClient:
     assertions compare these across clients. Any quorum of f+1 contains at
     least one correct replica, so two clients can never settle on different
     values for the same request. The first reply per device counts, so a
-    re-issued request keeps its first accepted value. `ignored` counts the
-    replies whose entry for this client does not check.
+    re-issued request keeps its first accepted value, and a value equal to
+    one another device sent for the request is stored as that one object.
+    `ignored` counts the replies whose entry for this client does not check.
     """
 
     def __init__(self, client_id: int, keyring: ReplyKeyring, quorum: int):
@@ -202,8 +213,11 @@ class QuorumClient:
         per_req = self.replies.setdefault(req, {})
         if reply.device in per_req:
             return              # first reply per device counts
+        same = [seen for seen in per_req.values() if seen == value]
+        if same:
+            value = same[0]     # one copy of each distinct value
         per_req[reply.device] = value
-        if list(per_req.values()).count(value) < self.quorum:
+        if len(same) + 1 < self.quorum:
             return              # only the arriving value's count moved
         self.observed.setdefault(req, value)
         if req in self.issued:

@@ -7,10 +7,23 @@ number), the context bytes, the 64-byte tag, and a cumulative digest
 
 so any rewrite of history breaks the chain at the first altered entry. Used
 by both the attested append-only memory and the accountability protocol.
+
+Each log is fed by one attestation session whose counter starts at 0, so an
+entry's seq is also its position, and entries are read by seq (`entry`).
+
+A checkpoint (`truncate(seq)`) drops the entries below seq and keeps the
+last dropped entry's cumulative digest as the anchor the next append chains
+from; `len(log)` stays the tail, the seq the next append takes. Only
+PeerReview truncates, after a consistent audit, up to what the witness has
+audited: the witness already holds the anchor as its running digest, so the
+retained entries still link to everything it checked. A2M never truncates
+this store; its truncation moves a verification boundary instead.
 """
 
 import hashlib
 from dataclasses import dataclass, field
+
+from ..errors import OutOfRange
 
 GENESIS_DIGEST = b"\x00" * 48
 
@@ -28,17 +41,34 @@ class LogEntry:
 
 
 class TamperEvidentLog:
-    """Append-only entry store; mutation of stored entries is detectable, not prevented."""
+    """Append-only entry store; mutation of stored entries is detectable, not
+    prevented. `entries` holds the retained seqs `first` .. len(log) - 1."""
 
     def __init__(self):
         self.entries: list[LogEntry] = []
+        self.first = 0
+        self.anchor = GENESIS_DIGEST    # cum_digest of entry first - 1
 
     def append(self, seq: int, ctx: bytes, tag: bytes) -> LogEntry:
-        prev = self.entries[-1].cum_digest if self.entries else GENESIS_DIGEST
+        prev = self.entries[-1].cum_digest if self.entries else self.anchor
         entry = LogEntry(seq=seq, ctx=ctx, tag=tag,
                          cum_digest=chain_digest(prev, ctx, seq))
         self.entries.append(entry)
         return entry
 
+    def entry(self, seq: int) -> LogEntry:
+        if not self.first <= seq < len(self):
+            raise OutOfRange(f"seq {seq} outside the retained [{self.first}, {len(self)})")
+        return self.entries[seq - self.first]
+
+    def truncate(self, seq: int) -> None:
+        """Checkpoint at seq: drop the entries below it."""
+        if not self.first <= seq <= len(self):
+            raise OutOfRange(f"checkpoint {seq} outside [{self.first}, {len(self)}]")
+        if seq > self.first:
+            self.anchor = self.entries[seq - self.first - 1].cum_digest
+            del self.entries[:seq - self.first]
+            self.first = seq
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.first + len(self.entries)

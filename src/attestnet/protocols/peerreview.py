@@ -10,6 +10,14 @@ through the reference implementation, and reports the first deviation. Fault
 model: only network-observable misbehavior is detectable, and detection is
 the guarantee (bad actions may take effect before they are exposed).
 
+A consistent audit is a checkpoint: `PrScenario.audit_all` then truncates
+the child's log to the witness's audited sequence (`TamperEvidentLog.truncate`),
+so a child keeps only the entries logged since its last consistent audit,
+and the kept anchor is the digest the witness chains the next entry from.
+An Exposed or ChainBreak verdict truncates nothing: the entries stay as
+evidence. `Witness.audit` itself never writes to the log. No witness audits
+the root, so the root's log is never truncated and grows with every round.
+
 `PrScenario.drain` runs the shared `common.pump` over the root, then the
 children in id order; there are no clients.
 """
@@ -145,12 +153,9 @@ class MutatingChild(PrChild):
         return result
 
 
-def rewrite_log_entry(node: PrNode, index: int, new_ctx: bytes) -> None:
+def rewrite_log_entry(node: PrNode, seq: int, new_ctx: bytes) -> None:
     """Tamper with stored history (test fixture for the chain-break path)."""
-    entry = node.log.entries[index]
-    node.log.entries[index] = type(entry)(seq=entry.seq, ctx=new_ctx,
-                                          tag=entry.tag,
-                                          cum_digest=entry.cum_digest)
+    node.log.entry(seq).ctx = new_ctx
 
 
 class Witness:
@@ -168,8 +173,10 @@ class Witness:
     def audit(self) -> Verdict:
         """Walk entries from the audited sequence number; replay the spec."""
         log = self.node.log
+        if self.audited_seq < log.first:    # dropped before it was audited
+            return Verdict(VERDICT_CHAIN_BREAK, seq=self.audited_seq)
         while self.audited_seq < len(log):
-            entry = log.entries[self.audited_seq]
+            entry = log.entry(self.audited_seq)
             if entry.cum_digest != chain_digest(self._prev_digest, entry.ctx,
                                                 entry.seq):
                 return Verdict(VERDICT_CHAIN_BREAK, seq=entry.seq)
@@ -251,5 +258,11 @@ class PrScenario:
              [self.root] + [self.children[c] for c in sorted(self.children)], [])
 
     def audit_all(self) -> dict[int, Verdict]:
-        return {child_id: witness.audit()
-                for child_id, witness in sorted(self.witnesses.items())}
+        """Audit every child; a consistent one is checkpointed at what its
+        witness audited."""
+        verdicts = {}
+        for child_id, witness in sorted(self.witnesses.items()):
+            verdicts[child_id] = witness.audit()
+            if verdicts[child_id].consistent:
+                witness.node.log.truncate(witness.audited_seq)
+        return verdicts

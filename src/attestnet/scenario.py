@@ -305,9 +305,11 @@ def _run_peerreview(spec: dict, attack: dict, kind: str) -> ScenarioResult:
 
     if kind == "rewrite_log":
         child, seq = scenario.children[target], attack.get("seq", 0)
-        if not 0 <= seq < len(child.log):
+        first = child.log.first
+        if not first <= seq < len(child.log):
+            dropped = f" ({first} dropped at a checkpoint)" if first else ""
             raise ValueError(f"rewrite_log seq {seq!r} is not in child {target}'s "
-                             f"log of {len(child.log)} entries")
+                             f"log of {len(child.log)} entries{dropped}")
         rewrite_log_entry(child, seq, b"\x52rewritten-history")
 
     verdicts = scenario.audit_all()

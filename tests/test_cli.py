@@ -284,6 +284,24 @@ def test_scenario_rewrite_log_seq_outside_the_log_exits_2(tmp_path, capsys, seq)
                             f"in child 2's log of 2 entries\n")
 
 
+def test_scenario_rewrite_log_seq_below_a_checkpoint_exits_2(tmp_path, capsys,
+                                                             monkeypatch):
+    # Audited after every round, each child's 4 entries are dropped.
+    run_rounds = PrScenario.run_rounds
+    monkeypatch.setattr(PrScenario, "run_rounds",
+                        lambda self, commands: (run_rounds(self, commands),
+                                                self.audit_all()))
+    path = tmp_path / "rewrite.json"
+    path.write_text(json.dumps({
+        "protocol": "peerreview", "rounds": 2,
+        "attack": {"kind": "rewrite_log", "node": 2, "seq": 1}}))
+    assert cli.main(["scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("attestnet scenario: rewrite_log seq 1 is not in child 2's "
+                            "log of 4 entries (4 dropped at a checkpoint)\n")
+
+
 def test_check_small_instance(capsys):
     assert cli.main(["check", "--senders", "2", "--messages", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from attestnet.errors import OutOfRange
 from attestnet.protocols.peerreview import (
     ENTRY_EXEC,
     ENTRY_RECV,
@@ -93,9 +94,14 @@ def test_deviation_after_audited_prefix_still_caught():
         child_cls_at={2: MutatingChild},
         child_kwargs_at={2: {"mutate_round": 3}})
     scenario.run_rounds([b"r1", b"r2"])
-    assert scenario.witnesses[2].audit().kind == VERDICT_CONSISTENT
+    assert scenario.audit_all()[2].kind == VERDICT_CONSISTENT
+    log = scenario.children[2].log
+    assert log.first == 4 and log.entries == []
     scenario.run_rounds([b"r3"])
-    assert scenario.witnesses[2].audit().kind == VERDICT_EXPOSED
+    verdict = scenario.audit_all()[2]
+    assert verdict.kind == VERDICT_EXPOSED
+    assert verdict.seq == 5 and verdict.expected == reference_execute(b"r3")
+    assert [e.seq for e in log.entries] == [4, 5]   # kept as evidence
 
 
 def test_mutation_past_the_last_round_is_judged_as_an_honest_run():
@@ -168,3 +174,84 @@ def test_logged_entry_that_does_not_decode_is_exposed(kind, garble, seq):
     verdicts = scenario.audit_all()
     assert verdicts[2].kind == VERDICT_EXPOSED and verdicts[2].seq == seq
     assert verdicts[3].kind == VERDICT_CONSISTENT
+
+
+def checkpointed(seed: int, rounds: int = 3) -> PrScenario:
+    """One child, `rounds` rounds, then a consistent audit: its checkpoint."""
+    scenario = PrScenario.build(seed=seed, n_children=1)
+    scenario.run_rounds([b"pre-%d" % r for r in range(rounds)])
+    assert scenario.audit_all()[2].consistent
+    return scenario
+
+
+def test_consistent_audit_drops_what_the_witness_audited():
+    scenario = checkpointed(seed=9)
+    log, witness = scenario.children[2].log, scenario.witnesses[2]
+    assert len(log) == witness.audited_seq == 6
+    assert log.first == 6 and log.entries == []
+    assert log.anchor == witness._prev_digest
+
+    scenario.run_rounds([b"post-0", b"post-1"])
+    assert len(log) == 10 and [e.seq for e in log.entries] == [6, 7, 8, 9]
+    for out_of_range in (lambda: log.entry(5), lambda: log.entry(10),
+                         lambda: log.truncate(5), lambda: log.truncate(11)):
+        with pytest.raises(OutOfRange):
+            out_of_range()
+    assert scenario.audit_all()[2].consistent
+    assert witness.audited_seq == log.first == len(log) == 10
+    assert witness.expected_state["processed"] == 5
+
+
+def test_rewriting_a_retained_entry_breaks_chain_at_its_seq():
+    scenario = checkpointed(seed=10)
+    scenario.run_rounds([b"post-0", b"post-1"])
+    rewrite_log_entry(scenario.children[2], 8, b"\x52fabricated")
+    verdict = scenario.audit_all()[2]
+    assert verdict.kind == VERDICT_CHAIN_BREAK and verdict.seq == 8
+
+
+def test_altered_anchor_breaks_chain_at_the_first_entry_after_the_checkpoint():
+    scenario = checkpointed(seed=11)
+    log = scenario.children[2].log
+    log.anchor = bytes([log.anchor[0] ^ 1]) + log.anchor[1:]
+    scenario.run_rounds([b"post-0"])
+    verdict = scenario.audit_all()[2]
+    assert verdict.kind == VERDICT_CHAIN_BREAK and verdict.seq == 6
+
+
+def test_entries_dropped_before_their_audit_break_the_chain():
+    scenario = checkpointed(seed=12)
+    scenario.run_rounds([b"post-0"])
+    log = scenario.children[2].log
+    log.truncate(len(log))          # the child drops what was never audited
+    verdict = scenario.witnesses[2].audit()
+    assert verdict.kind == VERDICT_CHAIN_BREAK and verdict.seq == 6
+
+
+def test_an_inconsistent_verdict_truncates_nothing():
+    scenario = PrScenario.build(seed=13, n_children=3, child_cls_at={2: MutatingChild},
+                                child_kwargs_at={2: {"mutate_round": 2}})
+    scenario.run_rounds([b"one", b"two", b"three"])
+    rewrite_log_entry(scenario.children[3], 2, b"\x52fabricated")
+    verdicts = scenario.audit_all()
+    assert {c: v.kind for c, v in verdicts.items()} == {
+        2: VERDICT_EXPOSED, 3: VERDICT_CHAIN_BREAK, 4: VERDICT_CONSISTENT}
+    assert {c: (child.log.first, len(child.log.entries))
+            for c, child in scenario.children.items()} == {2: (0, 6), 3: (0, 6), 4: (6, 0)}
+
+
+def test_soak_a_child_keeps_at_most_two_audit_periods_of_entries():
+    """PeerReview 1+3 for 20 audit periods of 64 rounds; each child logs 2
+    entries a round, so a checkpoint every period bounds what it keeps."""
+    period, periods = 64, 20
+    scenario = PrScenario.build(seed=14, n_children=3)
+    most = 0
+    for r in range(1, period * periods + 1):
+        scenario.run_rounds([b"cmd-%d" % r])
+        most = max(most, *(len(c.log.entries) for c in scenario.children.values()))
+        if r % period == 0:
+            assert all(v.consistent for v in scenario.audit_all().values())
+    assert most == 2 * period       # reached just before each checkpoint
+    for child_id, child in scenario.children.items():
+        assert len(child.log) == scenario.witnesses[child_id].audited_seq == 2 * r
+        assert child.log.entries == []

@@ -400,3 +400,72 @@ def test_reply_path_rejects_every_single_byte_mutation(protocol, clients, bodies
         witness.deliver(reply)
     assert witness.ignored == len(mutants)
     assert witness.accepted == accepted
+
+
+def counting_statement_builds(monkeypatch) -> list[bytes]:
+    """Records the request of every statement `ReplyKeyring.check` builds;
+    replicas build theirs through their own imports."""
+    built: list[bytes] = []
+    real = common.reply_statement
+    monkeypatch.setattr(common, "reply_statement",
+                        lambda req_digest, value_digest: built.append(req_digest)
+                        or real(req_digest, value_digest))
+    return built
+
+
+def test_one_statement_build_per_request_when_four_clients_interleave(monkeypatch):
+    """Four clients each have a request in flight, so the three outboxes
+    hand every client replies to four requests in turn."""
+    built = counting_statement_builds(monkeypatch)
+    cluster = BftCluster.build(n=3, f=1, seed=1, clients=4)
+    leader = cluster.replicas[cluster.leader_id]
+    reqs = []
+    for rnd in range(3):
+        for client in cluster.clients:
+            reqs.append(client.issue(rnd, b"body-%d" % rnd))
+            leader.leader_handle(reqs[-1])
+        cluster.drain()
+    for client in cluster.clients:
+        assert set(client.accepted) == client.issued
+    assert sorted(built) == sorted(digest(req) for req in reqs)
+
+
+def test_one_statement_build_per_put_and_a_differing_value_still_fails(monkeypatch):
+    built = counting_statement_builds(monkeypatch)
+    puts = 8
+    cluster = ChainCluster.build(n=5, f=2, seed=3, clients=0)
+    client = ClosedLoopClient(cluster, puts)
+    cluster.clients = [client]
+    client.send_next()
+    cluster.drain()
+    assert len(client.accepted) == puts
+    assert sorted(built) == sorted(digest(req) for req in client.sent)
+
+    # The last put's statement is remembered; a value that differs from it
+    # in the last of its 4 KiB alone must not reuse it.
+    keyring, req = cluster.cluster.keyring, client.sent[-1]
+    value = client.accepted[req]
+    good = honest_reply(keyring, cluster.order[-1], req, value)
+    assert keyring.check(good, client.client_id)
+    bad = dataclasses.replace(good, value=value[:-1] + bytes([value[-1] ^ 1]))
+    assert not keyring.check(bad, client.client_id)
+
+
+def test_a_client_keeps_one_copy_of_each_distinct_value():
+    """Each chain node replies with its own output object; the client keeps
+    the first and drops the equal copies, and what it records is unchanged."""
+    cluster = ChainCluster.build(n=5, f=2, seed=4)
+    keyring = cluster.cluster.keyring
+    replies: list[Reply] = []
+    sign = keyring.sign
+    keyring.sign = lambda *args: replies.append(sign(*args)) or replies[-1]
+    body = bytes(range(256)) * 16
+    req = cluster.run_put(0, 1, b"k", body)
+    client = cluster.clients[0]
+    value = struct.pack(">Q", 1) + body
+
+    assert len(replies) == 5 and len({id(reply.value) for reply in replies}) == 5
+    per_device = client.replies[req]
+    assert per_device == {reply.device: value for reply in replies}
+    assert len({id(v) for v in per_device.values()}) == 1
+    assert client.accepted == {req: value} and client.observed == {req: value}
