@@ -9,7 +9,8 @@ so any rewrite of history breaks the chain at the first altered entry. Used
 by both the attested append-only memory and the accountability protocol.
 
 Each log is fed by one attestation session whose counter starts at 0, so an
-entry's seq is also its position, and entries are read by seq (`entry`).
+entry's seq is also its position: `append` refuses any other seq, and entries
+are read by seq (`entry`).
 
 A checkpoint (`truncate(seq)`) drops the entries below seq and keeps the
 last dropped entry's cumulative digest as the anchor the next append chains
@@ -50,6 +51,8 @@ class TamperEvidentLog:
         self.anchor = GENESIS_DIGEST    # cum_digest of entry first - 1
 
     def append(self, seq: int, ctx: bytes, tag: bytes) -> LogEntry:
+        if seq != len(self):
+            raise OutOfRange(f"append at seq {seq}, but the next seq is {len(self)}")
         prev = self.entries[-1].cum_digest if self.entries else self.anchor
         entry = LogEntry(seq=seq, ctx=ctx, tag=tag,
                          cum_digest=chain_digest(prev, ctx, seq))

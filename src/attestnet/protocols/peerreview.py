@@ -2,21 +2,24 @@
 
 A root streams commands to child nodes; every sent and received attested
 message is appended to the owner's tamper-evident log, and a child also logs
-its execution result, whose attested entry doubles as its response. A
-witness holds a reference implementation of the deterministic child spec
-plus (audited sequence, expected state); an audit walks new entries, checks
-the cumulative-digest chain and the attestation tags, replays the commands
-through the reference implementation, and reports the first deviation. Fault
+its execution result, whose attested entry doubles as its response. Every
+node has a witness. A child's witness holds a reference implementation of
+the deterministic child spec plus (audited sequence, expected state); the
+root's (`RootWitness`) replays the root's spec: each round, one SENT entry
+per child in the children's order, all carrying the same command, and RECV
+entries only of frames from a child on its own session, each frame with a
+valid transport tag and the next counter of its direction. An audit walks
+new entries, checks the cumulative-digest chain and the attestation tags,
+replays the entries against the spec, and reports the first deviation. Fault
 model: only network-observable misbehavior is detectable, and detection is
 the guarantee (bad actions may take effect before they are exposed).
 
 A consistent audit is a checkpoint: `PrScenario.audit_all` then truncates
-the child's log to the witness's audited sequence (`TamperEvidentLog.truncate`),
-so a child keeps only the entries logged since its last consistent audit,
+the node's log to the witness's audited sequence (`TamperEvidentLog.truncate`),
+so a node keeps only the entries logged since its last consistent audit,
 and the kept anchor is the digest the witness chains the next entry from.
 An Exposed or ChainBreak verdict truncates nothing: the entries stay as
-evidence. `Witness.audit` itself never writes to the log. No witness audits
-the root, so the root's log is never truncated and grows with every round.
+evidence. `Witness.audit` itself never writes to the log.
 
 `PrScenario.drain` runs the shared `common.pump` over the root, then the
 children in id order; there are no clients.
@@ -203,7 +206,7 @@ class Witness:
                 self._pending_cmds.append(decode_frame(ctx[1:]).payload)
                 return None
             if ctx[0] != ENTRY_EXEC:
-                return None     # SENT entries replay trivially for the streaming root
+                return None     # a SENT entry: the child spec does not constrain it
             found, cmd = decode_exec(ctx)
         except FrameError:
             return Verdict(VERDICT_EXPOSED, seq=seq)
@@ -219,6 +222,58 @@ class Witness:
         return None
 
 
+class RootWitness(Witness):
+    """Witness of the streaming root. The root's spec is fixed when the
+    witness is built, never read from the root: its children in send order,
+    each with its endpoint, which holds the transport key that child shares
+    with the root and so verifies the tag of every frame on their session.
+    Replay state is bounded by the number of children: the index of the child
+    the next SENT entry must go to, the command of the round being sent, and
+    the next counter of each direction of each session (a kernel sends and
+    accepts counters only in order, so a logged frame carries exactly the
+    next one)."""
+
+    def __init__(self, node: PrRoot, child_endpoints: dict):
+        # Every device holds every log key, so a child verifies the root's.
+        super().__init__(node, next(iter(child_endpoints.values())))
+        self.child_endpoints = child_endpoints
+        self.children = list(child_endpoints)
+        self.sessions = {c: transport_session(node.node_id, c) for c in self.children}
+        self._next_child = 0
+        self._round_cmd = b""
+        self._next_counter = {(device, session): 0
+                              for child, session in self.sessions.items()
+                              for device in (node.node_id, child)}
+
+    def _replay(self, seq: int, ctx: bytes) -> Verdict | None:
+        if not ctx or ctx[0] not in (ENTRY_SENT, ENTRY_RECV):
+            return Verdict(VERDICT_EXPOSED, seq=seq)    # the root executes nothing
+        try:
+            frame = decode_frame(ctx[1:])
+        except FrameError:
+            return Verdict(VERDICT_EXPOSED, seq=seq)
+        sent = ctx[0] == ENTRY_SENT
+        if sent:
+            child = self.children[self._next_child]
+            if frame.device != self.node.node_id:
+                return Verdict(VERDICT_EXPOSED, seq=seq)
+        else:
+            child = frame.device
+        direction = (frame.device, frame.session)
+        if (self.sessions.get(child) != frame.session
+                or frame.counter != self._next_counter[direction]
+                or not self.child_endpoints[child].kernel.tag_matches(frame)):
+            return Verdict(VERDICT_EXPOSED, seq=seq)
+        if sent:
+            if self._next_child and frame.payload != self._round_cmd:
+                return Verdict(VERDICT_EXPOSED, seq=seq, expected=self._round_cmd,
+                               found=frame.payload)
+            self._round_cmd = frame.payload
+            self._next_child = (self._next_child + 1) % len(self.children)
+        self._next_counter[direction] += 1
+        return None
+
+
 @dataclass
 class PrScenario:
     cluster: ClusterNet
@@ -231,6 +286,8 @@ class PrScenario:
               child_cls_at: dict[int, type] | None = None,
               child_kwargs_at: dict[int, dict] | None = None,
               attest_delay_ns: int = 0) -> "PrScenario":
+        if n_children < 1:
+            raise ValueError(f"a PeerReview root needs a child, got {n_children}")
         root_id = 1
         child_ids = list(range(2, 2 + n_children))
         devices = [root_id] + child_ids
@@ -244,6 +301,8 @@ class PrScenario:
         witnesses = {child_id: Witness(children[child_id],
                                        cluster.endpoints[root_id])
                      for child_id in child_ids}
+        witnesses[root_id] = RootWitness(
+            root, {child_id: cluster.endpoints[child_id] for child_id in child_ids})
         return cls(cluster=cluster, root=root, children=children,
                    witnesses=witnesses)
 
@@ -258,11 +317,11 @@ class PrScenario:
              [self.root] + [self.children[c] for c in sorted(self.children)], [])
 
     def audit_all(self) -> dict[int, Verdict]:
-        """Audit every child; a consistent one is checkpointed at what its
-        witness audited."""
+        """Audit every node, the root first; a consistent one is checkpointed
+        at what its witness audited."""
         verdicts = {}
-        for child_id, witness in sorted(self.witnesses.items()):
-            verdicts[child_id] = witness.audit()
-            if verdicts[child_id].consistent:
+        for node_id, witness in sorted(self.witnesses.items()):
+            verdicts[node_id] = witness.audit()
+            if verdicts[node_id].consistent:
                 witness.node.log.truncate(witness.audited_seq)
         return verdicts

@@ -14,8 +14,10 @@ A scenario is a JSON object:
       "faults": {"seed": 0, "actions": [...]}  # optional wire-fault schedule
     }
 
-Every field but "protocol" and the kinds is an integer; an action's
-"session", "sender" and "index" may also be null, which matches any value.
+Every field but "protocol" and the kinds is an integer; "rounds", "children"
+and "batch" are at least 1, "attest_delay_ns" and "payload" at least 0. An
+action's "session", "sender" and "index" may also be null, which matches any
+value.
 
 Round r submits one body: without "payload", the protocol's own (an empty
 BFT request, a CR put of b"v<17r>" at b"k<r>", b"cmd-<r>", b"rec-<r>"); with
@@ -117,7 +119,8 @@ def run_scenario(spec: dict) -> ScenarioResult:
     for name in INT_FIELDS:
         if name in spec:
             _require_int(f'"{name}"', spec[name])
-    for name, low in (("attest_delay_ns", 0), ("batch", 1), ("payload", 0)):
+    for name, low in (("rounds", 1), ("children", 1), ("attest_delay_ns", 0),
+                      ("batch", 1), ("payload", 0)):
         if spec.get(name, low) < low:
             raise ValueError(f'"{name}" must be >= {low}, got {spec[name]}')
     attack = spec.get("attack", {})

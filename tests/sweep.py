@@ -18,6 +18,13 @@ verdict by design regenerates the file:
 
     PYTHONPATH=src python tests/sweep.py --corpus 1000 77 > tests/sweep_corpus_1000_77.txt
 
+Before it does, keep the old file: `--classify OLD_CORPUS [SEED]` reruns the
+sweep of OLD_CORPUS's length (SEED 77 by default) and prints how many corpus
+lines changed, per protocol and per field that moved (`ok`, the tag count,
+the digest):
+
+    PYTHONPATH=src python tests/sweep.py --classify old_corpus.txt
+
 The draws cover all three protocols and every attack kind, with attack rounds
 and commits up to two past the run, every chain position, and 0-5 wire-fault
 actions of any kind.
@@ -27,6 +34,7 @@ import hashlib
 import json
 import random
 import sys
+from pathlib import Path
 
 from attestnet import kernel
 from attestnet.scenario import ATTACK_KINDS, run_scenario
@@ -121,13 +129,39 @@ def corpus(lines: list[str]) -> list[str]:
     return out
 
 
+def classify(old: list[str], lines: list[str]) -> list[str]:
+    """A table of the corpus lines that differ between `old` and the corpus of
+    the sweep `lines`: per protocol, how many changed and how many of those
+    moved each corpus field."""
+    fields = ("ok", "tags", "digest")
+    moved: dict[str, list[int]] = {}
+    for was, line, now in zip(old, lines, corpus(lines)):
+        if was != now:
+            counts = moved.setdefault(json.loads(line)["spec"]["protocol"],
+                                      [0] * (1 + len(fields)))
+            counts[0] += 1
+            for k, (a, b) in enumerate(zip(was.split()[1:], now.split()[1:]), 1):
+                counts[k] += a != b
+    total = sum(counts[0] for counts in moved.values())
+    out = [f"{total} of {len(lines)} corpus lines changed",
+           "protocol changed " + " ".join(fields)]
+    out += [" ".join(map(str, [protocol, *moved[protocol]])) for protocol in sorted(moved)]
+    return out
+
+
 def main(argv: list[str]) -> int:
     args = argv[1:]
+    if args[:1] == ["--classify"] and len(args) in (2, 3):
+        old = Path(args[1]).read_text().splitlines()
+        seed = int(args[2]) if len(args) == 3 else 77
+        print("\n".join(classify(old, sweep(len(old), seed))))
+        return 0
     compact = args[:1] == ["--corpus"]
     if compact:
         args = args[1:]
     if len(args) != 2:
-        print(f"usage: {argv[0]} [--corpus] COUNT SEED", file=sys.stderr)
+        print(f"usage: {argv[0]} [--corpus] COUNT SEED | --classify OLD_CORPUS [SEED]",
+              file=sys.stderr)
         return 2
     lines = sweep(int(args[0]), int(args[1]))
     for line in corpus(lines) if compact else lines:

@@ -256,6 +256,8 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
      "unknown raw-channel attack kind 'drop'"),
     ('{"protocol": "bft", "batch": 0}', "\"batch\" must be >= 1, got 0"),
     ('{"protocol": "cr", "payload": -1}', "\"payload\" must be >= 0, got -1"),
+    ('{"protocol": "peerreview", "children": -2}', "\"children\" must be >= 1, got -2"),
+    ('{"protocol": "peerreview", "rounds": -1}', "\"rounds\" must be >= 1, got -1"),
     ('{"protocol": "a2m", "attest_delay_ns": "23"}',
      "\"attest_delay_ns\" must be an integer, got '23'"),
 ])

@@ -3,21 +3,29 @@
 import pytest
 
 from attestnet.errors import OutOfRange
+from attestnet.protocols import peerreview
+from attestnet.kernel import AttestedMessage
+from attestnet.protocols.common import transport_session
+from attestnet.protocols.logchain import TamperEvidentLog
 from attestnet.protocols.peerreview import (
     ENTRY_EXEC,
     ENTRY_RECV,
+    ENTRY_SENT,
     MutatingChild,
     PrScenario,
     VERDICT_CHAIN_BREAK,
     VERDICT_CONSISTENT,
     VERDICT_EXPOSED,
     PrChild,
+    PrRoot,
     Verdict,
     Witness,
+    encode_exec,
     reference_execute,
     rewrite_log_entry,
 )
 from attestnet.scenario import run_scenario
+from attestnet.wire import decode_frame, encode_frame
 
 
 def test_honest_stream_consistent_throughout():
@@ -27,9 +35,10 @@ def test_honest_stream_consistent_throughout():
         scenario.drain()
         verdicts = scenario.audit_all()
         assert all(v.kind == VERDICT_CONSISTENT for v in verdicts.values())
-    for child_id, witness in scenario.witnesses.items():
-        assert witness.audited_seq == len(scenario.children[child_id].log)
-        assert witness.expected_state["processed"] == 20
+    for child_id, child in scenario.children.items():
+        assert scenario.witnesses[child_id].audited_seq == len(child.log)
+        assert scenario.witnesses[child_id].expected_state["processed"] == 20
+    assert scenario.witnesses[1].audited_seq == len(scenario.root.log) == 20 * 4
 
 
 def test_root_collects_attested_responses():
@@ -108,7 +117,7 @@ def test_mutation_past_the_last_round_is_judged_as_an_honest_run():
     spec = {"protocol": "peerreview", "rounds": 2,
             "attack": {"kind": "mutate_result", "node": 2, "round": 5}}
     result = run_scenario(spec)
-    assert [line["verdict"] for line in result.lines[:-1]] == [VERDICT_CONSISTENT] * 2
+    assert [line["verdict"] for line in result.lines[:-1]] == [VERDICT_CONSISTENT] * 3
     assert result.ok and result.lines[-1]["ok"]
 
 
@@ -116,7 +125,8 @@ def test_mutation_in_the_run_must_still_be_exposed(monkeypatch):
     spec = {"protocol": "peerreview", "rounds": 2,
             "attack": {"kind": "mutate_result", "node": 2, "round": 1}}
     result = run_scenario(spec)
-    assert result.lines[0]["verdict"] == VERDICT_EXPOSED
+    assert {line["node"]: line["verdict"] for line in result.lines[:-1]} == {
+        1: VERDICT_CONSISTENT, 2: VERDICT_EXPOSED, 3: VERDICT_CONSISTENT}
     assert result.ok
     # A target that deviated yet audits consistent fails the run.
     audit = Witness.audit
@@ -140,13 +150,13 @@ def test_scenario_attack_with_an_honest_child_exposed_is_not_ok(monkeypatch):
     monkeypatch.setattr(Witness, "audit", exposing)
     result = run_scenario(spec)
     verdicts = {line["node"]: line["verdict"] for line in result.lines[:-1]}
-    assert verdicts == {2: VERDICT_EXPOSED, 3: VERDICT_EXPOSED,
-                        4: VERDICT_CONSISTENT}
+    assert verdicts == {1: VERDICT_CONSISTENT, 2: VERDICT_EXPOSED,
+                        3: VERDICT_EXPOSED, 4: VERDICT_CONSISTENT}
     assert not result.ok and not result.lines[-1]["ok"]
 
 
-class GarblingChild(PrChild):
-    """Byzantine child: logs, correctly chained and attested, `garble(ctx)`
+class Garbling:
+    """Byzantine node: logs, correctly chained and attested, `garble(ctx)`
     in place of its first entry of one kind."""
 
     def __init__(self, *args, kind: int, garble, **kwargs):
@@ -157,6 +167,10 @@ class GarblingChild(PrChild):
         if ctx[0] == self.kind and self.garble is not None:
             ctx, self.garble = self.garble(ctx), None
         return super()._log(ctx)
+
+
+class GarblingChild(Garbling, PrChild):
+    pass
 
 
 @pytest.mark.parametrize("kind, garble, seq", [
@@ -235,7 +249,8 @@ def test_an_inconsistent_verdict_truncates_nothing():
     rewrite_log_entry(scenario.children[3], 2, b"\x52fabricated")
     verdicts = scenario.audit_all()
     assert {c: v.kind for c, v in verdicts.items()} == {
-        2: VERDICT_EXPOSED, 3: VERDICT_CHAIN_BREAK, 4: VERDICT_CONSISTENT}
+        1: VERDICT_CONSISTENT, 2: VERDICT_EXPOSED, 3: VERDICT_CHAIN_BREAK,
+        4: VERDICT_CONSISTENT}
     assert {c: (child.log.first, len(child.log.entries))
             for c, child in scenario.children.items()} == {2: (0, 6), 3: (0, 6), 4: (6, 0)}
 
@@ -255,3 +270,138 @@ def test_soak_a_child_keeps_at_most_two_audit_periods_of_entries():
     for child_id, child in scenario.children.items():
         assert len(child.log) == scenario.witnesses[child_id].audited_seq == 2 * r
         assert child.log.entries == []
+
+
+def test_soak_the_root_keeps_at_most_one_audit_period_of_entries():
+    """The root logs 6 entries a round with 3 children (a SENT and a RECV
+    per child); its witness checkpoints it like a child's."""
+    period, periods = 64, 20
+    scenario = PrScenario.build(seed=15, n_children=3)
+    root, most = scenario.root, 0
+    for r in range(1, period * periods + 1):
+        scenario.run_rounds([b"cmd-%d" % r])
+        most = max(most, len(root.log.entries))
+        if r % period == 0:
+            assert all(v.consistent for v in scenario.audit_all().values())
+    assert most == 6 * period       # reached just before each checkpoint
+    assert len(root.log) == scenario.witnesses[1].audited_seq == 6 * r
+    assert root.log.entries == []
+
+
+def test_append_takes_only_the_next_seq():
+    log = TamperEvidentLog()
+    log.append(seq=0, ctx=b"a", tag=b"t")
+    log.truncate(1)
+    for seq in (0, 2):
+        with pytest.raises(OutOfRange):
+            log.append(seq=seq, ctx=b"b", tag=b"t")
+    assert log.append(seq=1, ctx=b"b", tag=b"t").seq == 1 and len(log) == 2
+
+
+def test_a_root_needs_a_child():
+    with pytest.raises(ValueError, match="needs a child, got 0"):
+        PrScenario.build(n_children=0)
+
+
+class EquivocatingRoot(PrRoot):
+    """Byzantine root: sends its last child b"other" in place of b"two", and
+    logs what it sent."""
+
+    hide = False    # log the frame as if it carried b"two", under b"other"'s tag
+
+    def send(self, ctx: bytes) -> None:
+        for child, session in self.sessions.items():
+            body = b"other" if ctx == b"two" and child == self.children[-1] else ctx
+            sent = self.endpoint.auth_send(session, body)
+            if self.hide:
+                sent = AttestedMessage(sent.tag, ctx, sent.device, sent.session,
+                                       sent.counter)
+            self._log(bytes([ENTRY_SENT]) + encode_frame(sent))
+
+
+class HidingRoot(EquivocatingRoot):
+    hide = True
+
+
+class SilentRoot(PrRoot):
+    """Byzantine root: before round 2 it sends its second child an extra
+    command that it never logs."""
+
+    def send(self, ctx: bytes) -> None:
+        if ctx == b"two":
+            self.endpoint.auth_send(self.sessions[self.children[1]], b"hidden")
+        super().send(ctx)
+
+
+# Round 1 logs seqs 0-5; round 2 sends to children 2, 3, 4 at seqs 6, 7, 8.
+@pytest.mark.parametrize("root_cls, seq, expected, found", [
+    (EquivocatingRoot, 8, b"two", b"other"),
+    (HidingRoot, 8, None, None),
+    (SilentRoot, 7, None, None),
+], ids=["logged-equivocation", "command-never-attested", "counter-skipped"])
+def test_byzantine_root_is_exposed_while_every_child_is_consistent(
+        monkeypatch, root_cls, seq, expected, found):
+    monkeypatch.setattr(peerreview, "PrRoot", root_cls)
+    scenario = PrScenario.build(seed=16, n_children=3)
+    scenario.run_rounds([b"one", b"two", b"three"])
+    verdicts = scenario.audit_all()
+    assert verdicts[1].kind == VERDICT_EXPOSED and verdicts[1].seq == seq
+    assert (verdicts[1].expected, verdicts[1].found) == (expected, found)
+    assert all(verdicts[c].consistent for c in scenario.children)
+    log = scenario.root.log
+    assert log.first == 0 and len(log.entries) == len(log) >= 18
+
+
+def test_rewritten_root_entry_breaks_chain_at_its_seq():
+    scenario = PrScenario.build(seed=17, n_children=2)
+    scenario.run_rounds([b"a", b"b", b"c"])
+    rewrite_log_entry(scenario.root, 5, b"\x53fabricated")
+    verdicts = scenario.audit_all()
+    assert verdicts[1].kind == VERDICT_CHAIN_BREAK and verdicts[1].seq == 5
+    assert all(verdicts[c].consistent for c in scenario.children)
+
+
+def test_an_inconsistent_root_verdict_truncates_nothing():
+    scenario = PrScenario.build(seed=18, n_children=2)
+    scenario.run_rounds([b"pre-0", b"pre-1"])
+    assert all(v.consistent for v in scenario.audit_all().values())
+    log = scenario.root.log
+    assert log.first == len(log) == 8 and log.entries == []
+    scenario.run_rounds([b"post-0", b"post-1"])
+    rewrite_log_entry(scenario.root, 12, b"\x53fabricated")
+    assert scenario.audit_all()[1].kind == VERDICT_CHAIN_BREAK
+    assert log.first == 8 and [e.seq for e in log.entries] == list(range(8, 16))
+    assert all(c.log.entries == [] for c in scenario.children.values())
+
+
+class GarblingRoot(Garbling, PrRoot):
+    pass
+
+
+def _to_child_3(ctx: bytes) -> bytes:
+    """The SENT entry of a frame to child 2, rewritten to name child 3's session."""
+    frame = decode_frame(ctx[1:])
+    return ctx[:1] + encode_frame(AttestedMessage(
+        frame.tag, frame.payload, frame.device, transport_session(1, 3), frame.counter))
+
+
+@pytest.mark.parametrize("kind, garble, seq", [
+    (ENTRY_SENT, lambda ctx: b"", 0),
+    (ENTRY_SENT, lambda ctx: encode_exec(b"ack:x", b"x"), 0),
+    (ENTRY_SENT, lambda ctx: bytes([ENTRY_EXEC]) + ctx[1:], 0),
+    (ENTRY_SENT, lambda ctx: b"\x53garbage", 0),
+    (ENTRY_SENT, _to_child_3, 0),
+    (ENTRY_SENT, lambda ctx: bytes([ENTRY_RECV]) + ctx[1:], 0),
+    (ENTRY_RECV, lambda ctx: b"\x52garbage", 2),
+    (ENTRY_RECV, lambda ctx: b"\x00" + ctx[1:], 2),
+    (ENTRY_RECV, lambda ctx: bytes([ENTRY_SENT]) + ctx[1:], 2),
+], ids=["empty-entry", "exec-entry", "frame-as-exec", "garbage-sent", "sent-out-of-order",
+        "own-frame-as-recv", "garbage-recv", "recv-under-another-kind", "child-frame-as-sent"])
+def test_root_entry_off_the_root_spec_is_exposed(monkeypatch, kind, garble, seq):
+    monkeypatch.setattr(peerreview, "PrRoot", lambda *args: GarblingRoot(
+        *args, kind=kind, garble=garble))
+    scenario = PrScenario.build(seed=19, n_children=2)
+    scenario.run_rounds([b"one", b"two"])
+    verdicts = scenario.audit_all()
+    assert verdicts[1].kind == VERDICT_EXPOSED and verdicts[1].seq == seq
+    assert all(verdicts[c].consistent for c in scenario.children)

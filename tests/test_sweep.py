@@ -6,7 +6,7 @@ from pathlib import Path
 
 from attestnet.scenario import ATTACK_KINDS
 from attestnet.simnet import ACTION_KINDS
-from sweep import corpus, draw, sweep
+from sweep import classify, corpus, draw, sweep
 
 CORPUS = Path(__file__).with_name("sweep_corpus_1000_77.txt")
 
@@ -36,3 +36,19 @@ def test_sweep_reproduces_the_committed_corpus():
     changed = [f"{i}: {draw(77, i)}\n  was {old}\n  now {new}"
                for i, (old, new) in enumerate(zip(expected, actual)) if old != new]
     assert not changed, f"{len(changed)} corpus lines changed:\n" + "\n".join(changed)
+
+
+def test_classify_counts_the_fields_that_moved_per_protocol():
+    lines = sweep(6, 5)     # scenarios 0 and 1 are a bft and a peerreview run
+    assert [json.loads(line)["spec"]["protocol"] for line in lines[:2]] == [
+        "bft", "peerreview"]
+    assert classify(corpus(lines), lines) == [
+        "0 of 6 corpus lines changed", "protocol changed ok tags digest"]
+    old = corpus(lines)
+    index, ok, tags, digest = old[0].split()
+    old[0] = f"{index} {ok} {int(tags) + 1} {digest}"
+    index, _, tags, _ = old[1].split()
+    old[1] = f"{index} false {tags} 0000000000000000"
+    assert classify(old, lines) == [
+        "2 of 6 corpus lines changed", "protocol changed ok tags digest",
+        "bft 1 0 1 0", "peerreview 1 1 0 1"]

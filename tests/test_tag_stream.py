@@ -35,9 +35,9 @@ PINNED = {
            "b43ec08736f89e32b4a28793f62ded01407bcd04da2f57ddfe3414127f52bcad"
            "b96935ed2bfdf2bc72c2de287d9c0e93"),
     "peerreview": ({"protocol": "peerreview", "children": 3, "seed": 1,
-                    "rounds": 4}, 124,
-                   "2869b5c74d43e7b89385fd33a11b283179dbd9b7a299bb9c6d3177cd"
-                   "f59fa553cf80c95f7a7196ecdbcbba79c24bb5de"),
+                    "rounds": 4}, 172,
+                   "a7154fc2c824f433dc1ecc8d3e9a79525daf710be37251f63ce03470"
+                   "7dd79f0c2a47d32eb49c1c7d6964dde7e3520bad"),
 }
 
 
