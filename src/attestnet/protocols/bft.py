@@ -17,8 +17,9 @@ a proof or a forward is flagged.
 Clients accept on f+1 identical replies referencing their own request bytes.
 
 Byzantine attempts are *flagged*, not masked silently: every rejection names
-the accused device and the defense that fired. A Byzantine leader overrides
-only `attested_outputs`, the values it attests in a round.
+the accused device and the defense that fired, and a flagged peer is read no
+more. A Byzantine leader overrides only `attested_outputs`, the values it
+attests in a round.
 
 `BftCluster.drain` runs the shared `common.pump` over the replicas in id
 order, handing every reply to every client.
@@ -224,6 +225,8 @@ class BftReplica:
         for session in self.sessions.values():
             for msg in self.endpoint.poll(session):
                 progressed = True
+                if self.flags and any(fl.accused == msg.device for fl in self.flags):
+                    continue    # read a flagged peer no more, as a ChainNode does
                 kind = msg.payload[0] if msg.payload else None
                 inner_frame = msg.payload[1:]
                 if kind == KIND_ACK:

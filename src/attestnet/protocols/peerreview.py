@@ -3,15 +3,17 @@
 A root streams commands to child nodes; every sent and received attested
 message is appended to the owner's tamper-evident log, and a child also logs
 its execution result, whose attested entry doubles as its response. Every
-node has a witness. A child's witness holds a reference implementation of
-the deterministic child spec plus (audited sequence, expected state); the
-root's (`RootWitness`) replays the root's spec: each round, one SENT entry
-per child in the children's order, all carrying the same command, and RECV
-entries only of frames from a child on its own session, each frame with a
-valid transport tag and the next counter of its direction. An audit walks
-new entries, checks the cumulative-digest chain and the attestation tags,
-replays the entries against the spec, and reports the first deviation. Fault
-model: only network-observable misbehavior is detectable, and detection is
+node has a witness holding its peers' endpoints, so every log key and the
+key of each transport session of the node. An audit walks new entries,
+checks the cumulative-digest chain and the attestation tags, and replays the
+entries against the node's spec; the first deviation exposes the node. Both
+specs share one frame check, `Witness._frame`: a logged SENT frame went from
+the node to a peer, a RECV frame from a peer to the node, on that pair's
+session, with the next counter of its direction and a valid tag. A child's
+spec is a RECV of the root's next frame, then the EXEC of that command with
+the reference result; the root's (`RootWitness`) is, each round, one SENT
+per child in the children's order, all with the same command, and any RECV.
+Fault model: only network-observable misbehavior is detectable; detection is
 the guarantee (bad actions may take effect before they are exposed).
 
 A consistent audit is a checkpoint: `PrScenario.audit_all` then truncates
@@ -120,7 +122,6 @@ class PrChild(PrNode):
 
     def __init__(self, node_id: int, cluster: ClusterNet, root_id: int):
         super().__init__(node_id, cluster)
-        self.root_id = root_id
         self.session = transport_session(node_id, root_id)
 
     def execute(self, cmd: bytes) -> bytes:
@@ -162,22 +163,29 @@ def rewrite_log_entry(node: PrNode, seq: int, new_ctx: bytes) -> None:
 
 
 class Witness:
-    """Auditor co-located with a node; reads the log through a shared handle."""
+    """Auditor co-located with a node; reads the log through a shared handle
+    and replays the child spec."""
 
-    def __init__(self, node: PrNode, verifier_endpoint):
+    def __init__(self, node: PrNode, peer_endpoints: dict):
         self.node = node
-        # Read-only view plus a verification kernel holding the log key.
-        self.verifier = verifier_endpoint
+        self.peers = peer_endpoints     # peer id -> that peer's endpoint
+        self.sessions = {transport_session(node.node_id, peer): peer
+                         for peer in peer_endpoints}
+        # A kernel sends and accepts counters in order: a frame carries the next.
+        self._next_counter = {(device, session): 0
+                              for session, peer in self.sessions.items()
+                              for device in (node.node_id, peer)}
         self.audited_seq = 0
-        self.expected_state: dict[str, int] = {"processed": 0}
         self._prev_digest = GENESIS_DIGEST
-        self._pending_cmds: list[bytes] = []
+        self._pending_cmd: bytes | None = None    # received, not yet executed
 
     def audit(self) -> Verdict:
         """Walk entries from the audited sequence number; replay the spec."""
         log = self.node.log
         if self.audited_seq < log.first:    # dropped before it was audited
             return Verdict(VERDICT_CHAIN_BREAK, seq=self.audited_seq)
+        # Every device holds every log key, so any peer verifies the node's.
+        kernel = next(iter(self.peers.values())).kernel
         while self.audited_seq < len(log):
             entry = log.entry(self.audited_seq)
             if entry.cum_digest != chain_digest(self._prev_digest, entry.ctx,
@@ -187,7 +195,7 @@ class Witness:
                                     device=self.node.node_id,
                                     session=log_session(self.node.node_id),
                                     counter=entry.seq)
-            if not self.verifier.kernel.tag_matches(probe):
+            if not kernel.tag_matches(probe):
                 return Verdict(VERDICT_CHAIN_BREAK, seq=entry.seq)
             verdict = self._replay(entry.seq, entry.ctx)
             if verdict is not None:
@@ -196,81 +204,71 @@ class Witness:
             self.audited_seq += 1
         return Verdict(VERDICT_CONSISTENT, seq=self.audited_seq)
 
-    def _replay(self, seq: int, ctx: bytes) -> Verdict | None:
-        """Replay one entry. An entry that does not decode exposes the node,
-        which attested it."""
-        if not ctx:
-            return Verdict(VERDICT_EXPOSED, seq=seq)    # not even a kind byte
+    def _frame(self, ctx: bytes) -> AttestedMessage | None:
+        """The frame of a SENT entry of a frame from the node to a peer, or of
+        a RECV entry of one from a peer to the node, on their session with the
+        next counter of its direction and a valid tag; else None."""
+        if not ctx or ctx[0] not in (ENTRY_SENT, ENTRY_RECV):
+            return None
         try:
-            if ctx[0] == ENTRY_RECV:
-                self._pending_cmds.append(decode_frame(ctx[1:]).payload)
-                return None
-            if ctx[0] != ENTRY_EXEC:
-                return None     # a SENT entry: the child spec does not constrain it
-            found, cmd = decode_exec(ctx)
+            frame = decode_frame(ctx[1:])
+        except FrameError:
+            return None
+        peer = self.sessions.get(frame.session)
+        direction = (frame.device, frame.session)
+        if (frame.device != (self.node.node_id if ctx[0] == ENTRY_SENT else peer)
+                or frame.counter != self._next_counter.get(direction)
+                or not self.peers[peer].kernel.tag_matches(frame)):
+            return None
+        self._next_counter[direction] += 1
+        return frame
+
+    def _replay(self, seq: int, ctx: bytes) -> Verdict | None:
+        """Replay one entry; any entry off the spec, one that does not decode
+        included, exposes the node, which attested it."""
+        cmd = self._pending_cmd
+        if cmd is None:
+            frame = self._frame(ctx)
+            if frame is None or ctx[0] != ENTRY_RECV:
+                return Verdict(VERDICT_EXPOSED, seq=seq)
+            self._pending_cmd = frame.payload
+            return None
+        if ctx[:1] != bytes([ENTRY_EXEC]):
+            return Verdict(VERDICT_EXPOSED, seq=seq)
+        try:
+            found, executed = decode_exec(ctx)
         except FrameError:
             return Verdict(VERDICT_EXPOSED, seq=seq)
-        if not self._pending_cmds or self._pending_cmds[0] != cmd:
-            return Verdict(VERDICT_EXPOSED, seq=seq,
-                           expected=self._pending_cmds[0] if self._pending_cmds else b"",
-                           found=cmd)
-        self._pending_cmds.pop(0)
+        if executed != cmd:
+            return Verdict(VERDICT_EXPOSED, seq=seq, expected=cmd, found=executed)
         expected = reference_execute(cmd)
         if found != expected:
             return Verdict(VERDICT_EXPOSED, seq=seq, expected=expected, found=found)
-        self.expected_state["processed"] += 1
+        self._pending_cmd = None
         return None
 
 
 class RootWitness(Witness):
-    """Witness of the streaming root. The root's spec is fixed when the
-    witness is built, never read from the root: its children in send order,
-    each with its endpoint, which holds the transport key that child shares
-    with the root and so verifies the tag of every frame on their session.
-    Replay state is bounded by the number of children: the index of the child
-    the next SENT entry must go to, the command of the round being sent, and
-    the next counter of each direction of each session (a kernel sends and
-    accepts counters only in order, so a logged frame carries exactly the
-    next one)."""
+    """Witness of the streaming root, whose peers are its children in send
+    order: its spec is fixed when it is built, never read from the root. Its
+    round state: the index of the next SENT's child and the round's command."""
 
-    def __init__(self, node: PrRoot, child_endpoints: dict):
-        # Every device holds every log key, so a child verifies the root's.
-        super().__init__(node, next(iter(child_endpoints.values())))
-        self.child_endpoints = child_endpoints
-        self.children = list(child_endpoints)
-        self.sessions = {c: transport_session(node.node_id, c) for c in self.children}
-        self._next_child = 0
-        self._round_cmd = b""
-        self._next_counter = {(device, session): 0
-                              for child, session in self.sessions.items()
-                              for device in (node.node_id, child)}
+    _next_child = 0
+    _round_cmd = b""
 
     def _replay(self, seq: int, ctx: bytes) -> Verdict | None:
-        if not ctx or ctx[0] not in (ENTRY_SENT, ENTRY_RECV):
+        frame = self._frame(ctx)
+        if frame is None:
             return Verdict(VERDICT_EXPOSED, seq=seq)    # the root executes nothing
-        try:
-            frame = decode_frame(ctx[1:])
-        except FrameError:
+        if ctx[0] == ENTRY_RECV:
+            return None
+        if frame.session != list(self.sessions)[self._next_child]:
             return Verdict(VERDICT_EXPOSED, seq=seq)
-        sent = ctx[0] == ENTRY_SENT
-        if sent:
-            child = self.children[self._next_child]
-            if frame.device != self.node.node_id:
-                return Verdict(VERDICT_EXPOSED, seq=seq)
-        else:
-            child = frame.device
-        direction = (frame.device, frame.session)
-        if (self.sessions.get(child) != frame.session
-                or frame.counter != self._next_counter[direction]
-                or not self.child_endpoints[child].kernel.tag_matches(frame)):
-            return Verdict(VERDICT_EXPOSED, seq=seq)
-        if sent:
-            if self._next_child and frame.payload != self._round_cmd:
-                return Verdict(VERDICT_EXPOSED, seq=seq, expected=self._round_cmd,
-                               found=frame.payload)
-            self._round_cmd = frame.payload
-            self._next_child = (self._next_child + 1) % len(self.children)
-        self._next_counter[direction] += 1
+        if self._next_child and frame.payload != self._round_cmd:
+            return Verdict(VERDICT_EXPOSED, seq=seq, expected=self._round_cmd,
+                           found=frame.payload)
+        self._round_cmd = frame.payload
+        self._next_child = (self._next_child + 1) % len(self.peers)
         return None
 
 
@@ -298,11 +296,9 @@ class PrScenario:
             child_cls = (child_cls_at or {}).get(child_id, PrChild)
             kwargs = (child_kwargs_at or {}).get(child_id, {})
             children[child_id] = child_cls(child_id, cluster, root_id, **kwargs)
-        witnesses = {child_id: Witness(children[child_id],
-                                       cluster.endpoints[root_id])
-                     for child_id in child_ids}
-        witnesses[root_id] = RootWitness(
-            root, {child_id: cluster.endpoints[child_id] for child_id in child_ids})
+        witnesses = {c: Witness(children[c], {root_id: cluster.endpoints[root_id]})
+                     for c in child_ids}
+        witnesses[root_id] = RootWitness(root, {c: cluster.endpoints[c] for c in child_ids})
         return cls(cluster=cluster, root=root, children=children,
                    witnesses=witnesses)
 

@@ -255,7 +255,7 @@ def test_after_a_forged_forward_the_next_requests_commit_everywhere(n, f):
     """Follower 2 attests a request the leader never ordered and forwards it
     to follower 3, which applies it: a forward carries no attestation of the
     leader. The client's next request is lost, the requests after it commit
-    at every replica, and only the forger is flagged."""
+    at every replica, and only the forger is flagged, once by each accuser."""
     cluster = BftCluster.build(n=n, f=f, seed=1)
     cluster.run_request(0, 1)
     forger = cluster.cluster.endpoints[2]
@@ -268,7 +268,9 @@ def test_after_a_forged_forward_the_next_requests_commit_everywhere(n, f):
         req = cluster.run_request(0, k)
         assert client.accepted_value(req) == struct.pack(">Q", k)
         assert cluster.correct_values() == dict.fromkeys(cluster.replicas, k)
-    assert {flag.accused for flag in cluster.all_flags()} == {2}
+    pairs = [(flag.accuser, flag.accused) for flag in cluster.all_flags()]
+    assert {accused for _, accused in pairs} == {2}
+    assert len(pairs) == len(set(pairs))
 
 
 def _reply(cluster, device, req, value):

@@ -4,7 +4,7 @@ import pytest
 
 from attestnet.errors import OutOfRange
 from attestnet.protocols import peerreview
-from attestnet.kernel import AttestedMessage
+from attestnet.kernel import TAG_LEN, AttestedMessage
 from attestnet.protocols.common import transport_session
 from attestnet.protocols.logchain import TamperEvidentLog
 from attestnet.protocols.peerreview import (
@@ -37,7 +37,7 @@ def test_honest_stream_consistent_throughout():
         assert all(v.kind == VERDICT_CONSISTENT for v in verdicts.values())
     for child_id, child in scenario.children.items():
         assert scenario.witnesses[child_id].audited_seq == len(child.log)
-        assert scenario.witnesses[child_id].expected_state["processed"] == 20
+        assert scenario.witnesses[child_id].audited_seq // 2 == 20   # commands run
     assert scenario.witnesses[1].audited_seq == len(scenario.root.log) == 20 * 4
 
 
@@ -173,14 +173,27 @@ class GarblingChild(Garbling, PrChild):
     pass
 
 
+def _reframed(ctx: bytes, **fields) -> bytes:
+    """A SENT or RECV entry, its frame with `fields` replaced."""
+    return ctx[:1] + encode_frame(decode_frame(ctx[1:])._replace(**fields))
+
+
+# A child logs RECV, EXEC each round: its first RECV is seq 0, its EXEC seq 1.
 @pytest.mark.parametrize("kind, garble, seq", [
     (ENTRY_RECV, lambda ctx: b"\x52garbage", 0),
     (ENTRY_RECV, lambda ctx: b"", 0),
     (ENTRY_EXEC, lambda ctx: ctx[:-3], 1),
     (ENTRY_EXEC, lambda ctx: ctx[:3], 1),
     (ENTRY_EXEC, lambda ctx: ctx + b"\x00", 1),
+    (ENTRY_RECV, lambda ctx: _reframed(ctx, tag=bytes(TAG_LEN)), 0),
+    (ENTRY_RECV, lambda ctx: _reframed(ctx, session=transport_session(1, 3)), 0),
+    (ENTRY_RECV, lambda ctx: _reframed(
+        ctx, counter=decode_frame(ctx[1:]).counter + 1), 0),
+    (ENTRY_RECV, lambda ctx: b"\x00" + ctx[1:], 0),
+    (ENTRY_RECV, lambda ctx: bytes([ENTRY_SENT]) + ctx[1:], 0),
 ], ids=["garbage-recv", "empty-entry", "truncated-exec", "exec-without-lengths",
-        "exec-with-trailing-byte"])
+        "exec-with-trailing-byte", "zero-tag-recv", "recv-on-another-session",
+        "recv-counter-skipped", "recv-under-unknown-kind", "recv-as-sent"])
 def test_logged_entry_that_does_not_decode_is_exposed(kind, garble, seq):
     scenario = PrScenario.build(seed=8, n_children=2, child_cls_at={2: GarblingChild},
                                 child_kwargs_at={2: {"kind": kind, "garble": garble}})
@@ -188,6 +201,56 @@ def test_logged_entry_that_does_not_decode_is_exposed(kind, garble, seq):
     verdicts = scenario.audit_all()
     assert verdicts[2].kind == VERDICT_EXPOSED and verdicts[2].seq == seq
     assert verdicts[3].kind == VERDICT_CONSISTENT
+
+
+class ForgingChild(PrChild):
+    """Byzantine child: after its first command, it logs the receipt of a
+    command the root never sent, in a frame with an all-zero tag, then
+    executes and answers it."""
+
+    def step(self) -> bool:
+        progressed = super().step()
+        if len(self.log) == 2:
+            forged = AttestedMessage(bytes(TAG_LEN), b"forged-cmd", 1, self.session, 1)
+            self._log(bytes([ENTRY_RECV]) + encode_frame(forged))
+            entry = self._log(encode_exec(self.execute(b"forged-cmd"), b"forged-cmd"))
+            self.endpoint.auth_send(self.session, encode_frame(entry))
+        return progressed
+
+
+class JunkChild(PrChild):
+    """Byzantine child: after its first command, it logs an entry of a kind
+    no spec has."""
+
+    def step(self) -> bool:
+        progressed = super().step()
+        if len(self.log) == 2:
+            self._log(b"\x00junk")
+        return progressed
+
+
+class SendLoggingChild(PrChild):
+    """Byzantine child: logs a SENT entry of each answer it sends, a frame
+    the shared frame check passes but the child spec does not have."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        auth_send = self.endpoint.auth_send
+
+        def logging_send(session, payload):
+            sent = auth_send(session, payload)
+            self._log(bytes([ENTRY_SENT]) + encode_frame(sent))
+            return sent
+        self.endpoint.auth_send = logging_send
+
+
+@pytest.mark.parametrize("child_cls", [ForgingChild, JunkChild, SendLoggingChild])
+def test_entry_off_the_child_spec_is_exposed_at_its_seq(child_cls):
+    scenario = PrScenario.build(seed=1, n_children=2, child_cls_at={2: child_cls})
+    scenario.run_rounds([b"one"])
+    verdicts = scenario.audit_all()
+    assert verdicts[2].kind == VERDICT_EXPOSED and verdicts[2].seq == 2
+    assert verdicts[1].consistent and verdicts[3].consistent
 
 
 def checkpointed(seed: int, rounds: int = 3) -> PrScenario:
@@ -213,7 +276,7 @@ def test_consistent_audit_drops_what_the_witness_audited():
             out_of_range()
     assert scenario.audit_all()[2].consistent
     assert witness.audited_seq == log.first == len(log) == 10
-    assert witness.expected_state["processed"] == 5
+    assert witness.audited_seq // 2 == 5    # commands run
 
 
 def test_rewriting_a_retained_entry_breaks_chain_at_its_seq():
@@ -333,12 +396,26 @@ class SilentRoot(PrRoot):
         super().send(ctx)
 
 
+class ReorderingRoot(PrRoot):
+    """Byzantine root: sends round 2 to its children in reverse order, and
+    logs what it sent."""
+
+    def send(self, ctx: bytes) -> None:
+        order = self.sessions
+        if ctx == b"two":
+            self.sessions = dict(reversed(order.items()))
+        super().send(ctx)
+        self.sessions = order
+
+
 # Round 1 logs seqs 0-5; round 2 sends to children 2, 3, 4 at seqs 6, 7, 8.
 @pytest.mark.parametrize("root_cls, seq, expected, found", [
     (EquivocatingRoot, 8, b"two", b"other"),
     (HidingRoot, 8, None, None),
     (SilentRoot, 7, None, None),
-], ids=["logged-equivocation", "command-never-attested", "counter-skipped"])
+    (ReorderingRoot, 6, None, None),
+], ids=["logged-equivocation", "command-never-attested", "counter-skipped",
+        "children-out-of-order"])
 def test_byzantine_root_is_exposed_while_every_child_is_consistent(
         monkeypatch, root_cls, seq, expected, found):
     monkeypatch.setattr(peerreview, "PrRoot", root_cls)
@@ -378,19 +455,12 @@ class GarblingRoot(Garbling, PrRoot):
     pass
 
 
-def _to_child_3(ctx: bytes) -> bytes:
-    """The SENT entry of a frame to child 2, rewritten to name child 3's session."""
-    frame = decode_frame(ctx[1:])
-    return ctx[:1] + encode_frame(AttestedMessage(
-        frame.tag, frame.payload, frame.device, transport_session(1, 3), frame.counter))
-
-
 @pytest.mark.parametrize("kind, garble, seq", [
     (ENTRY_SENT, lambda ctx: b"", 0),
     (ENTRY_SENT, lambda ctx: encode_exec(b"ack:x", b"x"), 0),
     (ENTRY_SENT, lambda ctx: bytes([ENTRY_EXEC]) + ctx[1:], 0),
     (ENTRY_SENT, lambda ctx: b"\x53garbage", 0),
-    (ENTRY_SENT, _to_child_3, 0),
+    (ENTRY_SENT, lambda ctx: _reframed(ctx, session=transport_session(1, 3)), 0),
     (ENTRY_SENT, lambda ctx: bytes([ENTRY_RECV]) + ctx[1:], 0),
     (ENTRY_RECV, lambda ctx: b"\x52garbage", 2),
     (ENTRY_RECV, lambda ctx: b"\x00" + ctx[1:], 2),

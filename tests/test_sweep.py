@@ -4,6 +4,8 @@ reproduces the committed corpus line for line."""
 import json
 from pathlib import Path
 
+import pytest
+
 from attestnet.scenario import ATTACK_KINDS
 from attestnet.simnet import ACTION_KINDS
 from sweep import classify, corpus, draw, sweep
@@ -29,13 +31,33 @@ def test_sweep_draws_every_protocol_attack_and_fault_kind():
     assert any(s["attack"]["commit"] > s["rounds"] for s in lies)
 
 
-def test_sweep_reproduces_the_committed_corpus():
+@pytest.fixture(scope="module")
+def swept() -> list[str]:
+    """The sweep the committed corpus records, run once for every test here."""
+    return sweep(1000, 77)
+
+
+def test_sweep_reproduces_the_committed_corpus(swept):
     expected = CORPUS.read_text().splitlines()
-    actual = corpus(sweep(1000, 77))
+    actual = corpus(swept)
     assert len(actual) == len(expected)
     changed = [f"{i}: {draw(77, i)}\n  was {old}\n  now {new}"
                for i, (old, new) in enumerate(zip(expected, actual)) if old != new]
     assert not changed, f"{len(changed)} corpus lines changed:\n" + "\n".join(changed)
+
+
+def test_no_run_accuses_a_peer_twice(swept):
+    """A BFT replica reads a peer it flagged no more, and a chain node stops
+    reading its chain once it flags it, so each accuser names a peer (a CR
+    flag names its position) at most once."""
+    repeats = []
+    for i, line in enumerate(swept):
+        for out in json.loads(line).get("lines", []):
+            pairs = [(fl["accuser"], fl.get("accused", fl.get("position")))
+                     for fl in out.get("flags", [])]
+            if len(pairs) != len(set(pairs)):
+                repeats.append(f"{i}: {pairs}")
+    assert not repeats, f"{len(repeats)} runs repeat a flag:\n" + "\n".join(repeats)
 
 
 def test_classify_counts_the_fields_that_moved_per_protocol():

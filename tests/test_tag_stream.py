@@ -35,9 +35,9 @@ PINNED = {
            "b43ec08736f89e32b4a28793f62ded01407bcd04da2f57ddfe3414127f52bcad"
            "b96935ed2bfdf2bc72c2de287d9c0e93"),
     "peerreview": ({"protocol": "peerreview", "children": 3, "seed": 1,
-                    "rounds": 4}, 172,
-                   "a7154fc2c824f433dc1ecc8d3e9a79525daf710be37251f63ce03470"
-                   "7dd79f0c2a47d32eb49c1c7d6964dde7e3520bad"),
+                    "rounds": 4}, 184,
+                   "2049d560cb556812faf4ccf6d92143956196ca4959e333e5accdc2fa"
+                   "a375f9b63b51565e728990916f1d24ba187e40c7"),
 }
 
 
