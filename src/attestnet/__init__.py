@@ -2,10 +2,11 @@
 
 A software emulation of a trusted-NIC architecture: an attestation kernel
 giving non-equivocation and transferable authentication over an adversarial
-simulated network, a remote-attestation bootstrap, a generic CFT-to-BFT
-transformation, four replicated systems built on the primitive, a bounded
-exhaustive checker for the transport-security lemmas, and a benchmark
-harness with emulated attestation delays.
+simulated network, a remote-attestation bootstrap, four replicated systems
+built on the primitive (the BFT counter among them is a crash-tolerant
+counter run on the generic CFT-to-BFT wrapper, `transform.Wrapper`), a
+bounded exhaustive checker for the transport-security lemmas, and a
+benchmark harness with emulated attestation delays.
 """
 
 from .device import DeviceConfig, Endpoint, SimClock, connect

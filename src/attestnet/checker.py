@@ -47,8 +47,8 @@ from .bootstrap import (DIGEST_LEN, NONCE_LEN, PUB_LEN, SIG_LEN, ProvisioningBun
 from .device import DeviceConfig, Endpoint
 from .errors import HandshakeError, InstanceTooLarge
 from .kernel import AttestationKernel, AttestedMessage
-from .protocols.bft import KIND_PROOF, BftCluster, encode_inner
-from .protocols.common import derive_key, log_session, pump, transport_session
+from .protocols.bft import KIND_PROOF, BftCluster
+from .protocols.common import derive_key, pump, transport_session
 from .simnet import ACTION_KINDS, FaultAction, FaultSchedule, Network
 from .wire import decode_frame, encode_frame
 
@@ -482,12 +482,11 @@ def check_leader_strategies() -> LemmaReport:
     checked on the followers production runs.
 
     A proof claims (round, content). The checker plays the Byzantine leader
-    on a real leader endpoint: it attests one or two `encode_inner(content,
-    round)` frames with any claims, and each of two real `BftReplica`
-    followers from `BftCluster.build` receives any subsequence of them as
-    proofs, in emission order (FIFO transport). The followers then run to
+    on the real leader's wrapper: it attests one or two (content, round)
+    frames with any claims, and each of two real `BftReplica` followers from
+    `BftCluster.build` receives any subsequence of them as proofs, in emission order (FIFO transport). The followers then run to
     quiescence, forwarding to each other. What they applied is read off
-    their replies, and what they flagged off their `flags`. The
+    their replies, and what they flagged off their wrappers' `flags`. The
     property: two followers never reply with different contents for the same
     round unless one of them flagged the leader.
     """
@@ -501,9 +500,8 @@ def check_leader_strategies() -> LemmaReport:
         for delivery in itertools.product(subsets, repeat=len(FOLLOWERS)):
             cluster = BftCluster.build(n=3, f=1, seed=99)
             leader = cluster.cluster.endpoints[LEADER]
-            frames = [encode_frame(leader.local_send(
-                log_session(LEADER), encode_inner(content, round_id)))
-                for round_id, content in emitted]
+            frames = [cluster.replicas[LEADER].wrapper.attest(content, round_id)
+                      for round_id, content in emitted]
             for follower, sub in zip(FOLLOWERS, delivery):
                 for i in sub:
                     leader.auth_send(transport_session(LEADER, follower),
@@ -515,7 +513,8 @@ def check_leader_strategies() -> LemmaReport:
                 for output in votes.values():
                     contents.setdefault(output, set()).add(req)
             conflict = any(len(reqs) > 1 for reqs in contents.values())
-            flagged = any(fl.accused == LEADER for f in followers for fl in f.flags)
+            flagged = any(fl.accused == LEADER for f in followers
+                          for fl in f.wrapper.flags)
             if conflict and not flagged:
                 cex = Counterexample(
                     instance=BoundedInstance(senders=1, messages_per_sender=2),

@@ -198,16 +198,14 @@ class Endpoint:
         inbox.append(msg)
         return True
 
-    def poll(self, session: int, max_messages: int | None = None) -> list[AttestedMessage]:
-        """Remove and return up to max verified messages, in counter order."""
+    def poll(self, session: int) -> list[AttestedMessage]:
+        """Remove and return every verified message, in counter order."""
         inbox = self._inboxes.get(session)
         if not inbox:
             return []
-        if max_messages is None or max_messages >= len(inbox):
-            out = list(inbox)
-            inbox.clear()
-            return out
-        return [inbox.popleft() for _ in range(max_messages)]
+        out = list(inbox)
+        inbox.clear()
+        return out
 
     def expected_counter(self, session: int) -> int:
         """The counter the kernel accepts next on a session (0 if not held)."""

@@ -97,24 +97,11 @@ class IdentityFrozen(HandshakeError):
 
 
 # --- transformation wrapper -------------------------------------------------
+#
+# A frame that fails a receive check is an accusation (`transform.Flag`),
+# never an exception; only registering a machine can raise.
 
-class TransformError(AttestnetError):
-    """Base class for CFT-to-BFT wrapper rejections."""
-
-
-class SenderStateMismatch(TransformError):
-    """Sender's reported state hash disagrees with the local simulation."""
-
-
-class EchoForged(TransformError):
-    """Echoed receiver message does not carry a valid tag under our identity."""
-
-
-class ViewLag(TransformError):
-    """Echoed receiver message is not our most recent sent message."""
-
-
-class NonDeterministicSpec(TransformError):
+class NonDeterministicSpec(AttestnetError):
     """State machine failed the determinism probe at registration."""
 
 

@@ -1,12 +1,13 @@
 """Leader-based replicated counter surviving Byzantine replicas at n = 2f+1.
 
-The paper's CFT-to-BFT recipe applied to a counter. The leader executes a
-client increment, attests (request ‖ output) once with local_send, and writes
-that one attested message to every follower. Each follower verifies the
+A crash-tolerant counter run on the generic CFT-to-BFT wrapper
+(`transform.Wrapper`). The leader executes a client increment, attests
+(request ‖ output) once, and writes that one attested message to every
+follower. Each follower passes it to the wrapper, which verifies the
 leader's log stream in order (so a second, conflicting attestation for the
-same round arrives with the wrong counter and is caught), re-executes the
-request on its `transform.StateSimulator` of the sender, whose serialized
-state is the output the message carries, applies each output in order, from
+same round arrives with the wrong counter and is caught) and re-executes the
+request on its simulator of the sender, whose serialized state is the output
+the message carries. The follower applies each output in order, from
 whichever peer delivers it first, acks the leader with its own attested
 output, and forwards its attestation to the other replicas and the client.
 Outputs are the only dedup, so a retried request is executed again, as the
@@ -28,10 +29,7 @@ order, handing every reply to every client.
 import struct
 from dataclasses import dataclass, field
 
-from ..device import pack_pair, unpack_pair
-from ..errors import AuthFailure, CounterMismatch, FrameError, KernelError
-from ..transform import StateSimulator, probe_determinism
-from ..wire import decode_frame, encode_frame
+from ..transform import Flag, Wrapper, probe_determinism
 from .common import (
     ClusterNet,
     ProtocolConfig,
@@ -39,7 +37,6 @@ from .common import (
     Reply,
     build_cluster,
     digest,
-    log_session,
     pump,
     reply_statement,
     transport_session,
@@ -60,26 +57,6 @@ def counter_state(value: int) -> bytes:
     return struct.pack(">Q", value)
 
 
-def encode_inner(req: bytes, output: int) -> bytes:
-    return pack_pair(req, counter_state(output))
-
-
-def decode_inner(payload: bytes) -> tuple[bytes, int]:
-    """Inverse of encode_inner; FrameError unless 8 state bytes follow the request."""
-    req, state = unpack_pair(payload)
-    if len(state) != 8:
-        raise FrameError(f"inner payload ends in {len(state)} state bytes, not 8")
-    return req, int.from_bytes(state, "big")
-
-
-@dataclass
-class Flag:
-    accuser: int
-    accused: int
-    reason: str
-    detail: str = ""
-
-
 @dataclass
 class BftReplica:
     node_id: int
@@ -90,7 +67,6 @@ class BftReplica:
     # Leader only: output -> (request, ids of the followers that acked it),
     # from the attestation until the reply goes out.
     pending_req: dict[int, tuple[bytes, set[int]]] = field(default_factory=dict)
-    flags: list[Flag] = field(default_factory=list)
     outbox_replies: list[Reply] = field(default_factory=list)
     crashed: bool = False
     # Set once this node, as leader, sent a follower an attestation of any
@@ -103,9 +79,9 @@ class BftReplica:
         # Transport session to each peer, in peer order.
         self.sessions = {peer: transport_session(self.node_id, peer)
                          for peer in self.peers}
-        # Each peer's machine, re-executed; BftCluster.build probed it.
-        self.simulators = {peer: StateSimulator(0, counter_apply, counter_state)
-                           for peer in self.peers}
+        # Attests this node's outputs and checks its peers'; BftCluster.build
+        # probed the counter for determinism.
+        self.wrapper = Wrapper(self.endpoint, self.peers, 0, counter_apply, counter_state)
 
     # -- leader ----------------------------------------------------------------
 
@@ -121,10 +97,8 @@ class BftReplica:
             return
         output = counter_apply(self.value, req)
         self.value = output
-        log = log_session(self.node_id)
         outputs = self.attested_outputs(output)
-        frames = [encode_frame(self.endpoint.local_send(log, encode_inner(req, out)))
-                  for out in outputs]
+        frames = [self.wrapper.attest(req, out) for out in outputs]
         for i, session in enumerate(self.sessions.values()):
             self.endpoint.auth_send(session,
                                     bytes([KIND_PROOF]) + frames[i % len(frames)])
@@ -137,7 +111,7 @@ class BftReplica:
             self.pending_req[output] = (req, set())
 
     def _leader_on_ack(self, sender: int, inner_frame: bytes) -> None:
-        inner = self._checked_inner(sender, inner_frame)
+        inner = self.wrapper.receive(sender, inner_frame)
         if inner is None:
             return
         req, output = inner
@@ -153,7 +127,7 @@ class BftReplica:
     # -- follower ----------------------------------------------------------------
 
     def _on_proof(self, sender: int, inner_frame: bytes) -> None:
-        inner = self._checked_inner(sender, inner_frame)
+        inner = self.wrapper.receive(sender, inner_frame)
         if inner is None:
             return
         req, output = inner
@@ -162,9 +136,7 @@ class BftReplica:
             # dropped for good: only another peer's stream can fill the gap.
             return
         self.value = output
-        own = self.endpoint.local_send(log_session(self.node_id),
-                                       encode_inner(req, output))
-        own_frame = encode_frame(own)
+        own_frame = self.wrapper.attest(req, output)
         self.endpoint.auth_send(self.sessions[self.leader_id],
                                 bytes([KIND_ACK]) + own_frame)
         for peer, session in self.sessions.items():
@@ -172,43 +144,6 @@ class BftReplica:
                 continue
             self.endpoint.auth_send(session, bytes([KIND_FORWARD]) + own_frame)
         self._reply_client(req, output)
-
-    # -- shared validation ---------------------------------------------------------
-
-    def _checked_inner(self, sender: int, inner_frame: bytes) -> tuple[bytes, int] | None:
-        """The follower check: kernel-verify a peer's locally attested
-        message, in stream order, decode it to (request, output), and
-        re-execute it; None once the sender is flagged. The message is
-        verified before it is decoded, so an attested payload that does not
-        decode still uses up its counter."""
-        try:
-            inner = decode_frame(inner_frame)
-            self.endpoint.local_verify(log_session(sender), inner)
-            req, output = decode_inner(inner.payload)
-        except FrameError:
-            flag = Flag(self.node_id, sender, "malformed-proof")
-        except CounterMismatch as exc:
-            flag = Flag(self.node_id, sender, "equivocation", detail=str(exc))
-        except AuthFailure:
-            flag = Flag(self.node_id, sender, "forged-attestation")
-        except KernelError as exc:
-            flag = Flag(self.node_id, sender, type(exc).__name__)
-        else:
-            return (req, output) if self._re_execute(sender, req, output) else None
-        self.flags.append(flag)
-        return None
-
-    def _re_execute(self, sender: int, req: bytes, output: int) -> bool:
-        """Re-execute the request on the sender's simulated machine; commit
-        the step only if the sender attested the state it reaches."""
-        simulator = self.simulators[sender]
-        expected, _ = simulator.expected_after(req)
-        if output != expected:
-            self.flags.append(Flag(self.node_id, sender, "state-mismatch",
-                                   detail=f"expected {expected}, got {output}"))
-            return False
-        simulator.commit(expected)
-        return True
 
     def _reply_client(self, req: bytes, output: int) -> None:
         value = counter_state(output)
@@ -225,7 +160,7 @@ class BftReplica:
         for session in self.sessions.values():
             for msg in self.endpoint.poll(session):
                 progressed = True
-                if self.flags and any(fl.accused == msg.device for fl in self.flags):
+                if not self.wrapper.reads(msg.device):
                     continue    # read a flagged peer no more, as a ChainNode does
                 kind = msg.payload[0] if msg.payload else None
                 inner_frame = msg.payload[1:]
@@ -234,10 +169,10 @@ class BftReplica:
                         self._leader_on_ack(msg.device, inner_frame)
                 elif kind != KIND_PROOF and kind != KIND_FORWARD:
                     # A missing or unknown kind byte: the sender's MAC covers it.
-                    self.flags.append(Flag(self.node_id, msg.device, "malformed-proof"))
+                    self.wrapper.accuse(msg.device, "malformed-proof")
                 elif self.node_id == self.leader_id:
                     # The leader executes first: a proof could only repeat one.
-                    self.flags.append(Flag(self.node_id, msg.device, "proof-to-leader"))
+                    self.wrapper.accuse(msg.device, "proof-to-leader")
                 else:
                     self._on_proof(msg.device, inner_frame)
         return progressed
@@ -326,7 +261,7 @@ class BftCluster:
     def all_flags(self) -> list[Flag]:
         out = []
         for node_id in sorted(self.replicas):
-            out.extend(self.replicas[node_id].flags)
+            out.extend(self.replicas[node_id].wrapper.flags)
         return out
 
     def correct_values(self) -> dict[int, int]:

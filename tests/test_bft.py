@@ -7,6 +7,7 @@ import struct
 import pytest
 
 from attestnet.checker import check_leader_strategies
+from attestnet.device import pack_pair, unpack_pair
 from attestnet.errors import NonDeterministicSpec
 from attestnet.protocols import bft
 from attestnet.protocols.bft import (
@@ -15,10 +16,8 @@ from attestnet.protocols.bft import (
     BftCluster,
     BftReplica,
     EquivocatingLeader,
-    Flag,
     WrongValueLeader,
-    decode_inner,
-    encode_inner,
+    counter_state,
 )
 from attestnet.protocols.common import (
     digest,
@@ -28,6 +27,7 @@ from attestnet.protocols.common import (
     transport_session,
 )
 from attestnet.simnet import FaultAction, FaultSchedule
+from attestnet.transform import Wrapper
 from attestnet.wire import decode_frame, encode_frame
 from attestnet.scenario import run_scenario
 
@@ -71,11 +71,10 @@ def test_follower_that_skips_local_verify_gives_a_counterexample(monkeypatch):
     # A test-only follower that re-executes every proof but never checks its
     # attestation: two conflicting proofs for round 1, one to each follower,
     # are both applied and nobody flags the leader.
-    def trusting(self, sender, inner_frame):
-        req, output = decode_inner(decode_frame(inner_frame).payload)
-        return (req, output) if self._re_execute(sender, req, output) else None
+    def trusting(self, sender, frame):
+        return self._re_execute(sender, *unpack_pair(decode_frame(frame).payload))
 
-    monkeypatch.setattr(BftReplica, "_checked_inner", trusting)
+    monkeypatch.setattr(Wrapper, "receive", trusting)
     report = check_leader_strategies()
     assert report.verdict == "Counterexample"
     assert report.counterexample.detail == (
@@ -131,15 +130,16 @@ def test_forged_copy_of_the_leaders_log_frame_accuses_nobody():
 
 
 class MalformedProofLeader(BftReplica):
-    """Byzantine leader: sends each follower a transport payload built from
-    an attested inner payload by `malform`, which a correct proof is not."""
+    """Byzantine leader: sends each follower a transport payload built by
+    `malform` from the correct inner payload (request ‖ state of its next
+    output), which a correct proof is not."""
 
     def __init__(self, *args, malform, **kwargs):
         super().__init__(*args, **kwargs)
         self.malform = malform
 
     def leader_handle(self, req: bytes) -> None:
-        inner = encode_inner(req, self.value + 1)
+        inner = pack_pair(req, counter_state(self.value + 1))
         payload = self.malform(self.endpoint, log_session(self.node_id), inner)
         for session in self.sessions.values():
             self.endpoint.auth_send(session, payload)
@@ -149,22 +149,28 @@ def _attested(endpoint, log, inner: bytes) -> bytes:
     return encode_frame(endpoint.local_send(log, inner))
 
 
+# Each malformed proof, and the reason both followers flag the leader for.
 MALFORMED_PROOFS = {
-    "empty-payload": lambda ep, log, inner: b"",
-    "inner-of-2-bytes": lambda ep, log, inner: (
-        bytes([KIND_PROOF]) + _attested(ep, log, b"\x00\x01")),
-    "inner-request-overruns": lambda ep, log, inner: (
-        bytes([KIND_PROOF]) + _attested(ep, log, b"\xff" + inner[1:])),
+    "empty-payload": (lambda ep, log, inner: b"", "malformed-proof"),
+    "inner-of-2-bytes": (lambda ep, log, inner: (
+        bytes([KIND_PROOF]) + _attested(ep, log, b"\x00\x01")), "malformed-proof"),
+    "inner-request-overruns": (lambda ep, log, inner: (
+        bytes([KIND_PROOF]) + _attested(ep, log, b"\xff" + inner[1:])), "malformed-proof"),
+    # The state is compared as the counter's 8 serialized bytes.
+    "state-of-7-bytes": (lambda ep, log, inner: (
+        bytes([KIND_PROOF]) + _attested(ep, log, inner[:-1])), "state-mismatch"),
+    "state-of-9-bytes": (lambda ep, log, inner: (
+        bytes([KIND_PROOF]) + _attested(ep, log, inner + b"\x00")), "state-mismatch"),
 }
 
 
-@pytest.mark.parametrize("malform", MALFORMED_PROOFS.values(), ids=MALFORMED_PROOFS)
-def test_malformed_proof_from_the_leader_is_flagged(malform):
+@pytest.mark.parametrize("malform, reason", MALFORMED_PROOFS.values(), ids=MALFORMED_PROOFS)
+def test_malformed_proof_from_the_leader_is_flagged(malform, reason):
     cluster = BftCluster.build(n=3, f=1, seed=5, leader_cls=MalformedProofLeader,
                                leader_kwargs={"malform": malform})
     req = cluster.run_request(0, 1)
     assert [(fl.accuser, fl.accused, fl.reason) for fl in cluster.all_flags()] == [
-        (2, 1, "malformed-proof"), (3, 1, "malformed-proof")]
+        (2, 1, reason), (3, 1, reason)]
     assert cluster.clients[0].accepted_value(req) is None
     assert cluster.correct_values() == {1: 0, 2: 0, 3: 0}
 
@@ -186,17 +192,11 @@ class CrashAfterFirstSendLeader(BftReplica):
     """Leader that reaches only one follower before failing."""
 
     def leader_handle(self, req: bytes) -> None:
-        from attestnet.protocols.bft import KIND_PROOF, encode_inner
-        from attestnet.protocols.common import log_session, transport_session
-        from attestnet.wire import encode_frame
-
         output = self.value + 1
         self.value = output
-        attested = self.endpoint.local_send(log_session(self.node_id),
-                                            encode_inner(req, output))
         first_follower = self.peers[0]
         self.endpoint.auth_send(transport_session(self.node_id, first_follower),
-                                bytes([KIND_PROOF]) + encode_frame(attested))
+                                bytes([KIND_PROOF]) + self.wrapper.attest(req, output))
         self.crashed = True
 
 
@@ -240,9 +240,9 @@ def test_a_proof_a_follower_sends_the_leader_is_never_applied(kind, output):
     it reached or at the next one, and sends it to the leader."""
     cluster = BftCluster.build(n=3, f=1, seed=4)
     req = cluster.run_request(0, 1)
-    follower = cluster.cluster.endpoints[2]
-    follower.auth_send(transport_session(2, 1), bytes([kind]) + _attested(
-        follower, log_session(2), encode_inner(req, output)))
+    follower = cluster.replicas[2]
+    follower.endpoint.auth_send(transport_session(2, 1),
+                                bytes([kind]) + follower.wrapper.attest(req, output))
     cluster.drain()
     assert cluster.correct_values() == {1: 1, 2: 1, 3: 1}
     assert [(fl.accuser, fl.accused, fl.reason) for fl in cluster.all_flags()] == [
@@ -258,9 +258,9 @@ def test_after_a_forged_forward_the_next_requests_commit_everywhere(n, f):
     at every replica, and only the forger is flagged, once by each accuser."""
     cluster = BftCluster.build(n=n, f=f, seed=1)
     cluster.run_request(0, 1)
-    forger = cluster.cluster.endpoints[2]
-    forger.auth_send(transport_session(2, 3), bytes([KIND_FORWARD]) + _attested(
-        forger, log_session(2), encode_inner(encode_request(555, 1), 2)))
+    forger = cluster.replicas[2]
+    forger.endpoint.auth_send(transport_session(2, 3), bytes([KIND_FORWARD])
+                              + forger.wrapper.attest(encode_request(555, 1), 2))
     cluster.drain()
     client = cluster.clients[0]
     assert client.accepted_value(cluster.run_request(0, 2)) is None
@@ -326,14 +326,14 @@ def test_unsigned_reply_ignored():
 
 def _flag_honest_peer(monkeypatch, accuser: int, accused: int):
     """Make one follower accuse an honest peer on every validation."""
-    re_execute = BftReplica._re_execute
+    re_execute = Wrapper._re_execute
 
-    def accusing(self, sender, req, output):
-        if self.node_id == accuser and sender == accused:
-            self.flags.append(Flag(self.node_id, sender, "state-mismatch"))
-        return re_execute(self, sender, req, output)
+    def accusing(self, sender, app_msg, state):
+        if self.endpoint.device == accuser and sender == accused:
+            self.accuse(sender, "state-mismatch")
+        return re_execute(self, sender, app_msg, state)
 
-    monkeypatch.setattr(BftReplica, "_re_execute", accusing)
+    monkeypatch.setattr(Wrapper, "_re_execute", accusing)
 
 
 def test_scenario_accusing_an_honest_replica_is_not_ok(monkeypatch):
@@ -392,9 +392,11 @@ def test_scenario_deviation_nobody_flags_is_not_ok(kind, monkeypatch):
     spec = {"protocol": "bft", "rounds": 2, "attack": {"kind": kind, "round": 1}}
     assert run_scenario(spec).ok
     # followers that accept whatever the leader attests flag nothing
-    monkeypatch.setattr(BftReplica, "_checked_inner",
-                        lambda self, sender, frame: decode_inner(
-                            decode_frame(frame).payload))
+    def accepting(self, sender, frame):
+        req, state = unpack_pair(decode_frame(frame).payload)
+        return req, int.from_bytes(state, "big")
+
+    monkeypatch.setattr(Wrapper, "receive", accepting)
     result = run_scenario(spec)
     assert json.loads(result.dumps().splitlines()[-1])["flags"] == []
     assert not result.ok
@@ -438,13 +440,11 @@ def test_ack_that_completes_the_count_must_name_the_leaders_request(acks, replie
     own, other = cluster.clients[0].issue(1), cluster.clients[0].issue(2)
     leader.leader_handle(own)
     for follower, named in acks:
-        endpoint = cluster.replicas[follower].endpoint
-        ack = endpoint.local_send(log_session(follower),
-                                  encode_inner(own if named == "own" else other, 1))
-        leader._leader_on_ack(follower, encode_frame(ack))
+        ack = cluster.replicas[follower].wrapper.attest(own if named == "own" else other, 1)
+        leader._leader_on_ack(follower, ack)
     assert [reply.req for reply in leader.outbox_replies] == ([own] if replied else [])
     assert (1 in leader.pending_req) is not replied
-    assert leader.flags == []
+    assert leader.wrapper.flags == []
 
 
 def test_scenario_client_accepting_another_rounds_value_is_not_ok(monkeypatch):

@@ -9,7 +9,8 @@ from attestnet import cli
 from attestnet import scenario as scenario_mod
 from attestnet.bench import CSV_HEADER, DELAY_PRESETS_NS
 from attestnet.checker import Counterexample, replay_counterexample
-from attestnet.protocols.bft import BftCluster, BftReplica, WrongValueLeader, decode_inner
+from attestnet.device import unpack_pair
+from attestnet.protocols.bft import BftCluster, BftReplica, WrongValueLeader
 from attestnet.protocols.common import transport_session
 from attestnet.protocols.peerreview import PrScenario
 from attestnet.scenario import PROTOCOLS
@@ -119,7 +120,8 @@ def test_bench_of_a_run_that_accepts_a_wrong_value_exits_1(monkeypatch, capsys):
                                "leader_kwargs": {"lie_round": 1}})
 
     def trusting(self, sender, inner_frame):
-        req, self.value = decode_inner(decode_frame(inner_frame).payload)
+        req, state = unpack_pair(decode_frame(inner_frame).payload)
+        self.value = int.from_bytes(state, "big")
         self._reply_client(req, self.value)
     monkeypatch.setattr(scenario_mod.BftCluster, "build", lying)
     monkeypatch.setattr(BftReplica, "_on_proof", trusting)

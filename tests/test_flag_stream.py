@@ -19,8 +19,8 @@ PINNED_FLAGS = {
         (3, 1, "equivocation", "expected counter 1, got 2"),
     ],
     "wrong_value": [
-        (2, 1, "state-mismatch", "expected 2, got 9"),
-        (3, 1, "state-mismatch", "expected 2, got 9"),
+        (2, 1, "state-mismatch", "expected 0000000000000002, got 0000000000000009"),
+        (3, 1, "state-mismatch", "expected 0000000000000002, got 0000000000000009"),
     ],
 }
 
