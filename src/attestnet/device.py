@@ -211,16 +211,6 @@ class Endpoint:
         """The counter the kernel accepts next on a session (0 if not held)."""
         return self.kernel.session_state(session).recv_cnt if session in self.peers else 0
 
-    # -- rem_write -------------------------------------------------------------
-
-    def rem_write(self, session: int, payload: bytes) -> AttestedMessage:
-        """Remote write, realized as an attested message carrying the data.
-
-        The emulator has no DMA; this is a semantic (not mechanical) match
-        for one-sided writes.
-        """
-        return self.auth_send(session, payload)
-
 
 def connect(config: DeviceConfig, net) -> Endpoint:
     """Create an endpoint and attach it to the network, whose clock it then

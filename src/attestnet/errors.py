@@ -28,7 +28,7 @@ class DuplicateSession(KernelError):
 
 
 class PayloadTooLarge(KernelError):
-    """Payload exceeds the configured maximum."""
+    """Payload exceeds `kernel.MAX_PAYLOAD`."""
 
 
 class AuthFailure(KernelError):
@@ -107,15 +107,11 @@ class NonDeterministicSpec(AttestnetError):
 
 # --- protocols ----------------------------------------------------------------
 
-class ProtocolError(AttestnetError):
-    """Base class for protocol-level failures."""
+class OutOfRange(AttestnetError):
+    """Log index outside the retained window, or a checkpoint outside it."""
 
 
-class OutOfRange(ProtocolError):
-    """Log index outside the live [head, tail) window."""
-
-
-class ChainValidationFailure(ProtocolError):
+class ChainValidationFailure(AttestnetError):
     """A proof-of-execution chain is inconsistent at some position."""
 
     def __init__(self, position: int, detail: str = ""):

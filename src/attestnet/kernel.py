@@ -56,7 +56,7 @@ COUNTER_WIRE_LEN = 8
 SESSION_LIMIT = 2 ** 32
 DEVICE_LIMIT = 2 ** 32
 COUNTER_LIMIT = 2 ** 64
-DEFAULT_MAX_PAYLOAD = 64 * 1024
+MAX_PAYLOAD = 64 * 1024
 
 _TAG_PAD = b"\x00" * (TAG_LEN - MAC_LEN)
 _BLOCK_LEN = 128                # SHA-384 block; every key is shorter
@@ -116,10 +116,6 @@ class AttestedMessage(NamedTuple):
     session: int
     counter: int
 
-    def triple(self) -> tuple[int, int, int]:
-        """The non-equivocation identity of this message."""
-        return (self.device, self.session, self.counter)
-
 
 def compute_tag(state: SessionState, payload: bytes, device: int, counter: int) -> bytes:
     """64-byte attestation tag: HMAC-SHA-384 under the session's key over
@@ -135,16 +131,16 @@ def compute_tag(state: SessionState, payload: bytes, device: int, counter: int) 
     return outer.digest() + _TAG_PAD
 
 
-def attest_with(state: SessionState, device: int, session: int, payload: bytes,
-                max_payload: int = DEFAULT_MAX_PAYLOAD) -> AttestedMessage:
+def attest_with(state: SessionState, device: int, session: int,
+                payload: bytes) -> AttestedMessage:
     """Attest a payload against an explicit session state.
 
     The emitted counter is the send counter sampled before the increment,
     so a fresh session emits 0, 1, 2, ... with no repeats. Deterministic for
     fixed (key, payload, device, session, counter).
     """
-    if len(payload) > max_payload:
-        raise PayloadTooLarge(f"{len(payload)} > {max_payload}")
+    if len(payload) > MAX_PAYLOAD:
+        raise PayloadTooLarge(f"{len(payload)} > {MAX_PAYLOAD}")
     if state.send_cnt >= COUNTER_LIMIT:
         raise CounterOverflow("send counter exhausted")
     counter = state.send_cnt
@@ -188,11 +184,10 @@ class AttestationKernel:
     kernel itself performs no locking.
     """
 
-    def __init__(self, device: int, max_payload: int = DEFAULT_MAX_PAYLOAD):
+    def __init__(self, device: int):
         if not 0 <= device < DEVICE_LIMIT:
             raise ValueError("device id out of 32-bit range")
         self.device = device
-        self.max_payload = max_payload
         self._sessions: dict[int, SessionState] = {}
 
     def provision_session(self, session: int, key: bytes) -> SessionState:
@@ -222,7 +217,7 @@ class AttestationKernel:
             state = self._sessions[session]
         except KeyError:
             raise UnknownSession(f"session {session}") from None
-        return attest_with(state, self.device, session, payload, self.max_payload)
+        return attest_with(state, self.device, session, payload)
 
     def verify(self, msg: AttestedMessage, peer: int | None = None) -> AttestedMessage:
         try:

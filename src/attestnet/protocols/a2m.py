@@ -3,10 +3,13 @@
 Each log is backed by one attestation session; an append attests the context
 and the emitted counter becomes the entry's sequence number, so the log
 position itself is bound under the MAC. Lookups are pure local reads;
-verification is a separate, explicit step. Truncation never deletes bytes:
-it appends a marker entry, records it in a dedicated manifest log, and moves
-the verification boundary so forgotten entries can no longer be verified by
-honest clients.
+verification is a separate, explicit step. Truncation is a checkpoint: it
+appends a marker entry, records it in a dedicated manifest log, then
+checkpoints the log (`TamperEvidentLog.truncate`), which frees the forgotten
+entries. Lookup and verification read the log's retained window, so a
+forgotten entry never looks up or verifies again. A head outside that window
+is refused before anything is appended, and so is the manifest log itself,
+which `manifest_bounds` replays.
 """
 
 import struct
@@ -27,14 +30,12 @@ class A2mStore:
         self.endpoint = endpoint
         self.manifest_log = manifest_log
         self.logs: dict[int, TamperEvidentLog] = {}
-        self.heads: dict[int, int] = {}
 
     def _log(self, log_id: int) -> TamperEvidentLog:
         if log_id not in self.logs:
             # Session must exist; raises UnknownSession otherwise.
             self.endpoint.kernel.session_state(log_id)
             self.logs[log_id] = TamperEvidentLog()
-            self.heads[log_id] = 0
         return self.logs[log_id]
 
     def _append(self, log_id: int, ctx: bytes) -> tuple[AttestedMessage, LogEntry]:
@@ -51,47 +52,30 @@ class A2mStore:
     def tail(self, log_id: int) -> int:
         return len(self._log(log_id))
 
-    def head(self, log_id: int) -> int:
-        return self.heads.get(log_id, 0)
-
     def lookup(self, log_id: int, index: int) -> LogEntry:
         """Pure local read; no kernel call, no counter movement."""
-        log = self._log(log_id)
-        if not self.heads[log_id] <= index < len(log):
-            raise OutOfRange(f"index {index} outside [{self.heads[log_id]}, {len(log)})")
-        return log.entry(index)
+        return self._log(log_id).entry(index)
 
-    def verify_lookup(self, log_id: int, entry: LogEntry,
-                      head: int | None = None, tail: int | None = None) -> None:
-        """Boundary check first, then the attestation tag.
-
-        head/tail default to the store's live boundaries; clients replaying
-        the manifest pass the recovered pair instead. Truncated entries always
-        fail the boundary check before any cryptography runs.
-        """
-        log = self._log(log_id)
-        if head is None:
-            head = self.heads[log_id]
-        if tail is None:
-            tail = len(log)
-        if not head <= entry.seq < tail:
-            raise OutOfRange(f"seq {entry.seq} outside [{head}, {tail})")
-        msg = AttestedMessage(tag=entry.tag, payload=entry.ctx,
-                              device=self.endpoint.device, session=log_id,
-                              counter=entry.seq)
-        if not self.endpoint.kernel.tag_matches(msg):
+    def verify_lookup(self, log_id: int, entry: LogEntry) -> None:
+        """Window check first, then the attestation tag: a truncated entry
+        fails with OutOfRange before any cryptography runs."""
+        self._log(log_id).entry(entry.seq)
+        if not self.endpoint.kernel.tag_matches(
+                entry.attestation(self.endpoint.device, log_id)):
             raise AuthFailure(f"stored entry {entry.seq} corrupted")
 
     def truncate(self, log_id: int, head: int, z: bytes) -> LogEntry:
-        """Forget entries below head: marker into the log, marker proof into the manifest."""
+        """Forget entries below head: marker into the log, marker proof into
+        the manifest, then a checkpoint of the log at head."""
+        if log_id == self.manifest_log:
+            raise ValueError(f"log {log_id} is the manifest, which is never truncated")
         log = self._log(log_id)
-        if head > len(log):
-            raise OutOfRange(f"head {head} beyond tail {len(log)}")
+        if not log.first <= head <= len(log):
+            raise OutOfRange(f"head {head} outside [{log.first}, {len(log)}]")
         ctx = TRNC_MARK + struct.pack(">I", log_id) + z + struct.pack(">Q", head)
         trnc_msg, _ = self._append(log_id, ctx)
-        manifest_ctx = encode_frame(trnc_msg)
-        _, manifest_entry = self._append(self.manifest_log, manifest_ctx)
-        self.heads[log_id] = head
+        _, manifest_entry = self._append(self.manifest_log, encode_frame(trnc_msg))
+        log.truncate(head)
         return manifest_entry
 
     def manifest_bounds(self, log_id: int) -> tuple[int, int] | None:
@@ -103,7 +87,7 @@ class A2mStore:
         manifest = self._log(self.manifest_log)
         for index in range(len(manifest) - 1, -1, -1):
             entry = manifest.entry(index)
-            self.verify_lookup(self.manifest_log, entry, head=0, tail=len(manifest))
+            self.verify_lookup(self.manifest_log, entry)
             trnc_msg = decode_frame(entry.ctx)
             payload = trnc_msg.payload
             if not payload.startswith(TRNC_MARK):

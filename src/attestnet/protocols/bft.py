@@ -6,8 +6,8 @@ A crash-tolerant counter run on the generic CFT-to-BFT wrapper
 follower. Each follower passes it to the wrapper, which verifies the
 leader's log stream in order (so a second, conflicting attestation for the
 same round arrives with the wrong counter and is caught) and re-executes the
-request on its simulator of the sender, whose serialized state is the output
-the message carries. The follower applies each output in order, from
+request on its copy of the sender's state, whose serialization is the
+output the message carries. The follower applies each output in order, from
 whichever peer delivers it first, acks the leader with its own attested
 output, and forwards its attestation to the other replicas and the client.
 Outputs are the only dedup, so a retried request is executed again, as the

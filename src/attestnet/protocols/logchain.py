@@ -14,17 +14,22 @@ are read by seq (`entry`).
 
 A checkpoint (`truncate(seq)`) drops the entries below seq and keeps the
 last dropped entry's cumulative digest as the anchor the next append chains
-from; `len(log)` stays the tail, the seq the next append takes. Only
-PeerReview truncates, after a consistent audit, up to what the witness has
-audited: the witness already holds the anchor as its running digest, so the
-retained entries still link to everything it checked. A2M never truncates
-this store; its truncation moves a verification boundary instead.
+from; `len(log)` stays the tail, the seq the next append takes. Both users
+truncate. PeerReview does after a consistent audit, up to what the witness
+has audited: the witness already holds the anchor as its running digest, so
+the retained entries still link to everything it checked. A2M does after it
+has logged a truncation marker, so only the retained window looks up and
+verifies.
+
+Both check a stored entry's tag the same way: `LogEntry.attestation` is the
+attested message the entry records, for the kernel's `tag_matches`.
 """
 
 import hashlib
 from dataclasses import dataclass, field
 
 from ..errors import OutOfRange
+from ..kernel import AttestedMessage
 
 GENESIS_DIGEST = b"\x00" * 48
 
@@ -39,6 +44,10 @@ class LogEntry:
     ctx: bytes
     tag: bytes = field(repr=False)
     cum_digest: bytes = field(repr=False)
+
+    def attestation(self, device: int, session: int) -> AttestedMessage:
+        """The message `device` attested on `session` to log this entry."""
+        return AttestedMessage(self.tag, self.ctx, device, session, self.seq)
 
 
 class TamperEvidentLog:

@@ -191,11 +191,8 @@ class Witness:
             if entry.cum_digest != chain_digest(self._prev_digest, entry.ctx,
                                                 entry.seq):
                 return Verdict(VERDICT_CHAIN_BREAK, seq=entry.seq)
-            probe = AttestedMessage(tag=entry.tag, payload=entry.ctx,
-                                    device=self.node.node_id,
-                                    session=log_session(self.node.node_id),
-                                    counter=entry.seq)
-            if not kernel.tag_matches(probe):
+            if not kernel.tag_matches(entry.attestation(
+                    self.node.node_id, log_session(self.node.node_id))):
                 return Verdict(VERDICT_CHAIN_BREAK, seq=entry.seq)
             verdict = self._replay(entry.seq, entry.ctx)
             if verdict is not None:

@@ -9,15 +9,16 @@ A receiver runs two checks on every such frame (`Wrapper.receive`):
      so a second, conflicting attestation for one step arrives at the wrong
      counter: every receiver shares one view of each sender's stream, and
      no echo or extra byte is needed for it.
-  2. re-execution of the message on a `StateSimulator` of the sender's
-     deterministic state machine; the state the sender attested must be the
-     serialization of the state the simulator reaches.
+  2. re-execution of the message from the state the receiver last accepted
+     for the sender (`Wrapper.states`), with the sender's deterministic
+     state machine; the state the sender attested must be the serialization
+     of the state it reaches, and only then is that state kept.
 
 A failed check is an accusation (`Flag`), never a silent drop, and a
 flagged peer is read no more. The wrapper is generic over the state machine
 through two supplied functions, apply and serialize (canonical bytes);
 `probe_determinism` rejects a non-deterministic machine, once, before it is
-simulated. `protocols.bft.BftReplica` is a crash-tolerant counter run on it.
+re-executed. `protocols.bft.BftReplica` is a crash-tolerant counter run on it.
 """
 
 from dataclasses import dataclass
@@ -43,28 +44,6 @@ def probe_determinism(initial_state, apply_fn, serialize_fn,
         raise NonDeterministicSpec("state machine failed determinism probe")
 
 
-class StateSimulator:
-    """Shadow copy of a peer's deterministic state machine.
-
-    Keeping the shadow lets a receiver validate the sender's reported state
-    without replaying the whole message history.
-    """
-
-    def __init__(self, initial_state, apply_fn, serialize_fn):
-        self.apply_fn = apply_fn
-        self.serialize_fn = serialize_fn
-        self.state = initial_state
-
-    def expected_after(self, app_msg: bytes):
-        """Candidate next state and its canonical serialization; nothing is
-        committed."""
-        candidate = self.apply_fn(self.state, app_msg)
-        return candidate, self.serialize_fn(candidate)
-
-    def commit(self, candidate) -> None:
-        self.state = candidate
-
-
 @dataclass
 class Flag:
     accuser: int
@@ -74,14 +53,16 @@ class Flag:
 
 
 class Wrapper:
-    """One node's side of the wrapper: its attestations, a simulator of each
-    peer's machine, and its accusations, in the order it made them."""
+    """One node's side of the wrapper: its attestations, each peer's state as
+    re-executed here, and its accusations, in the order it made them. Keeping
+    each peer's state lets a receiver check the state a sender attests
+    without replaying the sender's whole history."""
 
     def __init__(self, endpoint: Endpoint, peers, initial_state, apply_fn, serialize_fn):
         self.endpoint = endpoint
+        self.apply_fn = apply_fn
         self.serialize_fn = serialize_fn
-        self.simulators = {peer: StateSimulator(initial_state, apply_fn, serialize_fn)
-                           for peer in peers}
+        self.states = dict.fromkeys(peers, initial_state)
         self.flags: list[Flag] = []
 
     def attest(self, app_msg: bytes, state) -> bytes:
@@ -111,15 +92,15 @@ class Wrapper:
         return None
 
     def _re_execute(self, sender: int, app_msg: bytes, state: bytes):
-        """Run the message on the sender's simulator; commit the step only if
-        the sender attested the state it reaches."""
-        simulator = self.simulators[sender]
-        candidate, expected = simulator.expected_after(app_msg)
+        """Run the message on the sender's state; keep the state it reaches
+        only if the sender attested that state."""
+        candidate = self.apply_fn(self.states[sender], app_msg)
+        expected = self.serialize_fn(candidate)
         if state != expected:
             self.accuse(sender, "state-mismatch",
                         f"expected {expected.hex()}, got {state.hex()}")
             return None
-        simulator.commit(candidate)
+        self.states[sender] = candidate
         return app_msg, candidate
 
     def accuse(self, peer: int, reason: str, detail: str = "") -> None:

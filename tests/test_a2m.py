@@ -137,9 +137,42 @@ def test_head_and_tail_after_truncate():
     store = make_store()
     for i in range(4):
         store.append(LOG, bytes([i]))
-    assert (store.head(LOG), store.tail(LOG)) == (0, 4)
+    assert (store.logs[LOG].first, store.tail(LOG)) == (0, 4)
     store.truncate(LOG, head=3, z=b"t" * 32)
-    assert (store.head(LOG), store.tail(LOG)) == (3, 5)   # the marker is entry 4
+    assert (store.logs[LOG].first, store.tail(LOG)) == (3, 5)   # the marker is entry 4
+
+
+def test_truncate_below_the_head_is_refused_and_appends_nothing():
+    store = make_store()
+    for i in range(4):
+        store.append(LOG, bytes([i]))
+    store.truncate(LOG, head=3, z=b"t" * 32)
+    manifest_len = store.tail(MANIFEST)
+    with pytest.raises(OutOfRange):
+        store.truncate(LOG, head=1, z=b"t" * 32)
+    assert (store.tail(LOG), store.tail(MANIFEST)) == (5, manifest_len)
+    with pytest.raises(OutOfRange):
+        store.lookup(LOG, 1)     # a forgotten entry stays forgotten
+
+
+def test_the_manifest_log_is_never_truncated():
+    store = make_store()
+    for i in range(3):
+        store.append(LOG, bytes([i]))
+    store.truncate(LOG, head=2, z=b"m" * 32)
+    with pytest.raises(ValueError):
+        store.truncate(MANIFEST, head=1, z=b"m" * 32)
+    assert store.manifest_bounds(LOG) == (2, 3)
+
+
+def test_truncate_frees_the_forgotten_entries():
+    store = make_store()
+    for i in range(64):
+        store.append(LOG, bytes([i]))
+    store.truncate(LOG, head=64, z=b"f" * 32)
+    log = store.logs[LOG]
+    assert [entry.seq for entry in log.entries] == [64]   # the marker alone
+    store.verify_lookup(LOG, store.lookup(LOG, 64))
 
 
 def test_truncate_twice_same_nonce_distinct_manifest_entries():

@@ -20,7 +20,7 @@ from attestnet.checker import (
     replay_counterexample,
 )
 from attestnet.errors import AuthFailure, InstanceTooLarge, PayloadTooLarge, WrongSender
-from attestnet.kernel import AttestationKernel
+from attestnet.kernel import AttestationKernel, MAX_PAYLOAD
 from attestnet.protocols.common import derive_key
 from attestnet.simnet import ACTION_KINDS, FaultAction
 from attestnet.wire import decode_frame, encode_frame
@@ -61,10 +61,10 @@ def test_gap_accepting_kernel_violates_no_lost():
 
 
 def test_frozen_counter_kernel_keeps_the_payload_bound():
-    kernel = FrozenCounterKernel(device=1, max_payload=8)
+    kernel = FrozenCounterKernel(device=1)
     kernel.provision_session(1, derive_key(0, 1))
     with pytest.raises(PayloadTooLarge):
-        kernel.attest(1, bytes(9))
+        kernel.attest(1, bytes(MAX_PAYLOAD + 1))
 
 
 def test_gap_accepting_kernel_rejects_a_non_peer_without_moving_its_counter():

@@ -15,7 +15,7 @@ from attestnet.protocols.common import transport_session
 from attestnet.protocols.peerreview import PrScenario
 from attestnet.scenario import PROTOCOLS
 from attestnet.simnet import ACTION_KINDS, DEFAULT_RETRY_BUDGET, FaultAction, FaultSchedule
-from attestnet.transform import StateSimulator
+from attestnet.transform import Wrapper
 from attestnet.wire import decode_frame
 
 
@@ -31,13 +31,13 @@ def test_bench_each_protocol(protocol, capsys):
 
 def test_bft_bench_re_executes_peers_through_the_wrapper(monkeypatch, capsys):
     calls = []
-    expected_after = StateSimulator.expected_after
+    re_execute = Wrapper._re_execute
 
-    def counting(self, app_msg):
+    def counting(self, sender, app_msg, state):
         calls.append(app_msg)
-        return expected_after(self, app_msg)
+        return re_execute(self, sender, app_msg, state)
 
-    monkeypatch.setattr(StateSimulator, "expected_after", counting)
+    monkeypatch.setattr(Wrapper, "_re_execute", counting)
     assert cli.main(["bench", "--protocol", "bft", "--requests", "4"]) == 0
     # Per request: two followers check the leader's proof and each other's
     # forward, and the leader checks two acks.

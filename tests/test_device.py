@@ -141,7 +141,8 @@ def test_local_send_multicast_same_triple_to_both_peers():
     msg = sender.local_send(9, b"multicast")
     out1 = r1.kernel.verify(msg)
     out2 = r2.kernel.verify(msg)
-    assert out1.triple() == out2.triple() == (1, 9, 0)
+    assert ((out1.device, out1.session, out1.counter)
+            == (out2.device, out2.session, out2.counter) == (1, 9, 0))
 
 
 def make_log_pair():
@@ -228,13 +229,6 @@ def test_delay_accounting_lower_bound():
     assert net.clock.now_ns - start >= n * delay
     net.run_until_quiescent()
     assert len(b.poll(1)) == n
-
-
-def test_rem_write_is_attested_message_exchange():
-    net, a, b = make_pair()
-    a.rem_write(1, b"remote value")
-    net.run_until_quiescent()
-    assert b.poll(1)[0].payload == b"remote value"
 
 
 def test_send_without_transport_uses_up_no_counter():

@@ -18,6 +18,7 @@ from attestnet.kernel import (
     AttestationKernel,
     AttestedMessage,
     COUNTER_LIMIT,
+    MAX_PAYLOAD,
     SessionState,
     attest_with,
     compute_tag,
@@ -131,12 +132,12 @@ def test_shared_key_cross_device_verification():
 
 
 def test_unknown_session_and_payload_limits():
-    kernel = AttestationKernel(device=1, max_payload=8)
+    kernel = AttestationKernel(device=1)
     with pytest.raises(UnknownSession):
         kernel.attest(5, b"m")
     kernel.provision_session(5, KEY)
     with pytest.raises(PayloadTooLarge):
-        kernel.attest(5, b"way too large")
+        kernel.attest(5, bytes(MAX_PAYLOAD + 1))
 
 
 def test_counter_overflow_is_hard_error():
@@ -183,8 +184,9 @@ def test_no_equivocation_triple_uniqueness(data):
     seen: dict[tuple, bytes] = {}
     for i in range(10):
         msg = kernel.attest(1, data + bytes([i]))
-        assert msg.triple() not in seen
-        seen[msg.triple()] = msg.payload
+        triple = (msg.device, msg.session, msg.counter)
+        assert triple not in seen
+        seen[triple] = msg.payload
 
 
 def test_determinism_of_attest():
@@ -290,4 +292,4 @@ def test_attested_message_is_immutable_and_hashes_by_value():
     copy = decode_frame(encode_frame(msg))
     assert copy == msg and copy is not msg
     assert hash(copy) == hash(msg) and len({copy, msg}) == 1
-    assert copy.triple() == (7, 1, 0)
+    assert (copy.device, copy.session, copy.counter) == (7, 1, 0)

@@ -38,7 +38,7 @@ def test_honest_five_rounds_shadow_tracks_real_state():
         msg = bytes([i])
         state = apply_sum(state, msg)
         assert receiver.receive(SENDER, sender.attest(msg, state)) == (msg, state)
-        assert receiver.simulators[SENDER].state == state
+        assert receiver.states[SENDER] == state
     assert receiver.flags == []
 
 
@@ -49,7 +49,7 @@ def test_wrong_transition_detected_at_first_affected_round():
     assert receiver.receive(SENDER, sender.attest(b"\x02", lying_state)) is None
     assert receiver.flags == [Flag(RECEIVER, SENDER, "state-mismatch",
                                    "expected 00000005, got 00000006")]
-    assert receiver.simulators[SENDER].state == 3    # not advanced past the bad round
+    assert receiver.states[SENDER] == 3    # not advanced past the bad round
 
 
 def test_second_attestation_for_one_step_is_equivocation():
@@ -61,7 +61,7 @@ def test_second_attestation_for_one_step_is_equivocation():
     assert receiver.receive(SENDER, second) is None
     assert receiver.flags == [Flag(RECEIVER, SENDER, "equivocation",
                                    "expected counter 0, got 1")]
-    assert receiver.simulators[SENDER].state == 0
+    assert receiver.states[SENDER] == 0
 
 
 def test_flipped_tag_is_forged_attestation():
@@ -71,7 +71,7 @@ def test_flipped_tag_is_forged_attestation():
     assert receiver.receive(SENDER, forged) is None
     assert [(fl.accused, fl.reason) for fl in receiver.flags] == [
         (SENDER, "forged-attestation")]
-    assert receiver.simulators[SENDER].state == 0
+    assert receiver.states[SENDER] == 0
 
 
 def test_a_flagged_peers_later_frames_are_never_checked():
