@@ -13,7 +13,8 @@ session (TRANSPORT_BASE | a << 8 | b, for devices a < b), has an inbox and is
 reached only from the wire (`deliver_frame`). Each path rejects the other
 role with `WrongSessionRole`, so a log frame copied onto the wire never moves
 the counter its proof is checked against, and each receive counter has one
-path that moves it.
+path that moves it. A frame handed over to `local_verify` must also name, in
+its header, the session it is verified on.
 
 Processing delays are charged to a simulated clock that advances integer
 nanoseconds deterministically; host time is never read here. `Network.attach`
@@ -162,13 +163,16 @@ class Endpoint:
 
     def local_verify(self, session: int, msg: AttestedMessage) -> AttestedMessage:
         """Verify a handed-over message (BFT proof, chain level) on the log
-        session the caller names, not the header's, which is outside the MAC;
-        in the sender's emission order."""
-        if session in self._inboxes:
-            raise WrongSessionRole(f"session {session} is a transport session")
-        state = self.kernel.session_state(session)
-        self._charge()
+        session the caller names, which its header, outside the MAC, must
+        name too; in the sender's emission order. The session checks come
+        before any tag or charge; a rejection is recorded under `session`."""
         try:
+            if session in self._inboxes:
+                raise WrongSessionRole(f"session {session} is a transport session")
+            if msg.session != session:
+                raise WrongSessionRole(f"frame names session {msg.session}, not {session}")
+            state = self.kernel.session_state(session)
+            self._charge()
             return verify_with(state, msg, self.peers[session])
         except KernelError as exc:
             self.rejection_events.append((session, type(exc).__name__))

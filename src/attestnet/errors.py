@@ -20,7 +20,8 @@ class UnknownSession(KernelError):
 
 
 class WrongSessionRole(KernelError):
-    """A network frame names a log session, or local_verify a transport one."""
+    """A network frame names a log session; or local_verify is asked for a
+    transport session, or for a frame whose header names another session."""
 
 
 class DuplicateSession(KernelError):
@@ -112,12 +113,7 @@ class OutOfRange(AttestnetError):
 
 
 class ChainValidationFailure(AttestnetError):
-    """A proof-of-execution chain is inconsistent at some position."""
-
-    def __init__(self, position: int, detail: str = ""):
-        super().__init__(f"chain invalid at position {position}: {detail}")
-        self.position = position
-        self.detail = detail
+    """A chain proof does not validate; the message is the accusing flag's reason."""
 
 
 # --- checker ------------------------------------------------------------------

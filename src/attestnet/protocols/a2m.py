@@ -8,16 +8,16 @@ appends a marker entry, records it in a dedicated manifest log, then
 checkpoints the log (`TamperEvidentLog.truncate`), which frees the forgotten
 entries. Lookup and verification read the log's retained window, so a
 forgotten entry never looks up or verifies again. A head outside that window
-is refused before anything is appended, and so is the manifest log itself,
-which `manifest_bounds` replays.
+is refused before anything is appended, as are a marker whose frame overflows
+a manifest entry and the manifest log, which `manifest_bounds` replays.
 """
 
 import struct
 
 from ..device import Endpoint
-from ..errors import AuthFailure, OutOfRange
-from ..kernel import AttestedMessage
-from ..wire import decode_frame, encode_frame
+from ..errors import AuthFailure, OutOfRange, PayloadTooLarge
+from ..kernel import MAX_PAYLOAD, AttestedMessage
+from ..wire import FRAME_OVERHEAD, decode_frame, encode_frame
 from .logchain import LogEntry, TamperEvidentLog
 
 TRNC_MARK = b"TRNC"
@@ -73,6 +73,8 @@ class A2mStore:
         if not log.first <= head <= len(log):
             raise OutOfRange(f"head {head} outside [{log.first}, {len(log)}]")
         ctx = TRNC_MARK + struct.pack(">I", log_id) + z + struct.pack(">Q", head)
+        if len(ctx) + FRAME_OVERHEAD > MAX_PAYLOAD:
+            raise PayloadTooLarge(f"marker frame of {len(ctx) + FRAME_OVERHEAD} bytes")
         trnc_msg, _ = self._append(log_id, ctx)
         _, manifest_entry = self._append(self.manifest_log, encode_frame(trnc_msg))
         log.truncate(head)

@@ -16,11 +16,12 @@ level frame on its log session:
 A transport frame carries the request once plus every upstream level frame,
 position 0 first (`encode_proof`). The validator at position p hashes the
 request and its expected output once each, then checks each level in order:
-its tag and attester (`local_verify`), its link to the request or to the level
-before, and its output digest. Any failure accuses p-1 and names the failing
-level's node: p-1 alone sends on the MACed transport session, and an honest
-node validates every level before it extends the proof and stops once it
-flags, so p-1 made the fault or forwarded it. Each hop MACs the request once
+its header session, tag and attester (`local_verify`), its link to the
+request or to the level before, and its output digest. Any failure is a
+`transform.Flag` accusing p-1's device, its reason naming the failing level's
+node: p-1 alone sends on the MACed transport session, and an honest node
+validates every level before it extends the proof and stops once it flags,
+so p-1 made the fault or forwarded it. Each hop MACs the request once
 plus p small levels, so the cost no longer grows with chain length x payload.
 
 Reads cannot be served locally by the tail in the Byzantine model; every
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 
 from ..device import pack_batch, pack_pair, unpack_batch, unpack_pair
 from ..errors import ChainValidationFailure, FrameError, KernelError
+from ..transform import Flag
 from ..wire import decode_frame, encode_frame
 from .common import (
     ClusterNet,
@@ -116,20 +118,13 @@ def peel_poe(proof: bytes) -> tuple[bytes, list[bytes]]:
 
 
 @dataclass
-class ChainFlag:
-    accuser: int
-    accused_position: int
-    reason: str
-
-
-@dataclass
 class ChainNode:
     node_id: int
     position: int
     order: list[int]
     cluster: ClusterNet
     machine: KvMachine = field(default_factory=KvMachine)
-    flags: list[ChainFlag] = field(default_factory=list)
+    flags: list[Flag] = field(default_factory=list)
     outbox_replies: list[Reply] = field(default_factory=list)
     deviated: bool = False      # `attested_output` changed a committed output
 
@@ -165,46 +160,39 @@ class ChainNode:
 
     def validate_chain(self, proof: bytes) -> tuple[
             bytes, list[bytes], Op, bytes, bytes, bytes, bytes]:
-        """Verify every upstream level; any failure accuses the upstream node.
+        """Verify every upstream level; any failure raises
+        ChainValidationFailure, which accuses the upstream neighbour.
 
         Returns (req, upstream level frames, decoded op, expected output,
         H(req), H(expected output), H(last level frame)): what `_commit`
         needs to commit the op and attest, forward and reply without decoding
         or executing it again.
         """
-        upstream = self.position - 1
         try:
             req, levels = peel_poe(proof)
         except FrameError as exc:
-            raise ChainValidationFailure(upstream, str(exc)) from None
+            raise ChainValidationFailure(str(exc)) from None
         if len(levels) != self.position:
-            raise ChainValidationFailure(
-                upstream, f"{len(levels)} levels, expected {self.position}")
+            raise ChainValidationFailure(f"{len(levels)} levels, expected {self.position}")
         try:
             op = decode_op(decode_request(req)[2])
         except FrameError as exc:
-            raise ChainValidationFailure(upstream, f"request: {exc}") from None
+            raise ChainValidationFailure(f"request: {exc}") from None
         expected_out = self.machine.output(*op)
         out_digest = digest(expected_out)
         req_digest = link = digest(req)
         for position, frame in enumerate(levels):
             node = self.order[position]
-            session = log_session(node)
             try:
-                level = decode_frame(frame)
-                self.endpoint.local_verify(session, level)
+                payload = self.endpoint.local_verify(
+                    log_session(node), decode_frame(frame)).payload
             except (FrameError, KernelError) as exc:
-                raise ChainValidationFailure(
-                    upstream, f"{type(exc).__name__} at node {node}") from None
-            payload = level.payload
+                raise ChainValidationFailure(f"{type(exc).__name__} at node {node}") from None
             kind = POE_CHAIN if position else POE_BASE
-            # The header's session id is outside the MAC, so it is checked here.
-            if (level.session != session
-                    or payload[:1 + DIGEST_LEN] != bytes([kind]) + link):
-                raise ChainValidationFailure(upstream, f"link mismatch at node {node}")
+            if payload[:1 + DIGEST_LEN] != bytes([kind]) + link:
+                raise ChainValidationFailure(f"link mismatch at node {node}")
             if payload[1 + DIGEST_LEN:] != out_digest:
-                raise ChainValidationFailure(
-                    upstream, f"output mismatch at node {node}")
+                raise ChainValidationFailure(f"output mismatch at node {node}")
             link = digest(frame)
         return req, levels, op, expected_out, req_digest, out_digest, link
 
@@ -218,7 +206,7 @@ class ChainNode:
             (req, levels, op, out, req_digest, out_digest,
              link) = self.validate_chain(proof)
         except ChainValidationFailure as exc:
-            self.flags.append(ChainFlag(self.node_id, exc.position, exc.detail))
+            self.flags.append(Flag(self.node_id, self.order[self.position - 1], str(exc)))
             return
         self._commit(req, levels, op, out, req_digest, link, out_digest)
 
@@ -326,7 +314,7 @@ class ChainCluster:
         return {d: list(range(1, node.machine.commit_index + 1))
                 for d, node in self.nodes.items()}
 
-    def all_flags(self) -> list[ChainFlag]:
+    def all_flags(self) -> list[Flag]:
         out = []
         for device in self.order:
             out.extend(self.nodes[device].flags)

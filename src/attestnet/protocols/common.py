@@ -18,9 +18,10 @@ of devices, the only sessions reached from the wire, and one log session per
 device, whose key is shared with every party that must verify that node's
 locally attested messages (the unicast-multicast discipline). A log frame
 never travels on its own: it rides inside a transport frame's payload (a BFT
-proof, a chain level, a PeerReview response), is verified with `local_verify`
-on the session the reader names, and an endpoint rejects a copy sent as a
-frame of its own.
+proof, a chain level, a PeerReview response), and an endpoint rejects a copy
+sent as a frame of its own. BFT and CR verify it with `local_verify` on the
+session the reader names, which its header must name too; a PeerReview
+response is checked by the witness that audits the child's log.
 """
 
 import hashlib

@@ -267,7 +267,7 @@ def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
         return accepted is not None
     timing = _run_rounds(spec, cluster.cluster.net.clock, submit, 4)
 
-    flags = [{"accuser": fl.accuser, "position": fl.accused_position,
+    flags = [{"accuser": fl.accuser, "position": cluster.order.index(fl.accused),
               "reason": fl.reason} for fl in cluster.all_flags()]
     histories = cluster.commit_histories()
     identical = len({tuple(h) for h in histories.values()}) == 1

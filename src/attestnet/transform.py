@@ -4,21 +4,23 @@ A wrapped node attests each protocol message together with the serialized
 state it reaches, as one `local_send` on its log session (`Wrapper.attest`).
 A receiver runs two checks on every such frame (`Wrapper.receive`):
 
-  1. `local_verify` on the sender's log session, in the sender's log-stream
-     order. The kernel never binds two payloads to one (session, counter),
-     so a second, conflicting attestation for one step arrives at the wrong
-     counter: every receiver shares one view of each sender's stream, and
-     no echo or extra byte is needed for it.
+  1. `local_verify` on the sender's log session, which the frame's header
+     must name, in the sender's log-stream order. The kernel never binds
+     two payloads to one (session, counter), so a second, conflicting
+     attestation for one step arrives at the wrong counter: every receiver
+     shares one view of each sender's stream, and no echo or extra byte is
+     needed for it.
   2. re-execution of the message from the state the receiver last accepted
      for the sender (`Wrapper.states`), with the sender's deterministic
      state machine; the state the sender attested must be the serialization
      of the state it reaches, and only then is that state kept.
 
 A failed check is an accusation (`Flag`), never a silent drop, and a
-flagged peer is read no more. The wrapper is generic over the state machine
-through two supplied functions, apply and serialize (canonical bytes);
-`probe_determinism` rejects a non-deterministic machine, once, before it is
-re-executed. `protocols.bft.BftReplica` is a crash-tolerant counter run on it.
+flagged peer is read no more; `Flag` is also chain replication's record.
+The wrapper is generic over the state machine through two supplied
+functions, apply and serialize (canonical bytes); `probe_determinism`
+rejects a non-deterministic machine, once, before it is re-executed.
+`protocols.bft.BftReplica` is a crash-tolerant counter run on it.
 """
 
 from dataclasses import dataclass

@@ -5,10 +5,12 @@ import hashlib
 import pytest
 
 from attestnet.device import DeviceConfig, Endpoint
-from attestnet.errors import AuthFailure, OutOfRange
+from attestnet.errors import AuthFailure, OutOfRange, PayloadTooLarge
+from attestnet.kernel import MAX_PAYLOAD
 from attestnet.protocols.a2m import A2mStore
 from attestnet.protocols.logchain import GENESIS_DIGEST, LogEntry
 from attestnet.scenario import run_scenario
+from attestnet.wire import FRAME_OVERHEAD
 
 LOG = 5
 MANIFEST = 6
@@ -162,6 +164,18 @@ def test_the_manifest_log_is_never_truncated():
     store.truncate(LOG, head=2, z=b"m" * 32)
     with pytest.raises(ValueError):
         store.truncate(MANIFEST, head=1, z=b"m" * 32)
+    assert store.manifest_bounds(LOG) == (2, 3)
+
+
+def test_truncate_whose_marker_frame_overflows_the_manifest_appends_nothing():
+    store = make_store()
+    for i in range(3):
+        store.append(LOG, bytes([i]))
+    with pytest.raises(PayloadTooLarge):
+        store.truncate(LOG, head=2, z=bytes(MAX_PAYLOAD - 16))
+    assert (store.tail(LOG), store.tail(MANIFEST), store.logs[LOG].first) == (3, 0, 0)
+    # The marker's frame, 84 bytes longer than the marker, fits exactly.
+    store.truncate(LOG, head=2, z=bytes(MAX_PAYLOAD - 16 - FRAME_OVERHEAD))
     assert store.manifest_bounds(LOG) == (2, 3)
 
 

@@ -188,6 +188,23 @@ def test_proof_with_a_forged_inner_tag_is_flagged_and_never_applied():
     assert cluster.correct_values() == {1: 0, 2: 0, 3: 0}
 
 
+def test_proof_whose_inner_header_names_another_session_is_flagged():
+    # The inner header's session is outside the MAC; relabelled as follower
+    # 3's log, the proof still carries a valid tag for the leader's log.
+    def relabel(ep, log, inner):
+        frame = _attested(ep, log, inner)
+        return bytes([KIND_PROOF]) + struct.pack(">I", log_session(3)) + frame[4:]
+    cluster = BftCluster.build(n=3, f=1, seed=5, leader_cls=MalformedProofLeader,
+                               leader_kwargs={"malform": relabel})
+    req = cluster.run_request(0, 1)
+    assert [(fl.accuser, fl.accused, fl.reason) for fl in cluster.all_flags()] == [
+        (2, 1, "WrongSessionRole"), (3, 1, "WrongSessionRole")]
+    assert cluster.correct_values() == {1: 0, 2: 0, 3: 0}
+    assert cluster.cluster.endpoints[2].rejection_events == [
+        (log_session(1), "WrongSessionRole")]
+    assert cluster.clients[0].accepted_value(req) is None
+
+
 class CrashAfterFirstSendLeader(BftReplica):
     """Leader that reaches only one follower before failing."""
 

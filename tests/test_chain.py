@@ -2,13 +2,15 @@
 
 import json
 import struct
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attestnet import kernel
 from attestnet.protocols import chain
 from attestnet.device import pack_batch
-from attestnet.errors import ChainValidationFailure, WrongSender
+from attestnet.errors import WrongSender
 from attestnet.protocols.chain import (
     POE_BASE,
     POE_CHAIN,
@@ -27,7 +29,11 @@ from attestnet.protocols.chain import (
 from attestnet.protocols.common import log_session, transport_session
 from attestnet.scenario import run_scenario
 from attestnet.simnet import FaultAction, FaultSchedule
+from attestnet.transform import Flag
 from attestnet.wire import decode_frame, encode_frame
+
+# ChainCluster.build orders devices 1..n: the device at position k is k + 1.
+ORDER = [1, 2, 3, 4, 5]
 
 
 def reexecute_oracle(requests: list[bytes]) -> list[bytes]:
@@ -84,7 +90,7 @@ def test_middle_lie_caught_by_first_downstream_node():
     req = cluster.run_put(0, 1, b"k", b"v")
     tail_flags = cluster.nodes[3].flags
     assert len(tail_flags) == 1
-    assert tail_flags[0].accused_position == 1
+    assert tail_flags[0].accused == cluster.order[1]
     # head reply is correct, middle reply lies, tail refuses: no f+1 quorum
     # for the wrong value, so the client never accepts a lie
     accepted = client.accepted_value(req)
@@ -110,11 +116,11 @@ def test_validate_chain_flags_tag_corruption():
         log_session(1), bytes([POE_BASE]) + digest(req) + digest(out))
     frame = bytearray(encode_frame(level))
     frame[25] ^= 0x01           # corrupt payload inside the level frame
-    with pytest.raises(ChainValidationFailure) as exc_info:
-        middle.validate_chain(encode_proof(req, [bytes(frame)]))
-    assert exc_info.value.position == 0
+    middle.middle_tail_handle(encode_proof(req, [bytes(frame)]))
+    assert middle.flags == [Flag(2, cluster.order[0], "AuthFailure at node 1")]
 
 
+@lru_cache(maxsize=None)
 def honest_proof(position: int, n: int = 5, seed: int = 5) -> bytes:
     """The transport payload an honest chain hands `position` for one put."""
     cluster = ChainCluster.build(n=n, seed=seed)
@@ -130,10 +136,12 @@ def fresh_node(position: int, n: int = 5, seed: int = 5):
     return cluster.nodes[cluster.order[position]]
 
 
-def accused(position: int, proof: bytes, n: int = 5) -> ChainValidationFailure:
-    with pytest.raises(ChainValidationFailure) as exc_info:
-        fresh_node(position, n).validate_chain(proof)
-    return exc_info.value
+def accused(position: int, proof: bytes, n: int = 5) -> Flag:
+    """The one flag a fresh node at `position` raises on `proof`."""
+    node = fresh_node(position, n)
+    node.middle_tail_handle(proof)
+    (flag,) = node.flags
+    return flag
 
 
 def test_honest_proof_validates_at_every_position():
@@ -157,19 +165,20 @@ def test_honest_proof_validates_at_every_position():
 ])
 def test_proof_with_wrong_level_count_accuses_upstream_neighbour(
         n, sent_for, received_at):
-    failure = accused(received_at, honest_proof(sent_for, n), n)
-    assert failure.position == received_at - 1
+    flag = accused(received_at, honest_proof(sent_for, n), n)
+    assert flag.accused == ORDER[received_at - 1]
+    assert flag.reason == f"{sent_for} levels, expected {received_at}"
 
 
 def test_malformed_proof_accuses_upstream_neighbour():
     proof = honest_proof(2)
-    assert accused(2, proof[:-1]).position == 1
-    assert accused(2, proof + b"\x00").position == 1
+    assert accused(2, proof[:-1]).accused == ORDER[1]
+    assert accused(2, proof + b"\x00").accused == ORDER[1]
 
 
 def test_proof_with_no_request_accuses_upstream_neighbour():
-    failure = accused(2, pack_batch([]))
-    assert failure.position == 1 and "without a request" in failure.detail
+    flag = accused(2, pack_batch([]))
+    assert flag.accused == ORDER[1] and "without a request" in flag.reason
 
 
 # Header fields (session, device, counter, length), the kind byte, the link,
@@ -189,9 +198,34 @@ def test_flipped_byte_in_a_level_is_flagged_at_that_level(position, level):
         frame = bytearray(levels[level])
         frame[offset] ^= 0x01
         tampered = levels[:level] + [bytes(frame)] + levels[level + 1:]
-        failure = accused(position, encode_proof(req, tampered))
-        assert failure.position == position - 1, offset
-        assert failure.detail.endswith(f"at node {level + 1}"), offset
+        flag = accused(position, encode_proof(req, tampered))
+        assert flag.accused == ORDER[position - 1], offset
+        assert flag.reason.endswith(f"at node {level + 1}"), offset
+        if offset == 3:     # the header's session id, outside the MAC
+            assert flag.reason == f"WrongSessionRole at node {level + 1}"
+
+
+@st.composite
+def flipped_proofs(draw):
+    """(n, receiving position, its honest proof with any one bit flipped)."""
+    n = draw(st.sampled_from([3, 4, 5]))
+    position = draw(st.integers(1, n - 1))
+    proof = bytearray(honest_proof(position, n))
+    bit = draw(st.integers(0, len(proof) * 8 - 1))
+    proof[bit // 8] ^= 1 << bit % 8
+    return n, position, bytes(proof)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=flipped_proofs())
+def test_any_flipped_proof_bit_accuses_the_upstream_neighbour_once(case):
+    # The bit may sit in the batch framing, the request or any level.
+    n, position, proof = case
+    node = fresh_node(position, n)
+    node.middle_tail_handle(proof)
+    assert [flag.accused for flag in node.flags] == [ORDER[position - 1]]
+    assert node.machine.commit_index == 0 and node.outbox_replies == []
+    assert not node.cluster.net.has_pending()
 
 
 @pytest.mark.parametrize("position", range(1, 5))
@@ -200,9 +234,9 @@ def test_changed_request_byte_is_a_link_mismatch_at_the_head(position, offset):
     req, levels = peel_poe(honest_proof(position))
     changed = bytearray(req)
     changed[offset] ^= 0x01
-    failure = accused(position, encode_proof(bytes(changed), levels))
-    assert failure.position == position - 1
-    assert failure.detail == "link mismatch at node 1"
+    flag = accused(position, encode_proof(bytes(changed), levels))
+    assert flag.accused == ORDER[position - 1]
+    assert flag.reason == "link mismatch at node 1"
 
 
 @pytest.mark.parametrize("first, second", [
@@ -210,9 +244,9 @@ def test_changed_request_byte_is_a_link_mismatch_at_the_head(position, offset):
 def test_swapped_levels_flagged_at_first_swapped_position(first, second):
     req, levels = peel_poe(honest_proof(4))
     levels[first], levels[second] = levels[second], levels[first]
-    failure = accused(4, encode_proof(req, levels))
-    assert failure.position == 3
-    assert failure.detail.endswith(f"at node {first + 1}")
+    flag = accused(4, encode_proof(req, levels))
+    assert flag.accused == ORDER[3]
+    assert flag.reason.endswith(f"at node {first + 1}")
 
 
 class FlipsLevelZero(ChainNode):
@@ -245,8 +279,8 @@ def test_byzantine_forwarder_cannot_frame_an_honest_upstream_node(forwarder, rea
     cluster = ChainCluster.build(n=4, seed=7, node_cls_at={2: forwarder})
     for req_id in (1, 2):
         cluster.run_put(0, req_id, b"k", b"v%d" % req_id)
-    assert [(flag.accuser, flag.accused_position, flag.reason)
-            for flag in cluster.all_flags()] == [(4, 2, reason)]
+    assert [(flag.accuser, flag.accused, flag.reason)
+            for flag in cluster.all_flags()] == [(4, cluster.order[2], reason)]
 
 
 def test_level_attested_by_another_device_is_rejected():
@@ -310,7 +344,8 @@ def test_request_that_is_not_an_op_accuses_the_head(shorten):
     cluster = ChainCluster.build(n=3, seed=8, node_cls_at={0: ShortRequestHead},
                                  node_kwargs_at={0: {"shorten": shorten}})
     req = cluster.run_put(0, 1, b"k", b"v")
-    assert [(fl.accuser, fl.accused_position) for fl in cluster.all_flags()] == [(2, 0)]
+    assert [(fl.accuser, fl.accused) for fl in cluster.all_flags()] == [
+        (2, cluster.order[0])]
     assert cluster.all_flags()[0].reason.startswith("request: ")
     assert cluster.clients[0].accepted_value(req) is None
     assert cluster.commit_histories() == {1: [], 2: [], 3: []}

@@ -14,7 +14,13 @@ from attestnet.device import (
     unpack_batch,
 )
 from attestnet import kernel as kernel_mod
-from attestnet.errors import DuplicateSession, TransportClosed, UnknownPeer, WrongSessionRole
+from attestnet.errors import (
+    DuplicateSession,
+    TransportClosed,
+    UnknownPeer,
+    UnknownSession,
+    WrongSessionRole,
+)
 from attestnet.simnet import FaultAction, FaultSchedule, Network
 from attestnet.wire import encode_frame
 
@@ -169,6 +175,31 @@ def test_local_verify_on_a_transport_session_is_a_wrong_role():
     with pytest.raises(WrongSessionRole):
         b.local_verify(1, a.local_send(1, b"not a log entry"))
     assert b.kernel.session_state(1).recv_cnt == 0
+
+
+@pytest.mark.parametrize("named, header, error", [
+    (1, 1, WrongSessionRole),                          # a transport session
+    (LOG, log_session(2), WrongSessionRole),           # a mislabelled header
+    (log_session(9), log_session(9), UnknownSession),
+], ids=["transport-session", "mislabelled-header", "unknown-session"])
+def test_local_verify_records_a_rejection_before_any_tag_or_charge(
+        monkeypatch, named, header, error):
+    # One event under the session the caller names; no tag, no charge, and
+    # the counter stays where the genuine entry expects it.
+    net, a, b = make_pair(attest_delay_ns=500)
+    for ep in (a, b):
+        ep.provision([(LOG, 1, KEY2)])
+    entry = a.local_send(LOG, b"log entry")
+    tags = []
+    compute_tag = kernel_mod.compute_tag
+    monkeypatch.setattr(kernel_mod, "compute_tag",
+                        lambda *args: tags.append(args) or compute_tag(*args))
+    before = b.clock.now_ns
+    with pytest.raises(error):
+        b.local_verify(named, entry._replace(session=header))
+    assert b.rejection_events == [(named, error.__name__)]
+    assert (b.clock.now_ns, tags) == (before, [])
+    assert b.local_verify(LOG, entry) == entry
 
 
 def test_network_frame_on_a_log_session_is_rejected_untagged(monkeypatch):
