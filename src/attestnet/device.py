@@ -35,7 +35,7 @@ from .errors import (
     UnknownSession,
     WrongSessionRole,
 )
-from .kernel import KEY_LEN, SESSION_LIMIT, AttestationKernel, AttestedMessage, verify_with
+from .kernel import KEY_LEN, SESSION_LIMIT, AttestationKernel, AttestedMessage
 from .wire import decode_frame, encode_frame
 
 TRANSPORT_BASE = 0x0100_0000
@@ -162,18 +162,18 @@ class Endpoint:
     # -- receiving ---------------------------------------------------------
 
     def local_verify(self, session: int, msg: AttestedMessage) -> AttestedMessage:
-        """Verify a handed-over message (BFT proof, chain level) on the log
-        session the caller names, which its header, outside the MAC, must
-        name too; in the sender's emission order. The session checks come
+        """Verify a handed-over message (BFT proof, chain level) with the
+        kernel's `verify`, on the log session the caller names, which its
+        header, outside the MAC, must name too. The session checks come
         before any tag or charge; a rejection is recorded under `session`."""
         try:
             if session in self._inboxes:
                 raise WrongSessionRole(f"session {session} is a transport session")
             if msg.session != session:
                 raise WrongSessionRole(f"frame names session {msg.session}, not {session}")
-            state = self.kernel.session_state(session)
+            self.kernel.session_state(session)
             self._charge()
-            return verify_with(state, msg, self.peers[session])
+            return self.kernel.verify(msg, self.peers[session])
         except KernelError as exc:
             self.rejection_events.append((session, type(exc).__name__))
             raise

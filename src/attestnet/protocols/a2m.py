@@ -1,22 +1,23 @@
 """Attested append-only memory: trusted logs in untrusted storage.
 
-Each log is backed by one attestation session; an append attests the context
-and the emitted counter becomes the entry's sequence number, so the log
+Each log is a `TamperEvidentLog` on one attestation session, the log id: it
+attests each append and stores it under the emitted counter, so the log
 position itself is bound under the MAC. Lookups are pure local reads;
-verification is a separate, explicit step. Truncation is a checkpoint: it
-appends a marker entry, records it in a dedicated manifest log, then
-checkpoints the log (`TamperEvidentLog.truncate`), which frees the forgotten
-entries. Lookup and verification read the log's retained window, so a
-forgotten entry never looks up or verifies again. A head outside that window
-is refused before anything is appended, as are a marker whose frame overflows
-a manifest entry and the manifest log, which `manifest_bounds` replays.
+verification is a separate, explicit step, a tag check of the attestation
+the log rebuilds. Truncation is a checkpoint: it appends a marker entry,
+records it in a dedicated manifest log, then checkpoints the log
+(`TamperEvidentLog.truncate`), which frees the forgotten entries. Lookup and
+verification read the log's retained window, so a forgotten entry never
+looks up or verifies again. A head outside that window is refused before
+anything is appended, as are a marker whose frame overflows a manifest entry
+and the manifest log, which `manifest_bounds` replays.
 """
 
 import struct
 
 from ..device import Endpoint
 from ..errors import AuthFailure, OutOfRange, PayloadTooLarge
-from ..kernel import MAX_PAYLOAD, AttestedMessage
+from ..kernel import MAX_PAYLOAD
 from ..wire import FRAME_OVERHEAD, decode_frame, encode_frame
 from .logchain import LogEntry, TamperEvidentLog
 
@@ -33,20 +34,12 @@ class A2mStore:
 
     def _log(self, log_id: int) -> TamperEvidentLog:
         if log_id not in self.logs:
-            # Session must exist; raises UnknownSession otherwise.
-            self.endpoint.kernel.session_state(log_id)
-            self.logs[log_id] = TamperEvidentLog()
+            self.logs[log_id] = TamperEvidentLog(self.endpoint, log_id)
         return self.logs[log_id]
-
-    def _append(self, log_id: int, ctx: bytes) -> tuple[AttestedMessage, LogEntry]:
-        log = self._log(log_id)
-        msg = self.endpoint.local_send(log_id, ctx)
-        entry = log.append(seq=msg.counter, ctx=ctx, tag=msg.tag)
-        return msg, entry
 
     def append(self, log_id: int, ctx: bytes) -> tuple[bytes, int, bytes]:
         """Append ctx; returns the attested (tag, seq, ctx) triple."""
-        msg, _ = self._append(log_id, ctx)
+        msg = self._log(log_id).attest(ctx)
         return (msg.tag, msg.counter, ctx)
 
     def tail(self, log_id: int) -> int:
@@ -59,9 +52,9 @@ class A2mStore:
     def verify_lookup(self, log_id: int, entry: LogEntry) -> None:
         """Window check first, then the attestation tag: a truncated entry
         fails with OutOfRange before any cryptography runs."""
-        self._log(log_id).entry(entry.seq)
-        if not self.endpoint.kernel.tag_matches(
-                entry.attestation(self.endpoint.device, log_id)):
+        log = self._log(log_id)
+        log.entry(entry.seq)
+        if not self.endpoint.kernel.tag_matches(log.attestation(entry)):
             raise AuthFailure(f"stored entry {entry.seq} corrupted")
 
     def truncate(self, log_id: int, head: int, z: bytes) -> LogEntry:
@@ -75,10 +68,10 @@ class A2mStore:
         ctx = TRNC_MARK + struct.pack(">I", log_id) + z + struct.pack(">Q", head)
         if len(ctx) + FRAME_OVERHEAD > MAX_PAYLOAD:
             raise PayloadTooLarge(f"marker frame of {len(ctx) + FRAME_OVERHEAD} bytes")
-        trnc_msg, _ = self._append(log_id, ctx)
-        _, manifest_entry = self._append(self.manifest_log, encode_frame(trnc_msg))
+        manifest = self._log(self.manifest_log)
+        manifest.attest(encode_frame(log.attest(ctx)))
         log.truncate(head)
-        return manifest_entry
+        return manifest.entries[-1]
 
     def manifest_bounds(self, log_id: int) -> tuple[int, int] | None:
         """Replay the manifest backwards to the last truncation of this log.

@@ -1,20 +1,21 @@
 """Accountability protocol: tamper-evident logs audited by witnesses.
 
 A root streams commands to child nodes; every sent and received attested
-message is appended to the owner's tamper-evident log, and a child also logs
-its execution result, whose attested entry doubles as its response. Every
-node has a witness holding its peers' endpoints, so every log key and the
-key of each transport session of the node. An audit walks new entries,
-checks the cumulative-digest chain and the attestation tags, and replays the
-entries against the node's spec; the first deviation exposes the node. Both
-specs share one frame check, `Witness._frame`: a logged SENT frame went from
-the node to a peer, a RECV frame from a peer to the node, on that pair's
+message is logged in the owner's tamper-evident log, which owns its log
+session, and a child also logs its execution result, whose attested entry
+doubles as its response. Every node has a witness holding its peers'
+endpoints, so every log key and the key of each transport session of the
+node. An audit walks new entries of the node's own log session, checks the
+cumulative-digest chain and the attestations the log rebuilds, and replays
+the entries against the node's spec; the first deviation exposes the node.
+Both specs share one frame check, `Witness._frame`: a logged SENT frame went
+from the node to a peer, a RECV frame from a peer to the node, on that pair's
 session, with the next counter of its direction and a valid tag. A child's
 spec is a RECV of the root's next frame, then the EXEC of that command with
-the reference result; the root's (`RootWitness`) is, each round, one SENT
-per child in the children's order, all with the same command, and any RECV.
-Fault model: only network-observable misbehavior is detectable; detection is
-the guarantee (bad actions may take effect before they are exposed).
+the reference result; the root's (`RootWitness`) is, each round, one SENT per
+child in the children's order, all with the same command, and any RECV. Fault
+model: only network-observable misbehavior is detectable; detection is the
+guarantee (bad actions may take effect before they are exposed).
 
 A consistent audit is a checkpoint: `PrScenario.audit_all` then truncates
 the node's log to the witness's audited sequence (`TamperEvidentLog.truncate`),
@@ -84,13 +85,7 @@ class PrNode:
         self.node_id = node_id
         self.cluster = cluster
         self.endpoint = cluster.endpoints[node_id]
-        self.log = TamperEvidentLog()
-
-    def _log(self, ctx: bytes) -> AttestedMessage:
-        """Attest ctx on this node's log session and append it to the log."""
-        entry_msg = self.endpoint.local_send(log_session(self.node_id), ctx)
-        self.log.append(seq=entry_msg.counter, ctx=ctx, tag=entry_msg.tag)
-        return entry_msg
+        self.log = TamperEvidentLog(self.endpoint, log_session(node_id))
 
 
 class PrRoot(PrNode):
@@ -105,14 +100,14 @@ class PrRoot(PrNode):
     def send(self, ctx: bytes) -> None:
         for session in self.sessions.values():
             sent = self.endpoint.auth_send(session, ctx)
-            self._log(bytes([ENTRY_SENT]) + encode_frame(sent))
+            self.log.attest(bytes([ENTRY_SENT]) + encode_frame(sent))
 
     def step(self) -> bool:
         progressed = False
         for child, session in self.sessions.items():
             for msg in self.endpoint.poll(session):
                 progressed = True
-                self._log(bytes([ENTRY_RECV]) + encode_frame(msg))
+                self.log.attest(bytes([ENTRY_RECV]) + encode_frame(msg))
                 self.responses[child].append(msg.payload)
         return progressed
 
@@ -131,9 +126,9 @@ class PrChild(PrNode):
         progressed = False
         for msg in self.endpoint.poll(self.session):
             progressed = True
-            self._log(bytes([ENTRY_RECV]) + encode_frame(msg))
+            self.log.attest(bytes([ENTRY_RECV]) + encode_frame(msg))
             result = self.execute(msg.payload)
-            response_entry = self._log(encode_exec(result, msg.payload))
+            response_entry = self.log.attest(encode_exec(result, msg.payload))
             self.endpoint.auth_send(self.session, encode_frame(response_entry))
         return progressed
 
@@ -175,6 +170,7 @@ class Witness:
         self._next_counter = {(device, session): 0
                               for session, peer in self.sessions.items()
                               for device in (node.node_id, peer)}
+        self._log_key = (node.node_id, log_session(node.node_id))
         self.audited_seq = 0
         self._prev_digest = GENESIS_DIGEST
         self._pending_cmd: bytes | None = None    # received, not yet executed
@@ -182,7 +178,8 @@ class Witness:
     def audit(self) -> Verdict:
         """Walk entries from the audited sequence number; replay the spec."""
         log = self.node.log
-        if self.audited_seq < log.first:    # dropped before it was audited
+        if ((log.endpoint.device, log.session) != self._log_key    # elsewhere seqs start anew
+                or self.audited_seq < log.first):    # dropped before it was audited
             return Verdict(VERDICT_CHAIN_BREAK, seq=self.audited_seq)
         # Every device holds every log key, so any peer verifies the node's.
         kernel = next(iter(self.peers.values())).kernel
@@ -191,8 +188,7 @@ class Witness:
             if entry.cum_digest != chain_digest(self._prev_digest, entry.ctx,
                                                 entry.seq):
                 return Verdict(VERDICT_CHAIN_BREAK, seq=entry.seq)
-            if not kernel.tag_matches(entry.attestation(
-                    self.node.node_id, log_session(self.node.node_id))):
+            if not kernel.tag_matches(log.attestation(entry)):
                 return Verdict(VERDICT_CHAIN_BREAK, seq=entry.seq)
             verdict = self._replay(entry.seq, entry.ctx)
             if verdict is not None:

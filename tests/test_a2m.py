@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from attestnet.device import DeviceConfig, Endpoint
-from attestnet.errors import AuthFailure, OutOfRange, PayloadTooLarge
+from attestnet.errors import AuthFailure, OutOfRange, PayloadTooLarge, UnknownSession
 from attestnet.kernel import MAX_PAYLOAD
 from attestnet.protocols.a2m import A2mStore
 from attestnet.protocols.logchain import GENESIS_DIGEST, LogEntry
@@ -177,6 +177,16 @@ def test_truncate_whose_marker_frame_overflows_the_manifest_appends_nothing():
     # The marker's frame, 84 bytes longer than the marker, fits exactly.
     store.truncate(LOG, head=2, z=bytes(MAX_PAYLOAD - 16 - FRAME_OVERHEAD))
     assert store.manifest_bounds(LOG) == (2, 3)
+
+
+def test_truncate_with_an_unprovisioned_manifest_appends_nothing():
+    endpoint = Endpoint(DeviceConfig(device=1))
+    endpoint.provision([(LOG, 1, KEY_LOG)])
+    store = A2mStore(endpoint, manifest_log=MANIFEST)
+    store.append(LOG, b"only")
+    with pytest.raises(UnknownSession):
+        store.truncate(LOG, head=1, z=b"u" * 32)
+    assert (store.tail(LOG), endpoint.kernel.session_state(LOG).send_cnt) == (1, 1)
 
 
 def test_truncate_frees_the_forgotten_entries():

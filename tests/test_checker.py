@@ -19,9 +19,10 @@ from attestnet.checker import (
     on_wire,
     replay_counterexample,
 )
+from attestnet.device import DeviceConfig, Endpoint
 from attestnet.errors import AuthFailure, InstanceTooLarge, PayloadTooLarge, WrongSender
 from attestnet.kernel import AttestationKernel, MAX_PAYLOAD
-from attestnet.protocols.common import derive_key
+from attestnet.protocols.common import derive_key, log_session
 from attestnet.simnet import ACTION_KINDS, FaultAction
 from attestnet.wire import decode_frame, encode_frame
 
@@ -65,6 +66,19 @@ def test_frozen_counter_kernel_keeps_the_payload_bound():
     kernel.provision_session(1, derive_key(0, 1))
     with pytest.raises(PayloadTooLarge):
         kernel.attest(1, bytes(MAX_PAYLOAD + 1))
+
+
+def test_frozen_counter_kernel_governs_handed_over_frames():
+    # local_verify checks through the endpoint's kernel, as deliver_frame
+    # does, so the mutant's frozen receive counter takes the same log frame
+    # twice.
+    sender = Endpoint(DeviceConfig(device=1))
+    receiver = Endpoint(DeviceConfig(device=2), kernel_factory=FrozenCounterKernel)
+    for endpoint in (sender, receiver):
+        endpoint.provision([(log_session(1), 1, derive_key(0, log_session(1)))])
+    entry = sender.local_send(log_session(1), b"log entry")
+    assert receiver.local_verify(log_session(1), entry) == entry
+    assert receiver.local_verify(log_session(1), entry) == entry
 
 
 def test_gap_accepting_kernel_rejects_a_non_peer_without_moving_its_counter():

@@ -2,10 +2,10 @@
 
 import pytest
 
-from attestnet.errors import OutOfRange
+from attestnet.errors import OutOfRange, UnknownSession
 from attestnet.protocols import peerreview
 from attestnet.kernel import TAG_LEN, AttestedMessage
-from attestnet.protocols.common import transport_session
+from attestnet.protocols.common import log_session, transport_session
 from attestnet.protocols.logchain import TamperEvidentLog
 from attestnet.protocols.peerreview import (
     ENTRY_EXEC,
@@ -161,12 +161,14 @@ class Garbling:
 
     def __init__(self, *args, kind: int, garble, **kwargs):
         super().__init__(*args, **kwargs)
-        self.kind, self.garble = kind, garble
+        attest = self.log.attest
 
-    def _log(self, ctx: bytes):
-        if ctx[0] == self.kind and self.garble is not None:
-            ctx, self.garble = self.garble(ctx), None
-        return super()._log(ctx)
+        def garbling_attest(ctx: bytes):
+            nonlocal garble
+            if ctx[0] == kind and garble is not None:
+                ctx, garble = garble(ctx), None
+            return attest(ctx)
+        self.log.attest = garbling_attest
 
 
 class GarblingChild(Garbling, PrChild):
@@ -212,8 +214,8 @@ class ForgingChild(PrChild):
         progressed = super().step()
         if len(self.log) == 2:
             forged = AttestedMessage(bytes(TAG_LEN), b"forged-cmd", 1, self.session, 1)
-            self._log(bytes([ENTRY_RECV]) + encode_frame(forged))
-            entry = self._log(encode_exec(self.execute(b"forged-cmd"), b"forged-cmd"))
+            self.log.attest(bytes([ENTRY_RECV]) + encode_frame(forged))
+            entry = self.log.attest(encode_exec(self.execute(b"forged-cmd"), b"forged-cmd"))
             self.endpoint.auth_send(self.session, encode_frame(entry))
         return progressed
 
@@ -225,7 +227,7 @@ class JunkChild(PrChild):
     def step(self) -> bool:
         progressed = super().step()
         if len(self.log) == 2:
-            self._log(b"\x00junk")
+            self.log.attest(b"\x00junk")
         return progressed
 
 
@@ -239,7 +241,7 @@ class SendLoggingChild(PrChild):
 
         def logging_send(session, payload):
             sent = auth_send(session, payload)
-            self._log(bytes([ENTRY_SENT]) + encode_frame(sent))
+            self.log.attest(bytes([ENTRY_SENT]) + encode_frame(sent))
             return sent
         self.endpoint.auth_send = logging_send
 
@@ -351,14 +353,66 @@ def test_soak_the_root_keeps_at_most_one_audit_period_of_entries():
     assert root.log.entries == []
 
 
-def test_append_takes_only_the_next_seq():
-    log = TamperEvidentLog()
-    log.append(seq=0, ctx=b"a", tag=b"t")
-    log.truncate(1)
-    for seq in (0, 2):
-        with pytest.raises(OutOfRange):
-            log.append(seq=seq, ctx=b"b", tag=b"t")
-    assert log.append(seq=1, ctx=b"b", tag=b"t").seq == 1 and len(log) == 2
+def test_a_second_writer_on_a_log_session_stops_the_log():
+    # Every attestation on a log's session takes the log's next seq: one made
+    # outside the log leaves a gap, and the log refuses its next entry.
+    scenario = PrScenario.build(seed=1, n_children=1)
+    scenario.run_rounds([b"one"])
+    child = scenario.children[2]
+    log = child.log
+    assert scenario.audit_all()[2].consistent     # checkpointed at the tail
+    tail = len(log)
+    with pytest.raises(OutOfRange, match=f"at seq {tail - 1}, but the next seq is {tail}"):
+        log.append(tail - 1, b"\x00repeat", bytes(TAG_LEN))    # a repeated counter
+    assert len(log) == tail and log.entries == []
+    log.attest(b"\x00inside")           # the refusal stored nothing: the tail is free
+    assert [e.seq for e in log.entries] == [tail]
+    child.endpoint.local_send(log_session(2), b"\x00outside")
+    with pytest.raises(OutOfRange, match=f"at seq {tail + 2}, but the next seq is {tail + 1}"):
+        log.attest(b"\x00inside")
+    assert len(log) == tail + 1 and [e.seq for e in log.entries] == [tail]
+
+
+class ReseatedChild(PrChild):
+    """Byzantine child: it answers every command with a lie attested on its
+    own log session, and shows its witness an honest history attested on
+    the root's log session, whose counters it has never used."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.answers = self.log
+        self.log = TamperEvidentLog(self.endpoint, log_session(1))
+
+    def step(self) -> bool:
+        progressed = False
+        for msg in self.endpoint.poll(self.session):
+            progressed = True
+            recv = bytes([ENTRY_RECV]) + encode_frame(msg)
+            self.log.attest(recv)
+            self.log.attest(encode_exec(self.execute(msg.payload), msg.payload))
+            self.answers.attest(recv)
+            lie = self.answers.attest(encode_exec(b"lie", msg.payload))
+            self.endpoint.auth_send(self.session, encode_frame(lie))
+        return progressed
+
+
+def test_a_log_reseated_on_another_log_session_breaks_the_chain():
+    scenario = PrScenario.build(seed=1, n_children=2, child_cls_at={2: ReseatedChild})
+    scenario.run_rounds([b"one", b"two"])
+    answers = [decode_frame(r) for r in scenario.root.responses[2]]
+    assert [(a.session, a.counter) for a in answers] == [(log_session(2), 1),
+                                                         (log_session(2), 3)]
+    assert all(scenario.root.endpoint.kernel.tag_matches(a) for a in answers)
+    verdicts = scenario.audit_all()
+    assert verdicts[2].kind == VERDICT_CHAIN_BREAK and verdicts[2].seq == 0
+    assert verdicts[1].consistent and verdicts[3].consistent
+    assert scenario.children[2].log.first == 0      # nothing checkpointed
+
+
+def test_a_log_on_a_session_its_endpoint_does_not_hold_is_refused():
+    scenario = PrScenario.build(seed=1, n_children=1)
+    with pytest.raises(UnknownSession):
+        TamperEvidentLog(scenario.root.endpoint, log_session(9))
 
 
 def test_a_root_needs_a_child():
@@ -379,7 +433,7 @@ class EquivocatingRoot(PrRoot):
             if self.hide:
                 sent = AttestedMessage(sent.tag, ctx, sent.device, sent.session,
                                        sent.counter)
-            self._log(bytes([ENTRY_SENT]) + encode_frame(sent))
+            self.log.attest(bytes([ENTRY_SENT]) + encode_frame(sent))
 
 
 class HidingRoot(EquivocatingRoot):
