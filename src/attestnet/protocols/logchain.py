@@ -15,6 +15,10 @@ its seq, the context bytes, the 64-byte tag, and a cumulative digest
 
 so any rewrite of history breaks the chain at the first altered entry. Used
 by both the attested append-only memory and the accountability protocol.
+Each entry costs one attestation when it is logged and one tag check and one
+digest when it is audited, so a user logs one entry per step: a PeerReview
+root packs the frames of one send, or of one poll, into one entry, and a
+child logs each command's frame inside the entry of its execution.
 
 A checkpoint (`truncate(seq)`) drops the entries below seq and keeps the
 last dropped entry's cumulative digest as the anchor the next append chains

@@ -1,21 +1,25 @@
 """Accountability protocol: tamper-evident logs audited by witnesses.
 
-A root streams commands to child nodes; every sent and received attested
-message is logged in the owner's tamper-evident log, which owns its log
-session, and a child also logs its execution result, whose attested entry
-doubles as its response. Every node has a witness holding its peers'
-endpoints, so every log key and the key of each transport session of the
-node. An audit walks new entries of the node's own log session, checks the
-cumulative-digest chain and the attestations the log rebuilds, and replays
-the entries against the node's spec; the first deviation exposes the node.
-Both specs share one frame check, `Witness._frame`: a logged SENT frame went
-from the node to a peer, a RECV frame from a peer to the node, on that pair's
-session, with the next counter of its direction and a valid tag. A child's
-spec is a RECV of the root's next frame, then the EXEC of that command with
-the reference result; the root's (`RootWitness`) is, each round, one SENT per
-child in the children's order, all with the same command, and any RECV. Fault
-model: only network-observable misbehavior is detectable; detection is the
-guarantee (bad actions may take effect before they are exposed).
+A root streams commands to child nodes; every attested message a node sends
+or receives is logged in its tamper-evident log, which owns its log session,
+and each node step is one attested log entry. The root logs one SENT entry
+per command, the frame it sent each child packed in one batch, and one RECV
+entry per step that polled answers, every frame it polled in one batch. A
+child logs one EXEC entry per command, its result beside the frame that
+carried the command; that entry, attested, doubles as its response. Every
+node has a witness holding its peers' endpoints, so every log key and the key
+of each transport session of the node. An audit walks new entries of the
+node's own log session, checks the cumulative-digest chain and the
+attestations the log rebuilds, and replays the entries against the node's
+spec; the first deviation exposes the node. Both specs share one frame check,
+`Witness._frame`: a logged SENT frame went from the node to a peer, a RECV
+frame from a peer to the node, on that pair's session, with the next counter
+of its direction and a valid tag. A child's spec is one EXEC per entry, of a
+RECV frame of the root's next command with the reference result; the root's
+(`RootWitness`) is a SENT entry of one frame per child in the children's
+order, all with the same command, or a RECV entry of one or more frames.
+Fault model: only network-observable misbehavior is detectable; detection is
+the guarantee (bad actions may take effect before they are exposed).
 
 A consistent audit is a checkpoint: `PrScenario.audit_all` then truncates
 the node's log to the witness's audited sequence (`TamperEvidentLog.truncate`),
@@ -30,7 +34,7 @@ children in id order; there are no clients.
 
 from dataclasses import dataclass
 
-from ..device import pack_pair, unpack_pair
+from ..device import pack_batch, pack_pair, unpack_batch, unpack_pair
 from ..errors import FrameError
 from ..kernel import AttestedMessage
 from ..wire import decode_frame, encode_frame
@@ -51,19 +55,19 @@ def reference_execute(cmd: bytes) -> bytes:
     return b"ack:" + cmd[::-1]
 
 
-def encode_exec(result: bytes, cmd: bytes) -> bytes:
-    """ENTRY_EXEC ‖ result ‖ cmd, each of the two a length-prefixed record."""
-    return bytes([ENTRY_EXEC]) + pack_pair(result, pack_pair(cmd, b""))
+def encode_exec(result: bytes, frame: bytes) -> bytes:
+    """ENTRY_EXEC ‖ result, a length-prefixed record ‖ the encoded frame that
+    carried the command."""
+    return bytes([ENTRY_EXEC]) + pack_pair(result, frame)
 
 
 def decode_exec(ctx: bytes) -> tuple[bytes, bytes]:
-    """Inverse of encode_exec, kind byte unchecked; FrameError unless exactly
-    the two records follow it."""
-    result, rest = unpack_pair(ctx[1:])
-    cmd, tail = unpack_pair(rest)
-    if tail:
-        raise FrameError(f"{len(tail)} bytes after the exec entry's records")
-    return result, cmd
+    """The result and the command of an exec entry; FrameError unless ctx is
+    one, its frame included."""
+    if ctx[:1] != bytes([ENTRY_EXEC]):
+        raise FrameError(f"entry kind {ctx[:1].hex() or 'missing'}, not exec")
+    result, frame = unpack_pair(ctx[1:])
+    return result, decode_frame(frame).payload
 
 
 @dataclass
@@ -98,18 +102,19 @@ class PrRoot(PrNode):
         self.responses: dict[int, list[bytes]] = {c: [] for c in children}
 
     def send(self, ctx: bytes) -> None:
-        for session in self.sessions.values():
-            sent = self.endpoint.auth_send(session, ctx)
-            self.log.attest(bytes([ENTRY_SENT]) + encode_frame(sent))
+        frames = [encode_frame(self.endpoint.auth_send(session, ctx))
+                  for session in self.sessions.values()]
+        self.log.attest(bytes([ENTRY_SENT]) + pack_batch(frames))
 
     def step(self) -> bool:
-        progressed = False
+        frames = []
         for child, session in self.sessions.items():
             for msg in self.endpoint.poll(session):
-                progressed = True
-                self.log.attest(bytes([ENTRY_RECV]) + encode_frame(msg))
+                frames.append(encode_frame(msg))
                 self.responses[child].append(msg.payload)
-        return progressed
+        if frames:
+            self.log.attest(bytes([ENTRY_RECV]) + pack_batch(frames))
+        return bool(frames)
 
 
 class PrChild(PrNode):
@@ -126,10 +131,9 @@ class PrChild(PrNode):
         progressed = False
         for msg in self.endpoint.poll(self.session):
             progressed = True
-            self.log.attest(bytes([ENTRY_RECV]) + encode_frame(msg))
-            result = self.execute(msg.payload)
-            response_entry = self.log.attest(encode_exec(result, msg.payload))
-            self.endpoint.auth_send(self.session, encode_frame(response_entry))
+            entry = self.log.attest(encode_exec(self.execute(msg.payload),
+                                                encode_frame(msg)))
+            self.endpoint.auth_send(self.session, encode_frame(entry))
         return progressed
 
 
@@ -173,7 +177,6 @@ class Witness:
         self._log_key = (node.node_id, log_session(node.node_id))
         self.audited_seq = 0
         self._prev_digest = GENESIS_DIGEST
-        self._pending_cmd: bytes | None = None    # received, not yet executed
 
     def audit(self) -> Verdict:
         """Walk entries from the audited sequence number; replay the spec."""
@@ -197,19 +200,17 @@ class Witness:
             self.audited_seq += 1
         return Verdict(VERDICT_CONSISTENT, seq=self.audited_seq)
 
-    def _frame(self, ctx: bytes) -> AttestedMessage | None:
-        """The frame of a SENT entry of a frame from the node to a peer, or of
-        a RECV entry of one from a peer to the node, on their session with the
+    def _frame(self, kind: int, data: bytes) -> AttestedMessage | None:
+        """The frame `data` encodes if it went from the node to a peer (kind
+        SENT) or from a peer to the node (RECV), on their session with the
         next counter of its direction and a valid tag; else None."""
-        if not ctx or ctx[0] not in (ENTRY_SENT, ENTRY_RECV):
-            return None
         try:
-            frame = decode_frame(ctx[1:])
+            frame = decode_frame(data)
         except FrameError:
             return None
         peer = self.sessions.get(frame.session)
         direction = (frame.device, frame.session)
-        if (frame.device != (self.node.node_id if ctx[0] == ENTRY_SENT else peer)
+        if (frame.device != (self.node.node_id if kind == ENTRY_SENT else peer)
                 or frame.counter != self._next_counter.get(direction)
                 or not self.peers[peer].kernel.tag_matches(frame)):
             return None
@@ -217,51 +218,48 @@ class Witness:
         return frame
 
     def _replay(self, seq: int, ctx: bytes) -> Verdict | None:
-        """Replay one entry; any entry off the spec, one that does not decode
-        included, exposes the node, which attested it."""
-        cmd = self._pending_cmd
-        if cmd is None:
-            frame = self._frame(ctx)
-            if frame is None or ctx[0] != ENTRY_RECV:
-                return Verdict(VERDICT_EXPOSED, seq=seq)
-            self._pending_cmd = frame.payload
-            return None
+        """Replay one entry, which must be the EXEC of the root's next command;
+        any other entry, one that does not decode included, exposes the node,
+        which attested it."""
         if ctx[:1] != bytes([ENTRY_EXEC]):
             return Verdict(VERDICT_EXPOSED, seq=seq)
         try:
-            found, executed = decode_exec(ctx)
+            found, data = unpack_pair(ctx[1:])
         except FrameError:
             return Verdict(VERDICT_EXPOSED, seq=seq)
-        if executed != cmd:
-            return Verdict(VERDICT_EXPOSED, seq=seq, expected=cmd, found=executed)
-        expected = reference_execute(cmd)
+        frame = self._frame(ENTRY_RECV, data)
+        if frame is None:
+            return Verdict(VERDICT_EXPOSED, seq=seq)
+        expected = reference_execute(frame.payload)
         if found != expected:
             return Verdict(VERDICT_EXPOSED, seq=seq, expected=expected, found=found)
-        self._pending_cmd = None
         return None
 
 
 class RootWitness(Witness):
     """Witness of the streaming root, whose peers are its children in send
-    order: its spec is fixed when it is built, never read from the root. Its
-    round state: the index of the next SENT's child and the round's command."""
-
-    _next_child = 0
-    _round_cmd = b""
+    order: its spec is fixed when it is built, never read from the root."""
 
     def _replay(self, seq: int, ctx: bytes) -> Verdict | None:
-        frame = self._frame(ctx)
-        if frame is None:
-            return Verdict(VERDICT_EXPOSED, seq=seq)    # the root executes nothing
-        if ctx[0] == ENTRY_RECV:
-            return None
-        if frame.session != list(self.sessions)[self._next_child]:
+        try:
+            batch = unpack_batch(ctx[1:])
+        except FrameError:
             return Verdict(VERDICT_EXPOSED, seq=seq)
-        if self._next_child and frame.payload != self._round_cmd:
-            return Verdict(VERDICT_EXPOSED, seq=seq, expected=self._round_cmd,
-                           found=frame.payload)
-        self._round_cmd = frame.payload
-        self._next_child = (self._next_child + 1) % len(self.peers)
+        if ctx[:1] == bytes([ENTRY_RECV]) and batch:
+            if all(self._frame(ENTRY_RECV, data) is not None for data in batch):
+                return None
+            return Verdict(VERDICT_EXPOSED, seq=seq)
+        if ctx[:1] != bytes([ENTRY_SENT]) or len(batch) != len(self.sessions):
+            return Verdict(VERDICT_EXPOSED, seq=seq)    # the root executes nothing
+        cmd = None
+        for data, session in zip(batch, self.sessions):
+            frame = self._frame(ENTRY_SENT, data)
+            if frame is None or frame.session != session:
+                return Verdict(VERDICT_EXPOSED, seq=seq)
+            if cmd is not None and frame.payload != cmd:
+                return Verdict(VERDICT_EXPOSED, seq=seq, expected=cmd,
+                               found=frame.payload)
+            cmd = frame.payload
         return None
 
 

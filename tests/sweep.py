@@ -20,8 +20,9 @@ verdict by design regenerates the file:
 
 Before it does, keep the old file: `--classify OLD_CORPUS [SEED]` reruns the
 sweep of OLD_CORPUS's length (SEED 77 by default) and prints how many corpus
-lines changed, per protocol and per field that moved (`ok`, the tag count,
-the digest):
+lines changed, per protocol and per field that moved: `ok` split into verdict
+flips (true <-> false) and moves to or from `error`, the tag count, and the
+digest. Then it prints one line per `ok` move, with its index:
 
     PYTHONPATH=src python tests/sweep.py --classify old_corpus.txt
 
@@ -52,7 +53,7 @@ def _attack(rng: random.Random, protocol: str, spec: dict) -> dict:
         attack = {"node": rng.randint(1, spec["n"]), "after_round": rng.randint(0, rounds)}
     elif kind == "lie":
         attack = {"position": rng.randrange(spec["n"]), "commit": rng.randint(1, rounds + 2)}
-    else:   # rewrite_log: a child logs 2 entries a round, so some seqs miss
+    else:   # rewrite_log: a child logs 1 entry a round, so about half the seqs miss
         attack = {"seq": rng.randrange(2 * rounds + 2)}
     if protocol == "peerreview":
         attack["node"] = rng.randint(2, spec["children"] + 1)
@@ -132,21 +133,31 @@ def corpus(lines: list[str]) -> list[str]:
 def classify(old: list[str], lines: list[str]) -> list[str]:
     """A table of the corpus lines that differ between `old` and the corpus of
     the sweep `lines`: per protocol, how many changed and how many of those
-    moved each corpus field."""
-    fields = ("ok", "tags", "digest")
+    moved each corpus field, `ok` counted as a verdict flip or an error move;
+    then each `ok` move as `flip|error INDEX OLD -> NEW`."""
+    fields = ("flip", "error", "tags", "digest")
     moved: dict[str, list[int]] = {}
-    for was, line, now in zip(old, lines, corpus(lines)):
-        if was != now:
-            counts = moved.setdefault(json.loads(line)["spec"]["protocol"],
-                                      [0] * (1 + len(fields)))
-            counts[0] += 1
-            for k, (a, b) in enumerate(zip(was.split()[1:], now.split()[1:]), 1):
-                counts[k] += a != b
+    moves = []
+    for i, (was, line, now) in enumerate(zip(old, lines, corpus(lines))):
+        if was == now:
+            continue
+        (ok_was, *rest_was), (ok_now, *rest_now) = was.split()[1:], now.split()[1:]
+        move = ("" if ok_was == ok_now else
+                "error" if "error" in (ok_was, ok_now) else "flip")
+        counts = moved.setdefault(json.loads(line)["spec"]["protocol"],
+                                  [0] * (1 + len(fields)))
+        counts[0] += 1
+        counts[1] += move == "flip"
+        counts[2] += move == "error"
+        for k, (a, b) in enumerate(zip(rest_was, rest_now), 3):
+            counts[k] += a != b
+        if move:
+            moves.append(f"{move} {i} {ok_was} -> {ok_now}")
     total = sum(counts[0] for counts in moved.values())
     out = [f"{total} of {len(lines)} corpus lines changed",
            "protocol changed " + " ".join(fields)]
     out += [" ".join(map(str, [protocol, *moved[protocol]])) for protocol in sorted(moved)]
-    return out
+    return out + moves
 
 
 def main(argv: list[str]) -> int:

@@ -26,8 +26,8 @@ GOLDEN_ROWS = [
     "bft,tnic,16,64,64,sim,0,33126.294,483.000,483.000,483.000,1932.000",
     "cr,tnic,1,64,64,sim,0,4257.674,234.870,234.870,234.870,15031.680",
     "cr,tnic,16,64,64,sim,0,66959.615,238.950,238.950,238.950,955.800",
-    "peerreview,tnic,1,64,64,sim,0,2717.391,368.000,368.000,368.000,23552.000",
-    "peerreview,tnic,16,64,64,sim,0,43478.261,368.000,368.000,368.000,1472.000",
+    "peerreview,tnic,1,64,64,sim,0,3623.188,276.000,276.000,276.000,17664.000",
+    "peerreview,tnic,16,64,64,sim,0,57971.014,276.000,276.000,276.000,1104.000",
 ]
 
 

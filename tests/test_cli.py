@@ -276,10 +276,10 @@ def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
 
 @pytest.mark.parametrize("seq", [2, -1])
 def test_scenario_rewrite_log_seq_outside_the_log_exits_2(tmp_path, capsys, seq):
-    # One round leaves two entries in each child's log.
+    # Two rounds leave two entries in each child's log, one a round.
     path = tmp_path / "rewrite.json"
     path.write_text(json.dumps({
-        "protocol": "peerreview", "children": 3, "rounds": 1,
+        "protocol": "peerreview", "children": 3, "rounds": 2,
         "attack": {"kind": "rewrite_log", "node": 2, "seq": seq}}))
     assert cli.main(["scenario", str(path)]) == 2
     captured = capsys.readouterr()
@@ -290,7 +290,7 @@ def test_scenario_rewrite_log_seq_outside_the_log_exits_2(tmp_path, capsys, seq)
 
 def test_scenario_rewrite_log_seq_below_a_checkpoint_exits_2(tmp_path, capsys,
                                                              monkeypatch):
-    # Audited after every round, each child's 4 entries are dropped.
+    # Audited after every round, each child's 2 entries are dropped.
     run_rounds = PrScenario.run_rounds
     monkeypatch.setattr(PrScenario, "run_rounds",
                         lambda self, commands: (run_rounds(self, commands),
@@ -303,7 +303,7 @@ def test_scenario_rewrite_log_seq_below_a_checkpoint_exits_2(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("attestnet scenario: rewrite_log seq 1 is not in child 2's "
-                            "log of 4 entries (4 dropped at a checkpoint)\n")
+                            "log of 2 entries (2 dropped at a checkpoint)\n")
 
 
 def test_check_small_instance(capsys):

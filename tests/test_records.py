@@ -16,14 +16,24 @@ from attestnet.wire import decode_frame, encode_frame
 
 REQ = encode_request(0x65, 0, b"req")
 
-# The bytes each encoder produced before the codecs shared `pack_pair`; a
-# format change has to show here, since the kernel MACs these bytes.
+
+def _message(payload: bytes, counter: int) -> AttestedMessage:
+    return AttestedMessage(bytes(range(TAG_LEN)), payload, 3, 0x0100_0102, counter)
+
+
+# The bytes each encoder produced before the codecs shared `pack_pair` (the
+# exec entry's since it holds the frame of its command); a format change has
+# to show here, since the kernel MACs these bytes.
 PINNED = [
     (lambda: pack_pair(REQ, counter_state(7)),
      "0000000f0000006500000000000000007265710000000000000007"),
     (lambda: encode_op(OP_PUT, b"key", b"value"), "50000000036b657976616c7565"),
     (lambda: encode_op(OP_GET, b"k"), "47000000016b"),
-    (lambda: encode_exec(b"ack:dmc", b"cmd"), "580000000761636b3a646d6300000003636d64"),
+    (lambda: encode_exec(b"ack:dmc", encode_frame(_message(b"cmd", 1))),
+     "580000000761636b3a646d630100010200000003000000000000000100000003"
+     "636d64000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c"
+     "1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c"
+     "3d3e3f"),
     (lambda: pack_batch([b"", b"ab", b"xyz"]), "00000003000000000000000261620000000378797a"),
     (lambda: encode_request(201, 3, b"body"), "000000c90000000000000003626f6479"),
 ]
@@ -57,7 +67,8 @@ encoded = st.one_of(
     st.builds(pack_pair, small, small),
     st.lists(small, max_size=4).map(pack_batch),
     st.builds(encode_op, st.integers(0, 255), small, small),
-    st.builds(encode_exec, small, small),
+    st.builds(lambda result, cmd: encode_exec(result, encode_frame(_message(cmd, 1))),
+              small, small),
 )
 
 
@@ -87,15 +98,12 @@ def test_every_decoder_accepts_only_what_its_encoder_builds(data):
             continue
         assert encode(fields) == data, decode.__qualname__
     try:
-        fields = decode_exec(data)
+        result, cmd = decode_exec(data)
     except FrameError:
         return
-    # decode_exec leaves the kind byte to its caller
-    assert encode_exec(*fields)[1:] == data[1:]
-
-
-def _message(payload: bytes, counter: int) -> AttestedMessage:
-    return AttestedMessage(bytes(range(TAG_LEN)), payload, 3, 0x0100_0102, counter)
+    # decode_exec gives the command, not the frame that carried it
+    frame = decode_frame(unpack_pair(data[1:])[1])
+    assert frame.payload == cmd and encode_exec(result, encode_frame(frame)) == data
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -107,7 +115,15 @@ def test_every_encoder_round_trips(head, tail, records, client, req_id, op):
     assert unpack_batch(pack_batch(records)) == records
     assert decode_request(encode_request(client, req_id, head)) == (client, req_id, head)
     assert decode_op(encode_op(op, head, tail)) == (op, head, tail)
-    assert decode_exec(encode_exec(head, tail)) == (head, tail)
     assert peel_poe(encode_proof(head, records)) == (head, records)
     msg = _message(head, req_id)
     assert decode_frame(encode_frame(msg)) == msg
+    assert decode_exec(encode_exec(tail, encode_frame(msg))) == (tail, head)
+
+
+def test_decode_exec_refuses_an_entry_of_another_kind():
+    entry = encode_exec(b"ack:dmc", encode_frame(_message(b"cmd", 1)))
+    assert decode_exec(entry) == (b"ack:dmc", b"cmd")
+    for kind in (b"\x52", b"\x53", b"\x00", b""):
+        with pytest.raises(FrameError):
+            decode_exec(kind + entry[1:])

@@ -61,16 +61,20 @@ def test_no_run_accuses_a_peer_twice(swept):
 
 
 def test_classify_counts_the_fields_that_moved_per_protocol():
-    lines = sweep(6, 5)     # scenarios 0 and 1 are a bft and a peerreview run
-    assert [json.loads(line)["spec"]["protocol"] for line in lines[:2]] == [
-        "bft", "peerreview"]
-    assert classify(corpus(lines), lines) == [
-        "0 of 6 corpus lines changed", "protocol changed ok tags digest"]
+    lines = sweep(6, 5)     # a bft run, then two peerreview runs, the second bad input
+    assert [json.loads(line)["spec"]["protocol"] for line in lines[:3]] == [
+        "bft", "peerreview", "peerreview"]
+    assert [line.split()[1] for line in corpus(lines)[:3]] == ["true", "true", "error"]
+    header = "protocol changed flip error tags digest"
+    assert classify(corpus(lines), lines) == ["0 of 6 corpus lines changed", header]
     old = corpus(lines)
     index, ok, tags, digest = old[0].split()
     old[0] = f"{index} {ok} {int(tags) + 1} {digest}"
     index, _, tags, _ = old[1].split()
     old[1] = f"{index} false {tags} 0000000000000000"
+    index, _, tags, digest = old[2].split()
+    old[2] = f"{index} true {tags} {digest}"
     assert classify(old, lines) == [
-        "2 of 6 corpus lines changed", "protocol changed ok tags digest",
-        "bft 1 0 1 0", "peerreview 1 1 0 1"]
+        "3 of 6 corpus lines changed", header,
+        "bft 1 0 0 1 0", "peerreview 2 1 1 0 1",
+        "flip 1 false -> true", "error 2 true -> error"]

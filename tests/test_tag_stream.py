@@ -35,9 +35,9 @@ PINNED = {
            "b43ec08736f89e32b4a28793f62ded01407bcd04da2f57ddfe3414127f52bcad"
            "b96935ed2bfdf2bc72c2de287d9c0e93"),
     "peerreview": ({"protocol": "peerreview", "children": 3, "seed": 1,
-                    "rounds": 4}, 184,
-                   "2049d560cb556812faf4ccf6d92143956196ca4959e333e5accdc2fa"
-                   "a375f9b63b51565e728990916f1d24ba187e40c7"),
+                    "rounds": 4}, 128,
+                   "61faee4a8c66b376a2589768ba629000dd9e6da61737be40cd869c57"
+                   "b8bb956ccc451a106e51ab0dfe395ff086ccd214"),
 }
 
 
