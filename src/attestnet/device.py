@@ -9,12 +9,12 @@ session's peer; every rejection is one (session, error kind) event in
 Sessions are installed by `Endpoint.provision`, and a session's role follows
 from its id: a log session (LOG_BASE | d, device d's attestation log) has no
 inbox and is read only by `local_verify`; every other id, such as a transport
-session (TRANSPORT_BASE | a << 8 | b, for devices a < b), has an inbox and is
-reached only from the wire (`deliver_frame`). Each path rejects the other
-role with `WrongSessionRole`, so a log frame copied onto the wire never moves
-the counter its proof is checked against, and each receive counter has one
-path that moves it. A frame handed over to `local_verify` must also name, in
-its header, the session it is verified on.
+session (TRANSPORT_BASE | a << 8 | b, for device ids 0 <= a < b <= 255), has
+an inbox and is reached only from the wire (`deliver_frame`). Each path
+rejects the other role with `WrongSessionRole`, so a log frame copied onto
+the wire never moves the counter its proof is checked against, and each
+receive counter has one path that moves it. A frame handed over to
+`local_verify` must also name, in its header, the session it is verified on.
 
 Processing delays are charged to a simulated clock that advances integer
 nanoseconds deterministically; host time is never read here. `Network.attach`
@@ -44,6 +44,8 @@ LOG_BASE = 0x0200_0000
 
 def transport_session(a: int, b: int) -> int:
     lo, hi = (a, b) if a < b else (b, a)
+    if lo < 0 or hi > 0xFF:
+        raise ValueError(f"a transport session holds device ids 0..255, got {a} and {b}")
     return TRANSPORT_BASE | (lo << 8) | hi
 
 

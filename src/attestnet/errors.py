@@ -97,15 +97,6 @@ class IdentityFrozen(HandshakeError):
     """Device already provisioned; re-provisioning is rejected."""
 
 
-# --- transformation wrapper -------------------------------------------------
-#
-# A frame that fails a receive check is an accusation (`transform.Flag`),
-# never an exception; only registering a machine can raise.
-
-class NonDeterministicSpec(AttestnetError):
-    """State machine failed the determinism probe at registration."""
-
-
 # --- protocols ----------------------------------------------------------------
 
 class OutOfRange(AttestnetError):

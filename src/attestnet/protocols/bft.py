@@ -29,7 +29,7 @@ order, handing every reply to every client.
 import struct
 from dataclasses import dataclass, field
 
-from ..transform import Flag, Wrapper, probe_determinism
+from ..transform import Flag, Wrapper
 from .common import (
     ClusterNet,
     ProtocolConfig,
@@ -79,8 +79,7 @@ class BftReplica:
         # Transport session to each peer, in peer order.
         self.sessions = {peer: transport_session(self.node_id, peer)
                          for peer in self.peers}
-        # Attests this node's outputs and checks its peers'; BftCluster.build
-        # probed the counter for determinism.
+        # Attests this node's outputs and checks its peers'.
         self.wrapper = Wrapper(self.endpoint, self.peers, 0, counter_apply, counter_state)
 
     # -- leader ----------------------------------------------------------------
@@ -228,7 +227,6 @@ class BftCluster:
               net=None) -> "BftCluster":
         if n != 2 * f + 1:
             raise ValueError("counter replication requires n = 2f+1")
-        probe_determinism(0, counter_apply, counter_state, [b"probe-1", b"probe-2"])
         devices = list(range(1, n + 1))
         cluster = build_cluster(devices, seed, attest_delay_ns=attest_delay_ns,
                                 net=net)

@@ -59,6 +59,8 @@ class ProtocolConfig:
     f: int
 
     def __post_init__(self):
+        if self.f < 0:
+            raise ValueError(f"f must be >= 0, got {self.f}")
         if self.n < self.f + 1:
             raise ValueError("need at least f+1 nodes")
 

@@ -90,6 +90,7 @@ class PrNode:
         self.cluster = cluster
         self.endpoint = cluster.endpoints[node_id]
         self.log = TamperEvidentLog(self.endpoint, log_session(node_id))
+        self.deviated = False     # set once its answers or its log left its spec
 
 
 class PrRoot(PrNode):
@@ -145,7 +146,6 @@ class MutatingChild(PrChild):
         super().__init__(node_id, cluster, root_id)
         self.mutate_round = mutate_round
         self._round = 0
-        self.deviated = False     # set once it returned a mutated result
 
     def execute(self, cmd: bytes) -> bytes:
         self._round += 1
@@ -159,6 +159,7 @@ class MutatingChild(PrChild):
 def rewrite_log_entry(node: PrNode, seq: int, new_ctx: bytes) -> None:
     """Tamper with stored history (test fixture for the chain-break path)."""
     node.log.entry(seq).ctx = new_ctx
+    node.deviated = True
 
 
 class Witness:

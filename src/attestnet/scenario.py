@@ -32,20 +32,10 @@ faults such as replay, reorder or drop go in "faults"):
     raw-channel and a2m take none.
 
 Run artifacts are JSON-serializable dicts: accepted values, flags,
-diagnostics, and verdicts. A run is "safe" when no client accepted a wrong
-value, every injected deviation was detected, and no honest node was
-accused: a BFT flag may accuse only a Byzantine leader, a chain flag only the
-lying position, and a PeerReview audit may find only the attacked child
-inconsistent. An attack that never deviated (its round or commit never
-came, or a Byzantine leader has no follower) is judged as an honest run. A
-deviation is "masked" when no correct node can detect it and the f+1 quorum
-outvotes it: no node follows a lying tail to check it, so a CR lie is
-masked, and the run ok without a flag, when the liar is the tail, the lied
-commit was reached, and client 0 accepted the correct value for that commit.
-A raw-channel run is ok when the receiver got every body in order, and an
-A2M run when each lookup returns what was appended. The final line of a
-protocol that sends frames counts those whose retry budget ran out
-("exhausted"); a run with any is not ok.
+diagnostics, and verdicts. Each runner reports an `Outcome`, and `judge`
+decides the final line's "ok"; its docstring says what a safe run is. The
+final line of a protocol that sends frames counts those whose retry budget
+ran out ("exhausted").
 
 A result also holds each round's simulated latency and the elapsed
 simulated time, read before any audit or verdict runs, and the stalled
@@ -55,9 +45,10 @@ accepted nothing.
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .device import pack_batch
+from .errors import PayloadTooLarge
 from .protocols.a2m import A2mStore
 from .protocols.bft import (
     BftCluster,
@@ -82,6 +73,34 @@ class ScenarioResult:
 
     def dumps(self) -> str:
         return "\n".join(json.dumps(line, sort_keys=True) for line in self.lines)
+
+
+@dataclass
+class Outcome:
+    """What `judge` reads of one run. Nodes are device ids. The raw channel's
+    and A2M's whole sequence of bodies is one value."""
+    pairs: list[tuple]                          # (expected, accepted or None)
+    accused: set = field(default_factory=set)
+    deviated: set = field(default_factory=set)
+    masked: set = field(default_factory=set)    # deviations the quorum outvoted
+    diverged: bool = False                      # replicas' histories differ
+    exhausted: int = 0
+
+    def agreement(self) -> bool:
+        return all(accepted in (None, expected) for expected, accepted in self.pairs)
+
+
+def judge(outcome: Outcome) -> bool:
+    """The one verdict: a run is ok when it is safe and lost no frame. No
+    client accepted a wrong value. Each deviation was detected (its node
+    accused) or masked (outvoted by f+1 where no node checks it: a CR tail).
+    No honest node was accused: an attack that never deviated (its round or
+    commit never came, or a leader had no follower) is an honest run.
+    Replicas diverged only if something deviated. No frame was exhausted."""
+    o = outcome
+    return (o.agreement() and o.deviated <= o.accused | o.masked
+            and o.accused <= o.deviated and (bool(o.deviated) or not o.diverged)
+            and not o.exhausted)
 
 
 def load_scenario(path: str) -> dict:
@@ -111,8 +130,9 @@ def _require_object(what: str, value) -> None:
 
 
 def run_scenario(spec: dict) -> ScenarioResult:
-    """Run a scenario. Input that is not a valid scenario, such as a field of
-    the wrong JSON type, raises ValueError before anything runs."""
+    """Run a scenario and judge it. Input that is not a valid scenario, such
+    as a field of the wrong JSON type, a topology no protocol builds, or a
+    body too large for the kernel, raises ValueError."""
     protocol = spec.get("protocol", "bft")
     if not isinstance(protocol, str) or protocol not in _RUNNERS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -131,14 +151,18 @@ def run_scenario(spec: dict) -> ScenarioResult:
     kind = attack.get("kind", "none")
     if kind != "none" and kind not in ATTACK_KINDS.get(protocol, ()):
         raise ValueError(f"unknown {protocol} attack kind {kind!r}")
-    return _RUNNERS[protocol](spec, attack, kind)
+    try:
+        outcome, lines, timing = _RUNNERS[protocol](spec, attack, kind)
+    except PayloadTooLarge as exc:
+        raise ValueError(f'"payload" or topology too large: {exc} bytes') from None
+    ok = lines[-1]["ok"] = judge(outcome)
+    return ScenarioResult(ok, lines, *timing)
 
 
 def _run_rounds(spec: dict, clock, submit, default_rounds: int):
-    """The one round loop. `submit(r, body)` runs round r, with body None for
-    the protocol's own, and returns False if the round's client accepted
-    nothing. Returns each round's simulated latency, the elapsed simulated
-    time and the stalled rounds, as ScenarioResult's fields."""
+    """The one round loop: `submit(r, body)` runs round r (body None: the
+    protocol's own) and returns False if its client accepted nothing. Returns
+    ScenarioResult's simulated latencies, elapsed time and stalled rounds."""
     rng = random.Random(spec.get("seed", 0))
     payload, batch = spec.get("payload"), spec.get("batch", 1)
     latencies, stalled = [], []
@@ -176,17 +200,12 @@ def _install_faults(spec: dict, net: Network) -> None:
     net.install_schedule(FaultSchedule(seed=seed, actions=actions))
 
 
-def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
+def _run_bft(spec: dict, attack: dict, kind: str):
     n, f = spec.get("n", 3), spec.get("f", 1)
-
-    leader_cls, leader_kwargs = BftReplica, {}
-    if kind == "equivocate":
-        leader_cls = EquivocatingLeader
-        leader_kwargs = {"equivocate_round": attack.get("round", 1)}
-    elif kind == "wrong_value":
-        leader_cls = WrongValueLeader
-        leader_kwargs = {"lie_round": attack.get("round", 1)}
-
+    leader_cls, leader_kwargs = {
+        "equivocate": (EquivocatingLeader, {"equivocate_round": attack.get("round", 1)}),
+        "wrong_value": (WrongValueLeader, {"lie_round": attack.get("round", 1)}),
+    }.get(kind, (BftReplica, {}))
     cluster = BftCluster.build(n=n, f=f, seed=spec.get("seed", 0),
                                leader_cls=leader_cls, leader_kwargs=leader_kwargs,
                                clients=2,
@@ -198,41 +217,35 @@ def _run_bft(spec: dict, attack: dict, kind: str) -> ScenarioResult:
 
     # The leader executes the requests in round order, and none once it has
     # crashed, so the only value a client may accept for round r is r.
-    agreed: list[bool] = []
-    lines: list[dict] = []
+    pairs, lines = [], []
 
     def submit(round_id: int, body: bytes | None) -> bool:
         if crash and round_id == crash.get("after_round", 1) + 1:
             cluster.replicas[crash.get("node", n)].crashed = True
         req = cluster.run_request(0, round_id, b"" if body is None else body)
         values = {c.client_id: c.observed.get(req) for c in cluster.clients}
-        agreed.append(all(v in (None, counter_state(round_id)) for v in values.values()))
-        lines.append({
-            "round": round_id,
-            "accepted": {str(k): (v.hex() if v else None) for k, v in values.items()},
-        })
+        pairs.extend((counter_state(round_id), v) for v in values.values())
+        lines.append({"round": round_id, "accepted": {
+            str(k): (v.hex() if v else None) for k, v in values.items()}})
         return cluster.clients[0].accepted_value(req) is not None
     timing = _run_rounds(spec, cluster.cluster.net.clock, submit, 5)
 
-    agreement = all(agreed)
-    flags = [{"accuser": fl.accuser, "accused": fl.accused, "reason": fl.reason}
-             for fl in cluster.all_flags()]
-    byzantine = {cluster.leader_id} if kind in ("equivocate", "wrong_value") else set()
-    detected = bool(flags) or not cluster.replicas[cluster.leader_id].deviated
-    accused = {fl["accused"] for fl in flags}
-    exhausted = len(cluster.cluster.net.exhausted)
-    ok = agreement and detected and accused <= byzantine and not exhausted
+    flags = cluster.all_flags()
+    outcome = Outcome(pairs, accused={fl.accused for fl in flags},
+                      deviated={d for d, r in cluster.replicas.items() if r.deviated},
+                      exhausted=len(cluster.cluster.net.exhausted))
     lines.append({
-        "protocol": "bft", "agreement": agreement, "flags": flags,
+        "protocol": "bft", "agreement": outcome.agreement(),
+        "flags": [{"accuser": fl.accuser, "accused": fl.accused, "reason": fl.reason}
+                  for fl in flags],
         "values": {str(k): v for k, v in cluster.correct_values().items()},
-        "exhausted": exhausted, "ok": ok,
+        "exhausted": outcome.exhausted,
     })
-    return ScenarioResult(ok, lines, *timing)
+    return outcome, lines, timing
 
 
-def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
+def _run_cr(spec: dict, attack: dict, kind: str):
     n, f = spec.get("n", 3), spec.get("f", 1)
-
     node_cls_at, node_kwargs_at = {}, {}
     if kind == "lie":
         position = attack.get("position", 1)
@@ -246,9 +259,7 @@ def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
                                  attest_delay_ns=spec.get("attest_delay_ns", 0))
     _install_faults(spec, cluster.cluster.net)
 
-    lines: list[dict] = []
-    wrong_accepts: list[int] = []
-    correct_commits = set()     # commit indexes client 0 accepted correctly
+    pairs, lines = [], []
 
     def submit(round_id: int, body: bytes | None) -> bool:
         if body is None:
@@ -257,36 +268,32 @@ def _run_cr(spec: dict, attack: dict, kind: str) -> ScenarioResult:
             key, value = b"k%08d" % (round_id % 128), body
         req = cluster.run_put(0, round_id, key, value)
         accepted = cluster.clients[0].accepted_value(req)
-        if accepted is not None:
-            if accepted.endswith(value):
-                correct_commits.add(int.from_bytes(accepted[:8], "big"))
-            else:
-                wrong_accepts.append(round_id)
+        pairs.append((round_id.to_bytes(8, "big") + value, accepted))  # index r ‖ value
         lines.append({"round": round_id,
                       "accepted": accepted.hex() if accepted else None})
         return accepted is not None
     timing = _run_rounds(spec, cluster.cluster.net.clock, submit, 4)
 
-    flags = [{"accuser": fl.accuser, "position": cluster.order.index(fl.accused),
-              "reason": fl.reason} for fl in cluster.all_flags()]
+    flags = cluster.all_flags()
     histories = cluster.commit_histories()
-    identical = len({tuple(h) for h in histories.values()}) == 1
-    accused = {fl["position"] for fl in flags}
-    liar = cluster.nodes[cluster.order[position]] if kind == "lie" else None
-    deviated = liar is not None and liar.deviated
-    masked = deviated and liar.is_tail and liar.lie_at_commit in correct_commits
-    exhausted = len(cluster.cluster.net.exhausted)
-    ok = ((bool(flags) or masked if deviated else identical and not flags)
-          and not wrong_accepts and accused <= set(node_cls_at) and not exhausted)
-    lines.append({"protocol": "cr", "flags": flags,
-                  "commit_histories": {str(k): v for k, v in histories.items()},
-                  "exhausted": exhausted, "masked": masked, "ok": ok})
-    return ScenarioResult(ok, lines, *timing)
+    tail, masked = cluster.nodes[cluster.order[-1]], set()
+    if tail.deviated:   # the liar: f+1 outvoted it if client 0 got the right value
+        expected, accepted = pairs[tail.lie_at_commit - 1]
+        masked = {tail.node_id} if accepted == expected else set()
+    outcome = Outcome(pairs, {fl.accused for fl in flags},
+                      {d for d, node in cluster.nodes.items() if node.deviated}, masked,
+                      diverged=len({tuple(h) for h in histories.values()}) > 1,
+                      exhausted=len(cluster.cluster.net.exhausted))
+    lines.append({"protocol": "cr", "flags": [
+        {"accuser": fl.accuser, "position": cluster.order.index(fl.accused),
+         "reason": fl.reason} for fl in flags],
+        "commit_histories": {str(k): v for k, v in histories.items()},
+        "exhausted": outcome.exhausted, "masked": bool(masked)})
+    return outcome, lines, timing
 
 
-def _run_peerreview(spec: dict, attack: dict, kind: str) -> ScenarioResult:
+def _run_peerreview(spec: dict, attack: dict, kind: str):
     target = attack.get("node", 2) if kind != "none" else None
-
     child_cls_at, child_kwargs_at = {}, {}
     if kind == "mutate_result":
         child_cls_at[target] = MutatingChild
@@ -316,27 +323,21 @@ def _run_peerreview(spec: dict, attack: dict, kind: str) -> ScenarioResult:
         rewrite_log_entry(child, seq, b"\x52rewritten-history")
 
     verdicts = scenario.audit_all()
-    lines = [{"node": node, "verdict": v.kind, "seq": v.seq}
-             for node, v in verdicts.items()]
-    # Only the attacked child may be, and must be, found inconsistent; a
-    # mutate_result whose round never came leaves it honest.
-    if kind == "mutate_result" and not scenario.children[target].deviated:
-        target = None
-    ok = all(v.consistent != (node == target) for node, v in verdicts.items())
-    exhausted = len(scenario.cluster.net.exhausted)
-    ok = ok and not exhausted
-    lines.append({"protocol": "peerreview", "exhausted": exhausted, "ok": ok})
-    return ScenarioResult(ok, lines, *timing)
+    outcome = Outcome([], accused={d for d, v in verdicts.items() if not v.consistent},
+                      deviated={d for d, c in scenario.children.items() if c.deviated},
+                      exhausted=len(scenario.cluster.net.exhausted))
+    lines = [{"node": d, "verdict": v.kind, "seq": v.seq} for d, v in verdicts.items()]
+    lines.append({"protocol": "peerreview", "exhausted": outcome.exhausted})
+    return outcome, lines, timing
 
 
-def _run_raw_channel(spec: dict, attack: dict, kind: str) -> ScenarioResult:
+def _run_raw_channel(spec: dict, attack: dict, kind: str):
     cluster = build_cluster([1, 2], spec.get("seed", 0),
                             attest_delay_ns=spec.get("attest_delay_ns", 0))
     net, session = cluster.net, transport_session(1, 2)
     sender, receiver = cluster.endpoints[1], cluster.endpoints[2]
     _install_faults(spec, net)
-    sent: list[bytes] = []
-    delivered: list[bytes] = []
+    sent, delivered = [], []
 
     def submit(round_id: int, body: bytes | None) -> bool:
         sent.append(b"rec-%d" % round_id if body is None else body)
@@ -347,13 +348,13 @@ def _run_raw_channel(spec: dict, attack: dict, kind: str) -> ScenarioResult:
         return bool(got)
     timing = _run_rounds(spec, net.clock, submit, 4)
 
-    exhausted = len(net.exhausted)
-    ok = delivered == sent and not exhausted
-    return ScenarioResult(ok, [{"protocol": "raw-channel", "delivered": len(delivered),
-                                "exhausted": exhausted, "ok": ok}], *timing)
+    # A delayed frame lands in a later round, so the sequences compare whole.
+    outcome = Outcome([(sent, delivered)], exhausted=len(net.exhausted))
+    return outcome, [{"protocol": "raw-channel", "delivered": len(delivered),
+                      "exhausted": outcome.exhausted}], timing
 
 
-def _run_a2m(spec: dict, attack: dict, kind: str) -> ScenarioResult:
+def _run_a2m(spec: dict, attack: dict, kind: str):
     seed = spec.get("seed", 0)
     cluster = build_cluster([1], seed, attest_delay_ns=spec.get("attest_delay_ns", 0))
     endpoint, manifest, log = cluster.endpoints[1], log_session(0xFF), log_session(1)
@@ -366,10 +367,9 @@ def _run_a2m(spec: dict, attack: dict, kind: str) -> ScenarioResult:
         return True
     timing = _run_rounds(spec, cluster.net.clock, submit, 4)
 
-    entries = [store.lookup(log, seq) for _, seq, _ in appended]
-    ok = [(e.tag, e.seq, e.ctx) for e in entries] == appended
-    return ScenarioResult(ok, [{"protocol": "a2m", "appended": len(appended), "ok": ok}],
-                          *timing)
+    lookups = [store.lookup(log, seq) for _, seq, _ in appended]
+    outcome = Outcome([(appended, [(e.tag, e.seq, e.ctx) for e in lookups])])
+    return outcome, [{"protocol": "a2m", "appended": len(appended)}], timing
 
 
 _RUNNERS = {"raw-channel": _run_raw_channel, "a2m": _run_a2m, "bft": _run_bft,

@@ -18,32 +18,15 @@ A receiver runs two checks on every such frame (`Wrapper.receive`):
 A failed check is an accusation (`Flag`), never a silent drop, and a
 flagged peer is read no more; `Flag` is also chain replication's record.
 The wrapper is generic over the state machine through two supplied
-functions, apply and serialize (canonical bytes); `probe_determinism`
-rejects a non-deterministic machine, once, before it is re-executed.
+functions, apply and serialize (canonical bytes).
 `protocols.bft.BftReplica` is a crash-tolerant counter run on it.
 """
 
 from dataclasses import dataclass
 
 from .device import Endpoint, log_session, pack_pair, unpack_pair
-from .errors import AuthFailure, CounterMismatch, FrameError, KernelError, NonDeterministicSpec
+from .errors import AuthFailure, CounterMismatch, FrameError, KernelError
 from .wire import decode_frame, encode_frame
-
-
-def probe_determinism(initial_state, apply_fn, serialize_fn,
-                      probe_msgs: list[bytes]) -> None:
-    """Raise NonDeterministicSpec unless executing the canary messages twice
-    from the initial state gives the same canonical serializations."""
-    runs = []
-    for _ in range(2):
-        state = initial_state
-        trace = [serialize_fn(state)]
-        for msg in probe_msgs:
-            state = apply_fn(state, msg)
-            trace.append(serialize_fn(state))
-        runs.append(trace)
-    if runs[0] != runs[1]:
-        raise NonDeterministicSpec("state machine failed determinism probe")
 
 
 @dataclass

@@ -1,15 +1,12 @@
 """BFT counter: honest runs, equivocation detection, crash forwarding, quorums."""
 
 import json
-import random
 import struct
 
 import pytest
 
 from attestnet.checker import check_leader_strategies
 from attestnet.device import pack_pair, unpack_pair
-from attestnet.errors import NonDeterministicSpec
-from attestnet.protocols import bft
 from attestnet.protocols.bft import (
     KIND_FORWARD,
     KIND_PROOF,
@@ -80,13 +77,6 @@ def test_follower_that_skips_local_verify_gives_a_counterexample(monkeypatch):
     assert report.counterexample.detail == (
         "conflicting round contents, emitted=[(1, b'a'), (1, b'b')],"
         " delivery [0]/[1], no flags")
-
-
-def test_nondeterministic_counter_fails_the_build(monkeypatch):
-    rng = random.Random(1)
-    monkeypatch.setattr(bft, "counter_apply", lambda value, req: value + rng.randrange(2, 99))
-    with pytest.raises(NonDeterministicSpec):
-        BftCluster.build(n=3, f=1, seed=1)
 
 
 def test_wrong_value_leader_exposed_and_never_committed():

@@ -9,7 +9,7 @@ from attestnet import cli
 from attestnet import scenario as scenario_mod
 from attestnet.bench import CSV_HEADER, DELAY_PRESETS_NS
 from attestnet.checker import Counterexample, replay_counterexample
-from attestnet.device import unpack_pair
+from attestnet.device import Endpoint, unpack_pair
 from attestnet.protocols.bft import BftCluster, BftReplica, WrongValueLeader
 from attestnet.protocols.common import transport_session
 from attestnet.protocols.peerreview import PrScenario
@@ -190,6 +190,30 @@ def test_scenario_raw_channel_retry_exhaustion_is_not_ok(tmp_path, capsys):
     assert last["exhausted"] >= 1 and last["delivered"] == 0 and not last["ok"]
 
 
+@pytest.mark.parametrize("order", ["twice", "late"])
+def test_scenario_raw_channel_wrong_delivery_is_not_ok(order, tmp_path, capsys,
+                                                       monkeypatch):
+    # The receiver hands over each body twice, or round 1's body after round
+    # 2's; every frame arrives, so only the delivered sequence is wrong.
+    poll, held = Endpoint.poll, []
+
+    def wrong(self, session):
+        got = poll(self, session)
+        if order == "twice":
+            return got + got
+        if not held:
+            held.extend(got)
+            return []
+        return got + held
+    monkeypatch.setattr(Endpoint, "poll", wrong)
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps({"protocol": "raw-channel", "rounds": 2}))
+    assert cli.main(["scenario", str(path)]) == 1
+    (last,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert last["delivered"] == {"twice": 4, "late": 2}[order]
+    assert last["exhausted"] == 0 and not last["ok"]
+
+
 def _peerreview_scenario(tmp_path, capsys, rounds, actions):
     path = tmp_path / "peerreview.json"
     path.write_text(json.dumps({"protocol": "peerreview", "seed": 0,
@@ -262,6 +286,22 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
     ('{"protocol": "peerreview", "rounds": -1}', "\"rounds\" must be >= 1, got -1"),
     ('{"protocol": "a2m", "attest_delay_ns": "23"}',
      "\"attest_delay_ns\" must be an integer, got '23'"),
+    ('{"protocol": "cr", "rounds": 1, "payload": 70000}',
+     "\"payload\" or topology too large: 70227 > 65536 bytes"),
+    ('{"protocol": "peerreview", "rounds": 1, "payload": 40000}',
+     "\"payload\" or topology too large: 80197 > 65536 bytes"),
+    ('{"protocol": "a2m", "rounds": 1, "payload": 70000}',
+     "\"payload\" or topology too large: 70008 > 65536 bytes"),
+    ('{"protocol": "raw-channel", "rounds": 1, "payload": 70000}',
+     "\"payload\" or topology too large: 70008 > 65536 bytes"),
+    ('{"protocol": "cr", "n": 3, "f": -1}', "f must be >= 0, got -1"),
+    ('{"protocol": "cr", "n": 0, "f": -1}', "f must be >= 0, got -1"),
+    ('{"protocol": "peerreview", "children": 257}',
+     "a transport session holds device ids 0..255, got 1 and 256"),
+    ('{"protocol": "cr", "n": 258}',
+     "a transport session holds device ids 0..255, got 1 and 256"),
+    ('{"protocol": "bft", "n": 259, "f": 129}',
+     "a transport session holds device ids 0..255, got 1 and 256"),
 ])
 def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
@@ -355,6 +395,15 @@ def test_attest_demo_transcript_is_pinned(capsys):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
         "d6e4e8d6ace452e5d0e6171ea79183308808bc83fb2e628220ea3cf022d34537")
+
+
+def test_bench_payload_too_large_for_the_kernel_exits_2(capsys):
+    assert cli.main(["bench", "--protocol", "cr", "--payload", "70000",
+                     "--requests", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("attestnet bench: \"payload\" or topology too large: "
+                            "70227 > 65536 bytes\n")
 
 
 def test_bench_batch_below_one_exits_2(capsys):

@@ -11,6 +11,7 @@ from attestnet.device import (
     connect,
     log_session,
     pack_batch,
+    transport_session,
     unpack_batch,
 )
 from attestnet import kernel as kernel_mod
@@ -37,6 +38,14 @@ def make_pair(attest_delay_ns=0, net=None):
     a.provision([(1, 2, KEY1)])
     b.provision([(1, 1, KEY1)])
     return net, a, b
+
+
+def test_transport_session_refuses_ids_its_layout_cannot_hold():
+    assert transport_session(255, 1) == transport_session(1, 255) == 0x0100_01FF
+    # (1, 258) would pack to (1, 2)'s session.
+    for a, b in ((1, 256), (1, 258), (-1, 2)):
+        with pytest.raises(ValueError, match="device ids 0..255"):
+            transport_session(a, b)
 
 
 def test_connect_both_sides_share_session():

@@ -1,10 +1,7 @@
 """CFT-to-BFT wrapper: the two receive checks, shadow state, accusations."""
 
-import pytest
-
 from attestnet.device import DeviceConfig, Endpoint, log_session
-from attestnet.errors import NonDeterministicSpec
-from attestnet.transform import Flag, Wrapper, probe_determinism
+from attestnet.transform import Flag, Wrapper
 from attestnet.wire import decode_frame, encode_frame
 
 KEY = bytes(range(32))
@@ -85,17 +82,3 @@ def test_a_flagged_peers_later_frames_are_never_checked():
     assert not receiver.reads(SENDER) and receiver.reads(3)
     # The second frame never reached the kernel: its counter is still next.
     assert receiver.endpoint.expected_counter(log_session(SENDER)) == 1
-
-
-def test_nondeterministic_machine_rejected_at_registration():
-    import random as _random
-
-    def flaky_apply(state, msg):
-        return state + _random.randrange(1000000)
-
-    with pytest.raises(NonDeterministicSpec):
-        probe_determinism(0, flaky_apply, serialize_sum, [b"\x01", b"\x02"])
-
-
-def test_deterministic_machine_passes_probe():
-    assert probe_determinism(0, apply_sum, serialize_sum, [b"\x01", b"\x02"]) is None
