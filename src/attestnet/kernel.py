@@ -22,8 +22,8 @@ both pads and looking SHA-384 up by name on every tag: about 1.5 us, half
 the cost of a tag over a 160-byte payload. The states are built on a
 session's first tag, not when it is provisioned: most sessions of a
 short-lived cluster carry few frames or none, and building them up front
-shows in setup time. `hmac_pads` builds them, for session keys and for the
-reply keys of `protocols.common`, whose reply MACs copy them the same way.
+shows in setup time. Only session keys have pad states: client replies are
+MACed outside the kernel, with keyed BLAKE2b (`protocols.common`).
 
 Attest samples the send counter *before* incrementing it; verify accepts only
 the exact expected receive counter and advances it by one; given the session's
@@ -78,8 +78,8 @@ class SessionState:
     key: bytes = field(repr=False)
     send_cnt: int = 0
     recv_cnt: int = 0
-    # SHA-384 fed key xor ipad / key xor opad: built on the first tag, then
-    # only ever copied.
+    # SHA-384 fed the key, zero-padded to a block, xor ipad / xor opad:
+    # built on the first tag, then only ever copied.
     _inner: object = field(default=None, init=False, repr=False, compare=False)
     _outer: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -88,16 +88,10 @@ class SessionState:
             raise ValueError(f"session key must be {KEY_LEN} bytes")
 
     def _build_pads(self):
-        self._inner, self._outer = hmac_pads(self.key)
+        block = self.key.ljust(_BLOCK_LEN, b"\x00")
+        self._inner = hashlib.sha384(block.translate(_IPAD))
+        self._outer = hashlib.sha384(block.translate(_OPAD))
         return self._inner
-
-
-def hmac_pads(key: bytes) -> tuple:
-    """The RFC 2104 pad states of an HMAC-SHA-384 key shorter than a block:
-    SHA-384 fed key xor ipad, and SHA-384 fed key xor opad. Copy them, never
-    update them."""
-    block = key.ljust(_BLOCK_LEN, b"\x00")
-    return hashlib.sha384(block.translate(_IPAD)), hashlib.sha384(block.translate(_OPAD))
 
 
 class AttestedMessage(NamedTuple):

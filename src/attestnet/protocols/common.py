@@ -3,13 +3,13 @@ clients, and the session topology used by the replicated systems.
 
 Clients are untrusted and hold no attestation session keys, so replies are
 authenticated as in PBFT: replica d shares a key K(d, c) with each client c,
-and a reply carries the request, the value, and one HMAC-SHA-384 per client
-of the 97-byte statement `0x01 ‖ H(req) ‖ H(value)`. The MACs use the
-kernel's pad-state HMAC: each key's pad states are built on its first MAC
-(`kernel.hmac_pads`) and copied for every later one. Unlike a signature, a
-MAC cannot convince a third party; nothing here forwards a reply. Replies
-reach clients through the replicas' outboxes, never over the simulated wire,
-so they have no byte encoding and cost no simulated time. A client trusts a
+and a reply carries the request, the value, and one 48-byte keyed BLAKE2b MAC
+(RFC 7693) per client of the 97-byte statement `0x01 ‖ H(req) ‖ H(value)`.
+Keyed BLAKE2b is a MAC in one pass, where HMAC takes two nested hashes; the
+kernel's tags stay HMAC-SHA-384. Unlike a signature, a MAC cannot convince a
+third party; nothing here forwards a reply. Replies reach clients through
+the replicas' outboxes, never over the simulated wire, so they have no byte
+encoding and cost no simulated time. A client trusts a
 result only after f+1 identical replies from distinct devices that reference
 its own request bytes.
 
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 from ..device import DeviceConfig, Endpoint, connect, log_session, transport_session
 from ..errors import FrameError
-from ..kernel import hmac_pads
 from ..simnet import Network
 
 
@@ -89,16 +88,17 @@ def reply_statement(req_digest: bytes, value_digest: bytes) -> bytes:
     return b"\x01" + req_digest + value_digest
 
 
-def reply_mac(pads: dict, key: bytes, statement: bytes) -> bytes:
-    """HMAC-SHA-384 of `statement` under `key`, byte-identical to
-    `hmac.digest(key, statement, "sha384")`. `pads` caches each key's
-    `hmac_pads`, built on the key's first MAC and then only copied."""
-    inner, outer = pads.get(key) or pads.setdefault(key, hmac_pads(key))
-    inner = inner.copy()
-    inner.update(statement)
-    outer = outer.copy()
-    outer.update(inner.digest())
-    return outer.digest()
+def reply_mac(states: dict, key: bytes, statement: bytes) -> bytes:
+    """48-byte keyed BLAKE2b of `statement` under `key`, byte-identical to
+    `hashlib.blake2b(statement, key=key, digest_size=48).digest()`. `states`
+    caches each key's keyed state, built on the key's first MAC and then
+    only copied."""
+    state = states.get(key)
+    if state is None:
+        state = states[key] = hashlib.blake2b(key=key, digest_size=48)
+    state = state.copy()
+    state.update(statement)
+    return state.digest()
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,14 @@ class ReplyKeyring:
     the reply's own request and value: nothing is decoded, so only a MAC over
     other bytes, or under another replica's or client's key, fails.
 
-    Every MAC is the kernel's pad-state HMAC: a key's pad states
-    (`kernel.hmac_pads`) are built on the first MAC under it, not at
-    enrollment, and copied for every MAC (`reply_mac`). `check` reuses
-    the last `STATEMENTS_KEPT` statements it built, since a chain reply's
-    statement hashes about 8 KiB: the pump hands each reply to every client
-    back to back, honest replicas reply with equal pairs for one request,
-    and replies to several requests interleave (4 BFT clients' across 3
-    outboxes, a closed-loop chain client's next put with the last replies
-    to its current one). It finds a statement by comparing the reply's
+    Every MAC is a keyed BLAKE2b (`reply_mac`): a key's keyed state is
+    built on the first MAC under it, not at enrollment, and copied for every
+    MAC. `check` reuses the last `STATEMENTS_KEPT` statements it built,
+    since a chain reply's statement hashes about 8 KiB: the pump hands each
+    reply to every client back to back, honest replicas reply with equal
+    pairs for one request, and replies to several requests interleave (4 BFT
+    clients' across 3 outboxes, a closed-loop chain client's next put with
+    the last replies to its current one). It finds a statement by comparing the reply's
     request and value with `==`: each replica's pair is its own objects,
     which a dict would hash in full.
     """
@@ -145,7 +144,7 @@ class ReplyKeyring:
     def __init__(self, devices: list[int], seed: int):
         self.seed = seed
         self._keys: dict[int, dict[int, bytes]] = {d: {} for d in devices}
-        self._pads: dict[bytes, tuple] = {}
+        self._states: dict[bytes, object] = {}
         self._statements: deque[tuple[bytes, bytes, bytes]] = deque(
             maxlen=STATEMENTS_KEPT)
 
@@ -159,7 +158,7 @@ class ReplyKeyring:
         `reply_statement` from the digests of `req` and `value`, for every
         enrolled client."""
         return Reply(device, req, value,
-                     {client: reply_mac(self._pads, key, statement)
+                     {client: reply_mac(self._states, key, statement)
                       for client, key in self._keys[device].items()})
 
     def check(self, reply: Reply, client_id: int) -> bool:
@@ -176,7 +175,7 @@ class ReplyKeyring:
         else:
             statement = reply_statement(digest(req), digest(value))
             self._statements.append((req, value, statement))
-        return hmac.compare_digest(mac, reply_mac(self._pads, keys[client_id], statement))
+        return hmac.compare_digest(mac, reply_mac(self._states, keys[client_id], statement))
 
 
 class QuorumClient:

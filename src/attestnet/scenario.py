@@ -19,6 +19,13 @@ and "batch" are at least 1, "attest_delay_ns" and "payload" at least 0. An
 action's "session", "sender" and "index" may also be null, which matches any
 value.
 
+Device ids run from 0 to 255, and the PeerReview root is device 1, so
+"children" is at most 254. The root logs, each round, one entry of the
+frames it sent all children, and an entry is a kernel payload of at most
+64 KiB: 238 children fit without "payload", fewer with it. A CR proof nests
+one level per node, so "n" and "payload" share its 64 KiB too. A spec past
+these bounds is bad input.
+
 Round r submits one body: without "payload", the protocol's own (an empty
 BFT request, a CR put of b"v<17r>" at b"k<r>", b"cmd-<r>", b"rec-<r>"); with
 it, `pack_batch` of "batch" records of `randbytes(payload)` from
@@ -154,7 +161,8 @@ def run_scenario(spec: dict) -> ScenarioResult:
     try:
         outcome, lines, timing = _RUNNERS[protocol](spec, attack, kind)
     except PayloadTooLarge as exc:
-        raise ValueError(f'"payload" or topology too large: {exc} bytes') from None
+        topology = {"cr": ' or "n"', "peerreview": ' or "children"'}.get(protocol, "")
+        raise ValueError(f'"payload"{topology} too large: {exc} bytes') from None
     ok = lines[-1]["ok"] = judge(outcome)
     return ScenarioResult(ok, lines, *timing)
 

@@ -287,13 +287,13 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
     ('{"protocol": "a2m", "attest_delay_ns": "23"}',
      "\"attest_delay_ns\" must be an integer, got '23'"),
     ('{"protocol": "cr", "rounds": 1, "payload": 70000}',
-     "\"payload\" or topology too large: 70227 > 65536 bytes"),
+     "\"payload\" or \"n\" too large: 70227 > 65536 bytes"),
     ('{"protocol": "peerreview", "rounds": 1, "payload": 40000}',
-     "\"payload\" or topology too large: 80197 > 65536 bytes"),
+     "\"payload\" or \"children\" too large: 80197 > 65536 bytes"),
     ('{"protocol": "a2m", "rounds": 1, "payload": 70000}',
-     "\"payload\" or topology too large: 70008 > 65536 bytes"),
+     "\"payload\" too large: 70008 > 65536 bytes"),
     ('{"protocol": "raw-channel", "rounds": 1, "payload": 70000}',
-     "\"payload\" or topology too large: 70008 > 65536 bytes"),
+     "\"payload\" too large: 70008 > 65536 bytes"),
     ('{"protocol": "cr", "n": 3, "f": -1}', "f must be >= 0, got -1"),
     ('{"protocol": "cr", "n": 0, "f": -1}', "f must be >= 0, got -1"),
     ('{"protocol": "peerreview", "children": 257}',
@@ -312,6 +312,21 @@ def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("attestnet scenario: ") and message in line
+
+
+def test_scenario_peerreview_children_fill_the_roots_log_entry(tmp_path, capsys):
+    """Without "payload", the root's entry of the frames it sent one round
+    fits 238 children, and 239 are refused as bad input."""
+    path = tmp_path / "wide.json"
+    path.write_text('{"protocol": "peerreview", "children": 238, "rounds": 1}')
+    assert cli.main(["scenario", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["ok"] is True
+    path.write_text('{"protocol": "peerreview", "children": 239, "rounds": 1}')
+    assert cli.main(["scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("attestnet scenario: \"payload\" or \"children\" too large: "
+                            "65730 > 65536 bytes\n")
 
 
 @pytest.mark.parametrize("seq", [2, -1])
@@ -402,7 +417,7 @@ def test_bench_payload_too_large_for_the_kernel_exits_2(capsys):
                      "--requests", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("attestnet bench: \"payload\" or topology too large: "
+    assert captured.err == ("attestnet bench: \"payload\" or \"n\" too large: "
                             "70227 > 65536 bytes\n")
 
 

@@ -1,16 +1,17 @@
-"""Reply authentication: every reply carries one HMAC-SHA-384 of the 97-byte
-reply statement per enrolled client, under the key K(replica, client), and a
-client checks only its own entry. The MACs come from each key's cached pad
-states, built on the key's first MAC."""
+"""Reply authentication: every reply carries one 48-byte keyed BLAKE2b MAC of
+the 97-byte reply statement per enrolled client, under the key K(replica,
+client), and a client checks only its own entry. The MACs come from each
+key's cached keyed state, built on the key's first MAC."""
 
 import dataclasses
+import hashlib
 import hmac
 import struct
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from attestnet.kernel import hmac_pads
+from attestnet import kernel
 from attestnet.protocols import common
 from attestnet.protocols.bft import BftCluster
 from attestnet.protocols.chain import OP_PUT, ChainCluster, encode_op
@@ -34,9 +35,14 @@ class CountingMac:
     def __init__(self):
         self.lengths: list[int] = []
 
-    def __call__(self, pads, key, statement):
+    def __call__(self, states, key, statement):
         self.lengths.append(len(statement))
-        return reply_mac(pads, key, statement)
+        return reply_mac(states, key, statement)
+
+
+def keyed_blake2b(key: bytes, statement: bytes) -> bytes:
+    """The one-shot MAC every reply entry must equal."""
+    return hashlib.blake2b(statement, key=key, digest_size=48).digest()
 
 
 def honest_reply(keyring, device, req, value) -> Reply:
@@ -97,20 +103,20 @@ def test_every_signed_and_verified_message_is_the_97_byte_statement(monkeypatch)
 @settings(max_examples=50, deadline=None, database=None)
 @given(key=st.binary(min_size=32, max_size=32),
        statements=st.lists(st.binary(max_size=200), min_size=1, max_size=4))
-def test_reply_mac_from_cached_pads_is_hmac_digest(key, statements):
-    """The first and every repeated MAC under one pad pair; a MAC that fed
-    the cached states instead of copies would differ from the second on."""
-    pads: dict = {}
+def test_reply_mac_from_cached_state_is_keyed_blake2b(key, statements):
+    """The first and every repeated MAC under one keyed state; a MAC that fed
+    the cached state instead of a copy would differ from the second on."""
+    states: dict = {}
     for statement in [*statements, *statements]:
-        assert reply_mac(pads, key, statement) == hmac.digest(key, statement, "sha384")
-    assert list(pads) == [key]
+        assert reply_mac(states, key, statement) == keyed_blake2b(key, statement)
+    assert list(states) == [key]
 
 
 @seed(2502)
 @settings(max_examples=20, deadline=None, database=None)
 @given(cluster_seed=st.integers(0, 2 ** 32), req=st.binary(max_size=40),
        values=st.lists(st.binary(max_size=40), min_size=2, max_size=3))
-def test_every_sign_entry_is_hmac_digest_under_its_reply_key(cluster_seed, req, values):
+def test_every_sign_entry_is_keyed_blake2b_under_its_reply_key(cluster_seed, req, values):
     cluster = BftCluster.build(n=3, f=1, seed=cluster_seed, clients=4)
     keyring = cluster.cluster.keyring
     clients = [client.client_id for client in cluster.clients]
@@ -119,24 +125,27 @@ def test_every_sign_entry_is_hmac_digest_under_its_reply_key(cluster_seed, req, 
         for device in sorted(cluster.replicas):
             reply = keyring.sign(device, req, value, statement)
             assert reply.macs == {
-                c: hmac.digest(reply_key(cluster_seed, device, c), statement, "sha384")
+                c: keyed_blake2b(reply_key(cluster_seed, device, c), statement)
                 for c in clients}
             assert all(keyring.check(reply, c) for c in clients)
 
 
-def counting_pad_builds(monkeypatch) -> list[bytes]:
-    """Records the key of every pad pair `common` builds."""
+def counting_state_builds(monkeypatch) -> list[bytes]:
+    """Records the key of every keyed BLAKE2b state built."""
     built: list[bytes] = []
-    monkeypatch.setattr(common, "hmac_pads", lambda key: built.append(key) or hmac_pads(key))
+    blake2b = hashlib.blake2b
+    monkeypatch.setattr(hashlib, "blake2b",
+                        lambda *args, **kwargs: built.append(kwargs.get("key"))
+                        or blake2b(*args, **kwargs))
     return built
 
 
 @pytest.mark.parametrize("requests", [1, 6])
-def test_one_pad_pair_per_reply_key_whatever_the_run_length(monkeypatch, requests):
-    built = counting_pad_builds(monkeypatch)
+def test_one_keyed_state_per_reply_key_whatever_the_run_length(monkeypatch, requests):
+    built = counting_state_builds(monkeypatch)
     cluster = BftCluster.build(n=3, f=1, seed=5, clients=4)
     late = QuorumClient(300, cluster.cluster.keyring, cluster.config.quorum)
-    assert built == []                      # enrolling builds no pad state
+    assert built == []                      # enrolling builds no keyed state
 
     for i in range(requests):
         cluster.run_request(i % 4, i)
@@ -145,7 +154,9 @@ def test_one_pad_pair_per_reply_key_whatever_the_run_length(monkeypatch, request
 
 
 def test_only_keys_that_mac_get_pads(monkeypatch):
-    built = counting_pad_builds(monkeypatch)
+    """A key's pads are its keyed state: BLAKE2b compresses the key,
+    zero-padded to a block, before the statement (RFC 7693)."""
+    built = counting_state_builds(monkeypatch)
     keyring = ReplyKeyring([1, 2, 3], seed=5)
     for client in range(4):
         keyring.enroll(client)
@@ -153,6 +164,35 @@ def test_only_keys_that_mac_get_pads(monkeypatch):
     reply = keyring.sign(2, req, value, reply_statement(digest(req), digest(value)))
     assert keyring.check(reply, 0)
     assert sorted(built) == sorted(reply_key(5, 2, c) for c in range(4))
+
+
+def test_kernel_tags_and_reply_macs_use_their_own_keys(monkeypatch):
+    """One BFT request with 4 clients computes 21 kernel tags and 24 reply
+    MACs, one CR put 23 tags and 10 MACs. Session keys get HMAC pad states,
+    reply keys keyed BLAKE2b states, and no key gets both."""
+    tag_keys: list[bytes] = []
+    compute_tag = kernel.compute_tag
+    monkeypatch.setattr(kernel, "compute_tag", lambda state, *rest: (
+        tag_keys.append(state.key) or compute_tag(state, *rest)))
+    padded: list[bytes] = []
+    build_pads = kernel.SessionState._build_pads
+    monkeypatch.setattr(kernel.SessionState, "_build_pads",
+                        lambda state: padded.append(state.key) or build_pads(state))
+    keyed = counting_state_builds(monkeypatch)
+    macs = CountingMac()
+    monkeypatch.setattr(common, "reply_mac", macs)
+
+    bft = BftCluster.build(n=3, f=1, seed=4, clients=4)
+    assert bft.clients[0].accepted_value(bft.run_request(0, 1)) == struct.pack(">Q", 1)
+    assert (len(tag_keys), len(macs.lengths)) == (21, 24)
+    cr = ChainCluster.build(n=5, f=2, seed=4)
+    assert cr.clients[0].accepted_value(cr.run_put(0, 1, b"k", b"v")) is not None
+    assert (len(tag_keys), len(macs.lengths)) == (21 + 23, 24 + 10)
+
+    reply_keys = {reply_key(4, d, c.client_id) for d in (1, 2, 3) for c in bft.clients}
+    reply_keys |= {reply_key(4, d, c.client_id) for d in cr.order for c in cr.clients}
+    assert set(keyed) == reply_keys
+    assert set(padded) == set(tag_keys) and set(padded).isdisjoint(reply_keys)
 
 
 def _corrupt_signature(reply):
@@ -203,16 +243,22 @@ def test_forgery_of_remembered_reply_still_rejected(forge):
 
 def test_signature_over_the_raw_payload_is_rejected():
     """A MAC over the request and value bytes, not their statement, under
-    the right key."""
+    the right key; the same MAC over the statement is accepted."""
     cluster = BftCluster.build(n=3, f=1, seed=9)
     client = cluster.clients[0]
     req, value = client.issue(1), struct.pack(">Q", 1)
-    for device in (2, 3):
-        key = reply_key(cluster.cluster.seed, device, client.client_id)
-        mac = hmac.digest(key, req + value, "sha384")
+    keys = {device: reply_key(cluster.cluster.seed, device, client.client_id)
+            for device in (2, 3)}
+    for device, key in keys.items():
+        mac = keyed_blake2b(key, req + value)
         client.deliver(Reply(device, req, value, {client.client_id: mac}))
     assert client.ignored == 2
     assert client.replies == {} and client.accepted_value(req) is None
+    statement = reply_statement(digest(req), digest(value))
+    for device, key in keys.items():
+        mac = keyed_blake2b(key, statement)
+        client.deliver(Reply(device, req, value, {client.client_id: mac}))
+    assert client.ignored == 2 and client.accepted_value(req) == value
 
 
 def test_an_entry_corrupted_for_one_client_leaves_the_others_valid():
@@ -245,12 +291,26 @@ def test_an_entry_under_another_replicas_key_is_rejected():
     client = cluster.clients[0]
     req, value = client.issue(1), struct.pack(">Q", 1)
     statement = reply_statement(digest(req), digest(value))
-    mac = hmac.digest(reply_key(cluster.cluster.seed, 3, client.client_id),
-                      statement, "sha384")
+    mac = keyed_blake2b(reply_key(cluster.cluster.seed, 3, client.client_id), statement)
     client.deliver(Reply(2, req, value, {client.client_id: mac}))
     assert client.ignored == 1 and client.replies == {}
     client.deliver(Reply(3, req, value, {client.client_id: mac}))
     assert client.ignored == 1 and client.replies == {req: {3: value}}
+
+
+def test_an_hmac_sha384_entry_is_rejected():
+    """HMAC-SHA-384, which the kernel's tags use, of the right statement
+    under the right key is not a reply MAC."""
+    cluster = BftCluster.build(n=3, f=1, seed=11)
+    client = cluster.clients[0]
+    req, value = client.issue(1), struct.pack(">Q", 1)
+    statement = reply_statement(digest(req), digest(value))
+    key = reply_key(cluster.cluster.seed, 2, client.client_id)
+    old_mac = hmac.digest(key, statement, "sha384")
+    client.deliver(Reply(2, req, value, {client.client_id: old_mac}))
+    assert client.ignored == 1 and client.replies == {}
+    client.deliver(Reply(2, req, value, {client.client_id: keyed_blake2b(key, statement)}))
+    assert client.ignored == 1 and client.replies == {req: {2: value}}
 
 
 def test_a_reply_without_this_clients_entry_is_ignored():
