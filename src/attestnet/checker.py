@@ -3,7 +3,7 @@
 For tiny instances (at most 2 senders, 4 messages each) the checker
 crosses every single-point adversarial mutation of the senders' streams with
 every interleaving of those streams into one shared receiver, and evaluates
-executable analogues of the five security statements:
+executable analogues of the paper's six lemmas:
 
     attestation   vendor completion implies prior device completion
     transfer_auth every accepted message was previously sent by a genuine kernel
@@ -12,8 +12,10 @@ executable analogues of the five security statements:
     no_reorder    per-sender acceptance order equals send order
     no_duplicate  no message is accepted twice
 
-plus the multicast consistency property: two receivers fed the same
-locally-attested stream accept prefix-comparable sequences. Only the
+    consistency   two receivers fed the same locally-attested stream
+                  accept prefix-comparable sequences (non-equivocation)
+
+`check_all_lemmas` returns one report per lemma, in that order. Only the
 transport lemmas search interleavings, because their one receiver could carry
 state from one session to another. The two consistency receivers are separate
 endpoints that each see only their own stream, so each is fed its stream in
@@ -25,10 +27,10 @@ The adversary is the simulator's: each mutation is one `simnet.FaultAction`
 sees. Every delivery order is replayed from scratch by `deliver`, which hands
 the frames to a fresh `Endpoint` through `Endpoint.deliver_frame`, the
 production receive path with its peer check; the lemmas are then read off
-the acceptance list it returns. A reported counterexample serializes to
-JSON, and `replay_counterexample` rebuilds its mutation and delivers it the
-way its lemma's check did (a consistency one to each receiver apart), so it
-reproduces the violating acceptance pattern by construction.
+the acceptance list it returns. A counterexample is one record of one lemma,
+and `replay_counterexample` rebuilds its mutation and delivers it the way
+its lemma's check did (a consistency one to each receiver apart), so it
+reproduces the record's `acceptance` by construction.
 
 This is bounded model checking of the implementation, not a symbolic proof;
 the unbounded claims rest on machine-checked proofs outside this artifact.
@@ -40,7 +42,7 @@ keeps every production check outside its one bug.
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bootstrap import (DIGEST_LEN, NONCE_LEN, PUB_LEN, SIG_LEN, ProvisioningBundle,
                         make_pair, measure, run_handshake)
@@ -134,20 +136,19 @@ class BoundedInstance:
 
 @dataclass
 class Counterexample:
+    lemma: str
     instance: BoundedInstance
     kernel: str
     mutation: str
+    # A stream is one sender's frames; for consistency, one receiver's.
     delivery_order: list[tuple[int, int]]       # (stream, position in stream)
     acceptance: list[tuple[int, int, bool]]     # (stream, position, accepted)
     detail: str = ""
-    lemma: str = ""                             # set by its LemmaReport
-    # Consistency only: (receiver, position, accepted), each receiver fed its
-    # own stream in order.
-    receivers: list[tuple[int, int, bool]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The counterexample as a report shows it."""
+        """The counterexample as reports show it and files store it."""
         return {
+            "lemma": self.lemma,
             "senders": self.instance.senders,
             "messages_per_sender": self.instance.messages_per_sender,
             "seed": self.instance.seed,
@@ -158,38 +159,30 @@ class Counterexample:
             "detail": self.detail,
         }
 
-    def to_file_dict(self) -> dict:
-        """`to_dict` plus what a replay also needs: the lemma and each
-        consistency receiver's acceptance. `--counterexample-out` writes it."""
-        return {**self.to_dict(), "lemma": self.lemma,
-                "receivers": [list(a) for a in self.receivers]}
-
     @classmethod
     def from_dict(cls, data: dict) -> "Counterexample":
         instance = BoundedInstance(senders=data["senders"],
                                    messages_per_sender=data["messages_per_sender"],
                                    seed=data.get("seed", 0))
-        return cls(instance=instance, kernel=data["kernel"],
+        return cls(lemma=data["lemma"], instance=instance, kernel=data["kernel"],
                    mutation=data["mutation"],
                    delivery_order=[tuple(d) for d in data["delivery_order"]],
                    acceptance=[tuple(a) for a in data["acceptance"]],
-                   detail=data.get("detail", ""), lemma=data.get("lemma", ""),
-                   receivers=[tuple(a) for a in data.get("receivers", [])])
+                   detail=data.get("detail", ""))
 
 
 @dataclass
 class LemmaReport:
     lemma: str
-    verdict: str                       # "Holds" | "Counterexample"
     counterexample: Counterexample | None = None
-
-    def __post_init__(self):
-        if self.counterexample is not None:
-            self.counterexample.lemma = self.lemma
 
     @property
     def holds(self) -> bool:
-        return self.verdict == "Holds"
+        return self.counterexample is None
+
+    @property
+    def verdict(self) -> str:
+        return "Holds" if self.holds else "Counterexample"
 
     def line(self) -> str:
         suffix = "" if self.holds else f" ({self.counterexample.detail})"
@@ -327,25 +320,19 @@ def check_transport_lemmas(instance: BoundedInstance,
             for lemma, step, detail in _violations(streams, sent, acceptance):
                 if lemma not in found:
                     found[lemma] = Counterexample(
-                        instance=instance, kernel=kernel, mutation=mutation,
+                        lemma=lemma, instance=instance, kernel=kernel,
+                        mutation=mutation,
                         delivery_order=list(order[:step + 1]),
                         acceptance=acceptance[:step + 1],
                         detail=f"{detail} under {mutation}")
         if len(found) == len(TRANSPORT_LEMMAS):
             break
-    reports = {}
-    for lemma in TRANSPORT_LEMMAS:
-        cex = found.get(lemma)
-        reports[lemma] = LemmaReport(
-            lemma=lemma,
-            verdict="Holds" if cex is None else "Counterexample",
-            counterexample=cex)
-    return reports
+    return {lemma: LemmaReport(lemma, found.get(lemma)) for lemma in TRANSPORT_LEMMAS}
 
 
 # -- attestation lemma (remote-attestation completion ordering) --------------------
 
-def _handshake_scenarios(seed: int):
+def _handshake_scenarios():
     """Honest run plus one scenario per single-field corruption class."""
     yield "honest", None, None
     hw_sig = DIGEST_LEN + PUB_LEN   # cert = digest ‖ pub ‖ hw_sig ‖ nonce ‖ ctrl_sig
@@ -358,7 +345,7 @@ def _handshake_scenarios(seed: int):
 
 def check_attestation_lemma(seed: int = 0) -> LemmaReport:
     """Vendor completion must always be preceded by device completion."""
-    for name, flip_spec, evil_bin in _handshake_scenarios(seed):
+    for name, flip_spec, evil_bin in _handshake_scenarios():
         endpoint = Endpoint(DeviceConfig(device=42))
         if evil_bin is None:
             vendor, controller = make_pair(seed, 42, endpoint)
@@ -381,37 +368,35 @@ def check_attestation_lemma(seed: int = 0) -> LemmaReport:
                     return bytes(out)
                 return body
 
+        rejected = False
         try:
-            result = run_handshake(vendor, controller, bundle, tamper=tamper)
+            run_handshake(vendor, controller, bundle, tamper=tamper)
         except HandshakeError:
-            result = None
-        if result is None:
-            # Rejected handshakes complete on neither side: vacuously fine,
-            # as long as no completion fact was recorded.
-            if vendor.completed_at is not None or controller.completed_at is not None:
-                cex = Counterexample(
-                    instance=BoundedInstance(seed=seed), kernel="correct",
-                    mutation=name, delivery_order=[], acceptance=[],
-                    detail=f"completion recorded in rejected handshake {name}")
-                return LemmaReport("attestation", "Counterexample", cex)
-            continue
-        if (result.vendor.completed_at is None
-                or result.controller.completed_at is None
-                or result.controller.completed_at >= result.vendor.completed_at):
-            cex = Counterexample(
-                instance=BoundedInstance(seed=seed), kernel="correct",
-                mutation=name, delivery_order=[], acceptance=[],
-                detail=f"vendor completed without prior device completion in {name}")
-            return LemmaReport("attestation", "Counterexample", cex)
-    return LemmaReport("attestation", "Holds")
+            rejected = True
+        device_at, vendor_at = controller.completed_at, vendor.completed_at
+        if rejected:
+            # A rejected handshake completes on neither side.
+            broken = (device_at, vendor_at) != (None, None)
+            detail = f"completion recorded in rejected handshake {name}"
+        else:
+            broken = None in (device_at, vendor_at) or device_at >= vendor_at
+            detail = f"vendor completed without prior device completion in {name}"
+        if broken:
+            return LemmaReport("attestation", Counterexample(
+                lemma="attestation", instance=BoundedInstance(seed=seed),
+                kernel="correct", mutation=name, delivery_order=[],
+                acceptance=[], detail=detail))
+    return LemmaReport("attestation")
 
 
 # -- public entry points -------------------------------------------------------------
 
 def check_all_lemmas(instance: BoundedInstance,
                      kernel: str = "correct") -> list[LemmaReport]:
+    """The six lemma reports, in the order `attestnet check` prints them."""
     transport = check_transport_lemmas(instance, kernel)
-    return [check_attestation_lemma(instance.seed), *transport.values()]
+    return [check_attestation_lemma(instance.seed), *transport.values(),
+            check_consistency(instance, kernel)]
 
 
 MULTICAST_SESSION = 1     # the session `deliver` gives a lone stream
@@ -461,17 +446,18 @@ def check_consistency(instance: BoundedInstance,
     """
     instance.validate()
     for mutation, streams in _mutations(_multicast_streams(instance, kernel)):
-        receivers = _receive_apart(instance, streams)
+        acceptance = _receive_apart(instance, streams)
         a, b = ([decode_frame(streams[r][p]).payload
-                 for receiver, p, ok in receivers if ok and receiver == r]
+                 for receiver, p, ok in acceptance if ok and receiver == r]
                 for r in (0, 1))
         n = min(len(a), len(b))
         if a[:n] != b[:n]:
-            return LemmaReport("consistency", "Counterexample", Counterexample(
-                instance=instance, kernel=kernel, mutation=mutation,
-                delivery_order=[], acceptance=[],
-                detail="receiver sequences diverge", receivers=receivers))
-    return LemmaReport("consistency", "Holds")
+            return LemmaReport("consistency", Counterexample(
+                lemma="consistency", instance=instance, kernel=kernel,
+                mutation=mutation,
+                delivery_order=[(r, p) for r, p, _ in acceptance],
+                acceptance=acceptance, detail="receiver sequences diverge"))
+    return LemmaReport("consistency")
 
 
 LEADER, FOLLOWERS = 1, (2, 3)
@@ -517,21 +503,22 @@ def check_leader_strategies() -> LemmaReport:
                           for fl in f.wrapper.flags)
             if conflict and not flagged:
                 cex = Counterexample(
+                    lemma="bft_equivocation",
                     instance=BoundedInstance(senders=1, messages_per_sender=2),
                     kernel="correct", mutation="leader-strategy",
                     delivery_order=[], acceptance=[],
                     detail=f"conflicting round contents, emitted={emitted},"
                            f" delivery {delivery[0]}/{delivery[1]}, no flags")
-                return LemmaReport("bft_equivocation", "Counterexample", cex)
-    return LemmaReport("bft_equivocation", "Holds")
+                return LemmaReport("bft_equivocation", cex)
+    return LemmaReport("bft_equivocation")
 
 
 # -- counterexample replay -------------------------------------------------------------
 
 def replay_counterexample(cex: Counterexample) -> list[tuple[int, int, bool]]:
-    """Rebuild the counterexample's mutated streams and deliver them again:
-    in its delivery order to one receiver, giving its `acceptance`, or, for
-    consistency, each to a receiver of its own, giving its `receivers`."""
+    """Rebuild the counterexample's mutated streams and deliver them again,
+    giving its `acceptance`: in its delivery order to one receiver, or, for
+    consistency, each stream in order to a receiver of its own."""
     kernel_cls = KERNELS[cex.kernel]
     consistency = cex.lemma == "consistency"
     streams = (_multicast_streams(cex.instance, cex.kernel) if consistency

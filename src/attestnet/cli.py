@@ -103,16 +103,13 @@ def _cmd_check(args) -> int:
         print(f"attestnet check: {exc}", file=sys.stderr)
         return 2
     reports = checker.check_all_lemmas(instance, kernel=args.kernel)
-    reports.append(checker.check_consistency(instance, kernel=args.kernel))
-    first_cex = None
     for report in reports:
         print(report.line())
-        if first_cex is None and report.counterexample is not None:
-            first_cex = report.counterexample
-    if first_cex is not None and args.counterexample_out:
+    found = [r.counterexample for r in reports if not r.holds]
+    if found and args.counterexample_out:
         with open(args.counterexample_out, "w", encoding="utf-8") as fh:
-            json.dump(first_cex.to_file_dict(), fh, indent=2, sort_keys=True)
-    return 0 if all(r.holds for r in reports) else 1
+            json.dump(found[0].to_dict(), fh, indent=2, sort_keys=True)
+    return 1 if found else 0
 
 
 def _cmd_demo(args) -> int:

@@ -198,6 +198,9 @@ def _install_faults(spec: dict, net: Network) -> None:
         raise ValueError(f'faults "actions" must be a list, got {actions!r}')
     for action in actions:
         _require_object("a fault action", action)
+        if "frame" in action:
+            raise ValueError('fault action "frame" is not allowed: a spec '
+                             "holds no frame bytes")
         for name, value in action.items():
             if name != "kind" and not (value is None and name in WILDCARD_FIELDS):
                 _require_int(f'fault action "{name}"', value)

@@ -154,7 +154,8 @@ class Network:
 
     def install_schedule(self, schedule: FaultSchedule) -> None:
         """Script the adversary: each frame observed from now on fires the
-        earliest unspent action in schedule order that matches it, if any.
+        earliest unspent action in schedule order that matches it, if any. A
+        frame that a `reorder` already holds stays held.
 
         The actions are bucketed here, once, by their (session, sender,
         index) key. Every action in a bucket matches exactly the same frames,
@@ -165,7 +166,6 @@ class Network:
         """
         self._rng = random.Random(schedule.seed)
         self._stream_history.clear()
-        self._pending_swap.clear()
         buckets: dict[tuple, list[tuple[int, FaultAction]]] = {}
         for position, action in enumerate(schedule.actions):
             key = (action.session, action.sender, action.index)

@@ -276,6 +276,10 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
      "faults \"actions\" must be a list"),
     ('{"protocol": "cr", "faults": {"actions": [{"kind": "delay", "delay_ns": "9"}]}}',
      "fault action \"delay_ns\" must be an integer, got '9'"),
+    ('{"protocol": "raw-channel", "rounds": 1, "faults": {"actions": '
+     '[{"kind": "forge", "index": 0, "frame": 5}]}}', "fault action \"frame\""),
+    ('{"protocol": "bft", "faults": {"actions": [{"kind": "forge", "frame": null}]}}',
+     "fault action \"frame\""),
     ('{"protocol": "a2m", "attack": {"kind": "equivocate"}}',
      "unknown a2m attack kind 'equivocate'"),
     ('{"protocol": "raw-channel", "attack": {"kind": "drop", "index": 0}}',
@@ -376,13 +380,13 @@ def test_check_mutant_kernel_writes_replayable_counterexample(kernel, tmp_path, 
     assert "verdict=Counterexample" in capsys.readouterr().out
     data = json.loads(path.read_text())
     assert data["kernel"] == kernel
-    # per-receiver-counter breaks only consistency, whose receivers are each
-    # fed their stream in order: its pattern is each receiver's acceptance.
+    # per-receiver-counter breaks only consistency, whose streams are the
+    # receivers' own, each listed in order.
     consistency = kernel == "per-receiver-counter"
     assert data["lemma"] == ("consistency" if consistency else "no_lost")
-    recorded = data["receivers"] if consistency else data["acceptance"]
+    assert "receivers" not in data
     replayed = replay_counterexample(Counterexample.from_dict(data))
-    assert replayed and replayed == [tuple(a) for a in recorded]
+    assert replayed and replayed == [tuple(a) for a in data["acceptance"]]
 
 
 @pytest.mark.parametrize("bounds, message", [

@@ -237,6 +237,19 @@ def test_own_frame_reflected_back_is_rejected():
     assert net.exhausted == []
 
 
+def test_frame_held_by_reorder_survives_a_new_schedule():
+    # reorder holds m0 until its stream's next frame. A schedule installed in
+    # between changes what fires from then on; it neither loses m0 nor
+    # leaves m1 retrying behind a frame that never comes.
+    net, a, b = build_pair(FaultSchedule(actions=[FaultAction("reorder", index=0)]))
+    a.auth_send(1, b"m0")
+    net.install_schedule(FaultSchedule())
+    a.auth_send(1, b"m1")
+    net.run_until_quiescent()
+    assert [m.payload for m in b.poll(1)] == [b"m0", b"m1"]
+    assert net.exhausted == []
+
+
 def test_bounded_drops_below_budget_preserve_liveness():
     # each frame dropped at most r=2 < 16 times
     actions = []
