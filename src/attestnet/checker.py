@@ -44,8 +44,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .bootstrap import (DIGEST_LEN, NONCE_LEN, PUB_LEN, SIG_LEN, ProvisioningBundle,
-                        make_pair, measure, run_handshake)
+from .bootstrap import (AEAD_NONCE_LEN, DIGEST_LEN, NONCE_LEN, PUB_LEN, SIG_LEN,
+                        ProvisioningBundle, make_pair, measure, run_handshake)
 from .device import DeviceConfig, Endpoint
 from .errors import HandshakeError, InstanceTooLarge
 from .kernel import AttestationKernel, AttestedMessage
@@ -340,11 +340,18 @@ def _handshake_scenarios():
     yield "stale-nonce", ("cert", hw_sig + SIG_LEN), None
     yield "bad-controller-signature", ("cert", hw_sig + SIG_LEN + NONCE_LEN), None
     yield "tampered-bundle", ("bundle", 20), None
+    yield "tampered-ack", ("ack", AEAD_NONCE_LEN), None
     yield "measurement-mismatch", None, b"unexpected-firmware"
 
 
 def check_attestation_lemma(seed: int = 0) -> LemmaReport:
-    """Vendor completion must always be preceded by device completion."""
+    """Vendor completion must always be preceded by device completion.
+
+    A rejected handshake never records a vendor completion. It records a
+    device completion only when the rejection came at the ack: the device
+    completes when it installs the bundle, before it seals the ack, and it
+    cannot learn that the ack was corrupted on its way to the vendor. An
+    accepted handshake records both, the device's strictly first."""
     for name, flip_spec, evil_bin in _handshake_scenarios():
         endpoint = Endpoint(DeviceConfig(device=42))
         if evil_bin is None:
@@ -375,8 +382,8 @@ def check_attestation_lemma(seed: int = 0) -> LemmaReport:
             rejected = True
         device_at, vendor_at = controller.completed_at, vendor.completed_at
         if rejected:
-            # A rejected handshake completes on neither side.
-            broken = (device_at, vendor_at) != (None, None)
+            at_ack = flip_spec is not None and flip_spec[0] == "ack"
+            broken = vendor_at is not None or (device_at is not None and not at_ack)
             detail = f"completion recorded in rejected handshake {name}"
         else:
             broken = None in (device_at, vendor_at) or device_at >= vendor_at

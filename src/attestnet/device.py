@@ -17,9 +17,15 @@ receive counter has one path that moves it. A frame handed over to
 `local_verify` must also name, in its header, the session it is verified on.
 
 Processing delays are charged to a simulated clock that advances integer
-nanoseconds deterministically; host time is never read here. `Network.attach`
-is the only way to join a network; an attached endpoint charges the network's
-clock, and its `auth_send` checks the peer is attached before attesting.
+nanoseconds deterministically; host time is never read here. Each attest and
+each verify adds `config.attest_delay_ns`, read at that moment so a harness
+may set it after building, to `clock.now_ns` in place, in the method that
+attests or verifies: these run for every frame, tag and reply, where a
+helper's call frame per charge would cost more host time than the addition.
+`DeviceConfig` refuses a negative delay whenever it is assigned, so a charge
+never moves time backwards. `Network.attach` is the only way to join a
+network; an attached endpoint charges the network's clock, and its
+`auth_send` checks the peer is attached before attesting.
 """
 
 import struct
@@ -54,15 +60,14 @@ def log_session(device: int) -> int:
 
 
 class SimClock:
-    """Deterministic simulated clock; time moves only when charged."""
+    """Deterministic simulated clock; time moves only when charged.
+
+    An endpoint charges it by adding its configured delay to `now_ns` in
+    place, and `DeviceConfig` refuses a negative delay, so a charge never
+    moves time backwards."""
 
     def __init__(self):
         self.now_ns = 0
-
-    def advance(self, delta_ns: int) -> None:
-        if delta_ns < 0:
-            raise ValueError("time cannot move backwards")
-        self.now_ns += delta_ns
 
     def advance_to(self, t_ns: int) -> None:
         if t_ns > self.now_ns:
@@ -75,15 +80,18 @@ class DeviceConfig:
     installed afterwards by `Endpoint.provision`.
 
     attest_delay_ns models the processing cost of one attestation or one
-    verification (the hardware reference point is 23 us).
+    verification (the hardware reference point is 23 us). A harness may set
+    it after the endpoint is built; a negative delay is refused whenever it
+    is assigned, since an endpoint adds it to its clock unchecked.
     """
 
     device: int
     attest_delay_ns: int = 0
 
-    def __post_init__(self):
-        if self.attest_delay_ns < 0:
+    def __setattr__(self, name, value):
+        if name == "attest_delay_ns" and value < 0:
             raise ValueError("attest delay must be >= 0")
+        object.__setattr__(self, name, value)
 
 
 class Endpoint:
@@ -133,15 +141,10 @@ class Endpoint:
 
     # -- sending -----------------------------------------------------------
 
-    def _charge(self) -> None:
-        # One attest or verify. Read here: a harness may set it after building.
-        if self.config.attest_delay_ns:
-            self.clock.advance(self.config.attest_delay_ns)
-
     def local_send(self, session: int, payload: bytes) -> AttestedMessage:
         """Attest without transmitting; the multicast and log primitive."""
         msg = self.kernel.attest(session, payload)
-        self._charge()
+        self.clock.now_ns += self.config.attest_delay_ns
         return msg
 
     def auth_send(self, session: int, payload: bytes) -> AttestedMessage:
@@ -157,7 +160,7 @@ class Endpoint:
         if peer not in self.transport.endpoints:
             raise UnknownPeer(f"device {peer}")
         msg = self.kernel.attest(session, payload)
-        self._charge()
+        self.clock.now_ns += self.config.attest_delay_ns
         self.transport.submit(self.device, peer, session, encode_frame(msg))
         return msg
 
@@ -174,7 +177,7 @@ class Endpoint:
             if msg.session != session:
                 raise WrongSessionRole(f"frame names session {msg.session}, not {session}")
             self.kernel.session_state(session)
-            self._charge()
+            self.clock.now_ns += self.config.attest_delay_ns
             return self.kernel.verify(msg, self.peers[session])
         except KernelError as exc:
             self.rejection_events.append((session, type(exc).__name__))
@@ -192,7 +195,7 @@ class Endpoint:
         except FrameError:
             self.rejection_events.append((-1, "FrameError"))
             return False
-        self._charge()
+        self.clock.now_ns += self.config.attest_delay_ns
         inbox = self._inboxes.get(msg.session)
         try:
             if inbox is None and msg.session in self.peers:

@@ -52,9 +52,12 @@ def counter_apply(value: int, req: bytes) -> int:
     return value + 1
 
 
+_COUNTER = struct.Struct(">Q")
+
+
 def counter_state(value: int) -> bytes:
     """The counter's serialized state: the output a proof and a reply carry."""
-    return struct.pack(">Q", value)
+    return _COUNTER.pack(value)
 
 
 @dataclass

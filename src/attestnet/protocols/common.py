@@ -13,6 +13,12 @@ encoding and cost no simulated time. A client trusts a
 result only after f+1 identical replies from distinct devices that reference
 its own request bytes.
 
+Every request's replies are built, MACed and checked on the host's hot path,
+so a `Reply` is a NamedTuple (built without per-field setattr), and a client
+counts the replies that match an arriving value in one loop, building no
+list. A client keys what it accepts and observes by the bytes it issued, not
+by a replica's copy of them, so it holds one copy of each request.
+
 Session ids follow the layout in `device`: one transport session per pair
 of devices, the only sessions reached from the wire, and one log session per
 device, whose key is shared with every party that must verify that node's
@@ -29,6 +35,7 @@ import hmac
 import struct
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..device import DeviceConfig, Endpoint, connect, log_session, transport_session
 from ..errors import FrameError
@@ -101,9 +108,12 @@ def reply_mac(states: dict, key: bytes, statement: bytes) -> bytes:
     return state.digest()
 
 
-@dataclass(frozen=True)
-class Reply:
-    """A replica's answer to `req`; `macs[c]` is client c's entry."""
+class Reply(NamedTuple):
+    """A replica's answer to `req`; `macs[c]` is client c's entry.
+
+    An immutable record, like `kernel.AttestedMessage` and for the same
+    reason: one is built for every reply, and a NamedTuple costs less than
+    half of a frozen dataclass to build."""
 
     device: int
     req: bytes
@@ -195,7 +205,10 @@ class QuorumClient:
         self.client_id = client_id
         self.keyring = keyring
         self.quorum = quorum
-        self.issued: set[bytes] = set()
+        # Each request this client issued, mapped to itself: the membership
+        # test yields the client's own bytes, which key `accepted` and
+        # `observed`, so the client holds one copy of each request.
+        self.issued: dict[bytes, bytes] = {}
         self.replies: dict[bytes, dict[int, bytes]] = {}
         self.accepted: dict[bytes, bytes] = {}
         self.observed: dict[bytes, bytes] = {}
@@ -204,7 +217,7 @@ class QuorumClient:
 
     def issue(self, req_id: int, body: bytes = b"") -> bytes:
         req = encode_request(self.client_id, req_id, body)
-        self.issued.add(req)
+        self.issued[req] = req
         return req
 
     def deliver(self, reply: Reply) -> None:
@@ -215,16 +228,22 @@ class QuorumClient:
         per_req = self.replies.setdefault(req, {})
         if reply.device in per_req:
             return              # first reply per device counts
-        same = [seen for seen in per_req.values() if seen == value]
-        if same:
-            value = same[0]     # one copy of each distinct value
+        votes = 1
+        for seen in per_req.values():
+            if seen == value:
+                if votes == 1:
+                    value = seen    # one copy of each distinct value
+                votes += 1
         per_req[reply.device] = value
-        if len(same) + 1 < self.quorum:
+        if votes < self.quorum:
             return              # only the arriving value's count moved
-        self.observed.setdefault(req, value)
-        if req in self.issued:
+        mine = self.issued.get(req)
+        if mine is None:
+            self.observed.setdefault(req, value)
+        else:
             # original request is ours: the result is trusted
-            self.accepted.setdefault(req, value)
+            self.observed.setdefault(mine, value)
+            self.accepted.setdefault(mine, value)
 
     def accepted_value(self, req: bytes) -> bytes | None:
         return self.accepted.get(req)

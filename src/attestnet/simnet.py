@@ -220,7 +220,8 @@ class Network:
         # Release a held reorder frame after this one.
         held = self._pending_swap.pop(stream, None)
 
-        action = self._next_action(record.session, record.src, index)
+        action = (self._next_action(record.session, record.src, index)
+                  if self._buckets else None)
         kind = action.kind if action is not None else None
         if kind == "reorder":
             self._pending_swap[stream] = record
@@ -276,19 +277,23 @@ class Network:
                     self._exhausted.extend(self._parked.pop(stream))
                 return False
         time_ns, _, record, data, disposition = heapq.heappop(self._queue)
-        self.clock.advance_to(time_ns)
+        clock = self.clock
+        if time_ns > clock.now_ns:
+            clock.now_ns = time_ns
         record.attempts += 1
         endpoint = self.endpoints[record.dst]
         accepted = disposition != "dropped" and endpoint.deliver_frame(data)
-        stream = (record.src, record.dst, record.session)
-        lost = self._lost.get(stream) if self._lost else None
-        if lost is not None and endpoint.expected_counter(record.session) > lost:
-            # The receiver holds the stream's lost frame after all, through an
-            # adversary's copy: the frames parked behind it are sent again.
-            del self._lost[stream]
-            lost = None
-            for parked in self._parked.pop(stream, []):
-                self._observe(parked)
+        lost = None
+        if self._lost:
+            stream = (record.src, record.dst, record.session)
+            lost = self._lost.get(stream)
+            if lost is not None and endpoint.expected_counter(record.session) > lost:
+                # The receiver holds the stream's lost frame after all, through
+                # an adversary's copy: the frames parked behind it are sent again.
+                del self._lost[stream]
+                lost = None
+                for parked in self._parked.pop(stream, []):
+                    self._observe(parked)
         self.trace.append(NetEvent(time_ns, record.src, record.dst, record.session,
                                    disposition, accepted, record.attempts, data))
         if (accepted and data is record.data) or disposition in _COPIES:
@@ -300,7 +305,7 @@ class Network:
             self._parked.setdefault(stream, []).append(record)
         elif record.attempts > self.retry_budget:
             self._exhausted.append(record)
-            self._lost[stream] = counter
+            self._lost[record.src, record.dst, record.session] = counter
         else:
             self._observe(record)
         return True

@@ -45,6 +45,7 @@ class Wrapper:
 
     def __init__(self, endpoint: Endpoint, peers, initial_state, apply_fn, serialize_fn):
         self.endpoint = endpoint
+        self.session = log_session(endpoint.device)
         self.apply_fn = apply_fn
         self.serialize_fn = serialize_fn
         self.states = dict.fromkeys(peers, initial_state)
@@ -53,7 +54,7 @@ class Wrapper:
     def attest(self, app_msg: bytes, state) -> bytes:
         """The frame of one attestation of (message ‖ serialized state)."""
         return encode_frame(self.endpoint.local_send(
-            log_session(self.endpoint.device), pack_pair(app_msg, self.serialize_fn(state))))
+            self.session, pack_pair(app_msg, self.serialize_fn(state))))
 
     def receive(self, sender: int, frame: bytes):
         """Check a frame `sender` attested: (message, state reached), or None
@@ -93,4 +94,4 @@ class Wrapper:
 
     def reads(self, peer: int) -> bool:
         """False once this node has accused the peer: its frames go unread."""
-        return all(flag.accused != peer for flag in self.flags)
+        return not self.flags or all(flag.accused != peer for flag in self.flags)

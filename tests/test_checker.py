@@ -9,6 +9,7 @@ import pytest
 from attestnet import checker
 from attestnet.checker import (
     KERNELS,
+    MAX_SENDERS,
     FrozenCounterKernel,
     GapAcceptingKernel,
     TRANSPORT_LEMMAS,
@@ -20,6 +21,7 @@ from attestnet.checker import (
     on_wire,
     replay_counterexample,
 )
+from attestnet.bootstrap import SecureChannel, Vendor
 from attestnet.device import DeviceConfig, Endpoint
 from attestnet.errors import (AuthFailure, HandshakeError, InstanceTooLarge,
                               PayloadTooLarge, WrongSender)
@@ -73,6 +75,64 @@ def test_attestation_lemma_reports_a_broken_completion_order(
     assert (cex.lemma, cex.mutation) == ("attestation", "honest")
     assert cex.detail == ("completion recorded in rejected handshake honest" if rejected
                           else "vendor completed without prior device completion in honest")
+
+
+def test_a_tampered_ack_is_checked_and_leaves_only_the_device_completion(monkeypatch):
+    # Spy on every handshake the lemma runs: the ack scenario is among them,
+    # it is rejected, and only the device, which installed the bundle before
+    # it sealed the ack, records a completion.
+    outcomes = {}
+    real = checker.run_handshake
+
+    def spy(vendor, controller, bundle, tamper=None):
+        at_ack = tamper is not None and tamper("ack", bytes(32)) != bytes(32)
+        try:
+            return real(vendor, controller, bundle, tamper=tamper)
+        except HandshakeError:
+            if at_ack:
+                outcomes["ack"] = (controller.completed_at, vendor.completed_at)
+            raise
+
+    monkeypatch.setattr(checker, "run_handshake", spy)
+    assert check_attestation_lemma().holds
+    assert outcomes == {"ack": (5, None)}
+
+
+def test_a_vendor_that_completes_before_opening_the_ack_is_reported(monkeypatch):
+    # A test-only vendor that records its completion as soon as an ack
+    # arrives, before the channel has opened it.
+    class EagerChannel(SecureChannel):
+        def open(self, blob, aad=b""):
+            if aad == b"ack":
+                self.vendor.completed_at = 6
+            return super().open(blob, aad)
+
+    class EagerVendor(Vendor):
+        def kex_finish(self, ctrl_kex):
+            channel = super().kex_finish(ctrl_kex)
+            channel.__class__, channel.vendor = EagerChannel, self
+            return channel
+
+    real = checker.make_pair
+
+    def make_pair(*args, **kwargs):
+        vendor, controller = real(*args, **kwargs)
+        vendor.__class__ = EagerVendor
+        return vendor, controller
+
+    monkeypatch.setattr(checker, "make_pair", make_pair)
+    cex = check_attestation_lemma().counterexample
+    assert cex is not None and cex.mutation == "tampered-ack"
+    assert cex.detail == "completion recorded in rejected handshake tampered-ack"
+
+
+def test_an_instance_too_large_runs_no_handshake(monkeypatch):
+    # check_all_lemmas validates the instance before any lemma does work.
+    calls = []
+    monkeypatch.setattr(checker, "run_handshake", lambda *args, **kw: calls.append(args))
+    with pytest.raises(InstanceTooLarge):
+        check_all_lemmas(BoundedInstance(senders=MAX_SENDERS + 7))
+    assert calls == []
 
 
 def test_frozen_counter_kernel_violates_no_duplicate():

@@ -1,5 +1,7 @@
 """Endpoint behavior: the messaging API, delays, diagnostics, batching."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from attestnet.device import (
 from attestnet import kernel as kernel_mod
 from attestnet.errors import (
     DuplicateSession,
+    KernelError,
     TransportClosed,
     UnknownPeer,
     UnknownSession,
@@ -269,6 +272,86 @@ def test_delay_accounting_lower_bound():
     assert net.clock.now_ns - start >= n * delay
     net.run_until_quiescent()
     assert len(b.poll(1)) == n
+
+
+def _forged(msg):
+    return msg._replace(tag=bytes([msg.tag[0] ^ 1]) + msg.tag[1:])
+
+
+# (call, outcome, setup, the error or rejection it ends in, whether it is
+# charged one attest or verify). A setup makes its frames before the clock is
+# read and returns the call to charge.
+CHARGE_CASES = [
+    ("local_send", "accepted",
+     lambda a, b: partial(a.local_send, LOG, b"entry"), None, True),
+    ("local_send", "unknown-session",
+     lambda a, b: partial(a.local_send, 77, b"entry"), "UnknownSession", False),
+    ("auth_send", "accepted",
+     lambda a, b: partial(a.auth_send, 1, b"frame"), None, True),
+    ("auth_send", "unknown-session",
+     lambda a, b: partial(a.auth_send, 77, b"frame"), "UnknownSession", False),
+    ("local_verify", "accepted",
+     lambda a, b: partial(b.local_verify, LOG, a.local_send(LOG, b"e")), None, True),
+    ("local_verify", "tag-rejected",
+     lambda a, b: partial(b.local_verify, LOG, _forged(a.local_send(LOG, b"e"))),
+     "AuthFailure", True),
+    ("local_verify", "role-rejected",
+     lambda a, b: partial(b.local_verify, 1, a.local_send(1, b"e")),
+     "WrongSessionRole", False),
+    ("deliver_frame", "accepted",
+     lambda a, b: partial(b.deliver_frame, encode_frame(a.local_send(1, b"f"))),
+     None, True),
+    ("deliver_frame", "tag-rejected",
+     lambda a, b: partial(b.deliver_frame, encode_frame(_forged(a.local_send(1, b"f")))),
+     "AuthFailure", True),
+    ("deliver_frame", "role-rejected",
+     lambda a, b: partial(b.deliver_frame, encode_frame(a.local_send(LOG, b"f"))),
+     "WrongSessionRole", True),
+    ("deliver_frame", "malformed",
+     lambda a, b: partial(b.deliver_frame, b"short"), "FrameError", False),
+]
+
+
+@pytest.mark.parametrize("call, outcome, setup, error, charged", CHARGE_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in CHARGE_CASES])
+def test_each_attest_or_verify_charges_the_delay_read_at_that_moment(
+        call, outcome, setup, error, charged):
+    # Built with no delay; the delay is set afterwards, as perfbench's
+    # pr_lossy_audit does, and changed between two calls. A rejection before
+    # the tag (the wrong role on local_verify, a frame that does not decode,
+    # an unknown session on a send) is charged nothing; deliver_frame charges
+    # a decoded frame before its role check.
+    net, a, b = make_pair()
+    for ep in (a, b):
+        ep.provision([(LOG, 1, KEY2)])
+    for delay in (500, 23_000):
+        a.config.attest_delay_ns = b.config.attest_delay_ns = delay
+        act = setup(a, b)
+        events, before = len(b.rejection_events), net.clock.now_ns
+        try:
+            result = act()
+        except KernelError as exc:
+            result = type(exc).__name__
+        assert net.clock.now_ns - before == (delay if charged else 0)
+        if error is None:
+            assert result not in (False, None)
+        elif call in ("deliver_frame", "local_verify"):
+            assert result in (False, error)
+            assert [e for _, e in b.rejection_events[events:]] == [error]
+        else:
+            assert result == error
+
+
+def test_a_negative_attest_delay_is_refused_when_assigned():
+    with pytest.raises(ValueError, match="attest delay"):
+        DeviceConfig(device=1, attest_delay_ns=-1)
+    net, a, _ = make_pair(attest_delay_ns=5)
+    with pytest.raises(ValueError, match="attest delay"):
+        a.config.attest_delay_ns = -1
+    assert a.config.attest_delay_ns == 5
+    a.config.attest_delay_ns = 0
+    a.local_send(1, b"free")
+    assert net.clock.now_ns == 0
 
 
 def test_send_without_transport_uses_up_no_counter():

@@ -3,7 +3,6 @@ the 97-byte reply statement per enrolled client, under the key K(replica,
 client), and a client checks only its own entry. The MACs come from each
 key's cached keyed state, built on the key's first MAC."""
 
-import dataclasses
 import hashlib
 import hmac
 import struct
@@ -196,26 +195,25 @@ def test_kernel_tags_and_reply_macs_use_their_own_keys(monkeypatch):
 
 
 def _corrupt_signature(reply):
-    return dataclasses.replace(
-        reply, macs={client: flipped(mac) for client, mac in reply.macs.items()})
+    return reply._replace(macs={client: flipped(mac) for client, mac in reply.macs.items()})
 
 
 def _other_device(reply):
-    return dataclasses.replace(reply, device=3)
+    return reply._replace(device=3)
 
 
 def _flip_payload_byte(reply):
     value = reply.value[:-1] + bytes([reply.value[-1] ^ 1])
-    return dataclasses.replace(reply, value=value)
+    return reply._replace(value=value)
 
 
 def _flip_request_byte(reply):
     req = bytes([reply.req[0] ^ 1]) + reply.req[1:]
-    return dataclasses.replace(reply, req=req)
+    return reply._replace(req=req)
 
 
 def _splice_onto_other_request(reply):
-    return dataclasses.replace(reply, req=common.encode_request(100, 2))
+    return reply._replace(req=common.encode_request(100, 2))
 
 
 @pytest.mark.parametrize("forge", [_corrupt_signature, _other_device,
@@ -320,9 +318,9 @@ def test_a_reply_without_this_clients_entry_is_ignored():
     req, value = client.issue(1), struct.pack(">Q", 1)
     before = honest_reply(keyring, 2, req, value)
     late = QuorumClient(300, keyring, cluster.config.quorum)
-    late.issued.add(req)
+    late.issued[req] = req
     late.deliver(before)                   # built before `late` enrolled
-    late.deliver(dataclasses.replace(honest_reply(keyring, 3, req, value), macs={}))
+    late.deliver(honest_reply(keyring, 3, req, value)._replace(macs={}))
     assert late.ignored == 2 and late.replies == {}
     late.deliver(honest_reply(keyring, 2, req, value))
     assert late.ignored == 2 and late.replies == {req: {2: value}}
@@ -420,12 +418,12 @@ def _mutants(reply: Reply, client_id: int, position: int, mask: int,
     req[position % len(req)] ^= mask
     value[position % len(value)] ^= mask
     mac[position % len(mac)] ^= mask
-    yield dataclasses.replace(reply, req=bytes(req))
-    yield dataclasses.replace(reply, value=bytes(value))
-    yield dataclasses.replace(reply, macs={**reply.macs, client_id: bytes(mac)})
+    yield reply._replace(req=bytes(req))
+    yield reply._replace(value=bytes(value))
+    yield reply._replace(macs={**reply.macs, client_id: bytes(mac)})
     for device in [*devices, 99]:
         if device != reply.device:
-            yield dataclasses.replace(reply, device=device)
+            yield reply._replace(device=device)
 
 
 @seed(2502)
@@ -449,7 +447,7 @@ def test_reply_path_rejects_every_single_byte_mutation(protocol, clients, bodies
                            for m in _mutants(reply, client_id, position, mask, devices))
 
     # A client that issued every request sees its mutants before the honest replies.
-    witness.issued = set(accepted)
+    witness.issued = {req: req for req in accepted}
     mutants = [m for reply in replies
                for m in _mutants(reply, witness.client_id, position, mask, devices)]
     for mutant in mutants:
@@ -486,7 +484,7 @@ def test_one_statement_build_per_request_when_four_clients_interleave(monkeypatc
             leader.leader_handle(reqs[-1])
         cluster.drain()
     for client in cluster.clients:
-        assert set(client.accepted) == client.issued
+        assert set(client.accepted) == set(client.issued)
     assert sorted(built) == sorted(digest(req) for req in reqs)
 
 
@@ -507,8 +505,24 @@ def test_one_statement_build_per_put_and_a_differing_value_still_fails(monkeypat
     value = client.accepted[req]
     good = honest_reply(keyring, cluster.order[-1], req, value)
     assert keyring.check(good, client.client_id)
-    bad = dataclasses.replace(good, value=value[:-1] + bytes([value[-1] ^ 1]))
+    bad = good._replace(value=value[:-1] + bytes([value[-1] ^ 1]))
     assert not keyring.check(bad, client.client_id)
+
+
+def test_a_client_keys_what_it_accepts_by_the_bytes_it_issued():
+    """Every chain node but the head replies with its own copy of the
+    request; the client keys its accepted and observed results by its own
+    bytes, so it holds one copy."""
+    cluster = ChainCluster.build(n=5, f=2, seed=4)
+    replies: list[Reply] = []
+    sign = cluster.cluster.keyring.sign
+    cluster.cluster.keyring.sign = lambda *args: replies.append(sign(*args)) or replies[-1]
+    req = cluster.run_put(0, 1, b"k", b"v")
+    client = cluster.clients[0]
+    assert all(reply.req == req for reply in replies)
+    assert sum(reply.req is not req for reply in replies) == len(replies) - 1
+    (accepted,), (observed,) = client.accepted, client.observed
+    assert accepted is req and observed is req and client.issued[req] is req
 
 
 def test_a_client_keeps_one_copy_of_each_distinct_value():
