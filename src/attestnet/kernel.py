@@ -32,9 +32,10 @@ message reflected back. A rejected message never moves a counter, so a correct
 retransmission of the expected counter can still be accepted afterwards.
 
 Attest and verify run for every message, so `verify_with` checks the sender
-inline after the tag, and `attest_with` builds its `AttestedMessage` with
-`tuple.__new__` (`new_message`), as `wire.decode_frame` does: on this path a
-helper's call frame costs more host time than the check it wraps.
+inline after the tag, and `attest_with` and `wire.decode_frame` build their
+`AttestedMessage` with `tuple.__new__(AttestedMessage, fields)`, skipping the
+NamedTuple's generated Python `__new__`: on this path a call frame costs more
+host time than the work it wraps.
 """
 
 import hashlib
@@ -116,12 +117,6 @@ class AttestedMessage(NamedTuple):
     counter: int
 
 
-# Builds a record from a tuple of all its fields: `attest_with` and
-# `wire.decode_frame`, which build one per message, skip the NamedTuple's
-# generated Python `__new__`.
-new_message = tuple.__new__
-
-
 def compute_tag(state: SessionState, payload: bytes, device: int, counter: int) -> bytes:
     """64-byte attestation tag: HMAC-SHA-384 under the session's key over
     payload ‖ device ‖ counter, zero-padded to 64 bytes."""
@@ -151,7 +146,7 @@ def attest_with(state: SessionState, device: int, session: int,
     counter = state.send_cnt
     tag = compute_tag(state, payload, device, counter)
     state.send_cnt = counter + 1
-    return new_message(AttestedMessage, (tag, payload, device, session, counter))
+    return tuple.__new__(AttestedMessage, (tag, payload, device, session, counter))
 
 
 def verify_with(state: SessionState, msg: AttestedMessage,

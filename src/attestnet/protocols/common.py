@@ -13,8 +13,7 @@ encoding and cost no simulated time. A client trusts a
 result only after f+1 identical replies from distinct devices that reference
 its own request bytes.
 
-Every request's replies are built, MACed and checked on the host's hot path,
-so a `Reply` is a NamedTuple (built without per-field setattr), and a client
+Every request's replies are checked on the host's hot path, so a client
 counts the replies that match an arriving value in one loop, building no
 list. A client keys what it accepts and observes by the bytes it issued, not
 by a replica's copy of them, so it holds one copy of each request.

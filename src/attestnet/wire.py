@@ -17,7 +17,7 @@ The codec is bijective on valid frames: decode(encode(f)) == f.
 import struct
 
 from .errors import FrameError
-from .kernel import TAG_LEN, AttestedMessage, new_message
+from .kernel import TAG_LEN, AttestedMessage
 
 _HEADER = struct.Struct(">IIQI")
 HEADER_LEN = _HEADER.size            # 20
@@ -46,4 +46,4 @@ def decode_frame(data: bytes) -> AttestedMessage:
         )
     payload = data[HEADER_LEN:HEADER_LEN + payload_len]
     tag = data[HEADER_LEN + payload_len:]
-    return new_message(AttestedMessage, (tag, payload, device, session, counter))
+    return tuple.__new__(AttestedMessage, (tag, payload, device, session, counter))

@@ -1,17 +1,17 @@
 """Alternating parent/change pairs of perfbench runs, written as one BENCH_*.json record.
 
     python3 tests/bench_pairs.py PARENT_TREE CHANGE_TREE --out BENCH_NN.json \\
-        [--workloads W ...] [--seeds S ...] [--pairs 10] [--seconds SECONDS] \\
         [--claim WORKLOAD/METRIC/RATIO] [--change TEXT]
 
 Each tree is a checkout that holds `perfbench/`, `src/` and `BENCHMARK.json`
 (for example, `git archive` of each commit unpacked into its own directory).
-A pair runs `perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0`
-once in each tree, in fresh processes, back to back: the parent first in even
-pairs and the change first in odd ones. Every given workload and seed gets its
-pair before the next pair starts, so a slow phase of a shared host falls on
-both sides and on every workload. SECONDS defaults to the change tree's
-BENCHMARK.json `run_seconds`.
+The run is fixed: 10 pairs, on seeds 1 and 7, of every workload in the change
+tree's BENCHMARK.json, each run lasting its `run_seconds`. A pair runs
+`perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0` once in
+each tree, in fresh processes, back to back: the parent first in even pairs
+and the change first in odd ones. Every workload and seed gets its pair
+before the next pair starts, so a slow phase of a shared host falls on both
+sides and on every workload.
 
 For each workload, seed and metric the record holds both sides' runs, their
 medians and quartiles (`statistics.quantiles`, n=4, inclusive), the parent's
@@ -21,7 +21,7 @@ within its bound. `host_req_p99_us` and the number of timed episodes (the
 warm-up episode excluded) are recorded, not bounded. Every simulated-time
 metric must read the same in every run of both sides.
 
-Then, once per side and workload on the first seed, the work done:
+Then, once per side and workload on seed 1, the work done:
 - one traced run (`--trace 1 --seconds 2`), whose deterministic metrics (clock
   `none` or `sim`) must be equal on both sides;
 - the Python-level calls per request, built-ins excluded, under cProfile over
@@ -45,6 +45,8 @@ import sys
 from pathlib import Path
 
 REPORTED = {"host_req_p99_us": "lower", "episodes": "higher"}
+SEEDS = (1, 7)
+PAIRS = 10
 TRACED_SECONDS = 2
 PROFILED_EPISODES = 4
 
@@ -105,9 +107,10 @@ def summarize(parent: list[float], change: list[float], better: str,
     return out
 
 
-def judge_claim(summary: dict, ratio: float, better: str, pairs: int) -> dict:
+def judge_claim(summary: dict, ratio: float, better: str) -> dict:
     """Whether one seed's runs meet a claimed gain of at least 1/ratio."""
     gap = abs(summary["parent_median"] - summary["change_median"])
+    pairs = len(summary["parent"])
     needed = math.ceil(0.9 * pairs)
     toward = (summary["ratio"] <= ratio if better == "lower"
               else summary["ratio"] >= 1 / ratio)
@@ -152,20 +155,14 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+")
-    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 7])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--claim", help="WORKLOAD/METRIC/RATIO")
     parser.add_argument("--change", dest="change_text", default="",
                         help="what the change does, stored as the record's `change`")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles need two runs)")
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     gated = {m["name"]: m for m in bench["end_to_end"]}
     trees = {"parent": args.parent, "change": args.change}
     claim = None
@@ -175,7 +172,7 @@ def main(argv=None) -> int:
 
     # runs[workload/seed][side] = list of (exit code, result line, printed metrics)
     runs = {f"{w}/seed{s}": {"parent": [], "change": []}
-            for w in workloads for s in args.seeds}
+            for w in workloads for s in SEEDS}
     record = {
         "change": args.change_text,
         "command": shlex.join(["python3", "tests/bench_pairs.py", *argv]),
@@ -187,7 +184,7 @@ def main(argv=None) -> int:
         "bounds": {name: m["bound"] for name, m in gated.items()},
         "complete": False,
     }
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         for key in runs:
             workload, seed = key.split("/seed")
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -195,7 +192,7 @@ def main(argv=None) -> int:
                 code, line, printed = _perfbench(trees[side], workload, int(seed),
                                                  seconds, 0)
                 runs[key][side].append((code, line, printed))
-                print(f"pair {pair + 1}/{args.pairs} {key} {side}: "
+                print(f"pair {pair + 1}/{PAIRS} {key} {side}: "
                       f"p90 {line['metrics']['host_req_p90_us']['value']:.1f} us, "
                       f"exit {code}", file=sys.stderr, flush=True)
         record["pairs_done"] = pair + 1
@@ -203,13 +200,13 @@ def main(argv=None) -> int:
             record["results"] = _results(runs, gated)
             _write(args.out, record)
 
-    record["counts"] = _counts(trees, workloads, args.seeds[0])
+    record["counts"] = _counts(trees, workloads, SEEDS[0])
     if claim is not None:
         better = gated.get(claim["metric"], {}).get("better", "lower")
         claim["by_seed"] = {
             str(s): judge_claim(record["results"][f"{claim['workload']}/seed{s}"]
-                                [claim["metric"]], claim["ratio"], better, args.pairs)
-            for s in args.seeds}
+                                [claim["metric"]], claim["ratio"], better)
+            for s in SEEDS}
         record["claim"] = claim
     record["complete"] = True
     _write(args.out, record)

@@ -44,12 +44,12 @@ def test_summarize_compares_pair_by_pair_and_applies_the_bound():
 def test_a_claim_needs_the_ratio_nine_of_ten_wins_and_a_gap_beyond_the_iqr():
     parent = [100.0 + i for i in range(10)]
     met = judge_claim(summarize(parent, [v * 0.85 for v in parent], "lower"),
-                      0.93, "lower", 10)
+                      0.93, "lower")
     assert met["met"] and met["change_wins"] == "10/10"
     # Wins every pair, but the medians are closer than the parent's IQR.
     close = judge_claim(summarize(parent, [v - 1 for v in parent], "lower"),
-                        1.0, "lower", 10)
+                        1.0, "lower")
     assert close["change_wins"] == "10/10" and not close["met"]
     # A large gap won in only 8 of 10 pairs.
     mixed = [v * 0.8 for v in parent[:8]] + [v * 1.2 for v in parent[8:]]
-    assert not judge_claim(summarize(parent, mixed, "lower"), 0.93, "lower", 10)["met"]
+    assert not judge_claim(summarize(parent, mixed, "lower"), 0.93, "lower")["met"]
