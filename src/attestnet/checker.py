@@ -74,8 +74,8 @@ class FrozenCounterKernel(AttestationKernel):
         self.session_state(session).send_cnt -= 1
         return msg
 
-    def verify(self, msg: AttestedMessage, peer: int | None = None) -> AttestedMessage:
-        super().verify(msg, peer)
+    def verify(self, msg: AttestedMessage) -> AttestedMessage:
+        super().verify(msg)
         self.session_state(msg.session).recv_cnt -= 1
         return msg
 
@@ -86,12 +86,12 @@ class GapAcceptingKernel(AttestationKernel):
     Only a frame the session's peer genuinely attested skips the gap, so a
     frame production rejects leaves the receive counter where it was."""
 
-    def verify(self, msg: AttestedMessage, peer: int | None = None) -> AttestedMessage:
+    def verify(self, msg: AttestedMessage) -> AttestedMessage:
         state = self.session_state(msg.session)
-        if (msg.counter > state.recv_cnt and peer in (None, msg.device)
+        if (msg.counter > state.recv_cnt and msg.device == state.peer
                 and self.tag_matches(msg)):
             state.recv_cnt = msg.counter
-        return super().verify(msg, peer)
+        return super().verify(msg)
 
 
 class PerReceiverCounterKernel(AttestationKernel):
@@ -250,12 +250,12 @@ def deliver(instance: BoundedInstance, kernel_cls, streams: list[list[bytes]],
 
 
 def _sent_streams(instance: BoundedInstance, kernel_cls) -> list[list[bytes]]:
-    """Each sender's genuine frames, in send order."""
+    """Each sender's genuine frames, in send order, to `deliver`'s device 0."""
     streams = []
     for s in range(instance.senders):
         session = s + 1
         sender = kernel_cls(device=session)
-        sender.provision_session(session, derive_key(instance.seed, session))
+        sender.provision_session(session, 0, derive_key(instance.seed, session))
         streams.append([encode_frame(sender.attest(session, bytes([session, j]) + b"msg"))
                         for j in range(instance.messages_per_sender)])
     return streams
@@ -414,7 +414,7 @@ def _multicast_streams(instance: BoundedInstance, kernel: str) -> list[list[byte
     """What each of the two receivers gets from one sender (device 1) on
     session 1; a per-receiver-counter sender gives them conflicting payloads."""
     sender = KERNELS[kernel](device=1)
-    sender.provision_session(MULTICAST_SESSION,
+    sender.provision_session(MULTICAST_SESSION, 0,
                              derive_key(instance.seed, MULTICAST_SESSION))
     per_receiver: list[list[bytes]] = [[], []]
     for j in range(instance.messages_per_sender):

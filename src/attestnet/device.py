@@ -6,15 +6,16 @@ the messaging API: auth_send / local_send / local_verify / poll. Incoming
 frames are verified before they ever reach an inbox, and only from the
 session's peer; every rejection is one (session, error kind) event in
 `rejection_events`, the observable the adversarial tests assert on.
-Sessions are installed by `Endpoint.provision`, and a session's role follows
-from its id: a log session (LOG_BASE | d, device d's attestation log) has no
-inbox and is read only by `local_verify`; every other id, such as a transport
-session (TRANSPORT_BASE | a << 8 | b, for device ids 0 <= a < b <= 255), has
-an inbox and is reached only from the wire (`deliver_frame`). Each path
-rejects the other role with `WrongSessionRole`, so a log frame copied onto
-the wire never moves the counter its proof is checked against, and each
-receive counter has one path that moves it. A frame handed over to
-`local_verify` must also name, in its header, the session it is verified on.
+Sessions are installed by `Endpoint.provision`, which decides each session's
+role from its id, once: a log session (LOG_BASE | d, device d's attestation
+log, whose peer is its owner) has no inbox, is read only by `local_verify`, and
+is read-only in the kernel of every device but its owner; every other id,
+such as a transport session (TRANSPORT_BASE | a << 8 | b, for device ids
+0 <= a < b <= 255), has an inbox and is used only on the wire (`auth_send`,
+`deliver_frame`). Each path refuses the other role with `WrongSessionRole`,
+so a log frame copied onto the wire never moves the counter its proof is
+checked against, and each receive counter has one path that moves it. A frame
+handed to `local_verify` must also name that session in its header.
 
 Processing delays are charged to a simulated clock that advances integer
 nanoseconds deterministically; host time is never read here. Each attest and
@@ -41,7 +42,7 @@ from .errors import (
     UnknownSession,
     WrongSessionRole,
 )
-from .kernel import KEY_LEN, SESSION_LIMIT, AttestationKernel, AttestedMessage
+from .kernel import KEY_LEN, SESSION_LIMIT, AttestationKernel, AttestedMessage, attest_with
 from .wire import decode_frame, encode_frame
 
 TRANSPORT_BASE = 0x0100_0000
@@ -108,7 +109,6 @@ class Endpoint:
         self.device = config.device
         self.clock = SimClock()
         self.kernel = kernel_factory(config.device)
-        self.peers: dict[int, int] = {}
         self._inboxes: dict[int, deque[AttestedMessage]] = {}
         self.rejection_events: list[tuple[int, str]] = []
         self.transport = None
@@ -118,9 +118,9 @@ class Endpoint:
     # -- provisioning ------------------------------------------------------
 
     def provision(self, secrets: list[tuple[int, int, bytes]]) -> None:
-        """Install (session, peer device, key) triples with zeroed counters;
-        only a transport session gets an inbox. The whole list is checked
-        first, so a refused list leaves the endpoint as it was."""
+        """Install (session, peer device, key) triples with zeroed counters
+        and the roles their ids give them. The whole list is checked first,
+        so a refused list leaves the endpoint as it was."""
         seen = set(self.sessions())
         for session, _, key in secrets:
             if session in seen:
@@ -131,13 +131,13 @@ class Endpoint:
                 raise ValueError(f"session key must be {KEY_LEN} bytes")
             seen.add(session)
         for session, peer, key in secrets:
-            self.kernel.provision_session(session, key)
-            self.peers[session] = peer
+            read_only = bool(session & LOG_BASE) and peer != self.device
+            self.kernel.provision_session(session, peer, key, read_only)
             if not session & LOG_BASE:
                 self._inboxes[session] = deque()
 
     def sessions(self) -> list[int]:
-        return self.kernel.sessions()
+        return list(self.kernel.keystore)
 
     # -- sending -----------------------------------------------------------
 
@@ -149,19 +149,19 @@ class Endpoint:
 
     def auth_send(self, session: int, payload: bytes) -> AttestedMessage:
         """Attest, frame, and submit to the transport; returns the message
-        so callers can keep it as a proof of sending. A send that cannot be
-        submitted raises before it uses up a counter, UnknownPeer when the
-        session's peer has no endpoint on the transport."""
+        so callers can keep it as a proof of sending. A log session, or a peer
+        with no endpoint on the transport, raises before a counter is used."""
         if self.transport is None:
             raise TransportClosed("endpoint not connected")
-        peer = self.peers.get(session)
-        if peer is None:
-            raise UnknownSession(f"session {session}")
-        if peer not in self.transport.endpoints:
-            raise UnknownPeer(f"device {peer}")
-        msg = self.kernel.attest(session, payload)
+        if session not in self._inboxes:
+            self.kernel.session_state(session)      # UnknownSession unless held
+            raise WrongSessionRole(f"session {session} is a log session")
+        state = self.kernel.keystore[session]
+        if state.peer not in self.transport.endpoints:
+            raise UnknownPeer(f"device {state.peer}")
+        msg = attest_with(state, self.device, session, payload)
         self.clock.now_ns += self.config.attest_delay_ns
-        self.transport.submit(self.device, peer, session, encode_frame(msg))
+        self.transport.submit(self.device, state.peer, session, encode_frame(msg))
         return msg
 
     # -- receiving ---------------------------------------------------------
@@ -176,9 +176,10 @@ class Endpoint:
                 raise WrongSessionRole(f"session {session} is a transport session")
             if msg.session != session:
                 raise WrongSessionRole(f"frame names session {msg.session}, not {session}")
-            self.kernel.session_state(session)
+            if session not in self.kernel.keystore:
+                raise UnknownSession(f"session {session}")
             self.clock.now_ns += self.config.attest_delay_ns
-            return self.kernel.verify(msg, self.peers[session])
+            return self.kernel.verify(msg)
         except KernelError as exc:
             self.rejection_events.append((session, type(exc).__name__))
             raise
@@ -198,9 +199,10 @@ class Endpoint:
         self.clock.now_ns += self.config.attest_delay_ns
         inbox = self._inboxes.get(msg.session)
         try:
-            if inbox is None and msg.session in self.peers:
+            if inbox is None:
+                self.kernel.session_state(msg.session)      # UnknownSession unless held
                 raise WrongSessionRole(f"session {msg.session} is a log session")
-            self.kernel.verify(msg, self.peers.get(msg.session))
+            self.kernel.verify(msg)
         except KernelError as exc:
             self.rejection_events.append((msg.session, type(exc).__name__))
             return False
@@ -218,7 +220,8 @@ class Endpoint:
 
     def expected_counter(self, session: int) -> int:
         """The counter the kernel accepts next on a session (0 if not held)."""
-        return self.kernel.session_state(session).recv_cnt if session in self.peers else 0
+        state = self.kernel.keystore.get(session)
+        return 0 if state is None else state.recv_cnt
 
 
 def connect(config: DeviceConfig, net) -> Endpoint:

@@ -25,11 +25,13 @@ short-lived cluster carry few frames or none, and building them up front
 shows in setup time. Only session keys have pad states: client replies are
 MACed outside the kernel, with keyed BLAKE2b (`protocols.common`).
 
-Attest samples the send counter *before* incrementing it; verify accepts only
-the exact expected receive counter and advances it by one; given the session's
-peer, it rejects a message another key holder attested, such as a node's own
-message reflected back. A rejected message never moves a counter, so a correct
-retransmission of the expected counter can still be accepted afterwards.
+The Keystore holds each session's key, peer, role and two counters. Attest
+refuses a read-only session with WrongSessionRole and samples the send
+counter *before* incrementing it; verify accepts only the exact expected
+receive counter, advances it by one, and always checks the sender against the
+session's peer, so a message another key holder attested (a node's own,
+reflected back) is rejected. A rejected message never moves a counter, so a
+correct retransmission of the expected counter can still be accepted later.
 
 Attest and verify run for every message, so `verify_with` checks the sender
 inline after the tag, and `attest_with` and `wire.decode_frame` build their
@@ -52,6 +54,7 @@ from .errors import (
     PayloadTooLarge,
     UnknownSession,
     WrongSender,
+    WrongSessionRole,
 )
 
 MAC_LEN = 48                    # HMAC-SHA-384 output
@@ -73,7 +76,7 @@ _pack_binding = struct.Struct(">IQ").pack   # device-id ‖ counter
 
 @dataclass
 class SessionState:
-    """Per-session key, monotonic counters, and the key's HMAC pad states.
+    """A Keystore entry: key, peer, role, counters and the key's HMAC pad states.
 
     The key and the pad states are deliberately excluded from repr so
     session secrets never leak into logs or assertion messages. The pad
@@ -82,6 +85,8 @@ class SessionState:
     """
 
     key: bytes = field(repr=False)
+    peer: int                   # the one device whose messages verify here
+    read_only: bool = False     # the role: this device verifies, never attests
     send_cnt: int = 0
     recv_cnt: int = 0
     # SHA-384 fed the key, zero-padded to a block, xor ipad / xor opad:
@@ -139,6 +144,8 @@ def attest_with(state: SessionState, device: int, session: int,
     so a fresh session emits 0, 1, 2, ... with no repeats. Deterministic for
     fixed (key, payload, device, session, counter).
     """
+    if state.read_only:
+        raise WrongSessionRole(f"session {session} is read-only on device {device}")
     if len(payload) > MAX_PAYLOAD:
         raise PayloadTooLarge(f"{len(payload)} > {MAX_PAYLOAD}")
     if state.send_cnt >= COUNTER_LIMIT:
@@ -149,12 +156,11 @@ def attest_with(state: SessionState, device: int, session: int,
     return tuple.__new__(AttestedMessage, (tag, payload, device, session, counter))
 
 
-def verify_with(state: SessionState, msg: AttestedMessage,
-                peer: int | None = None) -> AttestedMessage:
+def verify_with(state: SessionState, msg: AttestedMessage) -> AttestedMessage:
     """Verify a message against an explicit session state.
 
-    Acceptance requires the recomputed tag to match, the sender to be `peer`
-    when one is given, *and* the counter to be exactly the expected receive
+    Acceptance requires the recomputed tag to match, the sender to be the
+    session's peer, *and* the counter to be exactly the expected receive
     counter; only then does the counter advance. Tag mismatch raises
     AuthFailure, another sender WrongSender, and a valid tag with the wrong
     counter (replay, gap, or reorder) CounterMismatch; none moves the state.
@@ -162,8 +168,8 @@ def verify_with(state: SessionState, msg: AttestedMessage,
     expected_tag = compute_tag(state, msg.payload, msg.device, msg.counter)
     if not hmac.compare_digest(expected_tag, msg.tag):
         raise AuthFailure("tag mismatch")
-    if peer is not None and msg.device != peer:
-        raise WrongSender(f"device {msg.device} is not the session's peer {peer}")
+    if msg.device != state.peer:
+        raise WrongSender(f"device {msg.device} is not the session's peer {state.peer}")
     if msg.counter != state.recv_cnt:
         raise CounterMismatch(expected=state.recv_cnt, got=msg.counter)
     if state.recv_cnt >= COUNTER_LIMIT:
@@ -183,43 +189,41 @@ class AttestationKernel:
         if not 0 <= device < DEVICE_LIMIT:
             raise ValueError("device id out of 32-bit range")
         self.device = device
-        self._sessions: dict[int, SessionState] = {}
+        self.keystore: dict[int, SessionState] = {}
 
-    def provision_session(self, session: int, key: bytes) -> SessionState:
-        """Install a shared key for a session with zeroed counters."""
+    def provision_session(self, session: int, peer: int, key: bytes,
+                          read_only: bool = False) -> SessionState:
+        """Install a session's shared key, peer and role with zeroed counters."""
         if not 0 <= session < SESSION_LIMIT:
             raise ValueError("session id out of 32-bit range")
-        if session in self._sessions:
+        if session in self.keystore:
             raise DuplicateSession(f"session {session}")
-        state = SessionState(key=key)
-        self._sessions[session] = state
+        state = SessionState(key, peer, read_only)
+        self.keystore[session] = state
         return state
 
     def session_state(self, session: int) -> SessionState:
         try:
-            return self._sessions[session]
+            return self.keystore[session]
         except KeyError:
             raise UnknownSession(f"session {session}") from None
-
-    def sessions(self) -> list[int]:
-        return list(self._sessions)
 
     # attest and verify run once per message, so they look the session up
     # themselves rather than through session_state.
 
     def attest(self, session: int, payload: bytes) -> AttestedMessage:
         try:
-            state = self._sessions[session]
+            state = self.keystore[session]
         except KeyError:
             raise UnknownSession(f"session {session}") from None
         return attest_with(state, self.device, session, payload)
 
-    def verify(self, msg: AttestedMessage, peer: int | None = None) -> AttestedMessage:
+    def verify(self, msg: AttestedMessage) -> AttestedMessage:
         try:
-            state = self._sessions[msg.session]
+            state = self.keystore[msg.session]
         except KeyError:
             raise UnknownSession(f"session {msg.session}") from None
-        return verify_with(state, msg, peer)
+        return verify_with(state, msg)
 
     def tag_matches(self, msg: AttestedMessage) -> bool:
         """Pure MAC check with no counter movement.

@@ -266,7 +266,7 @@ def _run_cr(spec: dict, attack: dict, kind: str):
         node_kwargs_at[position] = {"lie_at_commit": attack.get("commit", 1)}
     cluster = ChainCluster.build(n=n, f=f, seed=spec.get("seed", 0),
                                  node_cls_at=node_cls_at,
-                                 node_kwargs_at=node_kwargs_at, clients=2,
+                                 node_kwargs_at=node_kwargs_at,
                                  attest_delay_ns=spec.get("attest_delay_ns", 0))
     _install_faults(spec, cluster.cluster.net)
 

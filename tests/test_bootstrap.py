@@ -64,12 +64,13 @@ def test_honest_handshake_provisions_endpoint():
 
 
 def test_post_handshake_attested_channel_works():
+    # Each bundle names the other device as the shared session's peer.
     ep1, ep2 = fresh_endpoint(1), fresh_endpoint(2)
-    shared = [(21, 2, bytes(range(64, 96)))]
-    for seed, ep in ((1, ep1), (2, ep2)):
+    key = bytes(range(64, 96))
+    for seed, ep, peer in ((1, ep1, 2), (2, ep2, 1)):
         vendor, controller = make_pair(seed, ep.device, ep)
         run_handshake(vendor, controller,
-                      ProvisioningBundle(bitstream=b"b", secrets=list(shared)))
+                      ProvisioningBundle(bitstream=b"b", secrets=[(21, peer, key)]))
     msg = ep1.kernel.attest(21, b"after bootstrap")
     assert ep2.kernel.verify(msg).payload == b"after bootstrap"
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from attestnet import kernel
 from attestnet.protocols import chain
 from attestnet.device import pack_batch
-from attestnet.errors import WrongSender
+from attestnet.errors import WrongSender, WrongSessionRole
 from attestnet.protocols.chain import (
     POE_BASE,
     POE_CHAIN,
@@ -31,6 +31,7 @@ from attestnet.scenario import run_scenario
 from attestnet.simnet import FaultAction, FaultSchedule
 from attestnet.transform import Flag
 from attestnet.wire import decode_frame, encode_frame
+from test_device import role_blind
 
 # ChainCluster.build orders devices 1..n: the device at position k is k + 1.
 ORDER = [1, 2, 3, 4, 5]
@@ -261,7 +262,8 @@ class FlipsLevelZero(ChainNode):
 
 class ForgesLevelOne(ChainNode):
     """Byzantine forwarder: replaces position 1's level with one it attests
-    itself on position 1's log session, claiming a different output."""
+    itself on position 1's log session, claiming a different output. Only a
+    role-blind kernel lets it attest there."""
 
     def validate_chain(self, proof):
         req, levels, *rest = super().validate_chain(proof)
@@ -277,6 +279,7 @@ class ForgesLevelOne(ChainNode):
 ])
 def test_byzantine_forwarder_cannot_frame_an_honest_upstream_node(forwarder, reason):
     cluster = ChainCluster.build(n=4, seed=7, node_cls_at={2: forwarder})
+    role_blind(cluster.nodes[cluster.order[2]].endpoint)
     for req_id in (1, 2):
         cluster.run_put(0, req_id, b"k", b"v%d" % req_id)
     assert [(flag.accuser, flag.accused, flag.reason)
@@ -284,11 +287,14 @@ def test_byzantine_forwarder_cannot_frame_an_honest_upstream_node(forwarder, rea
 
 
 def test_level_attested_by_another_device_is_rejected():
-    # Every device holds every log session's key, so position 2 can attest
-    # on position 1's log session; the level still names device 3.
+    # Every device holds every log session's key, so on a role-blind kernel
+    # position 2 can attest on position 1's log session; the level still
+    # names device 3.
     cluster = ChainCluster.build(n=4, seed=7)
     impostor, tail = cluster.nodes[3], cluster.nodes[4]
-    fake = impostor.endpoint.local_send(log_session(2), b"level")
+    with pytest.raises(WrongSessionRole):       # the production kernel's refusal
+        impostor.endpoint.local_send(log_session(2), b"level")
+    fake = role_blind(impostor.endpoint).local_send(log_session(2), b"level")
     with pytest.raises(WrongSender):
         tail.endpoint.local_verify(log_session(2), fake)
     assert tail.endpoint.rejection_events == [(log_session(2), "WrongSender")]

@@ -153,10 +153,10 @@ def _tag_blind(base):
     """A test-only kernel on `base` whose verify skips the tag comparison:
     it checks a copy of the frame that carries the genuine tag."""
     class TagBlindKernel(base):
-        def verify(self, msg, peer=None):
+        def verify(self, msg):
             state = self.session_state(msg.session)
             genuine = compute_tag(state, msg.payload, msg.device, msg.counter)
-            super().verify(msg._replace(tag=genuine), peer)
+            super().verify(msg._replace(tag=genuine))
             return msg
     return TagBlindKernel
 
@@ -177,7 +177,7 @@ def test_tag_blind_kernel_violates_transfer_auth(monkeypatch, base):
 
 def test_frozen_counter_kernel_keeps_the_payload_bound():
     kernel = FrozenCounterKernel(device=1)
-    kernel.provision_session(1, derive_key(0, 1))
+    kernel.provision_session(1, 0, derive_key(0, 1))
     with pytest.raises(PayloadTooLarge):
         kernel.attest(1, bytes(MAX_PAYLOAD + 1))
 
@@ -196,15 +196,17 @@ def test_frozen_counter_kernel_governs_handed_over_frames():
 
 
 def test_gap_accepting_kernel_rejects_a_non_peer_without_moving_its_counter():
-    # Frame 2 skips the gap from the peer; from any other device it is
-    # rejected as production rejects it, and the counter stays at 0.
+    # Frame 2 skips the gap from the peer; on a session whose peer is
+    # another device it is rejected as production rejects it, and the
+    # counter stays at 0.
     frames = [decode_frame(f) for f in _three_frames()]
-    receiver = GapAcceptingKernel(device=0)
-    receiver.provision_session(1, derive_key(0, 1))
+    stranger, receiver = GapAcceptingKernel(device=0), GapAcceptingKernel(device=0)
+    stranger.provision_session(1, 2, derive_key(0, 1))
+    receiver.provision_session(1, 1, derive_key(0, 1))
     with pytest.raises(WrongSender):
-        receiver.verify(frames[2], peer=2)
-    assert receiver.session_state(1).recv_cnt == 0
-    assert receiver.verify(frames[2], peer=1) == frames[2]
+        stranger.verify(frames[2])
+    assert stranger.session_state(1).recv_cnt == 0
+    assert receiver.verify(frames[2]) == frames[2]
     assert receiver.session_state(1).recv_cnt == 3
 
 
@@ -222,7 +224,7 @@ def test_consistency_single_receiver_degenerate_case():
 
 def _three_frames() -> list[bytes]:
     sender = AttestationKernel(device=1)
-    sender.provision_session(1, derive_key(0, 1))
+    sender.provision_session(1, 0, derive_key(0, 1))
     return [encode_frame(sender.attest(1, bytes([j]) + b"msg")) for j in range(3)]
 
 
@@ -248,10 +250,10 @@ def test_on_wire_applies_each_fault_kind_to_frame_1():
     assert [g0, g1, g2] == frames
     assert forged[:-64] == f1[:-64] and forged != f1
     receiver = AttestationKernel(device=0)
-    receiver.provision_session(1, derive_key(0, 1))
+    receiver.provision_session(1, 1, derive_key(0, 1))
     receiver.verify(decode_frame(f0))   # the forgery's counter is now the expected one
     with pytest.raises(AuthFailure):
-        receiver.verify(decode_frame(forged), peer=1)
+        receiver.verify(decode_frame(forged))
 
 
 def test_per_receiver_counter_kernel_violates_consistency():

@@ -17,6 +17,8 @@ from attestnet.device import (
     unpack_batch,
 )
 from attestnet import kernel as kernel_mod
+from attestnet.bootstrap import ProvisioningBundle, run_handshake
+from attestnet.bootstrap import make_pair as make_vendor_pair
 from attestnet.errors import (
     DuplicateSession,
     KernelError,
@@ -25,6 +27,7 @@ from attestnet.errors import (
     UnknownSession,
     WrongSessionRole,
 )
+from attestnet.protocols.common import build_cluster
 from attestnet.simnet import FaultAction, FaultSchedule, Network
 from attestnet.wire import encode_frame
 
@@ -65,10 +68,10 @@ def test_connect_both_sides_share_session():
 def test_refused_provision_installs_nothing(bad, error):
     ep = Endpoint(DeviceConfig(device=1))
     ep.provision([(1, 2, KEY1), (LOG, 1, KEY2)])
-    before = (ep.sessions(), dict(ep.peers), list(ep._inboxes))
+    before = (dict(ep.kernel.keystore), list(ep._inboxes))
     with pytest.raises(error):
         ep.provision([(2, 3, KEY2), bad])
-    assert (ep.sessions(), dict(ep.peers), list(ep._inboxes)) == before
+    assert (dict(ep.kernel.keystore), list(ep._inboxes)) == before
     ep.provision([(2, 3, KEY2)])
     assert ep.sessions() == [1, LOG, 2] and list(ep._inboxes) == [1, 2]
 
@@ -290,6 +293,10 @@ CHARGE_CASES = [
      lambda a, b: partial(a.auth_send, 1, b"frame"), None, True),
     ("auth_send", "unknown-session",
      lambda a, b: partial(a.auth_send, 77, b"frame"), "UnknownSession", False),
+    ("auth_send", "log-session",
+     lambda a, b: partial(a.auth_send, LOG, b"frame"), "WrongSessionRole", False),
+    ("local_send", "read-only-session",
+     lambda a, b: partial(b.local_send, LOG, b"entry"), "WrongSessionRole", False),
     ("local_verify", "accepted",
      lambda a, b: partial(b.local_verify, LOG, a.local_send(LOG, b"e")), None, True),
     ("local_verify", "tag-rejected",
@@ -307,6 +314,10 @@ CHARGE_CASES = [
     ("deliver_frame", "role-rejected",
      lambda a, b: partial(b.deliver_frame, encode_frame(a.local_send(LOG, b"f"))),
      "WrongSessionRole", True),
+    ("deliver_frame", "unknown-session",
+     lambda a, b: partial(b.deliver_frame,
+                          encode_frame(a.local_send(1, b"f")._replace(session=77))),
+     "UnknownSession", True),
     ("deliver_frame", "malformed",
      lambda a, b: partial(b.deliver_frame, b"short"), "FrameError", False),
 ]
@@ -318,9 +329,9 @@ def test_each_attest_or_verify_charges_the_delay_read_at_that_moment(
         call, outcome, setup, error, charged):
     # Built with no delay; the delay is set afterwards, as perfbench's
     # pr_lossy_audit does, and changed between two calls. A rejection before
-    # the tag (the wrong role on local_verify, a frame that does not decode,
-    # an unknown session on a send) is charged nothing; deliver_frame charges
-    # a decoded frame before its role check.
+    # the tag (the wrong role on a send or on local_verify, a frame that does
+    # not decode, an unknown session on a send) is charged nothing;
+    # deliver_frame charges a decoded frame before its session checks.
     net, a, b = make_pair()
     for ep in (a, b):
         ep.provision([(LOG, 1, KEY2)])
@@ -340,6 +351,56 @@ def test_each_attest_or_verify_charges_the_delay_read_at_that_moment(
             assert [e for _, e in b.rejection_events[events:]] == [error]
         else:
             assert result == error
+
+
+def role_blind(endpoint: Endpoint) -> Endpoint:
+    """Test-only: make the endpoint's kernel blind to the Keystore's roles,
+    so it attests on every session it holds, another device's log included.
+    Attacks that the role stops at the attacker's own kernel are mounted
+    this way to reach the receiver-side checks behind it."""
+    for state in endpoint.kernel.keystore.values():
+        state.read_only = False
+    return endpoint
+
+
+ROLE_DEVICES = (1, 2, 3)
+ROLE_SESSIONS = ([transport_session(1, 2), transport_session(1, 3), transport_session(2, 3)]
+                 + [log_session(d) for d in ROLE_DEVICES])
+
+
+def _bootstrapped(device: int, seed: int) -> Endpoint:
+    """A device provisioned through the handshake with the (session, peer,
+    key) triples `build_cluster` gives it."""
+    keystore = build_cluster(list(ROLE_DEVICES), seed).endpoints[device].kernel.keystore
+    secrets = [(session, state.peer, state.key) for session, state in keystore.items()]
+    endpoint = Endpoint(DeviceConfig(device))
+    vendor, controller = make_vendor_pair(seed, device, endpoint)
+    run_handshake(vendor, controller, ProvisioningBundle(bitstream=b"b", secrets=secrets))
+    return endpoint
+
+
+@pytest.mark.parametrize("session", ROLE_SESSIONS, ids=hex)
+@pytest.mark.parametrize("device, bootstrapped", [(1, False), (2, False), (3, False),
+                                                  (2, True)],
+                         ids=["device1", "device2", "device3", "bootstrapped2"])
+def test_a_device_attests_only_on_its_own_log_and_transport_sessions(
+        device, bootstrapped, session):
+    # Every device holds every log key, to verify every log; the Keystore
+    # lets only the log's owner attest on it, and both ends on a transport.
+    endpoint = (_bootstrapped(device, seed=1) if bootstrapped
+                else build_cluster(list(ROLE_DEVICES), seed=1).endpoints[device])
+    keystore = endpoint.kernel.keystore
+    counters = {s: (st.send_cnt, st.recv_cnt) for s, st in keystore.items()}
+    own = {log_session(device)} | {transport_session(device, peer)
+                                   for peer in ROLE_DEVICES if peer != device}
+    if session in own:
+        assert endpoint.kernel.attest(session, b"m").counter == 0
+        counters[session] = (1, 0)
+    else:
+        error = WrongSessionRole if session in keystore else UnknownSession
+        with pytest.raises(error):
+            endpoint.kernel.attest(session, b"m")
+    assert {s: (st.send_cnt, st.recv_cnt) for s, st in keystore.items()} == counters
 
 
 def test_a_negative_attest_delay_is_refused_when_assigned():

@@ -13,6 +13,8 @@ from attestnet.errors import (
     DuplicateSession,
     PayloadTooLarge,
     UnknownSession,
+    WrongSender,
+    WrongSessionRole,
 )
 from attestnet.kernel import (
     AttestationKernel,
@@ -57,14 +59,16 @@ def test_oracle_matches_published_rfc4231_vector():
     )
 
 
-def make_kernel(device=7, session=1, key=KEY):
+def make_kernel(device=7, session=1, key=KEY, peer=1):
+    """A kernel holding one session; device 1 sends in these tests, so the
+    session's peer defaults to it."""
     kernel = AttestationKernel(device=device)
-    kernel.provision_session(session, key)
+    kernel.provision_session(session, peer, key)
     return kernel
 
 
 def test_tag_matches_independent_oracle():
-    tag = compute_tag(SessionState(KEY), b"attested payload", 7, 3)
+    tag = compute_tag(SessionState(KEY, 1), b"attested payload", 7, 3)
     mac_input = b"attested payload" + (7).to_bytes(4, "big") + (3).to_bytes(8, "big")
     assert tag[:48] == hmac_oracle(KEY, mac_input)
     assert tag[:48] == ORACLE_TAG48
@@ -121,7 +125,7 @@ def test_flipped_payload_byte_fails_auth():
 def test_provision_duplicate_session_rejected():
     kernel = make_kernel()
     with pytest.raises(DuplicateSession):
-        kernel.provision_session(1, KEY)
+        kernel.provision_session(1, 1, KEY)
 
 
 def test_shared_key_cross_device_verification():
@@ -135,7 +139,7 @@ def test_unknown_session_and_payload_limits():
     kernel = AttestationKernel(device=1)
     with pytest.raises(UnknownSession):
         kernel.attest(5, b"m")
-    kernel.provision_session(5, KEY)
+    kernel.provision_session(5, 1, KEY)
     with pytest.raises(PayloadTooLarge):
         kernel.attest(5, bytes(MAX_PAYLOAD + 1))
 
@@ -143,17 +147,17 @@ def test_unknown_session_and_payload_limits():
 def test_counter_overflow_is_hard_error():
     from attestnet.errors import CounterOverflow
 
-    state = SessionState(key=KEY, send_cnt=COUNTER_LIMIT)
+    state = SessionState(key=KEY, peer=1, send_cnt=COUNTER_LIMIT)
     with pytest.raises(CounterOverflow):
         attest_with(state, 1, 1, b"m")
 
 
 def test_key_absent_from_repr():
-    state = SessionState(key=KEY)
+    state = SessionState(key=KEY, peer=1)
     assert KEY.hex() not in repr(state)
     assert "0b0b" not in repr(state)
     compute_tag(state, b"m", 1, 0)   # builds the pad states
-    assert repr(state) == "SessionState(send_cnt=0, recv_cnt=0)"
+    assert repr(state) == "SessionState(peer=1, read_only=False, send_cnt=0, recv_cnt=0)"
 
 
 @given(payloads=st.lists(st.binary(min_size=0, max_size=64), min_size=1,
@@ -190,8 +194,8 @@ def test_no_equivocation_triple_uniqueness(data):
 
 
 def test_determinism_of_attest():
-    s1 = SessionState(key=KEY)
-    s2 = SessionState(key=KEY)
+    s1 = SessionState(key=KEY, peer=1)
+    s2 = SessionState(key=KEY, peer=1)
     m1 = attest_with(s1, 9, 4, b"det")
     m2 = attest_with(s2, 9, 4, b"det")
     assert m1 == m2
@@ -199,8 +203,8 @@ def test_determinism_of_attest():
 
 def test_verify_with_designated_stream_is_independent():
     sender = make_kernel(device=1)
-    main_stream = SessionState(key=KEY)
-    side_stream = SessionState(key=KEY)
+    main_stream = SessionState(key=KEY, peer=1)
+    side_stream = SessionState(key=KEY, peer=1)
     msgs = [sender.attest(1, bytes([i])) for i in range(3)]
     for m in msgs:
         verify_with(main_stream, m)
@@ -211,6 +215,30 @@ def test_verify_with_designated_stream_is_independent():
     assert side_stream.recv_cnt == 3
 
 
+def test_verify_checks_the_sender_against_the_sessions_peer():
+    # Every key holder can check a message; only the session's peer's
+    # messages are accepted, and a rejection moves no counter.
+    msg = make_kernel(device=1).attest(1, b"m")
+    receiver = make_kernel(device=2, peer=3)
+    with pytest.raises(WrongSender, match="device 1 is not the session's peer 3"):
+        receiver.verify(msg)
+    assert receiver.session_state(1).recv_cnt == 0
+    with pytest.raises(WrongSender):
+        verify_with(SessionState(KEY, 3), msg)
+
+
+def test_a_read_only_session_verifies_but_never_attests():
+    reader = AttestationKernel(device=2)
+    state = reader.provision_session(1, 1, KEY, read_only=True)
+    with pytest.raises(WrongSessionRole, match="session 1 is read-only on device 2"):
+        reader.attest(1, b"m")
+    with pytest.raises(WrongSessionRole):
+        attest_with(state, 2, 1, b"m")
+    assert state.send_cnt == 0
+    msg = make_kernel(device=1).attest(1, b"m")
+    assert reader.verify(msg) == msg and state.recv_cnt == 1
+
+
 def test_session_id_is_outside_the_mac():
     # A documented choice: the session id only selects the key. Two sessions
     # that share a key therefore accept each other's frames once the header's
@@ -218,7 +246,7 @@ def test_session_id_is_outside_the_mac():
     # separates them.
     sender = make_kernel(device=1, session=1)
     receiver = make_kernel(device=2, session=1)
-    receiver.provision_session(2, KEY)
+    receiver.provision_session(2, 1, KEY)
     frame = bytearray(encode_frame(sender.attest(1, b"for session 1")))
     frame[:4] = (2).to_bytes(4, "big")
     moved = decode_frame(bytes(frame))
@@ -249,7 +277,7 @@ def library_tag(key: bytes, payload: bytes, device: int, counter: int) -> bytes:
                          st.integers(0, 2 ** 64 - 1)))
 @settings(max_examples=200, deadline=None)
 def test_compute_tag_is_hmac_sha384_zero_padded(key, payload, device, counter):
-    state = SessionState(key)
+    state = SessionState(key, 1)
     assert compute_tag(state, payload, device, counter) == library_tag(
         key, payload, device, counter)
     # the second tag runs on the cached pad states
@@ -260,9 +288,9 @@ def test_compute_tag_is_hmac_sha384_zero_padded(key, payload, device, counter):
 def test_interleaved_sessions_tag_as_if_computed_apart():
     key_a, key_b = b"\x0a" * 32, b"\x0b" * 32
     payloads = [b"", b"x" * 127, b"y" * 128, b"z" * 5000]
-    apart_a = [compute_tag(SessionState(key_a), p, 1, i) for i, p in enumerate(payloads)]
-    apart_b = [compute_tag(SessionState(key_b), p, 2, i) for i, p in enumerate(payloads)]
-    state_a, state_b = SessionState(key_a), SessionState(key_b)
+    apart_a = [compute_tag(SessionState(key_a, 2), p, 1, i) for i, p in enumerate(payloads)]
+    apart_b = [compute_tag(SessionState(key_b, 1), p, 2, i) for i, p in enumerate(payloads)]
+    state_a, state_b = SessionState(key_a, 2), SessionState(key_b, 1)
     together = [(compute_tag(state_a, p, 1, i), compute_tag(state_b, p, 2, i))
                 for i, p in enumerate(payloads)]
     assert together == list(zip(apart_a, apart_b))
@@ -271,19 +299,17 @@ def test_interleaved_sessions_tag_as_if_computed_apart():
 
 
 def test_equality_ignores_whether_pads_are_built():
-    built, fresh = SessionState(key=KEY), SessionState(key=KEY)
+    built, fresh = SessionState(key=KEY, peer=1), SessionState(key=KEY, peer=1)
     compute_tag(built, b"m", 1, 0)
     assert built._inner is not None and fresh._inner is None
     assert built == fresh
-    assert built != SessionState(key=b"\x0c" * 32)
-    assert built != SessionState(key=KEY, send_cnt=1)
+    assert built != SessionState(key=b"\x0c" * 32, peer=1)
+    assert built != SessionState(key=KEY, peer=1, send_cnt=1)
 
 
 def test_attested_message_is_immutable_and_hashes_by_value():
     """A verified message cannot be altered afterwards; equal ones are one key."""
-    kernel = AttestationKernel(device=7)
-    kernel.provision_session(1, KEY)
-    msg = kernel.attest(1, b"payload")
+    msg = make_kernel().attest(1, b"payload")
     for name in ("tag", "payload", "device", "session", "counter"):
         with pytest.raises(AttributeError):
             setattr(msg, name, getattr(msg, name))

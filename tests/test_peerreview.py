@@ -5,7 +5,7 @@ import pytest
 from attestnet import kernel
 from attestnet.bench import DELAY_PRESETS_NS, BenchConfig, run_bench
 from attestnet.device import pack_batch, pack_pair, unpack_batch, unpack_pair
-from attestnet.errors import OutOfRange, UnknownSession
+from attestnet.errors import OutOfRange, UnknownSession, WrongSessionRole
 from attestnet.protocols import peerreview
 from attestnet.kernel import TAG_LEN, AttestedMessage
 from attestnet.protocols.common import log_session, transport_session
@@ -29,6 +29,7 @@ from attestnet.protocols.peerreview import (
 )
 from attestnet.scenario import run_scenario
 from attestnet.wire import decode_frame, encode_frame
+from test_device import role_blind
 
 
 def test_honest_stream_consistent_throughout():
@@ -423,7 +424,8 @@ def test_a_second_writer_on_a_log_session_stops_the_log():
 class ReseatedChild(PrChild):
     """Byzantine child: it answers every command with a lie attested on its
     own log session, and shows its witness an honest history attested on
-    the root's log session, whose counters it has never used."""
+    the root's log session, whose counters it has never used. Only a
+    role-blind kernel lets it attest there."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -441,7 +443,10 @@ class ReseatedChild(PrChild):
 
 
 def test_a_log_reseated_on_another_log_session_breaks_the_chain():
+    # On a role-blind kernel the reseat reaches the witness, whose (device,
+    # log session) pin breaks the chain.
     scenario = PrScenario.build(seed=1, n_children=2, child_cls_at={2: ReseatedChild})
+    role_blind(scenario.children[2].endpoint)
     scenario.run_rounds([b"one", b"two"])
     answers = [decode_frame(r) for r in scenario.root.responses[2]]
     assert [(a.session, a.counter) for a in answers] == [(log_session(2), 0),
@@ -451,6 +456,15 @@ def test_a_log_reseated_on_another_log_session_breaks_the_chain():
     assert verdicts[2].kind == VERDICT_CHAIN_BREAK and verdicts[2].seq == 0
     assert verdicts[1].consistent and verdicts[3].consistent
     assert scenario.children[2].log.first == 0      # nothing checkpointed
+
+
+def test_the_kernel_refuses_a_reseated_log_at_its_first_attestation():
+    scenario = PrScenario.build(seed=1, n_children=2, child_cls_at={2: ReseatedChild})
+    child = scenario.children[2]
+    with pytest.raises(WrongSessionRole, match="read-only on device 2"):
+        scenario.run_rounds([b"one"])
+    state = child.endpoint.kernel.session_state(log_session(1))
+    assert (state.send_cnt, len(child.log), len(child.answers)) == (0, 0, 0)
 
 
 def test_a_log_on_a_session_its_endpoint_does_not_hold_is_refused():
