@@ -78,6 +78,11 @@ def measure(blob: bytes) -> bytes:
     return hashlib.sha384(blob).digest()
 
 
+def controller_binary(device: int) -> bytes:
+    """The genuine controller binary of a device: the one the vendor expects."""
+    return b"ctrl-bin-v1/%08x" % device
+
+
 def _ed25519_from_rng(rng: random.Random) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
 
@@ -103,11 +108,10 @@ class DeviceIdentity:
     """
 
     def __init__(self, device: int, rng: random.Random, ctrl_bin: bytes | None = None):
-        self.device = device
         self._hw_key = _ed25519_from_rng(rng)
         self.hw_pub = _pub_bytes(self._hw_key)
-        self.ctrl_bin = ctrl_bin if ctrl_bin is not None else b"ctrl-bin-v1/%08x" % device
-        self.ctrl_bin_digest = measure(self.ctrl_bin)
+        self.ctrl_bin_digest = measure(
+            controller_binary(device) if ctrl_bin is None else ctrl_bin)
         self._ctrl_priv = _ed25519_from_rng(rng)
         self.ctrl_pub = _pub_bytes(self._ctrl_priv)
         # Hardware-key certificate over (binary measurement ‖ controller pub).
@@ -144,17 +148,16 @@ class ProvisioningBundle:
 
     bitstream: bytes
     secrets: list[tuple[int, int, bytes]]  # (session, peer device, 32-byte key)
-    config: bytes = b"{}"
 
     def encode(self) -> bytes:
-        """count ‖ (session ‖ peer ‖ key) per secret ‖ bitstream and config,
-        each a length-prefixed record."""
+        """count ‖ (session ‖ peer ‖ key) per secret ‖ bitstream, a
+        length-prefixed record."""
         parts = [len(self.secrets).to_bytes(4, "big")]
         for session, peer, key in self.secrets:
             if len(key) != KEY_LEN:
                 raise HandshakeError(f"session {session} key must be {KEY_LEN} bytes")
             parts.append(_SECRET.pack(session, peer, key))
-        parts.append(pack_pair(self.bitstream, pack_pair(self.config, b"")))
+        parts.append(pack_pair(self.bitstream, b""))
         return b"".join(parts)
 
     @classmethod
@@ -165,14 +168,13 @@ class ProvisioningBundle:
         if len(data) < end:
             raise HandshakeError("provisioning bundle truncated")
         try:
-            bitstream, rest = unpack_pair(data[end:])
-            config, trailing = unpack_pair(rest)
+            bitstream, trailing = unpack_pair(data[end:])
         except FrameError:
             raise HandshakeError("provisioning bundle truncated") from None
         if trailing:
             raise HandshakeError("trailing bytes after provisioning bundle")
         secrets = list(_SECRET.iter_unpack(data[4:end]))
-        return cls(bitstream=bitstream, secrets=secrets, config=config)
+        return cls(bitstream=bitstream, secrets=secrets)
 
 
 class Transcript:
@@ -343,18 +345,9 @@ class Controller:
         return measurement
 
 
-@dataclass
-class HandshakeResult:
-    transcript: Transcript
-    vendor: Vendor
-    controller: Controller
-    measurement: bytes
-
-
 def run_handshake(vendor: Vendor, controller: Controller,
-                  bundle: ProvisioningBundle,
-                  tamper=None) -> HandshakeResult:
-    """Drive the full exchange, recording every wire message.
+                  bundle: ProvisioningBundle, tamper=None) -> Transcript:
+    """Drive the full exchange and return the record of every wire message.
 
     `tamper(step, body) -> body` lets tests corrupt individual messages; each
     corruption must map to its specific rejection. The vendor only records
@@ -389,18 +382,17 @@ def run_handshake(vendor: Vendor, controller: Controller,
         raise HandshakeError("bitstream measurement echo mismatch")
     vendor.completed_at = len(transcript.messages)
 
-    return HandshakeResult(transcript=transcript, vendor=vendor,
-                           controller=controller, measurement=measurement)
+    return transcript
 
 
 def make_pair(seed: int, device: int, endpoint: Endpoint,
-              ctrl_bin: bytes | None = None,
-              expected_digest: bytes | None = None) -> tuple[Vendor, Controller]:
-    """Build a vendor/controller pair from one seed (tests and the demo CLI)."""
+              ctrl_bin: bytes | None = None) -> tuple[Vendor, Controller]:
+    """Build a vendor/controller pair from one seed (tests and the demo CLI).
+    The vendor expects the genuine binary, so any other `ctrl_bin` the device
+    runs is refused with MeasurementMismatch."""
     rng_device = random.Random(seed)
     rng_vendor = random.Random(seed ^ 0x5EED)
     identity = DeviceIdentity(device, rng_device, ctrl_bin=ctrl_bin)
-    expected = expected_digest if expected_digest is not None else identity.ctrl_bin_digest
-    vendor = Vendor(expected, identity.hw_pub, rng_vendor)
+    vendor = Vendor(measure(controller_binary(device)), identity.hw_pub, rng_vendor)
     controller = Controller(identity, endpoint, vendor.identity_pub, rng_device)
     return vendor, controller

@@ -45,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 
 from .bootstrap import (AEAD_NONCE_LEN, DIGEST_LEN, NONCE_LEN, PUB_LEN, SIG_LEN,
-                        ProvisioningBundle, make_pair, measure, run_handshake)
+                        ProvisioningBundle, make_pair, run_handshake)
 from .device import DeviceConfig, Endpoint
 from .errors import HandshakeError, InstanceTooLarge
 from .kernel import AttestationKernel, AttestedMessage
@@ -332,6 +332,17 @@ def check_transport_lemmas(instance: BoundedInstance,
 
 # -- attestation lemma (remote-attestation completion ordering) --------------------
 
+def _flip(step_name: str, offset: int):
+    """A tamper hook that flips the low bit of byte `offset` of one step's body."""
+    def tamper(step, body):
+        if step != step_name:
+            return body
+        out = bytearray(body)
+        out[offset] ^= 0x01
+        return bytes(out)
+    return tamper
+
+
 def _handshake_scenarios():
     """Honest run plus one scenario per single-field corruption class."""
     yield "honest", None, None
@@ -354,27 +365,10 @@ def check_attestation_lemma(seed: int = 0) -> LemmaReport:
     accepted handshake records both, the device's strictly first."""
     for name, flip_spec, evil_bin in _handshake_scenarios():
         endpoint = Endpoint(DeviceConfig(device=42))
-        if evil_bin is None:
-            vendor, controller = make_pair(seed, 42, endpoint)
-        else:
-            honest = b"ctrl-bin-v1/%08x" % 42
-            vendor, controller = make_pair(seed, 42, endpoint,
-                                           ctrl_bin=evil_bin,
-                                           expected_digest=measure(honest))
+        vendor, controller = make_pair(seed, 42, endpoint, ctrl_bin=evil_bin)
         bundle = ProvisioningBundle(bitstream=b"bitstream",
                                     secrets=[(7, 43, bytes(32))])
-
-        tamper = None
-        if flip_spec is not None:
-            step_name, offset = flip_spec
-
-            def tamper(step, body, _step=step_name, _off=offset):
-                if step == _step:
-                    out = bytearray(body)
-                    out[_off] ^= 0x01
-                    return bytes(out)
-                return body
-
+        tamper = None if flip_spec is None else _flip(*flip_spec)
         rejected = False
         try:
             run_handshake(vendor, controller, bundle, tamper=tamper)

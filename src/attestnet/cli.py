@@ -2,10 +2,11 @@
 
 Subcommands:
     bench        one judged scenario run as a CSV row; exit 1 if the run is
-                 not ok or a round stalled, 2 on bad input
+                 not ok or a round stalled, 2 on bad input or unwritable --csv
     scenario     run a scenario file of any protocol; exit 1 if it is not ok
     check        bounded lemma suite; one verdict line per lemma; exit 1 on a
-                 counterexample, 2 on bounds outside the instance limits
+                 counterexample, 2 on bounds outside the instance limits or
+                 an unwritable --counterexample-out
     attest-demo  deterministic remote-attestation transcript for a seed
 """
 
@@ -48,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "simulated network's adversary on every frame, crossed "
                     "with every delivery order into a receiving endpoint. "
                     "Exit 1 on a counterexample, 2 on bounds outside the "
-                    "instance limits.")
+                    "instance limits or an unwritable output path.")
     p_check.add_argument("--senders", type=int, default=2,
                          help=f"1..{checker.MAX_SENDERS}")
     p_check.add_argument("--messages", type=int, default=3,
@@ -77,7 +78,11 @@ def _cmd_bench(args) -> int:
         print(f"attestnet bench: check failed: {exc}", file=sys.stderr)
         return 1
     if args.csv:
-        bench_mod.append_csv(args.csv, record)
+        try:
+            bench_mod.append_csv(args.csv, record)
+        except OSError as exc:
+            print(f"attestnet bench: {exc}", file=sys.stderr)
+            return 2
     print(",".join(bench_mod.CSV_HEADER))
     print(",".join(record.csv_row()))
     return 0
@@ -107,8 +112,12 @@ def _cmd_check(args) -> int:
         print(report.line())
     found = [r.counterexample for r in reports if not r.holds]
     if found and args.counterexample_out:
-        with open(args.counterexample_out, "w", encoding="utf-8") as fh:
-            json.dump(found[0].to_dict(), fh, indent=2, sort_keys=True)
+        try:
+            with open(args.counterexample_out, "w", encoding="utf-8") as fh:
+                json.dump(found[0].to_dict(), fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            print(f"attestnet check: {exc}", file=sys.stderr)
+            return 2
     return 1 if found else 0
 
 
@@ -117,13 +126,12 @@ def _cmd_demo(args) -> int:
     vendor, controller = make_pair(args.seed, 1, endpoint)
     bundle = ProvisioningBundle(
         bitstream=b"demo-bitstream",
-        secrets=[(1, 2, bytes(range(32)))],
-        config=b'{"topology": "demo"}')
-    result = run_handshake(vendor, controller, bundle)
-    for i, (msg_type, body) in enumerate(result.transcript.messages):
+        secrets=[(1, 2, bytes(range(32)))])
+    transcript = run_handshake(vendor, controller, bundle)
+    for i, (msg_type, body) in enumerate(transcript.messages):
         print(f"msg {i}: type=0x{msg_type:02x} len={len(body)} "
               f"body={body.hex()}")
-    print(f"measurement={result.measurement.hex()}")
+    print(f"measurement={endpoint.bitstream_measurement.hex()}")
     print(f"sessions={sorted(endpoint.sessions())}")
     return 0
 

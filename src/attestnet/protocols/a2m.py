@@ -42,9 +42,6 @@ class A2mStore:
         msg = self._log(log_id).attest(ctx)
         return (msg.tag, msg.counter, ctx)
 
-    def tail(self, log_id: int) -> int:
-        return len(self._log(log_id))
-
     def lookup(self, log_id: int, index: int) -> LogEntry:
         """Pure local read; no kernel call, no counter movement."""
         return self._log(log_id).entry(index)

@@ -14,10 +14,12 @@ A scenario is a JSON object:
       "faults": {"seed": 0, "actions": [...]}  # optional wire-fault schedule
     }
 
-Every field but "protocol" and the kinds is an integer; "rounds", "children"
-and "batch" are at least 1, "attest_delay_ns" and "payload" at least 0. An
-action's "session", "sender" and "index" may also be null, which matches any
-value.
+Every field but "protocol" and the kinds is an integer. "rounds", "children",
+"batch" and an attack's "round" and "commit" are at least 1; "attest_delay_ns",
+"payload", an attack's "after_round" and a fault action's "index",
+"delay_ns", "earlier_index", "bit_offset", "session" and "sender" at least 0,
+as a smaller value never fires or sends a frame back in time. An action's
+"session", "sender" and "index" may also be null, which matches any value.
 
 Device ids run from 0 to 255, and the PeerReview root is device 1, so
 "children" is at most 254. The root logs, each round, one entry of the
@@ -123,12 +125,19 @@ ATTACK_KINDS = {"bft": ("equivocate", "wrong_value", "crash"), "cr": ("lie",),
 INT_FIELDS = ("seed", "rounds", "n", "f", "children", "attest_delay_ns", "batch",
               "payload")
 WILDCARD_FIELDS = ("session", "sender", "index")   # of a fault action; null matches any
+# The least value of each integer field that has one; the spec's fields, a
+# fault action's and an attack's share no name.
+MINIMUMS = {"rounds": 1, "children": 1, "batch": 1, "attest_delay_ns": 0, "payload": 0,
+            "index": 0, "delay_ns": 0, "earlier_index": 0, "bit_offset": 0, "session": 0,
+            "sender": 0, "round": 1, "commit": 1, "after_round": 0}
 
 
-def _require_int(what: str, value) -> None:
+def _require_int(where: str, name: str, value) -> None:
     # bool is an int subclass, but `"rounds": true` is a typo, not a count.
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f'{where}"{name}" must be an integer, got {value!r}')
+    if name in MINIMUMS and value < MINIMUMS[name]:
+        raise ValueError(f'{where}"{name}" must be >= {MINIMUMS[name]}, got {value}')
 
 
 def _require_object(what: str, value) -> None:
@@ -145,16 +154,12 @@ def run_scenario(spec: dict) -> ScenarioResult:
         raise ValueError(f"unknown protocol {protocol!r}")
     for name in INT_FIELDS:
         if name in spec:
-            _require_int(f'"{name}"', spec[name])
-    for name, low in (("rounds", 1), ("children", 1), ("attest_delay_ns", 0),
-                      ("batch", 1), ("payload", 0)):
-        if spec.get(name, low) < low:
-            raise ValueError(f'"{name}" must be >= {low}, got {spec[name]}')
+            _require_int("", name, spec[name])
     attack = spec.get("attack", {})
     _require_object('"attack"', attack)
     for name, value in attack.items():
         if name != "kind":
-            _require_int(f'attack "{name}"', value)
+            _require_int("attack ", name, value)
     kind = attack.get("kind", "none")
     if kind != "none" and kind not in ATTACK_KINDS.get(protocol, ()):
         raise ValueError(f"unknown {protocol} attack kind {kind!r}")
@@ -192,7 +197,7 @@ def _install_faults(spec: dict, net: Network) -> None:
         return
     _require_object('"faults"', faults)
     seed = faults.get("seed", spec.get("seed", 0))
-    _require_int('faults "seed"', seed)
+    _require_int("faults ", "seed", seed)
     actions = faults.get("actions", [])
     if not isinstance(actions, list):
         raise ValueError(f'faults "actions" must be a list, got {actions!r}')
@@ -203,7 +208,7 @@ def _install_faults(spec: dict, net: Network) -> None:
                              "holds no frame bytes")
         for name, value in action.items():
             if name != "kind" and not (value is None and name in WILDCARD_FIELDS):
-                _require_int(f'fault action "{name}"', value)
+                _require_int("fault action ", name, value)
     try:
         actions = [FaultAction(**a) for a in actions]
     except TypeError as exc:

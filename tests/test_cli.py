@@ -55,6 +55,17 @@ def test_bench_csv_writes_header_once_then_appends_rows(tmp_path, capsys):
                                              printed_row]
 
 
+def test_bench_csv_that_cannot_be_written_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "bench.csv"
+    argv = ["bench", "--protocol", "a2m", "--requests", "4", "--csv", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("attestnet bench: ") and "No such file or directory" in line
+    assert not path.parent.exists()
+
+
 @pytest.mark.parametrize("preset", sorted(DELAY_PRESETS_NS))
 def test_bench_delay_preset_sets_the_attest_delay(capsys, preset):
     # An A2M append attests once per record, so its latency is the preset.
@@ -306,6 +317,29 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
      "a transport session holds device ids 0..255, got 1 and 256"),
     ('{"protocol": "bft", "n": 259, "f": 129}',
      "a transport session holds device ids 0..255, got 1 and 256"),
+    ('{"protocol": "raw-channel", "faults": {"actions": '
+     '[{"kind": "replay", "earlier_index": -100}]}}',
+     "fault action \"earlier_index\" must be >= 0, got -100"),
+    ('{"protocol": "raw-channel", "faults": {"actions": '
+     '[{"kind": "delay", "index": 0, "delay_ns": -1000000000}]}}',
+     "fault action \"delay_ns\" must be >= 0, got -1000000000"),
+    ('{"protocol": "bft", "faults": {"actions": [{"kind": "drop", "index": -1}]}}',
+     "fault action \"index\" must be >= 0, got -1"),
+    ('{"protocol": "cr", "faults": {"actions": [{"kind": "drop", "session": -3}]}}',
+     "fault action \"session\" must be >= 0, got -3"),
+    ('{"protocol": "peerreview", "faults": {"actions": [{"kind": "drop", "sender": -2}]}}',
+     "fault action \"sender\" must be >= 0, got -2"),
+    ('{"protocol": "raw-channel", "faults": {"actions": '
+     '[{"kind": "tamper", "bit_offset": -8}]}}',
+     "fault action \"bit_offset\" must be >= 0, got -8"),
+    ('{"protocol": "bft", "attack": {"kind": "wrong_value", "round": 0}}',
+     "attack \"round\" must be >= 1, got 0"),
+    ('{"protocol": "peerreview", "attack": {"kind": "mutate_result", "round": -1}}',
+     "attack \"round\" must be >= 1, got -1"),
+    ('{"protocol": "cr", "attack": {"kind": "lie", "commit": 0}}',
+     "attack \"commit\" must be >= 1, got 0"),
+    ('{"protocol": "bft", "attack": {"kind": "crash", "after_round": -1}}',
+     "attack \"after_round\" must be >= 0, got -1"),
 ])
 def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
@@ -389,6 +423,17 @@ def test_check_mutant_kernel_writes_replayable_counterexample(kernel, tmp_path, 
     assert replayed and replayed == [tuple(a) for a in data["acceptance"]]
 
 
+def test_check_counterexample_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "cex.json"
+    assert cli.main(["check", "--kernel", "frozen-counter",
+                     "--counterexample-out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "verdict=Counterexample" in captured.out
+    (line,) = captured.err.splitlines()
+    assert line.startswith("attestnet check: ") and "No such file or directory" in line
+    assert not path.parent.exists()
+
+
 @pytest.mark.parametrize("bounds, message", [
     (["--senders", "3"], "senders must be 1..2"),
     (["--messages", "0"], "messages must be 1..4"),
@@ -413,7 +458,7 @@ def test_attest_demo_transcript_is_pinned(capsys):
     assert cli.main(["attest-demo", "--seed", "3"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
-        "d6e4e8d6ace452e5d0e6171ea79183308808bc83fb2e628220ea3cf022d34537")
+        "41315a8dcde3109798c81999f88460c3c9d596fa50304238880146273ff219e6")
 
 
 def test_bench_payload_too_large_for_the_kernel_exits_2(capsys):

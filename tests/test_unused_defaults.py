@@ -1,7 +1,7 @@
 """Every defaulted parameter of a function or constructor the package
-defines is passed, by position or by keyword, in at least one call in `src`,
-`tests` or `perfbench`: a default that no caller overrides is an option that
-nobody sets. Calls are matched by callee name (a constructor by its class
+defines is passed, by position or by keyword, in at least one call in `src`
+or in `perfbench` outside its `test_*.py` files: a default that only tests
+override is an option that nothing runs sets. Calls are matched by callee name (a constructor by its class
 name); a call that unpacks `*args` or `**kwargs` counts as passing every
 parameter it could reach. Nested functions are closures, whose defaults bind
 values rather than offer options, so only module-level functions and the
@@ -12,7 +12,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "attestnet"
-CALLERS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+CALLERS = [ROOT / "src", ROOT / "perfbench"]
+
+# Defaults that only tests set and that stay, each with its reason.
+ALLOWED = {
+    # The console script calls main() to read sys.argv; tests pass argv.
+    "main(argv=...)",
+}
 
 
 def _defaulted(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
@@ -86,8 +92,11 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     calls = set()
     for root in CALLERS:
         for path in root.rglob("*.py"):
-            calls |= passed(_parse(path))
-    assert unset(definitions, calls) == []
+            if not path.name.startswith("test_"):
+                calls |= passed(_parse(path))
+    found = [entry for entry in unset(definitions, calls)
+             if entry.partition(" at ")[0] not in ALLOWED]
+    assert found == []
 
 
 def test_the_check_sees_an_unset_default():

@@ -2,12 +2,14 @@
 a top-level class but the dunder ones, is referenced from `src` or
 `perfbench`, not counting their `test_*.py` files, outside its own
 definition: a symbol only tests reach is code that nothing runs. A reference
-is a name or an attribute; an import alone is not one, and neither is a
-recursive call. Names are matched as strings, so a method is used when any
-attribute of its name is read, and an override counts as used with the
-method it overrides."""
+to a top-level symbol is a name or an attribute, and to a method an
+attribute only, so a local variable that shares a method's name does not
+use it; an import alone is not a reference, and neither is a recursive call.
+Names are matched as strings, so a method is used when any attribute of its
+name is read, and an override counts as used with the method it overrides."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,34 +31,37 @@ ALLOWED = {
 }
 
 
-def _references(node: ast.AST) -> list[str]:
-    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))]
+def _references(node: ast.AST, attributes_only: bool = False) -> list[str]:
+    """The names and attribute names in node; the attribute names alone if
+    attributes_only."""
+    return [n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            or (isinstance(n, ast.Name) and not attributes_only)]
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, node) of each top-level def and of each method of a
-    top-level class, dunder methods left out."""
+    """(qualified name, node, whether it is a method) of each top-level def
+    and of each method of a top-level class, dunder methods left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    yield f"{node.name}.{item.name}", item
+                    yield f"{node.name}.{item.name}", item, True
 
 
 def unreferenced(trees: dict[str, ast.Module]) -> list[str]:
     """`path:name` of each definition that no other code references."""
-    counts: dict[str, int] = {}
+    counts = {False: Counter(), True: Counter()}   # keyed by attributes_only
     for tree in trees.values():
-        for name in _references(tree):
-            counts[name] = counts.get(name, 0) + 1
+        for attributes_only, counter in counts.items():
+            counter.update(_references(tree, attributes_only))
     out = []
     for where, tree in trees.items():
-        for qualified, node in _definitions(tree):
-            own = _references(node).count(node.name)
-            if counts.get(node.name, 0) == own:
+        for qualified, node, method in _definitions(tree):
+            own = _references(node, method).count(node.name)
+            if counts[method][node.name] == own:
                 out.append(f"{where}:{qualified}")
     return sorted(out)
 
@@ -82,7 +87,10 @@ def test_the_check_sees_an_unused_symbol():
                                "    def __init__(self):\n        pass\n"
                                "    def m(self):\n        return self.m()\n"
                                "    def n(self):\n        return 1\n"
-                               "def h():\n    return K().n()\n"),
+                               "    def tail(self):\n        return 0\n"
+                               "def h():\n    tail = 1\n    return K().n() + tail\n"),
              "b.py": ast.parse("def g():\n    pass\n")}
-    # K.m is reached only from its own body; K.__init__ is left out.
-    assert unreferenced(trees) == ["a.py:K.m", "a.py:f", "a.py:h", "b.py:g"]
+    # K.m is reached only from its own body, K.tail only by a local variable
+    # of its name; K.__init__ is left out.
+    assert unreferenced(trees) == ["a.py:K.m", "a.py:K.tail", "a.py:f", "a.py:h",
+                                   "b.py:g"]
