@@ -6,8 +6,11 @@ attest delay. Every run is in simulated time: every attest/verify event
 charges the configured processing delay to a shared deterministic clock, and
 the wire adds a base latency plus a per-byte cost. Fixed (seed, config)
 therefore yields byte-identical results. Host time is measured by
-`perfbench/`, not here. If the run is not ok, or a round's client accepted
-nothing, `run_bench` raises BenchCheckFailed instead of returning a row.
+`perfbench/`, not here. `run_bench` returns the run's CSV row under
+CSV_HEADER, or raises BenchCheckFailed if the run is not ok or a round's
+client accepted nothing. It checks only that `batch` is at least 1 and
+`requests` a positive multiple of it: argparse's choices check the protocol
+and the delay preset, and `run_scenario` the rest of the spec.
 
 Delay presets follow the measured hardware reference points: the trusted-NIC
 kernel at 23 us, SGX-style enclaves at 45 us, AMD-SEV at 30 us. Batching
@@ -20,7 +23,6 @@ import json
 import math
 import os
 import statistics
-from dataclasses import dataclass
 
 from .scenario import run_scenario
 
@@ -38,47 +40,6 @@ CSV_HEADER = [
 ]
 
 
-@dataclass
-class BenchConfig:
-    protocol: str = "raw-channel"
-    delay_model: str = "tnic"
-    batch: int = 1
-    payload: int = 64
-    requests: int = 256
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.delay_model not in DELAY_PRESETS_NS:
-            raise ValueError(f"unknown delay model {self.delay_model!r}")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.requests < 1 or self.requests % self.batch:
-            raise ValueError(f"requests must be a positive multiple of batch "
-                             f"{self.batch}, got {self.requests}")
-
-
-@dataclass
-class BenchRecord:
-    config: BenchConfig
-    throughput_ops: float
-    latency_mean_us: float
-    latency_median_us: float
-    latency_p99_us: float
-    elapsed_sim_us: float
-
-    def csv_row(self) -> list[str]:
-        c = self.config
-        # The transport column is always "sim"; it stays so that CSV files
-        # written before and after keep one header and comparable rows.
-        return [
-            c.protocol, c.delay_model, str(c.batch), str(c.payload),
-            str(c.requests), "sim", str(c.seed),
-            f"{self.throughput_ops:.3f}", f"{self.latency_mean_us:.3f}",
-            f"{self.latency_median_us:.3f}", f"{self.latency_p99_us:.3f}",
-            f"{self.elapsed_sim_us:.3f}",
-        ]
-
-
 class BenchCheckFailed(Exception):
     """A run produced a wrong result, so its numbers mean nothing."""
 
@@ -89,12 +50,18 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[index]
 
 
-def run_bench(config: BenchConfig) -> BenchRecord:
+def run_bench(*, protocol: str, delay_model: str, batch: int, payload: int,
+              requests: int, seed: int) -> list[str]:
+    """One judged run's CSV row, under CSV_HEADER."""
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
+    if requests < 1 or requests % batch:
+        raise ValueError(f"requests must be a positive multiple of batch "
+                         f"{batch}, got {requests}")
     result = run_scenario({
-        "protocol": config.protocol, "seed": config.seed,
-        "rounds": config.requests // config.batch, "batch": config.batch,
-        "payload": config.payload,
-        "attest_delay_ns": DELAY_PRESETS_NS[config.delay_model],
+        "protocol": protocol, "seed": seed, "rounds": requests // batch,
+        "batch": batch, "payload": payload,
+        "attest_delay_ns": DELAY_PRESETS_NS[delay_model],
     })
     if not result.ok:
         raise BenchCheckFailed(
@@ -103,22 +70,23 @@ def run_bench(config: BenchConfig) -> BenchRecord:
         raise BenchCheckFailed(f"no value accepted in {len(result.stalled)} round(s), "
                                f"the first is round {result.stalled[0]}")
     # Each record's latency is its round's.
-    lat_us = [v / 1000.0 for v in result.latencies_ns for _ in range(config.batch)]
+    lat_us = [v / 1000.0 for v in result.latencies_ns for _ in range(batch)]
     seconds = result.elapsed_ns / 1e9
-    return BenchRecord(
-        config=config,
-        throughput_ops=config.requests / seconds if seconds > 0 else math.inf,
-        latency_mean_us=statistics.fmean(lat_us),
-        latency_median_us=statistics.median(lat_us),
-        latency_p99_us=_percentile(lat_us, 0.99),
-        elapsed_sim_us=result.elapsed_ns / 1000.0,
-    )
+    throughput_ops = requests / seconds if seconds > 0 else math.inf
+    # The transport column is always "sim"; it stays so that CSV files
+    # written before and after keep one header and comparable rows.
+    return [
+        protocol, delay_model, str(batch), str(payload), str(requests), "sim",
+        str(seed), f"{throughput_ops:.3f}", f"{statistics.fmean(lat_us):.3f}",
+        f"{statistics.median(lat_us):.3f}", f"{_percentile(lat_us, 0.99):.3f}",
+        f"{result.elapsed_ns / 1000.0:.3f}",
+    ]
 
 
-def append_csv(path: str, record: BenchRecord) -> None:
+def append_csv(path: str, row: list[str]) -> None:
     new_file = not os.path.exists(path)
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if new_file:
             writer.writerow(CSV_HEADER)
-        writer.writerow(record.csv_row())
+        writer.writerow(row)

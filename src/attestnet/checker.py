@@ -127,7 +127,7 @@ class BoundedInstance:
     messages_per_sender: int = 3
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 1 <= self.senders <= MAX_SENDERS:
             raise InstanceTooLarge(f"senders must be 1..{MAX_SENDERS}")
         if not 1 <= self.messages_per_sender <= MAX_MESSAGES:
@@ -308,7 +308,6 @@ def check_transport_lemmas(instance: BoundedInstance,
                            kernel: str = "correct") -> dict[str, LemmaReport]:
     """All four transport lemmas over the full interleaving/mutation space;
     each lemma reports the first violation in mutation, then delivery order."""
-    instance.validate()
     kernel_cls = KERNELS[kernel]
     base = _sent_streams(instance, kernel_cls)
     sent = {frame: (s, j) for s, frames in enumerate(base)
@@ -445,7 +444,6 @@ def check_consistency(instance: BoundedInstance,
     acceptance only appends, so the two sequences are comparable at every
     point of every interleaving exactly when they are comparable at the end.
     """
-    instance.validate()
     for mutation, streams in _mutations(_multicast_streams(instance, kernel)):
         acceptance = _receive_apart(instance, streams)
         a, b = ([decode_frame(streams[r][p]).payload

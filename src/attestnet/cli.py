@@ -67,10 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bench(args) -> int:
     try:
-        config = bench_mod.BenchConfig(
+        row = bench_mod.run_bench(
             protocol=args.protocol, delay_model=args.delay, batch=args.batch,
             payload=args.payload, requests=args.requests, seed=args.seed)
-        record = bench_mod.run_bench(config)
     except ValueError as exc:
         print(f"attestnet bench: {exc}", file=sys.stderr)
         return 2
@@ -79,12 +78,12 @@ def _cmd_bench(args) -> int:
         return 1
     if args.csv:
         try:
-            bench_mod.append_csv(args.csv, record)
+            bench_mod.append_csv(args.csv, row)
         except OSError as exc:
             print(f"attestnet bench: {exc}", file=sys.stderr)
             return 2
     print(",".join(bench_mod.CSV_HEADER))
-    print(",".join(record.csv_row()))
+    print(",".join(row))
     return 0
 
 
@@ -99,11 +98,10 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    instance = checker.BoundedInstance(senders=args.senders,
-                                       messages_per_sender=args.messages,
-                                       seed=args.seed)
     try:
-        instance.validate()
+        instance = checker.BoundedInstance(senders=args.senders,
+                                           messages_per_sender=args.messages,
+                                           seed=args.seed)
     except InstanceTooLarge as exc:
         print(f"attestnet check: {exc}", file=sys.stderr)
         return 2

@@ -11,10 +11,11 @@ A scenario is a JSON object:
       "attest_delay_ns": 0,                    # simulated cost of each attest
       "batch": 1, "payload": 64,               # optional round bodies
       "attack": {"kind": "...", ...},          # optional
-      "faults": {"seed": 0, "actions": [...]}  # optional wire-fault schedule
+      "faults": {"seed": 0, "actions": [...]}  # optional, not a2m: wire faults
     }
 
-Every field but "protocol" and the kinds is an integer. "rounds", "children",
+A name the protocol or its attack kind does not take is bad input. Every
+field but "protocol" and the kinds is an integer. "rounds", "children",
 "batch" and an attack's "round" and "commit" are at least 1; "attest_delay_ns",
 "payload", an attack's "after_round" and a fault action's "index",
 "delay_ns", "earlier_index", "bit_offset", "session" and "sender" at least 0,
@@ -26,14 +27,16 @@ Device ids run from 0 to 255, and the PeerReview root is device 1, so
 frames it sent all children, and an entry is a kernel payload of at most
 64 KiB: 238 children fit without "payload", fewer with it. A CR proof nests
 one level per node, so "n" and "payload" share its 64 KiB too. A spec past
-these bounds is bad input.
+these bounds is bad input. A round body is sized before any is built, so
+a "batch" of "payload"s too large for the kernel is refused unallocated.
 
 Round r submits one body: without "payload", the protocol's own (an empty
 BFT request, a CR put of b"v<17r>" at b"k<r>", b"cmd-<r>", b"rec-<r>"); with
 it, `pack_batch` of "batch" records of `randbytes(payload)` from
 `Random(seed)`, which CR puts at the key b"k%08d" % (r % 128).
 
-Attack kinds per protocol (any other kind is rejected as bad input; wire
+Attack kinds per protocol and the fields each takes (any other kind is
+rejected as bad input, and the default kind "none" takes no field; wire
 faults such as replay, reorder or drop go in "faults"):
     bft:        equivocate {round}, wrong_value {round}, crash {node, after_round}
     cr:         lie {position, commit}
@@ -58,6 +61,7 @@ from dataclasses import dataclass, field
 
 from .device import pack_batch
 from .errors import PayloadTooLarge
+from .kernel import MAX_PAYLOAD
 from .protocols.a2m import A2mStore
 from .protocols.bft import (
     BftCluster,
@@ -120,10 +124,19 @@ def load_scenario(path: str) -> dict:
     return spec
 
 
-ATTACK_KINDS = {"bft": ("equivocate", "wrong_value", "crash"), "cr": ("lie",),
-                "peerreview": ("mutate_result", "rewrite_log")}
-INT_FIELDS = ("seed", "rounds", "n", "f", "children", "attest_delay_ns", "batch",
-              "payload")
+# Each protocol's attack kinds and the fields each takes besides "kind".
+ATTACK_KINDS = {"bft": {"equivocate": ("round",), "wrong_value": ("round",),
+                        "crash": ("node", "after_round")},
+                "cr": {"lie": ("position", "commit")},
+                "peerreview": {"mutate_result": ("node", "round"),
+                               "rewrite_log": ("node", "seq")}}
+_COMMON_FIELDS = ("protocol", "seed", "rounds", "attest_delay_ns", "batch", "payload",
+                  "attack")
+# Each protocol's spec fields; A2M sends no frame, so it takes no "faults".
+SPEC_FIELDS = {"bft": _COMMON_FIELDS + ("n", "f", "faults"),
+               "cr": _COMMON_FIELDS + ("n", "f", "faults"),
+               "peerreview": _COMMON_FIELDS + ("children", "faults"),
+               "raw-channel": _COMMON_FIELDS + ("faults",), "a2m": _COMMON_FIELDS}
 WILDCARD_FIELDS = ("session", "sender", "index")   # of a fault action; null matches any
 # The least value of each integer field that has one; the spec's fields, a
 # fault action's and an attack's share no name.
@@ -145,6 +158,12 @@ def _require_object(what: str, value) -> None:
         raise ValueError(f"{what} must be an object, got {value!r}")
 
 
+def _require_known(where: str, value: dict, names: tuple) -> None:
+    for name in value:
+        if name not in names:
+            raise ValueError(f'unknown {where}field "{name}"')
+
+
 def run_scenario(spec: dict) -> ScenarioResult:
     """Run a scenario and judge it. Input that is not a valid scenario, such
     as a field of the wrong JSON type, a topology no protocol builds, or a
@@ -152,17 +171,20 @@ def run_scenario(spec: dict) -> ScenarioResult:
     protocol = spec.get("protocol", "bft")
     if not isinstance(protocol, str) or protocol not in _RUNNERS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    for name in INT_FIELDS:
-        if name in spec:
-            _require_int("", name, spec[name])
     attack = spec.get("attack", {})
     _require_object('"attack"', attack)
+    kind = attack.get("kind", "none")
+    fields = ATTACK_KINDS.get(protocol, {}).get(kind) if isinstance(kind, str) else None
+    if kind != "none" and fields is None:
+        raise ValueError(f"unknown {protocol} attack kind {kind!r}")
+    _require_known(f"{protocol} ", spec, SPEC_FIELDS[protocol])
+    _require_known(f"{kind!r} attack ", attack, ("kind", *(fields or ())))
+    for name, value in spec.items():
+        if name not in ("protocol", "attack", "faults"):
+            _require_int("", name, value)
     for name, value in attack.items():
         if name != "kind":
             _require_int("attack ", name, value)
-    kind = attack.get("kind", "none")
-    if kind != "none" and kind not in ATTACK_KINDS.get(protocol, ()):
-        raise ValueError(f"unknown {protocol} attack kind {kind!r}")
     try:
         outcome, lines, timing = _RUNNERS[protocol](spec, attack, kind)
     except PayloadTooLarge as exc:
@@ -178,6 +200,10 @@ def _run_rounds(spec: dict, clock, submit, default_rounds: int):
     ScenarioResult's simulated latencies, elapsed time and stalled rounds."""
     rng = random.Random(spec.get("seed", 0))
     payload, batch = spec.get("payload"), spec.get("batch", 1)
+    # pack_batch's count and each record's length take 4 bytes.
+    size = 0 if payload is None else 4 + batch * (4 + payload)
+    if size > MAX_PAYLOAD:
+        raise PayloadTooLarge(f"{size} > {MAX_PAYLOAD}")
     latencies, stalled = [], []
     start = clock.now_ns
     for round_id in range(1, spec.get("rounds", default_rounds) + 1):
@@ -196,6 +222,7 @@ def _install_faults(spec: dict, net: Network) -> None:
     if faults is None:
         return
     _require_object('"faults"', faults)
+    _require_known("faults ", faults, ("seed", "actions"))
     seed = faults.get("seed", spec.get("seed", 0))
     _require_int("faults ", "seed", seed)
     actions = faults.get("actions", [])

@@ -43,7 +43,7 @@ from attestnet.simnet import ACTION_KINDS
 
 
 def _attack(rng: random.Random, protocol: str, spec: dict) -> dict:
-    kind = rng.choice(("none",) + ATTACK_KINDS[protocol])
+    kind = rng.choice(("none", *ATTACK_KINDS[protocol]))
     rounds = spec["rounds"]
     if kind == "none":
         return {}

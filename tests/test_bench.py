@@ -1,18 +1,15 @@
 """Benchmark harness: degenerate timings and pinned simulated rows."""
 
-import math
-
 import pytest
 
-from attestnet.bench import BenchConfig, run_bench
+from attestnet.bench import CSV_HEADER, run_bench
 
 
 def test_zero_simulated_time_gives_infinite_throughput():
-    record = run_bench(BenchConfig(protocol="a2m", delay_model="none",
-                                   requests=4))
-    assert record.elapsed_sim_us == 0
-    assert record.throughput_ops == math.inf
-    assert record.csv_row()[7] == "inf"
+    row = dict(zip(CSV_HEADER, run_bench(
+        protocol="a2m", delay_model="none", batch=1, payload=64, requests=4, seed=0)))
+    assert row["elapsed_sim_us"] == "0.000"
+    assert row["throughput_ops"] == "inf"
 
 
 # `attestnet bench --requests 64` at the tnic preset and seed 0. The numbers
@@ -35,6 +32,5 @@ GOLDEN_ROWS = [
                          ids=lambda row: "-batch".join(row.split(",")[:3:2]))
 def test_simulated_rows_unchanged(row):
     protocol, _, batch = row.split(",")[:3]
-    record = run_bench(BenchConfig(protocol=protocol, batch=int(batch),
-                                   requests=64))
-    assert ",".join(record.csv_row()) == row
+    assert ",".join(run_bench(protocol=protocol, delay_model="tnic", batch=int(batch),
+                              payload=64, requests=64, seed=0)) == row

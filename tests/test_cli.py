@@ -1,7 +1,13 @@
-"""One fast run of every CLI subcommand through cli.main."""
+"""One fast run of every CLI subcommand through cli.main, and the module run
+as a script."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -302,7 +308,7 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
     ('{"protocol": "a2m", "attest_delay_ns": "23"}',
      "\"attest_delay_ns\" must be an integer, got '23'"),
     ('{"protocol": "cr", "rounds": 1, "payload": 70000}',
-     "\"payload\" or \"n\" too large: 70227 > 65536 bytes"),
+     "\"payload\" or \"n\" too large: 70008 > 65536 bytes"),
     ('{"protocol": "peerreview", "rounds": 1, "payload": 40000}',
      "\"payload\" or \"children\" too large: 80197 > 65536 bytes"),
     ('{"protocol": "a2m", "rounds": 1, "payload": 70000}',
@@ -340,6 +346,17 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
      "attack \"commit\" must be >= 1, got 0"),
     ('{"protocol": "bft", "attack": {"kind": "crash", "after_round": -1}}',
      "attack \"after_round\" must be >= 0, got -1"),
+    ('{"protocol": "cr", "attack": {"kind": "lie", "comit": 3}}',
+     "unknown 'lie' attack field \"comit\""),
+    ('{"protocol": "bft", "round": 9}', "unknown bft field \"round\""),
+    ('{"protocol": "bft", "attack": {"round": 2}}', "unknown 'none' attack field \"round\""),
+    ('{"protocol": "bft", "attack": {"kind": "equivocate", "node": 3}}',
+     "unknown 'equivocate' attack field \"node\""),
+    ('{"protocol": "peerreview", "n": 9}', "unknown peerreview field \"n\""),
+    ('{"protocol": "a2m", "faults": {"actions": [{"kind": "drop", "index": 0}]}}',
+     "unknown a2m field \"faults\""),
+    ('{"protocol": "raw-channel", "faults": {"sead": 3, "actions": '
+     '[{"kind": "drop", "index": 0}]}}', "unknown faults field \"sead\""),
 ])
 def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
@@ -350,6 +367,19 @@ def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("attestnet scenario: ") and message in line
+
+
+@pytest.mark.parametrize("spec", [{"protocol": "a2m", "payload": 5_000_000},
+                                  {"protocol": "bft", "batch": 200_000, "payload": 16}])
+def test_a_body_too_large_for_the_kernel_is_refused_before_it_is_built(spec):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match='"payload"'):
+            scenario_mod.run_scenario(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_scenario_peerreview_children_fill_the_roots_log_entry(tmp_path, capsys):
@@ -467,7 +497,7 @@ def test_bench_payload_too_large_for_the_kernel_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("attestnet bench: \"payload\" or \"n\" too large: "
-                            "70227 > 65536 bytes\n")
+                            "70008 > 65536 bytes\n")
 
 
 def test_bench_batch_below_one_exits_2(capsys):
@@ -475,3 +505,19 @@ def test_bench_batch_below_one_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "attestnet bench: batch must be >= 1\n"
+
+
+def test_python_dash_m_runs_the_cli_and_exits_with_its_code(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "attestnet.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+    missing = run("scenario", str(tmp_path / "missing.json"))
+    assert missing.returncode == 2 and missing.stdout == ""
+    assert missing.stderr.startswith("attestnet scenario: ")
+    bench = run("bench", "--protocol", "a2m", "--requests", "4")
+    assert bench.returncode == 0, bench.stderr
+    assert bench.stdout.splitlines()[0] == ",".join(CSV_HEADER)

@@ -3,7 +3,7 @@
 import pytest
 
 from attestnet import kernel
-from attestnet.bench import DELAY_PRESETS_NS, BenchConfig, run_bench
+from attestnet.bench import CSV_HEADER, DELAY_PRESETS_NS, run_bench
 from attestnet.device import pack_batch, pack_pair, unpack_batch, unpack_pair
 from attestnet.errors import OutOfRange, UnknownSession, WrongSessionRole
 from attestnet.protocols import peerreview
@@ -66,9 +66,9 @@ def test_a_clean_round_attests_one_log_entry_per_step(children, monkeypatch):
 @pytest.mark.parametrize("delay_model", ["tnic", "sgx"])
 def test_bench_charges_a_round_one_attest_delay_per_tag(delay_model):
     # `attestnet bench` runs PeerReview with 2 children: 5·2 + 2 tags a round.
-    record = run_bench(BenchConfig(protocol="peerreview", delay_model=delay_model,
-                                   requests=4))
-    assert record.latency_p99_us * 1000 == 12 * DELAY_PRESETS_NS[delay_model]
+    row = dict(zip(CSV_HEADER, run_bench(protocol="peerreview", delay_model=delay_model,
+                                         batch=1, payload=64, requests=4, seed=0)))
+    assert float(row["latency_p99_us"]) * 1000 == 12 * DELAY_PRESETS_NS[delay_model]
 
 
 def test_root_collects_attested_responses():

@@ -23,7 +23,7 @@ def test_sweep_draws_every_protocol_attack_and_fault_kind():
     specs = [draw(77, i) for i in range(300)]
     attacks = {(s["protocol"], s.get("attack", {}).get("kind", "none")) for s in specs}
     assert attacks == {(p, k) for p, kinds in ATTACK_KINDS.items()
-                       for k in ("none",) + kinds}
+                       for k in ("none", *kinds)}
     faults = {a["kind"] for s in specs for a in s.get("faults", {}).get("actions", [])}
     assert faults == set(ACTION_KINDS)
     lies = [s for s in specs if s.get("attack", {}).get("kind") == "lie"]
