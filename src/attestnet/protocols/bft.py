@@ -14,7 +14,8 @@ Outputs are the only dedup, so a retried request is executed again, as the
 leader does. The leader replies to the client after f validated acks,
 counted once per follower id, or at once when f = 0; it keeps a request in
 `pending_req` only until then. It takes only acks: a follower that sends it
-a proof or a forward is flagged.
+a proof or a forward is flagged. A follower takes no ack: a peer that sends
+it one is flagged.
 Clients accept on f+1 identical replies referencing their own request bytes.
 
 Byzantine attempts are *flagged*, not masked silently: every rejection names
@@ -169,6 +170,9 @@ class BftReplica:
                 if kind == KIND_ACK:
                     if self.node_id == self.leader_id:
                         self._leader_on_ack(msg.device, inner_frame)
+                    else:
+                        # Only the leader collects acks.
+                        self.wrapper.accuse(msg.device, "ack-to-follower")
                 elif kind != KIND_PROOF and kind != KIND_FORWARD:
                     # A missing or unknown kind byte: the sender's MAC covers it.
                     self.wrapper.accuse(msg.device, "malformed-proof")

@@ -280,10 +280,10 @@ class ChainCluster:
               node_cls_at: dict[int, type] | None = None,
               node_kwargs_at: dict[int, dict] | None = None,
               clients: int = 1, attest_delay_ns: int = 0) -> "ChainCluster":
+        config = ProtocolConfig(n=n, f=f)
         devices = list(range(1, n + 1))
         cluster = build_cluster(devices, seed, attest_delay_ns=attest_delay_ns)
         order = devices[:]
-        config = ProtocolConfig(n=n, f=f)
         nodes: dict[int, ChainNode] = {}
         for position, device in enumerate(order):
             node_cls = (node_cls_at or {}).get(position, ChainNode)

@@ -5,7 +5,7 @@ A scenario is a JSON object:
     {
       "protocol": "bft" | "cr" | "peerreview" | "raw-channel" | "a2m",
       "seed": 0,
-      "rounds": 5,
+      "rounds": 5,                             # bft; 4 for the others
       "n": 3, "f": 1,                          # bft, cr
       "children": 2,                           # peerreview
       "attest_delay_ns": 0,                    # simulated cost of each attest
@@ -14,12 +14,18 @@ A scenario is a JSON object:
       "faults": {"seed": 0, "actions": [...]}  # optional, not a2m: wire faults
     }
 
-A name the protocol or its attack kind does not take is bad input. Every
-field but "protocol" and the kinds is an integer. "rounds", "children",
-"batch" and an attack's "round" and "commit" are at least 1; "attest_delay_ns",
-"payload", an attack's "after_round" and a fault action's "index",
-"delay_ns", "earlier_index", "bit_offset", "session" and "sender" at least 0,
-as a smaller value never fires or sends a frame back in time. An action's
+"protocol" defaults to "bft". The defaults of every other field live in one
+table, SPEC_FIELDS, and those of each attack kind's fields in ATTACK_KINDS;
+"payload" has none (64 above is only an example), and "batch" is read only
+with it. "faults" "seed" defaults to the spec's.
+
+A name the protocol, its attack kind or a fault action does not take is bad
+input, and so is a fault action without "kind". Every field but "protocol"
+and the kinds is an integer. "rounds", "children", "batch" and an attack's
+"round" and "commit" are at least 1; "attest_delay_ns", "payload", an
+attack's "after_round" and a fault action's "index", "delay_ns",
+"earlier_index", "bit_offset", "session" and "sender" at least 0, as a
+smaller value never fires or sends a frame back in time. An action's
 "session", "sender" and "index" may also be null, which matches any value.
 
 Device ids run from 0 to 255, and the PeerReview root is device 1, so
@@ -27,8 +33,17 @@ Device ids run from 0 to 255, and the PeerReview root is device 1, so
 frames it sent all children, and an entry is a kernel payload of at most
 64 KiB: 238 children fit without "payload", fewer with it. A CR proof nests
 one level per node, so "n" and "payload" share its 64 KiB too. A spec past
-these bounds is bad input. A round body is sized before any is built, so
-a "batch" of "payload"s too large for the kernel is refused unallocated.
+these bounds is bad input.
+
+`run_scenario` completes the spec and checks it before anything is built:
+names, types and least values, the fault schedule, the attack's target (a
+crash node is a replica, a lie position is in the chain, a PeerReview
+attack node is a child) and the size of a round body, so a "batch" of
+"payload"s too large for the kernel is refused unallocated. Three checks
+stay after the build: a rewrite_log "seq" is in the child's log after the
+run; the CR and PeerReview nesting limits, which the kernel's 64 KiB
+enforces while running; and the topology rules the cluster builders own
+(`ProtocolConfig`, device ids at most 255).
 
 Round r submits one body: without "payload", the protocol's own (an empty
 BFT request, a CR put of b"v<17r>" at b"k<r>", b"cmd-<r>", b"rec-<r>"); with
@@ -124,20 +139,31 @@ def load_scenario(path: str) -> dict:
     return spec
 
 
-# Each protocol's attack kinds and the fields each takes besides "kind".
-ATTACK_KINDS = {"bft": {"equivocate": ("round",), "wrong_value": ("round",),
-                        "crash": ("node", "after_round")},
-                "cr": {"lie": ("position", "commit")},
-                "peerreview": {"mutate_result": ("node", "round"),
-                               "rewrite_log": ("node", "seq")}}
-_COMMON_FIELDS = ("protocol", "seed", "rounds", "attest_delay_ns", "batch", "payload",
-                  "attack")
-# Each protocol's spec fields; A2M sends no frame, so it takes no "faults".
-SPEC_FIELDS = {"bft": _COMMON_FIELDS + ("n", "f", "faults"),
-               "cr": _COMMON_FIELDS + ("n", "f", "faults"),
-               "peerreview": _COMMON_FIELDS + ("children", "faults"),
-               "raw-channel": _COMMON_FIELDS + ("faults",), "a2m": _COMMON_FIELDS}
+# Each protocol's spec fields besides "protocol", and the default of each
+# ("payload" None: the protocol's own bodies). A2M sends no frame, so it
+# takes no "faults".
+SPEC_FIELDS = {
+    "bft": {"seed": 0, "rounds": 5, "n": 3, "f": 1, "attest_delay_ns": 0, "batch": 1,
+            "payload": None, "attack": {}, "faults": None},
+    "cr": {"seed": 0, "rounds": 4, "n": 3, "f": 1, "attest_delay_ns": 0, "batch": 1,
+           "payload": None, "attack": {}, "faults": None},
+    "peerreview": {"seed": 0, "rounds": 4, "children": 2, "attest_delay_ns": 0,
+                   "batch": 1, "payload": None, "attack": {}, "faults": None},
+    "raw-channel": {"seed": 0, "rounds": 4, "attest_delay_ns": 0, "batch": 1,
+                    "payload": None, "attack": {}, "faults": None},
+    "a2m": {"seed": 0, "rounds": 4, "attest_delay_ns": 0, "batch": 1, "payload": None,
+            "attack": {}},
+}
+# Each protocol's attack kinds, and the default of each field besides "kind".
+# A crash's "node" None is the spec's "n", the last replica.
+ATTACK_KINDS = {"bft": {"equivocate": {"round": 1}, "wrong_value": {"round": 1},
+                        "crash": {"node": None, "after_round": 1}},
+                "cr": {"lie": {"position": 1, "commit": 1}},
+                "peerreview": {"mutate_result": {"node": 2, "round": 1},
+                               "rewrite_log": {"node": 2, "seq": 0}}}
 WILDCARD_FIELDS = ("session", "sender", "index")   # of a fault action; null matches any
+FAULT_ACTION_FIELDS = ("kind", *WILDCARD_FIELDS, "delay_ns", "bit_offset",
+                       "earlier_index")
 # The least value of each integer field that has one; the spec's fields, a
 # fault action's and an attack's share no name.
 MINIMUMS = {"rounds": 1, "children": 1, "batch": 1, "attest_delay_ns": 0, "payload": 0,
@@ -167,7 +193,10 @@ def _require_known(where: str, value: dict, names: tuple) -> None:
 def run_scenario(spec: dict) -> ScenarioResult:
     """Run a scenario and judge it. Input that is not a valid scenario, such
     as a field of the wrong JSON type, a topology no protocol builds, or a
-    body too large for the kernel, raises ValueError."""
+    body too large for the kernel, raises ValueError. The spec is completed
+    from SPEC_FIELDS and ATTACK_KINDS and checked here, before a runner
+    builds anything, but for the checks the module docstring leaves to the
+    build and the run."""
     protocol = spec.get("protocol", "bft")
     if not isinstance(protocol, str) or protocol not in _RUNNERS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -177,7 +206,7 @@ def run_scenario(spec: dict) -> ScenarioResult:
     fields = ATTACK_KINDS.get(protocol, {}).get(kind) if isinstance(kind, str) else None
     if kind != "none" and fields is None:
         raise ValueError(f"unknown {protocol} attack kind {kind!r}")
-    _require_known(f"{protocol} ", spec, SPEC_FIELDS[protocol])
+    _require_known(f"{protocol} ", spec, ("protocol", *SPEC_FIELDS[protocol]))
     _require_known(f"{kind!r} attack ", attack, ("kind", *(fields or ())))
     for name, value in spec.items():
         if name not in ("protocol", "attack", "faults"):
@@ -185,8 +214,31 @@ def run_scenario(spec: dict) -> ScenarioResult:
     for name, value in attack.items():
         if name != "kind":
             _require_int("attack ", name, value)
+    if "batch" in spec and "payload" not in spec:
+        raise ValueError('"batch" needs "payload": without it a round sends the '
+                         "protocol's own body")
+
+    spec = {**SPEC_FIELDS[protocol], **spec}
+    attack = spec["attack"] = {"kind": kind, **(fields or {}), **attack}
+    # A2M's table has no "faults", and its schedule is None.
+    spec["faults"] = _parse_faults(spec.get("faults"), spec["seed"])
+    if kind == "crash" and attack["node"] is None:
+        attack["node"] = spec["n"]
+    # BftCluster's replicas are devices 1..n; PeerReview's root is device 1
+    # and its children the devices after it.
+    if kind == "crash" and not 1 <= attack["node"] <= spec["n"]:
+        raise ValueError(f"crash node {attack['node']!r} is not a replica")
+    if kind == "lie" and not 0 <= attack["position"] < spec["n"]:
+        raise ValueError(f"lie position {attack['position']!r} is not in the chain")
+    if protocol == "peerreview" and kind != "none" and not (
+            2 <= attack["node"] <= spec["children"] + 1):
+        raise ValueError(f"attack node {attack['node']!r} is not a child")
+    # pack_batch's count and each record's length take 4 bytes.
+    size = 0 if spec["payload"] is None else 4 + spec["batch"] * (4 + spec["payload"])
     try:
-        outcome, lines, timing = _RUNNERS[protocol](spec, attack, kind)
+        if size > MAX_PAYLOAD:
+            raise PayloadTooLarge(f"{size} > {MAX_PAYLOAD}")
+        outcome, lines, timing = _RUNNERS[protocol](spec)
     except PayloadTooLarge as exc:
         topology = {"cr": ' or "n"', "peerreview": ' or "children"'}.get(protocol, "")
         raise ValueError(f'"payload"{topology} too large: {exc} bytes') from None
@@ -194,19 +246,41 @@ def run_scenario(spec: dict) -> ScenarioResult:
     return ScenarioResult(ok, lines, *timing)
 
 
-def _run_rounds(spec: dict, clock, submit, default_rounds: int):
-    """The one round loop: `submit(r, body)` runs round r (body None: the
-    protocol's own) and returns False if its client accepted nothing. Returns
-    ScenarioResult's simulated latencies, elapsed time and stalled rounds."""
-    rng = random.Random(spec.get("seed", 0))
-    payload, batch = spec.get("payload"), spec.get("batch", 1)
-    # pack_batch's count and each record's length take 4 bytes.
-    size = 0 if payload is None else 4 + batch * (4 + payload)
-    if size > MAX_PAYLOAD:
-        raise PayloadTooLarge(f"{size} > {MAX_PAYLOAD}")
+def _parse_faults(faults, seed: int) -> FaultSchedule | None:
+    """The spec's wire-fault schedule, if it has one; its seed defaults to
+    the spec's."""
+    if faults is None:
+        return None
+    _require_object('"faults"', faults)
+    _require_known("faults ", faults, ("seed", "actions"))
+    faults = {"seed": seed, "actions": [], **faults}
+    _require_int("faults ", "seed", faults["seed"])
+    if not isinstance(faults["actions"], list):
+        raise ValueError(f'faults "actions" must be a list, got {faults["actions"]!r}')
+    for action in faults["actions"]:
+        _require_object("a fault action", action)
+        _require_known("fault action ", action, FAULT_ACTION_FIELDS)
+        if "kind" not in action:
+            raise ValueError(f'a fault action needs a "kind", got {action!r}')
+        for name, value in action.items():
+            if name != "kind" and not (value is None and name in WILDCARD_FIELDS):
+                _require_int("fault action ", name, value)
+    return FaultSchedule(seed=faults["seed"],
+                         actions=[FaultAction(**a) for a in faults["actions"]])
+
+
+def _run_rounds(spec: dict, net: Network, submit):
+    """The one round loop: installs the spec's wire faults on net, then
+    `submit(r, body)` runs round r (body None: the protocol's own) and
+    returns False if its client accepted nothing. Returns ScenarioResult's
+    simulated latencies, elapsed time and stalled rounds."""
+    if spec["faults"] is not None:
+        net.install_schedule(spec["faults"])
+    rng = random.Random(spec["seed"])
+    payload, batch, clock = spec["payload"], spec["batch"], net.clock
     latencies, stalled = [], []
     start = clock.now_ns
-    for round_id in range(1, spec.get("rounds", default_rounds) + 1):
+    for round_id in range(1, spec["rounds"] + 1):
         body = None if payload is None else pack_batch(
             [rng.randbytes(payload) for _ in range(batch)])
         t0 = clock.now_ns
@@ -216,62 +290,34 @@ def _run_rounds(spec: dict, clock, submit, default_rounds: int):
     return latencies, clock.now_ns - start, stalled
 
 
-def _install_faults(spec: dict, net: Network) -> None:
-    """Install the spec's wire-fault schedule on net, if it has one."""
-    faults = spec.get("faults")
-    if faults is None:
-        return
-    _require_object('"faults"', faults)
-    _require_known("faults ", faults, ("seed", "actions"))
-    seed = faults.get("seed", spec.get("seed", 0))
-    _require_int("faults ", "seed", seed)
-    actions = faults.get("actions", [])
-    if not isinstance(actions, list):
-        raise ValueError(f'faults "actions" must be a list, got {actions!r}')
-    for action in actions:
-        _require_object("a fault action", action)
-        if "frame" in action:
-            raise ValueError('fault action "frame" is not allowed: a spec '
-                             "holds no frame bytes")
-        for name, value in action.items():
-            if name != "kind" and not (value is None and name in WILDCARD_FIELDS):
-                _require_int("fault action ", name, value)
-    try:
-        actions = [FaultAction(**a) for a in actions]
-    except TypeError as exc:
-        raise ValueError(f"bad fault action: {exc}") from None
-    net.install_schedule(FaultSchedule(seed=seed, actions=actions))
-
-
-def _run_bft(spec: dict, attack: dict, kind: str):
-    n, f = spec.get("n", 3), spec.get("f", 1)
-    leader_cls, leader_kwargs = {
-        "equivocate": (EquivocatingLeader, {"equivocate_round": attack.get("round", 1)}),
-        "wrong_value": (WrongValueLeader, {"lie_round": attack.get("round", 1)}),
-    }.get(kind, (BftReplica, {}))
-    cluster = BftCluster.build(n=n, f=f, seed=spec.get("seed", 0),
+def _run_bft(spec: dict):
+    attack = spec["attack"]
+    leader_cls, leader_kwargs = BftReplica, {}
+    if attack["kind"] == "equivocate":
+        leader_cls = EquivocatingLeader
+        leader_kwargs = {"equivocate_round": attack["round"]}
+    elif attack["kind"] == "wrong_value":
+        leader_cls = WrongValueLeader
+        leader_kwargs = {"lie_round": attack["round"]}
+    cluster = BftCluster.build(n=spec["n"], f=spec["f"], seed=spec["seed"],
                                leader_cls=leader_cls, leader_kwargs=leader_kwargs,
-                               clients=2,
-                               attest_delay_ns=spec.get("attest_delay_ns", 0))
-    crash = attack if kind == "crash" else None
-    if crash and crash.get("node", n) not in cluster.replicas:
-        raise ValueError(f"crash node {crash.get('node', n)!r} is not a replica")
-    _install_faults(spec, cluster.cluster.net)
+                               clients=2, attest_delay_ns=spec["attest_delay_ns"])
+    crash = attack if attack["kind"] == "crash" else None
 
     # The leader executes the requests in round order, and none once it has
     # crashed, so the only value a client may accept for round r is r.
     pairs, lines = [], []
 
     def submit(round_id: int, body: bytes | None) -> bool:
-        if crash and round_id == crash.get("after_round", 1) + 1:
-            cluster.replicas[crash.get("node", n)].crashed = True
+        if crash and round_id == crash["after_round"] + 1:
+            cluster.replicas[crash["node"]].crashed = True
         req = cluster.run_request(0, round_id, b"" if body is None else body)
         values = {c.client_id: c.observed.get(req) for c in cluster.clients}
         pairs.extend((counter_state(round_id), v) for v in values.values())
         lines.append({"round": round_id, "accepted": {
             str(k): (v.hex() if v else None) for k, v in values.items()}})
         return cluster.clients[0].accepted_value(req) is not None
-    timing = _run_rounds(spec, cluster.cluster.net.clock, submit, 5)
+    timing = _run_rounds(spec, cluster.cluster.net, submit)
 
     flags = cluster.all_flags()
     outcome = Outcome(pairs, accused={fl.accused for fl in flags},
@@ -287,20 +333,15 @@ def _run_bft(spec: dict, attack: dict, kind: str):
     return outcome, lines, timing
 
 
-def _run_cr(spec: dict, attack: dict, kind: str):
-    n, f = spec.get("n", 3), spec.get("f", 1)
-    node_cls_at, node_kwargs_at = {}, {}
-    if kind == "lie":
-        position = attack.get("position", 1)
-        if not 0 <= position < n:
-            raise ValueError(f"lie position {position!r} is not in the chain")
-        node_cls_at[position] = LyingMiddle
-        node_kwargs_at[position] = {"lie_at_commit": attack.get("commit", 1)}
-    cluster = ChainCluster.build(n=n, f=f, seed=spec.get("seed", 0),
+def _run_cr(spec: dict):
+    attack, node_cls_at, node_kwargs_at = spec["attack"], {}, {}
+    if attack["kind"] == "lie":
+        node_cls_at[attack["position"]] = LyingMiddle
+        node_kwargs_at[attack["position"]] = {"lie_at_commit": attack["commit"]}
+    cluster = ChainCluster.build(n=spec["n"], f=spec["f"], seed=spec["seed"],
                                  node_cls_at=node_cls_at,
                                  node_kwargs_at=node_kwargs_at,
-                                 attest_delay_ns=spec.get("attest_delay_ns", 0))
-    _install_faults(spec, cluster.cluster.net)
+                                 attest_delay_ns=spec["attest_delay_ns"])
 
     pairs, lines = [], []
 
@@ -315,7 +356,7 @@ def _run_cr(spec: dict, attack: dict, kind: str):
         lines.append({"round": round_id,
                       "accepted": accepted.hex() if accepted else None})
         return accepted is not None
-    timing = _run_rounds(spec, cluster.cluster.net.clock, submit, 4)
+    timing = _run_rounds(spec, cluster.cluster.net, submit)
 
     flags = cluster.all_flags()
     histories = cluster.commit_histories()
@@ -335,29 +376,25 @@ def _run_cr(spec: dict, attack: dict, kind: str):
     return outcome, lines, timing
 
 
-def _run_peerreview(spec: dict, attack: dict, kind: str):
-    target = attack.get("node", 2) if kind != "none" else None
-    child_cls_at, child_kwargs_at = {}, {}
-    if kind == "mutate_result":
-        child_cls_at[target] = MutatingChild
-        child_kwargs_at[target] = {"mutate_round": attack.get("round", 1)}
-    scenario = PrScenario.build(seed=spec.get("seed", 0),
-                                n_children=spec.get("children", 2),
+def _run_peerreview(spec: dict):
+    attack, child_cls_at, child_kwargs_at = spec["attack"], {}, {}
+    if attack["kind"] == "mutate_result":
+        child_cls_at[attack["node"]] = MutatingChild
+        child_kwargs_at[attack["node"]] = {"mutate_round": attack["round"]}
+    scenario = PrScenario.build(seed=spec["seed"], n_children=spec["children"],
                                 child_cls_at=child_cls_at,
                                 child_kwargs_at=child_kwargs_at,
-                                attest_delay_ns=spec.get("attest_delay_ns", 0))
-    if target is not None and target not in scenario.children:
-        raise ValueError(f"attack node {target!r} is not a child")
-    _install_faults(spec, scenario.cluster.net)
+                                attest_delay_ns=spec["attest_delay_ns"])
 
     def submit(round_id: int, body: bytes | None) -> bool:
         # A child answers each command once, in order, or not at all.
         scenario.run_rounds([b"cmd-%d" % round_id if body is None else body])
         return all(len(got) >= round_id for got in scenario.root.responses.values())
-    timing = _run_rounds(spec, scenario.cluster.net.clock, submit, 4)
+    timing = _run_rounds(spec, scenario.cluster.net, submit)
 
-    if kind == "rewrite_log":
-        child, seq = scenario.children[target], attack.get("seq", 0)
+    if attack["kind"] == "rewrite_log":
+        target, seq = attack["node"], attack["seq"]
+        child = scenario.children[target]
         first = child.log.first
         if not first <= seq < len(child.log):
             dropped = f" ({first} dropped at a checkpoint)" if first else ""
@@ -374,12 +411,10 @@ def _run_peerreview(spec: dict, attack: dict, kind: str):
     return outcome, lines, timing
 
 
-def _run_raw_channel(spec: dict, attack: dict, kind: str):
-    cluster = build_cluster([1, 2], spec.get("seed", 0),
-                            attest_delay_ns=spec.get("attest_delay_ns", 0))
+def _run_raw_channel(spec: dict):
+    cluster = build_cluster([1, 2], spec["seed"], attest_delay_ns=spec["attest_delay_ns"])
     net, session = cluster.net, transport_session(1, 2)
     sender, receiver = cluster.endpoints[1], cluster.endpoints[2]
-    _install_faults(spec, net)
     sent, delivered = [], []
 
     def submit(round_id: int, body: bytes | None) -> bool:
@@ -389,7 +424,7 @@ def _run_raw_channel(spec: dict, attack: dict, kind: str):
         got = [msg.payload for msg in receiver.poll(session)]
         delivered.extend(got)
         return bool(got)
-    timing = _run_rounds(spec, net.clock, submit, 4)
+    timing = _run_rounds(spec, net, submit)
 
     # A delayed frame lands in a later round, so the sequences compare whole.
     outcome = Outcome([(sent, delivered)], exhausted=len(net.exhausted))
@@ -397,9 +432,9 @@ def _run_raw_channel(spec: dict, attack: dict, kind: str):
                       "exhausted": outcome.exhausted}], timing
 
 
-def _run_a2m(spec: dict, attack: dict, kind: str):
-    seed = spec.get("seed", 0)
-    cluster = build_cluster([1], seed, attest_delay_ns=spec.get("attest_delay_ns", 0))
+def _run_a2m(spec: dict):
+    seed = spec["seed"]
+    cluster = build_cluster([1], seed, attest_delay_ns=spec["attest_delay_ns"])
     endpoint, manifest, log = cluster.endpoints[1], log_session(0xFF), log_session(1)
     endpoint.provision([(manifest, 1, derive_key(seed, manifest))])
     store = A2mStore(endpoint, manifest_log=manifest)
@@ -408,7 +443,7 @@ def _run_a2m(spec: dict, attack: dict, kind: str):
     def submit(round_id: int, body: bytes | None) -> bool:
         appended.append(store.append(log, b"rec-%d" % round_id if body is None else body))
         return True
-    timing = _run_rounds(spec, cluster.net.clock, submit, 4)
+    timing = _run_rounds(spec, cluster.net, submit)
 
     lookups = [store.lookup(log, seq) for _, seq, _ in appended]
     outcome = Outcome([(appended, [(e.tag, e.seq, e.ctx) for e in lookups])])

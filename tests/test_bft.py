@@ -8,6 +8,7 @@ import pytest
 from attestnet.checker import check_leader_strategies
 from attestnet.device import pack_pair, unpack_pair
 from attestnet.protocols.bft import (
+    KIND_ACK,
     KIND_FORWARD,
     KIND_PROOF,
     BftCluster,
@@ -254,6 +255,22 @@ def test_a_proof_a_follower_sends_the_leader_is_never_applied(kind, output):
     assert cluster.correct_values() == {1: 1, 2: 1, 3: 1}
     assert [(fl.accuser, fl.accused, fl.reason) for fl in cluster.all_flags()] == [
         (1, 2, "proof-to-leader")]
+    assert cluster.clients[0].replies[req] == dict.fromkeys((1, 2, 3), struct.pack(">Q", 1))
+
+
+@pytest.mark.parametrize("output", [1, 2])
+def test_an_ack_a_follower_sends_a_follower_is_flagged(output):
+    """A Byzantine follower attests an applied request again, at the output
+    it reached or at the next one, and acks it to another follower."""
+    cluster = BftCluster.build(n=3, f=1, seed=4)
+    req = cluster.run_request(0, 1)
+    follower = cluster.replicas[2]
+    follower.endpoint.auth_send(transport_session(2, 3),
+                                bytes([KIND_ACK]) + follower.wrapper.attest(req, output))
+    cluster.drain()
+    assert cluster.correct_values() == {1: 1, 2: 1, 3: 1}
+    assert [(fl.accuser, fl.accused, fl.reason) for fl in cluster.all_flags()] == [
+        (3, 2, "ack-to-follower")]
     assert cluster.clients[0].replies[req] == dict.fromkeys((1, 2, 3), struct.pack(">Q", 1))
 
 

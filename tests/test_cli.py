@@ -4,6 +4,7 @@ as a script."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -263,7 +264,9 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
     ('["bft"]', "a scenario is a JSON object"),
     (None, "No such file or directory"),
     ('{"protocol": "bft", "faults": {"actions": [{"kind": "drop", "bogus": 1}]}}',
-     "bad fault action"),
+     "unknown fault action field \"bogus\""),
+    ('{"protocol": "cr", "faults": {"actions": [{"index": 0}]}}',
+     "a fault action needs a \"kind\", got {'index': 0}"),
     ('{"protocol": "bft", "attack": {"kind": "crash", "node": 9}}',
      "crash node 9 is not a replica"),
     ('{"protocol": "cr", "n": 3, "attack": {"kind": "lie", "position": 3}}',
@@ -294,14 +297,16 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
     ('{"protocol": "cr", "faults": {"actions": [{"kind": "delay", "delay_ns": "9"}]}}',
      "fault action \"delay_ns\" must be an integer, got '9'"),
     ('{"protocol": "raw-channel", "rounds": 1, "faults": {"actions": '
-     '[{"kind": "forge", "index": 0, "frame": 5}]}}', "fault action \"frame\""),
+     '[{"kind": "forge", "index": 0, "frame": 5}]}}',
+     "unknown fault action field \"frame\""),
     ('{"protocol": "bft", "faults": {"actions": [{"kind": "forge", "frame": null}]}}',
-     "fault action \"frame\""),
+     "unknown fault action field \"frame\""),
     ('{"protocol": "a2m", "attack": {"kind": "equivocate"}}',
      "unknown a2m attack kind 'equivocate'"),
     ('{"protocol": "raw-channel", "attack": {"kind": "drop", "index": 0}}',
      "unknown raw-channel attack kind 'drop'"),
     ('{"protocol": "bft", "batch": 0}', "\"batch\" must be >= 1, got 0"),
+    ('{"protocol": "bft", "batch": 16, "rounds": 2}', "\"batch\" needs \"payload\""),
     ('{"protocol": "cr", "payload": -1}', "\"payload\" must be >= 0, got -1"),
     ('{"protocol": "peerreview", "children": -2}', "\"children\" must be >= 1, got -2"),
     ('{"protocol": "peerreview", "rounds": -1}', "\"rounds\" must be >= 1, got -1"),
@@ -369,12 +374,30 @@ def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     assert line.startswith("attestnet scenario: ") and message in line
 
 
-@pytest.mark.parametrize("spec", [{"protocol": "a2m", "payload": 5_000_000},
-                                  {"protocol": "bft", "batch": 200_000, "payload": 16}])
-def test_a_body_too_large_for_the_kernel_is_refused_before_it_is_built(spec):
+@pytest.mark.parametrize("spec, message", [
+    ({"protocol": "a2m", "payload": 5_000_000}, '"payload" too large'),
+    ({"protocol": "bft", "batch": 200_000, "payload": 16}, '"payload" too large'),
+    ({"protocol": "peerreview", "children": 238,
+      "faults": {"actions": [{"kind": "bogus"}]}}, "unknown action kind 'bogus'"),
+    ({"protocol": "peerreview", "children": 238,
+      "attack": {"kind": "mutate_result", "node": 999}}, "attack node 999 is not a child"),
+    ({"protocol": "peerreview", "children": 200, "payload": 70000},
+     '"payload" or "children" too large'),
+    ({"protocol": "bft", "n": 101, "f": 50, "attack": {"kind": "crash", "node": 500}},
+     "crash node 500 is not a replica"),
+    ({"protocol": "bft", "n": 201, "f": 100, "batch": 300, "payload": 300},
+     '"payload" too large'),
+    ({"protocol": "cr", "n": 200, "f": 1,
+      "faults": {"actions": [{"kind": "drop", "index": -1}]}},
+     'fault action "index" must be >= 0, got -1'),
+    ({"protocol": "cr", "n": 200, "f": -1}, "f must be >= 0, got -1"),
+])
+def test_bad_input_is_refused_before_the_cluster_is_built(spec, message):
+    """No body is allocated and no cluster built: several specs name wide
+    topologies whose build takes tens of MiB."""
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match='"payload"'):
+        with pytest.raises(ValueError, match=re.escape(message)):
             scenario_mod.run_scenario(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
