@@ -31,6 +31,7 @@ import struct
 from dataclasses import dataclass, field
 
 from ..transform import Flag, Wrapper
+from ..wire import FRAME_OVERHEAD
 from .common import (
     ClusterNet,
     ProtocolConfig,
@@ -59,6 +60,12 @@ _COUNTER = struct.Struct(">Q")
 def counter_state(value: int) -> bytes:
     """The counter's serialized state: the output a proof and a reply carry."""
     return _COUNTER.pack(value)
+
+
+def proof_len(n: int, body_len: int) -> int:
+    """The largest payload a request hands the kernel: pack_pair(req, counter_state),
+    24 bytes past the body, and with a follower (n > 1) its frame after a kind byte."""
+    return 24 + body_len + (1 + FRAME_OVERHEAD if n > 1 else 0)
 
 
 @dataclass

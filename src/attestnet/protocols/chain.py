@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from ..device import pack_batch, pack_pair, unpack_batch, unpack_pair
 from ..errors import ChainValidationFailure, FrameError, KernelError
 from ..transform import Flag
-from ..wire import decode_frame, encode_frame
+from ..wire import FRAME_OVERHEAD, decode_frame, encode_frame
 from .common import (
     ClusterNet,
     ProtocolConfig,
@@ -105,6 +105,12 @@ class KvMachine:
 def encode_proof(req: bytes, levels: list[bytes]) -> bytes:
     """Transport proof: the request once, then the level frames, position 0 first."""
     return pack_batch([req, *levels])
+
+
+def put_proof_len(n: int, key_len: int, value_len: int) -> int:
+    """The largest payload a put hands the kernel when n > 1: the proof into the tail,
+    the request (17 bytes past key and value) and n-1 levels of FRAME_OVERHEAD + 97."""
+    return 8 + 17 + key_len + value_len + (n - 1) * (4 + FRAME_OVERHEAD + 1 + 2 * DIGEST_LEN)
 
 
 def peel_poe(proof: bytes) -> tuple[bytes, list[bytes]]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from ..device import pack_batch, pack_pair, unpack_batch, unpack_pair
 from ..errors import FrameError
 from ..kernel import AttestedMessage
-from ..wire import decode_frame, encode_frame
+from ..wire import FRAME_OVERHEAD, decode_frame, encode_frame
 from .common import ClusterNet, build_cluster, log_session, pump, transport_session
 from .logchain import GENESIS_DIGEST, TamperEvidentLog, chain_digest
 
@@ -68,6 +68,12 @@ def decode_exec(ctx: bytes) -> tuple[bytes, bytes]:
         raise FrameError(f"entry kind {ctx[:1].hex() or 'missing'}, not exec")
     result, frame = unpack_pair(ctx[1:])
     return result, decode_frame(frame).payload
+
+
+def recv_entry_len(frames: int, cmd_len: int) -> int:
+    """The largest payload a round hands the kernel: the root's RECV entry of `frames`
+    answers, each a polled frame of the frame of encode_exec(result, command frame)."""
+    return 5 + frames * (4 + 3 * FRAME_OVERHEAD + 9 + 2 * cmd_len)
 
 
 @dataclass

@@ -23,27 +23,21 @@ A name the protocol, its attack kind or a fault action does not take is bad
 input, and so is a fault action without "kind". Every field but "protocol"
 and the kinds is an integer. "rounds", "children", "batch" and an attack's
 "round" and "commit" are at least 1; "attest_delay_ns", "payload", an
-attack's "after_round" and a fault action's "index", "delay_ns",
+attack's "after_round" and "seq" and a fault action's "index", "delay_ns",
 "earlier_index", "bit_offset", "session" and "sender" at least 0, as a
 smaller value never fires or sends a frame back in time. An action's
 "session", "sender" and "index" may also be null, which matches any value.
 
-Device ids run from 0 to 255, and the PeerReview root is device 1, so
-"children" is at most 254. The root logs, each round, one entry of the
-frames it sent all children, and an entry is a kernel payload of at most
-64 KiB: 238 children fit without "payload", fewer with it. A CR proof nests
-one level per node, so "n" and "payload" share its 64 KiB too. A spec past
-these bounds is bad input.
-
 `run_scenario` completes the spec and checks it before anything is built:
 names, types and least values, the fault schedule, the attack's target (a
 crash node is a replica, a lie position is in the chain, a PeerReview
-attack node is a child) and the size of a round body, so a "batch" of
-"payload"s too large for the kernel is refused unallocated. Three checks
-stay after the build: a rewrite_log "seq" is in the child's log after the
-run; the CR and PeerReview nesting limits, which the kernel's 64 KiB
-enforces while running; and the topology rules the cluster builders own
-(`ProtocolConfig`, device ids at most 255).
+attack node is a child, a rewrite_log "seq" is below "rounds", as a child
+logs one entry a round) and the largest payload a round hands the kernel,
+at most 64 KiB. Each protocol module states it: a BFT proof, a CR proof of
+one level a node, or the PeerReview root's RECV entry of one poll's answers,
+one a child and one a "replay" action, which grows with "rounds" without
+"payload". Only the topology rules the cluster builders own
+(`ProtocolConfig`, device ids at most 255) are checked after the build.
 
 Round r submits one body: without "payload", the protocol's own (an empty
 BFT request, a CR put of b"v<17r>" at b"k<r>", b"cmd-<r>", b"rec-<r>"); with
@@ -75,7 +69,6 @@ import random
 from dataclasses import dataclass, field
 
 from .device import pack_batch
-from .errors import PayloadTooLarge
 from .kernel import MAX_PAYLOAD
 from .protocols.a2m import A2mStore
 from .protocols.bft import (
@@ -84,10 +77,11 @@ from .protocols.bft import (
     EquivocatingLeader,
     WrongValueLeader,
     counter_state,
+    proof_len,
 )
-from .protocols.chain import ChainCluster, LyingMiddle
+from .protocols.chain import ChainCluster, LyingMiddle, put_proof_len
 from .protocols.common import build_cluster, derive_key, log_session, transport_session
-from .protocols.peerreview import MutatingChild, PrScenario, rewrite_log_entry
+from .protocols.peerreview import MutatingChild, PrScenario, recv_entry_len, rewrite_log_entry
 from .simnet import FaultAction, FaultSchedule, Network
 
 
@@ -168,7 +162,7 @@ FAULT_ACTION_FIELDS = ("kind", *WILDCARD_FIELDS, "delay_ns", "bit_offset",
 # fault action's and an attack's share no name.
 MINIMUMS = {"rounds": 1, "children": 1, "batch": 1, "attest_delay_ns": 0, "payload": 0,
             "index": 0, "delay_ns": 0, "earlier_index": 0, "bit_offset": 0, "session": 0,
-            "sender": 0, "round": 1, "commit": 1, "after_round": 0}
+            "sender": 0, "round": 1, "commit": 1, "after_round": 0, "seq": 0}
 
 
 def _require_int(where: str, name: str, value) -> None:
@@ -195,8 +189,7 @@ def run_scenario(spec: dict) -> ScenarioResult:
     as a field of the wrong JSON type, a topology no protocol builds, or a
     body too large for the kernel, raises ValueError. The spec is completed
     from SPEC_FIELDS and ATTACK_KINDS and checked here, before a runner
-    builds anything, but for the checks the module docstring leaves to the
-    build and the run."""
+    builds anything, but for the topology rules the builders own."""
     protocol = spec.get("protocol", "bft")
     if not isinstance(protocol, str) or protocol not in _RUNNERS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -218,7 +211,7 @@ def run_scenario(spec: dict) -> ScenarioResult:
         raise ValueError('"batch" needs "payload": without it a round sends the '
                          "protocol's own body")
 
-    spec = {**SPEC_FIELDS[protocol], **spec}
+    spec = {**SPEC_FIELDS[protocol], **spec, "protocol": protocol}
     attack = spec["attack"] = {"kind": kind, **(fields or {}), **attack}
     # A2M's table has no "faults", and its schedule is None.
     spec["faults"] = _parse_faults(spec.get("faults"), spec["seed"])
@@ -233,17 +226,38 @@ def run_scenario(spec: dict) -> ScenarioResult:
     if protocol == "peerreview" and kind != "none" and not (
             2 <= attack["node"] <= spec["children"] + 1):
         raise ValueError(f"attack node {attack['node']!r} is not a child")
-    # pack_batch's count and each record's length take 4 bytes.
-    size = 0 if spec["payload"] is None else 4 + spec["batch"] * (4 + spec["payload"])
-    try:
-        if size > MAX_PAYLOAD:
-            raise PayloadTooLarge(f"{size} > {MAX_PAYLOAD}")
-        outcome, lines, timing = _RUNNERS[protocol](spec)
-    except PayloadTooLarge as exc:
+    if kind == "rewrite_log" and attack["seq"] >= spec["rounds"]:
+        raise ValueError(f'rewrite_log seq {attack["seq"]} is not below "rounds" '
+                         f'{spec["rounds"]}: a child logs one entry a round')
+    # The largest kernel payload of a round, at least its body, the last one's:
+    # an own body grows with r, and pack_batch takes 4 bytes a length.
+    size = body = (len(_OWN_BODIES[protocol](spec["rounds"])) if spec["payload"] is None
+                   else 4 + spec["batch"] * (4 + spec["payload"]))
+    if protocol == "bft":
+        size = proof_len(spec["n"], body)
+    elif protocol == "cr" and spec["n"] > 1:    # the last round's key, as `_run_cr` puts
+        r = spec["rounds"]
+        key = b"k%d" % r if spec["payload"] is None else b"k%08d" % (r % 128)
+        size = put_proof_len(spec["n"], len(key), body)
+    elif protocol == "peerreview":
+        # One poll holds a round's answers, one a child, and a frame lost to exhausted
+        # retries only once an adversary's copy of it lands (`Network.step`), as only
+        # a replay copies an earlier frame, once. An upper bound, checked on 1 and 237.
+        faults = spec["faults"].actions if spec["faults"] else []
+        replays = sum(action.kind == "replay" for action in faults)
+        size = recv_entry_len(spec["children"] + replays, body)
+    if size > MAX_PAYLOAD:
         topology = {"cr": ' or "n"', "peerreview": ' or "children"'}.get(protocol, "")
-        raise ValueError(f'"payload"{topology} too large: {exc} bytes') from None
+        raise ValueError(f'"payload"{topology} too large: {size} > {MAX_PAYLOAD} bytes')
+    outcome, lines, timing = _RUNNERS[protocol](spec)
     ok = lines[-1]["ok"] = judge(outcome)
     return ScenarioResult(ok, lines, *timing)
+
+
+# Round r's own body, sent without "payload" (see above); each grows with r.
+_OWN_BODIES = {"bft": lambda r: b"", "cr": lambda r: b"v%d" % (r * 17),
+               "peerreview": lambda r: b"cmd-%d" % r,
+               "raw-channel": lambda r: b"rec-%d" % r, "a2m": lambda r: b"rec-%d" % r}
 
 
 def _parse_faults(faults, seed: int) -> FaultSchedule | None:
@@ -271,17 +285,17 @@ def _parse_faults(faults, seed: int) -> FaultSchedule | None:
 
 def _run_rounds(spec: dict, net: Network, submit):
     """The one round loop: installs the spec's wire faults on net, then
-    `submit(r, body)` runs round r (body None: the protocol's own) and
-    returns False if its client accepted nothing. Returns ScenarioResult's
-    simulated latencies, elapsed time and stalled rounds."""
+    `submit(r, body)` runs round r and returns False if its client accepted
+    nothing. Returns ScenarioResult's simulated latencies, elapsed time and
+    stalled rounds."""
     if spec["faults"] is not None:
         net.install_schedule(spec["faults"])
     rng = random.Random(spec["seed"])
     payload, batch, clock = spec["payload"], spec["batch"], net.clock
-    latencies, stalled = [], []
+    own_body, latencies, stalled = _OWN_BODIES[spec["protocol"]], [], []
     start = clock.now_ns
     for round_id in range(1, spec["rounds"] + 1):
-        body = None if payload is None else pack_batch(
+        body = own_body(round_id) if payload is None else pack_batch(
             [rng.randbytes(payload) for _ in range(batch)])
         t0 = clock.now_ns
         if not submit(round_id, body):
@@ -308,10 +322,10 @@ def _run_bft(spec: dict):
     # crashed, so the only value a client may accept for round r is r.
     pairs, lines = [], []
 
-    def submit(round_id: int, body: bytes | None) -> bool:
+    def submit(round_id: int, body: bytes) -> bool:
         if crash and round_id == crash["after_round"] + 1:
             cluster.replicas[crash["node"]].crashed = True
-        req = cluster.run_request(0, round_id, b"" if body is None else body)
+        req = cluster.run_request(0, round_id, body)
         values = {c.client_id: c.observed.get(req) for c in cluster.clients}
         pairs.extend((counter_state(round_id), v) for v in values.values())
         lines.append({"round": round_id, "accepted": {
@@ -345,11 +359,8 @@ def _run_cr(spec: dict):
 
     pairs, lines = [], []
 
-    def submit(round_id: int, body: bytes | None) -> bool:
-        if body is None:
-            key, value = b"k%d" % round_id, b"v%d" % (round_id * 17)
-        else:
-            key, value = b"k%08d" % (round_id % 128), body
+    def submit(round_id: int, value: bytes) -> bool:
+        key = b"k%d" % round_id if spec["payload"] is None else b"k%08d" % (round_id % 128)
         req = cluster.run_put(0, round_id, key, value)
         accepted = cluster.clients[0].accepted_value(req)
         pairs.append((round_id.to_bytes(8, "big") + value, accepted))  # index r ‖ value
@@ -386,21 +397,16 @@ def _run_peerreview(spec: dict):
                                 child_kwargs_at=child_kwargs_at,
                                 attest_delay_ns=spec["attest_delay_ns"])
 
-    def submit(round_id: int, body: bytes | None) -> bool:
+    def submit(round_id: int, body: bytes) -> bool:
         # A child answers each command once, in order, or not at all.
-        scenario.run_rounds([b"cmd-%d" % round_id if body is None else body])
+        scenario.run_rounds([body])
         return all(len(got) >= round_id for got in scenario.root.responses.values())
     timing = _run_rounds(spec, scenario.cluster.net, submit)
 
     if attack["kind"] == "rewrite_log":
-        target, seq = attack["node"], attack["seq"]
-        child = scenario.children[target]
-        first = child.log.first
-        if not first <= seq < len(child.log):
-            dropped = f" ({first} dropped at a checkpoint)" if first else ""
-            raise ValueError(f"rewrite_log seq {seq!r} is not in child {target}'s "
-                             f"log of {len(child.log)} entries{dropped}")
-        rewrite_log_entry(child, seq, b"\x52rewritten-history")
+        child = scenario.children[attack["node"]]
+        if attack["seq"] < len(child.log):   # else the child lost that command
+            rewrite_log_entry(child, attack["seq"], b"\x52rewritten-history")
 
     verdicts = scenario.audit_all()
     outcome = Outcome([], accused={d for d, v in verdicts.items() if not v.consistent},
@@ -417,9 +423,9 @@ def _run_raw_channel(spec: dict):
     sender, receiver = cluster.endpoints[1], cluster.endpoints[2]
     sent, delivered = [], []
 
-    def submit(round_id: int, body: bytes | None) -> bool:
-        sent.append(b"rec-%d" % round_id if body is None else body)
-        sender.auth_send(session, sent[-1])
+    def submit(round_id: int, body: bytes) -> bool:
+        sent.append(body)
+        sender.auth_send(session, body)
         net.run_until_quiescent()
         got = [msg.payload for msg in receiver.poll(session)]
         delivered.extend(got)
@@ -440,8 +446,8 @@ def _run_a2m(spec: dict):
     store = A2mStore(endpoint, manifest_log=manifest)
     appended: list[tuple[bytes, int, bytes]] = []
 
-    def submit(round_id: int, body: bytes | None) -> bool:
-        appended.append(store.append(log, b"rec-%d" % round_id if body is None else body))
+    def submit(round_id: int, body: bytes) -> bool:
+        appended.append(store.append(log, body))
         return True
     timing = _run_rounds(spec, cluster.net, submit)
 

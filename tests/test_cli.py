@@ -313,9 +313,9 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
     ('{"protocol": "a2m", "attest_delay_ns": "23"}',
      "\"attest_delay_ns\" must be an integer, got '23'"),
     ('{"protocol": "cr", "rounds": 1, "payload": 70000}',
-     "\"payload\" or \"n\" too large: 70008 > 65536 bytes"),
+     "\"payload\" or \"n\" too large: 70412 > 65536 bytes"),
     ('{"protocol": "peerreview", "rounds": 1, "payload": 40000}',
-     "\"payload\" or \"children\" too large: 80197 > 65536 bytes"),
+     "\"payload\" or \"children\" too large: 160567 > 65536 bytes"),
     ('{"protocol": "a2m", "rounds": 1, "payload": 70000}',
      "\"payload\" too large: 70008 > 65536 bytes"),
     ('{"protocol": "raw-channel", "rounds": 1, "payload": 70000}',
@@ -323,7 +323,7 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
     ('{"protocol": "cr", "n": 3, "f": -1}', "f must be >= 0, got -1"),
     ('{"protocol": "cr", "n": 0, "f": -1}', "f must be >= 0, got -1"),
     ('{"protocol": "peerreview", "children": 257}',
-     "a transport session holds device ids 0..255, got 1 and 256"),
+     "\"payload\" or \"children\" too large: 70680 > 65536 bytes"),
     ('{"protocol": "cr", "n": 258}',
      "a transport session holds device ids 0..255, got 1 and 256"),
     ('{"protocol": "bft", "n": 259, "f": 129}',
@@ -374,6 +374,15 @@ def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
     assert line.startswith("attestnet scenario: ") and message in line
 
 
+# Child 2's first answer is dropped for good (17 attempts on a retry budget of
+# 16), and its second answer's frame brings back a copy of it: the root then
+# polls both in one step, beside every other child's answer.
+LOST_AND_REPLAYED = {"actions": [
+    *[{"kind": "drop", "session": transport_session(1, 2), "sender": 2}] * 17,
+    {"kind": "replay", "session": transport_session(1, 2), "sender": 2,
+     "earlier_index": 0}]}
+
+
 @pytest.mark.parametrize("spec, message", [
     ({"protocol": "a2m", "payload": 5_000_000}, '"payload" too large'),
     ({"protocol": "bft", "batch": 200_000, "payload": 16}, '"payload" too large'),
@@ -391,6 +400,17 @@ def test_scenario_bad_input_exits_2(tmp_path, capsys, content, message):
       "faults": {"actions": [{"kind": "drop", "index": -1}]}},
      'fault action "index" must be >= 0, got -1'),
     ({"protocol": "cr", "n": 200, "f": -1}, "f must be >= 0, got -1"),
+    ({"protocol": "peerreview", "children": 239, "rounds": 1},
+     '"payload" or "children" too large: 65730 > 65536 bytes'),
+    ({"protocol": "peerreview", "children": 238, "rounds": 10},
+     '"payload" or "children" too large: 65931 > 65536 bytes'),
+    ({"protocol": "peerreview", "children": 238, "rounds": 2, "faults": LOST_AND_REPLAYED},
+     '"payload" or "children" too large: 65730 > 65536 bytes'),
+    ({"protocol": "cr", "n": 200, "payload": 64000, "rounds": 1},
+     '"payload" or "n" too large: 100857 > 65536 bytes'),
+    ({"protocol": "peerreview", "children": 200, "rounds": 1,
+      "attack": {"kind": "rewrite_log", "seq": 5}},
+     'rewrite_log seq 5 is not below "rounds" 1: a child logs one entry a round'),
 ])
 def test_bad_input_is_refused_before_the_cluster_is_built(spec, message):
     """No body is allocated and no cluster built: several specs name wide
@@ -406,8 +426,8 @@ def test_bad_input_is_refused_before_the_cluster_is_built(spec, message):
 
 
 def test_scenario_peerreview_children_fill_the_roots_log_entry(tmp_path, capsys):
-    """Without "payload", the root's entry of the frames it sent one round
-    fits 238 children, and 239 are refused as bad input."""
+    """Without "payload", the root's RECV entry of its children's answers to
+    a round's command fits 238 children, and 239 are refused as bad input."""
     path = tmp_path / "wide.json"
     path.write_text('{"protocol": "peerreview", "children": 238, "rounds": 1}')
     assert cli.main(["scenario", str(path)]) == 0
@@ -420,6 +440,40 @@ def test_scenario_peerreview_children_fill_the_roots_log_entry(tmp_path, capsys)
                             "65730 > 65536 bytes\n")
 
 
+@pytest.mark.parametrize("runs, refused, size", [
+    # BFT: the wrapper's attestation is 24 bytes past the body, and a proof to
+    # a follower 1 + 84 past that.
+    ({"protocol": "bft", "n": 1, "f": 0, "payload": 65504},
+     {"protocol": "bft", "n": 1, "f": 0, "payload": 65505}, 65537),
+    ({"protocol": "bft", "n": 3, "payload": 65419},
+     {"protocol": "bft", "n": 3, "payload": 65420}, 65537),
+    # CR: the proof into the tail, 8 + (26 + body) + 185 a level.
+    ({"protocol": "cr", "n": 3, "payload": 65124},
+     {"protocol": "cr", "n": 3, "payload": 65125}, 65537),
+    ({"protocol": "cr", "n": 5, "f": 2, "payload": 64754},
+     {"protocol": "cr", "n": 5, "f": 2, "payload": 64755}, 65537),
+    # PeerReview: the root's RECV entry, 5 + frames * (265 + 2 * command); the
+    # command b"cmd-10" is 6 bytes, and the CLI test above runs 238 children
+    # with b"cmd-1".
+    ({"protocol": "peerreview", "children": 1, "payload": 32625},
+     {"protocol": "peerreview", "children": 1, "payload": 32626}, 65538),
+    ({"protocol": "peerreview", "children": 236, "rounds": 10},
+     {"protocol": "peerreview", "children": 237, "rounds": 10}, 65654),
+    ({"protocol": "peerreview", "children": 237, "rounds": 2, "faults": LOST_AND_REPLAYED},
+     {"protocol": "peerreview", "children": 238, "rounds": 2, "faults": LOST_AND_REPLAYED},
+     65730),
+])
+def test_largest_round_runs_and_one_byte_more_is_refused(runs, refused, size):
+    """Each protocol's formula at its edge: the largest spec runs, and the
+    next is refused with the size of the payload the kernel would refuse, so
+    a formula one byte off fails a row."""
+    assert scenario_mod.run_scenario({"rounds": 1, **runs}).ok
+    topology = {"cr": ' or "n"', "peerreview": ' or "children"'}.get(refused["protocol"], "")
+    with pytest.raises(ValueError, match=re.escape(
+            f'"payload"{topology} too large: {size} > 65536 bytes')):
+        scenario_mod.run_scenario({"rounds": 1, **refused})
+
+
 @pytest.mark.parametrize("seq", [2, -1])
 def test_scenario_rewrite_log_seq_outside_the_log_exits_2(tmp_path, capsys, seq):
     # Two rounds leave two entries in each child's log, one a round.
@@ -430,26 +484,25 @@ def test_scenario_rewrite_log_seq_outside_the_log_exits_2(tmp_path, capsys, seq)
     assert cli.main(["scenario", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"attestnet scenario: rewrite_log seq {seq} is not "
-                            f"in child 2's log of 2 entries\n")
+    assert captured.err == "attestnet scenario: " + (
+        'rewrite_log seq 2 is not below "rounds" 2: a child logs one entry a round\n'
+        if seq == 2 else 'attack "seq" must be >= 0, got -1\n')
 
 
-def test_scenario_rewrite_log_seq_below_a_checkpoint_exits_2(tmp_path, capsys,
-                                                             monkeypatch):
-    # Audited after every round, each child's 2 entries are dropped.
-    run_rounds = PrScenario.run_rounds
-    monkeypatch.setattr(PrScenario, "run_rounds",
-                        lambda self, commands: (run_rounds(self, commands),
-                                                self.audit_all()))
+def test_scenario_rewrite_log_of_a_lost_command_never_fires(tmp_path, capsys):
+    """Both commands to child 2 are lost, so its log stays empty and there is
+    nothing to rewrite: the run is judged, and its exhausted frames fail it."""
     path = tmp_path / "rewrite.json"
     path.write_text(json.dumps({
         "protocol": "peerreview", "rounds": 2,
-        "attack": {"kind": "rewrite_log", "node": 2, "seq": 1}}))
-    assert cli.main(["scenario", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("attestnet scenario: rewrite_log seq 1 is not in child 2's "
-                            "log of 2 entries (2 dropped at a checkpoint)\n")
+        "attack": {"kind": "rewrite_log", "node": 2, "seq": 0},
+        "faults": {"actions": [{"kind": "drop", "session": transport_session(1, 2),
+                                "sender": 1}] * 17}}))
+    assert cli.main(["scenario", str(path)]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert lines[-1] == {"protocol": "peerreview", "exhausted": 2, "ok": False}
+    assert {line["node"]: line["verdict"] for line in lines[:-1]} == {
+        1: "Consistent", 2: "Consistent", 3: "Consistent"}
 
 
 def test_check_small_instance(capsys):
@@ -520,7 +573,7 @@ def test_bench_payload_too_large_for_the_kernel_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("attestnet bench: \"payload\" or \"n\" too large: "
-                            "70008 > 65536 bytes\n")
+                            "70412 > 65536 bytes\n")
 
 
 def test_bench_batch_below_one_exits_2(capsys):

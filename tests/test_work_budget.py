@@ -1,0 +1,73 @@
+"""Guard: the Python-level work one scenario run does, counted, not timed.
+
+One 32-round spec per protocol runs through `run_scenario` under cProfile,
+and the calls of Python-level functions, built-ins excluded, are pinned
+exactly. They are summed over cProfile's raw entries, one per code object:
+`pstats` keys a function by (file, line, name), and every dataclass
+`__init__` is ("<string>", 2, "__init__"), so its table keeps one of them,
+which one depending on the process's memory layout. The cyclic garbage
+collector is off while it counts: a collection would run whatever callbacks
+and finalizers other code left behind (hypothesis registers a gc callback).
+The count is then deterministic: it does not move between runs, with the
+order of imports or of the tests before it, or across PYTHONHASHSEED
+values, so a change that adds one call per frame, per request or per round
+shows here, where host time could not tell it from noise. Reproduce a pin
+with
+
+    PYTHONPATH=src python tests/test_work_budget.py
+
+A change that moves a count updates its pin, and says why, with both values.
+Counts are per CPython minor version (3.12 inlines comprehensions, PEP 709),
+so another version skips instead of guessing.
+"""
+
+import cProfile
+import gc
+import sys
+
+import pytest
+
+from attestnet.scenario import run_scenario
+
+RECORDED_ON = (3, 11)
+
+# protocol -> (spec, Python-level calls of one run)
+PINNED = {
+    "bft": ({"protocol": "bft", "rounds": 32, "payload": 64}, 10101),
+    "cr": ({"protocol": "cr", "n": 5, "f": 2, "rounds": 32, "batch": 16,
+            "payload": 256}, 13124),
+    "peerreview": ({"protocol": "peerreview", "children": 3, "rounds": 32,
+                    "payload": 64}, 10643),
+    "a2m": ({"protocol": "a2m", "rounds": 32, "payload": 64}, 664),
+    "raw-channel": ({"protocol": "raw-channel", "rounds": 32, "payload": 64}, 844),
+}
+
+
+def python_calls(spec: dict) -> int:
+    """The Python-level calls one `run_scenario(spec)` makes; the run must be ok."""
+    profile = cProfile.Profile()
+    gc.collect()
+    gc.disable()
+    profile.enable()
+    try:
+        result = run_scenario(spec)
+    finally:
+        profile.disable()
+        gc.enable()
+    assert result.ok
+    # A built-in's entry names it with a string, a Python function's with its code.
+    return sum(entry.callcount for entry in profile.getstats()
+               if not isinstance(entry.code, str))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != RECORDED_ON,
+                    reason=f"calls are pinned for CPython {RECORDED_ON[0]}.{RECORDED_ON[1]} only")
+@pytest.mark.parametrize("protocol", PINNED)
+def test_python_calls_per_run_are_pinned(protocol):
+    spec, calls = PINNED[protocol]
+    assert python_calls(spec) == calls
+
+
+if __name__ == "__main__":
+    for protocol, (spec, _) in PINNED.items():
+        print(protocol, python_calls(spec))
