@@ -247,8 +247,10 @@ def run_scenario(spec: dict) -> ScenarioResult:
         replays = sum(action.kind == "replay" for action in faults)
         size = recv_entry_len(spec["children"] + replays, body)
     if size > MAX_PAYLOAD:
-        topology = {"cr": ' or "n"', "peerreview": ' or "children"'}.get(protocol, "")
-        raise ValueError(f'"payload"{topology} too large: {size} > {MAX_PAYLOAD} bytes')
+        topology = {"cr": ' or "n"',
+                    "peerreview": ', "children", "rounds" or "replay" actions'}
+        raise ValueError(f'"payload"{topology.get(protocol, "")} too large: '
+                         f'{size} > {MAX_PAYLOAD} bytes')
     outcome, lines, timing = _RUNNERS[protocol](spec)
     ok = lines[-1]["ok"] = judge(outcome)
     return ScenarioResult(ok, lines, *timing)

@@ -48,7 +48,7 @@ ACTION_KINDS = ("drop", "duplicate", "delay", "reorder", "tamper", "replay", "fo
 _COPIES = ("duplicated", "forged")   # dispositions of an adversary's extra copies
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FaultAction:
     """One scripted adversarial action.
 
@@ -56,6 +56,12 @@ class FaultAction:
     stream; None fields match anything. Each action fires at most once: when
     several unspent actions match a frame, the earliest in schedule order
     fires.
+
+    A slotted record, not a frozen one: one is built per scheduled action
+    (306 and 313 per `pr_lossy_audit` episode on seeds 1 and 7), and a
+    frozen `__init__`, which sets each field through `object.__setattr__`,
+    about doubles the cost of each. Nothing changes an action after
+    `Network.install_schedule` buckets it, and nothing hashes one.
     """
 
     kind: str
@@ -132,7 +138,7 @@ class Network:
         # (time, seq, record, data on the wire, disposition)
         self._queue: list[tuple[int, int, _FrameRecord, bytes, str]] = []
         self._seq = 0
-        self._rng = random.Random(0)
+        self._rng: random.Random | None = None   # only install_schedule seeds it
         self._stream_history: dict[tuple[int, int], list[bytes]] = {}
         self._pending_swap: dict[tuple[int, int], _FrameRecord] = {}
         # Unspent actions by (session, sender, index), None as the wildcard;

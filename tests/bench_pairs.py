@@ -51,21 +51,28 @@ TRACED_SECONDS = 2
 PROFILED_EPISODES = 4
 
 # Run in a tree's root: Python-level calls per attempted request, built-ins
-# (cProfile's file name "~") excluded.
+# excluded. The calls are summed over cProfile's raw entries, one per code
+# object (a built-in's names it with a string), with the garbage collector off
+# around each episode: `pstats` keys a function by (file, line, name), and
+# keeps only one of the dataclass `__init__`s, which all read
+# ("<string>", 2, "__init__").
 CALLS_SCRIPT = """
-import cProfile, pstats, sys
+import cProfile, gc, sys
 sys.path[:0] = ["src", "perfbench"]
 from workloads import WORKLOADS
 workload, seed, episodes = WORKLOADS[sys.argv[1]], int(sys.argv[2]), int(sys.argv[3])
 inputs = workload.inputs(seed, workload.size)
 profile, attempted = cProfile.Profile(), 0
 for _ in range(episodes):
+    gc.collect()
+    gc.disable()
     profile.enable()
     episode = workload.episode(seed, inputs)
     profile.disable()
+    gc.enable()
     attempted += episode.attempted
-stats = pstats.Stats(profile).stats
-print(sum(s[1] for (name, _, _), s in stats.items() if name != "~") / attempted)
+calls = sum(e.callcount for e in profile.getstats() if not isinstance(e.code, str))
+print(calls / attempted)
 """
 
 

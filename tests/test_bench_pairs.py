@@ -1,8 +1,15 @@
-"""The pair statistics behind a BENCH_*.json record (`tests/bench_pairs.py`)."""
+"""The pair statistics and the call counts behind a BENCH_*.json record
+(`tests/bench_pairs.py`)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
-from bench_pairs import judge_claim, parse_run, summarize
+from bench_pairs import CALLS_SCRIPT, judge_claim, parse_run, summarize
+from test_work_budget import counted_call
+
+REPO = Path(__file__).resolve().parent.parent
 
 RUN_OUTPUT = "\n".join([
     "== bft_clients4 seed=1 untraced: 5 episodes, 1280 requests attempted, 0 failed, "
@@ -53,3 +60,16 @@ def test_a_claim_needs_the_ratio_nine_of_ten_wins_and_a_gap_beyond_the_iqr():
     # A large gap won in only 8 of 10 pairs.
     mixed = [v * 0.8 for v in parent[:8]] + [v * 1.2 for v in parent[8:]]
     assert not judge_claim(summarize(parent, mixed, "lower"), 0.93, "lower")["met"]
+
+
+def test_calls_script_counts_every_python_call_of_an_episode(monkeypatch):
+    """The script's calls per request equal cProfile's raw entries summed here
+    over the same episode, every dataclass `__init__` included: `pstats`
+    keeps only one of the functions that share a (file, line, name) key."""
+    proc = subprocess.run([sys.executable, "-c", CALLS_SCRIPT, "bft_clients4", "1", "1"],
+                          cwd=REPO, capture_output=True, text=True, check=True)
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    from workloads import WORKLOADS
+    workload = WORKLOADS["bft_clients4"]
+    episode, calls = counted_call(workload.episode, 1, workload.inputs(1, workload.size))
+    assert float(proc.stdout) == calls / episode.attempted

@@ -315,7 +315,7 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
     ('{"protocol": "cr", "rounds": 1, "payload": 70000}',
      "\"payload\" or \"n\" too large: 70412 > 65536 bytes"),
     ('{"protocol": "peerreview", "rounds": 1, "payload": 40000}',
-     "\"payload\" or \"children\" too large: 160567 > 65536 bytes"),
+     '"payload", "children", "rounds" or "replay" actions too large: 160567 > 65536 bytes'),
     ('{"protocol": "a2m", "rounds": 1, "payload": 70000}',
      "\"payload\" too large: 70008 > 65536 bytes"),
     ('{"protocol": "raw-channel", "rounds": 1, "payload": 70000}',
@@ -323,7 +323,7 @@ def test_scenario_peerreview_survives_every_action_kind(tmp_path, capsys):
     ('{"protocol": "cr", "n": 3, "f": -1}', "f must be >= 0, got -1"),
     ('{"protocol": "cr", "n": 0, "f": -1}', "f must be >= 0, got -1"),
     ('{"protocol": "peerreview", "children": 257}',
-     "\"payload\" or \"children\" too large: 70680 > 65536 bytes"),
+     '"payload", "children", "rounds" or "replay" actions too large: 70680 > 65536 bytes'),
     ('{"protocol": "cr", "n": 258}',
      "a transport session holds device ids 0..255, got 1 and 256"),
     ('{"protocol": "bft", "n": 259, "f": 129}',
@@ -391,7 +391,7 @@ LOST_AND_REPLAYED = {"actions": [
     ({"protocol": "peerreview", "children": 238,
       "attack": {"kind": "mutate_result", "node": 999}}, "attack node 999 is not a child"),
     ({"protocol": "peerreview", "children": 200, "payload": 70000},
-     '"payload" or "children" too large'),
+     '"payload", "children", "rounds" or "replay" actions too large'),
     ({"protocol": "bft", "n": 101, "f": 50, "attack": {"kind": "crash", "node": 500}},
      "crash node 500 is not a replica"),
     ({"protocol": "bft", "n": 201, "f": 100, "batch": 300, "payload": 300},
@@ -401,11 +401,11 @@ LOST_AND_REPLAYED = {"actions": [
      'fault action "index" must be >= 0, got -1'),
     ({"protocol": "cr", "n": 200, "f": -1}, "f must be >= 0, got -1"),
     ({"protocol": "peerreview", "children": 239, "rounds": 1},
-     '"payload" or "children" too large: 65730 > 65536 bytes'),
+     '"payload", "children", "rounds" or "replay" actions too large: 65730 > 65536 bytes'),
     ({"protocol": "peerreview", "children": 238, "rounds": 10},
-     '"payload" or "children" too large: 65931 > 65536 bytes'),
+     '"payload", "children", "rounds" or "replay" actions too large: 65931 > 65536 bytes'),
     ({"protocol": "peerreview", "children": 238, "rounds": 2, "faults": LOST_AND_REPLAYED},
-     '"payload" or "children" too large: 65730 > 65536 bytes'),
+     '"payload", "children", "rounds" or "replay" actions too large: 65730 > 65536 bytes'),
     ({"protocol": "cr", "n": 200, "payload": 64000, "rounds": 1},
      '"payload" or "n" too large: 100857 > 65536 bytes'),
     ({"protocol": "peerreview", "children": 200, "rounds": 1,
@@ -436,8 +436,8 @@ def test_scenario_peerreview_children_fill_the_roots_log_entry(tmp_path, capsys)
     assert cli.main(["scenario", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("attestnet scenario: \"payload\" or \"children\" too large: "
-                            "65730 > 65536 bytes\n")
+    assert captured.err == ('attestnet scenario: "payload", "children", "rounds" or '
+                            '"replay" actions too large: 65730 > 65536 bytes\n')
 
 
 @pytest.mark.parametrize("runs, refused, size", [
@@ -468,7 +468,9 @@ def test_largest_round_runs_and_one_byte_more_is_refused(runs, refused, size):
     next is refused with the size of the payload the kernel would refuse, so
     a formula one byte off fails a row."""
     assert scenario_mod.run_scenario({"rounds": 1, **runs}).ok
-    topology = {"cr": ' or "n"', "peerreview": ' or "children"'}.get(refused["protocol"], "")
+    topology = {"cr": ' or "n"',
+                "peerreview": ', "children", "rounds" or "replay" actions'}.get(
+                    refused["protocol"], "")
     with pytest.raises(ValueError, match=re.escape(
             f'"payload"{topology} too large: {size} > 65536 bytes')):
         scenario_mod.run_scenario({"rounds": 1, **refused})

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attestnet.device import DeviceConfig, SimClock, connect
+from attestnet.kernel import TAG_LEN
 from attestnet.protocols.bft import BftCluster
 from attestnet.protocols.common import transport_session
 from attestnet.simnet import (
@@ -71,6 +72,10 @@ def test_forged_frame_delivered_but_never_polled():
     net.run_until_quiescent()
     forged = [ev for ev in net.trace if ev.disposition == "forged"]
     assert len(forged) == 1 and not forged[0].accepted
+    # The original's header and payload under the schedule's first random tag.
+    (original,) = [ev.frame for ev in net.trace if ev.disposition == "delivered"]
+    assert forged[0].frame == (original[:-TAG_LEN]
+                               + random.Random(schedule.seed).randbytes(TAG_LEN))
     assert rejections(b)["AuthFailure"] == 1
     assert [m.payload for m in b.poll(1)] == [b"real"]
 
@@ -324,6 +329,9 @@ def test_every_action_kind_pinned_trace():
         FaultAction(kind="forge", session=1, sender=1, index=8),
     ])
     assert sorted(a.kind for a in schedule.actions) == sorted(ACTION_KINDS)
+    with pytest.raises(ValueError) as refused:
+        FaultAction("bogus")
+    assert str(refused.value) == "unknown action kind 'bogus'"
     net, a, b = build_pair(schedule)
     for i in range(8):
         a.auth_send(1, bytes([i]) * 3)
